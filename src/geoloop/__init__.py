@@ -3,10 +3,10 @@
 Subpackages by concern:
 
 - prob_metrics: distances/angles between categorical distributions, path stats
-- rep_metrics: Fréchet distance, effective rank, participation ratio, CKA
+- rep_metrics: Fréchet distance, effective rank, participation ratio
 - ot: entropic optimal transport, Sinkhorn divergence, exact small oracles
-- mi: sequence-score critic, InfoNCE losses, contrastive MI bounds
-- rewards: strict format reward, gates, tie-breaker channel, autoscaler
+- mi: score matrices, InfoNCE losses, contrastive MI bounds
+- rewards: gates, tie-breaker channel, autoscaler
 - policy: the toy autoregressive policy and its synthetic task
 - trainer: group advantages, clipped surrogate, the unified loss, train steps
 - constitution: principle-set sufficiency evaluation

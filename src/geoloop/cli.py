@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +25,11 @@ from . import mi, ot, prob_metrics
 from .errors import ValidationError
 from .policy import (ToyPolicy, Vocab, gold_items, make_toy_task, mle_pretrain,
                      principles_from_patterns, warm_start)
-from .trainer import (ABLATION_MODES, TrainConfig, Trainer,
-                      load_checkpoint)
+from .trainer import ABLATION_MODES, TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -40,8 +39,8 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a training run needs, trainer hyperparameters included."""
+class RunConfig(TrainConfig):
+    """A training run: the trainer hyperparameters plus the run-level fields."""
 
     schema_version: int = SCHEMA_VERSION
     seed: int = 0
@@ -58,55 +57,26 @@ class RunConfig:
     task_bias: float = 0.8
     vocab_size: int = 16
     policy_dim: int = 32
-    group_size: int = 4
-    clip_eps: float = 0.1
-    kl_beta: float = 0.0
-    sami_weight: float = 0.05
-    mi_warmup_steps: int = 50
-    ot_weight: float = 0.01
-    ot_warmup: int = 200
-    blur: float = 0.12
-    scaling: float = 0.8
-    ot_subsample_cap: int = 512
-    shadow_k: int = 2
-    entropy_quantile: float = 0.8
-    channel_weight: float = 0.15
-    sigmoid_slope: float = 2.5
-    autoscale_target: float = 0.2
-    autoscale_eta: float = 0.05
-    ema_decay: float = 0.99
-    # Run-level default is the validated toy recipe: raw advantages (group-std
-    # scaling amplifies MI-channel noise into entropy collapse at this scale)
-    # and an SGD rate sized for a 16-token policy.
-    scale_rewards: str = "none"
-    mask_truncated: bool = True
-    length_norm_constant: int = 12
-    shaping_weight: float = 0.0
-    jitter_sigma: float = 0.0
-    learning_rate: float = 1.0
-    grad_clip: float = 1.0
-    prompts_per_batch: int = 8
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {self.schema_version}")
+            raise ConfigError(f"unsupported schema_version {self.schema_version} "
+                              f"(this version reads {SCHEMA_VERSION})")
         if self.ablation not in ABLATION_MODES:
             raise ConfigError(f"ablation must be one of {ABLATION_MODES}")
         if self.max_steps <= 0 or self.checkpoint_every <= 0:
             raise ConfigError("max_steps and checkpoint_every must be positive")
-
-    def train_config(self) -> TrainConfig:
-        names = {f.name for f in fields(TrainConfig)}
-        kwargs = {name: getattr(self, name) for name in names}
-        return TrainConfig(**kwargs).with_ablation(self.ablation)
+        super().__post_init__()
 
     def config_hash(self) -> str:
         return hashlib.sha256(serialise_config(self).encode()).hexdigest()
 
 
 def serialise_config(config: RunConfig) -> str:
+    """One ``key = value`` line per field, run-level fields first."""
+    trainer_fields = {f.name for f in fields(TrainConfig)}
     lines = []
-    for f in fields(RunConfig):
+    for f in sorted(fields(RunConfig), key=lambda f: f.name in trainer_fields):
         value = getattr(config, f.name)
         if isinstance(value, bool):
             rendered = "true" if value else "false"
@@ -119,8 +89,10 @@ def serialise_config(config: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    known = {f.name: f.type for f in fields(RunConfig)}
-    raw = {}
+    """Parse a config file; unknown keys are reported after the schema check,
+    so a file written for another schema fails on its version."""
+    known = {f.name for f in fields(RunConfig)}
+    raw, unknown = {}, []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -129,12 +101,16 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            unknown.append(f"line {lineno}: unknown key {key!r}")
+            continue
         raw[key] = _parse_value(value, key, lineno)
     try:
-        return RunConfig(**raw)
+        config = RunConfig(**raw)
     except (TypeError, ValidationError) as exc:
         raise ConfigError(str(exc)) from exc
+    if unknown:
+        raise ConfigError(unknown[0])
+    return config
 
 
 def _parse_value(value: str, key: str, lineno: int):
@@ -157,12 +133,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    config = parse_config(text)
-    if overrides:
-        merged = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
-        merged.update(overrides)
-        config = RunConfig(**merged)
-    return config
+    return replace(parse_config(text), **(overrides or {}))
 
 
 # ---------- shared setup ----------
@@ -216,16 +187,16 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
+    # Seeded init (exact zeros are a saddle), then the format warm start with
+    # a weak filler bias: the policy arrives format-competent with principle
+    # binding near (but not at) chance.
     policy = ToyPolicy(vocab, config.policy_dim)
-    if config.warmstart_epochs > 0:
-        # Format warm start with a weak filler bias: the policy arrives
-        # format-competent with principle binding near (but not at) chance.
-        policy.init_params(config.seed)
-        warm_start(policy, task, config.warmstart_epochs, config.warmstart_lr,
-                   config.seed, bias=config.warmstart_bias)
+    policy.init_params(config.seed)
+    warm_start(policy, task, config.warmstart_epochs, config.warmstart_lr,
+               config.seed, bias=config.warmstart_bias)
 
-    trainer = Trainer(policy, task, config.train_config(), config.max_steps,
-                      config.seed)
+    trainer = Trainer(policy, task, config.with_ablation(config.ablation),
+                      config.max_steps, config.seed)
     config_hash = config.config_hash()
     config_text = serialise_config(config)
     checkpoint_hashes = {}

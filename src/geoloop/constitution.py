@@ -67,11 +67,6 @@ class PrincipleSet:
         if len(set(ids)) != len(ids):
             raise ValidationError("principle ids must be unique")
 
-    def paired_negative(self, positive_index: int) -> "Principle":
-        if not self.negatives:
-            raise ValidationError("no negatives in this set")
-        return self.negatives[positive_index % len(self.negatives)]
-
 
 def parse_principle_file(path) -> PrincipleSet:
     """Key-value list layout: optional `name:` line, then `positives:` and
@@ -102,17 +97,6 @@ def parse_principle_file(path) -> PrincipleSet:
     if not positives:
         raise ValidationError(f"{path}: no positives found")
     return PrincipleSet(name, positives, negatives)
-
-
-def write_principle_file(pset: PrincipleSet, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"name: {pset.name}\n")
-        fh.write("positives:\n")
-        for p in pset.positives:
-            fh.write(f"- {p.text}\n")
-        fh.write("negatives:\n")
-        for p in pset.negatives:
-            fh.write(f"- {p.text}\n")
 
 
 # ---------- scalar signals ----------

@@ -1,4 +1,4 @@
-"""Sequence-score critic, row/column InfoNCE, contrastive MI bounds, diagnostics.
+"""Score matrices, row/column InfoNCE, contrastive MI bounds, diagnostics.
 
 The score matrix L collects normalised sequence log-scores between completions
 (rows) and principle-conditioned prompts (columns).  On a square matrix:
@@ -14,12 +14,13 @@ log(K+1) and goes negative for worse-than-chance association (the sign is
 kept).  Shadow candidates are drawn uniformly from the positive pool without
 replacement, excluding the true principle.
 
-Score normalisation modes: raw_sum (plain log-likelihood sum), length_mean
-(divide by token count; the default everywhere), fisher_weighted (token
-weights w_t proportional to p_t(1-p_t), normalised over completion tokens;
-available for the auxiliary only).  Row standardisation ((L - mu_i)/sigma_i)
-exists solely for the reward channel's z statistic and never touches the
-auxiliary loss; a constant row (sigma_i = 0) standardises to all zeros.
+A score matrix carries a normalisation label: raw_sum (plain log-likelihood
+sum), length_mean (divide by token count) or fisher_weighted (token weights
+proportional to p_t(1-p_t)).  Every score geoloop computes is length_mean;
+the other two labels are accepted on external score CSVs.  Row
+standardisation ((L - mu_i)/sigma_i) exists solely for the reward channel's
+z statistic and never touches the auxiliary loss; a constant row
+(sigma_i = 0) standardises to all zeros.
 """
 from __future__ import annotations
 
@@ -76,48 +77,6 @@ def _log_softmax(arr: np.ndarray, axis: int) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-# ---------- sequence scores ----------
-
-def sequence_score(policy, prompt, principle, completion,
-                   normalisation: str = "length_mean") -> float:
-    """Normalised sequence log-score of a completion under a rendered prompt (nats).
-
-    The policy only needs a `token_logprobs(prompt, principle, completion)`
-    method returning per-token log-probabilities of the completion tokens.
-    """
-    logps = np.asarray(policy.token_logprobs(prompt, principle, completion), dtype=float)
-    return score_from_token_logprobs(logps, normalisation)
-
-
-def score_from_token_logprobs(token_logprobs: np.ndarray,
-                              normalisation: str = "length_mean") -> float:
-    token_logprobs = np.asarray(token_logprobs, dtype=float)
-    if normalisation not in NORMALISATIONS:
-        raise ValidationError(f"unknown normalisation {normalisation!r}")
-    if token_logprobs.size == 0:
-        return 0.0
-    if normalisation == "raw_sum":
-        return float(np.sum(token_logprobs))
-    if normalisation == "length_mean":
-        return float(np.mean(token_logprobs))
-    weights = fisher_token_weights(token_logprobs)
-    return float(np.sum(weights * token_logprobs))
-
-
-def fisher_token_weights(token_logprobs: np.ndarray) -> np.ndarray:
-    """w_t proportional to p_t(1-p_t), normalised to sum 1 over completion tokens.
-
-    Diagonal Fisher proxy for softmax outputs; collapses to uniform weights
-    when all w_t vanish (deterministic tokens) so the score stays defined.
-    """
-    p = np.exp(np.asarray(token_logprobs, dtype=float))
-    raw = p * (1.0 - p)
-    total = float(np.sum(raw))
-    if total <= 1e-300:
-        return np.full(p.size, 1.0 / p.size)
-    return raw / total
-
-
 # ---------- InfoNCE on square matrices ----------
 
 def infonce_losses(matrix) -> dict:
@@ -132,14 +91,6 @@ def infonce_losses(matrix) -> dict:
     row_loss = float(-np.mean(row_ls[diag, diag]))
     col_loss = float(-np.mean(col_ls[diag, diag]))
     return {"row_loss": max(0.0, row_loss), "col_loss": max(0.0, col_loss)}
-
-
-def sami_aux(matrix, lam_row: float, lam_col: float) -> float:
-    """Symmetric InfoNCE auxiliary: lam_row * row loss + lam_col * col loss."""
-    if lam_row < 0 or lam_col < 0:
-        raise ValidationError("mixing weights must be nonnegative")
-    losses = infonce_losses(matrix)
-    return lam_row * losses["row_loss"] + lam_col * losses["col_loss"]
 
 
 def diag_mi(matrix) -> float:

@@ -18,16 +18,14 @@ symmetric, zero at a == b, and converging to W2^2 as eps -> 0.
 equal-size clouds) and exists purely as a test oracle; it is never called by
 the solver it checks.
 
-The blur -> eps convention used by the representation regulariser is
-eps = blur**2 (blur acts as a length scale on squared-Euclidean costs); the
-customary blur 0.12 therefore means eps = 0.0144.  This convention is
-recorded in REGULARISER_METADATA so logs are self-describing.
+The trainer's representation regulariser takes eps = blur**2 (blur acts as a
+length scale on squared-Euclidean costs); the customary blur 0.12 therefore
+means eps = 0.0144.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +37,6 @@ from .rep_metrics import EmpiricalMeasure
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_TOL = 1e-9
 DEFAULT_SCALING = 0.8
-
-REGULARISER_METADATA = "eps = blur**2 (squared-Euclidean cost; blur is a length scale)"
-
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -87,9 +82,6 @@ class TransportPlan:
         object.__setattr__(self, "row_marginal", row)
         object.__setattr__(self, "col_marginal", col)
 
-    def marginal_violation(self) -> float:
-        return float(np.abs(self.plan.sum(axis=1) - self.row_marginal).sum()
-                     + np.abs(self.plan.sum(axis=0) - self.col_marginal).sum())
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -178,8 +170,7 @@ def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float, *,
 
     Returns {"value", "plan": TransportPlan, "iterations", "converged",
     "violation_trace"}.  Non-convergence at max_iter comes back flagged, never
-    raised.  `costs` overrides the squared-Euclidean default (used by the
-    token-index diagnostic).
+    raised.  `costs` overrides the squared-Euclidean default.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
@@ -285,36 +276,6 @@ def subsample_indices(size: int, cap: int, seed) -> np.ndarray:
     return np.sort(rng.choice(size, size=cap, replace=False))
 
 
-def subsample_measure(measure: EmpiricalMeasure, cap: int, seed) -> EmpiricalMeasure:
-    idx = subsample_indices(measure.size, cap, seed)
-    if idx.size == measure.size:
-        return measure
-    return EmpiricalMeasure(measure.points[idx], normalised=measure.normalised)
-
-
-def ot_regulariser(current: EmpiricalMeasure | None, reference: EmpiricalMeasure | None,
-                   weight: float, blur: float, subsample_cap: int = 512, *,
-                   seed=0, scaling: float = DEFAULT_SCALING) -> float:
-    """weight * S_eps(current, reference) with eps = blur**2 and capped inputs.
-
-    Returns 0 for an empty measure (with a warning) or when weight is 0; the
-    caller owns warmup gating.
-    """
-    if weight < 0:
-        raise ValidationError("regulariser weight must be nonnegative")
-    if blur <= 0:
-        raise ValidationError("blur must be positive")
-    if weight == 0.0:
-        return 0.0
-    if current is None or reference is None or current.size == 0 or reference.size == 0:
-        warnings.warn("OT regulariser skipped: empty measure")
-        return 0.0
-    cur = subsample_measure(current, subsample_cap, seed)
-    ref = subsample_measure(reference, subsample_cap, (seed, 1))
-    result = sinkhorn_divergence(cur, ref, blur * blur, scaling=scaling)
-    return weight * result["value"]
-
-
 def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int, *,
                          epsilon: float = 1e-3) -> float:
     """Offline diagnostic: debiased entropic OT between truncated distributions.
@@ -362,20 +323,3 @@ def _weighted_entropic_value(wa: np.ndarray, wb: np.ndarray, costs: np.ndarray,
     kl = float(np.sum(plan * (log_plan - log_a[:, None] - log_b[None, :])))
     return float(np.sum(plan * costs)) + epsilon * kl
 
-
-def dump_plan_csv(result: dict, path) -> None:
-    """Dense plan CSV when n*m <= 10000, summary statistics otherwise."""
-    plan = result["plan"].plan
-    with open(path, "w", newline="") as fh:
-        if plan.size <= 10_000:
-            fh.write("format=dense\n")
-            for row in plan:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        else:
-            fh.write("format=summary\n")
-            fh.write("value,iterations,converged,plan_min,plan_max,plan_mean\n")
-            fh.write(",".join([
-                repr(float(result["value"])), str(result["iterations"]),
-                str(result["converged"]), repr(float(plan.min())),
-                repr(float(plan.max())), repr(float(plan.mean())),
-            ]) + "\n")

@@ -26,7 +26,6 @@ principle statistically identifiable from completions.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -478,11 +477,6 @@ class ToyPolicy:
         return grad
 
 
-def reference_policy(policy: ToyPolicy) -> ToyPolicy:
-    """Immutable-by-convention snapshot of the current parameters."""
-    return policy.clone()
-
-
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
     peak = np.max(logits, axis=-1, keepdims=True)
     return peak + np.log(np.sum(np.exp(logits - peak), axis=-1, keepdims=True))
@@ -551,24 +545,6 @@ class ToyTask:
                 return p
         raise KeyError(pid)
 
-    def to_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for item in self.items:
-                fh.write(json.dumps({"prompt": list(item.prompt),
-                                     "principle_id": item.principle_id,
-                                     "gold": list(item.gold)}) + "\n")
-
-    @staticmethod
-    def items_from_jsonl(path) -> tuple:
-        items = []
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                items.append(TaskItem(tuple(obj["prompt"]), obj["principle_id"],
-                                      tuple(obj["gold"])))
-        return tuple(items)
 
 
 def gold_filler_pools(vocab: Vocab, principles) -> tuple:

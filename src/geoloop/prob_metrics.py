@@ -142,14 +142,6 @@ def write_probe_csv(records: Sequence[dict], path) -> None:
             writer.writerow({k: repr(float(rec[k])) for k in PROBE_CSV_FIELDS})
 
 
-def read_probe_csv(path) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(PROBE_CSV_FIELDS):
-            raise ValidationError(f"unexpected probe CSV header: {reader.fieldnames}")
-        return [{k: float(row[k]) for k in PROBE_CSV_FIELDS} for row in reader]
-
-
 def fr_path_stats(path: ProbePath) -> dict:
     """Cumulative geodesic path length vs. the endpoint geodesic.
 

@@ -1,4 +1,4 @@
-"""Representation-space probes: Gaussian (Fréchet) distance, spectrum measures, CKA.
+"""Representation-space probes: Gaussian (Fréchet) distance and spectrum measures.
 
 Per-sequence hidden summaries are treated as weighted point clouds
 (EmpiricalMeasure); a Gaussian fit of such a cloud supports the squared
@@ -27,8 +27,12 @@ from .errors import DimensionMismatchError, ValidationError
 _SYM_TOL = 1e-9
 _EIG_FLOOR = -1e-9
 
-# Counts floating-point clamps of negative d_F^2; diagnostics only.
-negative_frechet_clamps = 0
+# Roundoff bound on d_F^2: an eigenvalue of S1 or S2 that should be 0 comes
+# out as large as eps * |S|, so its square root puts up to sqrt(eps * |S|)
+# into S^{1/2}, and up to sqrt(eps * |S1| |S2|) <= sqrt(eps) * (tr S1 + tr S2)
+# into tr(cross), once per dimension.  Rank-deficient clouds (duplicate
+# completions) have many such.
+_FRECHET_ROUNDOFF = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,18 +116,23 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
-    """Squared Fréchet distance between two Gaussian summaries (>= 0, clamped)."""
-    global negative_frechet_clamps
+    """Squared Fréchet distance between two Gaussian summaries (>= 0, clamped).
+
+    A negative value within roundoff of d * (tr S1 + tr S2) is clamped to 0
+    with a warning; one beyond it raises.
+    """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     diff = a.mean - b.mean
-    root_a = psd_sqrt(a.cov)
-    cross = psd_sqrt(root_a @ b.cov @ root_a)
-    val = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
-    if val < -1e-7:
+    # tr (S1^{1/2} S2 S1^{1/2})^{1/2} is the sum of the singular values of
+    # S1^{1/2} S2^{1/2}.  Taking them directly avoids a square root of the
+    # product's eigenvalues, which turns an eps-sized error on a near-zero
+    # one into a sqrt(eps)-sized error (d_F^2(a, a) off by ~1e-7 at tr S ~ 100).
+    cross = np.linalg.svd(psd_sqrt(a.cov) @ psd_sqrt(b.cov), compute_uv=False)
+    val = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.sum(cross))
+    if val < -_FRECHET_ROUNDOFF * a.dim * float(np.trace(a.cov) + np.trace(b.cov)):
         raise ValidationError(f"Fréchet distance {val} too negative to be roundoff")
     if val < 0.0:
-        negative_frechet_clamps += 1
         warnings.warn("clamped slightly negative Fréchet distance to 0")
         val = 0.0
     return val
@@ -143,57 +152,6 @@ def effective_dims(s: Spectrum) -> dict:
     return {"effrank": effrank, "participation_ratio": pr}
 
 
-def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
-    """Linear CKA |Y^T X|_F^2 / (|X^T X|_F |Y^T Y|_F) on column-centred matrices.
-
-    Invariant to orthogonal transforms and isotropic scaling of either argument.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatchError("X and Y need the same number of rows")
-    if x.shape[0] < 2:
-        raise ValidationError("CKA needs at least 2 rows")
-    x = x - x.mean(axis=0)
-    y = y - y.mean(axis=0)
-    denom = np.linalg.norm(x.T @ x) * np.linalg.norm(y.T @ y)
-    if denom <= 0:
-        raise ValidationError("CKA undefined for an all-zero (constant) matrix")
-    return float(np.linalg.norm(y.T @ x) ** 2 / denom)
-
-
-def summarise_hidden(states: np.ndarray, mask: np.ndarray) -> tuple:
-    """Per-sequence L2-normalised means of completion-token hidden vectors.
-
-    states: (B, T, d) per-token vectors; mask: (B, T) boolean completion mask.
-    Sequences whose mask is empty are dropped (counted, warned about) rather
-    than raising, so long batches survive ragged data.
-
-    Returns (EmpiricalMeasure, dropped_count).
-    """
-    states = np.asarray(states, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if states.ndim != 3 or mask.shape != states.shape[:2]:
-        raise DimensionMismatchError("states must be (B,T,d) with a (B,T) mask")
-    rows, dropped = [], 0
-    for i in range(states.shape[0]):
-        sel = mask[i]
-        if not sel.any():
-            dropped += 1
-            continue
-        mean = states[i][sel].mean(axis=0)
-        norm = float(np.linalg.norm(mean))
-        if norm <= 0:
-            dropped += 1
-            continue
-        rows.append(mean / norm)
-    if dropped:
-        warnings.warn(f"dropped {dropped} sequence(s) with empty completion mask")
-    if not rows:
-        raise ValidationError("no sequence had an unmasked completion token")
-    return EmpiricalMeasure(np.stack(rows), normalised=True), dropped
-
-
 def fit_gaussian(measure: EmpiricalMeasure) -> GaussianSummary:
     """Unbiased Gaussian fit (mean, covariance with B-1 denominator); needs B >= 2."""
     if measure.size < 2:
@@ -211,27 +169,3 @@ def covariance_spectrum(measure: EmpiricalMeasure) -> Spectrum:
     lam = np.linalg.eigvalsh(cov)[::-1]
     return Spectrum(np.clip(lam, 0.0, None))
 
-
-# ---------- CSV round-trip ----------
-
-def write_measure_csv(measure: EmpiricalMeasure, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"dim={measure.dim},normalised={measure.normalised}\n")
-        for row in measure.points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_measure_csv(path) -> EmpiricalMeasure:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        try:
-            dim_part, norm_part = header.split(",")
-            dim = int(dim_part.split("=")[1])
-            normalised = norm_part.split("=")[1] == "True"
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"bad measure CSV header: {header!r}") from exc
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    points = np.asarray(rows, dtype=float)
-    if points.ndim != 2 or points.shape[1] != dim:
-        raise ValidationError("measure CSV rows do not match declared dim")
-    return EmpiricalMeasure(points, normalised=normalised)

@@ -2,7 +2,9 @@
 
 The base reward is binary and format-only: 1.0 iff the whole completion is
 exactly `<reasoning>...</reasoning><answer>...</answer>` (anchored, exactly
-one pair of each tag, nothing outside).  Content is never inspected.
+one pair of each tag, nothing outside).  Content is never inspected.  The
+trainer scores the toy task's tokens with `policy.toy_format_reward`, the
+token-level form of the same template; `xml_format_reward` is its text form.
 
 The tie-breaker channel converts a standardised row log-softmax z into a
 small dense reward
@@ -34,9 +36,6 @@ _XML_PATTERN = re.compile(r"\A<reasoning>(.*?)</reasoning><answer>(.*?)</answer>
 
 BETA_MIN, BETA_MAX = 1e-3, 1e3
 RHO_FLOOR = 1e-8
-
-ENTROPY_METADATA = ("sequence entropy = mean per-token entropy of the policy "
-                    "distribution over sampled completion tokens (nats)")
 
 
 def xml_format_reward(text: str) -> float:

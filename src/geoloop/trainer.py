@@ -34,7 +34,7 @@ import numpy as np
 
 from . import mi, ot, prob_metrics, rep_metrics, rewards
 from .errors import ValidationError
-from .policy import ParamGrad, ToyPolicy, ToyTask, reference_policy, toy_format_reward
+from .policy import ParamGrad, ToyPolicy, ToyTask, toy_format_reward
 
 STEPS_JSONL_FIELDS = (
     "step", "reward_base_mean", "reward_mi_mean", "reward_std",
@@ -56,11 +56,10 @@ def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Trainer hyperparameters; defaults follow the reference run configuration."""
+    """Trainer hyperparameters; defaults are those of the bundled run configs."""
 
     group_size: int = 4
     clip_eps: float = 0.1
-    kl_beta: float = 0.0            # config slot exists; default-off, unused
     sami_weight: float = 0.05
     mi_warmup_steps: int = 50
     ot_weight: float = 0.01
@@ -75,12 +74,15 @@ class TrainConfig:
     autoscale_target: float = 0.2
     autoscale_eta: float = 0.05
     ema_decay: float = 0.99
-    scale_rewards: str = "group"
+    # Raw advantages: group-std scaling amplifies MI-channel noise into
+    # entropy collapse at this scale.  The SGD rate is sized for a 16-token
+    # policy.
+    scale_rewards: str = "none"
     mask_truncated: bool = True
     length_norm_constant: int = 12
     shaping_weight: float = 0.0
     jitter_sigma: float = 0.0
-    learning_rate: float = 0.05
+    learning_rate: float = 1.0
     grad_clip: float = 1.0
     prompts_per_batch: int = 8
 
@@ -92,7 +94,7 @@ class TrainConfig:
         if self.scale_rewards not in ("group", "none"):
             raise ValidationError("scale_rewards must be 'group' or 'none'")
         for name in ("sami_weight", "ot_weight", "channel_weight", "shaping_weight",
-                     "jitter_sigma", "kl_beta", "autoscale_eta", "learning_rate"):
+                     "jitter_sigma", "autoscale_eta", "learning_rate"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
 
@@ -215,30 +217,7 @@ class StepReport:
     beta: float = 1.0
 
     def jsonl_row(self) -> dict:
-        values = {
-            "step": self.step,
-            "reward_base_mean": self.reward_base_mean,
-            "reward_mi_mean": self.reward_mi_mean,
-            "reward_std": self.reward_std,
-            "loss_total": self.loss_total,
-            "loss_grpo": self.loss_grpo,
-            "loss_sami": self.loss_sami,
-            "loss_ot": self.loss_ot,
-            "mi_row_clean": self.mi_row_clean,
-            "mi_col_clean": self.mi_col_clean,
-            "mi_gap": self.mi_gap,
-            "diag_mi": self.diag_mi,
-            "grad_norm": self.grad_norm,
-            "entropy": self.entropy,
-            "clean_count": self.clean_count,
-            "bhat_angle": self.bhat_angle,
-            "hellinger": self.hellinger,
-            "js_bits": self.js_bits,
-            "frechet": self.frechet,
-            "effrank": self.effrank,
-            "pr": self.pr,
-        }
-        return {k: values[k] for k in STEPS_JSONL_FIELDS}
+        return {k: getattr(self, k) for k in STEPS_JSONL_FIELDS}
 
 
 class Trainer:
@@ -254,7 +233,7 @@ class Trainer:
         self.max_steps = max_steps
         self.seed = seed
         self.step = 0
-        self.reference = reference_policy(policy)
+        self.reference = policy.clone()
         self.autoscaler = rewards.AutoscalerState(
             target_ratio=config.autoscale_target, rate=config.autoscale_eta,
             decay=config.ema_decay)

@@ -1,0 +1,47 @@
+"""The names the benchmark in perfbench/ wraps or calls still exist in geoloop.
+
+perfbench/tracer.py wraps the functions listed in its LAYERS table and counts
+the loops of ot._sinkhorn_potentials; perfbench/workloads.py checks each step
+with trainer.sami_weight_at and rewrites two lines of the bundled config.  A
+rename here would silently break ``perfbench/run.py --trace 1``.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LAYERS = load_tracer().LAYERS
+
+
+@pytest.mark.parametrize("module, qualname", [
+    (module, qualname) for module, names in LAYERS.items() for qualname in names])
+def test_layer_name_resolves(module, qualname):
+    target = importlib.import_module(f"geoloop.{module}")
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    assert callable(target)
+
+
+def test_solver_and_schedule_hooks_exist():
+    from geoloop import ot, trainer
+
+    assert callable(ot._sinkhorn_potentials)
+    assert callable(trainer.sami_weight_at)
+
+
+def test_config_lines_the_benchmark_rewrites():
+    lines = (ROOT / "configs" / "enigma_high_si.toml").read_text().splitlines()
+    for key in ("ot_warmup", "checkpoint_every"):
+        assert sum(line.split("=")[0].strip() == key for line in lines) == 1

@@ -1,14 +1,16 @@
 """Command-line surface: config round trip, exit codes, artifact layout."""
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geoloop import cli
-from geoloop.trainer import STEPS_JSONL_FIELDS
+from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig
 
 DATA = Path(cli.DATA_DIR)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def short_config(tmp_path, **overrides) -> Path:
@@ -36,11 +38,11 @@ class TestConfigRoundTrip:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ConfigError):
-            cli.parse_config("schema_version = 1\nbogus = 3\n")
+            cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\nbogus = 3\n")
 
     def test_bad_ablation_rejected(self):
         with pytest.raises(cli.ConfigError):
-            cli.parse_config('schema_version = 1\nablation = "nope"\n')
+            cli.parse_config(f'schema_version = {cli.SCHEMA_VERSION}\nablation = "nope"\n')
 
     def test_comments_and_blanks_ignored(self):
         config = cli.parse_config("# comment\n\nseed = 9\n")
@@ -50,6 +52,27 @@ class TestConfigRoundTrip:
         with pytest.raises(cli.ConfigError):
             cli.parse_config("schema_version = 99\n")
 
+    def test_schema_1_file_fails_on_its_version(self):
+        # Schema 1 had a kl_beta key; the version is reported, not the key.
+        with pytest.raises(cli.ConfigError, match="schema_version 1"):
+            cli.parse_config("schema_version = 1\nkl_beta = 0.0\n")
+
+    def test_bad_trainer_field_rejected(self):
+        with pytest.raises(cli.ConfigError, match="group size"):
+            cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\ngroup_size = 1\n")
+
+    @pytest.mark.parametrize("name", ["enigma_high_si", "enigma_low_si",
+                                      "grpo_cot", "grpo_cot_plus"])
+    def test_bundled_configs_round_trip(self, name):
+        text = (CONFIGS / f"{name}.toml").read_text()
+        assert cli.serialise_config(cli.parse_config(text)) == text
+
+    def test_trainer_defaults_are_the_bundled_recipe(self):
+        bundled = cli.load_config(CONFIGS / "enigma_high_si.toml")
+        defaults = TrainConfig()
+        for f in fields(TrainConfig):
+            assert getattr(bundled, f.name) == getattr(defaults, f.name), f.name
+
 
 class TestTrainCommand:
     def test_missing_constitution_exits_2_no_output(self, tmp_path):
@@ -57,6 +80,21 @@ class TestTrainCommand:
         code = cli.main(["train", "--config", str(config)])
         assert code == cli.EXIT_CONFIG
         assert not (tmp_path / "run").exists()
+
+    def test_bad_trainer_field_exits_2_no_output(self, tmp_path):
+        config = short_config(tmp_path)
+        text = config.read_text().replace("group_size = 4", "group_size = 1")
+        config.write_text(text)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
+    def test_cold_start_has_gradient(self, tmp_path):
+        # Without a warm start the policy must still leave the all-zero saddle.
+        config = short_config(tmp_path, warmstart_epochs=0, max_steps=3)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+        rows = [json.loads(line) for line in
+                (tmp_path / "run" / "steps.jsonl").read_text().splitlines()]
+        assert any(row["grad_norm"] > 0 for row in rows)
 
     def test_run_directory_contents(self, tmp_path):
         config = short_config(tmp_path)

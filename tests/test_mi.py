@@ -70,34 +70,6 @@ class TestInfonceLosses:
         assert shifted_cols["col_loss"] == pytest.approx(base["col_loss"], abs=1e-9)
 
 
-class TestSamiAux:
-    def test_uniform_even_mix(self):
-        assert mi.sami_aux(np.zeros((2, 2)), 0.5, 0.5) == pytest.approx(math.log(2))
-
-    def test_one_sided(self):
-        rng = np.random.default_rng(0)
-        scores = rng.normal(0, 1, (3, 3))
-        assert mi.sami_aux(scores, 1.0, 0.0) == pytest.approx(
-            mi.infonce_losses(scores)["row_loss"])
-
-    def test_asymmetric_matrix_against_oracle(self):
-        # 0.7*row + 0.3*col on [[2,0],[1,0]], frozen from scalar arithmetic.
-        value = mi.sami_aux([[2.0, 0.0], [1.0, 0.0]], 0.7, 0.3)
-        assert value == pytest.approx(0.6550277247081436, abs=1e-12)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_transpose_symmetry_with_equal_mix(self, seed):
-        rng = np.random.default_rng(seed)
-        scores = rng.normal(0, 1, (4, 4))
-        assert mi.sami_aux(scores, 0.5, 0.5) == pytest.approx(
-            mi.sami_aux(scores.T, 0.5, 0.5), abs=1e-10)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValidationError):
-            mi.sami_aux(np.zeros((2, 2)), -0.1, 0.5)
-
-
 class TestDiagMi:
     def test_uniform(self):
         assert mi.diag_mi(np.zeros((2, 2))) == pytest.approx(-math.log(2))
@@ -195,27 +167,6 @@ class TestShadowDraws:
 
 
 class TestSequenceScores:
-    def test_deterministic_tokens(self):
-        assert mi.score_from_token_logprobs(np.zeros(5), "raw_sum") == 0.0
-
-    def test_uniform_policy_length_mean(self):
-        logps = np.full(3, math.log(0.25))
-        assert mi.score_from_token_logprobs(logps, "length_mean") == pytest.approx(
-            math.log(0.25))
-
-    def test_fisher_weights_collapse_at_half(self):
-        logps = np.full(4, math.log(0.5))
-        fisher = mi.score_from_token_logprobs(logps, "fisher_weighted")
-        mean = mi.score_from_token_logprobs(logps, "length_mean")
-        assert fisher == pytest.approx(mean, rel=1e-12)
-
-    def test_fisher_weights_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        logps = np.log(rng.uniform(0.01, 0.99, 7))
-        w = mi.fisher_token_weights(logps)
-        assert w.sum() == pytest.approx(1.0)
-        assert np.all(w >= 0.0)
-
     def test_standardisation_constant_row(self):
         matrix = mi.ScoreMatrix(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
         std = matrix.standardised()

@@ -85,7 +85,9 @@ class TestEntropicOt:
         costs = ot.squared_distances(a.points, b.points)
         res = ot.entropic_ot(a, b, 1e-2, costs=costs)
         plan = res["plan"]
-        assert plan.marginal_violation() < 1e-6
+        violation = (np.abs(plan.plan.sum(axis=1) - plan.row_marginal).sum()
+                     + np.abs(plan.plan.sum(axis=0) - plan.col_marginal).sum())
+        assert violation < 1e-6
         assert res["converged"]
 
     def test_epsilon_must_be_positive(self):
@@ -165,22 +167,15 @@ class TestRegulariser:
     def test_identical_measures(self):
         rng = np.random.default_rng(7)
         m = random_cloud(rng, 4)
-        assert ot.ot_regulariser(m, m, 0.01, 0.12) == pytest.approx(0.0, abs=1e-11)
-
-    def test_zero_weight_short_circuits(self):
-        rng = np.random.default_rng(8)
-        assert ot.ot_regulariser(random_cloud(rng, 3), random_cloud(rng, 3), 0.0, 0.12) == 0.0
-
-    def test_empty_measure_warns_and_returns_zero(self):
-        rng = np.random.default_rng(9)
-        with pytest.warns(UserWarning):
-            assert ot.ot_regulariser(None, random_cloud(rng, 3), 0.01, 0.12) == 0.0
+        value = ot.sinkhorn_divergence(m, m, 0.12 ** 2)["value"]
+        assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_orthogonal_unit_singletons(self):
         a = EmpiricalMeasure([[1.0, 0.0]], normalised=True)
         b = EmpiricalMeasure([[0.0, 1.0]], normalised=True)
-        # Forced plan: S_eps = |x - y|^2 = 2, scaled by the weight.
-        assert ot.ot_regulariser(a, b, 0.01, 0.12) == pytest.approx(0.02, abs=1e-9)
+        # Forced plan: S_eps = |x - y|^2 = 2.
+        value = ot.sinkhorn_divergence(a, b, 0.12 ** 2)["value"]
+        assert value == pytest.approx(2.0, abs=1e-7)
 
     def test_subsampling_deterministic(self):
         rng = np.random.default_rng(10)
@@ -211,22 +206,3 @@ class TestOutputSpaceDiag:
         with pytest.raises(ValidationError):
             ot.output_space_ot_diag(p, p, 0)
 
-
-class TestPlanDump:
-    def test_dense_dump(self, tmp_path):
-        rng = np.random.default_rng(11)
-        a, b = random_cloud(rng, 3), random_cloud(rng, 3)
-        res = ot.entropic_ot(a, b, 1e-2)
-        path = tmp_path / "plan.csv"
-        ot.dump_plan_csv(res, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "format=dense"
-        assert len(lines) == 1 + 3
-
-    def test_summary_dump(self, tmp_path):
-        rng = np.random.default_rng(12)
-        a, b = random_cloud(rng, 110), random_cloud(rng, 110)
-        res = ot.entropic_ot(a, b, 5e-2)
-        path = tmp_path / "plan.csv"
-        ot.dump_plan_csv(res, path)
-        assert path.read_text().splitlines()[0] == "format=summary"

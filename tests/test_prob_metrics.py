@@ -1,4 +1,5 @@
 """Categorical-distribution probes: frozen oracles and randomized properties."""
+import csv
 import math
 
 import numpy as np
@@ -215,7 +216,9 @@ class TestProbeCsv:
         pm.write_probe_csv(records, path)
         header = path.read_text().splitlines()[0]
         assert header == "bc,bhat_angle,bhat_distance,hellinger,js_nats,js_bits,fr_distance"
-        back = pm.read_probe_csv(path)
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
+        assert len(back) == len(records)
         for rec, rec2 in zip(records, back):
             for key in pm.PROBE_CSV_FIELDS:
-                assert rec[key] == rec2[key]
+                assert rec[key] == float(rec2[key])

@@ -1,5 +1,6 @@
-"""Representation probes: Fréchet distance, spectrum measures, CKA, summaries."""
+"""Representation probes: Fréchet distance, spectrum measures, Gaussian fits."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestFrechet:
         assert dab >= 0.0
         assert rm.frechet_distance(a, a) == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("seed, d", [(388, 7), (2433, 5), (39, 6), (5186, 8)])
+    def test_self_distance_roundoff(self, seed, d):
+        # Taking the square roots of the eigenvalues of S^{1/2} S S^{1/2} put
+        # d_F^2(a, a) at -4.2e-7, -4.4e-7, +1.8e-7 and +4.7e-7 here (tr S 26-62):
+        # the first two raised, the last two missed the 1e-8 of the property test.
+        rng = np.random.default_rng(seed)
+        a = rm.GaussianSummary(rng.normal(0, 1, d), random_psd(rng, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert rm.frechet_distance(a, a) == pytest.approx(0.0, abs=1e-8)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 64))
     def test_matrix_sqrt_reconstructs(self, seed, d):
@@ -107,66 +119,6 @@ class TestEffectiveDims:
             assert 1.0 - 1e-9 <= dims[key] <= n + 1e-9
 
 
-class TestLinearCka:
-    def test_self_similarity(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(0, 1, (12, 5))
-        assert rm.linear_cka(x, x) == pytest.approx(1.0, abs=1e-10)
-
-    def test_isotropic_scaling(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(0, 1, (10, 4))
-        assert rm.linear_cka(x, -2.5 * x) == pytest.approx(1.0, abs=1e-10)
-
-    def test_orthogonal_invariance(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(0, 1, (15, 6))
-        q, _ = np.linalg.qr(rng.normal(0, 1, (6, 6)))
-        assert rm.linear_cka(x, x @ q) == pytest.approx(1.0, abs=1e-9)
-
-    def test_orthogonal_column_spaces(self):
-        x = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
-        y = np.array([[1.0], [1.0], [-1.0], [-1.0]])
-        # Centred columns are orthogonal by construction here.
-        x = x - x.mean(axis=0)
-        y = y - y.mean(axis=0)
-        if abs(float((y.T @ x).sum())) < 1e-12:
-            assert rm.linear_cka(x, y) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ValidationError):
-            rm.linear_cka(np.zeros((4, 3)), np.ones((4, 2)))
-
-
-class TestSummariseHidden:
-    def test_single_token_normalisation(self):
-        states = np.array([[[3.0, 4.0]]])
-        mask = np.array([[True]])
-        measure, dropped = rm.summarise_hidden(states, mask)
-        assert dropped == 0
-        assert measure.points[0] == pytest.approx([0.6, 0.8])
-
-    def test_mean_idempotence(self):
-        states = np.array([[[3.0, 4.0], [3.0, 4.0]]])
-        mask = np.array([[True, True]])
-        measure, _ = rm.summarise_hidden(states, mask)
-        assert measure.points[0] == pytest.approx([0.6, 0.8])
-
-    def test_mean_then_normalise(self):
-        states = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-        mask = np.array([[True, True]])
-        measure, _ = rm.summarise_hidden(states, mask)
-        assert measure.points[0] == pytest.approx([1 / math.sqrt(2)] * 2)
-
-    def test_empty_mask_dropped_with_warning(self):
-        states = np.ones((2, 3, 4))
-        mask = np.array([[True, True, False], [False, False, False]])
-        with pytest.warns(UserWarning):
-            measure, dropped = rm.summarise_hidden(states, mask)
-        assert dropped == 1
-        assert measure.size == 1
-
-
 class TestGaussianFit:
     def test_unbiased_covariance(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -178,16 +130,3 @@ class TestGaussianFit:
         with pytest.raises(ValidationError):
             rm.fit_gaussian(rm.EmpiricalMeasure([[1.0, 2.0]]))
 
-
-class TestMeasureCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(0, 1, (5, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        measure = rm.EmpiricalMeasure(pts, normalised=True)
-        path = tmp_path / "measure.csv"
-        rm.write_measure_csv(measure, path)
-        assert path.read_text().splitlines()[0] == "dim=3,normalised=True"
-        back = rm.read_measure_csv(path)
-        assert back.normalised
-        assert np.array_equal(back.points, measure.points)
