@@ -213,7 +213,7 @@ def cmd_train(args) -> int:
         for _ in range(config.max_steps):
             report = trainer.train_step()
             last_row = report.jsonl_row()
-            fh.write(json.dumps(last_row) + "\n")
+            fh.write(json.dumps(last_row, allow_nan=False) + "\n")
             if trainer.step % config.checkpoint_every == 0:
                 checkpoint(trainer.step)
     if str(config.max_steps) not in checkpoint_hashes:
@@ -226,7 +226,8 @@ def cmd_train(args) -> int:
         "last_step": last_row,
         "checkpoint_hashes": checkpoint_hashes,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True,
+                                                          allow_nan=False))
     (out_dir / "run_meta.json").write_text(json.dumps(
         {"started_unix": started, "finished_unix": time.time()}))
     print(f"run complete: {out_dir} ({config.max_steps} steps)")

@@ -42,6 +42,7 @@ STEPS_JSONL_FIELDS = (
     "mi_row_clean", "mi_col_clean", "mi_gap", "diag_mi",
     "grad_norm", "entropy", "clean_count",
     "bhat_angle", "hellinger", "js_bits", "frechet", "effrank", "pr",
+    "ot_iters", "ot_violation", "ot_converged",
 )
 
 ABLATION_MODES = ("enigma", "grpo_cot", "grpo_cot_plus")
@@ -215,9 +216,16 @@ class StepReport:
     effrank: float
     pr: float
     beta: float = 1.0
+    # The Sinkhorn solve: cross-term iterations and final L1 row violation,
+    # and whether all three solves converged; None before ot_warmup.
+    ot_iters: int | None = None
+    ot_violation: float | None = None
+    ot_converged: bool | None = None
 
     def jsonl_row(self) -> dict:
-        return {k: getattr(self, k) for k in STEPS_JSONL_FIELDS}
+        """The steps.jsonl row; NaN becomes None (null), so the row is strict JSON."""
+        row = {k: getattr(self, k) for k in STEPS_JSONL_FIELDS}
+        return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
 
 
 class Trainer:
@@ -459,6 +467,7 @@ class Trainer:
 
         cur_measure, ref_measure = self._hidden_measures(items, completions, groups)
         loss_ot = 0.0
+        ot_stats = {"iterations": None, "violation": None, "converged": None}
         ot_grad = ParamGrad.zeros(self.policy.vocab.size, self.policy.dim)
         if config.ot_weight > 0 and step >= config.ot_warmup:
             cap = config.ot_subsample_cap
@@ -467,10 +476,13 @@ class Trainer:
             ref_idx = ot.subsample_indices(ref_measure.size, cap, (self.seed, step, _CH_OT, 1))
             cur_sub = rep_metrics.EmpiricalMeasure(cur_measure.points[cur_idx], normalised=True)
             ref_sub = rep_metrics.EmpiricalMeasure(ref_measure.points[ref_idx], normalised=True)
-            # Bounded iteration budget: after eps-scaling the value error is
-            # far below what a 0.01-weighted term can feel, and the envelope
-            # gradient of the achieved plan stays valid.
-            value, point_grad, _ = ot.sinkhorn_divergence_with_grad(
+            # Bounded iteration budget: the self terms converge in about 40
+            # iterations; the cross term stops at 500 with a row violation of
+            # 3e-5 to 3e-4, which leaves the divergence off by up to 1.2e-6
+            # (0.2% to 19% of its value) against a 20 000-iteration solve in
+            # steps 20-60 of a seed-3 run.  The envelope gradient of the
+            # achieved plan stays valid.
+            value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
                 cur_sub, ref_sub, config.blur ** 2, scaling=config.scaling,
                 max_iter=500)
             loss_ot = config.ot_weight * value
@@ -537,6 +549,9 @@ class Trainer:
             effrank=float(effrank),
             pr=float(pr),
             beta=self.autoscaler.beta,
+            ot_iters=ot_stats["iterations"],
+            ot_violation=ot_stats["violation"],
+            ot_converged=ot_stats["converged"],
         )
 
         # Commit: parameter update, autoscaler, step counter.

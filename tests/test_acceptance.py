@@ -211,15 +211,17 @@ def test_criterion_7_end_to_end_mi_rise(enigma_run):
     rows = [json.loads(line) for line in
             (enigma_run / "steps.jsonl").read_text().splitlines()]
     assert len(rows) == 2000
-    first = rows[0]["mi_row_clean"]
-    final_window = [r["mi_row_clean"] for r in rows[-25:]]
+    # steps.jsonl logs an undefined bound (no clean row) as null.
+    row_bound = [math.nan if r["mi_row_clean"] is None else r["mi_row_clean"] for r in rows]
+    first = row_bound[0]
+    final_window = row_bound[-25:]
     max_ot = max(r["loss_ot"] for r in rows)
     assert not math.isnan(first)
     assert first <= 0.01
     assert float(np.nanmean(final_window)) > 0.05
-    assert rows[-1]["mi_row_clean"] > 0.05
+    assert row_bound[-1] > 0.05
     assert max_ot < 0.1
-    passed(7, f"row bound {first:+.4f} at step 0 -> {rows[-1]['mi_row_clean']:+.4f} "
+    passed(7, f"row bound {first:+.4f} at step 0 -> {row_bound[-1]:+.4f} "
               f"at step 2000 (> 0.05 nats); OT term peaked at {max_ot:.4f} < 0.1")
 
 

@@ -1,7 +1,9 @@
 """The names the benchmark in perfbench/ wraps or calls still exist in geoloop.
 
-perfbench/tracer.py wraps the functions listed in its LAYERS table and counts
-the loops of ot._sinkhorn_potentials; perfbench/workloads.py checks each step
+perfbench/tracer.py wraps the functions listed in its LAYERS table, reads
+"iterations" and "converged" from each ot.entropic_ot result, and counts the
+loops of ot._sinkhorn_potentials by items [2] (iterations) and [3]
+(converged) of its result; perfbench/workloads.py checks each step
 with trainer.sami_weight_at and rewrites two lines of the bundled config.  A
 rename here would silently break ``perfbench/run.py --trace 1``.
 """
@@ -39,6 +41,27 @@ def test_solver_and_schedule_hooks_exist():
 
     assert callable(ot._sinkhorn_potentials)
     assert callable(trainer.sami_weight_at)
+
+
+def test_solver_results_the_tracer_reads():
+    import numpy as np
+
+    from geoloop import ot
+    from geoloop.rep_metrics import EmpiricalMeasure
+
+    a = EmpiricalMeasure([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    b = EmpiricalMeasure([[0.5, 0.5], [2.0, 1.0], [1.0, 1.0]])
+    costs = ot.squared_distances(a.points, b.points)
+    self_costs = ot.squared_distances(a.points, a.points)
+    log_w = np.log(a.weights)
+    for result in (ot._sinkhorn_potentials(costs, log_w, log_w, 0.1, 0.8, 500, 1e-9),
+                   ot._sinkhorn_potentials(self_costs, log_w, None, 0.1, 0.8, 500, 1e-9)):
+        assert isinstance(result, tuple) and len(result) == 5
+        assert isinstance(result[2], int)
+        assert isinstance(result[3], bool)
+    res = ot.entropic_ot(a, b, 0.1)
+    assert isinstance(res["iterations"], int)
+    assert isinstance(res["converged"], bool)
 
 
 def test_config_lines_the_benchmark_rewrites():

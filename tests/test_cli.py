@@ -96,6 +96,30 @@ class TestTrainCommand:
                 (tmp_path / "run" / "steps.jsonl").read_text().splitlines()]
         assert any(row["grad_norm"] > 0 for row in rows)
 
+    def test_logs_are_strict_json(self, tmp_path):
+        # A cold start has no clean subset, so the clean bounds are NaN in
+        # memory; the logs carry them as null, never as a bare NaN.
+        config = short_config(tmp_path, warmstart_epochs=0, max_steps=10)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+        run = tmp_path / "run"
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        rows = [json.loads(line, parse_constant=reject)
+                for line in (run / "steps.jsonl").read_text().splitlines()]
+        json.loads((run / "summary.json").read_text(), parse_constant=reject)
+        assert len(rows) == 10
+        assert any(row["mi_row_clean"] is None for row in rows)
+        for row in rows:
+            ot_fields = (row["ot_iters"], row["ot_violation"], row["ot_converged"])
+            if row["step"] < 4:
+                assert ot_fields == (None, None, None)
+            else:
+                assert isinstance(row["ot_iters"], int) and row["ot_iters"] > 0
+                assert row["ot_violation"] >= 0.0
+                assert isinstance(row["ot_converged"], bool)
+
     def test_run_directory_contents(self, tmp_path):
         config = short_config(tmp_path)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK

@@ -82,8 +82,7 @@ class TestEntropicOt:
         rng = np.random.default_rng(2)
         a, b = random_cloud(rng, 5), random_cloud(rng, 3, offset=1.0)
         # unequal sizes are fine for the solver (only the oracle needs equality)
-        costs = ot.squared_distances(a.points, b.points)
-        res = ot.entropic_ot(a, b, 1e-2, costs=costs)
+        res = ot.entropic_ot(a, b, 1e-2)
         plan = res["plan"]
         violation = (np.abs(plan.plan.sum(axis=1) - plan.row_marginal).sum()
                      + np.abs(plan.plan.sum(axis=0) - plan.col_marginal).sum())
@@ -104,6 +103,19 @@ class TestEntropicOt:
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-9)
 
+    def test_violation_trace_ends_at_raw_plan_violation(self):
+        # The row violation is read off the next f half-step; it must be the
+        # violation of the plan returned, whether the solve converged, hit
+        # max_iter or stopped on the plateau rule.
+        for sizes, max_iter, converged in (((6, 6), 10_000, True), ((7, 5), 60, False),
+                                           ((7, 5), 10_000, False)):
+            rng = np.random.default_rng(8)
+            a, b = random_cloud(rng, sizes[0]), random_cloud(rng, sizes[1], offset=1.0)
+            res = ot.entropic_ot(a, b, 1e-2, max_iter=max_iter)
+            assert res["converged"] is converged
+            recomputed = np.abs(res["raw_plan"].sum(axis=1) - a.weights).sum()
+            assert res["violation_trace"][-1] == pytest.approx(recomputed, abs=1e-12)
+
     def test_log_domain_stability_small_eps(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(0, 1, (6, 3))
@@ -115,6 +127,47 @@ class TestEntropicOt:
         res = ot.entropic_ot(m1, m2, 1e-4)
         assert math.isfinite(res["value"])
         assert np.all(np.isfinite(res["plan"].plan))
+
+
+def unit_cloud(seed, n=32, d=32, rank=6):
+    """Unit-norm points on a rank-`rank` subspace, like the trainer's hidden clouds."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(0, 1, (n, rank)) @ rng.normal(0, 1, (rank, d))
+    return EmpiricalMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True), normalised=True)
+
+
+def plan_value(costs, log_w, f, g, eps):
+    log_plan = log_w[:, None] + log_w[None, :] + (f[:, None] + g[None, :] - costs) / eps
+    plan = np.exp(log_plan)
+    return float(np.sum(plan * costs) + eps * np.sum(plan * (log_plan - log_w[:, None] - log_w[None, :])))
+
+
+class TestSymmetricSelfTerm:
+    EPS = 0.12 ** 2
+
+    def solve(self, m, symmetric, max_iter):
+        costs = ot.squared_distances(m.points, m.points)
+        log_w = np.log(m.weights)
+        f, g, iterations, converged, _ = ot._sinkhorn_potentials(
+            costs, log_w, None if symmetric else log_w, self.EPS, ot.DEFAULT_SCALING,
+            max_iter, ot.DEFAULT_TOL)
+        return plan_value(costs, log_w, f, g, self.EPS), iterations, converged
+
+    def test_converges_fast_and_matches_long_alternating_solve(self):
+        # The alternating update has not converged on this cloud at 500
+        # iterations; it does by 20 000.
+        m = unit_cloud(1)
+        value, iterations, converged = self.solve(m, True, ot.DEFAULT_MAX_ITER)
+        assert converged
+        assert iterations <= 100
+        reference, _, _ = self.solve(m, False, 20_000)
+        assert value == pytest.approx(reference, rel=1e-6)
+
+    def test_entropic_ot_self_plan_is_symmetric(self):
+        m = unit_cloud(2, n=9, d=4, rank=2)
+        res = ot.entropic_ot(m, m, self.EPS)
+        assert res["converged"]
+        assert np.array_equal(res["raw_plan"], res["raw_plan"].T)
 
 
 class TestSinkhornDivergence:
