@@ -24,7 +24,7 @@ from . import constitution as consti
 from . import mi, ot, prob_metrics
 from .errors import ValidationError
 from .policy import (ToyPolicy, Vocab, gold_items, make_toy_task, mle_pretrain,
-                     principles_from_patterns, warm_start)
+                     principles_from_patterns, transition_counts, warm_start)
 from .trainer import ABLATION_MODES, TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
@@ -385,17 +385,19 @@ def cmd_probe(args) -> int:
                 fh.write(f"{a!r},{b!r},{grid[i, j]!r}\n")
 
     # Aligned score matrix and per-row diagonal statistics for the last policy.
+    # One table over every (item, principle) context: row i * P + j is item
+    # i's prompt with principle j, scored against item i's gold.
     last_policy = loaded[-1][0]
     n_principles = len(task.principles)
     sample = task.items[:min(len(task.items), args.items)]
-    matrix = np.zeros((len(sample), n_principles))
-    true_cols = []
-    for i, item in enumerate(sample):
-        contexts = [(item.prompt, p.tokens) for p in task.principles]
-        sums = last_policy.multi_context_logprob(contexts, item.gold)
-        matrix[i] = sums / max(1, len(item.gold))
-        true_cols.append(next(j for j, p in enumerate(task.principles)
-                              if p.pid == item.principle_id))
+    table = last_policy.table([(item.prompt, p.tokens)
+                               for item in sample for p in task.principles])
+    golds = transition_counts([item.gold for item in sample], vocab.size)
+    scores = table.seq_logprobs(golds).reshape(len(sample), n_principles, len(sample))
+    own = np.arange(len(sample))
+    matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
+    true_cols = [next(j for j, p in enumerate(task.principles) if p.pid == item.principle_id)
+                 for item in sample]
     aligned = np.zeros_like(matrix)
     for i, j in enumerate(true_cols):
         aligned[i] = np.roll(matrix[i], -j)

@@ -1,4 +1,4 @@
-"""A minimal autoregressive policy with closed-form gradients, plus its synthetic task.
+"""A first-order toy policy computed as one next-token table, plus its synthetic task.
 
 Architecture (deliberately tiny so every gradient is analytic):
 
@@ -6,6 +6,17 @@ Architecture (deliberately tiny so every gradient is analytic):
     h_t        = ctx_scale * ctx + prev_scale * embed[y_{t-1}]   (h_0 drops the prev term)
     logits_t   = h_t @ out
     p(y_t|...) = softmax(logits_t)
+
+Every next-token distribution depends only on the context and the previous
+token, so the forward pass is one table (`NextTokenTable`, built by
+`ToyPolicy.table`) of shape (C, V+1, V) over C contexts: row 0 is the first
+position, row r = 1..V follows token r-1.  A completion enters only through
+its (row, token) transition counts.  Sequence log-likelihoods are products of
+the table with those counts, hidden summaries are count-weighted means of the
+table's feature rows, and sampling decodes a whole batch of rows position by
+position from it.  The gradient of any weighted sum of log-likelihoods and
+summaries is one `ToyPolicy.backward` call through the feature map; the
+per-sequence methods are thin views on the table and that call.
 
 Zero-initialised parameters give the uniform policy, so every token template
 has probability V^{-|y|} > 0 from the start.  Decode knobs (temperature,
@@ -161,6 +172,61 @@ class ParamGrad:
         return float(np.sqrt(total))
 
 
+@dataclass(frozen=True)
+class NextTokenTable:
+    """Every next-token distribution of a policy over C contexts.
+
+    Row 0 of a context is the first position; row r = 1..V follows token r-1.
+    It describes the parameters the policy had when the table was built.
+    """
+
+    weights: np.ndarray   # (C, V) bag-mean weights of each context's tokens
+    ctx: np.ndarray       # (C, d) context vectors, weights @ embed
+    feats: np.ndarray     # (C, V+1, d) pre-softmax features
+    logits: np.ndarray    # (C, V+1, V)
+    logp: np.ndarray      # (C, V+1, V) plain log-softmax
+
+    def seq_logprobs(self, counts: np.ndarray) -> np.ndarray:
+        """(C, B) log-likelihood of each completion under each context."""
+        flat = self.logp.reshape(self.logp.shape[0], -1)
+        return flat @ counts.reshape(counts.shape[0], flat.shape[1]).T
+
+    def summaries(self, ctx_idx, counts: np.ndarray) -> tuple:
+        """(unit, norm): L2-normalised mean features of completion b under
+        context ctx_idx[b], and the norm of each mean."""
+        row_counts = counts.sum(axis=2)
+        lengths = row_counts.sum(axis=1)
+        if np.any(lengths == 0):
+            raise ValidationError("hidden summary needs a non-empty completion")
+        mean = np.einsum("br,brd->bd", row_counts, self.feats[ctx_idx]) / lengths[:, None]
+        norm = np.linalg.norm(mean, axis=1)
+        # A degenerate all-zero mean maps to a fixed unit vector so the
+        # summary stays on the sphere.
+        unit = np.zeros_like(mean)
+        unit[:, 0] = 1.0
+        ok = norm > 1e-300
+        unit[ok] = mean[ok] / norm[ok, None]
+        return unit, norm
+
+    def summary_feat_grad(self, ctx_idx, counts: np.ndarray,
+                          summary_grad: np.ndarray) -> np.ndarray:
+        """(C, V+1, d) feature gradient of sum_b summary_grad[b] . summary_b.
+
+        summary = v/|v| with v the mean feature, so each incoming gradient is
+        pulled through the normalisation Jacobian (I - uu^T)/|v| and spread
+        over the completion's feature rows; a degenerate summary gets none.
+        """
+        unit, norm = self.summaries(ctx_idx, counts)
+        g = np.asarray(summary_grad, dtype=float)
+        inv_norm = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 1e-300)
+        g_v = (g - unit * np.sum(unit * g, axis=1, keepdims=True)) * inv_norm[:, None]
+        row_counts = counts.sum(axis=2)
+        share = row_counts / row_counts.sum(axis=1, keepdims=True)
+        out = np.zeros(self.feats.shape)
+        np.add.at(out, np.asarray(ctx_idx), share[:, :, None] * g_v[:, None, :])
+        return out
+
+
 class ToyPolicy:
     """Bag-of-context + previous-token autoregressive policy over a toy vocab."""
 
@@ -171,6 +237,8 @@ class ToyPolicy:
         self.dim = dim
         if temperature < 0:
             raise ValidationError("temperature cannot be negative")
+        if max_len < 1:
+            raise ValidationError("max_len must be at least 1")
         self.temperature = temperature
         self.top_p = top_p
         self.top_k = min(top_k, self.vocab.size)
@@ -227,7 +295,7 @@ class ToyPolicy:
         self.ctx_scale += scale * grad.ctx_scale
         self.prev_scale += scale * grad.prev_scale
 
-    # ---------- forward passes ----------
+    # ---------- the table kernel ----------
 
     def _check_tokens(self, tokens) -> np.ndarray:
         arr = np.asarray(tuple(int(t) for t in tokens), dtype=int)
@@ -235,127 +303,86 @@ class ToyPolicy:
             raise ValidationError(f"token out of vocabulary (size {self.vocab.size})")
         return arr
 
-    def context_vector(self, prompt, principle) -> np.ndarray:
-        ctx_tokens = self._check_tokens(tuple(prompt) + tuple(principle))
-        if ctx_tokens.size == 0:
-            return np.zeros(self.dim)
-        return self.embed[ctx_tokens].mean(axis=0)
+    def table(self, contexts) -> NextTokenTable:
+        """The forward pass: every next-token distribution of each (prompt, principle)."""
+        weights = np.zeros((len(contexts), self.vocab.size))
+        for c, (prompt, principle) in enumerate(contexts):
+            tokens = self._check_tokens(tuple(prompt) + tuple(principle))
+            weights[c] = np.bincount(tokens, minlength=self.vocab.size) / max(1, tokens.size)
+        ctx = weights @ self.embed
+        prev = np.vstack([np.zeros(self.dim), self.prev_scale * self.embed])
+        feats = (self.ctx_scale * ctx)[:, None, :] + prev[None, :, :]
+        logits = feats @ self.out
+        return NextTokenTable(weights, ctx, feats, logits, logits - _logsumexp_rows(logits))
 
-    def _features(self, ctx: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """(T, d) pre-softmax features; step 0 has no previous-token term."""
-        t = tokens.size
-        feats = np.tile(self.ctx_scale * ctx, (t, 1))
-        if t > 1:
-            feats[1:] += self.prev_scale * self.embed[tokens[:-1]]
-        return feats
+    def backward(self, table: NextTokenTable, coeffs: np.ndarray,
+                 feat_grad: np.ndarray | None = None) -> ParamGrad:
+        """Gradient of sum(coeffs * table.logp) + sum(feat_grad * table.feats).
+
+        A completion scored under context c with weight w adds w times its
+        transition counts to coeffs[c], so one call backpropagates any
+        weighted sum of sequence log-likelihoods (and, through feat_grad, of
+        hidden summaries) in one pass through the feature map.
+        """
+        v = self.vocab.size
+        delta = coeffs - coeffs.sum(axis=2, keepdims=True) * np.exp(table.logp)
+        grad_h = delta @ self.out.T
+        if feat_grad is not None:
+            grad_h = grad_h + feat_grad
+        per_ctx = grad_h.sum(axis=1)
+        per_prev = grad_h[:, 1:].sum(axis=0)
+        return ParamGrad(
+            embed=self.prev_scale * per_prev + table.weights.T @ (self.ctx_scale * per_ctx),
+            out=table.feats.reshape(-1, self.dim).T @ delta.reshape(-1, v),
+            ctx_scale=np.sum(per_ctx * table.ctx, axis=0),
+            prev_scale=np.sum(per_prev * self.embed, axis=0))
+
+    # ---------- views on the table ----------
 
     def token_logprobs(self, prompt, principle, completion) -> np.ndarray:
         """Per-token log-probabilities of the completion under the plain softmax."""
         tokens = self._check_tokens(completion)
-        if tokens.size == 0:
-            return np.zeros(0)
-        ctx = self.context_vector(prompt, principle)
-        logits = self._features(ctx, tokens) @ self.out
-        log_sm = logits - _logsumexp_rows(logits)
-        return log_sm[np.arange(tokens.size), tokens]
+        return self.table([(prompt, principle)]).logp[0, _table_rows(tokens), tokens]
 
     def sequence_logprobs_batch(self, prompt, principle, completions) -> tuple:
         """(sums, lengths) of sequence log-likelihoods for many completions at once."""
-        sums = np.zeros(len(completions))
-        lengths = np.zeros(len(completions), dtype=int)
-        if not completions:
-            return sums, lengths
-        ctx = self.context_vector(prompt, principle)
-        tok, mask = _pad_tokens(completions, self.vocab.size)
-        log_sm = self._padded_log_softmax(ctx, tok, mask)
-        gathered = np.take_along_axis(log_sm, np.maximum(tok, 0)[:, :, None],
-                                      axis=2)[:, :, 0]
-        sums = np.sum(gathered * mask, axis=1)
-        lengths = mask.sum(axis=1).astype(int)
-        return sums, lengths
+        counts = transition_counts(completions, self.vocab.size)
+        sums = self.table([(prompt, principle)]).seq_logprobs(counts)[0]
+        return sums, counts.sum(axis=(1, 2)).astype(int)
 
     def multi_context_logprob(self, contexts, completion) -> np.ndarray:
         """Sequence log-likelihood of one completion under many (prompt, principle)."""
-        tokens = self._check_tokens(completion)
-        if tokens.size == 0:
-            return np.zeros(len(contexts))
-        ctxs = np.stack([self.context_vector(p, c) for p, c in contexts])
-        t = tokens.size
-        feats = np.tile((self.ctx_scale * ctxs)[:, None, :], (1, t, 1))
-        if t > 1:
-            feats[:, 1:, :] += self.prev_scale * self.embed[tokens[:-1]]
-        logits = feats @ self.out
-        log_sm = logits - _logsumexp_rows(logits)
-        return log_sm[:, np.arange(t), tokens].sum(axis=1)
+        counts = transition_counts([completion], self.vocab.size)
+        return self.table(contexts).seq_logprobs(counts)[:, 0]
 
     def next_token_distribution(self, prompt, principle, prev=None) -> np.ndarray:
         """Plain softmax next-token distribution (a valid probability vector)."""
-        ctx = self.context_vector(prompt, principle)
-        h = self.ctx_scale * ctx
-        if prev is not None:
-            h = h + self.prev_scale * self.embed[int(prev)]
-        logits = h @ self.out
-        probs = np.exp(logits - _logsumexp_rows(logits[None, :])[0])
+        row = 0 if prev is None else int(self._check_tokens([prev])[0]) + 1
+        probs = np.exp(self.table([(prompt, principle)]).logp[0, row])
         return probs / probs.sum()
 
     def hidden_summary(self, prompt, principle, completion) -> np.ndarray:
         """L2-normalised mean of per-token features over completion tokens."""
-        tokens = self._check_tokens(completion)
-        if tokens.size == 0:
-            raise ValidationError("hidden summary needs a non-empty completion")
-        ctx = self.context_vector(prompt, principle)
-        mean = self._features(ctx, tokens).mean(axis=0)
-        norm = float(np.linalg.norm(mean))
-        if norm <= 1e-300:
-            # Degenerate all-zero feature; return a fixed unit vector so the
-            # summary stays on the sphere.
-            unit = np.zeros(self.dim)
-            unit[0] = 1.0
-            return unit
-        return mean / norm
+        counts = transition_counts([completion], self.vocab.size)
+        return self.table([(prompt, principle)]).summaries([0], counts)[0][0]
 
     def hidden_summary_grad(self, prompt, principle, completion,
                             summary_grad: np.ndarray) -> ParamGrad:
-        """Backpropagate a gradient w.r.t. the L2-normalised summary into params.
+        """Backpropagate a gradient w.r.t. the L2-normalised summary into params."""
+        table = self.table([(prompt, principle)])
+        counts = transition_counts([completion], self.vocab.size)
+        feat_grad = table.summary_feat_grad([0], counts, np.atleast_2d(summary_grad))
+        return self.backward(table, np.zeros_like(table.logp), feat_grad)
 
-        summary = v/|v| with v the mean per-token feature, so the incoming
-        gradient is first pulled through the normalisation Jacobian
-        (I - uu^T)/|v| and then through the (linear) feature map.
-        """
-        tokens = self._check_tokens(completion)
-        if tokens.size == 0:
-            raise ValidationError("hidden summary needs a non-empty completion")
-        ctx_tokens = self._check_tokens(tuple(prompt) + tuple(principle))
-        ctx = self.embed[ctx_tokens].mean(axis=0) if ctx_tokens.size else np.zeros(self.dim)
-        feats = self._features(ctx, tokens)
-        v = feats.mean(axis=0)
-        norm = float(np.linalg.norm(v))
-        grad = ParamGrad.zeros(self.vocab.size, self.dim)
-        if norm <= 1e-300:
-            return grad
-        u = v / norm
-        g_v = (np.asarray(summary_grad, dtype=float) - u * float(u @ summary_grad)) / norm
-        t = tokens.size
-        grad.ctx_scale += g_v * ctx
-        prev_tokens = tokens[:-1]
-        if prev_tokens.size:
-            prev_mean = self.embed[prev_tokens].sum(axis=0) / t
-            grad.prev_scale += g_v * prev_mean
-            np.add.at(grad.embed, prev_tokens,
-                      np.tile(self.prev_scale * g_v / t, (prev_tokens.size, 1)))
-        if ctx_tokens.size:
-            ctx_grad = (self.ctx_scale * g_v) / ctx_tokens.size
-            np.add.at(grad.embed, ctx_tokens, np.tile(ctx_grad, (ctx_tokens.size, 1)))
-        return grad
+    def grad_seq_logprob(self, prompt, principle, completion) -> ParamGrad:
+        """Analytic gradient of the sequence log-likelihood w.r.t. all blocks."""
+        return self.weighted_grad_batch(prompt, principle, [tuple(completion)], [1.0])
 
-    def _padded_log_softmax(self, ctx, tok, mask) -> np.ndarray:
-        b, t = tok.shape
-        feats = np.tile(self.ctx_scale * ctx, (b, t, 1))
-        if t > 1:
-            prev = np.maximum(tok[:, :-1], 0)
-            feats[:, 1:, :] += (self.prev_scale * self.embed[prev]) * mask[:, :-1, None]
-        logits = feats @ self.out
-        return logits - _logsumexp_rows(logits)
+    def weighted_grad_batch(self, prompt, principle, completions, coeffs) -> ParamGrad:
+        """sum_i coeffs[i] * grad log p(completion_i | prompt, principle)."""
+        counts = transition_counts(completions, self.vocab.size)
+        coeffs = np.tensordot(np.asarray(coeffs, dtype=float), counts, axes=1)
+        return self.backward(self.table([(prompt, principle)]), coeffs[None])
 
     # ---------- sampling ----------
 
@@ -365,134 +392,108 @@ class ToyPolicy:
         Deterministic for a fixed seed.  Sampling applies the decode knobs;
         the cache stores plain-softmax logprobs for the chosen tokens.
         """
+        return self.sample_groups(self.table([(prompt, principle)]), [0],
+                                  group_size, [seed])[0]
+
+    def sample_groups(self, table: NextTokenTable, ctx_idx, group_size: int,
+                      seeds) -> list:
+        """One group of completions per table context ctx_idx[g], decoded together.
+
+        Group g draws from its own stream default_rng(seeds[g]): one uniform
+        per sampled token, handed to the group's active members in (position,
+        member) order and inverted through the normalised cdf, which is how
+        Generator.choice(p=...) would spend the same stream one token at a
+        time.  Temperature 0 decodes greedily and draws nothing.
+        """
         if group_size < 2:
             raise ValidationError("group size must be at least 2")
-        rng = np.random.default_rng(seed)
-        ctx = self.context_vector(prompt, principle)
-        base_h = self.ctx_scale * ctx
-        seqs = [[] for _ in range(group_size)]
-        logps = [[] for _ in range(group_size)]
-        ents = [[] for _ in range(group_size)]
-        done = [False] * group_size
-        for step in range(self.max_len):
-            for i in range(group_size):
-                if done[i]:
-                    continue
-                h = base_h if not seqs[i] else base_h + self.prev_scale * self.embed[seqs[i][-1]]
-                logits = h @ self.out
-                log_sm = logits - _logsumexp_rows(logits[None, :])[0]
-                probs = np.exp(log_sm)
-                ents[i].append(float(-np.sum(probs * log_sm)))
-                token = self._decode_one(logits, seqs[i], rng)
-                seqs[i].append(token)
-                logps[i].append(float(log_sm[token]))
-                if token == self.vocab.eos:
-                    done[i] = True
-        group = []
-        for i in range(group_size):
-            truncated = not done[i]
-            group.append(Completion(tuple(seqs[i]), np.asarray(logps[i]),
-                                    np.asarray(ents[i]), truncated))
-        return group
+        n_groups, v, eos = len(seeds), self.vocab.size, self.vocab.eos
+        ctx = np.repeat(np.asarray(ctx_idx, dtype=int), group_size)
+        n = ctx.size
+        tokens = np.zeros((n, self.max_len), dtype=int)
+        lengths = np.zeros(n, dtype=int)
+        active = np.ones(n, dtype=bool)
+        seen = np.zeros((n, v), dtype=bool)
+        if self.temperature > 0:
+            draws = np.stack([np.random.default_rng(s).random(self.max_len * group_size)
+                              for s in seeds])
+            used = np.zeros(n_groups, dtype=int)
+        for t in range(self.max_len):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            prev_rows = tokens[idx, t - 1] + 1 if t else np.zeros(idx.size, dtype=int)
+            logits = table.logits[ctx[idx], prev_rows]
+            if self.repetition_penalty != 1.0:
+                hit = seen[idx]
+                logits = np.where(hit & (logits > 0), logits / self.repetition_penalty,
+                                  np.where(hit, logits * self.repetition_penalty, logits))
+            if self.temperature == 0.0:
+                chosen = np.argmax(logits, axis=1)
+            else:
+                live = active.reshape(n_groups, group_size)
+                slot = (used[:, None] + np.cumsum(live, axis=1) - 1).ravel()
+                used += live.sum(axis=1)
+                chosen = self._decode(logits, draws[idx // group_size, slot[idx]])
+            tokens[idx, t] = chosen
+            lengths[idx] += 1
+            seen[idx, chosen] = True
+            active[idx[chosen == eos]] = False
+        rows = _table_rows(tokens)
+        logp = table.logp[ctx[:, None], rows, tokens]
+        ent_table = -np.sum(np.exp(table.logp) * table.logp, axis=2)
+        ents = ent_table[ctx[:, None], rows]
+        comps = [Completion(tuple(tokens[b, :lengths[b]].tolist()), logp[b, :lengths[b]],
+                            ents[b, :lengths[b]], bool(active[b])) for b in range(n)]
+        return [comps[g * group_size:(g + 1) * group_size] for g in range(n_groups)]
 
-    def _decode_one(self, logits: np.ndarray, history, rng) -> int:
-        logits = logits.astype(float).copy()
-        if self.repetition_penalty != 1.0 and history:
-            seen = np.unique(np.asarray(history, dtype=int))
-            pos = logits[seen] > 0
-            logits[seen[pos]] /= self.repetition_penalty
-            logits[seen[~pos]] *= self.repetition_penalty
-        if self.temperature == 0.0:
-            return int(np.argmax(logits))
+    def _decode(self, logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """One token per row at temperature > 0, with top-k and top-p applied."""
         logits = logits / self.temperature
-        if self.top_k < logits.size:
-            drop = np.argsort(logits, kind="stable")[:-self.top_k]
-            logits[drop] = -np.inf
-        probs = np.exp(logits - np.max(logits))
-        probs /= probs.sum()
+        if self.top_k < logits.shape[1]:
+            drop = np.argsort(logits, axis=1, kind="stable")[:, :-self.top_k]
+            np.put_along_axis(logits, drop, -np.inf, axis=1)
+        mass = np.exp(logits - np.max(logits, axis=1, keepdims=True))
         if self.top_p < 1.0:
-            order = np.argsort(-probs, kind="stable")
-            cum = np.cumsum(probs[order])
-            keep = cum - probs[order] < self.top_p
-            keep[0] = True
-            kept = order[keep]
-            probs = np.zeros_like(probs)
-            probs[kept] = np.exp(logits[kept] - np.max(logits[kept]))
-            probs /= probs.sum()
-        return int(rng.choice(probs.size, p=probs))
+            probs = mass / mass.sum(axis=1, keepdims=True)
+            order = np.argsort(-probs, axis=1, kind="stable")
+            ranked = np.take_along_axis(probs, order, axis=1)
+            keep_ranked = np.cumsum(ranked, axis=1) - ranked < self.top_p
+            keep_ranked[:, 0] = True
+            keep = np.zeros_like(keep_ranked)
+            np.put_along_axis(keep, order, keep_ranked, axis=1)
+            mass = np.where(keep, mass, 0.0)
+        probs = mass / mass.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        cdf /= cdf[:, -1:]
+        return np.sum(cdf <= uniforms[:, None], axis=1)
 
-    # ---------- gradients ----------
 
-    def grad_seq_logprob(self, prompt, principle, completion) -> ParamGrad:
-        """Analytic gradient of the sequence log-likelihood w.r.t. all blocks."""
-        return self.weighted_grad_batch(prompt, principle, [tuple(completion)], [1.0])
+def transition_counts(completions, vocab_size: int) -> np.ndarray:
+    """(B, V+1, V) counts of (table row, token) pairs in each completion."""
+    lengths = np.array([len(c) for c in completions], dtype=int)
+    tok = np.zeros((len(completions), max(lengths, default=0)), dtype=int)
+    mask = np.arange(tok.shape[1]) < lengths[:, None]
+    for b, comp in enumerate(completions):
+        tok[b, :lengths[b]] = comp
+    if np.any((tok[mask] < 0) | (tok[mask] >= vocab_size)):
+        raise ValidationError(f"token out of vocabulary (size {vocab_size})")
+    counts = np.zeros((len(completions), vocab_size + 1, vocab_size))
+    batch = np.broadcast_to(np.arange(len(completions))[:, None], tok.shape)
+    np.add.at(counts, (batch[mask], _table_rows(tok)[mask], tok[mask]), 1.0)
+    return counts
 
-    def weighted_grad_batch(self, prompt, principle, completions, coeffs) -> ParamGrad:
-        """sum_i coeffs[i] * grad log p(completion_i | prompt, principle).
 
-        Vectorised over completions and steps; this is the hot path shared by
-        the policy-gradient and auxiliary terms.
-        """
-        grad = ParamGrad.zeros(self.vocab.size, self.dim)
-        completions = [tuple(int(t) for t in c) for c in completions]
-        coeffs = np.asarray(coeffs, dtype=float)
-        keep = [i for i, c in enumerate(completions) if len(c) > 0 and coeffs[i] != 0.0]
-        if not keep:
-            return grad
-        completions = [completions[i] for i in keep]
-        coeffs = coeffs[keep]
-        ctx_tokens = self._check_tokens(tuple(prompt) + tuple(principle))
-        ctx = self.embed[ctx_tokens].mean(axis=0) if ctx_tokens.size else np.zeros(self.dim)
-        tok, mask = _pad_tokens(completions, self.vocab.size)
-        b, t = tok.shape
-        feats = np.tile(self.ctx_scale * ctx, (b, t, 1))
-        prev = np.full((b, t), -1, dtype=int)
-        if t > 1:
-            prev[:, 1:] = tok[:, :-1]
-        prev_valid = (prev >= 0) & mask.astype(bool)
-        safe_prev = np.maximum(prev, 0)
-        feats += (self.prev_scale * self.embed[safe_prev]) * prev_valid[:, :, None]
-        logits = feats @ self.out
-        p = np.exp(logits - _logsumexp_rows(logits))
-        delta = -p
-        rows = np.repeat(np.arange(b), t)
-        cols = np.tile(np.arange(t), b)
-        delta[rows, cols, np.maximum(tok, 0).ravel()] += 1.0
-        delta *= (coeffs[:, None] * mask)[:, :, None]
-        grad.out += np.einsum("btd,btv->dv", feats, delta)
-        grad_h = np.einsum("dv,btv->btd", self.out, delta)
-        grad_h_total = grad_h.sum(axis=(0, 1))
-        grad.ctx_scale += grad_h_total * ctx
-        prev_emb = self.embed[safe_prev] * prev_valid[:, :, None]
-        grad.prev_scale += np.einsum("btd,btd->d", grad_h, prev_emb)
-        # Previous-token channel into the embedding table.
-        contrib = grad_h * (self.prev_scale * prev_valid[:, :, None])
-        flat_idx = safe_prev.ravel()
-        flat_ok = prev_valid.ravel()
-        np.add.at(grad.embed, flat_idx[flat_ok], contrib.reshape(-1, self.dim)[flat_ok])
-        # Context (bag mean) channel: every context token occurrence gets 1/n.
-        if ctx_tokens.size:
-            ctx_grad = (grad_h_total * self.ctx_scale) / ctx_tokens.size
-            np.add.at(grad.embed, ctx_tokens, np.tile(ctx_grad, (ctx_tokens.size, 1)))
-        return grad
+def _table_rows(tokens: np.ndarray) -> np.ndarray:
+    """Table row of each position: 0 first, then previous token + 1."""
+    rows = np.zeros_like(tokens)
+    rows[..., 1:] = tokens[..., :-1] + 1
+    return rows
 
 
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
     peak = np.max(logits, axis=-1, keepdims=True)
     return peak + np.log(np.sum(np.exp(logits - peak), axis=-1, keepdims=True))
-
-
-def _pad_tokens(completions, vocab_size: int) -> tuple:
-    t_max = max(len(c) for c in completions)
-    tok = np.full((len(completions), t_max), -1, dtype=int)
-    mask = np.zeros((len(completions), t_max))
-    for i, c in enumerate(completions):
-        arr = np.asarray(c, dtype=int)
-        if arr.size and (arr.min() < 0 or arr.max() >= vocab_size):
-            raise ValidationError(f"token out of vocabulary (size {vocab_size})")
-        tok[i, :arr.size] = arr
-        mask[i, :arr.size] = 1.0
-    return tok, mask
 
 
 # ---------- synthetic constitution-conditioned task ----------
@@ -689,18 +690,18 @@ def mle_pretrain(policy: ToyPolicy, triples, epochs: int, lr: float) -> None:
     """Full-batch maximum-likelihood warm start on (prompt, principle, gold).
 
     Deterministic given the triples; each epoch takes one ascent step on the
-    mean per-sequence log-likelihood.
+    mean per-sequence log-likelihood, one backward pass over every triple.
     """
     if epochs < 0 or lr < 0:
         raise ValidationError("epochs and lr must be nonnegative")
-    n = len(triples)
-    if n == 0:
+    if not triples:
         return
+    contexts = [(prompt, principle) for prompt, principle, _ in triples]
+    # Triple i is scored under context i, with coefficient 1.
+    counts = transition_counts([gold for _, _, gold in triples], policy.vocab.size)
     for _ in range(epochs):
-        total = ParamGrad.zeros(policy.vocab.size, policy.dim)
-        for prompt, principle, gold in triples:
-            total.add(policy.weighted_grad_batch(prompt, principle, [gold], [1.0]))
-        policy.add_scaled(total, lr / n)
+        grad = policy.backward(policy.table(contexts), counts)
+        policy.add_scaled(grad, lr / len(triples))
 
 
 def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,

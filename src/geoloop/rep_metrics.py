@@ -115,11 +115,15 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
 
 
+class FrechetClampWarning(UserWarning):
+    """frechet_distance clamped a roundoff-negative value to 0."""
+
+
 def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
     """Squared Fréchet distance between two Gaussian summaries (>= 0, clamped).
 
     A negative value within roundoff of d * (tr S1 + tr S2) is clamped to 0
-    with a warning; one beyond it raises.
+    with a FrechetClampWarning; one beyond it raises.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -133,7 +137,8 @@ def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
     if val < -_FRECHET_ROUNDOFF * a.dim * float(np.trace(a.cov) + np.trace(b.cov)):
         raise ValidationError(f"Fréchet distance {val} too negative to be roundoff")
     if val < 0.0:
-        warnings.warn("clamped slightly negative Fréchet distance to 0")
+        warnings.warn("clamped slightly negative Fréchet distance to 0",
+                      FrechetClampWarning)
         val = 0.0
     return val
 

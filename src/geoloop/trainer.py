@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import mi, ot, prob_metrics, rep_metrics, rewards
 from .errors import ValidationError
-from .policy import ParamGrad, ToyPolicy, ToyTask, toy_format_reward
+from .policy import ToyPolicy, ToyTask, toy_format_reward, transition_counts
 
 STEPS_JSONL_FIELDS = (
     "step", "reward_base_mean", "reward_mi_mean", "reward_std",
@@ -42,7 +43,7 @@ STEPS_JSONL_FIELDS = (
     "mi_row_clean", "mi_col_clean", "mi_gap", "diag_mi",
     "grad_norm", "entropy", "clean_count",
     "bhat_angle", "hellinger", "js_bits", "frechet", "effrank", "pr",
-    "ot_iters", "ot_violation", "ot_converged",
+    "geometry_degenerate", "beta", "ot_iters", "ot_violation", "ot_converged",
 )
 
 ABLATION_MODES = ("enigma", "grpo_cot", "grpo_cot_plus")
@@ -212,9 +213,12 @@ class StepReport:
     bhat_angle: float
     hellinger: float
     js_bits: float
+    # NaN when the fit behind it raised; geometry_degenerate is then true,
+    # and also when frechet is a roundoff-negative value clamped to 0.
     frechet: float
     effrank: float
     pr: float
+    geometry_degenerate: bool = False
     beta: float = 1.0
     # The Sinkhorn solve: cross-term iterations and final L1 row violation,
     # and whether all three solves converged; None before ot_warmup.
@@ -226,6 +230,36 @@ class StepReport:
         """The steps.jsonl row; NaN becomes None (null), so the row is strict JSON."""
         row = {k: getattr(self, k) for k in STEPS_JSONL_FIELDS}
         return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+
+
+def _sami_matrix(own_scores, groups, kept, lengths) -> mi.ScoreMatrix:
+    """Square cross-query matrix over kept rows: entry (i, j) scores completion
+    kept[i] under the true context of completion kept[j]."""
+    return mi.ScoreMatrix(own_scores[groups[kept]][:, kept].T / lengths[kept, None],
+                          normalisation="length_mean")
+
+
+def _geometry(cur: rep_metrics.EmpiricalMeasure, ref: rep_metrics.EmpiricalMeasure) -> tuple:
+    """(frechet, effrank, pr, degenerate) of the current and reference clouds."""
+    degenerate = False
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", rep_metrics.FrechetClampWarning)
+        try:
+            frechet = rep_metrics.frechet_distance(rep_metrics.fit_gaussian(cur),
+                                                   rep_metrics.fit_gaussian(ref))
+        except ValidationError:
+            frechet, degenerate = math.nan, True
+    for w in caught:
+        if issubclass(w.category, rep_metrics.FrechetClampWarning):
+            degenerate = True
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    try:
+        dims = rep_metrics.effective_dims(rep_metrics.covariance_spectrum(cur))
+        effrank, pr = dims["effrank"], dims["participation_ratio"]
+    except ValidationError:
+        effrank, pr, degenerate = math.nan, math.nan, True
+    return float(frechet), float(effrank), float(pr), degenerate
 
 
 class Trainer:
@@ -246,6 +280,7 @@ class Trainer:
             target_ratio=config.autoscale_target, rate=config.autoscale_eta,
             decay=config.ema_decay)
         self._probe_item = task.items[0]
+        self._pid_index = {p.pid: i for i, p in enumerate(task.principles)}
 
     # ---------- helpers ----------
 
@@ -255,76 +290,45 @@ class Trainer:
         return [self.task.items[(start + j) % n]
                 for j in range(self.config.prompts_per_batch)]
 
-    def _principle_tokens(self, pid: str) -> tuple:
-        return self.task.principle(pid).tokens
+    def _contexts(self, items) -> tuple:
+        """(contexts, own): every (prompt, principle) pair of the step, the
+        pair of group g and pool principle p at index p * G + g, and the
+        index of each group's true pair."""
+        pool = self.task.principles
+        contexts = [(item.prompt, p.tokens) for p in pool for item in items]
+        own = np.array([self._pid_index[item.principle_id] * len(items) + g
+                        for g, item in enumerate(items)])
+        return contexts, own
 
-    def _row_candidate_scores(self, items, completions, groups, step: int) -> np.ndarray:
+    def _row_candidate_scores(self, items, scores, groups, lengths, step: int) -> np.ndarray:
         """(B, K+1) length-normalised scores of each completion under its true
         principle (column 0) and K uniform shadow principles."""
         k = self.config.shadow_k
         pool = [p.pid for p in self.task.principles]
         rng = derive_rng(self.seed, step, _CH_SHADOW_P)
-        out = np.zeros((len(completions), k + 1))
-        for idx, (g, comp) in enumerate(zip(groups, completions)):
-            item = items[g]
-            draw = mi.draw_shadows(pool, item.principle_id, k, rng)
-            contexts = [(item.prompt, self._principle_tokens(item.principle_id))]
-            contexts += [(item.prompt, self._principle_tokens(pid))
-                         for pid in draw.shadow_ids]
-            sums = self.policy.multi_context_logprob(contexts, comp.tokens)
-            out[idx] = sums / max(1, comp.length)
-        return out
+        ctx = np.zeros((len(groups), k + 1), dtype=int)
+        for idx, g in enumerate(groups):
+            pid = items[g].principle_id
+            draw = mi.draw_shadows(pool, pid, k, rng)
+            ctx[idx] = [self._pid_index[q] * len(items) + g for q in (pid, *draw.shadow_ids)]
+        return scores[ctx, np.arange(len(groups))[:, None]] / lengths[:, None]
 
-    def _col_candidate_scores(self, items, completions, groups, step: int) -> np.ndarray:
+    def _col_candidate_scores(self, own_scores, groups, lengths, step: int) -> np.ndarray:
         """(B, K+1) scores of {own completion, K shadow completions} under each
         completion's own rendered prompt."""
         k = self.config.shadow_k
         rng = derive_rng(self.seed, step, _CH_SHADOW_C)
-        b = len(completions)
-        out = np.zeros((b, k + 1))
+        b = len(groups)
+        cands = np.zeros((b, k + 1), dtype=int)
         for idx in range(b):
-            item = items[groups[idx]]
-            others = [j for j in range(b) if j != idx]
-            if len(others) >= k:
-                picked = [others[int(i)] for i in rng.choice(len(others), size=k, replace=False)]
-            else:
-                picked = [others[int(i)] for i in rng.choice(len(others), size=k, replace=True)]
-            cands = [completions[idx].tokens] + [completions[j].tokens for j in picked]
-            sums, lengths = self.policy.sequence_logprobs_batch(
-                item.prompt, self._principle_tokens(item.principle_id), cands)
-            out[idx] = sums / np.maximum(1, lengths)
-        return out
+            # Picks index the other completions, which skip idx.
+            picked = rng.choice(b - 1, size=k, replace=b - 1 < k)
+            cands[idx] = [idx, *(picked + (picked >= idx))]
+        return own_scores[groups[:, None], cands] / lengths[cands]
 
-    def _sami_matrix(self, items, completions, groups) -> tuple:
-        """Square cross-query score matrix over kept rows; returns (L, kept)."""
-        if self.config.mask_truncated:
-            kept = [i for i, c in enumerate(completions) if not c.truncated]
-        else:
-            kept = list(range(len(completions)))
-        n = len(kept)
-        if n < 2:
-            return None, kept
-        lengths = np.array([max(1, completions[i].length) for i in kept])
-        scores = np.zeros((n, n))
-        # Columns sharing a group share the rendered prompt: one batched
-        # scoring pass per distinct group.
-        for g in sorted(set(groups[i] for i in kept)):
-            cols = [j for j, i in enumerate(kept) if groups[i] == g]
-            item = items[g]
-            sums, _ = self.policy.sequence_logprobs_batch(
-                item.prompt, self._principle_tokens(item.principle_id),
-                [completions[i].tokens for i in kept])
-            for j in cols:
-                scores[:, j] = sums / lengths
-        return mi.ScoreMatrix(scores, normalisation="length_mean"), kept
-
-    def _sami_gradient(self, matrix: mi.ScoreMatrix, kept, items, completions,
-                       groups, lam_row: float, lam_col: float,
-                       shaping_mask) -> tuple:
-        """Fold auxiliary + shaping weights into one matrix and backpropagate.
-
-        Returns (sami_grad, shaping_grad) as ParamGrads over all blocks.
-        """
+    def _sami_weights(self, matrix: mi.ScoreMatrix, step: int, lam_row: float,
+                      lam_col: float, shaping_mask) -> np.ndarray:
+        """d(sami_weight * sami + shaping)/d(scores) for the kept-row matrix."""
         scores = matrix.scores
         n = scores.shape[0]
         eye = np.eye(n)
@@ -334,38 +338,11 @@ class Trainer:
         soft_col /= soft_col.sum(axis=0, keepdims=True)
         d_row = -(eye - soft_row) / n
         d_col = -(eye - soft_col) / n
-        w_sami = lam_row * d_row + lam_col * d_col
-        w_shape = np.zeros_like(scores)
+        weights = sami_weight_at(self.config, step) * (lam_row * d_row + lam_col * d_col)
         if self.config.shaping_weight > 0 and shaping_mask.any():
             coeff = (shaping_mask.astype(float) / shaping_mask.sum()) - 1.0 / n
-            w_shape = self.config.shaping_weight * coeff[:, None] * (soft_row - eye)
-        lengths = np.array([max(1, completions[i].length) for i in kept], dtype=float)
-        grads = []
-        for w in (w_sami, w_shape):
-            grad = ParamGrad.zeros(self.policy.vocab.size, self.policy.dim)
-            if np.any(w):
-                for g in sorted(set(groups[i] for i in kept)):
-                    cols = [j for j, i in enumerate(kept) if groups[i] == g]
-                    item = items[g]
-                    coeffs = w[:, cols].sum(axis=1) / lengths
-                    grad.add(self.policy.weighted_grad_batch(
-                        item.prompt, self._principle_tokens(item.principle_id),
-                        [completions[i].tokens for i in kept], coeffs))
-            grads.append(grad)
-        return grads[0], grads[1]
-
-    def _hidden_measures(self, items, completions, groups) -> tuple:
-        cur, ref = [], []
-        for idx, comp in enumerate(completions):
-            if comp.length == 0:
-                continue
-            item = items[groups[idx]]
-            ptoks = self._principle_tokens(item.principle_id)
-            cur.append(self.policy.hidden_summary(item.prompt, ptoks, comp.tokens))
-            ref.append(self.reference.hidden_summary(item.prompt, ptoks, comp.tokens))
-        cur_m = rep_metrics.EmpiricalMeasure(np.stack(cur), normalised=True)
-        ref_m = rep_metrics.EmpiricalMeasure(np.stack(ref), normalised=True)
-        return cur_m, ref_m
+            weights += self.config.shaping_weight * coeff[:, None] * (soft_row - eye)
+        return weights
 
     # ---------- the step ----------
 
@@ -374,15 +351,23 @@ class Trainer:
         config = self.config
         step = self.step
         items = self._batch_items(step)
-        groups, completions = [], []
-        for g, item in enumerate(items):
-            group = self.policy.sample_group(
-                item.prompt, self._principle_tokens(item.principle_id),
-                config.group_size, derive_rng(self.seed, step, _CH_SAMPLE, g))
-            for comp in group:
-                groups.append(g)
-                completions.append(comp)
+        contexts, own = self._contexts(items)
+        table = self.policy.table(contexts)
+        sampled = self.policy.sample_groups(
+            table, own, config.group_size,
+            [derive_rng(self.seed, step, _CH_SAMPLE, g) for g in range(len(items))])
+        completions = [comp for group in sampled for comp in group]
+        groups = np.repeat(np.arange(len(items)), config.group_size)
         b = len(completions)
+        # Every score and gradient of the step goes through the completions'
+        # transition counts: scores[c, i] is completion i under context c, and
+        # coeffs[c, i] collects its weight in the loss gradient (GRPO, SAMI
+        # and shaping) for the one backward pass.
+        counts = transition_counts([c.tokens for c in completions], self.policy.vocab.size)
+        lengths = np.maximum(1, counts.sum(axis=(1, 2)))
+        scores = table.seq_logprobs(counts)
+        own_scores = scores[own]
+        coeffs = np.zeros_like(scores)
 
         entropies = np.array([c.mean_entropy for c in completions])
         entropy_mask = rewards.entropy_gate(entropies, config.entropy_quantile)
@@ -396,7 +381,7 @@ class Trainer:
             jitter_rng = derive_rng(self.seed, step, _CH_JITTER)
             base = base + config.jitter_sigma * jitter_rng.standard_normal(b)
 
-        row_scores = self._row_candidate_scores(items, completions, groups, step)
+        row_scores = self._row_candidate_scores(items, scores, groups, lengths, step)
         format_gate_on = rewards.format_gate_schedule(step, config.mi_warmup_steps)
         mi_reward = np.zeros(b)
         if config.channel_weight > 0:
@@ -413,65 +398,54 @@ class Trainer:
         adv = np.zeros(b)
         group_stds = []
         for g in range(len(items)):
-            sel = [i for i in range(b) if groups[i] == g]
+            sel = np.flatnonzero(groups == g)
             ga = group_advantages(total_reward[sel], config.scale_rewards)
             adv[sel] = ga.advantages
             group_stds.append(ga.std)
 
         # GRPO term: new == old at compute time, so the value is -mean(A) and
         # the gradient coefficient reduces to -A / length constant.
+        kept = np.array([i for i, c in enumerate(completions)
+                         if not (config.mask_truncated and c.truncated)], dtype=int)
         loss_grpo_sum = 0.0
-        counted = 0
-        per_group = {g: ([], []) for g in range(len(items))}
-        for i in range(b):
-            if config.mask_truncated and completions[i].truncated:
-                continue
+        for i in kept:
             old = float(np.sum(completions[i].logprobs))
             loss_grpo_sum += clipped_surrogate(old, old, adv[i], config.clip_eps,
                                                config.length_norm_constant)
-            coef = surrogate_grad_coefficient(old, old, adv[i], config.clip_eps,
-                                              config.length_norm_constant)
-            per_group[groups[i]][0].append(completions[i].tokens)
-            per_group[groups[i]][1].append(coef)
-            counted += 1
-        loss_grpo = loss_grpo_sum / max(1, counted)
-        grpo_grad = ParamGrad.zeros(self.policy.vocab.size, self.policy.dim)
-        for g, item in enumerate(items):
-            toks, coeffs = per_group[g]
-            coeffs = [c / max(1, counted) for c in coeffs]
-            if toks and any(coeffs):
-                grpo_grad.add(self.policy.weighted_grad_batch(
-                    item.prompt, self._principle_tokens(item.principle_id),
-                    toks, coeffs))
+            coeffs[own[groups[i]], i] = surrogate_grad_coefficient(
+                old, old, adv[i], config.clip_eps,
+                config.length_norm_constant) / max(1, kept.size)
+        loss_grpo = loss_grpo_sum / max(1, kept.size)
 
         lam_row, lam_col = rowcol_anneal(step, self.max_steps)
-        matrix, kept = self._sami_matrix(items, completions, groups)
-        sami_grad = ParamGrad.zeros(self.policy.vocab.size, self.policy.dim)
-        shape_grad = ParamGrad.zeros(self.policy.vocab.size, self.policy.dim)
-        if matrix is None:
+        if kept.size < 2:
             loss_sami, loss_shaping, diag_stat = 0.0, 0.0, math.nan
         else:
+            matrix = _sami_matrix(own_scores, groups, kept, lengths)
             losses = mi.infonce_losses(matrix)
             loss_sami = lam_row * losses["row_loss"] + lam_col * losses["col_loss"]
             shaping_mask = entropy_mask[kept]
             loss_shaping = mi.shaping_term(matrix, shaping_mask, config.shaping_weight)
             diag_stat = mi.diag_mi(matrix)
             if sami_weight_at(config, step) > 0 or config.shaping_weight > 0:
-                sami_grad, shape_grad = self._sami_gradient(
-                    matrix, kept, items, completions, groups, lam_row, lam_col,
-                    shaping_mask)
+                weights = self._sami_weights(matrix, step, lam_row, lam_col, shaping_mask)
+                np.add.at(coeffs, (own[groups[kept]][None, :], kept[:, None]),
+                          weights / lengths[kept, None])
 
-        col_scores = self._col_candidate_scores(items, completions, groups, step)
+        col_scores = self._col_candidate_scores(own_scores, groups, lengths, step)
         clean = mi.clean_mi_bounds(mi.BoundBatch(row_scores, col_scores),
                                    config.shadow_k, format_ok & entropy_mask)
 
-        cur_measure, ref_measure = self._hidden_measures(items, completions, groups)
+        ref_table = self.reference.table([contexts[c] for c in own])
+        cur_measure = rep_metrics.EmpiricalMeasure(
+            table.summaries(own[groups], counts)[0], normalised=True)
+        ref_measure = rep_metrics.EmpiricalMeasure(
+            ref_table.summaries(groups, counts)[0], normalised=True)
         loss_ot = 0.0
         ot_stats = {"iterations": None, "violation": None, "converged": None}
-        ot_grad = ParamGrad.zeros(self.policy.vocab.size, self.policy.dim)
+        feat_grad = None
         if config.ot_weight > 0 and step >= config.ot_warmup:
             cap = config.ot_subsample_cap
-            live = [i for i, c in enumerate(completions) if c.length > 0]
             cur_idx = ot.subsample_indices(cur_measure.size, cap, (self.seed, step, _CH_OT, 0))
             ref_idx = ot.subsample_indices(ref_measure.size, cap, (self.seed, step, _CH_OT, 1))
             cur_sub = rep_metrics.EmpiricalMeasure(cur_measure.points[cur_idx], normalised=True)
@@ -486,43 +460,25 @@ class Trainer:
                 cur_sub, ref_sub, config.blur ** 2, scaling=config.scaling,
                 max_iter=500)
             loss_ot = config.ot_weight * value
-            for row, m_row in enumerate(cur_idx):
-                idx = live[int(m_row)]
-                item = items[groups[idx]]
-                ot_grad.add(self.policy.hidden_summary_grad(
-                    item.prompt, self._principle_tokens(item.principle_id),
-                    completions[idx].tokens,
-                    config.ot_weight * point_grad[row]))
+            feat_grad = table.summary_feat_grad(own[groups[cur_idx]], counts[cur_idx],
+                                                config.ot_weight * point_grad)
 
         loss_total = enigma_loss(loss_grpo, loss_sami, loss_shaping, loss_ot,
                                  config, step)
 
-        total_grad = ParamGrad.zeros(self.policy.vocab.size, self.policy.dim)
-        total_grad.add(grpo_grad)
-        total_grad.add(sami_grad, sami_weight_at(config, step))
-        total_grad.add(shape_grad)
-        total_grad.add(ot_grad)
+        total_grad = self.policy.backward(table, np.tensordot(coeffs, counts, axes=1),
+                                          feat_grad)
         grad_norm = total_grad.global_norm()
         if config.grad_clip > 0 and grad_norm > config.grad_clip:
             total_grad = total_grad.scaled(config.grad_clip / grad_norm)
 
         # Geometry probes against the frozen reference.
         probe_ctx = (self._probe_item.prompt,
-                     self._principle_tokens(self._probe_item.principle_id))
+                     self.task.principle(self._probe_item.principle_id).tokens)
         p_cur = prob_metrics.ProbVector(self.policy.next_token_distribution(*probe_ctx))
         p_ref = prob_metrics.ProbVector(self.reference.next_token_distribution(*probe_ctx))
         probes = prob_metrics.probe_report(p_cur, p_ref)
-        try:
-            frechet = rep_metrics.frechet_distance(
-                rep_metrics.fit_gaussian(cur_measure),
-                rep_metrics.fit_gaussian(ref_measure))
-        except ValidationError:
-            frechet = 0.0
-        try:
-            dims = rep_metrics.effective_dims(rep_metrics.covariance_spectrum(cur_measure))
-            effrank, pr = dims["effrank"], dims["participation_ratio"]
-        except ValidationError:
-            effrank, pr = 1.0, 1.0
+        frechet, effrank, pr, degenerate = _geometry(cur_measure, ref_measure)
 
         report = StepReport(
             step=step,
@@ -545,9 +501,10 @@ class Trainer:
             bhat_angle=probes["bhat_angle"],
             hellinger=probes["hellinger"],
             js_bits=probes["js_bits"],
-            frechet=float(frechet),
-            effrank=float(effrank),
-            pr=float(pr),
+            frechet=frechet,
+            effrank=effrank,
+            pr=pr,
+            geometry_degenerate=degenerate,
             beta=self.autoscaler.beta,
             ot_iters=ot_stats["iterations"],
             ot_violation=ot_stats["violation"],

@@ -128,6 +128,10 @@ class TestTrainCommand:
         assert len(lines) == 8
         row = json.loads(lines[0])
         assert list(row.keys()) == list(STEPS_JSONL_FIELDS)
+        assert list(row)[-5:] == ["geometry_degenerate", "beta", "ot_iters",
+                                  "ot_violation", "ot_converged"]
+        assert row["beta"] == 1.0
+        assert isinstance(row["geometry_degenerate"], bool)
         summary = json.loads((run / "summary.json").read_text())
         assert summary["last_step"]["step"] == 7
         assert set(summary["checkpoint_hashes"]) == {"0", "4", "8"}

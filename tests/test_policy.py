@@ -42,6 +42,74 @@ def finite_difference_max_rel_err(p, prompt, principle, completion, h=1e-6):
     return worst
 
 
+def explicit_token_logprobs(p, prompt, principle, completion):
+    """Per-token log-probabilities straight from the architecture's formulas."""
+    ctx_tokens = list(prompt) + list(principle)
+    ctx = p.embed[ctx_tokens].mean(axis=0) if ctx_tokens else np.zeros(p.dim)
+    out = []
+    for t, tok in enumerate(completion):
+        h = p.ctx_scale * ctx
+        if t:
+            h = h + p.prev_scale * p.embed[completion[t - 1]]
+        logits = h @ p.out
+        out.append(logits[tok] - np.log(np.sum(np.exp(logits))))
+    return np.array(out)
+
+
+def reference_decode_one(p, logits, history, rng):
+    """One token the way the per-row sampler drew it (one rng.choice per token)."""
+    logits = logits.astype(float).copy()
+    if p.repetition_penalty != 1.0 and history:
+        seen = np.unique(np.asarray(history, dtype=int))
+        pos = logits[seen] > 0
+        logits[seen[pos]] /= p.repetition_penalty
+        logits[seen[~pos]] *= p.repetition_penalty
+    if p.temperature == 0.0:
+        return int(np.argmax(logits))
+    logits = logits / p.temperature
+    if p.top_k < logits.size:
+        drop = np.argsort(logits, kind="stable")[:-p.top_k]
+        logits[drop] = -np.inf
+    probs = np.exp(logits - np.max(logits))
+    probs /= probs.sum()
+    if p.top_p < 1.0:
+        order = np.argsort(-probs, kind="stable")
+        cum = np.cumsum(probs[order])
+        keep = cum - probs[order] < p.top_p
+        keep[0] = True
+        kept = order[keep]
+        probs = np.zeros_like(probs)
+        probs[kept] = np.exp(logits[kept] - np.max(logits[kept]))
+        probs /= probs.sum()
+    return int(rng.choice(probs.size, p=probs))
+
+
+def reference_sample_group(p, prompt, principle, group_size, seed):
+    """The per-row decode loop: members in turn at each position, one stream."""
+    rng = np.random.default_rng(seed)
+    ctx_tokens = list(prompt) + list(principle)
+    ctx = p.embed[ctx_tokens].mean(axis=0) if ctx_tokens else np.zeros(p.dim)
+    base_h = p.ctx_scale * ctx
+    seqs = [[] for _ in range(group_size)]
+    logps = [[] for _ in range(group_size)]
+    ents = [[] for _ in range(group_size)]
+    done = [False] * group_size
+    for _ in range(p.max_len):
+        for i in range(group_size):
+            if done[i]:
+                continue
+            h = base_h if not seqs[i] else base_h + p.prev_scale * p.embed[seqs[i][-1]]
+            logits = h @ p.out
+            log_sm = logits - np.log(np.sum(np.exp(logits - logits.max()))) - logits.max()
+            ents[i].append(float(-np.sum(np.exp(log_sm) * log_sm)))
+            token = reference_decode_one(p, logits, seqs[i], rng)
+            seqs[i].append(token)
+            logps[i].append(float(log_sm[token]))
+            done[i] = token == p.vocab.eos
+    return [(tuple(seqs[i]), np.array(logps[i]), np.array(ents[i]), not done[i])
+            for i in range(group_size)]
+
+
 class TestVocab:
     def test_reserved_tokens_distinct(self):
         v = pol.Vocab()
@@ -164,7 +232,7 @@ class TestHiddenSummary:
 
     def test_single_token_is_normalised_feature(self):
         p = randomised_policy(7)
-        ctx = p.context_vector((1, 2), (0, 6))
+        ctx = p.embed[[1, 2, 0, 6]].mean(axis=0)
         feat = p.ctx_scale * ctx
         expected = feat / np.linalg.norm(feat)
         summary = p.hidden_summary((1, 2), (0, 6), (11,))
@@ -214,6 +282,10 @@ class TestSampling:
         with pytest.raises(ValidationError):
             p.sample_group((1,), (0,), 1, np.random.default_rng(0))
 
+    def test_max_len_minimum(self):
+        with pytest.raises(ValidationError):
+            pol.ToyPolicy(pol.Vocab(), dim=8, max_len=0)
+
     def test_length_cap(self):
         p = randomised_policy(14)
         group = p.sample_group((1,), (0,), 4, np.random.default_rng(1))
@@ -222,6 +294,154 @@ class TestSampling:
             if not c.truncated:
                 assert c.tokens[-1] == p.vocab.eos
                 assert c.content == c.tokens[:-1]
+
+
+CONTEXTS = [((1, 2), (0, 6)), ((3,), (9, 4, 4)), ((), ())]
+COMPLETIONS = [(11, 2, 12, 13, 7, 14, 15), (11, 12, 13, 14), (3, 3, 3), (15,),
+               (11, 3, 12, 13, 8, 14, 15)]
+
+
+def assert_grads_close(a, b, tol):
+    for name in ("embed", "out", "ctx_scale", "prev_scale"):
+        assert np.max(np.abs(getattr(a, name) - getattr(b, name))) <= tol, name
+
+
+class TestTableKernel:
+    def test_token_logprobs_match_formula(self):
+        p = randomised_policy(20)
+        for ctx in CONTEXTS:
+            for comp in COMPLETIONS:
+                assert p.token_logprobs(*ctx, comp) == pytest.approx(
+                    explicit_token_logprobs(p, *ctx, comp), abs=1e-12)
+
+    def test_sequence_scores_are_gathers(self):
+        p = randomised_policy(21)
+        scores = p.table(CONTEXTS).seq_logprobs(pol.transition_counts(COMPLETIONS, 16))
+        expected = np.array([[np.sum(p.token_logprobs(*ctx, comp)) for comp in COMPLETIONS]
+                             for ctx in CONTEXTS])
+        assert np.max(np.abs(scores - expected)) <= 1e-12
+        for c, ctx in enumerate(CONTEXTS):
+            sums, lengths = p.sequence_logprobs_batch(*ctx, COMPLETIONS)
+            assert np.max(np.abs(sums - expected[c])) <= 1e-12
+            assert list(lengths) == [len(comp) for comp in COMPLETIONS]
+        for b, comp in enumerate(COMPLETIONS):
+            multi = p.multi_context_logprob(CONTEXTS, comp)
+            assert np.max(np.abs(multi - expected[:, b])) <= 1e-12
+
+    def test_next_token_distribution_is_a_table_row(self):
+        p = randomised_policy(22)
+        for ctx in CONTEXTS:
+            first = [math.exp(p.token_logprobs(*ctx, (v,))[0]) for v in range(16)]
+            assert p.next_token_distribution(*ctx) == pytest.approx(first, abs=1e-12)
+            for prev in (0, 7, 15):
+                after = [math.exp(p.token_logprobs(*ctx, (prev, v))[1]) for v in range(16)]
+                assert p.next_token_distribution(*ctx, prev=prev) == pytest.approx(
+                    after, abs=1e-12)
+
+    def test_backward_matches_sum_of_sequence_gradients(self):
+        p = randomised_policy(23)
+        weights = np.random.default_rng(0).normal(size=(len(CONTEXTS), len(COMPLETIONS)))
+        counts = pol.transition_counts(COMPLETIONS, 16)
+        grad = p.backward(p.table(CONTEXTS), np.tensordot(weights, counts, axes=1))
+        manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
+        for c, ctx in enumerate(CONTEXTS):
+            for b, comp in enumerate(COMPLETIONS):
+                manual.add(p.grad_seq_logprob(*ctx, comp), weights[c, b])
+        assert_grads_close(grad, manual, 1e-12)
+
+    def test_feature_gradient_matches_summary_gradients(self):
+        p = randomised_policy(24)
+        ctx_idx = [0, 1, 1, 2, 0]
+        summary_grad = np.random.default_rng(1).normal(size=(len(COMPLETIONS), p.dim))
+        table = p.table(CONTEXTS)
+        counts = pol.transition_counts(COMPLETIONS, 16)
+        units, _ = table.summaries(ctx_idx, counts)
+        grad = p.backward(table, np.zeros_like(table.logp),
+                          table.summary_feat_grad(ctx_idx, counts, summary_grad))
+        manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
+        for b, (c, comp) in enumerate(zip(ctx_idx, COMPLETIONS)):
+            assert units[b] == pytest.approx(p.hidden_summary(*CONTEXTS[c], comp), abs=1e-12)
+            manual.add(p.hidden_summary_grad(*CONTEXTS[c], comp, summary_grad[b]))
+        assert_grads_close(grad, manual, 1e-12)
+
+    def test_summary_gradient_finite_difference(self):
+        p = randomised_policy(25, dim=6)
+        g = np.random.default_rng(2).normal(size=p.dim)
+        comp = COMPLETIONS[0]
+        grad = p.hidden_summary_grad(*CONTEXTS[1], comp, g)
+        h = 1e-6
+        for arr, block in [(p.embed, grad.embed), (p.out, grad.out),
+                           (p.ctx_scale, grad.ctx_scale), (p.prev_scale, grad.prev_scale)]:
+            it = np.nditer(arr, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                original = arr[idx]
+                arr[idx] = original + h
+                up = g @ p.hidden_summary(*CONTEXTS[1], comp)
+                arr[idx] = original - h
+                dn = g @ p.hidden_summary(*CONTEXTS[1], comp)
+                arr[idx] = original
+                assert block[idx] == pytest.approx((up - dn) / (2 * h), abs=1e-7)
+
+    def test_batched_mle_epoch_matches_per_triple_sum(self):
+        task = pol.make_toy_task(seed=3)
+        triples = pol.format_pretrain_items(task, seed=3)
+        p = pol.ToyPolicy(task.vocab)
+        p.init_params(3)
+        q = p.clone()
+        pol.mle_pretrain(p, triples, 1, 0.5)
+        total = pol.ParamGrad.zeros(q.vocab.size, q.dim)
+        for prompt, principle, gold in triples:
+            total.add(q.grad_seq_logprob(prompt, principle, gold))
+        q.add_scaled(total, 0.5 / len(triples))
+        for name, block in p.param_blocks().items():
+            assert np.max(np.abs(block - q.param_blocks()[name])) <= 1e-12, name
+
+    @pytest.mark.parametrize("call", [
+        lambda p: pol.transition_counts([(11,), (11, 16)], 16),
+        lambda p: pol.transition_counts([(11, -1)], 16),
+        lambda p: p.table([((1, 2), ()), ((1, 99), ())]),
+        lambda p: p.sequence_logprobs_batch((1,), (0,), [(11,), (11, 99)]),
+        lambda p: p.multi_context_logprob([((1,), (0,))], (11, 99)),
+        lambda p: p.multi_context_logprob([((1,), (0,)), ((1,), (99,))], (11,)),
+        lambda p: p.weighted_grad_batch((1,), (0,), [(11,), (99,)], [1.0, 1.0]),
+        lambda p: p.hidden_summary((1,), (0,), (11, 99)),
+        lambda p: p.hidden_summary_grad((1,), (0,), (11, 99), np.ones(p.dim)),
+        lambda p: p.next_token_distribution((1,), (0,), prev=16),
+        lambda p: p.sample_group((1, 99), (0,), 4, 0),
+        lambda p: pol.mle_pretrain(p, [((1,), (0,), (11,)), ((1,), (0,), (11, 99))], 1, 0.1),
+    ], ids=["counts", "counts-negative", "table", "sequence_logprobs_batch",
+            "multi_context_completion", "multi_context_context", "weighted_grad_batch",
+            "hidden_summary", "hidden_summary_grad", "next_token_prev", "sample_group",
+            "mle_pretrain"])
+    def test_out_of_vocab_rejected(self, call):
+        with pytest.raises(ValidationError):
+            call(randomised_policy(26))
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("temperature", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("top_k", [5, 16])
+    @pytest.mark.parametrize("top_p", [0.9, 1.0])
+    @pytest.mark.parametrize("penalty", [1.0, 1.3])
+    def test_matches_per_row_decode(self, temperature, top_k, top_p, penalty):
+        # Sharper than randomised_policy's near-uniform logits, so EOS, the
+        # penalty and the truncations all matter.
+        p = randomised_policy(30)
+        p.out *= 6.0
+        p.temperature, p.top_k, p.top_p, p.repetition_penalty = (
+            temperature, top_k, top_p, penalty)
+        table = p.table(CONTEXTS)
+        for seed in range(4):
+            seeds = [100 * seed + g for g in range(len(CONTEXTS))]
+            groups = p.sample_groups(table, range(len(CONTEXTS)), 4, seeds)
+            for ctx, group, s in zip(CONTEXTS, groups, seeds):
+                for comp, (tokens, logps, ents, truncated) in zip(
+                        group, reference_sample_group(p, *ctx, 4, s)):
+                    assert comp.tokens == tokens
+                    assert comp.truncated == truncated
+                    assert np.max(np.abs(comp.logprobs - logps)) <= 1e-12
+                    assert np.max(np.abs(comp.entropies - ents)) <= 1e-12
 
 
 class TestReference:

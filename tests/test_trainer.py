@@ -1,5 +1,6 @@
 """Group advantages, clipped surrogate, schedules, and the full step loop."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
-from geoloop.policy import ToyPolicy, Vocab, make_toy_task, warm_start
+from geoloop.policy import ToyPolicy, Vocab, make_toy_task, transition_counts, warm_start
+from geoloop import mi, rep_metrics
 from geoloop import trainer as tr
 
 
@@ -171,7 +173,17 @@ class TestTrainStep:
     def test_jsonl_row_schema(self):
         t = small_trainer(seed=6)
         row = t.train_step().jsonl_row()
-        assert tuple(row.keys()) == tr.STEPS_JSONL_FIELDS
+        assert tuple(row.keys()) == tr.STEPS_JSONL_FIELDS == (
+            "step", "reward_base_mean", "reward_mi_mean", "reward_std",
+            "loss_total", "loss_grpo", "loss_sami", "loss_ot",
+            "mi_row_clean", "mi_col_clean", "mi_gap", "diag_mi",
+            "grad_norm", "entropy", "clean_count",
+            "bhat_angle", "hellinger", "js_bits", "frechet", "effrank", "pr",
+            "geometry_degenerate", "beta", "ot_iters", "ot_violation", "ot_converged")
+        assert isinstance(row["geometry_degenerate"], bool)
+        # beta is the autoscaler's value going into the step.
+        beta = t.autoscaler.beta
+        assert row["beta"] == 1.0 and t.train_step().jsonl_row()["beta"] == beta
 
     def test_ot_off_before_warmup(self):
         t = small_trainer(seed=7, ot_warmup=4)
@@ -236,3 +248,96 @@ class TestCheckpoints:
         np.savez(path, **data)
         with pytest.raises(ValidationError):
             tr.load_checkpoint(path)
+
+
+def step_inputs(t, step=0):
+    """What train_step scores: contexts, the table's (C, B) scores, completions."""
+    items = t._batch_items(step)
+    contexts, own = t._contexts(items)
+    table = t.policy.table(contexts)
+    sampled = t.policy.sample_groups(
+        table, own, t.config.group_size,
+        [tr.derive_rng(t.seed, step, tr._CH_SAMPLE, g) for g in range(len(items))])
+    comps = [c for group in sampled for c in group]
+    groups = np.repeat(np.arange(len(items)), t.config.group_size)
+    counts = transition_counts([c.tokens for c in comps], t.policy.vocab.size)
+    lengths = np.maximum(1, counts.sum(axis=(1, 2)))
+    return items, own, table.seq_logprobs(counts), comps, groups, lengths
+
+
+def mean_logprob(t, prompt, pid, comp):
+    tokens = t.task.principle(pid).tokens
+    return float(np.sum(t.policy.token_logprobs(prompt, tokens, comp.tokens))) / comp.length
+
+
+class TestGatherScorers:
+    """Each gather over the step's table equals its per-sequence definition."""
+
+    def test_row_scores(self):
+        t = small_trainer(seed=12)
+        items, own, scores, comps, groups, lengths = step_inputs(t)
+        got = t._row_candidate_scores(items, scores, groups, lengths, 0)
+        rng = tr.derive_rng(t.seed, 0, tr._CH_SHADOW_P)
+        pool = [p.pid for p in t.task.principles]
+        for b, comp in enumerate(comps):
+            item = items[groups[b]]
+            draw = mi.draw_shadows(pool, item.principle_id, t.config.shadow_k, rng)
+            expected = [mean_logprob(t, item.prompt, pid, comp)
+                        for pid in (item.principle_id, *draw.shadow_ids)]
+            assert np.max(np.abs(got[b] - expected)) <= 1e-12
+
+    def test_column_scores(self):
+        t = small_trainer(seed=13)
+        items, own, scores, comps, groups, lengths = step_inputs(t)
+        got = t._col_candidate_scores(scores[own], groups, lengths, 0)
+        rng = tr.derive_rng(t.seed, 0, tr._CH_SHADOW_C)
+        for idx, comp in enumerate(comps):
+            others = [j for j in range(len(comps)) if j != idx]
+            picked = [others[int(i)] for i in
+                      rng.choice(len(others), size=t.config.shadow_k, replace=False)]
+            item = items[groups[idx]]
+            expected = [mean_logprob(t, item.prompt, item.principle_id, comps[j])
+                        for j in [idx] + picked]
+            assert np.max(np.abs(got[idx] - expected)) <= 1e-12
+
+    def test_sami_matrix(self):
+        t = small_trainer(seed=14)
+        items, own, scores, comps, groups, lengths = step_inputs(t)
+        kept = np.array([i for i, c in enumerate(comps) if not c.truncated])
+        assert kept.size >= 2
+        got = tr._sami_matrix(scores[own], groups, kept, lengths).scores
+        for i, row in enumerate(kept):
+            for j, col in enumerate(kept):
+                item = items[groups[col]]
+                expected = mean_logprob(t, item.prompt, item.principle_id, comps[row])
+                assert abs(got[i, j] - expected) <= 1e-12
+
+
+class TestGeometryFlags:
+    def test_failed_fit_logged_as_null(self):
+        one = rep_metrics.EmpiricalMeasure(np.array([[1.0, 0.0]]), normalised=True)
+        frechet, effrank, pr, degenerate = tr._geometry(one, one)
+        assert math.isnan(frechet) and math.isnan(effrank) and math.isnan(pr)
+        assert degenerate
+
+    def test_clamp_flagged_not_warned(self, monkeypatch):
+        def clamping_frechet(a, b):
+            warnings.warn("clamped", rep_metrics.FrechetClampWarning)
+            return 0.0
+
+        monkeypatch.setattr(rep_metrics, "frechet_distance", clamping_frechet)
+        points = np.random.default_rng(0).normal(size=(8, 3))
+        cloud = rep_metrics.EmpiricalMeasure(
+            points / np.linalg.norm(points, axis=1, keepdims=True), normalised=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frechet, effrank, _, degenerate = tr._geometry(cloud, cloud)
+        assert frechet == 0.0 and degenerate and effrank > 1.0
+
+    def test_healthy_fit_not_flagged(self):
+        points = np.random.default_rng(1).normal(size=(16, 3))
+        cur = rep_metrics.EmpiricalMeasure(
+            points / np.linalg.norm(points, axis=1, keepdims=True), normalised=True)
+        ref = rep_metrics.EmpiricalMeasure(np.roll(cur.points, 1, axis=1), normalised=True)
+        frechet, _, _, degenerate = tr._geometry(cur, ref)
+        assert frechet > 0.0 and not degenerate
