@@ -382,7 +382,7 @@ def cmd_probe(args) -> int:
         fh.write("alpha,beta,value\n")
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
-                fh.write(f"{a!r},{b!r},{grid[i, j]!r}\n")
+                fh.write(f"{float(a)!r},{float(b)!r},{float(grid[i, j])!r}\n")
 
     # Aligned score matrix and per-row diagonal statistics for the last policy.
     # One table over every (item, principle) context: row i * P + j is item
@@ -408,7 +408,7 @@ def cmd_probe(args) -> int:
         fh.write("row,diag_log_softmax,pmi\n")
         for i, j in enumerate(true_cols):
             val = float(log_sm[i, j])
-            fh.write(f"{i},{val!r},{(val + np.log(n_principles))!r}\n")
+            fh.write(f"{i},{val!r},{float(val + np.log(n_principles))!r}\n")
 
     # Output-space OT diagnostic between first and last checkpoint.
     if len(dists) >= 2:

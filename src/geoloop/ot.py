@@ -4,22 +4,28 @@ Primal problem (squared-Euclidean ground cost unless stated otherwise):
 
     OT_eps(a, b) = min_{pi in Pi(a,b)}  sum_ij pi_ij C_ij + eps * KL(pi || a x b)
 
-solved by log-domain Sinkhorn iterations with eps-scaling: potentials are
-updated at a geometrically decreasing sequence of temperatures (factor
+solved by Sinkhorn iterations with eps-scaling: potentials are updated in
+the log domain at a geometrically decreasing sequence of temperatures (factor
 `scaling`, default 0.8) from max(C) down to the target eps, then polished at
-the target until the L1 marginal violation drops below tolerance.  The
-debiased divergence is
+the target, in absorbed scaling form, until the L1 marginal violation drops
+below tolerance.  The debiased divergence is
 
     S_eps(a, b) = OT_eps(a, b) - OT_eps(a, a)/2 - OT_eps(b, b)/2,
 
 symmetric, zero at a == b, and converging to W2^2 as eps -> 0.
 
-Every solve goes through one loop, `_sinkhorn_potentials`.  The self terms
-OT(a, a) use the averaged symmetric update f <- (f + T_eps(f))/2 on a single
-potential (Feydy et al. 2019), which converges in a few dozen iterations
-where the alternating update stalls.  The cross term alternates f and g; its
-row violation is read off the next f half-step (the row sums of the plan are
-a * exp((f - f_next)/eps)), so no third log-sum-exp runs per iteration.
+Every solve goes through one loop, `_sinkhorn_potentials`.  At the target
+eps it absorbs the potentials into a Gibbs kernel K = exp((f0 + g0 - C)/eps)
+and iterates on scalings u, v with f = f0 + eps*log(u), g = g0 + eps*log(v)
+(Schmitzer 2019, arXiv:1610.06519), so each half-step is one matrix-vector
+product instead of a log-sum-exp; an iteration whose scaling would leave
+range runs in the log domain and the kernel is rebuilt from its result.
+The self terms OT(a, a) use the averaged symmetric update
+f <- (f + T_eps(f))/2 on a single potential (Feydy et al. 2019), u <- sqrt(u*v)
+in scaling form, which converges in a few dozen iterations where the
+alternating update stalls.  The cross term alternates f and g; its row
+violation is read off the next f half-step (the row sums of the plan are
+a * exp((f - f_next)/eps) = a * u/u_next), so it costs no third product.
 
 `exact_w2_small` enumerates permutation couplings (optimal for equal-weight,
 equal-size clouds) and exists purely as a test oracle; it is never called by
@@ -113,15 +119,56 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     return peak.squeeze(axis) + np.log(np.exp(arr - peak).sum(axis=axis))
 
 
+# Scalings stay at or below this; a kernel product that would take one past it
+# sends the iteration back to the log domain and the kernel is rebuilt.  No
+# lower bound is needed: each scaling is the reciprocal of a product of the
+# other scaling, at most _SCALING_MAX, with a kernel bounded at its rebuild.
+_SCALING_MAX = 1e100
+
+
+def _scaling_step(u, ka, kb):
+    """One iteration in absorbed scaling form: (v, u_next, ratio), or None.
+
+    `ka` = a * K and `kb` = K * b, with kb None for the symmetric update
+    u_next = sqrt(u*v); ratio is the plan's row sums over a.  None means a
+    scaling would exceed _SCALING_MAX (a kernel product below its
+    reciprocal, or zero by underflow), and nothing has been divided by it.
+    The smallest entry is read with argmin, a third of the cost of
+    ndarray.min on these 32-entry vectors.
+    """
+    col = u @ ka
+    if col[col.argmin()] < 1.0 / _SCALING_MAX:
+        return None
+    v = 1.0 / col
+    if kb is None:
+        return v, np.sqrt(u * v), u / v
+    row = kb @ v
+    if row[row.argmin()] < 1.0 / _SCALING_MAX:
+        return None
+    return v, 1.0 / row, u * row
+
+
 def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
-    """Log-domain Sinkhorn with eps-scaling; returns (f, g, iterations, converged, trace).
+    """Sinkhorn with eps-scaling; returns (f, g, iterations, converged, trace).
+
+    Down to the first iteration at the target eps each iteration runs in the
+    log domain, one per temperature, which takes the large potential changes
+    between temperatures.  From its result the potentials are held in
+    absorbed scaling form (Schmitzer 2019): f = f0 + eps*log(u),
+    g = g0 + eps*log(v) against the Gibbs kernel K = exp((f0 + g0 - C)/eps),
+    so the half-steps g = T(f) and f = T'(g) are v = 1/((a*u) @ K) and
+    u = 1/(K @ (b*v)), one matrix-vector product each.  The iterates are the
+    log-domain ones up to roundoff.  An iteration whose scaling would exceed
+    _SCALING_MAX runs in the log domain instead, and K is rebuilt from its
+    result.
 
     With log_b=None it solves the self term OT(a, a) on a symmetric `costs`
-    by the averaged update f <- (f + T(f))/2 and returns (f, f, ...).  The
-    trace holds the L1 row violation of the plan (f, g) at the target eps.
-    Near-deterministic plans converge ever more slowly at small eps, so a
-    plateau cut-off stops the loop once the violation has stopped improving;
-    the converged flag stays honest (violation < tol) either way.
+    by the averaged update f <- (f + T(f))/2, i.e. u <- sqrt(u*v) with
+    f0 = g0, and returns (f, f, ...).  The trace holds the L1 row violation
+    of the plan (f, g) at the target eps.  Near-deterministic plans converge
+    ever more slowly at small eps, so a plateau cut-off stops the loop once
+    the violation has stopped improving; the converged flag stays honest
+    (violation < tol) either way.
     """
     symmetric = log_b is None
     a = np.exp(log_a)
@@ -129,6 +176,8 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     g = np.zeros(costs.shape[1])
     f = f_next = np.zeros(costs.shape[0]) if symmetric else (
         -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1))
+    ka = None
+    scaled = False
     iterations = 0
     trace = []
     converged = False
@@ -136,23 +185,42 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     stalled = 0
     while iterations < max_iter:
         iterations += 1
-        f = f_next
-        # g = T(f): the g half-step, or the symmetric map when log_b is None.
-        g = -eps_cur * _logsumexp(log_a[:, None] + (f[:, None] - costs) / eps_cur, axis=0)
-        at_target = eps_cur <= epsilon
-        if not at_target:
-            eps_cur = max(epsilon, eps_cur * scaling)
-        if symmetric:
-            f_next = 0.5 * (f + g)
-            shift = f - g
+        step = None if ka is None else _scaling_step(u_next, ka, kb)
+        scaled = step is not None
+        if scaled:
+            u = u_next
+            v, u_next, ratio = step
         else:
-            f_next = -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1)
-            shift = f - f_next
-        if not at_target:
-            continue
-        # Row sums of the plan (f, g) are a * exp(shift / eps); columns are
-        # exact after the g half-step (and equal the rows when symmetric).
-        row_violation = float(np.abs(a * np.exp(shift / epsilon) - a).sum())
+            if ka is not None:
+                f_next = f0 + epsilon * np.log(u_next)
+            f = f_next
+            # g = T(f): the g half-step, or the symmetric map when log_b is None.
+            g = -eps_cur * _logsumexp(log_a[:, None] + (f[:, None] - costs) / eps_cur, axis=0)
+            at_target = eps_cur <= epsilon
+            if not at_target:
+                eps_cur = max(epsilon, eps_cur * scaling)
+            if symmetric:
+                f_next = 0.5 * (f + g)
+                shift = f - g
+            else:
+                f_next = -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1)
+                shift = f - f_next
+            if not at_target:
+                continue
+            ratio = np.exp(shift / epsilon)
+            # K from this iteration's result is bounded: for the cross term
+            # f_next = T'(g), so b * K sums to at most one per row; for the
+            # self term K <= 1/sqrt(a_i a_j).
+            f0 = f_next
+            g0 = f0 if symmetric else g
+            kernel = np.exp((f0[:, None] + g0[None, :] - costs) / epsilon)
+            ka = a[:, None] * kernel
+            kb = None if symmetric else kernel * np.exp(log_b)[None, :]
+            u_next = np.ones_like(f0)
+        # Row sums of the plan (f, g) are a * ratio, ratio = exp(shift/eps);
+        # columns are exact after the g half-step (and equal the rows when
+        # symmetric).
+        row_violation = float(a @ np.abs(ratio - 1.0))
         trace.append(row_violation)
         if row_violation < tol:
             converged = True
@@ -164,6 +232,9 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
             stalled += 1
             if stalled >= 200:
                 break
+    if scaled:
+        f = f0 + epsilon * np.log(u)
+        g = g0 + epsilon * np.log(v)
     return f, (f if symmetric else g), iterations, converged, trace
 
 

@@ -257,6 +257,14 @@ class TestProbeCommand:
         seg_rows = [l for l in (out / "fr_path.csv").read_text().splitlines()
                     if l and not l.startswith(("segment_index", "#"))]
         assert len(seg_rows) == len(ckpts) - 1
+        # Every data field of every CSV is a plain number (a numpy scalar
+        # written with !r reads "np.float64(...)").
+        for path in sorted(out.glob("*.csv")):
+            lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+            assert len(lines) >= 2, path.name
+            for line in lines[1:]:
+                for field in line.split(","):
+                    float(field)
 
     def test_single_checkpoint_no_path(self, run_dir, tmp_path):
         out = tmp_path / "probe_single"

@@ -136,10 +136,10 @@ def unit_cloud(seed, n=32, d=32, rank=6):
     return EmpiricalMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True), normalised=True)
 
 
-def plan_value(costs, log_w, f, g, eps):
-    log_plan = log_w[:, None] + log_w[None, :] + (f[:, None] + g[None, :] - costs) / eps
+def plan_value(costs, log_a, log_b, f, g, eps):
+    log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / eps
     plan = np.exp(log_plan)
-    return float(np.sum(plan * costs) + eps * np.sum(plan * (log_plan - log_w[:, None] - log_w[None, :])))
+    return float(np.sum(plan * costs) + eps * np.sum(plan * (log_plan - log_a[:, None] - log_b[None, :])))
 
 
 class TestSymmetricSelfTerm:
@@ -151,7 +151,7 @@ class TestSymmetricSelfTerm:
         f, g, iterations, converged, _ = ot._sinkhorn_potentials(
             costs, log_w, None if symmetric else log_w, self.EPS, ot.DEFAULT_SCALING,
             max_iter, ot.DEFAULT_TOL)
-        return plan_value(costs, log_w, f, g, self.EPS), iterations, converged
+        return plan_value(costs, log_w, log_w, f, g, self.EPS), iterations, converged
 
     def test_converges_fast_and_matches_long_alternating_solve(self):
         # The alternating update has not converged on this cloud at 500
@@ -168,6 +168,151 @@ class TestSymmetricSelfTerm:
         res = ot.entropic_ot(m, m, self.EPS)
         assert res["converged"]
         assert np.array_equal(res["raw_plan"], res["raw_plan"].T)
+
+
+def reference_logsumexp(arr, axis):
+    peak = arr.max(axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    return peak.squeeze(axis) + np.log(np.exp(arr - peak).sum(axis=axis))
+
+
+def reference_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
+    """The log-domain Sinkhorn loop, two log-sum-exps per iteration at every eps.
+
+    Kept as the reference for ot._sinkhorn_potentials, whose target-eps
+    iterations run in absorbed scaling form; same arguments and results.
+    """
+    symmetric = log_b is None
+    a = np.exp(log_a)
+    eps_cur = max(float(costs.max()), epsilon)
+    g = np.zeros(costs.shape[1])
+    f = f_next = np.zeros(costs.shape[0]) if symmetric else (
+        -eps_cur * reference_logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1))
+    iterations = 0
+    trace = []
+    converged = False
+    best = math.inf
+    stalled = 0
+    while iterations < max_iter:
+        iterations += 1
+        f = f_next
+        g = -eps_cur * reference_logsumexp(log_a[:, None] + (f[:, None] - costs) / eps_cur, axis=0)
+        at_target = eps_cur <= epsilon
+        if not at_target:
+            eps_cur = max(epsilon, eps_cur * scaling)
+        if symmetric:
+            f_next = 0.5 * (f + g)
+            shift = f - g
+        else:
+            f_next = -eps_cur * reference_logsumexp(
+                log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1)
+            shift = f - f_next
+        if not at_target:
+            continue
+        row_violation = float(np.abs(a * np.exp(shift / epsilon) - a).sum())
+        trace.append(row_violation)
+        if row_violation < tol:
+            converged = True
+            break
+        if row_violation < best * (1.0 - 1e-3):
+            best = row_violation
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 200:
+                break
+    return f, (f if symmetric else g), iterations, converged, trace
+
+
+def index_costs(seed, concentration, k=16):
+    """Squared token-index costs and two random distributions, as in output_space_ot_diag."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(k, dtype=float)
+    costs = (idx[:, None] - idx[None, :]) ** 2
+    p, q = rng.dirichlet(np.full(k, concentration), size=2)
+    return costs, np.log(p), np.log(q)
+
+
+def solver_instances(kind, seed):
+    """(cross, self) Sinkhorn inputs: (costs, log_a, log_b, eps, max_iter); log_b None on the self term."""
+    if kind == "trainer":
+        x, y = unit_cloud(seed, rank=6 + seed % 8), unit_cloud(seed + 50, rank=6 + seed % 5)
+        log_w = np.log(x.weights)
+        return [(ot.squared_distances(x.points, y.points), log_w, log_w, 0.12 ** 2, 500),
+                (ot.squared_distances(x.points, x.points), log_w, None, 0.12 ** 2, 500)]
+    if kind == "acceptance_2":
+        rng = np.random.default_rng(20260808 + seed)
+        n = int(rng.integers(2, 9))
+        x, y = rng.normal(0, 1, (n, 2)), rng.normal(2.0, 1, (n, 2))
+        log_w = np.full(n, -math.log(n))
+        return [(ot.squared_distances(x, y), log_w, log_w, 1e-3, ot.DEFAULT_MAX_ITER),
+                (ot.squared_distances(x, x), log_w, None, 1e-3, ot.DEFAULT_MAX_ITER)]
+    costs, log_p, log_q = index_costs(seed, 1.0)
+    return [(costs, log_p, log_q, 1e-3, ot.DEFAULT_MAX_ITER),
+            (costs, log_p, None, 1e-3, ot.DEFAULT_MAX_ITER)]
+
+
+def assert_matches_reference(costs, log_a, log_b, eps, scaling, max_iter):
+    f, g, iterations, converged, trace = ot._sinkhorn_potentials(
+        costs, log_a, log_b, eps, scaling, max_iter, ot.DEFAULT_TOL)
+    # The reference runs in extended precision: in float64 its own roundoff
+    # (one ulp of |f| in each exponent (f - C)/eps) reaches 1e-11 in the
+    # violation on index costs at eps 1e-3, and on slow solves moves the
+    # iteration where the violation crosses tol (4893 against 4894 in
+    # extended precision and in the absorbed loop, on acceptance 2's first
+    # instance).  The eps schedule stays in float64, as in the solver.
+    wide = np.longdouble
+    rf, rg, r_iterations, r_converged, r_trace = reference_potentials(
+        costs.astype(wide), log_a.astype(wide), None if log_b is None else log_b.astype(wide),
+        eps, scaling, max_iter, ot.DEFAULT_TOL)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
+    assert (iterations, converged) == (r_iterations, r_converged)
+    assert len(trace) == len(r_trace)
+    # Each float64 exponent (f0 + g0 - C)/eps carries up to one ulp of max C
+    # over eps, so the row sums a * ratio (total mass 1 + violation) carry a
+    # roundoff floor of that size: 6e-14 on the trainer's clouds, 5e-11 on
+    # index costs at eps 1e-3.
+    floor = max(1e-12, 4 * np.finfo(float).eps * float(costs.max()) / eps)
+    np.testing.assert_allclose(trace, r_trace, rtol=floor, atol=floor)
+    log_b = log_a if log_b is None else log_b
+    assert plan_value(costs, log_a, log_b, f, g, eps) == pytest.approx(
+        float(plan_value(costs, log_a, log_b, rf, rg, eps)), rel=1e-10)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the log-domain reference needs a float wider than float64")
+class TestAbsorbedScaling:
+    @pytest.mark.parametrize("kind", ["trainer", "acceptance_2", "index"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_log_domain_reference(self, kind, seed):
+        for instance in solver_instances(kind, seed):
+            costs, log_a, log_b, eps, max_iter = instance
+            assert_matches_reference(costs, log_a, log_b, eps, ot.DEFAULT_SCALING, max_iter)
+
+    @pytest.mark.parametrize("scaling", [0.5, 0.05])
+    def test_index_costs_absorb_before_overflow(self, scaling):
+        # On peaked index distributions after coarse eps steps the scalings
+        # run past the float range within the target iterations (the cross
+        # solves at seeds 15 and 27 with scaling 0.5, most cross solves with
+        # 0.05): without the range check the kernel products overflow.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for seed in range(30):
+                costs, log_p, log_q = index_costs(seed, 0.1)
+                assert_matches_reference(costs, log_p, log_q, 1e-3, scaling, ot.DEFAULT_MAX_ITER)
+                assert_matches_reference(costs, log_p, None, 1e-3, scaling, ot.DEFAULT_MAX_ITER)
+
+    def test_normal_clouds_after_a_coarse_eps_step(self):
+        # A 20-fold last eps step into eps 4e-4: first row violations up to 4e4.
+        rng = np.random.default_rng(11)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for _ in range(6):
+                n, m = rng.integers(2, 12, size=2)
+                x, y = rng.normal(0, 1, (n, 3)), rng.normal(1.0, 1, (m, 3))
+                log_a, log_b = np.full(n, -math.log(n)), np.full(m, -math.log(m))
+                assert_matches_reference(ot.squared_distances(x, y), log_a, log_b, 4e-4, 0.05,
+                                         ot.DEFAULT_MAX_ITER)
+                assert_matches_reference(ot.squared_distances(x, x), log_a, None, 4e-4, 0.05,
+                                         ot.DEFAULT_MAX_ITER)
 
 
 class TestSinkhornDivergence:
