@@ -17,6 +17,10 @@ The z-scored SI variant replaces each component with a robust z-score
 sets; both modes are reported because they answer different questions (raw
 reproduces absolute bookkeeping, z-scored ranks a cohort).
 
+Each task item is scored with one table: its gold under every positive,
+every negative and no principle.  Every report, measured, replayed or read
+from external score files, is assembled by `report_from_components`.
+
 Negatives pair with positives by index (cyclically when counts differ),
 mirroring pools where each negative was generated from one positive; the
 pairing is what lets a lexically leaky negative inherit its positive's
@@ -216,8 +220,10 @@ class SufficiencyReport:
 def report_from_components(name: str, bits: float, auc: float, margin_pos: float,
                            margin_neg: float, lb_pos_bits: float = math.nan,
                            lb_neg_bits: float = math.nan,
-                           weights=DEFAULT_WEIGHTS) -> SufficiencyReport:
-    """Assemble a report from externally measured components (replay path)."""
+                           weights=DEFAULT_WEIGHTS, *, leaky: dict | None = None) -> SufficiencyReport:
+    """The report of measured components: mi_eff, perplexity ratio and raw SI
+    follow from them.  Both evaluation paths and the replay build it here;
+    only the policy path has a leaky-negative scan."""
     mie = mi_effective(margin_pos, margin_neg)
     return SufficiencyReport(
         name=name,
@@ -231,6 +237,7 @@ def report_from_components(name: str, bits: float, auc: float, margin_pos: float
         mi_effective=mie,
         si=sufficiency_index(bits, mie, auc, weights, "raw"),
         weights=tuple(weights),
+        leaky=leaky,
     )
 
 
@@ -263,16 +270,6 @@ def _bound_bits(scores: np.ndarray, true_cols, k: int,
     return mi.infonce_bound(block) / LN2
 
 
-def _score_items_against(policy, items, principles) -> np.ndarray:
-    """(n_items, n_principles) length-normalised gold scores."""
-    out = np.zeros((len(items), len(principles)))
-    for i, (prompt, gold) in enumerate(items):
-        contexts = [(prompt, p.tokens) for p in principles]
-        sums = policy.multi_context_logprob(contexts, gold)
-        out[i] = sums / max(1, len(gold))
-    return out
-
-
 def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
                            weights=DEFAULT_WEIGHTS, seed: int = 0) -> SufficiencyReport:
     """Score a principle set against a policy on the task's gold continuations.
@@ -287,34 +284,30 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
     items = [(item.prompt, item.gold) for item in task.items]
     if not items:
         raise ValidationError("task sample is empty")
-    true_pos_idx = []
     pos_by_pid = {p.pid: i for i, p in enumerate(task.principles)}
-    for item in task.items:
-        true_pos_idx.append(pos_by_pid[item.principle_id] % len(pset.positives))
+    true_pos_idx = [pos_by_pid[item.principle_id] % len(pset.positives)
+                    for item in task.items]
 
-    pos_scores = _score_items_against(policy, items, pset.positives)
-    neg_scores = _score_items_against(policy, items, pset.negatives)
+    # One table per item: its gold under every positive, every negative and
+    # no principle.
+    n_pos = len(pset.positives)
+    principles = pset.positives + pset.negatives
+    sums = np.array([policy.multi_context_logprob(
+        [(prompt, p.tokens) for p in principles] + [(prompt, ())], gold)
+        for prompt, gold in items])
+    n_tok = np.array([max(1, len(gold)) for _, gold in items], dtype=float)
+    scores = sums / n_tok[:, None]
+    pos_scores, neg_scores, without = scores[:, :n_pos], scores[:, n_pos:-1], scores[:, -1]
 
     # Predictive information: condition on the true positive vs. no principle.
-    deltas_bits = []
-    for i, item in enumerate(task.items):
-        ptoks = pset.positives[true_pos_idx[i]].tokens
-        with_lp = policy.multi_context_logprob([(item.prompt, ptoks)], item.gold)[0]
-        without_lp = policy.multi_context_logprob([(item.prompt, ())], item.gold)[0]
-        n_tok = max(1, len(item.gold))
-        deltas_bits.append((with_lp - without_lp) / n_tok / LN2)
-    delta_bits = float(np.median(deltas_bits))
+    with_lp = sums[np.arange(len(items)), true_pos_idx]
+    delta_bits = float(np.median((with_lp - sums[:, -1]) / n_tok / LN2))
 
     # Per-principle delta-NLL scores for separation and the leaky scan.
-    per_principle_pos, per_principle_neg = {}, {}
-    without = np.array([policy.multi_context_logprob([(p, ())], g)[0] / max(1, len(g))
-                        for p, g in items])
-    for j, principle in enumerate(pset.positives):
-        per_principle_pos[principle.pid] = float(
-            np.median((pos_scores[:, j] - without) / LN2))
-    for j, principle in enumerate(pset.negatives):
-        per_principle_neg[principle.pid] = float(
-            np.median((neg_scores[:, j] - without) / LN2))
+    per_principle_pos = {p.pid: float(np.median((pos_scores[:, j] - without) / LN2))
+                         for j, p in enumerate(pset.positives)}
+    per_principle_neg = {p.pid: float(np.median((neg_scores[:, j] - without) / LN2))
+                         for j, p in enumerate(pset.negatives)}
     auc = mann_whitney_auc(list(per_principle_pos.values()),
                            list(per_principle_neg.values()))
 
@@ -327,21 +320,9 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
         margin_neg, lb_neg = 0.0, math.nan
     lb_pos = _bound_bits(pos_scores, true_pos_idx, k, rng)
 
-    mie = mi_effective(margin_pos, margin_neg)
-    return SufficiencyReport(
-        name=pset.name,
-        delta_nll_median=delta_bits,
-        perplexity_ratio=delta_nll(delta_bits, 0.0)["perplexity_ratio"],
-        auc=auc,
-        mi_diag_margin_pos=margin_pos,
-        mi_diag_margin_neg=margin_neg,
-        mi_lb_pos_bits=lb_pos,
-        mi_lb_neg_bits=lb_neg,
-        mi_effective=mie,
-        si=sufficiency_index(delta_bits, mie, auc, weights, "raw"),
-        weights=tuple(weights),
-        leaky=leaky_negative_flags(per_principle_neg),
-    )
+    return report_from_components(pset.name, delta_bits, auc, margin_pos, margin_neg,
+                                  lb_pos, lb_neg, weights,
+                                  leaky=leaky_negative_flags(per_principle_neg))
 
 
 def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
@@ -368,17 +349,6 @@ def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
     margin_neg = float(np.mean(_margin_rows(neg, true_neg)))
     auc = mann_whitney_auc(pos[np.arange(pos.shape[0]), true_pos],
                            neg[np.arange(neg.shape[0]), true_neg])
-    mie = mi_effective(margin_pos, margin_neg)
-    return SufficiencyReport(
-        name=name,
-        delta_nll_median=delta_bits,
-        perplexity_ratio=delta_nll(delta_bits, 0.0)["perplexity_ratio"],
-        auc=auc,
-        mi_diag_margin_pos=margin_pos,
-        mi_diag_margin_neg=margin_neg,
-        mi_lb_pos_bits=_bound_bits(pos, true_pos, k, rng),
-        mi_lb_neg_bits=_bound_bits(neg, true_neg, k, rng),
-        mi_effective=mie,
-        si=sufficiency_index(delta_bits, mie, auc, weights, "raw"),
-        weights=tuple(weights),
-    )
+    return report_from_components(name, delta_bits, auc, margin_pos, margin_neg,
+                                  _bound_bits(pos, true_pos, k, rng),
+                                  _bound_bits(neg, true_neg, k, rng), weights)

@@ -8,9 +8,12 @@ Architecture (deliberately tiny so every gradient is analytic):
     p(y_t|...) = softmax(logits_t)
 
 Every next-token distribution depends only on the context and the previous
-token, so the forward pass is one table (`NextTokenTable`, built by
-`ToyPolicy.table`) of shape (C, V+1, V) over C contexts: row 0 is the first
-position, row r = 1..V follows token r-1.  A completion enters only through
+token, so the forward pass is one table (`NextTokenTable`) of shape
+(C, V+1, V) over C contexts: row 0 is the first position, row r = 1..V
+follows token r-1.  `ToyPolicy.bag` checks each context's tokens and computes
+its bag weights, which no parameter touches; `ToyPolicy.forward` turns those
+weights into the table, and `ToyPolicy.table` does both.  A loop over fixed
+contexts (the MLE warm starts) bags them once.  A completion enters only through
 its (row, token) transition counts.  Sequence log-likelihoods are products of
 the table with those counts, hidden summaries are count-weighted means of the
 table's feature rows, and sampling decodes a whole batch of rows position by
@@ -303,17 +306,25 @@ class ToyPolicy:
             raise ValidationError(f"token out of vocabulary (size {self.vocab.size})")
         return arr
 
-    def table(self, contexts) -> NextTokenTable:
-        """The forward pass: every next-token distribution of each (prompt, principle)."""
+    def bag(self, contexts) -> np.ndarray:
+        """(C, V) bag-mean token weights of each (prompt, principle); no parameters."""
         weights = np.zeros((len(contexts), self.vocab.size))
         for c, (prompt, principle) in enumerate(contexts):
             tokens = self._check_tokens(tuple(prompt) + tuple(principle))
             weights[c] = np.bincount(tokens, minlength=self.vocab.size) / max(1, tokens.size)
+        return weights
+
+    def forward(self, weights: np.ndarray) -> NextTokenTable:
+        """Every next-token distribution of each bagged context under the current parameters."""
         ctx = weights @ self.embed
         prev = np.vstack([np.zeros(self.dim), self.prev_scale * self.embed])
         feats = (self.ctx_scale * ctx)[:, None, :] + prev[None, :, :]
         logits = feats @ self.out
         return NextTokenTable(weights, ctx, feats, logits, logits - _logsumexp_rows(logits))
+
+    def table(self, contexts) -> NextTokenTable:
+        """The forward pass over (prompt, principle) contexts: forward(bag(contexts))."""
+        return self.forward(self.bag(contexts))
 
     def backward(self, table: NextTokenTable, coeffs: np.ndarray,
                  feat_grad: np.ndarray | None = None) -> ParamGrad:
@@ -692,16 +703,9 @@ def mle_pretrain(policy: ToyPolicy, triples, epochs: int, lr: float) -> None:
     Deterministic given the triples; each epoch takes one ascent step on the
     mean per-sequence log-likelihood, one backward pass over every triple.
     """
-    if epochs < 0 or lr < 0:
-        raise ValidationError("epochs and lr must be nonnegative")
-    if not triples:
-        return
-    contexts = [(prompt, principle) for prompt, principle, _ in triples]
-    # Triple i is scored under context i, with coefficient 1.
     counts = transition_counts([gold for _, _, gold in triples], policy.vocab.size)
-    for _ in range(epochs):
-        grad = policy.backward(policy.table(contexts), counts)
-        policy.add_scaled(grad, lr / len(triples))
+    _mle_epochs(policy, [(prompt, principle) for prompt, principle, _ in triples],
+                epochs, lr, lambda epoch: counts)
 
 
 def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
@@ -711,8 +715,26 @@ def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
     Resampling keeps the fitted conditionals at the true (weak) filler bias
     instead of overfitting one sample's noise into spurious principle
     binding: the policy arrives format-competent with a contrastive bound
-    near chance but measurably off the no-binding saddle.
+    near chance but measurably off the no-binding saddle.  Only the golds
+    change between epochs; the contexts are the task's items throughout.
     """
-    for epoch in range(epochs):
+    def epoch_counts(epoch):
         triples = format_pretrain_items(task, seed=(seed, epoch), bias=bias)
-        mle_pretrain(policy, triples, 1, lr)
+        return transition_counts([gold for _, _, gold in triples], policy.vocab.size)
+
+    _mle_epochs(policy, [(prompt, principle) for prompt, principle, _ in gold_items(task)],
+                epochs, lr, epoch_counts)
+
+
+def _mle_epochs(policy: ToyPolicy, contexts, epochs: int, lr: float, epoch_counts) -> None:
+    """One ascent step per epoch on the mean log-likelihood of gold c under
+    context c, with epoch_counts(epoch) the golds' transition counts; the
+    contexts are checked and bagged once."""
+    if epochs < 0 or lr < 0:
+        raise ValidationError("epochs and lr must be nonnegative")
+    if not contexts:
+        return
+    weights = policy.bag(contexts)
+    for epoch in range(epochs):
+        grad = policy.backward(policy.forward(weights), epoch_counts(epoch))
+        policy.add_scaled(grad, lr / len(contexts))

@@ -3,8 +3,8 @@
 The base reward is binary and format-only: 1.0 iff the whole completion is
 exactly `<reasoning>...</reasoning><answer>...</answer>` (anchored, exactly
 one pair of each tag, nothing outside).  Content is never inspected.  The
-trainer scores the toy task's tokens with `policy.toy_format_reward`, the
-token-level form of the same template; `xml_format_reward` is its text form.
+trainer scores it on the toy task's tokens with `policy.toy_format_reward`,
+where the four tags are reserved tokens.
 
 The tie-breaker channel converts a standardised row log-softmax z into a
 small dense reward
@@ -24,34 +24,14 @@ base reward early in training cannot divide by zero.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
 
-_XML_PATTERN = re.compile(r"\A<reasoning>(.*?)</reasoning><answer>(.*?)</answer>\Z",
-                          re.DOTALL)
-
 BETA_MIN, BETA_MAX = 1e-3, 1e3
 RHO_FLOOR = 1e-8
-
-
-def xml_format_reward(text: str) -> float:
-    """1.0 iff the text is exactly one reasoning/answer tag pair, else 0.0.
-
-    Total function: any input (including non-strings coerced by str()) maps to
-    0.0 or 1.0, never an exception.
-    """
-    if not isinstance(text, str):
-        return 0.0
-    if _XML_PATTERN.match(text) is None:
-        return 0.0
-    for tag in ("<reasoning>", "</reasoning>", "<answer>", "</answer>"):
-        if text.count(tag) != 1:
-            return 0.0
-    return 1.0
 
 
 def entropy_gate(seq_entropies, quantile: float) -> np.ndarray:
@@ -105,26 +85,6 @@ class AutoscalerState:
             raise ValidationError("EMA magnitudes cannot be negative")
         if not (0.0 < self.target_ratio < 1.0):
             raise ValidationError("target ratio must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class RewardBreakdown:
-    """One completion's reward decomposition; total is exactly base + mi."""
-
-    base: float
-    mi: float
-    gates: GateState
-    beta: float
-
-    def __post_init__(self):
-        if self.mi < 0:
-            raise ValidationError("MI reward cannot be negative")
-        if self.mi > 0 and not self.gates.open:
-            raise ValidationError("MI reward must be zero when a gate fails")
-
-    @property
-    def total(self) -> float:
-        return self.base + self.mi
 
 
 def mi_tiebreak_reward(z: float, slope: float, channel_weight: float,

@@ -279,7 +279,11 @@ class Trainer:
         self.autoscaler = rewards.AutoscalerState(
             target_ratio=config.autoscale_target, rate=config.autoscale_eta,
             decay=config.ema_decay)
-        self._probe_item = task.items[0]
+        # Geometry probes run on the first item; the frozen reference's side once.
+        probe_item = task.items[0]
+        self._probe_ctx = (probe_item.prompt, task.principle(probe_item.principle_id).tokens)
+        self._probe_ref = prob_metrics.ProbVector(
+            self.reference.next_token_distribution(*self._probe_ctx))
         self._pid_index = {p.pid: i for i, p in enumerate(task.principles)}
 
     # ---------- helpers ----------
@@ -473,11 +477,8 @@ class Trainer:
             total_grad = total_grad.scaled(config.grad_clip / grad_norm)
 
         # Geometry probes against the frozen reference.
-        probe_ctx = (self._probe_item.prompt,
-                     self.task.principle(self._probe_item.principle_id).tokens)
-        p_cur = prob_metrics.ProbVector(self.policy.next_token_distribution(*probe_ctx))
-        p_ref = prob_metrics.ProbVector(self.reference.next_token_distribution(*probe_ctx))
-        probes = prob_metrics.probe_report(p_cur, p_ref)
+        p_cur = prob_metrics.ProbVector(self.policy.next_token_distribution(*self._probe_ctx))
+        probes = prob_metrics.probe_report(p_cur, self._probe_ref)
         frechet, effrank, pr, degenerate = _geometry(cur_measure, ref_measure)
 
         report = StepReport(

@@ -61,8 +61,7 @@ class TestConfigRoundTrip:
         with pytest.raises(cli.ConfigError, match="group size"):
             cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\ngroup_size = 1\n")
 
-    @pytest.mark.parametrize("name", ["enigma_high_si", "enigma_low_si",
-                                      "grpo_cot", "grpo_cot_plus"])
+    @pytest.mark.parametrize("name", ["enigma_high_si", "grpo_cot", "grpo_cot_plus"])
     def test_bundled_configs_round_trip(self, name):
         text = (CONFIGS / f"{name}.toml").read_text()
         assert cli.serialise_config(cli.parse_config(text)) == text

@@ -1,4 +1,5 @@
 """Sufficiency evaluation: component arithmetic, AUC, SI, leaky detection."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
+from geoloop import cli
 from geoloop import constitution as con
 from geoloop.policy import ToyPolicy, Vocab, gold_items, make_toy_task, mle_pretrain, principles_from_patterns
 
@@ -229,6 +231,93 @@ class TestEvaluatePrincipleSet:
         r1 = con.evaluate_principle_set(policy, task, pset, k=2, seed=7)
         r2 = con.evaluate_principle_set(policy, task, pset, k=2, seed=7)
         assert r1 == r2
+
+
+def reference_scores(policy, items, principles):
+    """(n_items, n_principles) length-normalised gold scores, one table per
+    item and pool."""
+    out = np.zeros((len(items), len(principles)))
+    for i, (prompt, gold) in enumerate(items):
+        sums = policy.multi_context_logprob([(prompt, p.tokens) for p in principles], gold)
+        out[i] = sums / max(1, len(gold))
+    return out
+
+
+def reference_evaluate(policy, task, pset, k, seed):
+    """evaluate_principle_set with a separate table for every pool, every
+    true positive and every no-principle score: 5 per item, 160 in all on a
+    32-item task."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
+    items = [(item.prompt, item.gold) for item in task.items]
+    pos_by_pid = {p.pid: i for i, p in enumerate(task.principles)}
+    true_pos_idx = [pos_by_pid[item.principle_id] % len(pset.positives)
+                    for item in task.items]
+    pos_scores = reference_scores(policy, items, pset.positives)
+    neg_scores = reference_scores(policy, items, pset.negatives)
+    deltas_bits = []
+    for i, item in enumerate(task.items):
+        ptoks = pset.positives[true_pos_idx[i]].tokens
+        with_lp = policy.multi_context_logprob([(item.prompt, ptoks)], item.gold)[0]
+        without_lp = policy.multi_context_logprob([(item.prompt, ())], item.gold)[0]
+        deltas_bits.append((with_lp - without_lp) / max(1, len(item.gold)) / con.LN2)
+    delta_bits = float(np.median(deltas_bits))
+    without = np.array([policy.multi_context_logprob([(p, ())], g)[0] / max(1, len(g))
+                        for p, g in items])
+    per_pos = {p.pid: float(np.median((pos_scores[:, j] - without) / con.LN2))
+               for j, p in enumerate(pset.positives)}
+    per_neg = {p.pid: float(np.median((neg_scores[:, j] - without) / con.LN2))
+               for j, p in enumerate(pset.negatives)}
+    auc = con.mann_whitney_auc(list(per_pos.values()), list(per_neg.values()))
+    margin_pos = float(np.mean(con._margin_rows(pos_scores, true_pos_idx)))
+    true_neg_idx = [i % len(pset.negatives) for i in true_pos_idx]
+    if len(pset.negatives) >= 2:
+        margin_neg = float(np.mean(con._margin_rows(neg_scores, true_neg_idx)))
+        lb_neg = con._bound_bits(neg_scores, true_neg_idx, k, rng)
+    else:
+        margin_neg, lb_neg = 0.0, math.nan
+    lb_pos = con._bound_bits(pos_scores, true_pos_idx, k, rng)
+    mie = margin_pos - margin_neg
+    return con.SufficiencyReport(
+        name=pset.name, delta_nll_median=delta_bits,
+        perplexity_ratio=2.0 ** (-delta_bits), auc=auc,
+        mi_diag_margin_pos=margin_pos, mi_diag_margin_neg=margin_neg,
+        mi_lb_pos_bits=lb_pos, mi_lb_neg_bits=lb_neg, mi_effective=mie,
+        si=0.6 * delta_bits + 0.3 * mie + 0.1 * (2.0 * auc - 1.0),
+        leaky=con.leaky_negative_flags(per_neg))
+
+
+def assert_same_report(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a == b or (isinstance(b, float) and math.isnan(a) and math.isnan(b)), field.name
+
+
+class TestMatchesPerPoolScoring:
+    @pytest.mark.parametrize("negatives", [
+        [(5, 10, 5, 5), (4, 9, 9, 9), (5, 9, 9, 9), (4, 10, 10, 10)],
+        [(4, 9, 4, 5), (5, 10, 5, 4), (4, 10, 4, 5), (5, 9, 5, 10)],
+        [(4, 9, 4, 5)],
+    ], ids=["clean", "leaky", "one-negative"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_fixture_sets(self, setup, negatives, seed):
+        vocab, task, policy = setup
+        pos, neg = toy_set(vocab, negatives)
+        pset = con.PrincipleSet("set", pos, neg)
+        assert_same_report(con.evaluate_principle_set(policy, task, pset, k=2, seed=seed),
+                           reference_evaluate(policy, task, pset, 2, seed))
+
+    @pytest.mark.parametrize("name", ["toy_high_si", "toy_low_si"])
+    def test_bundled_sets(self, name):
+        # The eval-constitution set-up at its default items, epochs and rate.
+        path = cli.DATA_DIR / f"{name}.txt"
+        pset = cli._load_principles(path)
+        vocab, task = cli._build_task(
+            cli.RunConfig(seed=1, task_items=32, constitution=str(path)), pset)
+        policy = ToyPolicy(vocab)
+        policy.init_params(1)
+        mle_pretrain(policy, gold_items(task), 120, 0.5)
+        assert_same_report(con.evaluate_principle_set(policy, task, pset, k=2, seed=1),
+                           reference_evaluate(policy, task, pset, 2, 1))
 
 
 class TestExternalScorePath:

@@ -400,6 +400,7 @@ class TestTableKernel:
     @pytest.mark.parametrize("call", [
         lambda p: pol.transition_counts([(11,), (11, 16)], 16),
         lambda p: pol.transition_counts([(11, -1)], 16),
+        lambda p: p.bag([((1, 2), ()), ((1, 99), ())]),
         lambda p: p.table([((1, 2), ()), ((1, 99), ())]),
         lambda p: p.sequence_logprobs_batch((1,), (0,), [(11,), (11, 99)]),
         lambda p: p.multi_context_logprob([((1,), (0,))], (11, 99)),
@@ -410,7 +411,7 @@ class TestTableKernel:
         lambda p: p.next_token_distribution((1,), (0,), prev=16),
         lambda p: p.sample_group((1, 99), (0,), 4, 0),
         lambda p: pol.mle_pretrain(p, [((1,), (0,), (11,)), ((1,), (0,), (11, 99))], 1, 0.1),
-    ], ids=["counts", "counts-negative", "table", "sequence_logprobs_batch",
+    ], ids=["counts", "counts-negative", "bag", "table", "sequence_logprobs_batch",
             "multi_context_completion", "multi_context_context", "weighted_grad_batch",
             "hidden_summary", "hidden_summary_grad", "next_token_prev", "sample_group",
             "mle_pretrain"])
@@ -517,3 +518,49 @@ class TestWarmStart:
         p2.init_params(5)
         pol.warm_start(p2, task, 30, 0.5, seed=5)
         assert p1.param_hash() == p2.param_hash()
+
+
+def reference_mle_epochs(p, epoch_triples, lr):
+    """One ascent step per epoch, each through its own table(contexts)."""
+    for triples in epoch_triples:
+        contexts = [(prompt, principle) for prompt, principle, _ in triples]
+        counts = pol.transition_counts([gold for _, _, gold in triples], p.vocab.size)
+        p.add_scaled(p.backward(p.table(contexts), counts), lr / len(triples))
+
+
+@pytest.fixture
+def token_checks(monkeypatch):
+    """Counts ToyPolicy._check_tokens calls; bagging checks each context once."""
+    calls = []
+    check = pol.ToyPolicy._check_tokens
+
+    def spy(self, tokens):
+        calls.append(tuple(tokens))
+        return check(self, tokens)
+
+    monkeypatch.setattr(pol.ToyPolicy, "_check_tokens", spy)
+    return calls
+
+
+class TestMleEpochs:
+    def test_warm_start_matches_per_epoch_tables(self, token_checks):
+        task = pol.make_toy_task(seed=6)
+        p = pol.ToyPolicy(task.vocab)
+        p.init_params(6)
+        q = p.clone()
+        pol.warm_start(p, task, 25, 0.5, seed=6, bias=0.15)
+        assert len(token_checks) == len(task.items)
+        reference_mle_epochs(q, [pol.format_pretrain_items(task, seed=(6, e), bias=0.15)
+                                 for e in range(25)], 0.5)
+        assert p.param_hash() == q.param_hash()
+
+    def test_mle_pretrain_matches_per_epoch_tables(self, token_checks):
+        task = pol.make_toy_task(seed=7)
+        triples = pol.gold_items(task)
+        p = pol.ToyPolicy(task.vocab)
+        p.init_params(7)
+        q = p.clone()
+        pol.mle_pretrain(p, triples, 25, 0.5)
+        assert len(token_checks) == len(triples)
+        reference_mle_epochs(q, [triples] * 25, 0.5)
+        assert p.param_hash() == q.param_hash()

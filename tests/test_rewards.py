@@ -1,4 +1,4 @@
-"""Format reward, gates, tie-breaker channel, autoscaler."""
+"""Entropy and format gates, tie-breaker channel, autoscaler."""
 import math
 
 import numpy as np
@@ -8,46 +8,6 @@ from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
 from geoloop import rewards
-
-
-class TestXmlFormatReward:
-    def test_exact_format(self):
-        assert rewards.xml_format_reward("<reasoning>a</reasoning><answer>b</answer>") == 1.0
-
-    def test_trailing_space(self):
-        assert rewards.xml_format_reward("<reasoning>a</reasoning><answer>b</answer> ") == 0.0
-
-    def test_leading_content(self):
-        assert rewards.xml_format_reward("x<reasoning>a</reasoning><answer>b</answer>") == 0.0
-
-    def test_two_answer_blocks(self):
-        text = "<reasoning>a</reasoning><answer>b</answer><answer>c</answer>"
-        assert rewards.xml_format_reward(text) == 0.0
-
-    def test_nested_duplicate_tag(self):
-        text = "<reasoning>a<answer>x</answer></reasoning><answer>b</answer>"
-        assert rewards.xml_format_reward(text) == 0.0
-
-    def test_empty_sections_allowed(self):
-        assert rewards.xml_format_reward("<reasoning></reasoning><answer></answer>") == 1.0
-
-    def test_multiline_contents(self):
-        assert rewards.xml_format_reward(
-            "<reasoning>a\nb</reasoning><answer>c\nd</answer>") == 1.0
-
-    def test_wrong_order(self):
-        assert rewards.xml_format_reward("<answer>b</answer><reasoning>a</reasoning>") == 0.0
-
-    def test_non_string(self):
-        assert rewards.xml_format_reward(None) == 0.0
-        assert rewards.xml_format_reward(42) == 0.0
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.text(max_size=200))
-    def test_total_and_idempotent_on_fuzz(self, text):
-        value = rewards.xml_format_reward(text)
-        assert value in (0.0, 1.0)
-        assert rewards.xml_format_reward(text) == value
 
 
 class TestEntropyGate:
@@ -118,16 +78,6 @@ class TestTieBreakReward:
         state = rewards.AutoscalerState(beta=beta)
         value = rewards.mi_tiebreak_reward(z, 2.5, 0.15, gates, state)
         assert 0.0 <= value <= beta * 0.15 + 1e-12
-
-
-class TestRewardBreakdown:
-    def test_total_identity(self):
-        bd = rewards.RewardBreakdown(1.0, 0.05, rewards.GateState(True, True), 1.0)
-        assert bd.total == 1.05
-
-    def test_gated_mi_must_be_zero(self):
-        with pytest.raises(ValidationError):
-            rewards.RewardBreakdown(1.0, 0.05, rewards.GateState(False, True), 1.0)
 
 
 class TestAutoscaler:
