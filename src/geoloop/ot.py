@@ -4,28 +4,34 @@ Primal problem (squared-Euclidean ground cost unless stated otherwise):
 
     OT_eps(a, b) = min_{pi in Pi(a,b)}  sum_ij pi_ij C_ij + eps * KL(pi || a x b)
 
-solved by Sinkhorn iterations with eps-scaling: potentials are updated in
-the log domain at a geometrically decreasing sequence of temperatures (factor
-`scaling`, default 0.8) from max(C) down to the target eps, then polished at
-the target, in absorbed scaling form, until the L1 marginal violation drops
-below tolerance.  The debiased divergence is
+solved with eps-scaling: Sinkhorn iterations update the potentials in the log
+domain at a geometrically decreasing sequence of temperatures (factor
+`scaling`, default 0.8) from max(C) down to the target eps, and the solve
+is finished at the target until the L1 marginal violation drops below
+tolerance.  The debiased divergence is
 
     S_eps(a, b) = OT_eps(a, b) - OT_eps(a, a)/2 - OT_eps(b, b)/2,
 
 symmetric, zero at a == b, and converging to W2^2 as eps -> 0.
 
-Every solve goes through one loop, `_sinkhorn_potentials`.  At the target
-eps it absorbs the potentials into a Gibbs kernel K = exp((f0 + g0 - C)/eps)
-and iterates on scalings u, v with f = f0 + eps*log(u), g = g0 + eps*log(v)
-(Schmitzer 2019, arXiv:1610.06519), so each half-step is one matrix-vector
-product instead of a log-sum-exp; an iteration whose scaling would leave
-range runs in the log domain and the kernel is rebuilt from its result.
-The self terms OT(a, a) use the averaged symmetric update
-f <- (f + T_eps(f))/2 on a single potential (Feydy et al. 2019), u <- sqrt(u*v)
-in scaling form, which converges in a few dozen iterations where the
-alternating update stalls.  The cross term alternates f and g; its row
-violation is read off the next f half-step (the row sums of the plan are
-a * exp((f - f_next)/eps) = a * u/u_next), so it costs no third product.
+Every solve goes through `_sinkhorn_potentials`.  At the target eps the
+cross term takes Newton steps on its semi-dual (Brauer, Clason, Lorenz and
+Wirth 2017, arXiv:1710.06635) with backtracking on the dual value; the
+trainer's 32-point solves converge in a handful of them, where Sinkhorn
+iterations stopped unconverged at 500.  The first step that fails (on
+near-deterministic plans, e.g. token-index costs at eps 1e-3) hands the
+rest of the solve to the scaling loop.  That loop absorbs the potentials
+into a Gibbs kernel K = exp((f0 + g0 - C)/eps) and iterates on scalings
+u, v with f = f0 + eps*log(u), g = g0 + eps*log(v) (Schmitzer 2019,
+arXiv:1610.06519), so each half-step is one matrix-vector product instead of
+a log-sum-exp; an iteration whose scaling would leave range runs in the log
+domain and the kernel is rebuilt from its result.  The cross term alternates
+f and g; its row violation is read off the next f half-step (the row sums of
+the plan are a * exp((f - f_next)/eps) = a * u/u_next), so it costs no third
+product.  The self terms OT(a, a) run the scaling loop with the averaged
+symmetric update f <- (f + T_eps(f))/2 on a single potential (Feydy et al.
+2019), u <- sqrt(u*v) in scaling form, which converges in a few dozen
+iterations where the alternating update stalls.
 
 `exact_w2_small` enumerates permutation couplings (optimal for equal-weight,
 equal-size clouds) and exists purely as a test oracle; it is never called by
@@ -125,6 +131,9 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
 # other scaling, at most _SCALING_MAX, with a kernel bounded at its rebuild.
 _SCALING_MAX = 1e100
 
+# Log row sums are read up to this bound, so a row violation stays finite.
+_LOG_ROWS_MAX = 300.0
+
 
 def _scaling_step(u, ka, kb):
     """One iteration in absorbed scaling form: (v, u_next, ratio), or None.
@@ -148,34 +157,53 @@ def _scaling_step(u, ka, kb):
     return v, 1.0 / row, u * row
 
 
-def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
-    """Sinkhorn with eps-scaling; returns (f, g, iterations, converged, trace).
+def _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter):
+    """Log-domain Sinkhorn, one iteration per temperature above the target eps.
 
-    Down to the first iteration at the target eps each iteration runs in the
-    log domain, one per temperature, which takes the large potential changes
-    between temperatures.  From its result the potentials are held in
-    absorbed scaling form (Schmitzer 2019): f = f0 + eps*log(u),
-    g = g0 + eps*log(v) against the Gibbs kernel K = exp((f0 + g0 - C)/eps),
-    so the half-steps g = T(f) and f = T'(g) are v = 1/((a*u) @ K) and
-    u = 1/(K @ (b*v)), one matrix-vector product each.  The iterates are the
-    log-domain ones up to roundoff.  An iteration whose scaling would exceed
-    _SCALING_MAX runs in the log domain instead, and K is rebuilt from its
-    result.
+    The temperature starts at max(C) and falls by `scaling` per iteration;
+    each iteration takes g = T(f) and then the next f (f = T'(g) at the new
+    temperature, or the averaged symmetric update (f + g)/2 when log_b is
+    None), which takes the large potential changes between temperatures.
+    Returns (f, levels): f enters the first iteration at the target eps, and
+    levels is the number of iterations run, at most max_iter.
+    """
+    symmetric = log_b is None
+    eps_cur = max(float(costs.max()), epsilon)
+    f = np.zeros(costs.shape[0]) if symmetric else (
+        -eps_cur * _logsumexp(log_b[None, :] - costs / eps_cur, axis=1))
+    levels = 0
+    while eps_cur > epsilon and levels < max_iter:
+        levels += 1
+        g = -eps_cur * _logsumexp(log_a[:, None] + (f[:, None] - costs) / eps_cur, axis=0)
+        eps_cur = max(epsilon, eps_cur * scaling)
+        if symmetric:
+            f = 0.5 * (f + g)
+        else:
+            f = -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1)
+    return f, levels
 
-    With log_b=None it solves the self term OT(a, a) on a symmetric `costs`
-    by the averaged update f <- (f + T(f))/2, i.e. u <- sqrt(u*v) with
-    f0 = g0, and returns (f, f, ...).  The trace holds the L1 row violation
-    of the plan (f, g) at the target eps.  Near-deterministic plans converge
-    ever more slowly at small eps, so a plateau cut-off stops the loop once
-    the violation has stopped improving; the converged flag stays honest
-    (violation < tol) either way.
+
+def _scaling_loop(costs, log_a, log_b, epsilon, f, max_iter, tol):
+    """Sinkhorn at the target eps from f; returns (f, g, iterations, converged, trace).
+
+    The first iteration runs in the log domain: g = T(f), then the next f.
+    From its result the potentials are held in absorbed scaling form
+    (Schmitzer 2019): f = f0 + eps*log(u), g = g0 + eps*log(v) against the
+    Gibbs kernel K = exp((f0 + g0 - C)/eps), so the half-steps g = T(f) and
+    f = T'(g) are v = 1/((a*u) @ K) and u = 1/(K @ (b*v)), one matrix-vector
+    product each.  The iterates are the log-domain ones up to roundoff.  An
+    iteration whose scaling would exceed _SCALING_MAX runs in the log domain
+    instead, and K is rebuilt from its result.  With log_b=None the update
+    is the averaged symmetric one, u <- sqrt(u*v) with f0 = g0.
+
+    The trace holds the L1 row violation of the plan (f, g) of each
+    iteration.  Near-deterministic plans converge ever more slowly at small
+    eps, so a plateau cut-off stops the loop once the violation has stopped
+    improving; the converged flag stays honest (violation < tol) either way.
     """
     symmetric = log_b is None
     a = np.exp(log_a)
-    eps_cur = max(float(costs.max()), epsilon)
-    g = np.zeros(costs.shape[1])
-    f = f_next = np.zeros(costs.shape[0]) if symmetric else (
-        -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1))
+    f_next = f
     ka = None
     scaled = False
     iterations = 0
@@ -190,24 +218,25 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
         if scaled:
             u = u_next
             v, u_next, ratio = step
+            # Row sums of the plan (f, g) are a * ratio; columns are exact
+            # after the g half-step (and equal the rows when symmetric).
+            row_violation = float(a @ np.abs(ratio - 1.0))
         else:
             if ka is not None:
                 f_next = f0 + epsilon * np.log(u_next)
             f = f_next
-            # g = T(f): the g half-step, or the symmetric map when log_b is None.
-            g = -eps_cur * _logsumexp(log_a[:, None] + (f[:, None] - costs) / eps_cur, axis=0)
-            at_target = eps_cur <= epsilon
-            if not at_target:
-                eps_cur = max(epsilon, eps_cur * scaling)
+            g = -epsilon * _logsumexp(log_a[:, None] + (f[:, None] - costs) / epsilon, axis=0)
             if symmetric:
                 f_next = 0.5 * (f + g)
                 shift = f - g
             else:
-                f_next = -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1)
+                f_next = -epsilon * _logsumexp(log_b[None, :] + (g[None, :] - costs) / epsilon, axis=1)
                 shift = f - f_next
-            if not at_target:
-                continue
-            ratio = np.exp(shift / epsilon)
+            # The row sums a * exp(shift/eps), from their logarithms and read
+            # up to exp(_LOG_ROWS_MAX): after a coarse eps step a peaked self
+            # plan's rows can exceed the float range (e^1600 on index costs).
+            log_rows = np.minimum(log_a + shift / epsilon, _LOG_ROWS_MAX)
+            row_violation = float(np.abs(np.exp(log_rows) - a).sum())
             # K from this iteration's result is bounded: for the cross term
             # f_next = T'(g), so b * K sums to at most one per row; for the
             # self term K <= 1/sqrt(a_i a_j).
@@ -217,10 +246,6 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
             ka = a[:, None] * kernel
             kb = None if symmetric else kernel * np.exp(log_b)[None, :]
             u_next = np.ones_like(f0)
-        # Row sums of the plan (f, g) are a * ratio, ratio = exp(shift/eps);
-        # columns are exact after the g half-step (and equal the rows when
-        # symmetric).
-        row_violation = float(a @ np.abs(ratio - 1.0))
         trace.append(row_violation)
         if row_violation < tol:
             converged = True
@@ -236,6 +261,113 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
         f = f0 + epsilon * np.log(u)
         g = g0 + epsilon * np.log(v)
     return f, (f if symmetric else g), iterations, converged, trace
+
+
+# Newton's method on the cross term's semi-dual at the target eps (Brauer,
+# Clason, Lorenz and Wirth 2017, arXiv:1710.06635).  A step length t is
+# accepted once the dual value has risen by at least _ARMIJO * t times its
+# predicted rise, less _DUAL_ROUNDOFF times the scale of the potentials and
+# costs: near the optimum the rise falls below the roundoff of the value
+# itself.  After _NEWTON_HALVINGS halvings of t the step has failed.
+# _NEWTON_RIDGE: see `_newton_step`.
+_ARMIJO = 1e-4
+_DUAL_ROUNDOFF = 1e-14
+_NEWTON_HALVINGS = 3
+_NEWTON_RIDGE = 1e-12
+
+
+def _dual_point(costs, log_a, log_b, epsilon, f):
+    """(value, g, kernel, rows) of the semi-dual <a,f> + <b,T(f)> at f, g = T(f).
+
+    `kernel` is exp(z - logsumexp(z)) over each column, z = log a + (f - C)/eps,
+    so its columns sum to one; the plan (f, g) is kernel * b, with exact
+    columns b, and `rows` are its row sums.
+    """
+    z = log_a[:, None] + (f[:, None] - costs) / epsilon
+    peak = z.max(axis=0)
+    kernel = np.exp(z - peak)
+    mass = kernel.sum(axis=0)
+    kernel /= mass
+    g = -epsilon * (peak + np.log(mass))
+    b = np.exp(log_b)
+    return float(np.exp(log_a) @ f) + float(b @ g), g, kernel, kernel @ b
+
+
+def _newton_step(costs, log_a, log_b, epsilon, f, point):
+    """The next Newton iterate (f, point) from f, or None when the step fails.
+
+    The semi-dual's Hessian is -H/eps with H = diag(rows) - P diag(1/b) P^T
+    = diag(rows) - kernel diag(b) kernel^T.  H is singular along the ones
+    vector (f + c, T(f) - c is the same plan) and nearly so on
+    near-deterministic plans; a ridge of _NEWTON_RIDGE * max(a), far above
+    the roundoff of H, fixes both.  The step d solves H d = eps*(a - rows).
+    A singular solve, a direction that is not finite or does not ascend, or
+    a line search that runs out of halvings fails the step.
+    """
+    value, _, kernel, rows = point
+    a = np.exp(log_a)
+    residual = a - rows
+    hessian = np.diag(rows + _NEWTON_RIDGE * a.max()) - kernel @ (kernel * np.exp(log_b)).T
+    try:
+        direction = np.linalg.solve(hessian, epsilon * residual)
+    except np.linalg.LinAlgError:
+        return None
+    rise = float(residual @ direction)
+    if not 0.0 < rise < math.inf:
+        return None
+    allowance = _DUAL_ROUNDOFF * (float(np.abs(f).max()) + float(costs.max()))
+    t = 1.0
+    for _ in range(_NEWTON_HALVINGS + 1):
+        trial = f + t * direction
+        trial_point = _dual_point(costs, log_a, log_b, epsilon, trial)
+        if trial_point[0] >= value + _ARMIJO * t * rise - allowance:
+            return trial, trial_point
+        t *= 0.5
+    return None
+
+
+def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
+    """Sinkhorn with eps-scaling and Newton steps; returns (f, g, iterations, converged, trace).
+
+    The eps ladder (`_eps_ladder`) runs in the log domain down to the target
+    eps.  From its f, each cross-term iteration evaluates the plan (f, T(f))
+    at the target eps, records its L1 row violation in the trace, and stops
+    once it is below tol; otherwise it takes a Newton step on the semi-dual
+    with backtracking (`_newton_step`).  The first time a step fails, the
+    rest of the solve goes to the scaling loop (`_scaling_loop`) from the
+    current f; its first iteration evaluates that plan again and takes over
+    its trace entry.
+
+    With log_b=None it solves the self term OT(a, a) on a symmetric `costs`
+    by the scaling loop's averaged update from the ladder's f, which
+    converges within a few dozen iterations, and returns (f, f, ...), so the
+    plan is exactly symmetric.  Iterations count the ladder levels and the
+    iterations at the target eps, Newton or scaling; the converged flag is
+    honest (row violation < tol), and the trace is empty when max_iter ran
+    out on the ladder.
+    """
+    f, iterations = _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter)
+    trace = []
+    if log_b is not None:
+        a = np.exp(log_a)
+        point = _dual_point(costs, log_a, log_b, epsilon, f)
+        if iterations == max_iter:
+            return f, point[1], iterations, False, trace
+        while True:
+            iterations += 1
+            trace.append(float(np.abs(point[3] - a).sum()))
+            converged = trace[-1] < tol
+            if converged or iterations == max_iter:
+                return f, point[1], iterations, converged, trace
+            step = _newton_step(costs, log_a, log_b, epsilon, f, point)
+            if step is None:
+                break
+            f, point = step
+        iterations -= 1
+        trace.pop()
+    f, g, more, converged, tail = _scaling_loop(
+        costs, log_a, log_b, epsilon, f, max_iter - iterations, tol)
+    return f, g, iterations + more, converged, trace + tail
 
 
 def _solve(costs, log_a, log_b, epsilon, scaling=DEFAULT_SCALING,

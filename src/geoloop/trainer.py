@@ -220,8 +220,9 @@ class StepReport:
     pr: float
     geometry_degenerate: bool = False
     beta: float = 1.0
-    # The Sinkhorn solve: cross-term iterations and final L1 row violation,
-    # and whether all three solves converged; None before ot_warmup.
+    # The Sinkhorn solve: cross-term iterations (eps levels plus iterations
+    # at the target eps, Newton or scaling) and final L1 row violation, and
+    # whether all three solves converged; None before ot_warmup.
     ot_iters: int | None = None
     ot_violation: float | None = None
     ot_converged: bool | None = None
@@ -454,12 +455,12 @@ class Trainer:
             ref_idx = ot.subsample_indices(ref_measure.size, cap, (self.seed, step, _CH_OT, 1))
             cur_sub = rep_metrics.EmpiricalMeasure(cur_measure.points[cur_idx], normalised=True)
             ref_sub = rep_metrics.EmpiricalMeasure(ref_measure.points[ref_idx], normalised=True)
-            # Bounded iteration budget: the self terms converge in about 40
-            # iterations; the cross term stops at 500 with a row violation of
-            # 3e-5 to 3e-4, which leaves the divergence off by up to 1.2e-6
-            # (0.2% to 19% of its value) against a 20 000-iteration solve in
-            # steps 20-60 of a seed-3 run.  The envelope gradient of the
-            # achieved plan stays valid.
+            # Bounded iteration budget: in the 2000-step enigma_high_si run
+            # every solve converges well inside it, the self terms in 27-46
+            # iterations and the cross term in 21-24 eps levels plus 2-13
+            # Newton iterations.  A cross solve whose Newton step fails goes
+            # on with Sinkhorn iterations up to 500, and the envelope
+            # gradient of the achieved plan stays valid.
             value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
                 cur_sub, ref_sub, config.blur ** 2, scaling=config.scaling,
                 max_iter=500)

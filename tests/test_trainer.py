@@ -192,6 +192,12 @@ class TestTrainStep:
             if step < 4:
                 assert rep.loss_ot == 0.0
 
+    def test_ot_solves_converge_on_every_ot_step(self):
+        t = small_trainer(seed=0, steps=30, ot_warmup=20)
+        reports = [t.train_step() for _ in range(30)]
+        assert [r.ot_converged for r in reports[20:]] == [True] * 10
+        assert all(r.ot_iters < 500 and r.ot_violation < 1e-9 for r in reports[20:])
+
     def test_probe_identity_at_step_zero(self):
         t = small_trainer(seed=8)
         rep = t.train_step()
