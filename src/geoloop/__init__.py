@@ -8,7 +8,7 @@ Subpackages by concern:
 - mi: score matrices, InfoNCE losses, contrastive MI bounds
 - rewards: gates, tie-breaker channel, autoscaler
 - policy: the toy autoregressive policy and its synthetic task
-- trainer: group advantages, clipped surrogate, the unified loss, train steps
+- trainer: group advantages, the on-policy GRPO term, the unified loss, train steps
 - constitution: principle-set sufficiency evaluation
 - cli: the geoloop command
 """

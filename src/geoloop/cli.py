@@ -29,7 +29,7 @@ from .trainer import ABLATION_MODES, TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -291,8 +291,8 @@ def cmd_eval_constitution(args) -> int:
         fh.write("set,pid,delta_nll_bits,leaky\n")
         for report in reports:
             if report.leaky is not None:
-                for pid in report.leaky["flagged_ids"]:
-                    fh.write(f"{report.name},{pid},,1\n")
+                for pid, bits in report.leaky["delta_nll_bits"].items():
+                    fh.write(f"{report.name},{pid},{bits!r},1\n")
     for report in reports:
         path = out_dir / f"report_{report.name}.json"
         path.write_text(report.to_json())
@@ -412,10 +412,10 @@ def cmd_probe(args) -> int:
 
     # Output-space OT diagnostic between first and last checkpoint.
     if len(dists) >= 2:
-        diag = ot.output_space_ot_diag(dists[0], dists[-1], top_k=args.top_k)
+        diag, converged = ot.output_space_ot_diag(dists[0], dists[-1], top_k=args.top_k)
         (out_dir / "output_ot.csv").write_text(
-            "step_from,step_to,token_index_ot\n"
-            f"{steps[0]},{steps[-1]},{diag!r}\n")
+            "step_from,step_to,token_index_ot,converged\n"
+            f"{steps[0]},{steps[-1]},{diag!r},{int(converged)}\n")
 
     print(f"probe artifacts written to {out_dir}")
     return EXIT_OK

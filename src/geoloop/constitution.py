@@ -174,9 +174,13 @@ def sufficiency_index(bits, mi_eff, auc, weights=DEFAULT_WEIGHTS, mode: str = "r
 
 
 def leaky_negative_flags(per_negative_delta_nll: dict) -> dict:
-    """Negatives whose ΔNLL is positive: conditioning on them helps the gold."""
+    """Negatives whose ΔNLL is positive: conditioning on them helps the gold.
+
+    Returns {"flagged_ids", "count", "delta_nll_bits": each flagged id's ΔNLL}.
+    """
     flagged = sorted(pid for pid, d in per_negative_delta_nll.items() if d > 0)
-    return {"flagged_ids": flagged, "count": len(flagged)}
+    return {"flagged_ids": flagged, "count": len(flagged),
+            "delta_nll_bits": {pid: per_negative_delta_nll[pid] for pid in flagged}}
 
 
 # ---------- full evaluation ----------

@@ -482,8 +482,9 @@ def subsample_indices(size: int, cap: int, seed) -> np.ndarray:
 
 
 def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int, *,
-                         epsilon: float = 1e-3) -> float:
-    """Offline diagnostic: debiased entropic OT between truncated distributions.
+                         epsilon: float = 1e-3) -> tuple:
+    """(value, converged): offline debiased entropic OT between truncated
+    distributions, and whether all three of its solves converged.
 
     Ground cost is the squared index difference over the union of both sides'
     top-k supports; the self-term debiasing keeps identical inputs at exactly
@@ -510,7 +511,7 @@ def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int, *,
     # their log-weights would poison the potentials.
     keep_p, keep_q = mass_p > 0, mass_q > 0
     log_p, log_q = np.log(mass_p[keep_p]), np.log(mass_q[keep_q])
-    cross = _solve(costs[np.ix_(keep_p, keep_q)], log_p, log_q, epsilon)[0]
-    self_p = _solve(costs[np.ix_(keep_p, keep_p)], log_p, None, epsilon)[0]
-    self_q = _solve(costs[np.ix_(keep_q, keep_q)], log_q, None, epsilon)[0]
-    return max(0.0, cross - 0.5 * self_p - 0.5 * self_q)
+    cross, _, _, cross_ok, _ = _solve(costs[np.ix_(keep_p, keep_q)], log_p, log_q, epsilon)
+    self_p, _, _, p_ok, _ = _solve(costs[np.ix_(keep_p, keep_p)], log_p, None, epsilon)
+    self_q, _, _, q_ok, _ = _solve(costs[np.ix_(keep_q, keep_q)], log_q, None, epsilon)
+    return max(0.0, cross - 0.5 * self_p - 0.5 * self_q), cross_ok and p_ok and q_ok

@@ -22,10 +22,10 @@ summaries is one `ToyPolicy.backward` call through the feature map; the
 per-sequence methods are thin views on the table and that call.
 
 Zero-initialised parameters give the uniform policy, so every token template
-has probability V^{-|y|} > 0 from the start.  Decode knobs (temperature,
-top-p, top-k, repetition penalty) shape sampling only; cached and recomputed
-per-token log-probabilities always refer to the plain softmax distribution,
-which is what ratio-based updates need from an old-policy snapshot.
+has probability V^{-|y|} > 0 from the start.  Sampling decodes with fixed
+settings, nucleus TOP_P and repetition penalty REPETITION_PENALTY; they shape
+the draw only, and every log-probability and entropy refers to the plain
+softmax distribution.
 
 The synthetic task mirrors a strict tag format at token level: a completion
 is format-valid iff it is exactly
@@ -50,6 +50,9 @@ from .errors import ValidationError
 DEFAULT_VOCAB_SIZE = 16
 DEFAULT_DIM = 32
 DEFAULT_MAX_LEN = 12
+# Decode settings of every sample: nucleus mass and repetition penalty.
+TOP_P = 0.95
+REPETITION_PENALTY = 1.1
 
 
 @dataclass(frozen=True)
@@ -121,10 +124,9 @@ def toy_format_reward(content_tokens, vocab: Vocab) -> float:
 
 @dataclass(frozen=True)
 class Completion:
-    """One sampled completion with its generation-time cache."""
+    """One sampled completion with its per-step entropies."""
 
     tokens: tuple              # includes the trailing EOS unless truncated
-    logprobs: np.ndarray       # cached per-token logprobs (old-policy snapshot)
     entropies: np.ndarray      # per-step entropy of the plain softmax (nats)
     truncated: bool
 
@@ -234,18 +236,11 @@ class ToyPolicy:
     """Bag-of-context + previous-token autoregressive policy over a toy vocab."""
 
     def __init__(self, vocab: Vocab | None = None, dim: int = DEFAULT_DIM, *,
-                 temperature: float = 1.0, top_p: float = 0.95, top_k: int = 64,
-                 repetition_penalty: float = 1.1, max_len: int = DEFAULT_MAX_LEN):
+                 max_len: int = DEFAULT_MAX_LEN):
         self.vocab = vocab or Vocab()
         self.dim = dim
-        if temperature < 0:
-            raise ValidationError("temperature cannot be negative")
         if max_len < 1:
             raise ValidationError("max_len must be at least 1")
-        self.temperature = temperature
-        self.top_p = top_p
-        self.top_k = min(top_k, self.vocab.size)
-        self.repetition_penalty = repetition_penalty
         self.max_len = max_len
         v = self.vocab.size
         self.embed = np.zeros((v, dim))
@@ -282,10 +277,7 @@ class ToyPolicy:
         return digest.hexdigest()
 
     def clone(self) -> "ToyPolicy":
-        twin = ToyPolicy(self.vocab, self.dim, temperature=self.temperature,
-                         top_p=self.top_p, top_k=self.top_k,
-                         repetition_penalty=self.repetition_penalty,
-                         max_len=self.max_len)
+        twin = ToyPolicy(self.vocab, self.dim, max_len=self.max_len)
         twin.embed = self.embed.copy()
         twin.out = self.out.copy()
         twin.ctx_scale = self.ctx_scale.copy()
@@ -398,11 +390,7 @@ class ToyPolicy:
     # ---------- sampling ----------
 
     def sample_group(self, prompt, principle, group_size: int, seed) -> list:
-        """group_size independent completions with cached per-token logprobs.
-
-        Deterministic for a fixed seed.  Sampling applies the decode knobs;
-        the cache stores plain-softmax logprobs for the chosen tokens.
-        """
+        """group_size independent completions, deterministic for a fixed seed."""
         return self.sample_groups(self.table([(prompt, principle)]), [0],
                                   group_size, [seed])[0]
 
@@ -414,7 +402,7 @@ class ToyPolicy:
         per sampled token, handed to the group's active members in (position,
         member) order and inverted through the normalised cdf, which is how
         Generator.choice(p=...) would spend the same stream one token at a
-        time.  Temperature 0 decodes greedily and draws nothing.
+        time.
         """
         if group_size < 2:
             raise ValidationError("group size must be at least 2")
@@ -425,59 +413,48 @@ class ToyPolicy:
         lengths = np.zeros(n, dtype=int)
         active = np.ones(n, dtype=bool)
         seen = np.zeros((n, v), dtype=bool)
-        if self.temperature > 0:
-            draws = np.stack([np.random.default_rng(s).random(self.max_len * group_size)
-                              for s in seeds])
-            used = np.zeros(n_groups, dtype=int)
+        draws = np.stack([np.random.default_rng(s).random(self.max_len * group_size)
+                          for s in seeds])
+        used = np.zeros(n_groups, dtype=int)
         for t in range(self.max_len):
             idx = np.flatnonzero(active)
             if idx.size == 0:
                 break
             prev_rows = tokens[idx, t - 1] + 1 if t else np.zeros(idx.size, dtype=int)
             logits = table.logits[ctx[idx], prev_rows]
-            if self.repetition_penalty != 1.0:
-                hit = seen[idx]
-                logits = np.where(hit & (logits > 0), logits / self.repetition_penalty,
-                                  np.where(hit, logits * self.repetition_penalty, logits))
-            if self.temperature == 0.0:
-                chosen = np.argmax(logits, axis=1)
-            else:
-                live = active.reshape(n_groups, group_size)
-                slot = (used[:, None] + np.cumsum(live, axis=1) - 1).ravel()
-                used += live.sum(axis=1)
-                chosen = self._decode(logits, draws[idx // group_size, slot[idx]])
+            hit = seen[idx]
+            logits = np.where(hit & (logits > 0), logits / REPETITION_PENALTY,
+                              np.where(hit, logits * REPETITION_PENALTY, logits))
+            live = active.reshape(n_groups, group_size)
+            slot = (used[:, None] + np.cumsum(live, axis=1) - 1).ravel()
+            used += live.sum(axis=1)
+            chosen = _decode(logits, draws[idx // group_size, slot[idx]])
             tokens[idx, t] = chosen
             lengths[idx] += 1
             seen[idx, chosen] = True
             active[idx[chosen == eos]] = False
-        rows = _table_rows(tokens)
-        logp = table.logp[ctx[:, None], rows, tokens]
         ent_table = -np.sum(np.exp(table.logp) * table.logp, axis=2)
-        ents = ent_table[ctx[:, None], rows]
-        comps = [Completion(tuple(tokens[b, :lengths[b]].tolist()), logp[b, :lengths[b]],
-                            ents[b, :lengths[b]], bool(active[b])) for b in range(n)]
+        ents = ent_table[ctx[:, None], _table_rows(tokens)]
+        comps = [Completion(tuple(tokens[b, :lengths[b]].tolist()), ents[b, :lengths[b]],
+                            bool(active[b])) for b in range(n)]
         return [comps[g * group_size:(g + 1) * group_size] for g in range(n_groups)]
 
-    def _decode(self, logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """One token per row at temperature > 0, with top-k and top-p applied."""
-        logits = logits / self.temperature
-        if self.top_k < logits.shape[1]:
-            drop = np.argsort(logits, axis=1, kind="stable")[:, :-self.top_k]
-            np.put_along_axis(logits, drop, -np.inf, axis=1)
-        mass = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-        if self.top_p < 1.0:
-            probs = mass / mass.sum(axis=1, keepdims=True)
-            order = np.argsort(-probs, axis=1, kind="stable")
-            ranked = np.take_along_axis(probs, order, axis=1)
-            keep_ranked = np.cumsum(ranked, axis=1) - ranked < self.top_p
-            keep_ranked[:, 0] = True
-            keep = np.zeros_like(keep_ranked)
-            np.put_along_axis(keep, order, keep_ranked, axis=1)
-            mass = np.where(keep, mass, 0.0)
-        probs = mass / mass.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(probs, axis=1)
-        cdf /= cdf[:, -1:]
-        return np.sum(cdf <= uniforms[:, None], axis=1)
+
+def _decode(logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One token per row from the nucleus of mass TOP_P, by inverting its cdf at uniforms."""
+    mass = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    probs = mass / mass.sum(axis=1, keepdims=True)
+    order = np.argsort(-probs, axis=1, kind="stable")
+    ranked = np.take_along_axis(probs, order, axis=1)
+    keep_ranked = np.cumsum(ranked, axis=1) - ranked < TOP_P
+    keep_ranked[:, 0] = True
+    keep = np.zeros_like(keep_ranked)
+    np.put_along_axis(keep, order, keep_ranked, axis=1)
+    mass = np.where(keep, mass, 0.0)
+    probs = mass / mass.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.sum(cdf <= uniforms[:, None], axis=1)
 
 
 def transition_counts(completions, vocab_size: int) -> np.ndarray:

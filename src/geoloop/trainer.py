@@ -1,4 +1,4 @@
-"""The single-loop optimiser: group advantages, clipped updates, unified loss.
+"""The single-loop optimiser: group advantages, an on-policy GRPO term, unified loss.
 
 One step runs, in order: sample groups -> base + gated/autoscaled MI rewards
 -> group advantages -> score matrix for the symmetric InfoNCE auxiliary ->
@@ -8,12 +8,15 @@ loss identity
     total = grpo + sami_weight(step) * sami + shaping + ot
 
 holds at every step (ot already carries its weight and warmup gate).  The
-clipped surrogate works on sequence-level ratios with token sums divided by a
-fixed length constant (the completion cap), which removes length bias without
-per-sequence normalisation:
+GRPO term is on-policy: each sampled batch gets one update, so the policy that
+sampled it is the one being differentiated, the sequence-level ratio
+exp((new - old) / max_len) is exactly 1 and a PPO clip on it never binds
+(GRPO with one update per batch; Shao et al. 2024, arXiv:2402.03300).  Over
+the n_kept untruncated completions, with token sums divided by the completion
+cap max_len, which removes length bias without per-sequence normalisation:
 
-    r = exp((new - old) / length_norm_constant)
-    contribution = -min(r * A, clip(r, 1-eps, 1+eps) * A)
+    loss_grpo = -sum_i A_i / n_kept
+    gradient  = -sum_i A_i * grad log p_i / (max_len * n_kept)
 
 Schedules: sami_weight ramps linearly over mi_warmup_steps; the row/column
 mix anneals (0.7, 0.3) -> (0.5, 0.5) over the first 10% of max_steps; the OT
@@ -61,13 +64,11 @@ class TrainConfig:
     """Trainer hyperparameters; defaults are those of the bundled run configs."""
 
     group_size: int = 4
-    clip_eps: float = 0.1
     sami_weight: float = 0.05
     mi_warmup_steps: int = 50
     ot_weight: float = 0.01
     ot_warmup: int = 200
     blur: float = 0.12
-    scaling: float = 0.8
     ot_subsample_cap: int = 512
     shadow_k: int = 2
     entropy_quantile: float = 0.8
@@ -80,8 +81,6 @@ class TrainConfig:
     # entropy collapse at this scale.  The SGD rate is sized for a 16-token
     # policy.
     scale_rewards: str = "none"
-    mask_truncated: bool = True
-    length_norm_constant: int = 12
     shaping_weight: float = 0.0
     jitter_sigma: float = 0.0
     learning_rate: float = 1.0
@@ -91,8 +90,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.group_size < 2:
             raise ValidationError("group size must be at least 2")
-        if not (0.0 < self.clip_eps < 1.0):
-            raise ValidationError("clip epsilon must lie in (0, 1)")
         if self.scale_rewards not in ("group", "none"):
             raise ValidationError("scale_rewards must be 'group' or 'none'")
         for name in ("sami_weight", "ot_weight", "channel_weight", "shaping_weight",
@@ -139,39 +136,11 @@ def group_advantages(group_rewards, mode: str = "group") -> GroupAdvantages:
     return GroupAdvantages(adv, mean, std)
 
 
-def clipped_surrogate(new_logp: float, old_logp: float, advantage: float,
-                      clip_eps: float, length_norm_constant: float = 1.0) -> float:
-    """Loss contribution -min(r A, clip(r) A) with a sequence-level ratio."""
-    log_ratio = (float(new_logp) - float(old_logp)) / float(length_norm_constant)
-    r = math.exp(log_ratio)
-    clipped = min(max(r, 1.0 - clip_eps), 1.0 + clip_eps)
-    return -min(r * advantage, clipped * advantage)
-
-
-def surrogate_grad_coefficient(new_logp: float, old_logp: float, advantage: float,
-                               clip_eps: float, length_norm_constant: float = 1.0) -> float:
-    """d(contribution)/d(new_logp); zero whenever the clipped branch is active.
-
-    For positive advantages the loss is constant in r beyond 1+eps, for
-    negative ones below 1-eps, so ratio growth past the band is never rewarded.
-    """
-    log_ratio = (float(new_logp) - float(old_logp)) / float(length_norm_constant)
-    r = math.exp(log_ratio)
-    if advantage >= 0:
-        active = r <= 1.0 + clip_eps
-    else:
-        active = r >= 1.0 - clip_eps
-    if not active:
-        return 0.0
-    return -advantage * r / float(length_norm_constant)
-
-
 def rowcol_anneal(step: int, max_steps: int) -> tuple:
     """(lam_row, lam_col): linear (0.7, 0.3) -> (0.5, 0.5) over 10% of max_steps."""
     if max_steps <= 0:
         raise ValidationError("max_steps must be positive")
-    span = 0.1 * max_steps
-    t = 1.0 if span <= 0 else min(1.0, step / span)
+    t = min(1.0, step / (0.1 * max_steps))
     return 0.7 - 0.2 * t, 0.3 + 0.2 * t
 
 
@@ -381,7 +350,6 @@ class Trainer:
             for c in completions])
 
         base = format_ok.astype(float)
-        base[[c.truncated for c in completions]] = 0.0
         if config.jitter_sigma > 0:
             jitter_rng = derive_rng(self.seed, step, _CH_JITTER)
             base = base + config.jitter_sigma * jitter_rng.standard_normal(b)
@@ -408,19 +376,12 @@ class Trainer:
             adv[sel] = ga.advantages
             group_stds.append(ga.std)
 
-        # GRPO term: new == old at compute time, so the value is -mean(A) and
-        # the gradient coefficient reduces to -A / length constant.
-        kept = np.array([i for i, c in enumerate(completions)
-                         if not (config.mask_truncated and c.truncated)], dtype=int)
-        loss_grpo_sum = 0.0
-        for i in kept:
-            old = float(np.sum(completions[i].logprobs))
-            loss_grpo_sum += clipped_surrogate(old, old, adv[i], config.clip_eps,
-                                               config.length_norm_constant)
-            coeffs[own[groups[i]], i] = surrogate_grad_coefficient(
-                old, old, adv[i], config.clip_eps,
-                config.length_norm_constant) / max(1, kept.size)
-        loss_grpo = loss_grpo_sum / max(1, kept.size)
+        # The on-policy GRPO term over untruncated completions (module
+        # docstring); the builtin sum adds the advantages in completion order.
+        kept = np.array([i for i, c in enumerate(completions) if not c.truncated], dtype=int)
+        n_kept = max(1, kept.size)
+        loss_grpo = sum(-adv[kept]) / n_kept
+        coeffs[own[groups[kept]], kept] = -adv[kept] / self.policy.max_len / n_kept
 
         lam_row, lam_col = rowcol_anneal(step, self.max_steps)
         if kept.size < 2:
@@ -462,8 +423,7 @@ class Trainer:
             # on with Sinkhorn iterations up to 500, and the envelope
             # gradient of the achieved plan stays valid.
             value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
-                cur_sub, ref_sub, config.blur ** 2, scaling=config.scaling,
-                max_iter=500)
+                cur_sub, ref_sub, config.blur ** 2, max_iter=500)
             loss_ot = config.ot_weight * value
             feat_grad = table.summary_feat_grad(own[groups[cur_idx]], counts[cur_idx],
                                                 config.ot_weight * point_grad)

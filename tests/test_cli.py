@@ -1,5 +1,6 @@
 """Command-line surface: config round trip, exit codes, artifact layout."""
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -56,6 +57,11 @@ class TestConfigRoundTrip:
         # Schema 1 had a kl_beta key; the version is reported, not the key.
         with pytest.raises(cli.ConfigError, match="schema_version 1"):
             cli.parse_config("schema_version = 1\nkl_beta = 0.0\n")
+
+    def test_schema_2_file_fails_on_its_version(self):
+        # Schema 2 had the clip_eps key; the version is reported, not the key.
+        with pytest.raises(cli.ConfigError, match="schema_version 2"):
+            cli.parse_config("schema_version = 2\nclip_eps = 0.1\n")
 
     def test_bad_trainer_field_rejected(self):
         with pytest.raises(cli.ConfigError, match="group size"):
@@ -188,7 +194,17 @@ class TestEvalCommand:
         low = json.loads((out / "report_toy_low_si.json").read_text())
         assert high["si"] > low["si"]
         assert high["si_zscored"] is not None
-        assert (out / "per_principle.csv").exists()
+        # Each flagged negative's row carries the median delta-NLL its flag
+        # was computed from, as in the report's leaky entry.
+        lines = (out / "per_principle.csv").read_text().splitlines()
+        assert lines[0] == "set,pid,delta_nll_bits,leaky"
+        rows = [line.split(",") for line in lines[1:]]
+        assert rows
+        reports = {"toy_high_si": high, "toy_low_si": low}
+        for name, pid, bits, leaky in rows:
+            assert math.isfinite(float(bits)) and float(bits) > 0.0
+            assert float(bits) == reports[name]["leaky"]["delta_nll_bits"][pid]
+            assert leaky == "1"
 
     def test_empty_negatives_schema_error(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -118,6 +118,7 @@ class TestLeakyFlags:
     def test_positive_delta_flagged(self):
         out = con.leaky_negative_flags({"n0": -0.1, "n1": 0.05})
         assert out["flagged_ids"] == ["n1"]
+        assert out["delta_nll_bits"] == {"n1": 0.05}
 
     def test_count_matches_sign(self):
         rng = np.random.default_rng(0)
@@ -289,6 +290,13 @@ def reference_evaluate(policy, task, pset, k, seed):
 def assert_same_report(got, want):
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "leaky":
+            # The flagged negatives' ΔNLL values come from per-pool tables
+            # here, whose products can round differently in the last bits
+            # (seen on one-negative pools); ids and count stay exact.
+            a, b = dict(a), dict(b)
+            assert a.pop("delta_nll_bits") == pytest.approx(
+                b.pop("delta_nll_bits"), rel=1e-12, abs=1e-12)
         assert a == b or (isinstance(b, float) and math.isnan(a) and math.isnan(b)), field.name
 
 

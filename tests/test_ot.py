@@ -478,17 +478,27 @@ class TestRegulariser:
 class TestOutputSpaceDiag:
     def test_identical_distributions(self):
         p = np.array([0.25, 0.25, 0.25, 0.25])
-        assert ot.output_space_ot_diag(p, p, 4) == pytest.approx(0.0, abs=1e-6)
+        assert ot.output_space_ot_diag(p, p, 4) == (pytest.approx(0.0, abs=1e-6), True)
 
     def test_point_masses(self):
         p = np.zeros(10); p[3] = 1.0
         q = np.zeros(10); q[7] = 1.0
-        assert ot.output_space_ot_diag(p, q, 4) == pytest.approx(16.0, abs=1e-9)
+        assert ot.output_space_ot_diag(p, q, 4) == (pytest.approx(16.0, abs=1e-9), True)
 
     def test_shift_by_two(self):
         p = np.array([0.5, 0.5, 0.0, 0.0])
         q = np.array([0.0, 0.0, 0.5, 0.5])
-        assert ot.output_space_ot_diag(p, q, 4) == pytest.approx(4.0, abs=1e-2)
+        assert ot.output_space_ot_diag(p, q, 4) == (pytest.approx(4.0, abs=1e-2), True)
+
+    @pytest.mark.parametrize("epsilon, converged", [(1e-3, False), (1.0, True)])
+    def test_converged_flag(self, epsilon, converged):
+        # Dirichlet(1) pairs over 16 tokens: at the default eps 1e-3 every
+        # cross solve stops unconverged, at eps 1.0 all three solves converge.
+        for seed in range(10):
+            p, q = np.random.default_rng(seed).dirichlet(np.ones(16), size=2)
+            value, flag = ot.output_space_ot_diag(p, q, 16, epsilon=epsilon)
+            assert math.isfinite(value) and value > 0.0
+            assert flag is converged
 
     def test_requires_positive_top_k(self):
         p = np.array([0.5, 0.5])

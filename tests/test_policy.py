@@ -8,8 +8,8 @@ from geoloop.errors import ValidationError
 from geoloop import policy as pol
 
 
-def randomised_policy(seed, dim=8):
-    p = pol.ToyPolicy(pol.Vocab(), dim=dim)
+def randomised_policy(seed, dim=8, max_len=pol.DEFAULT_MAX_LEN):
+    p = pol.ToyPolicy(pol.Vocab(), dim=dim, max_len=max_len)
     rng = np.random.default_rng(seed)
     p.embed = rng.normal(0, 0.3, p.embed.shape)
     p.out = rng.normal(0, 0.3, p.out.shape)
@@ -56,31 +56,24 @@ def explicit_token_logprobs(p, prompt, principle, completion):
     return np.array(out)
 
 
-def reference_decode_one(p, logits, history, rng):
+def reference_decode_one(logits, history, rng):
     """One token the way the per-row sampler drew it (one rng.choice per token)."""
     logits = logits.astype(float).copy()
-    if p.repetition_penalty != 1.0 and history:
+    if history:
         seen = np.unique(np.asarray(history, dtype=int))
         pos = logits[seen] > 0
-        logits[seen[pos]] /= p.repetition_penalty
-        logits[seen[~pos]] *= p.repetition_penalty
-    if p.temperature == 0.0:
-        return int(np.argmax(logits))
-    logits = logits / p.temperature
-    if p.top_k < logits.size:
-        drop = np.argsort(logits, kind="stable")[:-p.top_k]
-        logits[drop] = -np.inf
+        logits[seen[pos]] /= pol.REPETITION_PENALTY
+        logits[seen[~pos]] *= pol.REPETITION_PENALTY
     probs = np.exp(logits - np.max(logits))
     probs /= probs.sum()
-    if p.top_p < 1.0:
-        order = np.argsort(-probs, kind="stable")
-        cum = np.cumsum(probs[order])
-        keep = cum - probs[order] < p.top_p
-        keep[0] = True
-        kept = order[keep]
-        probs = np.zeros_like(probs)
-        probs[kept] = np.exp(logits[kept] - np.max(logits[kept]))
-        probs /= probs.sum()
+    order = np.argsort(-probs, kind="stable")
+    cum = np.cumsum(probs[order])
+    keep = cum - probs[order] < pol.TOP_P
+    keep[0] = True
+    kept = order[keep]
+    probs = np.zeros_like(probs)
+    probs[kept] = np.exp(logits[kept] - np.max(logits[kept]))
+    probs /= probs.sum()
     return int(rng.choice(probs.size, p=probs))
 
 
@@ -91,7 +84,6 @@ def reference_sample_group(p, prompt, principle, group_size, seed):
     ctx = p.embed[ctx_tokens].mean(axis=0) if ctx_tokens else np.zeros(p.dim)
     base_h = p.ctx_scale * ctx
     seqs = [[] for _ in range(group_size)]
-    logps = [[] for _ in range(group_size)]
     ents = [[] for _ in range(group_size)]
     done = [False] * group_size
     for _ in range(p.max_len):
@@ -102,12 +94,10 @@ def reference_sample_group(p, prompt, principle, group_size, seed):
             logits = h @ p.out
             log_sm = logits - np.log(np.sum(np.exp(logits - logits.max()))) - logits.max()
             ents[i].append(float(-np.sum(np.exp(log_sm) * log_sm)))
-            token = reference_decode_one(p, logits, seqs[i], rng)
+            token = reference_decode_one(logits, seqs[i], rng)
             seqs[i].append(token)
-            logps[i].append(float(log_sm[token]))
             done[i] = token == p.vocab.eos
-    return [(tuple(seqs[i]), np.array(logps[i]), np.array(ents[i]), not done[i])
-            for i in range(group_size)]
+    return [(tuple(seqs[i]), np.array(ents[i]), not done[i]) for i in range(group_size)]
 
 
 class TestVocab:
@@ -257,25 +247,11 @@ class TestHiddenSummary:
 
 
 class TestSampling:
-    def test_greedy_at_zero_temperature(self):
-        p = randomised_policy(10)
-        p.temperature = 0.0
-        group = p.sample_group((1, 2), (0, 6), 4, np.random.default_rng(0))
-        assert all(c.tokens == group[0].tokens for c in group)
-
     def test_seed_determinism(self):
         p = randomised_policy(11)
         g1 = p.sample_group((1, 2), (0, 6), 4, np.random.default_rng(99))
         g2 = p.sample_group((1, 2), (0, 6), 4, np.random.default_rng(99))
         assert [c.tokens for c in g1] == [c.tokens for c in g2]
-
-    def test_cached_logprobs_match_recompute(self):
-        p = randomised_policy(12)
-        group = p.sample_group((1, 2, 3), (0, 6), 4, np.random.default_rng(5))
-        for c in group:
-            recomputed = p.token_logprobs((1, 2, 3), (0, 6), c.tokens)
-            assert c.logprobs == pytest.approx(recomputed, abs=1e-12)
-            assert len(c.logprobs) == len(c.tokens)
 
     def test_group_size_minimum(self):
         p = randomised_policy(13)
@@ -421,28 +397,40 @@ class TestTableKernel:
 
 
 class TestBatchedSampler:
-    @pytest.mark.parametrize("temperature", [0.0, 0.7, 1.0])
-    @pytest.mark.parametrize("top_k", [5, 16])
-    @pytest.mark.parametrize("top_p", [0.9, 1.0])
-    @pytest.mark.parametrize("penalty", [1.0, 1.3])
-    def test_matches_per_row_decode(self, temperature, top_k, top_p, penalty):
-        # Sharper than randomised_policy's near-uniform logits, so EOS, the
-        # penalty and the truncations all matter.
-        p = randomised_policy(30)
-        p.out *= 6.0
-        p.temperature, p.top_k, p.top_p, p.repetition_penalty = (
-            temperature, top_k, top_p, penalty)
+    @staticmethod
+    def assert_matches_reference(p):
         table = p.table(CONTEXTS)
         for seed in range(4):
             seeds = [100 * seed + g for g in range(len(CONTEXTS))]
             groups = p.sample_groups(table, range(len(CONTEXTS)), 4, seeds)
             for ctx, group, s in zip(CONTEXTS, groups, seeds):
-                for comp, (tokens, logps, ents, truncated) in zip(
+                for comp, (tokens, ents, truncated) in zip(
                         group, reference_sample_group(p, *ctx, 4, s)):
                     assert comp.tokens == tokens
                     assert comp.truncated == truncated
-                    assert np.max(np.abs(comp.logprobs - logps)) <= 1e-12
                     assert np.max(np.abs(comp.entropies - ents)) <= 1e-12
+
+    def test_matches_per_row_decode_at_run_settings(self):
+        # Sharper than randomised_policy's near-uniform logits, so EOS, the
+        # penalty and the nucleus truncation all matter.
+        p = randomised_policy(30)
+        p.out *= 6.0
+        self.assert_matches_reference(p)
+
+    @pytest.mark.parametrize("logit_scale", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("max_len", [5, 16])
+    @pytest.mark.parametrize("top_p", [0.9, 1.0])
+    @pytest.mark.parametrize("penalty", [1.0, 1.3])
+    def test_matches_per_row_decode(self, monkeypatch, logit_scale, max_len,
+                                    top_p, penalty):
+        # The sampler reads the decode constants at call time, so other
+        # nucleus masses and penalties, the uniform policy (scale 0), and
+        # short and long caps check the same code against the reference.
+        monkeypatch.setattr(pol, "TOP_P", top_p)
+        monkeypatch.setattr(pol, "REPETITION_PENALTY", penalty)
+        p = randomised_policy(30, max_len=max_len)
+        p.out *= 6.0 * logit_scale
+        self.assert_matches_reference(p)
 
 
 class TestReference:

@@ -1,4 +1,4 @@
-"""Group advantages, clipped surrogate, schedules, and the full step loop."""
+"""Group advantages, the GRPO update, schedules, and the full step loop."""
 import math
 import warnings
 
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
-from geoloop.policy import ToyPolicy, Vocab, make_toy_task, transition_counts, warm_start
+from geoloop.policy import (ParamGrad, ToyPolicy, Vocab, make_toy_task,
+                            transition_counts, warm_start)
 from geoloop import mi, rep_metrics
 from geoloop import trainer as tr
 
@@ -53,43 +54,59 @@ class TestGroupAdvantages:
             assert out.advantages.std() == pytest.approx(1.0, abs=1e-6)
 
 
-class TestClippedSurrogate:
-    def test_upper_clip(self):
-        # r = 1.3 with eps 0.1, A = 1: min(1.3, 1.1) = 1.1, loss -1.1
-        value = tr.clipped_surrogate(math.log(1.3), 0.0, 1.0, 0.1)
-        assert value == pytest.approx(-1.1)
+class TestGrpoUpdate:
+    def test_step_follows_the_on_policy_gradient(self, monkeypatch):
+        """One grpo_cot_plus step, no OT: the parameters move by -lr times the
+        clipped GRPO gradient -sum_kept A_i grad log p_i / (max_len * n_kept),
+        built here from per-sequence gradients of the pre-step policy.  At
+        max_len 8, 3 of the 16 completions are truncated and the gradient
+        norm (0.10) is over the clip."""
+        task = make_toy_task(seed=4, prompt_len=2, n_items=16)
+        policy = ToyPolicy(Vocab(), max_len=8)
+        policy.init_params(4)
+        warm_start(policy, task, 60, 0.5, 4, bias=0.15)
+        config = tr.TrainConfig(prompts_per_batch=4, grad_clip=0.05).with_ablation(
+            "grpo_cot_plus")
+        assert config.ot_weight == 0.0 and config.sami_weight == 0.0
+        trainer = tr.Trainer(policy, task, config, max_steps=10, seed=4)
+        before = policy.clone()
 
-    def test_unit_ratio(self):
-        assert tr.clipped_surrogate(0.0, 0.0, 2.5, 0.1) == pytest.approx(-2.5)
+        sampled, advantages = [], []
+        sample_groups, group_advantages = policy.sample_groups, tr.group_advantages
 
-    def test_negative_advantage_case(self):
-        # r = 0.5, A = -1: min(-0.5, -0.45) = -0.5 ... with clip(0.5)=0.9:
-        # min(0.5*-1, 0.9*-1) = -0.9, loss 0.9
-        value = tr.clipped_surrogate(math.log(0.5), 0.0, -1.0, 0.1)
-        assert value == pytest.approx(0.9)
+        def record_groups(*args, **kwargs):
+            out = sample_groups(*args, **kwargs)
+            sampled.extend(out)
+            return out
 
-    def test_length_constant_scales_ratio(self):
-        value = tr.clipped_surrogate(12.0, 0.0, 1.0, 0.5, length_norm_constant=12.0)
-        assert value == pytest.approx(-min(math.e, 1.5))
+        def record_advantages(rewards, mode):
+            out = group_advantages(rewards, mode)
+            advantages.append(out.advantages)
+            return out
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(-2, 2), st.floats(-3, 3))
-    def test_gradient_zero_outside_band_positive_adv(self, log_ratio, adv):
-        coef = tr.surrogate_grad_coefficient(log_ratio, 0.0, adv, 0.1)
-        r = math.exp(log_ratio)
-        if adv > 0 and r > 1.1:
-            assert coef == 0.0
-        if adv < 0 and r < 0.9:
-            assert coef == 0.0
+        monkeypatch.setattr(policy, "sample_groups", record_groups)
+        monkeypatch.setattr(tr, "group_advantages", record_advantages)
+        report = trainer.train_step()
 
-    def test_gradient_matches_finite_difference_inside_band(self):
-        for adv in (1.3, -0.7):
-            for log_ratio in (-0.05, 0.0, 0.05):
-                coef = tr.surrogate_grad_coefficient(log_ratio, 0.0, adv, 0.1)
-                h = 1e-7
-                up = tr.clipped_surrogate(log_ratio + h, 0.0, adv, 0.1)
-                dn = tr.clipped_surrogate(log_ratio - h, 0.0, adv, 0.1)
-                assert coef == pytest.approx((up - dn) / (2 * h), rel=1e-5)
+        items = task.items[:config.prompts_per_batch]
+        kept = [(item, comp, a) for item, group, adv in zip(items, sampled, advantages)
+                for comp, a in zip(group, adv) if not comp.truncated]
+        assert 0 < len(kept) < len(items) * config.group_size
+        assert any(a != 0.0 for *_, a in kept)
+        loss_grad = ParamGrad.zeros(policy.vocab.size, policy.dim)
+        for item, comp, a in kept:
+            ctx = (item.prompt, task.principle(item.principle_id).tokens)
+            loss_grad.add(before.grad_seq_logprob(*ctx, comp.tokens),
+                          -a / (policy.max_len * len(kept)))
+        assert report.loss_grpo == pytest.approx(-sum(a for *_, a in kept) / len(kept),
+                                                 abs=1e-12)
+        norm = loss_grad.global_norm()
+        assert report.grad_norm == pytest.approx(norm, rel=1e-9)
+        assert norm > config.grad_clip
+        step = config.learning_rate * config.grad_clip / norm
+        for name, block in policy.param_blocks().items():
+            change = block - before.param_blocks()[name]
+            assert np.max(np.abs(change + step * getattr(loss_grad, name))) <= 1e-12, name
 
 
 class TestSchedules:
@@ -207,7 +224,7 @@ class TestTrainStep:
 
     def test_saturated_format_zero_signal(self):
         # All-equal rewards in every group: no variance, no policy gradient
-        # from the surrogate (the ablation's collapse mode).
+        # from the GRPO term (the ablation's collapse mode).
         t = small_trainer(seed=9)
         t.config = t.config.with_ablation("grpo_cot")
         zero_std_steps = 0
