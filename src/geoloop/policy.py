@@ -8,18 +8,28 @@ Architecture (deliberately tiny so every gradient is analytic):
     p(y_t|...) = softmax(logits_t)
 
 Every next-token distribution depends only on the context and the previous
-token, so the forward pass is one table (`NextTokenTable`) of shape
-(C, V+1, V) over C contexts: row 0 is the first position, row r = 1..V
-follows token r-1.  `ToyPolicy.bag` checks each context's tokens and computes
-its bag weights, which no parameter touches; `ToyPolicy.forward` turns those
-weights into the table, and `ToyPolicy.table` does both.  A loop over fixed
-contexts (the MLE warm starts) bags them once.  A completion enters only through
-its (row, token) transition counts.  Sequence log-likelihoods are products of
-the table with those counts, hidden summaries are count-weighted means of the
-table's feature rows, and sampling decodes a whole batch of rows position by
-position from it.  The gradient of any weighted sum of log-likelihoods and
-summaries is one `ToyPolicy.backward` call through the feature map; the
-per-sequence methods are thin views on the table and that call.
+token, so the forward pass is one table (`NextTokenTable`) of C x (V+1) rows
+over C contexts: row 0 is the first position, row r = 1..V follows token r-1.
+The table is an outer sum.  The feature of row r of context c is
+cfeat[c] + pfeat[r], with cfeat = ctx_scale * ctx (C, d) and
+pfeat = [0; prev_scale * embed] (V+1, d), so its logits are a[c] + b[r] with
+a = cfeat @ out and b = pfeat @ out.  The table keeps only these 2-D factors:
+a row's log-partition is max a[c] + max b[r] + log (ea @ eb.T)[c, r], with
+ea and eb the max-shifted exponentials of a and b, and every sum over the
+(C, V+1, V) table is a matrix product of factors; no (C, V+1, d) or
+(C, V+1, V) array is built on the way.
+
+`ToyPolicy.bag` checks each context's tokens and computes its bag weights,
+which no parameter touches; `ToyPolicy.forward` turns those weights into the
+table, and `ToyPolicy.table` does both.  A loop over fixed contexts (the MLE
+warm starts) bags them once.  A completion enters only through its
+(row, token) transition counts.  Sequence log-likelihoods are products of the
+factors with the counts' row and token sums, hidden summaries are a context
+feature plus the count-weighted mean of row features, and sampling decodes a
+whole batch of rows position by position from a[c] + b[r].  The gradient of
+any weighted sum of log-likelihoods and summaries is one `ToyPolicy.backward`
+call, which needs only three 2-D sums of the coefficients; the per-sequence
+methods are thin views on the table and that call.
 
 Zero-initialised parameters give the uniform policy, so every token template
 has probability V^{-|y|} > 0 from the start.  Sampling decodes with fixed
@@ -53,6 +63,7 @@ DEFAULT_MAX_LEN = 12
 # Decode settings of every sample: nucleus mass and repetition penalty.
 TOP_P = 0.95
 REPETITION_PENALTY = 1.1
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -179,22 +190,47 @@ class ParamGrad:
 
 @dataclass(frozen=True)
 class NextTokenTable:
-    """Every next-token distribution of a policy over C contexts.
+    """Every next-token distribution of a policy over C contexts, as two factors.
 
     Row 0 of a context is the first position; row r = 1..V follows token r-1.
+    The features are an outer sum, feats[c, r] = cfeat[c] + pfeat[r], so the
+    logits are too: logits[c, r] = a[c] + b[r].  The table stores the feature
+    factors, the logit factors, their row-max-shifted exponentials ea and eb,
+    the shifted partitions z = ea @ eb.T and the log-partitions lse, so every
+    sum over the (C, V+1, V) table is a product of 2-D factors.  `logp`
+    materialises the whole log-softmax for the one-context gather views.
     It describes the parameters the policy had when the table was built.
     """
 
     weights: np.ndarray   # (C, V) bag-mean weights of each context's tokens
     ctx: np.ndarray       # (C, d) context vectors, weights @ embed
-    feats: np.ndarray     # (C, V+1, d) pre-softmax features
-    logits: np.ndarray    # (C, V+1, V)
-    logp: np.ndarray      # (C, V+1, V) plain log-softmax
+    cfeat: np.ndarray     # (C, d) context features, ctx_scale * ctx
+    pfeat: np.ndarray     # (V+1, d) row features, [0; prev_scale * embed]
+    a: np.ndarray         # (C, V) context logits, cfeat @ out
+    b: np.ndarray         # (V+1, V) row logits, pfeat @ out
+    ea: np.ndarray        # (C, V) exp(a - max a) per context
+    eb: np.ndarray        # (V+1, V) exp(b - max b) per row
+    z: np.ndarray         # (C, V+1) shifted partitions, ea @ eb.T
+    lse: np.ndarray       # (C, V+1) log-partitions, max a + max b + log z
+
+    @property
+    def logp(self) -> np.ndarray:
+        """(C, V+1, V) plain log-softmax."""
+        return self.a[:, None, :] + self.b[None, :, :] - self.lse[:, :, None]
 
     def seq_logprobs(self, counts: np.ndarray) -> np.ndarray:
         """(C, B) log-likelihood of each completion under each context."""
-        flat = self.logp.reshape(self.logp.shape[0], -1)
-        return flat @ counts.reshape(counts.shape[0], flat.shape[1]).T
+        tokens, rows = counts.sum(axis=1), counts.sum(axis=2)
+        row_terms = counts.reshape(counts.shape[0], -1) @ self.b.ravel()
+        return _by_row(self.a, tokens.T) - _by_row(self.lse, rows.T) + row_terms
+
+    def entropies(self, ctx_idx) -> np.ndarray:
+        """(len(ctx_idx), V+1) entropy in nats of every row of the chosen contexts."""
+        a = self.a[ctx_idx]
+        a = a - a.max(axis=1, keepdims=True)
+        b = self.b - self.b.max(axis=1, keepdims=True)
+        ea, z = self.ea[ctx_idx], self.z[ctx_idx]
+        return np.log(z) - ((ea * a) @ self.eb.T + ea @ (self.eb * b).T) / z
 
     def summaries(self, ctx_idx, counts: np.ndarray) -> tuple:
         """(unit, norm): L2-normalised mean features of completion b under
@@ -203,7 +239,7 @@ class NextTokenTable:
         lengths = row_counts.sum(axis=1)
         if np.any(lengths == 0):
             raise ValidationError("hidden summary needs a non-empty completion")
-        mean = np.einsum("br,brd->bd", row_counts, self.feats[ctx_idx]) / lengths[:, None]
+        mean = self.cfeat[ctx_idx] + (row_counts @ self.pfeat) / lengths[:, None]
         norm = np.linalg.norm(mean, axis=1)
         # A degenerate all-zero mean maps to a fixed unit vector so the
         # summary stays on the sphere.
@@ -214,12 +250,14 @@ class NextTokenTable:
         return unit, norm
 
     def summary_feat_grad(self, ctx_idx, counts: np.ndarray,
-                          summary_grad: np.ndarray) -> np.ndarray:
-        """(C, V+1, d) feature gradient of sum_b summary_grad[b] . summary_b.
+                          summary_grad: np.ndarray) -> tuple:
+        """(d/d cfeat, d/d pfeat) of sum_b summary_grad[b] . summary_b.
 
         summary = v/|v| with v the mean feature, so each incoming gradient is
         pulled through the normalisation Jacobian (I - uu^T)/|v| and spread
-        over the completion's feature rows; a degenerate summary gets none.
+        over the completion's feature rows: all of it onto its context's
+        cfeat, and each row's share of the length onto that row's pfeat.  A
+        degenerate summary gets none.
         """
         unit, norm = self.summaries(ctx_idx, counts)
         g = np.asarray(summary_grad, dtype=float)
@@ -227,9 +265,9 @@ class NextTokenTable:
         g_v = (g - unit * np.sum(unit * g, axis=1, keepdims=True)) * inv_norm[:, None]
         row_counts = counts.sum(axis=2)
         share = row_counts / row_counts.sum(axis=1, keepdims=True)
-        out = np.zeros(self.feats.shape)
-        np.add.at(out, np.asarray(ctx_idx), share[:, :, None] * g_v[:, None, :])
-        return out
+        ctx_grad = np.zeros_like(self.cfeat)
+        np.add.at(ctx_grad, np.asarray(ctx_idx), g_v)
+        return ctx_grad, share.T @ g_v
 
 
 class ToyPolicy:
@@ -307,38 +345,59 @@ class ToyPolicy:
         return weights
 
     def forward(self, weights: np.ndarray) -> NextTokenTable:
-        """Every next-token distribution of each bagged context under the current parameters."""
-        ctx = weights @ self.embed
-        prev = np.vstack([np.zeros(self.dim), self.prev_scale * self.embed])
-        feats = (self.ctx_scale * ctx)[:, None, :] + prev[None, :, :]
-        logits = feats @ self.out
-        return NextTokenTable(weights, ctx, feats, logits, logits - _logsumexp_rows(logits))
+        """Every next-token distribution of each bagged context under the current parameters.
+
+        The log-partition of row r of context c is max a[c] + max b[r] +
+        log z[c, r].  A shifted partition below the smallest normal float
+        means the context and row logits disagree by more than the float
+        range, and it is rejected before anything is divided by it.
+        """
+        ctx = _by_row(weights, self.embed)
+        cfeat = self.ctx_scale * ctx
+        pfeat = np.zeros((self.vocab.size + 1, self.dim))
+        np.multiply(self.prev_scale, self.embed, out=pfeat[1:])
+        a, b = _by_row(cfeat, self.out), pfeat @ self.out
+        peak_a, peak_b = a.max(axis=1, keepdims=True), b.max(axis=1, keepdims=True)
+        ea, eb = np.exp(a - peak_a), np.exp(b - peak_b)
+        z = _by_row(ea, eb.T)
+        if z.min() < _TINY:
+            raise ValidationError("next-token partition underflows: the logits span "
+                                  "more than the float range")
+        return NextTokenTable(weights, ctx, cfeat, pfeat, a, b, ea, eb, z,
+                              peak_a + peak_b.T + np.log(z))
 
     def table(self, contexts) -> NextTokenTable:
         """The forward pass over (prompt, principle) contexts: forward(bag(contexts))."""
         return self.forward(self.bag(contexts))
 
     def backward(self, table: NextTokenTable, coeffs: np.ndarray,
-                 feat_grad: np.ndarray | None = None) -> ParamGrad:
-        """Gradient of sum(coeffs * table.logp) + sum(feat_grad * table.feats).
+                 feat_grad: tuple | None = None) -> ParamGrad:
+        """Gradient of sum(coeffs * table.logp) + sum(feat_grad[0] * table.cfeat)
+        + sum(feat_grad[1] * table.pfeat).
 
         A completion scored under context c with weight w adds w times its
         transition counts to coeffs[c], so one call backpropagates any
         weighted sum of sequence log-likelihoods (and, through feat_grad, of
-        hidden summaries) in one pass through the feature map.
+        hidden summaries).  The logit gradient coeffs - n * softmax, with n
+        the per-row sums of coeffs, reaches the two logit factors only through
+        its sums over rows (da) and over contexts (db), and softmax is
+        ea[c] * eb[r] / z[c, r], so both sums are 2-D products.
         """
         v = self.vocab.size
-        delta = coeffs - coeffs.sum(axis=2, keepdims=True) * np.exp(table.logp)
-        grad_h = delta @ self.out.T
+        # Sums over the short token and row axes as products with ones:
+        # numpy reduces a length-16 inner axis several times slower.
+        n_over_z = (coeffs @ np.ones(v)) / table.z
+        da = np.ones(v + 1) @ coeffs - table.ea * (n_over_z @ table.eb)
+        db = coeffs.sum(axis=0) - table.eb * (n_over_z.T @ table.ea)
+        grad_c, grad_p = da @ self.out.T, db @ self.out.T
         if feat_grad is not None:
-            grad_h = grad_h + feat_grad
-        per_ctx = grad_h.sum(axis=1)
-        per_prev = grad_h[:, 1:].sum(axis=0)
+            grad_c = grad_c + feat_grad[0]
+            grad_p = grad_p + feat_grad[1]
         return ParamGrad(
-            embed=self.prev_scale * per_prev + table.weights.T @ (self.ctx_scale * per_ctx),
-            out=table.feats.reshape(-1, self.dim).T @ delta.reshape(-1, v),
-            ctx_scale=np.sum(per_ctx * table.ctx, axis=0),
-            prev_scale=np.sum(per_prev * self.embed, axis=0))
+            embed=self.prev_scale * grad_p[1:] + table.weights.T @ (self.ctx_scale * grad_c),
+            out=table.cfeat.T @ da + table.pfeat.T @ db,
+            ctx_scale=np.sum(grad_c * table.ctx, axis=0),
+            prev_scale=np.sum(grad_p[1:] * self.embed, axis=0))
 
     # ---------- views on the table ----------
 
@@ -361,7 +420,8 @@ class ToyPolicy:
     def next_token_distribution(self, prompt, principle, prev=None) -> np.ndarray:
         """Plain softmax next-token distribution (a valid probability vector)."""
         row = 0 if prev is None else int(self._check_tokens([prev])[0]) + 1
-        probs = np.exp(self.table([(prompt, principle)]).logp[0, row])
+        table = self.table([(prompt, principle)])
+        probs = table.ea[0] * table.eb[row]
         return probs / probs.sum()
 
     def hidden_summary(self, prompt, principle, completion) -> np.ndarray:
@@ -375,7 +435,8 @@ class ToyPolicy:
         table = self.table([(prompt, principle)])
         counts = transition_counts([completion], self.vocab.size)
         feat_grad = table.summary_feat_grad([0], counts, np.atleast_2d(summary_grad))
-        return self.backward(table, np.zeros_like(table.logp), feat_grad)
+        return self.backward(table, np.zeros((1, self.vocab.size + 1, self.vocab.size)),
+                             feat_grad)
 
     def grad_seq_logprob(self, prompt, principle, completion) -> ParamGrad:
         """Analytic gradient of the sequence log-likelihood w.r.t. all blocks."""
@@ -421,7 +482,7 @@ class ToyPolicy:
             if idx.size == 0:
                 break
             prev_rows = tokens[idx, t - 1] + 1 if t else np.zeros(idx.size, dtype=int)
-            logits = table.logits[ctx[idx], prev_rows]
+            logits = table.a[ctx[idx]] + table.b[prev_rows]
             hit = seen[idx]
             logits = np.where(hit & (logits > 0), logits / REPETITION_PENALTY,
                               np.where(hit, logits * REPETITION_PENALTY, logits))
@@ -433,8 +494,9 @@ class ToyPolicy:
             lengths[idx] += 1
             seen[idx, chosen] = True
             active[idx[chosen == eos]] = False
-        ent_table = -np.sum(np.exp(table.logp) * table.logp, axis=2)
-        ents = ent_table[ctx[:, None], _table_rows(tokens)]
+        group = np.repeat(np.arange(n_groups), group_size)
+        ents = table.entropies(np.asarray(ctx_idx, dtype=int))[group[:, None],
+                                                               _table_rows(tokens)]
         comps = [Completion(tuple(tokens[b, :lengths[b]].tolist()), ents[b, :lengths[b]],
                             bool(active[b])) for b in range(n)]
         return [comps[g * group_size:(g + 1) * group_size] for g in range(n_groups)]
@@ -472,16 +534,21 @@ def transition_counts(completions, vocab_size: int) -> np.ndarray:
     return counts
 
 
+def _by_row(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m one row of x at a time.
+
+    A 2-D BLAS product can round row c differently depending on how many
+    rows share the call; row by row, a context's table and scores do not
+    depend on which other contexts are in the table.
+    """
+    return (x[:, None, :] @ m)[:, 0]
+
+
 def _table_rows(tokens: np.ndarray) -> np.ndarray:
     """Table row of each position: 0 first, then previous token + 1."""
     rows = np.zeros_like(tokens)
     rows[..., 1:] = tokens[..., :-1] + 1
     return rows
-
-
-def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
-    peak = np.max(logits, axis=-1, keepdims=True)
-    return peak + np.log(np.sum(np.exp(logits - peak), axis=-1, keepdims=True))
 
 
 # ---------- synthetic constitution-conditioned task ----------

@@ -495,7 +495,7 @@ class Trainer:
                 "param_hash": self.policy.param_hash(), "config_hash": config_hash,
                 "config_text": config_text,
                 "vocab_size": self.policy.vocab.size, "dim": self.policy.dim,
-                "schema": 1}
+                "max_len": self.policy.max_len, "schema": 1}
         np.savez(path, meta=json.dumps(meta, sort_keys=True),
                  **{k: v for k, v in blocks.items()},
                  ref_embed=self.reference.embed, ref_out=self.reference.out,
@@ -505,18 +505,23 @@ class Trainer:
 
 
 def load_checkpoint(path) -> tuple:
-    """(policy, reference, meta) from a snapshot; verifies the stored hash."""
-    from .policy import Vocab
+    """(policy, reference, meta) from a snapshot; verifies the stored hash.
+
+    A snapshot written before checkpoints kept max_len loads with
+    DEFAULT_MAX_LEN.
+    """
+    from .policy import DEFAULT_MAX_LEN, Vocab
 
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
     vocab = Vocab(int(meta["vocab_size"]))
-    policy = ToyPolicy(vocab, int(meta["dim"]))
+    max_len = int(meta.get("max_len", DEFAULT_MAX_LEN))
+    policy = ToyPolicy(vocab, int(meta["dim"]), max_len=max_len)
     policy.embed = data["embed"].copy()
     policy.out = data["out"].copy()
     policy.ctx_scale = data["ctx_scale"].copy()
     policy.prev_scale = data["prev_scale"].copy()
-    ref = ToyPolicy(vocab, int(meta["dim"]))
+    ref = ToyPolicy(vocab, int(meta["dim"]), max_len=max_len)
     ref.embed = data["ref_embed"].copy()
     ref.out = data["ref_out"].copy()
     ref.ctx_scale = data["ref_ctx_scale"].copy()

@@ -1,5 +1,7 @@
 """Toy policy: gradients vs finite differences, sampling, format, task plumbing."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +396,186 @@ class TestTableKernel:
     def test_out_of_vocab_rejected(self, call):
         with pytest.raises(ValidationError):
             call(randomised_policy(26))
+
+
+def reference_logsumexp_rows(logits):
+    peak = np.max(logits, axis=-1, keepdims=True)
+    return peak + np.log(np.sum(np.exp(logits - peak), axis=-1, keepdims=True))
+
+
+def reference_forward(p, weights):
+    """(ctx, feats, logp) of the materialised kernel: (C, V+1, d) features
+    and the (C, V+1, V) log-softmax of their logits."""
+    ctx = weights @ p.embed
+    prev = np.vstack([np.zeros(p.dim), p.prev_scale * p.embed])
+    feats = (p.ctx_scale * ctx)[:, None, :] + prev[None, :, :]
+    logits = feats @ p.out
+    return ctx, feats, logits - reference_logsumexp_rows(logits)
+
+
+def reference_backward(p, weights, coeffs, feat_grad=None):
+    """Gradient of sum(coeffs * logp) + sum(feat_grad * feats) through the
+    materialised (C, V+1, d) feature gradient."""
+    ctx, feats, logp = reference_forward(p, weights)
+    delta = coeffs - coeffs.sum(axis=2, keepdims=True) * np.exp(logp)
+    grad_h = delta @ p.out.T
+    if feat_grad is not None:
+        grad_h = grad_h + feat_grad
+    per_ctx = grad_h.sum(axis=1)
+    per_prev = grad_h[:, 1:].sum(axis=0)
+    return pol.ParamGrad(
+        embed=p.prev_scale * per_prev + weights.T @ (p.ctx_scale * per_ctx),
+        out=feats.reshape(-1, p.dim).T @ delta.reshape(-1, p.vocab.size),
+        ctx_scale=np.sum(per_ctx * ctx, axis=0),
+        prev_scale=np.sum(per_prev * p.embed, axis=0))
+
+
+def reference_summaries(feats, ctx_idx, counts):
+    """(unit, norm) of the count-weighted mean feature rows."""
+    row_counts = counts.sum(axis=2)
+    mean = np.einsum("br,brd->bd", row_counts, feats[ctx_idx]) / row_counts.sum(axis=1)[:, None]
+    norm = np.linalg.norm(mean, axis=1)
+    return mean / norm[:, None], norm
+
+
+def reference_summary_feat_grad(feats, ctx_idx, counts, summary_grad):
+    """(C, V+1, d) feature gradient of sum_b summary_grad[b] . summary_b."""
+    unit, norm = reference_summaries(feats, ctx_idx, counts)
+    radial = np.sum(unit * summary_grad, axis=1, keepdims=True)
+    g_v = (summary_grad - unit * radial) / norm[:, None]
+    row_counts = counts.sum(axis=2)
+    share = row_counts / row_counts.sum(axis=1, keepdims=True)
+    out = np.zeros(feats.shape)
+    np.add.at(out, np.asarray(ctx_idx), share[:, :, None] * g_v[:, None, :])
+    return out
+
+
+def assert_rel_close(got, want, rel=1e-12, name=""):
+    """max |got - want| <= rel * max |want|: relative to the array's scale,
+    since a log-probability near 0 carries the absolute rounding of logits
+    many nats larger."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, name
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), name
+
+
+def assert_grads_rel_close(got, want, rel=1e-12):
+    for name in ("embed", "out", "ctx_scale", "prev_scale"):
+        assert_rel_close(getattr(got, name), getattr(want, name), rel, name)
+
+
+def task_policy(scale):
+    """A 32-context task and a dim-32 policy at the given init scale; scale 2
+    gives logits of tens of nats."""
+    task = pol.make_toy_task(seed=40)
+    p = pol.ToyPolicy(task.vocab)
+    p.init_params(40, scale=scale)
+    return task, p
+
+
+class TestFactoredKernel:
+    """The outer-sum kernel against the materialised 3-D one."""
+
+    @pytest.mark.parametrize("scale", [0.1, 2.0])
+    def test_scores_and_summaries_match_reference(self, scale):
+        task, p = task_policy(scale)
+        triples = pol.gold_items(task)
+        contexts = [(prompt, principle) for prompt, principle, _ in triples]
+        golds = [gold for _, _, gold in triples]
+        table = p.table(contexts)
+        _, feats, logp = reference_forward(p, table.weights)
+        assert_rel_close(table.logp, logp, name="logp")
+        for c in (0, 7, 31):
+            rows = pol._table_rows(np.array(golds[c]))
+            assert_rel_close(p.token_logprobs(*contexts[c], golds[c]),
+                             logp[c, rows, golds[c]], name="token_logprobs")
+        counts = pol.transition_counts(golds, p.vocab.size)
+        assert_rel_close(table.seq_logprobs(counts),
+                         logp.reshape(len(contexts), -1) @ counts.reshape(len(golds), -1).T,
+                         name="seq_logprobs")
+        ctx_idx = np.arange(len(golds))[::-1]
+        assert_rel_close(table.summaries(ctx_idx, counts)[0],
+                         reference_summaries(feats, ctx_idx, counts)[0], name="summaries")
+        chosen = [3, 3, 17, 0]
+        assert_rel_close(table.entropies(chosen),
+                         -np.sum(np.exp(logp[chosen]) * logp[chosen], axis=2),
+                         name="entropies")
+
+    @pytest.mark.parametrize("scale", [0.1, 2.0])
+    def test_backward_matches_reference(self, scale):
+        task, p = task_policy(scale)
+        triples = pol.gold_items(task)
+        table = p.table([(prompt, principle) for prompt, principle, _ in triples])
+        counts = pol.transition_counts([gold for _, _, gold in triples], p.vocab.size)
+        weights = np.random.default_rng(41).normal(size=(len(triples), len(triples)))
+        coeffs = np.tensordot(weights, counts, axes=1)
+        assert_grads_rel_close(p.backward(table, coeffs),
+                               reference_backward(p, table.weights, coeffs))
+        _, feats, _ = reference_forward(p, table.weights)
+        ctx_idx = np.random.default_rng(42).integers(0, len(triples), len(triples))
+        summary_grad = np.random.default_rng(43).normal(size=(len(triples), p.dim))
+        assert_grads_rel_close(
+            p.backward(table, coeffs, table.summary_feat_grad(ctx_idx, counts, summary_grad)),
+            reference_backward(p, table.weights, coeffs, reference_summary_feat_grad(
+                feats, ctx_idx, counts, summary_grad)))
+
+    @pytest.mark.parametrize("scale", [0.1, 2.0])
+    def test_mle_epoch_matches_reference(self, scale):
+        task, p = task_policy(scale)
+        triples = pol.gold_items(task)
+        q = p.clone()
+        pol.mle_pretrain(p, triples, 1, 0.5)
+        weights = q.bag([(prompt, principle) for prompt, principle, _ in triples])
+        counts = pol.transition_counts([gold for _, _, gold in triples], q.vocab.size)
+        q.add_scaled(reference_backward(q, weights, counts), 0.5 / len(triples))
+        for name, block in p.param_blocks().items():
+            assert_rel_close(block, q.param_blocks()[name], name=name)
+
+    def test_no_three_dimensional_temporaries(self):
+        # With V = 64 and d = 8 one (C, V+1, V) array is 33 KB a context, and
+        # the 2-D factors of a forward and backward pass together about 6 KB:
+        # the peak of each stays under half of one such array, for a pass
+        # and for an epoch of _mle_epochs over precomputed counts.
+        p = pol.ToyPolicy(pol.Vocab(64), dim=8)
+        p.init_params(44)
+        rng = np.random.default_rng(44)
+        fillers = len(p.vocab.fillers)
+        contexts = [(tuple(rng.integers(0, fillers, 4)), tuple(rng.integers(0, fillers, 2)))
+                    for _ in range(64)]
+        weights = p.bag(contexts)
+        counts = pol.transition_counts([tuple(rng.integers(0, 64, 10)) for _ in contexts], 64)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            p.backward(p.forward(weights), counts)
+            forward_backward = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            pol._mle_epochs(p, contexts, 1, 0.5, lambda epoch: counts)
+            epoch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_backward < counts.nbytes / 2
+        assert epoch < counts.nbytes / 2
+
+    def test_partition_underflow_rejected(self):
+        # The context logits peak at token 0 and every row logit after the
+        # first at token 1, 800 nats apart: the logits span 1600 nats, and
+        # ea @ eb.T underflows although every log-softmax is finite.
+        p = pol.ToyPolicy(pol.Vocab(), dim=8)
+        p.embed[:, :2] = 1.0
+        p.ctx_scale = np.eye(8)[0]
+        p.prev_scale = np.eye(8)[1]
+        p.out[0] = -800.0
+        p.out[0, 0] = 0.0
+        p.out[1] = -800.0
+        p.out[1, 1] = 0.0
+        contexts = [((1, 2), (0, 6))]
+        _, feats, logp = reference_forward(p, p.bag(contexts))
+        assert np.all(np.isfinite(logp)) and np.ptp(feats @ p.out) > 1500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="underflow"):
+                p.table(contexts)
 
 
 class TestBatchedSampler:

@@ -1,4 +1,5 @@
 """Group advantages, the GRPO update, schedules, and the full step loop."""
+import json
 import math
 import warnings
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
-from geoloop.policy import (ParamGrad, ToyPolicy, Vocab, make_toy_task,
-                            transition_counts, warm_start)
+from geoloop.policy import (DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, Vocab,
+                            make_toy_task, transition_counts, warm_start)
 from geoloop import mi, rep_metrics
 from geoloop import trainer as tr
 
@@ -261,6 +262,30 @@ class TestCheckpoints:
         assert reference.param_hash() == t.reference.param_hash()
         assert meta["config_hash"] == "abc"
         assert meta["step"] == 1
+
+    def test_max_len_round_trip(self, tmp_path):
+        task = make_toy_task(seed=13, prompt_len=2, n_items=16)
+        policy = ToyPolicy(Vocab(), max_len=8)
+        policy.init_params(13)
+        t = tr.Trainer(policy, task, tr.TrainConfig(prompts_per_batch=4),
+                       max_steps=2, seed=13)
+        path = tmp_path / "ckpt.npz"
+        t.save_checkpoint(path)
+        policy, reference, meta = tr.load_checkpoint(path)
+        assert meta["max_len"] == 8
+        assert policy.max_len == reference.max_len == 8
+
+    def test_missing_max_len_loads_default(self, tmp_path):
+        t = small_trainer(seed=14)
+        path = tmp_path / "ckpt.npz"
+        t.save_checkpoint(path)
+        data = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(str(data["meta"]))
+        del meta["max_len"]
+        data["meta"] = json.dumps(meta, sort_keys=True)
+        np.savez(path, **data)
+        policy, reference, _ = tr.load_checkpoint(path)
+        assert policy.max_len == reference.max_len == DEFAULT_MAX_LEN
 
     def test_corruption_detected(self, tmp_path):
         t = small_trainer(seed=11)
