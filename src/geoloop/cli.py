@@ -390,8 +390,9 @@ def cmd_probe(args) -> int:
     last_policy = loaded[-1][0]
     n_principles = len(task.principles)
     sample = task.items[:min(len(task.items), args.items)]
-    table = last_policy.table([(item.prompt, p.tokens)
-                               for item in sample for p in task.principles])
+    table = last_policy.forward(last_policy.bag_grid(
+        [item.prompt for item in sample],
+        [p.tokens for p in task.principles]).reshape(-1, vocab.size))
     golds = transition_counts([item.gold for item in sample], vocab.size)
     scores = table.seq_logprobs(golds).reshape(len(sample), n_principles, len(sample))
     own = np.arange(len(sample))

@@ -17,8 +17,9 @@ The z-scored SI variant replaces each component with a robust z-score
 sets; both modes are reported because they answer different questions (raw
 reproduces absolute bookkeeping, z-scored ranks a cohort).
 
-Each task item is scored with one table: its gold under every positive,
-every negative and no principle.  Every report, measured, replayed or read
+All task items are scored with one table: each item's gold under its
+prompt with every positive, every negative and no principle; each prompt and
+principle is bagged once.  Every report, measured, replayed or read
 from external score files, is assembled by `report_from_components`.
 
 Negatives pair with positives by index (cyclically when counts differ),
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import mi
 from .errors import ValidationError
+from .policy import transition_counts
 
 DEFAULT_WEIGHTS = (0.6, 0.3, 0.1)
 
@@ -292,13 +294,16 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
     true_pos_idx = [pos_by_pid[item.principle_id] % len(pset.positives)
                     for item in task.items]
 
-    # One table per item: its gold under every positive, every negative and
-    # no principle.
+    # One table over every item's contexts: its prompt with every positive,
+    # every negative and no principle, each context scoring the item's gold.
     n_pos = len(pset.positives)
     principles = pset.positives + pset.negatives
-    sums = np.array([policy.multi_context_logprob(
-        [(prompt, p.tokens) for p in principles] + [(prompt, ())], gold)
-        for prompt, gold in items])
+    bags = policy.bag_grid([prompt for prompt, _ in items],
+                           [p.tokens for p in principles] + [()])
+    n_ctx = bags.shape[1]
+    golds = transition_counts([gold for _, gold in items], policy.vocab.size)
+    sums = policy.forward(bags.reshape(-1, policy.vocab.size)).context_logprobs(
+        golds, np.repeat(np.arange(len(items)), n_ctx)).reshape(len(items), n_ctx)
     n_tok = np.array([max(1, len(gold)) for _, gold in items], dtype=float)
     scores = sums / n_tok[:, None]
     pos_scores, neg_scores, without = scores[:, :n_pos], scores[:, n_pos:-1], scores[:, -1]

@@ -157,6 +157,49 @@ class Completion:
         return float(np.mean(self.entropies)) if self.entropies.size else 0.0
 
 
+@dataclass(frozen=True)
+class Samples:
+    """Completions decoded together; row b of each array is completion b."""
+
+    tokens: np.ndarray      # (B, max_len) ids, zero past lengths[b]
+    lengths: np.ndarray     # (B,) at least 1; the trailing EOS unless truncated
+    truncated: np.ndarray   # (B,) True where max_len tokens hold no EOS
+    entropies: np.ndarray   # (B, max_len) entropy of each position's plain softmax
+
+    def completions(self) -> list:
+        return [Completion(tuple(self.tokens[b, :n].tolist()), self.entropies[b, :n],
+                           bool(self.truncated[b])) for b, n in enumerate(self.lengths)]
+
+    def counts(self, vocab_size: int) -> np.ndarray:
+        """(B, V+1, V) transition counts, as transition_counts gives them."""
+        return _count_transitions(self.tokens, self.lengths, vocab_size)
+
+    def mean_entropies(self) -> np.ndarray:
+        """Completion.mean_entropy of each row.  Rows of one length are
+        averaged together, so each row is summed as its own 1-D mean sums it."""
+        out = np.zeros(self.lengths.size)
+        for n in np.unique(self.lengths):
+            rows = self.lengths == n
+            out[rows] = self.entropies[rows, :n].mean(axis=1)
+        return out
+
+    def format_ok(self, vocab: Vocab) -> np.ndarray:
+        """Per row: not truncated and toy_format_reward(content) == 1.0.
+
+        The content is the row without its trailing EOS.  With exactly one of
+        each tag and no EOS in it, the template holds iff R_OPEN is first,
+        A_CLOSE last and A_OPEN right after R_CLOSE.
+        """
+        n = self.lengths - 1
+        content = np.arange(self.tokens.shape[1]) < n[:, None]
+        tags = np.array([vocab.r_open, vocab.r_close, vocab.a_open, vocab.a_close])
+        hits = (self.tokens[:, :, None] == tags) & content[:, :, None]
+        at = hits.argmax(axis=1)
+        return (~self.truncated & np.all(hits.sum(axis=1) == 1, axis=1)
+                & ~np.any((self.tokens == vocab.eos) & content, axis=1)
+                & (at[:, 0] == 0) & (at[:, 2] == at[:, 1] + 1) & (at[:, 3] == n - 1))
+
+
 @dataclass
 class ParamGrad:
     """Gradient container aligned with ToyPolicy's parameter blocks."""
@@ -223,6 +266,21 @@ class NextTokenTable:
         tokens, rows = counts.sum(axis=1), counts.sum(axis=2)
         row_terms = counts.reshape(counts.shape[0], -1) @ self.b.ravel()
         return _by_row(self.a, tokens.T) - _by_row(self.lse, rows.T) + row_terms
+
+    def context_logprobs(self, counts: np.ndarray, comp_idx) -> np.ndarray:
+        """(C,) log-likelihood of completion comp_idx[c] under context c.
+
+        Each term is one dot product, as in a one-completion seq_logprobs
+        call, so entry c equals that call's and depends on no other row.
+        """
+        tokens, rows = counts.sum(axis=1)[comp_idx], counts.sum(axis=2)[comp_idx]
+        row_terms = (counts.reshape(counts.shape[0], 1, -1) @ self.b.reshape(-1, 1))[:, 0, 0]
+        return (_dots(self.a, tokens) - _dots(self.lse, rows)) + row_terms[comp_idx]
+
+    def next_token_probs(self, c: int, row: int = 0) -> np.ndarray:
+        """Plain softmax next-token distribution of row `row` of context c."""
+        probs = self.ea[c] * self.eb[row]
+        return probs / probs.sum()
 
     def entropies(self, ctx_idx) -> np.ndarray:
         """(len(ctx_idx), V+1) entropy in nats of every row of the chosen contexts."""
@@ -336,13 +394,32 @@ class ToyPolicy:
             raise ValidationError(f"token out of vocabulary (size {self.vocab.size})")
         return arr
 
+    def _token_counts(self, seqs) -> tuple:
+        """((n, V) token counts, (n,) lengths) of checked token sequences."""
+        counts = np.zeros((len(seqs), self.vocab.size), dtype=int)
+        lengths = np.zeros(len(seqs), dtype=int)
+        for i, seq in enumerate(seqs):
+            tokens = self._check_tokens(seq)
+            counts[i] = np.bincount(tokens, minlength=self.vocab.size)
+            lengths[i] = tokens.size
+        return counts, lengths
+
     def bag(self, contexts) -> np.ndarray:
         """(C, V) bag-mean token weights of each (prompt, principle); no parameters."""
-        weights = np.zeros((len(contexts), self.vocab.size))
-        for c, (prompt, principle) in enumerate(contexts):
-            tokens = self._check_tokens(tuple(prompt) + tuple(principle))
-            weights[c] = np.bincount(tokens, minlength=self.vocab.size) / max(1, tokens.size)
-        return weights
+        counts, lengths = self._token_counts([tuple(p) + tuple(q) for p, q in contexts])
+        return counts / np.maximum(1, lengths)[:, None]
+
+    def bag_grid(self, prompts, principles) -> np.ndarray:
+        """(P, Q, V) bag weights of prompt i with principle j, equal to bag's.
+
+        Each prompt and each principle is checked and counted once; the
+        counts are integers, so their sums and the division are exact as in
+        bag.
+        """
+        p_counts, p_lengths = self._token_counts(prompts)
+        q_counts, q_lengths = self._token_counts(principles)
+        lengths = np.maximum(1, p_lengths[:, None] + q_lengths[None, :])
+        return (p_counts[:, None, :] + q_counts[None, :, :]) / lengths[:, :, None]
 
     def forward(self, weights: np.ndarray) -> NextTokenTable:
         """Every next-token distribution of each bagged context under the current parameters.
@@ -420,9 +497,7 @@ class ToyPolicy:
     def next_token_distribution(self, prompt, principle, prev=None) -> np.ndarray:
         """Plain softmax next-token distribution (a valid probability vector)."""
         row = 0 if prev is None else int(self._check_tokens([prev])[0]) + 1
-        table = self.table([(prompt, principle)])
-        probs = table.ea[0] * table.eb[row]
-        return probs / probs.sum()
+        return self.table([(prompt, principle)]).next_token_probs(0, row)
 
     def hidden_summary(self, prompt, principle, completion) -> np.ndarray:
         """L2-normalised mean of per-token features over completion tokens."""
@@ -453,11 +528,12 @@ class ToyPolicy:
     def sample_group(self, prompt, principle, group_size: int, seed) -> list:
         """group_size independent completions, deterministic for a fixed seed."""
         return self.sample_groups(self.table([(prompt, principle)]), [0],
-                                  group_size, [seed])[0]
+                                  group_size, [seed]).completions()
 
     def sample_groups(self, table: NextTokenTable, ctx_idx, group_size: int,
-                      seeds) -> list:
-        """One group of completions per table context ctx_idx[g], decoded together.
+                      seeds) -> Samples:
+        """One group of completions per table context ctx_idx[g], decoded
+        together; group g is rows g * group_size to (g + 1) * group_size - 1.
 
         Group g draws from its own stream default_rng(seeds[g]): one uniform
         per sampled token, handed to the group's active members in (position,
@@ -497,9 +573,7 @@ class ToyPolicy:
         group = np.repeat(np.arange(n_groups), group_size)
         ents = table.entropies(np.asarray(ctx_idx, dtype=int))[group[:, None],
                                                                _table_rows(tokens)]
-        comps = [Completion(tuple(tokens[b, :lengths[b]].tolist()), ents[b, :lengths[b]],
-                            bool(active[b])) for b in range(n)]
-        return [comps[g * group_size:(g + 1) * group_size] for g in range(n_groups)]
+        return Samples(tokens, lengths, active, ents)
 
 
 def _decode(logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -523,13 +597,18 @@ def transition_counts(completions, vocab_size: int) -> np.ndarray:
     """(B, V+1, V) counts of (table row, token) pairs in each completion."""
     lengths = np.array([len(c) for c in completions], dtype=int)
     tok = np.zeros((len(completions), max(lengths, default=0)), dtype=int)
-    mask = np.arange(tok.shape[1]) < lengths[:, None]
     for b, comp in enumerate(completions):
         tok[b, :lengths[b]] = comp
+    return _count_transitions(tok, lengths, vocab_size)
+
+
+def _count_transitions(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Transition counts of the first lengths[b] tokens of each row of tok."""
+    mask = np.arange(tok.shape[1]) < lengths[:, None]
     if np.any((tok[mask] < 0) | (tok[mask] >= vocab_size)):
         raise ValidationError(f"token out of vocabulary (size {vocab_size})")
-    counts = np.zeros((len(completions), vocab_size + 1, vocab_size))
-    batch = np.broadcast_to(np.arange(len(completions))[:, None], tok.shape)
+    counts = np.zeros((tok.shape[0], vocab_size + 1, vocab_size))
+    batch = np.broadcast_to(np.arange(tok.shape[0])[:, None], tok.shape)
     np.add.at(counts, (batch[mask], _table_rows(tok)[mask], tok[mask]), 1.0)
     return counts
 
@@ -542,6 +621,11 @@ def _by_row(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     depend on which other contexts are in the table.
     """
     return (x[:, None, :] @ m)[:, 0]
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products x[c] . y[c], each its own BLAS dot call."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _table_rows(tokens: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,12 @@ _FRECHET_ROUNDOFF = math.sqrt(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class GaussianSummary:
-    """Mean and symmetric PSD covariance of a point cloud in R^d."""
+    """Mean and symmetric PSD covariance of a point cloud in R^d, with the
+    covariance's ascending eigenvalues from the PSD check."""
 
     mean: np.ndarray
     cov: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -49,15 +51,21 @@ class GaussianSummary:
             raise DimensionMismatchError("cov must be d x d for a d-vector mean")
         if not np.allclose(cov, cov.T, atol=_SYM_TOL):
             raise ValidationError("covariance must be symmetric within 1e-9")
-        eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+        sym = 0.5 * (cov + cov.T)
+        eigvals = np.linalg.eigvalsh(sym)
         if np.min(eigvals) < _EIG_FLOOR * max(1.0, float(np.max(np.abs(eigvals)))):
             raise ValidationError("covariance must be PSD (eigenvalues >= -1e-9)")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", sym)
+        object.__setattr__(self, "eigenvalues", eigvals)
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    def spectrum(self) -> "Spectrum":
+        """Descending covariance eigenvalues, clamped at 0."""
+        return Spectrum(np.clip(self.eigenvalues[::-1], 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -170,7 +178,5 @@ def fit_gaussian(measure: EmpiricalMeasure) -> GaussianSummary:
 
 def covariance_spectrum(measure: EmpiricalMeasure) -> Spectrum:
     """Descending eigenvalues of the unbiased covariance of a measure."""
-    cov = fit_gaussian(measure).cov
-    lam = np.linalg.eigvalsh(cov)[::-1]
-    return Spectrum(np.clip(lam, 0.0, None))
+    return fit_gaussian(measure).spectrum()
 

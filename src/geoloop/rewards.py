@@ -99,6 +99,24 @@ def mi_tiebreak_reward(z: float, slope: float, channel_weight: float,
     return state.beta * channel_weight / (1.0 + math.exp(-slope * float(z)))
 
 
+def mi_tiebreak_rewards(z, slope: float, channel_weight: float, gate_open,
+                        state: AutoscalerState) -> np.ndarray:
+    """mi_tiebreak_reward of each completion, with gate_open[i] its gates' `open`.
+
+    The exponential is math.exp's, as in the one-completion function: np.exp
+    rounds differently in the last bit on some arguments.
+    """
+    if slope <= 0:
+        raise ValidationError("sigmoid slope must be positive")
+    if channel_weight < 0:
+        raise ValidationError("channel weight cannot be negative")
+    z = np.asarray(z, dtype=float)
+    if channel_weight == 0.0:
+        return np.zeros_like(z)
+    decay = np.fromiter(map(math.exp, (-slope * z).tolist()), dtype=float, count=z.size)
+    return np.where(gate_open, state.beta * channel_weight / (1.0 + decay), 0.0)
+
+
 def autoscale_update(state: AutoscalerState, batch_mi_mag: float,
                      batch_base_mag: float) -> AutoscalerState:
     """One EMA/beta update; the sign of the beta step equals sign(rho* - rho_t)."""

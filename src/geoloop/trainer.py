@@ -26,6 +26,18 @@ channels draw from seeds derived via SeedSequence(seed, step, channel, index).
 
 The optimiser is plain SGD with a global gradient-norm clip; external
 trainer defaults do not transfer to this scale.
+
+Work that is constant for the run is done once, in `Trainer.__init__`: the
+bag weights of every (principle, item) context (bagging uses no
+parameters), and the frozen reference's table over every item's true
+context, which also gives the reference's probe distribution.  A step
+gathers its rows of both.  The table kernel computes each context's row on
+its own, so the gathered rows equal those of tables built per step, bit for
+bit.  Because the reference table is built once, code that loads a reference
+into an existing Trainer (a resume) must rebuild it.  Per completion, the
+step's bookkeeping (format check, entropies, gates, MI reward, advantages)
+is array operations; only the shadow draws call the generator once per
+completion, as mi.draw_shadows does.
 """
 from __future__ import annotations
 
@@ -38,7 +50,7 @@ import numpy as np
 
 from . import mi, ot, prob_metrics, rep_metrics, rewards
 from .errors import ValidationError
-from .policy import ToyPolicy, ToyTask, toy_format_reward, transition_counts
+from .policy import NextTokenTable, ToyPolicy, ToyTask
 
 STEPS_JSONL_FIELDS = (
     "step", "reward_base_mean", "reward_mi_mean", "reward_std",
@@ -111,29 +123,28 @@ class TrainConfig:
 @dataclass(frozen=True)
 class GroupAdvantages:
     advantages: np.ndarray
-    mean: float
-    std: float
+    mean: np.ndarray
+    std: np.ndarray
 
 
 def group_advantages(group_rewards, mode: str = "group") -> GroupAdvantages:
-    """Centred (and optionally std-scaled) within-group advantages.
+    """Centred (and optionally std-scaled) advantages within each group, the
+    last axis; mean and std have one entry per group.
 
     A zero-variance group yields all-zero advantages: no learning signal.
     """
     r = np.asarray(group_rewards, dtype=float)
-    if r.size < 2:
+    if r.shape[-1] < 2:
         raise ValidationError("a group needs at least 2 rewards")
     if mode not in ("group", "none"):
         raise ValidationError("mode must be 'group' or 'none'")
-    mean = float(r.mean())
-    std = float(r.std())
+    mean = r.mean(axis=-1, keepdims=True)
+    std = r.std(axis=-1, keepdims=True)
     adv = r - mean
     if mode == "group":
-        if std > 1e-12:
-            adv = adv / std
-        else:
-            adv = np.zeros_like(adv)
-    return GroupAdvantages(adv, mean, std)
+        spread = std > 1e-12
+        adv = np.where(spread, adv / np.where(spread, std, 1.0), 0.0)
+    return GroupAdvantages(adv, mean[..., 0], std[..., 0])
 
 
 def rowcol_anneal(step: int, max_steps: int) -> tuple:
@@ -210,13 +221,17 @@ def _sami_matrix(own_scores, groups, kept, lengths) -> mi.ScoreMatrix:
 
 
 def _geometry(cur: rep_metrics.EmpiricalMeasure, ref: rep_metrics.EmpiricalMeasure) -> tuple:
-    """(frechet, effrank, pr, degenerate) of the current and reference clouds."""
+    """(frechet, effrank, pr, degenerate) of the current and reference clouds;
+    each cloud is fitted once, and the spectrum is the current fit's."""
+    try:
+        cur_fit = rep_metrics.fit_gaussian(cur)
+    except ValidationError:
+        return math.nan, math.nan, math.nan, True
     degenerate = False
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", rep_metrics.FrechetClampWarning)
         try:
-            frechet = rep_metrics.frechet_distance(rep_metrics.fit_gaussian(cur),
-                                                   rep_metrics.fit_gaussian(ref))
+            frechet = rep_metrics.frechet_distance(cur_fit, rep_metrics.fit_gaussian(ref))
         except ValidationError:
             frechet, degenerate = math.nan, True
     for w in caught:
@@ -225,7 +240,7 @@ def _geometry(cur: rep_metrics.EmpiricalMeasure, ref: rep_metrics.EmpiricalMeasu
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     try:
-        dims = rep_metrics.effective_dims(rep_metrics.covariance_spectrum(cur))
+        dims = rep_metrics.effective_dims(cur_fit.spectrum())
         effrank, pr = dims["effrank"], dims["participation_ratio"]
     except ValidationError:
         effrank, pr, degenerate = math.nan, math.nan, True
@@ -239,6 +254,8 @@ class Trainer:
                  max_steps: int, seed: int):
         if max_steps <= 0:
             raise ValidationError("max_steps must be positive")
+        if len(task.principles) < 2:
+            raise ValidationError("shadow principles need a pool of at least two")
         self.policy = policy
         self.task = task
         self.config = config
@@ -249,56 +266,53 @@ class Trainer:
         self.autoscaler = rewards.AutoscalerState(
             target_ratio=config.autoscale_target, rate=config.autoscale_eta,
             decay=config.ema_decay)
-        # Geometry probes run on the first item; the frozen reference's side once.
-        probe_item = task.items[0]
-        self._probe_ctx = (probe_item.prompt, task.principle(probe_item.principle_id).tokens)
-        self._probe_ref = prob_metrics.ProbVector(
-            self.reference.next_token_distribution(*self._probe_ctx))
-        self._pid_index = {p.pid: i for i, p in enumerate(task.principles)}
+        # Run constants (module docstring).  _grid[p, i] bags item i's prompt
+        # with pool principle p, and _true[i] is item i's principle.
+        pid_index = {p.pid: i for i, p in enumerate(task.principles)}
+        self._true = np.array([pid_index[item.principle_id] for item in task.items], dtype=int)
+        self._grid = np.ascontiguousarray(policy.bag_grid(
+            [item.prompt for item in task.items],
+            [p.tokens for p in task.principles]).transpose(1, 0, 2))
+        true_weights = self._grid[self._true, np.arange(len(task.items))]
+        self._ref_table = self.reference.forward(true_weights)
+        # Geometry probes run on the first item's true context.
+        self._probe_weights = true_weights[:1]
+        self._probe_ref = prob_metrics.ProbVector(self._ref_table.next_token_probs(0))
 
     # ---------- helpers ----------
 
-    def _batch_items(self, step: int) -> list:
+    def _batch_items(self, step: int) -> np.ndarray:
+        """Indices of the step's items, the batch's groups in order."""
         n = len(self.task.items)
         start = (step * self.config.prompts_per_batch) % n
-        return [self.task.items[(start + j) % n]
-                for j in range(self.config.prompts_per_batch)]
+        return (start + np.arange(self.config.prompts_per_batch)) % n
 
-    def _contexts(self, items) -> tuple:
-        """(contexts, own): every (prompt, principle) pair of the step, the
-        pair of group g and pool principle p at index p * G + g, and the
-        index of each group's true pair."""
-        pool = self.task.principles
-        contexts = [(item.prompt, p.tokens) for p in pool for item in items]
-        own = np.array([self._pid_index[item.principle_id] * len(items) + g
-                        for g, item in enumerate(items)])
-        return contexts, own
+    def _step_table(self, item_idx) -> NextTokenTable:
+        """The policy's table over the step's contexts: context p * G + g
+        pairs group g's prompt with pool principle p."""
+        return self.policy.forward(self._grid[:, item_idx].reshape(-1, self.policy.vocab.size))
 
-    def _row_candidate_scores(self, items, scores, groups, lengths, step: int) -> np.ndarray:
-        """(B, K+1) length-normalised scores of each completion under its true
-        principle (column 0) and K uniform shadow principles."""
+    def _row_candidates(self, item_idx, groups, step: int) -> np.ndarray:
+        """(B, K+1) step contexts of each completion's true principle (column
+        0) and K uniform shadow principles."""
         k = self.config.shadow_k
-        pool = [p.pid for p in self.task.principles]
+        n_alt = len(self.task.principles) - 1
         rng = derive_rng(self.seed, step, _CH_SHADOW_P)
-        ctx = np.zeros((len(groups), k + 1), dtype=int)
-        for idx, g in enumerate(groups):
-            pid = items[g].principle_id
-            draw = mi.draw_shadows(pool, pid, k, rng)
-            ctx[idx] = [self._pid_index[q] * len(items) + g for q in (pid, *draw.shadow_ids)]
-        return scores[ctx, np.arange(len(groups))[:, None]] / lengths[:, None]
+        # mi.draw_shadows' draw: k of the principles other than the true one,
+        # numbered in pool order, so a pick skips the true principle.
+        picked = np.array([rng.choice(n_alt, size=k, replace=n_alt < k) for _ in groups])
+        true = self._true[item_idx[groups], None]
+        return np.hstack([true, picked + (picked >= true)]) * len(item_idx) + groups[:, None]
 
-    def _col_candidate_scores(self, own_scores, groups, lengths, step: int) -> np.ndarray:
-        """(B, K+1) scores of {own completion, K shadow completions} under each
+    def _col_candidates(self, b: int, step: int) -> np.ndarray:
+        """(B, K+1) completions {own, K shadows} to score under each
         completion's own rendered prompt."""
         k = self.config.shadow_k
         rng = derive_rng(self.seed, step, _CH_SHADOW_C)
-        b = len(groups)
-        cands = np.zeros((b, k + 1), dtype=int)
-        for idx in range(b):
-            # Picks index the other completions, which skip idx.
-            picked = rng.choice(b - 1, size=k, replace=b - 1 < k)
-            cands[idx] = [idx, *(picked + (picked >= idx))]
-        return own_scores[groups[:, None], cands] / lengths[cands]
+        # Picks index the other completions, which skip idx.
+        picked = np.array([rng.choice(b - 1, size=k, replace=b - 1 < k) for _ in range(b)])
+        idx = np.arange(b)[:, None]
+        return np.hstack([idx, picked + (picked >= idx)])
 
     def _sami_weights(self, matrix: mi.ScoreMatrix, step: int, lam_row: float,
                       lam_col: float, shaping_mask) -> np.ndarray:
@@ -324,61 +338,51 @@ class Trainer:
         """One full optimisation step; state mutates only on success."""
         config = self.config
         step = self.step
-        items = self._batch_items(step)
-        contexts, own = self._contexts(items)
-        table = self.policy.table(contexts)
-        sampled = self.policy.sample_groups(
+        item_idx = self._batch_items(step)
+        n_groups = item_idx.size
+        table = self._step_table(item_idx)
+        own = self._true[item_idx] * n_groups + np.arange(n_groups)
+        samples = self.policy.sample_groups(
             table, own, config.group_size,
-            [derive_rng(self.seed, step, _CH_SAMPLE, g) for g in range(len(items))])
-        completions = [comp for group in sampled for comp in group]
-        groups = np.repeat(np.arange(len(items)), config.group_size)
-        b = len(completions)
+            [derive_rng(self.seed, step, _CH_SAMPLE, g) for g in range(n_groups)])
+        groups = np.repeat(np.arange(n_groups), config.group_size)
+        b = groups.size
+        lengths = samples.lengths
         # Every score and gradient of the step goes through the completions'
         # transition counts: scores[c, i] is completion i under context c, and
         # coeffs[c, i] collects its weight in the loss gradient (GRPO, SAMI
         # and shaping) for the one backward pass.
-        counts = transition_counts([c.tokens for c in completions], self.policy.vocab.size)
-        lengths = np.maximum(1, counts.sum(axis=(1, 2)))
+        counts = samples.counts(self.policy.vocab.size)
         scores = table.seq_logprobs(counts)
         own_scores = scores[own]
         coeffs = np.zeros_like(scores)
 
-        entropies = np.array([c.mean_entropy for c in completions])
+        entropies = samples.mean_entropies()
         entropy_mask = rewards.entropy_gate(entropies, config.entropy_quantile)
-        format_ok = np.array([
-            (not c.truncated) and toy_format_reward(c.content, self.policy.vocab) == 1.0
-            for c in completions])
+        format_ok = samples.format_ok(self.policy.vocab)
 
         base = format_ok.astype(float)
         if config.jitter_sigma > 0:
             jitter_rng = derive_rng(self.seed, step, _CH_JITTER)
             base = base + config.jitter_sigma * jitter_rng.standard_normal(b)
 
-        row_scores = self._row_candidate_scores(items, scores, groups, lengths, step)
+        # Length-normalised candidate scores; the positive is column 0.
+        row_scores = (scores[self._row_candidates(item_idx, groups, step), np.arange(b)[:, None]]
+                      / lengths[:, None])
         format_gate_on = rewards.format_gate_schedule(step, config.mi_warmup_steps)
         mi_reward = np.zeros(b)
         if config.channel_weight > 0:
             z = mi.row_positive_logsoftmax(mi.ScoreMatrix(row_scores), standardise=True)
-            for i in range(b):
-                gates = rewards.GateState(
-                    entropy_pass=bool(entropy_mask[i]),
-                    format_pass=bool(format_ok[i]) if format_gate_on else True)
-                mi_reward[i] = rewards.mi_tiebreak_reward(
-                    z[i], config.sigmoid_slope, config.channel_weight, gates,
-                    self.autoscaler)
+            gate_open = entropy_mask & (format_ok | (not format_gate_on))
+            mi_reward = rewards.mi_tiebreak_rewards(
+                z, config.sigmoid_slope, config.channel_weight, gate_open, self.autoscaler)
         total_reward = base + mi_reward
-
-        adv = np.zeros(b)
-        group_stds = []
-        for g in range(len(items)):
-            sel = np.flatnonzero(groups == g)
-            ga = group_advantages(total_reward[sel], config.scale_rewards)
-            adv[sel] = ga.advantages
-            group_stds.append(ga.std)
+        grouped = group_advantages(total_reward.reshape(n_groups, -1), config.scale_rewards)
+        adv = grouped.advantages.ravel()
 
         # The on-policy GRPO term over untruncated completions (module
         # docstring); the builtin sum adds the advantages in completion order.
-        kept = np.array([i for i, c in enumerate(completions) if not c.truncated], dtype=int)
+        kept = np.flatnonzero(~samples.truncated)
         n_kept = max(1, kept.size)
         loss_grpo = sum(-adv[kept]) / n_kept
         coeffs[own[groups[kept]], kept] = -adv[kept] / self.policy.max_len / n_kept
@@ -398,15 +402,15 @@ class Trainer:
                 np.add.at(coeffs, (own[groups[kept]][None, :], kept[:, None]),
                           weights / lengths[kept, None])
 
-        col_scores = self._col_candidate_scores(own_scores, groups, lengths, step)
+        cands = self._col_candidates(b, step)
+        col_scores = own_scores[groups[:, None], cands] / lengths[cands]
         clean = mi.clean_mi_bounds(mi.BoundBatch(row_scores, col_scores),
                                    config.shadow_k, format_ok & entropy_mask)
 
-        ref_table = self.reference.table([contexts[c] for c in own])
         cur_measure = rep_metrics.EmpiricalMeasure(
             table.summaries(own[groups], counts)[0], normalised=True)
         ref_measure = rep_metrics.EmpiricalMeasure(
-            ref_table.summaries(groups, counts)[0], normalised=True)
+            self._ref_table.summaries(item_idx[groups], counts)[0], normalised=True)
         loss_ot = 0.0
         ot_stats = {"iterations": None, "violation": None, "converged": None}
         feat_grad = None
@@ -438,7 +442,8 @@ class Trainer:
             total_grad = total_grad.scaled(config.grad_clip / grad_norm)
 
         # Geometry probes against the frozen reference.
-        p_cur = prob_metrics.ProbVector(self.policy.next_token_distribution(*self._probe_ctx))
+        p_cur = prob_metrics.ProbVector(
+            self.policy.forward(self._probe_weights).next_token_probs(0))
         probes = prob_metrics.probe_report(p_cur, self._probe_ref)
         frechet, effrank, pr, degenerate = _geometry(cur_measure, ref_measure)
 
@@ -447,7 +452,7 @@ class Trainer:
             reward_base_mean=float(base.mean()),
             reward_mi_mean=float(mi_reward.mean()),
             reward_total_mean=float(total_reward.mean()),
-            reward_std=float(np.mean(group_stds)),
+            reward_std=float(np.mean(grouped.std)),
             loss_grpo=float(loss_grpo),
             loss_sami=float(loss_sami),
             loss_shaping=float(loss_shaping),

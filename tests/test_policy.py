@@ -151,6 +151,59 @@ class TestFormatReward:
             assert pol.toy_format_reward(toks, v) in (0.0, 1.0)
 
 
+def random_samples(seed, n=400, max_len=12):
+    """Padded rows of near-template completions: tags, a few fillers and
+    EOS, an untruncated row ending in EOS; half of them templates, some with
+    a token replaced or two neighbours swapped."""
+    v = pol.Vocab()
+    rng = np.random.default_rng(seed)
+    tokens = np.zeros((n, max_len), dtype=int)
+    lengths = rng.integers(1, max_len + 1, n)
+    truncated = (lengths == max_len) & (rng.random(n) < 0.5)
+    pool = np.array([*v.reserved, 0, 3, 6, 9])
+    for b in range(n):
+        row = rng.choice(pool, size=lengths[b])
+        content = lengths[b] - 1
+        if rng.random() < 0.5 and content >= 4:
+            r = rng.integers(0, content - 3)
+            row[:content] = rng.choice(v.fillers, size=content)
+            row[[0, 1 + r, 2 + r, content - 1]] = [v.r_open, v.r_close, v.a_open, v.a_close]
+            if rng.random() < 0.3:
+                row[rng.integers(0, content)] = rng.choice(pool)
+            if rng.random() < 0.3:
+                i = rng.integers(0, content - 1)
+                row[[i, i + 1]] = row[[i + 1, i]]
+        if not truncated[b]:
+            row[-1] = v.eos
+        tokens[b, :lengths[b]] = row
+    entropies = rng.random((n, max_len)) * 3.0
+    return pol.Samples(tokens, lengths, truncated, entropies)
+
+
+class TestSamples:
+    """Each array method equals its one-completion definition exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_format_ok_is_the_format_reward(self, seed):
+        v = pol.Vocab()
+        samples = random_samples(seed)
+        expected = [(not c.truncated) and pol.toy_format_reward(c.content, v) == 1.0
+                    for c in samples.completions()]
+        assert 50 < sum(expected) < len(expected)
+        assert samples.format_ok(v).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mean_entropies(self, seed):
+        samples = random_samples(seed)
+        expected = [c.mean_entropy for c in samples.completions()]
+        assert samples.mean_entropies().tolist() == expected
+
+    def test_counts(self):
+        samples = random_samples(3)
+        expected = pol.transition_counts([c.tokens for c in samples.completions()], 16)
+        assert np.array_equal(samples.counts(16), expected)
+
+
 class TestLogprobs:
     def test_zero_params_uniform(self):
         p = pol.ToyPolicy(pol.Vocab(), dim=8)
@@ -292,6 +345,23 @@ class TestTableKernel:
                 assert p.token_logprobs(*ctx, comp) == pytest.approx(
                     explicit_token_logprobs(p, *ctx, comp), abs=1e-12)
 
+    def test_bag_grid_is_bag(self):
+        p = randomised_policy(27)
+        prompts = [(1, 2), (), (3, 3, 9), (0,)]
+        principles = [(0, 6), (9, 4, 4), (), (6,)]
+        grid = p.bag_grid(prompts, principles)
+        for i, prompt in enumerate(prompts):
+            assert np.array_equal(grid[i], p.bag([(prompt, q) for q in principles]))
+
+    def test_context_logprobs_are_one_completion_scores(self):
+        p = randomised_policy(28)
+        counts = pol.transition_counts(COMPLETIONS, 16)
+        table = p.table(CONTEXTS * 2)
+        comp_idx = [0, 4, 2, 3, 1, 0]
+        got = table.context_logprobs(counts, comp_idx)
+        for c, b in enumerate(comp_idx):
+            assert got[c] == p.multi_context_logprob([(CONTEXTS * 2)[c]], COMPLETIONS[b])[0]
+
     def test_sequence_scores_are_gathers(self):
         p = randomised_policy(21)
         scores = p.table(CONTEXTS).seq_logprobs(pol.transition_counts(COMPLETIONS, 16))
@@ -379,6 +449,7 @@ class TestTableKernel:
         lambda p: pol.transition_counts([(11,), (11, 16)], 16),
         lambda p: pol.transition_counts([(11, -1)], 16),
         lambda p: p.bag([((1, 2), ()), ((1, 99), ())]),
+        lambda p: p.bag_grid([(1, 2)], [(), (99,)]),
         lambda p: p.table([((1, 2), ()), ((1, 99), ())]),
         lambda p: p.sequence_logprobs_batch((1,), (0,), [(11,), (11, 99)]),
         lambda p: p.multi_context_logprob([((1,), (0,))], (11, 99)),
@@ -389,7 +460,7 @@ class TestTableKernel:
         lambda p: p.next_token_distribution((1,), (0,), prev=16),
         lambda p: p.sample_group((1, 99), (0,), 4, 0),
         lambda p: pol.mle_pretrain(p, [((1,), (0,), (11,)), ((1,), (0,), (11, 99))], 1, 0.1),
-    ], ids=["counts", "counts-negative", "bag", "table", "sequence_logprobs_batch",
+    ], ids=["counts", "counts-negative", "bag", "bag_grid", "table", "sequence_logprobs_batch",
             "multi_context_completion", "multi_context_context", "weighted_grad_batch",
             "hidden_summary", "hidden_summary_grad", "next_token_prev", "sample_group",
             "mle_pretrain"])
@@ -584,7 +655,8 @@ class TestBatchedSampler:
         table = p.table(CONTEXTS)
         for seed in range(4):
             seeds = [100 * seed + g for g in range(len(CONTEXTS))]
-            groups = p.sample_groups(table, range(len(CONTEXTS)), 4, seeds)
+            comps = p.sample_groups(table, range(len(CONTEXTS)), 4, seeds).completions()
+            groups = [comps[4 * g:4 * (g + 1)] for g in range(len(CONTEXTS))]
             for ctx, group, s in zip(CONTEXTS, groups, seeds):
                 for comp, (tokens, ents, truncated) in zip(
                         group, reference_sample_group(p, *ctx, 4, s)):

@@ -130,3 +130,13 @@ class TestGaussianFit:
         with pytest.raises(ValidationError):
             rm.fit_gaussian(rm.EmpiricalMeasure([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spectrum_is_a_fresh_eigvalsh(self, seed):
+        # The spectrum comes from the PSD check's eigenvalues; it equals
+        # eigvalsh of the stored covariance, descending and clamped at 0.
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(32, 8))
+        fit = rm.fit_gaussian(rm.EmpiricalMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True),
+                                                  normalised=True))
+        expected = np.clip(np.linalg.eigvalsh(fit.cov)[::-1], 0.0, None)
+        assert np.array_equal(fit.spectrum().eigenvalues, expected)

@@ -80,6 +80,28 @@ class TestTieBreakReward:
         assert 0.0 <= value <= beta * 0.15 + 1e-12
 
 
+class TestBatchedTieBreakReward:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_one_completion_reward(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(0, 3, 500)
+        gate_open = rng.random(500) < 0.6
+        state = rewards.AutoscalerState(beta=float(rng.uniform(0.5, 2.0)))
+        got = rewards.mi_tiebreak_rewards(z, 2.5, 0.15, gate_open, state)
+        expected = [rewards.mi_tiebreak_reward(v, 2.5, 0.15, rewards.GateState(bool(g), True),
+                                               state) for v, g in zip(z, gate_open)]
+        assert got.tolist() == expected
+
+    def test_zero_weight_and_checks(self):
+        state = rewards.AutoscalerState()
+        assert rewards.mi_tiebreak_rewards([1.0, 2.0], 2.5, 0.0, [True, True], state).tolist() \
+            == [0.0, 0.0]
+        with pytest.raises(ValidationError):
+            rewards.mi_tiebreak_rewards([1.0], 0.0, 0.15, [True], state)
+        with pytest.raises(ValidationError):
+            rewards.mi_tiebreak_rewards([1.0], 2.5, -0.1, [True], state)
+
+
 class TestAutoscaler:
     def test_fixed_point(self):
         state = rewards.AutoscalerState(ema_mi=0.2, ema_base=1.0, beta=1.0,

@@ -2,6 +2,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
 from geoloop.policy import (DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, Vocab,
-                            make_toy_task, transition_counts, warm_start)
-from geoloop import mi, rep_metrics
+                            make_toy_task, toy_format_reward, transition_counts,
+                            warm_start)
+from geoloop import mi, rep_metrics, rewards
 from geoloop import trainer as tr
 
 
@@ -44,6 +46,20 @@ class TestGroupAdvantages:
         with pytest.raises(ValidationError):
             tr.group_advantages([1.0], "group")
 
+    @pytest.mark.parametrize("mode", ["group", "none"])
+    def test_groups_on_the_last_axis(self, mode):
+        rng = np.random.default_rng(7)
+        rewards = rng.normal(0, 1, (6, 4))
+        rewards[2] = 0.3
+        out = tr.group_advantages(rewards, mode)
+        for g in range(6):
+            one = tr.group_advantages(rewards[g], mode)
+            assert np.array_equal(out.advantages[g], one.advantages)
+            assert out.mean[g] == one.mean and out.std[g] == one.std
+        assert out.std[2] == 0.0
+        if mode == "group":
+            assert np.all(out.advantages[2] == 0.0)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 12))
     def test_invariants(self, seed, g):
@@ -72,22 +88,29 @@ class TestGrpoUpdate:
         trainer = tr.Trainer(policy, task, config, max_steps=10, seed=4)
         before = policy.clone()
 
-        sampled, advantages = [], []
-        sample_groups, group_advantages = policy.sample_groups, tr.group_advantages
+        sampled = []
+        sample_groups = policy.sample_groups
 
         def record_groups(*args, **kwargs):
             out = sample_groups(*args, **kwargs)
-            sampled.extend(out)
-            return out
-
-        def record_advantages(rewards, mode):
-            out = group_advantages(rewards, mode)
-            advantages.append(out.advantages)
+            sampled.extend(out.completions())
             return out
 
         monkeypatch.setattr(policy, "sample_groups", record_groups)
-        monkeypatch.setattr(tr, "group_advantages", record_advantages)
         report = trainer.train_step()
+
+        # The step's advantages, recomputed from the completions: the format
+        # reward plus the grpo_cot_plus jitter, centred within each group.
+        size = config.group_size
+        reward = np.array([float((not c.truncated)
+                                 and toy_format_reward(c.content, policy.vocab) == 1.0)
+                           for c in sampled])
+        reward = reward + config.jitter_sigma * tr.derive_rng(
+            4, 0, tr._CH_JITTER).standard_normal(len(sampled))
+        advantages = [tr.group_advantages(reward[g * size:(g + 1) * size],
+                                          config.scale_rewards).advantages
+                      for g in range(config.prompts_per_batch)]
+        sampled = [sampled[g * size:(g + 1) * size] for g in range(config.prompts_per_batch)]
 
         items = task.items[:config.prompts_per_batch]
         kept = [(item, comp, a) for item, group, adv in zip(items, sampled, advantages)
@@ -179,6 +202,14 @@ class TestTrainStep:
                         + tr.sami_weight_at(t.config, rep.step) * rep.loss_sami
                         + rep.loss_shaping + rep.loss_ot)
             assert rep.loss_total == pytest.approx(expected, abs=1e-9)
+
+    def test_single_principle_pool_rejected(self):
+        task = make_toy_task(seed=2, prompt_len=2, n_items=16)
+        first = task.principles[0]
+        task = replace(task, principles=(first,), items=tuple(
+            item for item in task.items if item.principle_id == first.pid))
+        with pytest.raises(ValidationError, match="two"):
+            tr.Trainer(ToyPolicy(Vocab()), task, tr.TrainConfig(), max_steps=2, seed=2)
 
     def test_reference_untouched(self):
         t = small_trainer(seed=5)
@@ -298,19 +329,32 @@ class TestCheckpoints:
             tr.load_checkpoint(path)
 
 
+def step_contexts(t, step=0):
+    """(item indices, items, contexts, own) of a step, built from the task:
+    context p * G + g pairs group g's prompt with pool principle p, and
+    own[g] is group g's true context."""
+    item_idx = t._batch_items(step)
+    items = [t.task.items[i] for i in item_idx]
+    pool = t.task.principles
+    contexts = [(item.prompt, p.tokens) for p in pool for item in items]
+    pids = [p.pid for p in pool]
+    own = np.array([pids.index(item.principle_id) * len(items) + g
+                    for g, item in enumerate(items)])
+    return item_idx, items, contexts, own
+
+
 def step_inputs(t, step=0):
-    """What train_step scores: contexts, the table's (C, B) scores, completions."""
-    items = t._batch_items(step)
-    contexts, own = t._contexts(items)
+    """What train_step scores: items, the table's (C, B) scores, completions."""
+    item_idx, items, contexts, own = step_contexts(t, step)
     table = t.policy.table(contexts)
-    sampled = t.policy.sample_groups(
+    samples = t.policy.sample_groups(
         table, own, t.config.group_size,
         [tr.derive_rng(t.seed, step, tr._CH_SAMPLE, g) for g in range(len(items))])
-    comps = [c for group in sampled for c in group]
+    comps = samples.completions()
     groups = np.repeat(np.arange(len(items)), t.config.group_size)
     counts = transition_counts([c.tokens for c in comps], t.policy.vocab.size)
     lengths = np.maximum(1, counts.sum(axis=(1, 2)))
-    return items, own, table.seq_logprobs(counts), comps, groups, lengths
+    return item_idx, items, own, table.seq_logprobs(counts), comps, groups, lengths
 
 
 def mean_logprob(t, prompt, pid, comp):
@@ -323,8 +367,9 @@ class TestGatherScorers:
 
     def test_row_scores(self):
         t = small_trainer(seed=12)
-        items, own, scores, comps, groups, lengths = step_inputs(t)
-        got = t._row_candidate_scores(items, scores, groups, lengths, 0)
+        item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
+        ctx = t._row_candidates(item_idx, groups, 0)
+        got = scores[ctx, np.arange(len(comps))[:, None]] / lengths[:, None]
         rng = tr.derive_rng(t.seed, 0, tr._CH_SHADOW_P)
         pool = [p.pid for p in t.task.principles]
         for b, comp in enumerate(comps):
@@ -336,8 +381,9 @@ class TestGatherScorers:
 
     def test_column_scores(self):
         t = small_trainer(seed=13)
-        items, own, scores, comps, groups, lengths = step_inputs(t)
-        got = t._col_candidate_scores(scores[own], groups, lengths, 0)
+        item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
+        cands = t._col_candidates(len(comps), 0)
+        got = scores[own][groups[:, None], cands] / lengths[cands]
         rng = tr.derive_rng(t.seed, 0, tr._CH_SHADOW_C)
         for idx, comp in enumerate(comps):
             others = [j for j in range(len(comps)) if j != idx]
@@ -350,7 +396,7 @@ class TestGatherScorers:
 
     def test_sami_matrix(self):
         t = small_trainer(seed=14)
-        items, own, scores, comps, groups, lengths = step_inputs(t)
+        item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
         kept = np.array([i for i, c in enumerate(comps) if not c.truncated])
         assert kept.size >= 2
         got = tr._sami_matrix(scores[own], groups, kept, lengths).scores
@@ -359,6 +405,172 @@ class TestGatherScorers:
                 item = items[groups[col]]
                 expected = mean_logprob(t, item.prompt, item.principle_id, comps[row])
                 assert abs(got[i, j] - expected) <= 1e-12
+
+
+TABLE_FIELDS = ("weights", "ctx", "cfeat", "pfeat", "a", "b", "ea", "eb", "z", "lse")
+
+
+class TestRunConstants:
+    """The tables a step gathers from the run's bags are the per-step tables, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_step_table_is_the_policy_table(self, seed):
+        t = small_trainer(seed=seed, steps=20, prompts_per_batch=6)
+        for step in range(6):
+            item_idx, _, contexts, _ = step_contexts(t, step)
+            got, expected = t._step_table(item_idx), t.policy.table(contexts)
+            for name in TABLE_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+            t.train_step()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reference_rows_are_the_reference_table(self, seed):
+        t = small_trainer(seed=seed, steps=20, prompts_per_batch=6)
+        for step in range(4):
+            item_idx, items, contexts, own = step_contexts(t, step)
+            expected = t.reference.table([contexts[c] for c in own])
+            for name in ("weights", "ctx", "cfeat", "a", "ea", "z", "lse"):
+                assert np.array_equal(getattr(t._ref_table, name)[item_idx],
+                                      getattr(expected, name)), name
+            for name in ("pfeat", "b", "eb"):
+                assert np.array_equal(getattr(t._ref_table, name), getattr(expected, name))
+            _, _, _, _, comps, groups, _ = step_inputs(t, step)
+            counts = transition_counts([c.tokens for c in comps], t.policy.vocab.size)
+            for got, want in zip(t._ref_table.summaries(item_idx[groups], counts),
+                                 expected.summaries(groups, counts)):
+                assert np.array_equal(got, want)
+            t.train_step()
+
+    def test_probe_distributions(self):
+        t = small_trainer(seed=3)
+        item = t.task.items[0]
+        ctx = (item.prompt, t.task.principle(item.principle_id).tokens)
+        assert np.array_equal(t._probe_ref.probs, t.reference.next_token_distribution(*ctx))
+        t.train_step()
+        assert np.array_equal(t.policy.forward(t._probe_weights).next_token_probs(0),
+                              t.policy.next_token_distribution(*ctx))
+
+
+def per_completion_rewards(t, step, comps, z):
+    """(entropies, format_ok, base, mi_reward, advantages, group stds) of a
+    step, built one completion and one group at a time with the library's
+    per-completion functions."""
+    config = t.config
+    entropies = np.array([c.mean_entropy for c in comps])
+    entropy_mask = rewards.entropy_gate(entropies, config.entropy_quantile)
+    format_ok = np.array([(not c.truncated)
+                          and toy_format_reward(c.content, t.policy.vocab) == 1.0
+                          for c in comps])
+    base = format_ok.astype(float)
+    if config.jitter_sigma > 0:
+        base = base + config.jitter_sigma * tr.derive_rng(
+            t.seed, step, tr._CH_JITTER).standard_normal(len(comps))
+    gate_on = rewards.format_gate_schedule(step, config.mi_warmup_steps)
+    mi_reward = np.zeros(len(comps))
+    if config.channel_weight > 0:
+        for i in range(len(comps)):
+            gates = rewards.GateState(bool(entropy_mask[i]),
+                                      bool(format_ok[i]) if gate_on else True)
+            mi_reward[i] = rewards.mi_tiebreak_reward(
+                z[i], config.sigmoid_slope, config.channel_weight, gates, t.autoscaler)
+    total = base + mi_reward
+    adv, stds = np.zeros(len(comps)), []
+    size = config.group_size
+    for g in range(len(comps) // size):
+        out = tr.group_advantages(total[g * size:(g + 1) * size], config.scale_rewards)
+        adv[g * size:(g + 1) * size] = out.advantages
+        stds.append(float(out.std))
+    return entropies, format_ok, base, mi_reward, adv, stds
+
+
+class TestBatchedBookkeeping:
+    """The step's array bookkeeping equals the per-completion functions exactly."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(mi_warmup_steps=10),
+        dict(ablation="grpo_cot_plus"),
+        dict(ablation="grpo_cot", scale_rewards="group"),
+        dict(mi_warmup_steps=10, scale_rewards="group", jitter_sigma=0.3),
+    ], ids=["enigma", "grpo_cot_plus", "group_scaled", "enigma_group_jitter"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_step_rewards_and_advantages(self, monkeypatch, overrides, seed):
+        overrides = dict(overrides)
+        ablation = overrides.pop("ablation", "enigma")
+        t = small_trainer(seed=seed, steps=40, **overrides)
+        t.config = t.config.with_ablation(ablation)
+        recorded = {}
+        sample_groups, row_z = t.policy.sample_groups, mi.row_positive_logsoftmax
+
+        def record_samples(*args, **kwargs):
+            recorded["samples"] = sample_groups(*args, **kwargs)
+            return recorded["samples"]
+
+        def record_z(*args, **kwargs):
+            recorded["z"] = row_z(*args, **kwargs)
+            return recorded["z"]
+
+        monkeypatch.setattr(t.policy, "sample_groups", record_samples)
+        monkeypatch.setattr(mi, "row_positive_logsoftmax", record_z)
+        long_rows = zero_variance_groups = open_gates = 0
+        for step in range(8):
+            recorded.clear()
+            state = t.autoscaler
+            report = t.train_step()
+            samples = recorded["samples"]
+            comps = samples.completions()
+            t.autoscaler, after = state, t.autoscaler
+            entropies, format_ok, base, mi_reward, adv, stds = per_completion_rewards(
+                t, step, comps, recorded.get("z"))
+            t.autoscaler = after
+
+            assert np.array_equal(samples.mean_entropies(), entropies)
+            assert np.array_equal(samples.format_ok(t.policy.vocab), format_ok)
+            assert np.array_equal(samples.counts(t.policy.vocab.size),
+                                  transition_counts([c.tokens for c in comps],
+                                                    t.policy.vocab.size))
+            if t.config.channel_weight > 0:
+                gate_open = rewards.entropy_gate(entropies, t.config.entropy_quantile) & (
+                    format_ok | (not rewards.format_gate_schedule(
+                        step, t.config.mi_warmup_steps)))
+                assert np.array_equal(rewards.mi_tiebreak_rewards(
+                    recorded["z"], t.config.sigmoid_slope, t.config.channel_weight,
+                    gate_open, state), mi_reward)
+                open_gates += int(np.count_nonzero(mi_reward))
+            grouped = tr.group_advantages(
+                (base + mi_reward).reshape(-1, t.config.group_size), t.config.scale_rewards)
+            assert np.array_equal(grouped.advantages.ravel(), adv)
+            assert np.array_equal(grouped.std, stds)
+
+            kept = [i for i, c in enumerate(comps) if not c.truncated]
+            assert report.entropy == float(entropies.mean())
+            assert report.reward_base_mean == float(base.mean())
+            assert report.reward_mi_mean == float(mi_reward.mean())
+            assert report.reward_std == float(np.mean(stds))
+            assert report.loss_grpo == float(sum(-adv[kept]) / max(1, len(kept)))
+            long_rows += int(np.sum(samples.lengths >= 9))
+            zero_variance_groups += stds.count(0.0)
+        # Rows long enough for numpy's pairwise summation to matter, and, where
+        # the config has them, open MI gates and zero-variance groups.
+        assert long_rows > 0
+        if t.config.channel_weight > 0:
+            assert open_gates > 0
+        if ablation == "grpo_cot":
+            assert zero_variance_groups > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shadow_indices_are_draw_shadows(self, seed):
+        t = small_trainer(seed=seed, steps=20, prompts_per_batch=6)
+        pool = [p.pid for p in t.task.principles]
+        for step in range(5):
+            item_idx, items, _, _ = step_contexts(t, step)
+            groups = np.repeat(np.arange(len(items)), t.config.group_size)
+            got = t._row_candidates(item_idx, groups, step)
+            rng = tr.derive_rng(t.seed, step, tr._CH_SHADOW_P)
+            for b, g in enumerate(groups):
+                pid = items[g].principle_id
+                draw = mi.draw_shadows(pool, pid, t.config.shadow_k, rng)
+                assert list(got[b]) == [pool.index(q) * len(items) + g
+                                        for q in (pid, *draw.shadow_ids)]
 
 
 class TestGeometryFlags:
