@@ -411,12 +411,11 @@ def cmd_probe(args) -> int:
             val = float(log_sm[i, j])
             fh.write(f"{i},{val!r},{float(val + np.log(n_principles))!r}\n")
 
-    # Output-space OT diagnostic between first and last checkpoint.
+    # Exact token-index W2^2 between the first and last checkpoints.
     if len(dists) >= 2:
-        diag, converged = ot.output_space_ot_diag(dists[0], dists[-1], top_k=args.top_k)
+        w2sq = ot.output_space_ot_diag(dists[0], dists[-1], top_k=args.top_k)
         (out_dir / "output_ot.csv").write_text(
-            "step_from,step_to,token_index_ot,converged\n"
-            f"{steps[0]},{steps[-1]},{diag!r},{int(converged)}\n")
+            f"step_from,step_to,token_index_w2sq\n{steps[0]},{steps[-1]},{w2sq!r}\n")
 
     print(f"probe artifacts written to {out_dir}")
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Entropic optimal transport, debiased Sinkhorn divergence, and exact small oracles.
+"""Entropic optimal transport, debiased Sinkhorn divergence, and exact W2 values.
 
 Primal problem (squared-Euclidean ground cost unless stated otherwise):
 
@@ -19,7 +19,7 @@ cross term takes Newton steps on its semi-dual (Brauer, Clason, Lorenz and
 Wirth 2017, arXiv:1710.06635) with backtracking on the dual value; the
 trainer's 32-point solves converge in a handful of them, where Sinkhorn
 iterations stopped unconverged at 500.  The first step that fails (on
-near-deterministic plans, e.g. token-index costs at eps 1e-3) hands the
+near-deterministic plans, e.g. integer-index costs at eps 1e-3) hands the
 rest of the solve to the scaling loop.  That loop absorbs the potentials
 into a Gibbs kernel K = exp((f0 + g0 - C)/eps) and iterates on scalings
 u, v with f = f0 + eps*log(u), g = g0 + eps*log(v) (Schmitzer 2019,
@@ -35,7 +35,8 @@ iterations where the alternating update stalls.
 
 `exact_w2_small` enumerates permutation couplings (optimal for equal-weight,
 equal-size clouds) and exists purely as a test oracle; it is never called by
-the solver it checks.
+the solver it checks.  `output_space_ot_diag`, the probe's diagnostic, runs no
+solver either: its measures sit on a line, where W2^2 has a closed form.
 
 The trainer's representation regulariser takes eps = blur**2 (blur acts as a
 length scale on squared-Euclidean costs); the customary blur 0.12 therefore
@@ -481,14 +482,14 @@ def subsample_indices(size: int, cap: int, seed) -> np.ndarray:
     return np.sort(rng.choice(size, size=cap, replace=False))
 
 
-def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int, *,
-                         epsilon: float = 1e-3) -> tuple:
-    """(value, converged): offline debiased entropic OT between truncated
-    distributions, and whether all three of its solves converged.
+def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int) -> float:
+    """Exact W2^2 between two distributions on the integer token index.
 
-    Ground cost is the squared index difference over the union of both sides'
-    top-k supports; the self-term debiasing keeps identical inputs at exactly
-    zero.  Never enters any training loss.
+    Both are cut to the union of their top-k supports and renormalised.  On a
+    line the monotone coupling is optimal: W2^2 is the integral over t in
+    [0, 1] of (Q_p(t) - Q_q(t))^2, with quantile functions Q that are constant
+    between the merged breakpoints of the two cumulative sums (Peyre and Cuturi
+    2019, arXiv:1803.00567, the 1-D case).  Never enters any training loss.
     """
     p = p if isinstance(p, ProbVector) else ProbVector(p)
     q = q if isinstance(q, ProbVector) else ProbVector(q)
@@ -500,18 +501,15 @@ def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int, *,
     top_p = np.argsort(-p.probs, kind="stable")[:k]
     top_q = np.argsort(-q.probs, kind="stable")[:k]
     union = np.unique(np.concatenate([top_p, top_q]))
+    # The union holds each side's largest entry, so neither mass below is zero.
     mass_p = p.probs[union]
     mass_q = q.probs[union]
-    if mass_p.sum() <= 0 or mass_q.sum() <= 0:
-        raise ValidationError("degenerate distribution: no mass on the top-k union")
-    mass_p = mass_p / mass_p.sum()
-    mass_q = mass_q / mass_q.sum()
-    costs = (union[:, None].astype(float) - union[None, :].astype(float)) ** 2
-    # Zero-probability support points are dropped: they carry no mass and
-    # their log-weights would poison the potentials.
-    keep_p, keep_q = mass_p > 0, mass_q > 0
-    log_p, log_q = np.log(mass_p[keep_p]), np.log(mass_q[keep_q])
-    cross, _, _, cross_ok, _ = _solve(costs[np.ix_(keep_p, keep_q)], log_p, log_q, epsilon)
-    self_p, _, _, p_ok, _ = _solve(costs[np.ix_(keep_p, keep_p)], log_p, None, epsilon)
-    self_q, _, _, q_ok, _ = _solve(costs[np.ix_(keep_q, keep_q)], log_q, None, epsilon)
-    return max(0.0, cross - 0.5 * self_p - 0.5 * self_q), cross_ok and p_ok and q_ok
+    cdf_p = np.cumsum(mass_p / mass_p.sum())
+    cdf_q = np.cumsum(mass_q / mass_q.sum())
+    breaks = np.union1d(cdf_p, cdf_q)
+    widths = np.diff(breaks, prepend=0.0)
+    mids = breaks - 0.5 * widths
+    # Q(t) is the first index whose cumulative sum reaches t; the last takes the rest.
+    x_p = union[np.searchsorted(cdf_p[:-1], mids)]
+    x_q = union[np.searchsorted(cdf_q[:-1], mids)]
+    return float(np.sum(widths * (x_p - x_q) ** 2))

@@ -198,46 +198,48 @@ LANDSCAPE_METADATA = (
 )
 
 
-def perturb(base, alpha: float, beta: float) -> ProbVector:
-    """Two orthogonal decoding perturbations: power-temper then mix toward uniform."""
-    base = _as_prob(base)
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
-    if not (0.0 <= beta <= 1.0):
-        raise ValidationError("beta must lie in [0, 1]")
-    powered = np.power(base.probs, alpha)
-    total = float(np.sum(powered))
-    if total <= 0:
-        raise ValidationError("perturbation annihilated all mass")
-    tempered = powered / total
-    uniform = np.full(base.support_size, 1.0 / base.support_size)
-    return ProbVector((1.0 - beta) * tempered + beta * uniform)
-
-
 def landscape_grid(base, alphas, betas, metric: str = "fr") -> np.ndarray:
     """Metric values over the (alpha, beta) perturbation grid.
 
     Row i, column j holds the metric at (alphas[i], betas[j]); the (1, 0) cell
     equals the unperturbed metric.  See LANDSCAPE_METADATA for the declared
-    parametrisation (emitted alongside any serialised grid).
+    parametrisation (emitted alongside any serialised grid).  The first cell,
+    row-major, whose perturbation is not a valid distribution raises.
     """
     base = _as_prob(base)
-    alphas = [float(a) for a in alphas]
-    betas = [float(b) for b in betas]
-    if any(not math.isfinite(a) for a in alphas) or any(not math.isfinite(b) for b in betas):
+    alphas = np.array([float(a) for a in alphas])
+    betas = np.array([float(b) for b in betas])
+    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))):
         raise ValidationError("alphas and betas must be finite")
     if metric not in ("fr", "diag_mi"):
         raise ValidationError(f"unknown landscape metric {metric!r}")
     k = base.support_size
-    grid = np.empty((len(alphas), len(betas)))
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            q = perturb(base, a, b)
-            if metric == "fr":
-                grid[i, j] = fr_distance(base, q)
-            else:
-                with np.errstate(divide="ignore"):
-                    logq = np.log(q.probs)
-                mask = base.probs > 0
-                grid[i, j] = float(np.sum(base.probs[mask] * logq[mask])) + math.log(k)
-    return grid
+    # One power call per alpha: an array exponent rounds differently.
+    powered = np.array([np.power(base.probs, a) if a > 0 else base.probs
+                        for a in alphas]).reshape(-1, k)
+    totals = powered.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tempered = powered / totals[:, None]
+    q = ((1.0 - betas)[None, :, None] * tempered[:, None, :]
+         + betas[None, :, None] * np.full(k, 1.0 / k))
+    q_totals = q.sum(axis=2)
+    failures = np.select(
+        [(alphas <= 0)[:, None], ~((0.0 <= betas) & (betas <= 1.0))[None, :],
+         (totals <= 0)[:, None], np.any(q < 0, axis=2),
+         ~np.isfinite(q_totals) | (np.abs(q_totals - 1.0) > _NORM_TOL)],
+        [1, 2, 3, 4, 5], 0)
+    if failures.any():
+        i, j = divmod(int(np.flatnonzero(failures)[0]), betas.size)
+        raise ValidationError((
+            "alpha must be positive", "beta must lie in [0, 1]",
+            "perturbation annihilated all mass", "probs must be nonnegative",
+            f"probs must sum to 1 within {_NORM_TOL}, got {float(q_totals[i, j])!r}",
+        )[failures[i, j] - 1])
+    if metric == "fr":
+        bc = np.clip(np.sqrt(base.probs * q).sum(axis=2), 0.0, 1.0)
+        return 2.0 * np.array([math.acos(c) for c in bc.ravel()]).reshape(bc.shape)
+    mask = base.probs > 0
+    with np.errstate(divide="ignore"):
+        # Contiguous, so each cell sums in the order of a 1-D sum.
+        logq = np.ascontiguousarray(np.log(q)[:, :, mask])
+    return (base.probs[mask] * logq).sum(axis=2) + math.log(k)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoloop import cli
-from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig
+from geoloop import cli, ot
+from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -280,6 +280,19 @@ class TestProbeCommand:
             for line in lines[1:]:
                 for field in line.split(","):
                     float(field)
+        # output_ot.csv holds the exact token-index W2^2 between the probe
+        # distributions of the first and last checkpoints.
+        header, row = (out / "output_ot.csv").read_text().splitlines()
+        assert header == "step_from,step_to,token_index_w2sq"
+        w2sq = float(row.split(",")[2])
+        pset = cli._load_principles(DATA / "toy_high_si.txt")
+        _, task = cli._build_task(cli.RunConfig(
+            seed=0, task_items=32, constitution=str(DATA / "toy_high_si.txt")), pset)
+        item = task.items[0]
+        dists = [load_checkpoint(path)[0].next_token_distribution(
+            item.prompt, task.principle(item.principle_id).tokens) for path in ckpts]
+        assert math.isfinite(w2sq) and w2sq >= 0.0
+        assert w2sq == ot.output_space_ot_diag(dists[0], dists[-1], 16)
 
     def test_single_checkpoint_no_path(self, run_dir, tmp_path):
         out = tmp_path / "probe_single"

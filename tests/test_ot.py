@@ -173,8 +173,8 @@ class TestSymmetricSelfTerm:
     def test_peaked_plans_keep_a_finite_trace(self):
         # After a 20-fold eps step the first target-eps plan of a peaked self
         # solve has row sums past the float range (on 20 of these 40, up to
-        # e^1571): Dirichlet(0.05) weights over 16 token indices, zero
-        # weights dropped as output_space_ot_diag does.
+        # e^1571): Dirichlet(0.05) weights over 16 integer indices, zero
+        # weights dropped.
         idx = np.arange(16, dtype=float)
         costs = (idx[:, None] - idx[None, :]) ** 2
         with np.errstate(over="raise"):
@@ -241,7 +241,7 @@ def reference_potentials(costs, log_a, log_b, epsilon, f, max_iter, tol):
 
 
 def index_costs(seed, concentration, k=16):
-    """Squared token-index costs and two random distributions, as in output_space_ot_diag."""
+    """Squared integer-index costs and two random distributions on them."""
     rng = np.random.default_rng(seed)
     idx = np.arange(k, dtype=float)
     costs = (idx[:, None] - idx[None, :]) ** 2
@@ -393,9 +393,9 @@ class TestNewton:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_failed_first_step_ends_as_the_scaling_loop(self, seed):
-        # On index costs at eps 1e-3, as in output_space_ot_diag, the first
-        # Newton step runs out of halvings: the solve is the scaling loop from
-        # the ladder's f, bit for bit, as before Newton steps were added.
+        # On integer-index costs at eps 1e-3 the first Newton step runs out of
+        # halvings: the solve is the scaling loop from the ladder's f, bit for
+        # bit, as before Newton steps were added.
         costs, log_p, log_q, eps, max_iter = solver_instances("index", seed)[0]
         result = ot._sinkhorn_potentials(costs, log_p, log_q, eps, ot.DEFAULT_SCALING,
                                          max_iter, ot.DEFAULT_TOL)
@@ -478,30 +478,56 @@ class TestRegulariser:
 class TestOutputSpaceDiag:
     def test_identical_distributions(self):
         p = np.array([0.25, 0.25, 0.25, 0.25])
-        assert ot.output_space_ot_diag(p, p, 4) == (pytest.approx(0.0, abs=1e-6), True)
+        assert ot.output_space_ot_diag(p, p, 4) == 0.0
 
     def test_point_masses(self):
         p = np.zeros(10); p[3] = 1.0
         q = np.zeros(10); q[7] = 1.0
-        assert ot.output_space_ot_diag(p, q, 4) == (pytest.approx(16.0, abs=1e-9), True)
+        assert ot.output_space_ot_diag(p, q, 4) == 16.0
 
     def test_shift_by_two(self):
         p = np.array([0.5, 0.5, 0.0, 0.0])
         q = np.array([0.0, 0.0, 0.5, 0.5])
-        assert ot.output_space_ot_diag(p, q, 4) == (pytest.approx(4.0, abs=1e-2), True)
+        assert ot.output_space_ot_diag(p, q, 4) == 4.0
 
-    @pytest.mark.parametrize("epsilon, converged", [(1e-3, False), (1.0, True)])
-    def test_converged_flag(self, epsilon, converged):
-        # Dirichlet(1) pairs over 16 tokens: at the default eps 1e-3 every
-        # cross solve stops unconverged, at eps 1.0 all three solves converge.
-        for seed in range(10):
+    def test_point_mass_moved_by_k(self):
+        for k in range(12):
+            p, q = np.zeros(12), np.zeros(12)
+            p[0], q[k] = 1.0, 1.0
+            assert ot.output_space_ot_diag(p, q, 1) == float(k * k)
+            assert ot.output_space_ot_diag(q, p, 12) == float(k * k)
+
+    def test_matches_the_exact_oracle_on_integer_clouds(self):
+        # A uniform cloud of n integer points over 12 tokens is the histogram
+        # counts / n; on equal-size uniform clouds a permutation is optimal.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            a, b = rng.integers(0, 12, n), rng.integers(0, 12, n)
+            p, q = np.bincount(a, minlength=12) / n, np.bincount(b, minlength=12) / n
+            exact = ot.exact_w2_small(EmpiricalMeasure(a[:, None].astype(float)),
+                                      EmpiricalMeasure(b[:, None].astype(float)))
+            assert abs(ot.output_space_ot_diag(p, q, 12) - exact) <= 1e-12
+
+    def test_symmetric(self):
+        for seed in range(20):
             p, q = np.random.default_rng(seed).dirichlet(np.ones(16), size=2)
-            value, flag = ot.output_space_ot_diag(p, q, 16, epsilon=epsilon)
+            value = ot.output_space_ot_diag(p, q, 16)
             assert math.isfinite(value) and value > 0.0
-            assert flag is converged
+            assert ot.output_space_ot_diag(q, p, 16) == value
+
+    def test_top_k_union_is_renormalised(self):
+        # top-2 of p is {0, 1}, of q {4, 5}: the mass on tokens 2 and 3 is
+        # dropped and each side is rescaled to 1 on {0, 1, 4, 5}.  Then p is
+        # 3/4 at 0 and 1/4 at 1, q is 1/2 at 4 and 1/2 at 5; the monotone
+        # plan sends 1/2 from 0 to 4, 1/4 from 0 to 5 and 1/4 from 1 to 5.
+        p = np.array([0.6, 0.2, 0.1, 0.1, 0.0, 0.0])
+        q = np.array([0.0, 0.0, 0.1, 0.1, 0.4, 0.4])
+        expected = 0.5 * 16 + 0.25 * 25 + 0.25 * 16
+        assert ot.output_space_ot_diag(p, q, 2) == pytest.approx(expected, abs=1e-12)
+        assert ot.output_space_ot_diag(p, q, 6) != pytest.approx(expected)
 
     def test_requires_positive_top_k(self):
         p = np.array([0.5, 0.5])
         with pytest.raises(ValidationError):
             ot.output_space_ot_diag(p, p, 0)
-

@@ -1,6 +1,7 @@
 """Categorical-distribution probes: frozen oracles and randomized properties."""
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,7 +175,71 @@ class TestTurningAngles:
             assert 0.0 <= angle <= math.pi
 
 
+def perturb(base, alpha, beta):
+    """Per-cell reference: power-temper a ProbVector, then mix it toward uniform."""
+    if alpha <= 0:
+        raise ValidationError("alpha must be positive")
+    if not (0.0 <= beta <= 1.0):
+        raise ValidationError("beta must lie in [0, 1]")
+    powered = np.power(base.probs, alpha)
+    total = float(np.sum(powered))
+    if total <= 0:
+        raise ValidationError("perturbation annihilated all mass")
+    tempered = powered / total
+    uniform = np.full(base.support_size, 1.0 / base.support_size)
+    return pm.ProbVector((1.0 - beta) * tempered + beta * uniform)
+
+
+def reference_grid(base, alphas, betas, metric):
+    """landscape_grid one cell at a time, as the probe computed it before it was batched."""
+    base = pm.ProbVector(base)
+    grid = np.empty((len(alphas), len(betas)))
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(betas):
+            q = perturb(base, float(a), float(b))
+            if metric == "fr":
+                grid[i, j] = pm.fr_distance(base, q)
+            else:
+                with np.errstate(divide="ignore"):
+                    logq = np.log(q.probs)
+                mask = base.probs > 0
+                grid[i, j] = (float(np.sum(base.probs[mask] * logq[mask]))
+                              + math.log(base.support_size))
+    return grid
+
+
+def landscape_bases():
+    rng = np.random.default_rng(11)
+    bases = [rng.dirichlet(np.full(16, c)) for c in (0.05, 0.3, 1.0, 5.0) for _ in range(5)]
+    zeros = np.zeros(16)
+    zeros[[1, 4, 9]] = [0.5, 0.3, 0.2]
+    return bases + [zeros]
+
+
 class TestLandscape:
+    @pytest.mark.parametrize("metric", ["fr", "diag_mi"])
+    def test_matches_the_per_cell_loop(self, metric):
+        # The probe's default 11x11 grid, bit for bit.
+        alphas, betas = np.linspace(0.5, 1.5, 11), np.linspace(0.0, 1.0, 11)
+        for base in landscape_bases():
+            grid = pm.landscape_grid(base, alphas, betas, metric=metric)
+            assert np.array_equal(grid, reference_grid(base, alphas, betas, metric))
+
+    @pytest.mark.parametrize("alphas, betas, message", [
+        ([1.0, 0.0], [0.0, 0.5], "alpha must be positive"),
+        ([1.0, -2.0], [0.0, 1.5], "beta must lie in [0, 1]"),
+        ([1.0, 5000.0], [0.0], "perturbation annihilated all mass"),
+    ])
+    def test_first_invalid_cell_raises_as_the_per_cell_loop(self, alphas, betas, message):
+        base = landscape_bases()[0]
+        for compute in (pm.landscape_grid, reference_grid):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                compute(base, alphas, betas, metric="fr")
+
+    def test_non_finite_alpha_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            pm.landscape_grid([0.5, 0.5], [1.0, math.inf], [0.0])
+
     def test_identity_cell_fr(self):
         grid = pm.landscape_grid([0.6, 0.3, 0.1], [1.0], [0.0], metric="fr")
         assert grid[0, 0] == pytest.approx(0.0, abs=1e-12)
