@@ -25,11 +25,11 @@ from . import mi, ot, prob_metrics
 from .errors import ValidationError
 from .policy import (ToyPolicy, Vocab, gold_items, make_toy_task, mle_pretrain,
                      principles_from_patterns, transition_counts, warm_start)
-from .trainer import ABLATION_MODES, TrainConfig, Trainer, load_checkpoint
+from .trainer import TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -48,7 +48,6 @@ class RunConfig(TrainConfig):
     checkpoint_every: int = 500
     output_dir: str = "run"
     constitution: str = str(DATA_DIR / "toy_high_si.txt")
-    ablation: str = "enigma"
     warmstart_epochs: int = 200
     warmstart_lr: float = 0.5
     warmstart_bias: float = 0.15
@@ -62,8 +61,6 @@ class RunConfig(TrainConfig):
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version} "
                               f"(this version reads {SCHEMA_VERSION})")
-        if self.ablation not in ABLATION_MODES:
-            raise ConfigError(f"ablation must be one of {ABLATION_MODES}")
         if self.max_steps <= 0 or self.checkpoint_every <= 0:
             raise ConfigError("max_steps and checkpoint_every must be positive")
         super().__post_init__()
@@ -166,8 +163,6 @@ def _load_principles(path) -> consti.PrincipleSet:
 
 def cmd_train(args) -> int:
     overrides = {}
-    if args.ablation:
-        overrides["ablation"] = args.ablation
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.max_steps is not None:
@@ -195,8 +190,7 @@ def cmd_train(args) -> int:
     warm_start(policy, task, config.warmstart_epochs, config.warmstart_lr,
                config.seed, bias=config.warmstart_bias)
 
-    trainer = Trainer(policy, task, config.with_ablation(config.ablation),
-                      config.max_steps, config.seed)
+    trainer = Trainer(policy, task, config, config.max_steps, config.seed)
     config_hash = config.config_hash()
     config_text = serialise_config(config)
     checkpoint_hashes = {}
@@ -219,7 +213,7 @@ def cmd_train(args) -> int:
     if str(config.max_steps) not in checkpoint_hashes:
         checkpoint(config.max_steps)
 
-    (out_dir / "config.txt").write_text(serialise_config(config))
+    (out_dir / "config.txt").write_text(config_text)
     summary = {
         "config": {f.name: getattr(config, f.name) for f in fields(RunConfig)},
         "config_hash": config_hash,
@@ -431,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run the training loop from a config file")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--ablation", choices=ABLATION_MODES)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--max-steps", type=int, dest="max_steps")
     p_train.add_argument("--output-dir", dest="output_dir")

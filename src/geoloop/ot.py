@@ -38,15 +38,17 @@ equal-size clouds) and exists purely as a test oracle; it is never called by
 the solver it checks.  `output_space_ot_diag`, the probe's diagnostic, runs no
 solver either: its measures sit on a line, where W2^2 has a closed form.
 
-The trainer's representation regulariser takes eps = blur**2 (blur acts as a
-length scale on squared-Euclidean costs); the customary blur 0.12 therefore
-means eps = 0.0144.
+The trainer's representation regulariser calls `sinkhorn_divergence_with_grad`
+on a step's whole hidden clouds (one point per completion, 32 in the bundled
+configs) with eps = blur**2 (blur acts as a length scale on squared-Euclidean
+costs); the customary blur 0.12 therefore means eps = 0.0144.
+`subsample_indices` has no caller in the package; perfbench's tracer still
+wraps it.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,36 +59,6 @@ from .rep_metrics import EmpiricalMeasure
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_TOL = 1e-9
 DEFAULT_SCALING = 0.8
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """A coupling with its marginals; row/column sums must match within `tolerance`.
-
-    The default 1e-6 is the contract for converged plans; a flagged
-    non-converged solve may carry a looser achieved tolerance.
-    """
-
-    plan: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        plan = np.atleast_2d(np.asarray(self.plan, dtype=float))
-        row = np.asarray(self.row_marginal, dtype=float)
-        col = np.asarray(self.col_marginal, dtype=float)
-        if plan.shape != (row.size, col.size):
-            raise DimensionMismatchError("plan shape must match marginal sizes")
-        if np.any(plan < -1e-12):
-            raise ValidationError("plan entries must be nonnegative")
-        if np.max(np.abs(plan.sum(axis=1) - row)) > self.tolerance:
-            raise ValidationError("row sums deviate from the first marginal")
-        if np.max(np.abs(plan.sum(axis=0) - col)) > self.tolerance:
-            raise ValidationError("column sums deviate from the second marginal")
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "row_marginal", row)
-        object.__setattr__(self, "col_marginal", col)
-
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -390,25 +362,20 @@ def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float, *,
                 tol: float = DEFAULT_TOL) -> dict:
     """Entropic OT value, plan, and convergence data between two uniform clouds.
 
-    Returns {"value", "plan": TransportPlan, "iterations", "converged",
-    "violation_trace", "raw_plan"}.  Non-convergence at max_iter comes back
-    flagged, never raised.  Passing the same measure twice solves the self
-    term by the symmetric update.
+    Returns {"value", "iterations", "converged", "violation_trace",
+    "raw_plan"}.  `raw_plan` is the plan of the final potentials, not
+    rebalanced: the trace's last entry is its L1 row violation.
+    Non-convergence at max_iter comes back flagged, never raised.  Passing
+    the same measure twice solves the self term by the symmetric update.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     costs = squared_distances(a.points, b.points)
-    wa, wb = a.weights, b.weights
     value, plan, iterations, converged, trace = _solve(
-        costs, np.log(wa), None if b is a else np.log(wb), epsilon, scaling, max_iter, tol)
-    # Renormalise the last Sinkhorn half-step so rows match exactly (columns
-    # already do); the residual column drift is bounded by the row violation.
-    row_sums = plan.sum(axis=1, keepdims=True)
-    balanced = plan * (wa[:, None] / np.maximum(row_sums, 1e-300))
-    achieved = float(np.abs(balanced.sum(axis=0) - wb).max())
+        costs, np.log(a.weights), None if b is a else np.log(b.weights),
+        epsilon, scaling, max_iter, tol)
     return {
         "value": value,
-        "plan": TransportPlan(balanced, wa, wb, tolerance=max(1e-6, 2.0 * achieved)),
         "iterations": iterations,
         "converged": converged,
         "violation_trace": trace,
@@ -460,16 +427,6 @@ def sinkhorn_divergence_with_grad(a: EmpiricalMeasure, b: EmpiricalMeasure,
         "violation": cross["violation_trace"][-1] if cross["violation_trace"] else math.nan,
     }
     return value, grad, stats
-
-
-def sinkhorn_divergence(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float,
-                        **kwargs) -> dict:
-    """Debiased divergence S_eps = OT(a,b) - OT(a,a)/2 - OT(b,b)/2, clamped at 0.
-
-    Returns {"value"} and the solve stats of `sinkhorn_divergence_with_grad`.
-    """
-    value, _, stats = sinkhorn_divergence_with_grad(a, b, epsilon, **kwargs)
-    return {"value": value, **stats}
 
 
 def subsample_indices(size: int, cap: int, seed) -> np.ndarray:

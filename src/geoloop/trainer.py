@@ -1,9 +1,9 @@
 """The single-loop optimiser: group advantages, an on-policy GRPO term, unified loss.
 
 One step runs, in order: sample groups -> base + gated/autoscaled MI rewards
--> group advantages -> score matrix for the symmetric InfoNCE auxiliary ->
-OT regulariser -> total loss -> one SGD step, then emits a StepReport.  The
-loss identity
+-> centred group advantages -> score matrix for the symmetric InfoNCE
+auxiliary -> OT regulariser on the step's hidden clouds -> total loss -> one
+SGD step, then emits a StepReport.  The loss identity
 
     total = grpo + sami_weight(step) * sami + shaping + ot
 
@@ -25,7 +25,10 @@ warmup.  Everything is deterministic under (config, seed): stochastic
 channels draw from seeds derived via SeedSequence(seed, step, channel, index).
 
 The optimiser is plain SGD with a global gradient-norm clip; external
-trainer defaults do not transfer to this scale.
+trainer defaults do not transfer to this scale.  The GRPO ablations are the
+same objective with sami_weight, ot_weight, channel_weight and shaping_weight
+at 0 (and jitter_sigma > 0 for the jittered one); a TrainConfig is run as
+given, with no presets.
 
 Work that is constant for the run is done once, in `Trainer.__init__`: the
 bag weights of every (principle, item) context (bagging uses no
@@ -44,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,10 +64,9 @@ STEPS_JSONL_FIELDS = (
     "geometry_degenerate", "beta", "ot_iters", "ot_violation", "ot_converged",
 )
 
-ABLATION_MODES = ("enigma", "grpo_cot", "grpo_cot_plus")
-
-# Seed-derivation channel ids.
-_CH_SAMPLE, _CH_SHADOW_P, _CH_SHADOW_C, _CH_OT, _CH_JITTER = range(5)
+# Seed-derivation channel ids; 3 is unused, and renumbering the jitter
+# channel would change its draws.
+_CH_SAMPLE, _CH_SHADOW_P, _CH_SHADOW_C, _CH_JITTER = 0, 1, 2, 4
 
 
 def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.Generator:
@@ -81,7 +83,6 @@ class TrainConfig:
     ot_weight: float = 0.01
     ot_warmup: int = 200
     blur: float = 0.12
-    ot_subsample_cap: int = 512
     shadow_k: int = 2
     entropy_quantile: float = 0.8
     channel_weight: float = 0.15
@@ -89,12 +90,9 @@ class TrainConfig:
     autoscale_target: float = 0.2
     autoscale_eta: float = 0.05
     ema_decay: float = 0.99
-    # Raw advantages: group-std scaling amplifies MI-channel noise into
-    # entropy collapse at this scale.  The SGD rate is sized for a 16-token
-    # policy.
-    scale_rewards: str = "none"
     shaping_weight: float = 0.0
     jitter_sigma: float = 0.0
+    # Sized for a 16-token policy.
     learning_rate: float = 1.0
     grad_clip: float = 1.0
     prompts_per_batch: int = 8
@@ -102,22 +100,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.group_size < 2:
             raise ValidationError("group size must be at least 2")
-        if self.scale_rewards not in ("group", "none"):
-            raise ValidationError("scale_rewards must be 'group' or 'none'")
         for name in ("sami_weight", "ot_weight", "channel_weight", "shaping_weight",
                      "jitter_sigma", "autoscale_eta", "learning_rate"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
-
-    def with_ablation(self, mode: str) -> "TrainConfig":
-        """Run-matrix presets: the full objective or the two policy-only ablations."""
-        if mode not in ABLATION_MODES:
-            raise ValidationError(f"unknown ablation mode {mode!r}")
-        if mode == "enigma":
-            return self
-        jitter = 0.5 if mode == "grpo_cot_plus" else 0.0
-        return replace(self, sami_weight=0.0, ot_weight=0.0, channel_weight=0.0,
-                       shaping_weight=0.0, jitter_sigma=jitter)
 
 
 @dataclass(frozen=True)
@@ -127,24 +113,20 @@ class GroupAdvantages:
     std: np.ndarray
 
 
-def group_advantages(group_rewards, mode: str = "group") -> GroupAdvantages:
-    """Centred (and optionally std-scaled) advantages within each group, the
-    last axis; mean and std have one entry per group.
+def group_advantages(group_rewards) -> GroupAdvantages:
+    """Centred advantages within each group, the last axis; mean and std have
+    one entry per group (std is logged, not applied).
 
-    A zero-variance group yields all-zero advantages: no learning signal.
+    The advantages are raw, not divided by the group std, as in Dr. GRPO
+    (Liu et al. 2025, arXiv:2503.20783): at this scale std scaling amplifies
+    MI-channel noise into entropy collapse.  A zero-variance group yields
+    all-zero advantages: no learning signal.
     """
     r = np.asarray(group_rewards, dtype=float)
     if r.shape[-1] < 2:
         raise ValidationError("a group needs at least 2 rewards")
-    if mode not in ("group", "none"):
-        raise ValidationError("mode must be 'group' or 'none'")
     mean = r.mean(axis=-1, keepdims=True)
-    std = r.std(axis=-1, keepdims=True)
-    adv = r - mean
-    if mode == "group":
-        spread = std > 1e-12
-        adv = np.where(spread, adv / np.where(spread, std, 1.0), 0.0)
-    return GroupAdvantages(adv, mean[..., 0], std[..., 0])
+    return GroupAdvantages(r - mean, mean[..., 0], r.std(axis=-1))
 
 
 def rowcol_anneal(step: int, max_steps: int) -> tuple:
@@ -377,7 +359,7 @@ class Trainer:
             mi_reward = rewards.mi_tiebreak_rewards(
                 z, config.sigmoid_slope, config.channel_weight, gate_open, self.autoscaler)
         total_reward = base + mi_reward
-        grouped = group_advantages(total_reward.reshape(n_groups, -1), config.scale_rewards)
+        grouped = group_advantages(total_reward.reshape(n_groups, -1))
         adv = grouped.advantages.ravel()
 
         # The on-policy GRPO term over untruncated completions (module
@@ -415,11 +397,6 @@ class Trainer:
         ot_stats = {"iterations": None, "violation": None, "converged": None}
         feat_grad = None
         if config.ot_weight > 0 and step >= config.ot_warmup:
-            cap = config.ot_subsample_cap
-            cur_idx = ot.subsample_indices(cur_measure.size, cap, (self.seed, step, _CH_OT, 0))
-            ref_idx = ot.subsample_indices(ref_measure.size, cap, (self.seed, step, _CH_OT, 1))
-            cur_sub = rep_metrics.EmpiricalMeasure(cur_measure.points[cur_idx], normalised=True)
-            ref_sub = rep_metrics.EmpiricalMeasure(ref_measure.points[ref_idx], normalised=True)
             # Bounded iteration budget: in the 2000-step enigma_high_si run
             # every solve converges well inside it, the self terms in 27-46
             # iterations and the cross term in 21-24 eps levels plus 2-13
@@ -427,9 +404,9 @@ class Trainer:
             # on with Sinkhorn iterations up to 500, and the envelope
             # gradient of the achieved plan stays valid.
             value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
-                cur_sub, ref_sub, config.blur ** 2, max_iter=500)
+                cur_measure, ref_measure, config.blur ** 2, max_iter=500)
             loss_ot = config.ot_weight * value
-            feat_grad = table.summary_feat_grad(own[groups[cur_idx]], counts[cur_idx],
+            feat_grad = table.summary_feat_grad(own[groups], counts,
                                                 config.ot_weight * point_grad)
 
         loss_total = enigma_loss(loss_grpo, loss_sami, loss_shaping, loss_ot,

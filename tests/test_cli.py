@@ -31,7 +31,7 @@ def short_config(tmp_path, **overrides) -> Path:
 
 class TestConfigRoundTrip:
     def test_parse_serialise_identity(self):
-        config = cli.RunConfig(seed=7, ablation="grpo_cot", learning_rate=0.25)
+        config = cli.RunConfig(seed=7, channel_weight=0.0, learning_rate=0.25)
         text = cli.serialise_config(config)
         again = cli.parse_config(text)
         assert again == config
@@ -42,8 +42,10 @@ class TestConfigRoundTrip:
             cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\nbogus = 3\n")
 
     def test_bad_ablation_rejected(self):
-        with pytest.raises(cli.ConfigError):
-            cli.parse_config(f'schema_version = {cli.SCHEMA_VERSION}\nablation = "nope"\n')
+        # Every ablation key is bad: a run's weights are stated in its file,
+        # and no key selects a preset.
+        with pytest.raises(cli.ConfigError, match="unknown key 'ablation'"):
+            cli.parse_config(f'schema_version = {cli.SCHEMA_VERSION}\nablation = "grpo_cot"\n')
 
     def test_comments_and_blanks_ignored(self):
         config = cli.parse_config("# comment\n\nseed = 9\n")
@@ -62,6 +64,13 @@ class TestConfigRoundTrip:
         # Schema 2 had the clip_eps key; the version is reported, not the key.
         with pytest.raises(cli.ConfigError, match="schema_version 2"):
             cli.parse_config("schema_version = 2\nclip_eps = 0.1\n")
+
+    def test_schema_3_file_fails_on_its_version(self):
+        # Schema 3 had the ablation, ot_subsample_cap and scale_rewards keys;
+        # the version is reported, not the keys.
+        with pytest.raises(cli.ConfigError, match="schema_version 3"):
+            cli.parse_config('schema_version = 3\nablation = "grpo_cot"\n'
+                             'ot_subsample_cap = 512\nscale_rewards = "none"\n')
 
     def test_bad_trainer_field_rejected(self):
         with pytest.raises(cli.ConfigError, match="group size"):
@@ -153,14 +162,19 @@ class TestTrainCommand:
         bytes_b = (tmp_path / "b" / "steps.jsonl").read_bytes()
         assert bytes_a == bytes_b
 
-    def test_ablation_override(self, tmp_path):
-        config = short_config(tmp_path, output_dir=str(tmp_path / "cot"))
-        code = cli.main(["train", "--config", str(config), "--ablation", "grpo_cot"])
+    def test_grpo_cot_config_is_what_runs(self, tmp_path):
+        # The run records the weights it trained with: those in its file.
+        run = tmp_path / "cot"
+        code = cli.main(["train", "--config", str(CONFIGS / "grpo_cot.toml"),
+                         "--max-steps", "5", "--output-dir", str(run)])
         assert code == cli.EXIT_OK
-        rows = [json.loads(line) for line in
-                (tmp_path / "cot" / "steps.jsonl").read_text().splitlines()]
+        rows = [json.loads(line) for line in (run / "steps.jsonl").read_text().splitlines()]
+        assert len(rows) == 5
         assert all(row["reward_mi_mean"] == 0.0 for row in rows)
         assert all(row["loss_ot"] == 0.0 for row in rows)
+        recorded = json.loads((run / "summary.json").read_text())["config"]
+        for name in ("sami_weight", "ot_weight", "channel_weight"):
+            assert recorded[name] == 0.0, name
 
     def test_existing_nonempty_output_rejected(self, tmp_path):
         run = tmp_path / "run"

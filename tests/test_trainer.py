@@ -2,7 +2,8 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,14 @@ from geoloop.errors import ValidationError
 from geoloop.policy import (DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, Vocab,
                             make_toy_task, toy_format_reward, transition_counts,
                             warm_start)
-from geoloop import mi, rep_metrics, rewards
+from geoloop import cli, mi, rep_metrics, rewards
 from geoloop import trainer as tr
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# The policy-only ablation as configs/grpo_cot.toml states it;
+# configs/grpo_cot_plus.toml adds jitter_sigma = 0.5.
+GRPO_COT = dict(sami_weight=0.0, ot_weight=0.0, channel_weight=0.0, shaping_weight=0.0)
 
 
 def small_trainer(seed=0, steps=50, **config_overrides):
@@ -22,53 +29,47 @@ def small_trainer(seed=0, steps=50, **config_overrides):
     policy = ToyPolicy(Vocab())
     policy.init_params(seed)
     warm_start(policy, task, 60, 0.5, seed, bias=0.15)
-    defaults = dict(learning_rate=1.0, scale_rewards="none", prompts_per_batch=4)
+    defaults = dict(learning_rate=1.0, prompts_per_batch=4)
     defaults.update(config_overrides)
     config = tr.TrainConfig(**defaults)
     return tr.Trainer(policy, task, config, max_steps=steps, seed=seed)
 
 
 class TestGroupAdvantages:
-    def test_symmetric_group_scaled(self):
-        out = tr.group_advantages([1.0, 0.0, 1.0, 0.0], "group")
-        assert out.advantages == pytest.approx([1.0, -1.0, 1.0, -1.0])
-
     def test_all_equal_rewards(self):
-        out = tr.group_advantages([0.7, 0.7, 0.7, 0.7], "group")
+        out = tr.group_advantages([0.7, 0.7, 0.7, 0.7])
         assert np.all(out.advantages == 0.0)
         assert out.std == 0.0
 
     def test_mean_subtraction_mode_none(self):
-        out = tr.group_advantages([1.0, 0.0, 0.0, 0.0], "none")
+        out = tr.group_advantages([1.0, 0.0, 0.0, 0.0])
         assert out.advantages == pytest.approx([0.75, -0.25, -0.25, -0.25])
 
     def test_needs_two(self):
         with pytest.raises(ValidationError):
-            tr.group_advantages([1.0], "group")
+            tr.group_advantages([1.0])
 
-    @pytest.mark.parametrize("mode", ["group", "none"])
-    def test_groups_on_the_last_axis(self, mode):
+    def test_groups_on_the_last_axis(self):
         rng = np.random.default_rng(7)
         rewards = rng.normal(0, 1, (6, 4))
         rewards[2] = 0.3
-        out = tr.group_advantages(rewards, mode)
+        out = tr.group_advantages(rewards)
         for g in range(6):
-            one = tr.group_advantages(rewards[g], mode)
+            one = tr.group_advantages(rewards[g])
             assert np.array_equal(out.advantages[g], one.advantages)
             assert out.mean[g] == one.mean and out.std[g] == one.std
         assert out.std[2] == 0.0
-        if mode == "group":
-            assert np.all(out.advantages[2] == 0.0)
+        assert np.all(out.advantages[2] == 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 12))
     def test_invariants(self, seed, g):
+        # Centred, not scaled: the advantages keep the rewards' spread.
         rng = np.random.default_rng(seed)
         rewards = rng.normal(0, 1, g)
-        out = tr.group_advantages(rewards, "group")
+        out = tr.group_advantages(rewards)
         assert out.advantages.mean() == pytest.approx(0.0, abs=1e-9)
-        if out.std > 1e-12:
-            assert out.advantages.std() == pytest.approx(1.0, abs=1e-6)
+        assert out.advantages.std() == pytest.approx(out.std, abs=1e-12)
 
 
 class TestGrpoUpdate:
@@ -82,8 +83,8 @@ class TestGrpoUpdate:
         policy = ToyPolicy(Vocab(), max_len=8)
         policy.init_params(4)
         warm_start(policy, task, 60, 0.5, 4, bias=0.15)
-        config = tr.TrainConfig(prompts_per_batch=4, grad_clip=0.05).with_ablation(
-            "grpo_cot_plus")
+        config = tr.TrainConfig(prompts_per_batch=4, grad_clip=0.05, jitter_sigma=0.5,
+                                **GRPO_COT)
         assert config.ot_weight == 0.0 and config.sami_weight == 0.0
         trainer = tr.Trainer(policy, task, config, max_steps=10, seed=4)
         before = policy.clone()
@@ -107,8 +108,7 @@ class TestGrpoUpdate:
                            for c in sampled])
         reward = reward + config.jitter_sigma * tr.derive_rng(
             4, 0, tr._CH_JITTER).standard_normal(len(sampled))
-        advantages = [tr.group_advantages(reward[g * size:(g + 1) * size],
-                                          config.scale_rewards).advantages
+        advantages = [tr.group_advantages(reward[g * size:(g + 1) * size]).advantages
                       for g in range(config.prompts_per_batch)]
         sampled = [sampled[g * size:(g + 1) * size] for g in range(config.prompts_per_batch)]
 
@@ -166,22 +166,23 @@ class TestSchedules:
         assert tr.enigma_loss(0.0, 0.0, 0.0, 0.5, config, 200) == pytest.approx(0.5)
 
 
+def bundled_trainer_config(name) -> tr.TrainConfig:
+    run = cli.load_config(CONFIGS / f"{name}.toml")
+    return tr.TrainConfig(**{f.name: getattr(run, f.name) for f in fields(tr.TrainConfig)})
+
+
 class TestAblationPresets:
+    """The ablations are bundled config files: the enigma recipe with the
+    auxiliary weights at zero, and jitter for grpo_cot_plus."""
+
     def test_grpo_cot_disables_everything(self):
-        config = tr.TrainConfig().with_ablation("grpo_cot")
-        assert config.sami_weight == 0.0
-        assert config.ot_weight == 0.0
-        assert config.channel_weight == 0.0
+        config = bundled_trainer_config("grpo_cot")
+        assert config == replace(bundled_trainer_config("enigma_high_si"), **GRPO_COT)
         assert config.jitter_sigma == 0.0
 
     def test_cot_plus_enables_jitter(self):
-        config = tr.TrainConfig().with_ablation("grpo_cot_plus")
-        assert config.jitter_sigma == 0.5
-        assert config.channel_weight == 0.0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            tr.TrainConfig().with_ablation("unknown")
+        config = bundled_trainer_config("grpo_cot_plus")
+        assert config == replace(bundled_trainer_config("grpo_cot"), jitter_sigma=0.5)
 
 
 class TestTrainStep:
@@ -258,7 +259,7 @@ class TestTrainStep:
         # All-equal rewards in every group: no variance, no policy gradient
         # from the GRPO term (the ablation's collapse mode).
         t = small_trainer(seed=9)
-        t.config = t.config.with_ablation("grpo_cot")
+        t.config = replace(t.config, **GRPO_COT)
         zero_std_steps = 0
         zero_grad_given_zero_std = True
         for _ in range(10):
@@ -272,7 +273,7 @@ class TestTrainStep:
 
     def test_jitter_restores_signal(self):
         t = small_trainer(seed=9)
-        t.config = t.config.with_ablation("grpo_cot_plus")
+        t.config = replace(t.config, **GRPO_COT, jitter_sigma=0.5)
         stds, gnorms = [], []
         for _ in range(10):
             rep = t.train_step()
@@ -477,7 +478,7 @@ def per_completion_rewards(t, step, comps, z):
     adv, stds = np.zeros(len(comps)), []
     size = config.group_size
     for g in range(len(comps) // size):
-        out = tr.group_advantages(total[g * size:(g + 1) * size], config.scale_rewards)
+        out = tr.group_advantages(total[g * size:(g + 1) * size])
         adv[g * size:(g + 1) * size] = out.advantages
         stds.append(float(out.std))
     return entropies, format_ok, base, mi_reward, adv, stds
@@ -488,16 +489,13 @@ class TestBatchedBookkeeping:
 
     @pytest.mark.parametrize("overrides", [
         dict(mi_warmup_steps=10),
-        dict(ablation="grpo_cot_plus"),
-        dict(ablation="grpo_cot", scale_rewards="group"),
-        dict(mi_warmup_steps=10, scale_rewards="group", jitter_sigma=0.3),
-    ], ids=["enigma", "grpo_cot_plus", "group_scaled", "enigma_group_jitter"])
+        dict(GRPO_COT, jitter_sigma=0.5),
+        GRPO_COT,
+        dict(mi_warmup_steps=10, jitter_sigma=0.3),
+    ], ids=["enigma", "grpo_cot_plus", "grpo_cot", "enigma_jitter"])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_step_rewards_and_advantages(self, monkeypatch, overrides, seed):
-        overrides = dict(overrides)
-        ablation = overrides.pop("ablation", "enigma")
         t = small_trainer(seed=seed, steps=40, **overrides)
-        t.config = t.config.with_ablation(ablation)
         recorded = {}
         sample_groups, row_z = t.policy.sample_groups, mi.row_positive_logsoftmax
 
@@ -536,8 +534,7 @@ class TestBatchedBookkeeping:
                     recorded["z"], t.config.sigmoid_slope, t.config.channel_weight,
                     gate_open, state), mi_reward)
                 open_gates += int(np.count_nonzero(mi_reward))
-            grouped = tr.group_advantages(
-                (base + mi_reward).reshape(-1, t.config.group_size), t.config.scale_rewards)
+            grouped = tr.group_advantages((base + mi_reward).reshape(-1, t.config.group_size))
             assert np.array_equal(grouped.advantages.ravel(), adv)
             assert np.array_equal(grouped.std, stds)
 
@@ -554,7 +551,7 @@ class TestBatchedBookkeeping:
         assert long_rows > 0
         if t.config.channel_weight > 0:
             assert open_gates > 0
-        if ablation == "grpo_cot":
+        if t.config.channel_weight == 0 and t.config.jitter_sigma == 0:
             assert zero_variance_groups > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
