@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import zipfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -323,7 +324,9 @@ def cmd_probe(args) -> int:
     for path in args.checkpoints:
         try:
             policy, ref, meta = load_checkpoint(path)
-        except (OSError, ValidationError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            # np.load raises ValueError on a file that is not an archive and
+            # BadZipFile on a cut one; ValidationError is a ValueError too.
             print(f"error: cannot load checkpoint {path}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         loaded.append((policy, ref, meta, path))

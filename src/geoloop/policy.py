@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .draws import Stream
 from .errors import ValidationError
 
 DEFAULT_VOCAB_SIZE = 16
@@ -756,7 +757,7 @@ def principles_from_patterns(vocab: Vocab, patterns) -> tuple:
 
 
 def _gold_continuation(vocab: Vocab, prefers: tuple, r_pool, a_pool, bias: float,
-                       rng: np.random.Generator) -> tuple:
+                       rng: Stream | np.random.Generator) -> tuple:
     def fill(pool, pref, n):
         picks = []
         for _ in range(n):
@@ -782,7 +783,7 @@ def make_toy_task(vocab: Vocab | None = None, *, n_principles: int = 4,
     """Seeded synthetic task: random prompts, one positive principle each,
     format-valid golds whose fillers lean toward the principle's preferences."""
     vocab = vocab or Vocab()
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     if principles is None:
         principles = make_toy_principles(vocab, n_principles)
     r_pool, a_pool = gold_filler_pools(vocab, principles)
@@ -809,7 +810,7 @@ def format_pretrain_items(task: ToyTask, seed: int = 0,
     associations.  The default keeps the step-0 contrastive bound well under
     0.01 nats while giving the association terms a direction to amplify.
     """
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     triples = []
     for item in task.items:
         principle = task.principle(item.principle_id)

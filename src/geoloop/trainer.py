@@ -39,8 +39,9 @@ its own, so the gathered rows equal those of tables built per step, bit for
 bit.  Because the reference table is built once, code that loads a reference
 into an existing Trainer (a resume) must rebuild it.  Per completion, the
 step's bookkeeping (format check, entropies, gates, MI reward, advantages)
-is array operations; only the shadow draws call the generator once per
-completion, as mi.draw_shadows does.
+is array operations.  The shadow draws still pick once per completion, as
+mi.draw_shadows does, but from a draws.Stream: the same picks from the same
+seed without Generator.choice's per-call cost.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mi, ot, prob_metrics, rep_metrics, rewards
+from .draws import Stream
 from .errors import ValidationError
 from .policy import NextTokenTable, ToyPolicy, ToyTask
 
@@ -69,8 +71,12 @@ STEPS_JSONL_FIELDS = (
 _CH_SAMPLE, _CH_SHADOW_P, _CH_SHADOW_C, _CH_JITTER = 0, 1, 2, 4
 
 
+def derive_seed(seed: int, step: int, channel: int, index: int = 0) -> np.random.SeedSequence:
+    return np.random.SeedSequence((seed, step, channel, index))
+
+
 def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, step, channel, index)))
+    return np.random.default_rng(derive_seed(seed, step, channel, index))
 
 
 @dataclass(frozen=True)
@@ -109,13 +115,12 @@ class TrainConfig:
 @dataclass(frozen=True)
 class GroupAdvantages:
     advantages: np.ndarray
-    mean: np.ndarray
     std: np.ndarray
 
 
 def group_advantages(group_rewards) -> GroupAdvantages:
-    """Centred advantages within each group, the last axis; mean and std have
-    one entry per group (std is logged, not applied).
+    """Centred advantages within each group, the last axis; std has one entry
+    per group (it is logged, not applied).
 
     The advantages are raw, not divided by the group std, as in Dr. GRPO
     (Liu et al. 2025, arXiv:2503.20783): at this scale std scaling amplifies
@@ -125,8 +130,7 @@ def group_advantages(group_rewards) -> GroupAdvantages:
     r = np.asarray(group_rewards, dtype=float)
     if r.shape[-1] < 2:
         raise ValidationError("a group needs at least 2 rewards")
-    mean = r.mean(axis=-1, keepdims=True)
-    return GroupAdvantages(r - mean, mean[..., 0], r.std(axis=-1))
+    return GroupAdvantages(r - r.mean(axis=-1, keepdims=True), r.std(axis=-1))
 
 
 def rowcol_anneal(step: int, max_steps: int) -> tuple:
@@ -279,10 +283,11 @@ class Trainer:
         0) and K uniform shadow principles."""
         k = self.config.shadow_k
         n_alt = len(self.task.principles) - 1
-        rng = derive_rng(self.seed, step, _CH_SHADOW_P)
+        rng = Stream(derive_seed(self.seed, step, _CH_SHADOW_P))
         # mi.draw_shadows' draw: k of the principles other than the true one,
         # numbered in pool order, so a pick skips the true principle.
-        picked = np.array([rng.choice(n_alt, size=k, replace=n_alt < k) for _ in groups])
+        picked = np.array([rng.choice(n_alt, size=k, replace=n_alt < k) for _ in groups],
+                          dtype=np.int64)
         true = self._true[item_idx[groups], None]
         return np.hstack([true, picked + (picked >= true)]) * len(item_idx) + groups[:, None]
 
@@ -290,9 +295,10 @@ class Trainer:
         """(B, K+1) completions {own, K shadows} to score under each
         completion's own rendered prompt."""
         k = self.config.shadow_k
-        rng = derive_rng(self.seed, step, _CH_SHADOW_C)
+        rng = Stream(derive_seed(self.seed, step, _CH_SHADOW_C))
         # Picks index the other completions, which skip idx.
-        picked = np.array([rng.choice(b - 1, size=k, replace=b - 1 < k) for _ in range(b)])
+        picked = np.array([rng.choice(b - 1, size=k, replace=b - 1 < k) for _ in range(b)],
+                          dtype=np.int64)
         idx = np.arange(b)[:, None]
         return np.hstack([idx, picked + (picked >= idx)])
 
@@ -494,20 +500,20 @@ def load_checkpoint(path) -> tuple:
     """
     from .policy import DEFAULT_MAX_LEN, Vocab
 
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    vocab = Vocab(int(meta["vocab_size"]))
-    max_len = int(meta.get("max_len", DEFAULT_MAX_LEN))
-    policy = ToyPolicy(vocab, int(meta["dim"]), max_len=max_len)
-    policy.embed = data["embed"].copy()
-    policy.out = data["out"].copy()
-    policy.ctx_scale = data["ctx_scale"].copy()
-    policy.prev_scale = data["prev_scale"].copy()
-    ref = ToyPolicy(vocab, int(meta["dim"]), max_len=max_len)
-    ref.embed = data["ref_embed"].copy()
-    ref.out = data["ref_out"].copy()
-    ref.ctx_scale = data["ref_ctx_scale"].copy()
-    ref.prev_scale = data["ref_prev_scale"].copy()
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+        vocab = Vocab(int(meta["vocab_size"]))
+        max_len = int(meta.get("max_len", DEFAULT_MAX_LEN))
+        policy = ToyPolicy(vocab, int(meta["dim"]), max_len=max_len)
+        policy.embed = data["embed"]
+        policy.out = data["out"]
+        policy.ctx_scale = data["ctx_scale"]
+        policy.prev_scale = data["prev_scale"]
+        ref = ToyPolicy(vocab, int(meta["dim"]), max_len=max_len)
+        ref.embed = data["ref_embed"]
+        ref.out = data["ref_out"]
+        ref.ctx_scale = data["ref_ctx_scale"]
+        ref.prev_scale = data["ref_prev_scale"]
     if policy.param_hash() != meta["param_hash"]:
         raise ValidationError("checkpoint parameter hash mismatch (corrupt file?)")
     return policy, ref, meta

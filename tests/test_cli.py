@@ -331,14 +331,21 @@ class TestProbeCommand:
                          "--out-dir", str(tmp_path / "mixed")])
         assert code == cli.EXIT_CONFIG
 
-    def test_corrupt_checkpoint_runtime_error(self, run_dir, tmp_path):
-        import numpy as np_mod
+    def test_corrupt_checkpoint_runtime_error(self, run_dir, tmp_path, capsys):
         ckpt = sorted(run_dir.glob("ckpt_*.npz"))[0]
-        data = dict(np_mod.load(ckpt, allow_pickle=False))
+        with np.load(ckpt, allow_pickle=False) as archive:
+            data = dict(archive)
         data["embed"] = data["embed"] + 1.0
-        broken = tmp_path / "broken.npz"
-        np_mod.savez(broken, **data)
-        code = cli.main(["probe", str(broken),
-                         "--constitution", str(DATA / "toy_high_si.txt"),
-                         "--out-dir", str(tmp_path / "x")])
-        assert code == cli.EXIT_RUNTIME
+        tampered = tmp_path / "tampered.npz"
+        np.savez(tampered, **data)
+        text = tmp_path / "text.npz"
+        text.write_text("not a checkpoint\n")
+        cut = tmp_path / "cut.npz"
+        raw = ckpt.read_bytes()
+        cut.write_bytes(raw[:len(raw) // 2])
+        for broken in (tampered, text, cut):
+            code = cli.main(["probe", str(broken),
+                             "--constitution", str(DATA / "toy_high_si.txt"),
+                             "--out-dir", str(tmp_path / "x")])
+            assert code == cli.EXIT_RUNTIME, broken.name
+            assert f"error: cannot load checkpoint {broken}" in capsys.readouterr().err
