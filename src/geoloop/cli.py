@@ -238,12 +238,14 @@ def cmd_eval_constitution(args) -> int:
     if args.components:
         try:
             rows = json.loads(Path(args.components).read_text())
+            components = [(row["name"], row["bits"], row["auc"], row["margin_pos"],
+                           row["margin_neg"], row.get("lb_pos_bits", float("nan")),
+                           row.get("lb_neg_bits", float("nan"))) for row in rows]
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read components file: {exc}") from exc
-        reports = [consti.report_from_components(
-            row["name"], row["bits"], row["auc"], row["margin_pos"],
-            row["margin_neg"], row.get("lb_pos_bits", float("nan")),
-            row.get("lb_neg_bits", float("nan"))) for row in rows]
+        except KeyError as exc:
+            raise ConfigError(f"components file {args.components}: a row lacks {exc}") from exc
+        reports = [consti.report_from_components(*row) for row in components]
     elif args.scores:
         nll_rows = _read_nll_csv(args.nll)
         try:
@@ -305,10 +307,13 @@ def _read_nll_csv(path):
             header = fh.readline().strip()
             if header != "nll_without_bits,nll_with_bits":
                 raise ConfigError(f"bad NLL CSV header: {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if line.strip():
-                    a, b = line.strip().split(",")
-                    rows.append((float(a), float(b)))
+                    try:
+                        a, b = line.strip().split(",")
+                        rows.append((float(a), float(b)))
+                    except ValueError as exc:
+                        raise ConfigError(f"NLL CSV {path}, line {lineno}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read NLL CSV: {exc}") from exc
     return rows

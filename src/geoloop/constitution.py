@@ -263,18 +263,12 @@ def _margin_rows(scores: np.ndarray, true_cols) -> np.ndarray:
 def _bound_bits(scores: np.ndarray, true_cols, k: int,
                 rng: Stream | np.random.Generator) -> float:
     """Row contrastive bound (bits) with K uniform shadow columns per item."""
-    n, m = scores.shape
+    m = scores.shape[1]
     k = min(k, m - 1)
     if k < 1:
         return math.nan
-    block = np.zeros((n, k + 1))
-    for i, j in enumerate(true_cols):
-        others = [c for c in range(m) if c != j]
-        picked = rng.choice(len(others), size=k, replace=False)
-        block[i, 0] = scores[i, j]
-        for slot, c in enumerate(picked):
-            block[i, slot + 1] = scores[i, others[int(c)]]
-    return mi.infonce_bound(block) / LN2
+    cols = mi.shadow_candidates(rng, true_cols, m, k)
+    return mi.infonce_bound(np.take_along_axis(scores, cols, axis=1)) / LN2
 
 
 def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,

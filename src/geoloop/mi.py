@@ -162,6 +162,19 @@ def draw_shadows(pool_ids, true_id, k: int, rng: np.random.Generator) -> ShadowD
     return ShadowDraw(tuple(candidates[int(i)] for i in picked), with_replacement=True)
 
 
+def shadow_candidates(rng, true_cols, m: int, k: int) -> np.ndarray:
+    """(n, K+1) columns of range(m): each row's true column, then K shadows.
+
+    One rng.choice per row, in row order, of K of the other m - 1 columns
+    (with replacement only when fewer than K): draw_shadows' draw over the
+    columns as the pool.
+    """
+    true = np.asarray(true_cols, dtype=np.int64)[:, None]
+    picked = np.array([rng.choice(m - 1, size=k, replace=m - 1 < k) for _ in range(len(true))],
+                      dtype=np.int64).reshape(len(true), k)
+    return np.hstack([true, picked + (picked >= true)])
+
+
 def infonce_bound(candidate_scores: np.ndarray, positive_index: int = 0) -> float:
     """log(K+1) - InfoNCE loss over (n, K+1) candidate scores; ceiling log(K+1).
 
@@ -254,7 +267,13 @@ def read_score_csv(path) -> ScoreMatrix:
             n, m = int(fields["N"]), int(fields["M"])
         except (ValueError, KeyError) as exc:
             raise ValidationError(f"bad score CSV header: {header!r}") from exc
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                try:
+                    rows.append(np.array([float(v) for v in line.strip().split(",")]).reshape(m))
+                except ValueError as exc:
+                    raise ValidationError(f"score CSV {path}, line {lineno}: {exc}") from exc
     scores = np.asarray(rows, dtype=float)
     if scores.shape != (n, m):
         raise ValidationError(f"score CSV body {scores.shape} does not match header ({n},{m})")

@@ -4,11 +4,12 @@ Primal problem (squared-Euclidean ground cost unless stated otherwise):
 
     OT_eps(a, b) = min_{pi in Pi(a,b)}  sum_ij pi_ij C_ij + eps * KL(pi || a x b)
 
-solved with eps-scaling: Sinkhorn iterations update the potentials in the log
-domain at a geometrically decreasing sequence of temperatures (factor
-`scaling`, default 0.8) from max(C) down to the target eps, and the solve
-is finished at the target until the L1 marginal violation drops below
-tolerance.  The debiased divergence is
+solved to an L1 marginal violation below tolerance at the target eps.  A
+cross term OT(a, b) gets there by eps-scaling: Sinkhorn iterations update
+the potentials in the log domain at a geometrically decreasing sequence of
+temperatures (factor `scaling`, default 0.8) from max(C) down to the target
+eps.  A self term OT(a, a) starts at the target eps (below).  The debiased
+divergence is
 
     S_eps(a, b) = OT_eps(a, b) - OT_eps(a, a)/2 - OT_eps(b, b)/2,
 
@@ -28,10 +29,11 @@ a log-sum-exp; an iteration whose scaling would leave range runs in the log
 domain and the kernel is rebuilt from its result.  The cross term alternates
 f and g; its row violation is read off the next f half-step (the row sums of
 the plan are a * exp((f - f_next)/eps) = a * u/u_next), so it costs no third
-product.  The self terms OT(a, a) run the scaling loop with the averaged
-symmetric update f <- (f + T_eps(f))/2 on a single potential (Feydy et al.
-2019), u <- sqrt(u*v) in scaling form, which converges in a few dozen
-iterations where the alternating update stalls.
+product.  The self terms OT(a, a) run only the scaling loop, with the
+averaged symmetric update f <- (f + T_eps(f))/2 on a single potential
+(Feydy et al. 2019), u <- sqrt(u*v) in scaling form.  That update needs no
+annealing: from f = 0 at the target eps it converges in a few dozen
+iterations at most, where the alternating update stalls.
 
 `exact_w2_small` enumerates permutation couplings (optimal for equal-weight,
 equal-size clouds) and exists purely as a test oracle; it is never called by
@@ -105,6 +107,9 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
 _SCALING_MAX = 1e100
 
 # Log row sums are read up to this bound, so a row violation stays finite.
+# A cross plan (f, T(f)) has entries of at most b_j, so rows of at most one;
+# a self plan (f, f) has rows a * exp((f - T(f))/eps), at most a at the
+# f = 0 start but with no such bound at a later log-domain iteration.
 _LOG_ROWS_MAX = 300.0
 
 
@@ -134,25 +139,20 @@ def _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter):
     """Log-domain Sinkhorn, one iteration per temperature above the target eps.
 
     The temperature starts at max(C) and falls by `scaling` per iteration;
-    each iteration takes g = T(f) and then the next f (f = T'(g) at the new
-    temperature, or the averaged symmetric update (f + g)/2 when log_b is
-    None), which takes the large potential changes between temperatures.
-    Returns (f, levels): f enters the first iteration at the target eps, and
-    levels is the number of iterations run, at most max_iter.
+    each iteration takes g = T(f) and then the next f = T'(g) at the new
+    temperature, which takes the large potential changes between
+    temperatures.  Returns (f, levels): f enters the first iteration at the
+    target eps, and levels is the number of iterations run, at most max_iter.
+    Only the cross term runs it; the self terms start from f = 0.
     """
-    symmetric = log_b is None
     eps_cur = max(float(costs.max()), epsilon)
-    f = np.zeros(costs.shape[0]) if symmetric else (
-        -eps_cur * _logsumexp(log_b[None, :] - costs / eps_cur, axis=1))
+    f = -eps_cur * _logsumexp(log_b[None, :] - costs / eps_cur, axis=1)
     levels = 0
     while eps_cur > epsilon and levels < max_iter:
         levels += 1
         g = -eps_cur * _logsumexp(log_a[:, None] + (f[:, None] - costs) / eps_cur, axis=0)
         eps_cur = max(epsilon, eps_cur * scaling)
-        if symmetric:
-            f = 0.5 * (f + g)
-        else:
-            f = -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1)
+        f = -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1)
     return f, levels
 
 
@@ -206,8 +206,7 @@ def _scaling_loop(costs, log_a, log_b, epsilon, f, max_iter, tol):
                 f_next = -epsilon * _logsumexp(log_b[None, :] + (g[None, :] - costs) / epsilon, axis=1)
                 shift = f - f_next
             # The row sums a * exp(shift/eps), from their logarithms and read
-            # up to exp(_LOG_ROWS_MAX): after a coarse eps step a peaked self
-            # plan's rows can exceed the float range (e^1600 on index costs).
+            # up to exp(_LOG_ROWS_MAX).
             log_rows = np.minimum(log_a + shift / epsilon, _LOG_ROWS_MAX)
             row_violation = float(np.abs(np.exp(log_rows) - a).sum())
             # K from this iteration's result is bounded: for the cross term
@@ -302,42 +301,44 @@ def _newton_step(costs, log_a, log_b, epsilon, f, point):
 def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     """Sinkhorn with eps-scaling and Newton steps; returns (f, g, iterations, converged, trace).
 
-    The eps ladder (`_eps_ladder`) runs in the log domain down to the target
-    eps.  From its f, each cross-term iteration evaluates the plan (f, T(f))
-    at the target eps, records its L1 row violation in the trace, and stops
-    once it is below tol; otherwise it takes a Newton step on the semi-dual
-    with backtracking (`_newton_step`).  The first time a step fails, the
-    rest of the solve goes to the scaling loop (`_scaling_loop`) from the
-    current f; its first iteration evaluates that plan again and takes over
-    its trace entry.
-
     With log_b=None it solves the self term OT(a, a) on a symmetric `costs`
-    by the scaling loop's averaged update from the ladder's f, which
-    converges within a few dozen iterations, and returns (f, f, ...), so the
-    plan is exactly symmetric.  Iterations count the ladder levels and the
-    iterations at the target eps, Newton or scaling; the converged flag is
-    honest (row violation < tol), and the trace is empty when max_iter ran
-    out on the ladder.
+    by the scaling loop's averaged update from f = 0 at the target eps, with
+    no eps ladder, and returns (f, f, ...), so the plan is exactly symmetric.
+
+    A cross term runs the eps ladder (`_eps_ladder`) in the log domain down
+    to the target eps.  From its f, each iteration evaluates the plan
+    (f, T(f)) at the target eps, records its L1 row violation in the trace,
+    and stops once it is below tol; otherwise it takes a Newton step on the
+    semi-dual with backtracking (`_newton_step`).  The first time a step
+    fails, the rest of the solve goes to the scaling loop (`_scaling_loop`)
+    from the current f; its first iteration evaluates that plan again and
+    takes over its trace entry.
+
+    Iterations count the ladder levels and the iterations at the target eps,
+    Newton or scaling; the converged flag is honest (row violation < tol),
+    and the trace is empty when max_iter ran out on the ladder.
     """
+    if log_b is None:
+        return _scaling_loop(costs, log_a, None, epsilon, np.zeros(costs.shape[0]),
+                             max_iter, tol)
     f, iterations = _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter)
     trace = []
-    if log_b is not None:
-        a = np.exp(log_a)
-        point = _dual_point(costs, log_a, log_b, epsilon, f)
-        if iterations == max_iter:
-            return f, point[1], iterations, False, trace
-        while True:
-            iterations += 1
-            trace.append(float(np.abs(point[3] - a).sum()))
-            converged = trace[-1] < tol
-            if converged or iterations == max_iter:
-                return f, point[1], iterations, converged, trace
-            step = _newton_step(costs, log_a, log_b, epsilon, f, point)
-            if step is None:
-                break
-            f, point = step
-        iterations -= 1
-        trace.pop()
+    a = np.exp(log_a)
+    point = _dual_point(costs, log_a, log_b, epsilon, f)
+    if iterations == max_iter:
+        return f, point[1], iterations, False, trace
+    while True:
+        iterations += 1
+        trace.append(float(np.abs(point[3] - a).sum()))
+        converged = trace[-1] < tol
+        if converged or iterations == max_iter:
+            return f, point[1], iterations, converged, trace
+        step = _newton_step(costs, log_a, log_b, epsilon, f, point)
+        if step is None:
+            break
+        f, point = step
+    iterations -= 1
+    trace.pop()
     f, g, more, converged, tail = _scaling_loop(
         costs, log_a, log_b, epsilon, f, max_iter - iterations, tol)
     return f, g, iterations + more, converged, trace + tail

@@ -116,24 +116,6 @@ class Vocab:
         return fillers[math.ceil(len(fillers) / 2):]
 
 
-def toy_format_reward(content_tokens, vocab: Vocab) -> float:
-    """Token-level mirror of the strict tag reward: 1.0 iff exactly one
-    R_OPEN..R_CLOSE A_OPEN..A_CLOSE template with nothing outside."""
-    toks = tuple(int(t) for t in content_tokens)
-    if not toks or vocab.eos in toks:
-        return 0.0
-    tags = (vocab.r_open, vocab.r_close, vocab.a_open, vocab.a_close)
-    if any(toks.count(tag) != 1 for tag in tags):
-        return 0.0
-    ro, rc = toks.index(vocab.r_open), toks.index(vocab.r_close)
-    ao, ac = toks.index(vocab.a_open), toks.index(vocab.a_close)
-    # With exactly one of each tag and no EOS, pinning the tag positions
-    # leaves only fillers between them.
-    if ro == 0 and ro < rc and ao == rc + 1 and ao < ac and ac == len(toks) - 1:
-        return 1.0
-    return 0.0
-
-
 @dataclass(frozen=True)
 class Completion:
     """One sampled completion with its per-step entropies."""
@@ -185,11 +167,12 @@ class Samples:
         return out
 
     def format_ok(self, vocab: Vocab) -> np.ndarray:
-        """Per row: not truncated and toy_format_reward(content) == 1.0.
+        """Per row: not truncated, and its content (the row without its
+        trailing EOS) is exactly one R_OPEN..R_CLOSE A_OPEN..A_CLOSE template
+        with nothing outside.
 
-        The content is the row without its trailing EOS.  With exactly one of
-        each tag and no EOS in it, the template holds iff R_OPEN is first,
-        A_CLOSE last and A_OPEN right after R_CLOSE.
+        With exactly one of each tag and no EOS in the content, the template
+        holds iff R_OPEN is first, A_CLOSE last and A_OPEN right after R_CLOSE.
         """
         n = self.lengths - 1
         content = np.arange(self.tokens.shape[1]) < n[:, None]
@@ -199,6 +182,15 @@ class Samples:
         return (~self.truncated & np.all(hits.sum(axis=1) == 1, axis=1)
                 & ~np.any((self.tokens == vocab.eos) & content, axis=1)
                 & (at[:, 0] == 0) & (at[:, 2] == at[:, 1] + 1) & (at[:, 3] == n - 1))
+
+
+def toy_format_reward(content_tokens, vocab: Vocab) -> float:
+    """The strict tag reward of one content: `Samples.format_ok` of the content
+    ended by EOS, as one untruncated row."""
+    row = np.array([*map(int, content_tokens), vocab.eos])
+    one = Samples(row[None, :], np.array([row.size]), np.zeros(1, dtype=bool),
+                  np.zeros((1, row.size)))
+    return float(one.format_ok(vocab)[0])
 
 
 @dataclass

@@ -3,7 +3,7 @@
 The base reward is binary and format-only: 1.0 iff the whole completion is
 exactly `<reasoning>...</reasoning><answer>...</answer>` (anchored, exactly
 one pair of each tag, nothing outside).  Content is never inspected.  The
-trainer scores it on the toy task's tokens with `policy.toy_format_reward`,
+trainer scores it on the toy task's tokens with `policy.Samples.format_ok`,
 where the four tags are reserved tokens.
 
 The tie-breaker channel converts a standardised row log-softmax z into a
@@ -89,22 +89,17 @@ class AutoscalerState:
 
 def mi_tiebreak_reward(z: float, slope: float, channel_weight: float,
                        gates: GateState, state: AutoscalerState) -> float:
-    """Gated dense reward: gate * beta * channel_weight * sigmoid(slope * z)."""
-    if slope <= 0:
-        raise ValidationError("sigmoid slope must be positive")
-    if channel_weight < 0:
-        raise ValidationError("channel weight cannot be negative")
-    if not gates.open or channel_weight == 0.0:
-        return 0.0
-    return state.beta * channel_weight / (1.0 + math.exp(-slope * float(z)))
+    """Gated dense reward: gate * beta * channel_weight * sigmoid(slope * z),
+    as mi_tiebreak_rewards gives it for one completion."""
+    return float(mi_tiebreak_rewards([z], slope, channel_weight, [gates.open], state)[0])
 
 
 def mi_tiebreak_rewards(z, slope: float, channel_weight: float, gate_open,
                         state: AutoscalerState) -> np.ndarray:
-    """mi_tiebreak_reward of each completion, with gate_open[i] its gates' `open`.
+    """gate_open[i] * beta * channel_weight * sigmoid(slope * z[i]) per completion.
 
-    The exponential is math.exp's, as in the one-completion function: np.exp
-    rounds differently in the last bit on some arguments.
+    The exponential is math.exp's: np.exp rounds differently in the last bit
+    on some arguments.
     """
     if slope <= 0:
         raise ValidationError("sigmoid slope must be positive")

@@ -39,9 +39,9 @@ its own, so the gathered rows equal those of tables built per step, bit for
 bit.  Because the reference table is built once, code that loads a reference
 into an existing Trainer (a resume) must rebuild it.  Per completion, the
 step's bookkeeping (format check, entropies, gates, MI reward, advantages)
-is array operations.  The shadow draws still pick once per completion, as
-mi.draw_shadows does, but from a draws.Stream: the same picks from the same
-seed without Generator.choice's per-call cost.
+is array operations.  The shadow draws (mi.shadow_candidates) still pick
+once per completion, as mi.draw_shadows does, but from a draws.Stream: the
+same picks from the same seed without Generator.choice's per-call cost.
 """
 from __future__ import annotations
 
@@ -281,26 +281,16 @@ class Trainer:
     def _row_candidates(self, item_idx, groups, step: int) -> np.ndarray:
         """(B, K+1) step contexts of each completion's true principle (column
         0) and K uniform shadow principles."""
-        k = self.config.shadow_k
-        n_alt = len(self.task.principles) - 1
         rng = Stream(derive_seed(self.seed, step, _CH_SHADOW_P))
-        # mi.draw_shadows' draw: k of the principles other than the true one,
-        # numbered in pool order, so a pick skips the true principle.
-        picked = np.array([rng.choice(n_alt, size=k, replace=n_alt < k) for _ in groups],
-                          dtype=np.int64)
-        true = self._true[item_idx[groups], None]
-        return np.hstack([true, picked + (picked >= true)]) * len(item_idx) + groups[:, None]
+        cols = mi.shadow_candidates(rng, self._true[item_idx[groups]],
+                                    len(self.task.principles), self.config.shadow_k)
+        return cols * len(item_idx) + groups[:, None]
 
     def _col_candidates(self, b: int, step: int) -> np.ndarray:
         """(B, K+1) completions {own, K shadows} to score under each
         completion's own rendered prompt."""
-        k = self.config.shadow_k
         rng = Stream(derive_seed(self.seed, step, _CH_SHADOW_C))
-        # Picks index the other completions, which skip idx.
-        picked = np.array([rng.choice(b - 1, size=k, replace=b - 1 < k) for _ in range(b)],
-                          dtype=np.int64)
-        idx = np.arange(b)[:, None]
-        return np.hstack([idx, picked + (picked >= idx)])
+        return mi.shadow_candidates(rng, np.arange(b), b, self.config.shadow_k)
 
     def _sami_weights(self, matrix: mi.ScoreMatrix, step: int, lam_row: float,
                       lam_col: float, shaping_mask) -> np.ndarray:
@@ -404,7 +394,7 @@ class Trainer:
         feat_grad = None
         if config.ot_weight > 0 and step >= config.ot_warmup:
             # Bounded iteration budget: in the 2000-step enigma_high_si run
-            # every solve converges well inside it, the self terms in 27-46
+            # every solve converges well inside it, the self terms in 2-25
             # iterations and the cross term in 21-24 eps levels plus 2-13
             # Newton iterations.  A cross solve whose Newton step fails goes
             # on with Sinkhorn iterations up to 500, and the envelope

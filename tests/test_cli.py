@@ -255,6 +255,39 @@ class TestEvalCommand:
                          "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
 
+    def external_files(self, tmp_path, pos_body="0.0,-1.0\n-1.0,0.0\n",
+                       nll_body="2.0,1.9\n2.0,1.8\n"):
+        """--scores and --nll arguments over two items and two principles."""
+        for name, body in (("pos", pos_body), ("neg", "0.0,-0.5\n-0.5,0.0\n")):
+            (tmp_path / f"{name}.csv").write_text("normalisation=length_mean,N=2,M=2\n" + body)
+        (tmp_path / "nll.csv").write_text("nll_without_bits,nll_with_bits\n" + nll_body)
+        return ["eval-constitution",
+                "--scores", str(tmp_path / "pos.csv"), str(tmp_path / "neg.csv"),
+                "--nll", str(tmp_path / "nll.csv"), "--out-dir", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("body", ["0.0,-1.0\n-1.0,oops\n", "0.0,-1.0\n-1.0\n"],
+                             ids=["non_numeric", "ragged"])
+    def test_malformed_score_csv_is_an_error_not_a_traceback(self, tmp_path, capsys, body):
+        assert cli.main(self.external_files(tmp_path, pos_body=body)) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "pos.csv" in err and "line 3" in err
+
+    def test_short_nll_row_is_a_config_error(self, tmp_path, capsys):
+        args = self.external_files(tmp_path, nll_body="2.0,1.9\n2.0\n")
+        assert cli.main(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "nll.csv" in err and "line 3" in err
+
+    def test_components_row_without_auc_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "components.json"
+        path.write_text(json.dumps([{"name": "x", "bits": 0.1, "margin_pos": 1.0,
+                                     "margin_neg": 0.5}]))
+        code = cli.main(["eval-constitution", "--components", str(path),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "components.json" in err and "'auc'" in err
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):

@@ -165,6 +165,15 @@ class TestShadowDraws:
         with pytest.raises(ValidationError):
             mi.draw_shadows(["only"], "only", 1, rng)
 
+    @pytest.mark.parametrize("m, k", [(8, 2), (3, 2), (2, 3)])
+    def test_candidates_are_draw_shadows_over_the_columns(self, m, k):
+        # (2, 3): one alternative, so the picks fall back to replacement.
+        true = np.random.default_rng(m).integers(0, m, 20)
+        got = mi.shadow_candidates(np.random.default_rng(7), true, m, k)
+        rng = np.random.default_rng(7)
+        expected = [[j, *mi.draw_shadows(range(m), j, k, rng).shadow_ids] for j in true]
+        assert got.tolist() == expected
+
 
 class TestSequenceScores:
     def test_standardisation_constant_row(self):

@@ -171,10 +171,11 @@ class TestSymmetricSelfTerm:
             plan_value(costs, log_w, log_w, rf, rg, self.EPS), rel=1e-6)
 
     def test_peaked_plans_keep_a_finite_trace(self):
-        # After a 20-fold eps step the first target-eps plan of a peaked self
-        # solve has row sums past the float range (on 20 of these 40, up to
-        # e^1571): Dirichlet(0.05) weights over 16 integer indices, zero
-        # weights dropped.
+        # Dirichlet(0.05) weights over 16 integer indices at eps 1e-4, zero
+        # weights dropped.  Behind a 20-fold eps step the first target-eps
+        # plans of 20 of these 40 have row sums up to e^1571; from f = 0
+        # they are at most a.  Self terms take no eps step: scaling 0.05 is
+        # ignored.
         idx = np.arange(16, dtype=float)
         costs = (idx[:, None] - idx[None, :]) ** 2
         with np.errstate(over="raise"):
@@ -186,6 +187,28 @@ class TestSymmetricSelfTerm:
                         ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
                     assert converged
                     assert np.all(np.isfinite(trace))
+
+    @pytest.mark.parametrize("kind", ["trainer", "acceptance_2", "index"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_the_scaling_loop_from_zero(self, kind, seed):
+        # No eps ladder: the solve is the scaling loop from f = 0 at the
+        # target eps, bit for bit.
+        costs, log_a, _, eps, max_iter = solver_instances(kind, seed)[1]
+        result = ot._sinkhorn_potentials(costs, log_a, None, eps, ot.DEFAULT_SCALING,
+                                         max_iter, ot.DEFAULT_TOL)
+        f, g, iterations, converged, trace = ot._scaling_loop(
+            costs, log_a, None, eps, np.zeros(costs.shape[0]), max_iter, ot.DEFAULT_TOL)
+        assert np.array_equal(result[0], f) and np.array_equal(result[1], g)
+        assert result[2:] == (iterations, converged, trace)
+
+    @pytest.mark.parametrize("kind", ["trainer", "acceptance_2", "index"])
+    def test_converges_within_25_iterations(self, kind):
+        # Behind an eps ladder these take 27-58 iterations.
+        for seed in range(8):
+            costs, log_a, _, eps, max_iter = solver_instances(kind, seed)[1]
+            _, _, iterations, converged, _ = ot._sinkhorn_potentials(
+                costs, log_a, None, eps, ot.DEFAULT_SCALING, max_iter, ot.DEFAULT_TOL)
+            assert converged and iterations <= 25
 
     def test_entropic_ot_self_plan_is_symmetric(self):
         for m in (unit_cloud(2, n=9, d=4, rank=2), unit_cloud(3)):
@@ -269,7 +292,11 @@ def solver_instances(kind, seed):
 
 
 def assert_matches_reference(costs, log_a, log_b, eps, scaling, max_iter):
-    start, levels = ot._eps_ladder(costs, log_a, log_b, eps, scaling, max_iter)
+    # A self term starts at the target eps from f = 0, as the solver runs it.
+    if log_b is None:
+        start, levels = np.zeros(costs.shape[0]), 0
+    else:
+        start, levels = ot._eps_ladder(costs, log_a, log_b, eps, scaling, max_iter)
     f, g, iterations, converged, trace = ot._scaling_loop(
         costs, log_a, log_b, eps, start, max_iter - levels, ot.DEFAULT_TOL)
     # The reference runs in extended precision from the same start: in

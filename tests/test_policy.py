@@ -1,4 +1,5 @@
 """Toy policy: gradients vs finite differences, sampling, format, task plumbing."""
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -118,7 +119,35 @@ class TestVocab:
         assert set(v.reasoning_fillers).isdisjoint(v.answer_fillers)
 
 
+def reference_format_reward(content_tokens, vocab) -> float:
+    """The strict tag reward of one completion's content, one token at a time:
+    1.0 iff exactly one R_OPEN..R_CLOSE A_OPEN..A_CLOSE template with nothing
+    outside.  The reference for Samples.format_ok and its one-row view
+    pol.toy_format_reward."""
+    toks = tuple(int(t) for t in content_tokens)
+    if not toks or vocab.eos in toks:
+        return 0.0
+    tags = (vocab.r_open, vocab.r_close, vocab.a_open, vocab.a_close)
+    if any(toks.count(tag) != 1 for tag in tags):
+        return 0.0
+    ro, rc = toks.index(vocab.r_open), toks.index(vocab.r_close)
+    ao, ac = toks.index(vocab.a_open), toks.index(vocab.a_close)
+    # With exactly one of each tag and no EOS, pinning the tag positions
+    # leaves only fillers between them.
+    if ro == 0 and ro < rc and ao == rc + 1 and ao < ac and ac == len(toks) - 1:
+        return 1.0
+    return 0.0
+
+
 class TestFormatReward:
+    def test_equals_the_reference_on_every_short_sequence(self):
+        # Every content of up to 5 tokens over two fillers, the four tags and EOS.
+        v = pol.Vocab()
+        alphabet = (0, 6, v.r_open, v.r_close, v.a_open, v.a_close, v.eos)
+        for n in range(6):
+            for toks in itertools.product(alphabet, repeat=n):
+                assert pol.toy_format_reward(toks, v) == reference_format_reward(toks, v)
+
     def test_valid_template(self):
         v = pol.Vocab()
         toks = (v.r_open, 0, 1, v.r_close, v.a_open, 6, v.a_close)
@@ -187,7 +216,7 @@ class TestSamples:
     def test_format_ok_is_the_format_reward(self, seed):
         v = pol.Vocab()
         samples = random_samples(seed)
-        expected = [(not c.truncated) and pol.toy_format_reward(c.content, v) == 1.0
+        expected = [(not c.truncated) and reference_format_reward(c.content, v) == 1.0
                     for c in samples.completions()]
         assert 50 < sum(expected) < len(expected)
         assert samples.format_ok(v).tolist() == expected
@@ -748,7 +777,7 @@ class TestWarmStart:
             group = p.sample_group(item.prompt, ptoks, 4, np.random.default_rng(gi))
             for c in group:
                 total += 1
-                ok += (not c.truncated) and pol.toy_format_reward(c.content, p.vocab) == 1.0
+                ok += (not c.truncated) and reference_format_reward(c.content, p.vocab) == 1.0
         assert ok / total > 0.7
 
     def test_deterministic(self):

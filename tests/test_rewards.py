@@ -80,6 +80,13 @@ class TestTieBreakReward:
         assert 0.0 <= value <= beta * 0.15 + 1e-12
 
 
+def reference_mi_reward(z, slope, channel_weight, gate_open, beta):
+    """One completion's tie-breaker reward, gate * beta * weight * sigmoid(slope * z)."""
+    if not gate_open or channel_weight == 0.0:
+        return 0.0
+    return beta * channel_weight / (1.0 + math.exp(-slope * float(z)))
+
+
 class TestBatchedTieBreakReward:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_the_one_completion_reward(self, seed):
@@ -88,9 +95,11 @@ class TestBatchedTieBreakReward:
         gate_open = rng.random(500) < 0.6
         state = rewards.AutoscalerState(beta=float(rng.uniform(0.5, 2.0)))
         got = rewards.mi_tiebreak_rewards(z, 2.5, 0.15, gate_open, state)
-        expected = [rewards.mi_tiebreak_reward(v, 2.5, 0.15, rewards.GateState(bool(g), True),
-                                               state) for v, g in zip(z, gate_open)]
+        expected = [reference_mi_reward(v, 2.5, 0.15, g, state.beta)
+                    for v, g in zip(z, gate_open)]
         assert got.tolist() == expected
+        assert [rewards.mi_tiebreak_reward(v, 2.5, 0.15, rewards.GateState(bool(g), True),
+                                           state) for v, g in zip(z, gate_open)] == expected
 
     def test_zero_weight_and_checks(self):
         state = rewards.AutoscalerState()

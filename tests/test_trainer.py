@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
 from geoloop.policy import (DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, Vocab,
-                            make_toy_task, toy_format_reward, transition_counts,
-                            warm_start)
+                            make_toy_task, transition_counts, warm_start)
 from geoloop import cli, mi, rep_metrics, rewards
 from geoloop import trainer as tr
+from test_policy import reference_format_reward
+from test_rewards import reference_mi_reward
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -104,7 +105,7 @@ class TestGrpoUpdate:
         # reward plus the grpo_cot_plus jitter, centred within each group.
         size = config.group_size
         reward = np.array([float((not c.truncated)
-                                 and toy_format_reward(c.content, policy.vocab) == 1.0)
+                                 and reference_format_reward(c.content, policy.vocab) == 1.0)
                            for c in sampled])
         reward = reward + config.jitter_sigma * tr.derive_rng(
             4, 0, tr._CH_JITTER).standard_normal(len(sampled))
@@ -455,12 +456,12 @@ class TestRunConstants:
 def per_completion_rewards(t, step, comps, z):
     """(entropies, format_ok, base, mi_reward, advantages, group stds) of a
     step, built one completion and one group at a time with the library's
-    per-completion functions."""
+    per-completion functions and the test references."""
     config = t.config
     entropies = np.array([c.mean_entropy for c in comps])
     entropy_mask = rewards.entropy_gate(entropies, config.entropy_quantile)
     format_ok = np.array([(not c.truncated)
-                          and toy_format_reward(c.content, t.policy.vocab) == 1.0
+                          and reference_format_reward(c.content, t.policy.vocab) == 1.0
                           for c in comps])
     base = format_ok.astype(float)
     if config.jitter_sigma > 0:
@@ -470,10 +471,10 @@ def per_completion_rewards(t, step, comps, z):
     mi_reward = np.zeros(len(comps))
     if config.channel_weight > 0:
         for i in range(len(comps)):
-            gates = rewards.GateState(bool(entropy_mask[i]),
-                                      bool(format_ok[i]) if gate_on else True)
-            mi_reward[i] = rewards.mi_tiebreak_reward(
-                z[i], config.sigmoid_slope, config.channel_weight, gates, t.autoscaler)
+            gate_open = entropy_mask[i] and (format_ok[i] or not gate_on)
+            mi_reward[i] = reference_mi_reward(z[i], config.sigmoid_slope,
+                                               config.channel_weight, gate_open,
+                                               t.autoscaler.beta)
     total = base + mi_reward
     adv, stds = np.zeros(len(comps)), []
     size = config.group_size
