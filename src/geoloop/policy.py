@@ -574,11 +574,12 @@ def _decode(logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     mass = np.exp(logits - np.max(logits, axis=1, keepdims=True))
     probs = mass / mass.sum(axis=1, keepdims=True)
     order = np.argsort(-probs, axis=1, kind="stable")
-    ranked = np.take_along_axis(probs, order, axis=1)
+    rows = np.arange(order.shape[0])[:, None]
+    ranked = probs[rows, order]
     keep_ranked = np.cumsum(ranked, axis=1) - ranked < TOP_P
     keep_ranked[:, 0] = True
     keep = np.zeros_like(keep_ranked)
-    np.put_along_axis(keep, order, keep_ranked, axis=1)
+    keep[rows, order] = keep_ranked
     mass = np.where(keep, mass, 0.0)
     probs = mass / mass.sum(axis=1, keepdims=True)
     cdf = np.cumsum(probs, axis=1)

@@ -10,9 +10,14 @@ and the covariance spectrum supports
 
     effrank = exp(-sum p_i log p_i),   PR = (sum l_i)^2 / sum l_i^2,
 
-with p_i = l_i / sum l_j.  Matrix square roots use symmetric eigendecomposition
-with eigenvalues clamped at zero: dimensions stay small here, so stability
-beats speed.  Covariances are unbiased (divide by B-1).
+with p_i = l_i / sum l_j.  Covariances are unbiased (divide by B-1).
+
+The cross term tr (S1^{1/2} S2 S1^{1/2})^{1/2} is the nuclear norm of
+F1 F2^T for any factors with Fi^T Fi = Si (Dowson and Landau 1982).  A fitted
+cloud's factor is its centred points over sqrt(B - 1), so the distance
+between two fits takes one SVD of a B x B product and no matrix square root.
+Only a summary built from an explicit covariance takes psd_sqrt (symmetric
+eigendecomposition, eigenvalues clamped at zero) for its factor.
 """
 from __future__ import annotations
 
@@ -27,21 +32,26 @@ from .errors import DimensionMismatchError, ValidationError
 _SYM_TOL = 1e-9
 _EIG_FLOOR = -1e-9
 
-# Roundoff bound on d_F^2: an eigenvalue of S1 or S2 that should be 0 comes
-# out as large as eps * |S|, so its square root puts up to sqrt(eps * |S|)
-# into S^{1/2}, and up to sqrt(eps * |S1| |S2|) <= sqrt(eps) * (tr S1 + tr S2)
-# into tr(cross), once per dimension.  Rank-deficient clouds (duplicate
-# completions) have many such.
+# Roundoff bound on d_F^2.  A fit's factor is its centred points, so the
+# distance between two fits is off by eps-sized terms only.  An explicit
+# covariance's factor is psd_sqrt(S): an eigenvalue of S that should be 0
+# comes out as large as eps * |S|, so its square root puts up to
+# sqrt(eps * |S|) into the factor, and up to
+# sqrt(eps * |S1| |S2|) <= sqrt(eps) * (tr S1 + tr S2) into tr(cross), once per
+# dimension.  The bound covers that worse case.
 _FRECHET_ROUNDOFF = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class GaussianSummary:
     """Mean and symmetric PSD covariance of a point cloud in R^d, with the
-    covariance's ascending eigenvalues from the PSD check."""
+    covariance's ascending eigenvalues from the PSD check and a factor F
+    (k x d) with F^T F = cov: fit_gaussian passes the centred points over
+    sqrt(B - 1); without one, F is psd_sqrt(cov)."""
 
     mean: np.ndarray
     cov: np.ndarray
+    factor: np.ndarray | None = field(default=None, repr=False, compare=False)
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -49,14 +59,21 @@ class GaussianSummary:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise DimensionMismatchError("cov must be d x d for a d-vector mean")
-        if not np.allclose(cov, cov.T, atol=_SYM_TOL):
+        if not np.all(np.abs(cov - cov.T) <= _SYM_TOL):
             raise ValidationError("covariance must be symmetric within 1e-9")
         sym = 0.5 * (cov + cov.T)
         eigvals = np.linalg.eigvalsh(sym)
         if np.min(eigvals) < _EIG_FLOOR * max(1.0, float(np.max(np.abs(eigvals)))):
             raise ValidationError("covariance must be PSD (eigenvalues >= -1e-9)")
+        if self.factor is None:
+            factor = psd_sqrt(sym)
+        else:
+            factor = np.asarray(self.factor, dtype=float)
+            if factor.ndim != 2 or factor.shape[1] != mean.size:
+                raise DimensionMismatchError("factor must be k x d for a d-vector mean")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", sym)
+        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "eigenvalues", eigvals)
 
     @property
@@ -81,7 +98,7 @@ class EmpiricalMeasure:
             raise ValidationError("measure needs at least one point")
         if self.normalised:
             norms = np.linalg.norm(points, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-9):
+            if not np.all(np.abs(norms - 1.0) <= 1e-9):
                 raise ValidationError("normalised measure rows must have unit norm")
         object.__setattr__(self, "points", points)
 
@@ -130,17 +147,21 @@ class FrechetClampWarning(UserWarning):
 def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
     """Squared Fréchet distance between two Gaussian summaries (>= 0, clamped).
 
-    A negative value within roundoff of d * (tr S1 + tr S2) is clamped to 0
-    with a FrechetClampWarning; one beyond it raises.
+    Equal summaries (equal means and factors: one cloud fitted twice) give
+    exactly 0.  Otherwise a negative value within roundoff of
+    d * (tr S1 + tr S2) is clamped to 0 with a FrechetClampWarning; one
+    beyond it raises.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if np.array_equal(a.mean, b.mean) and np.array_equal(a.factor, b.factor):
+        return 0.0
     diff = a.mean - b.mean
     # tr (S1^{1/2} S2 S1^{1/2})^{1/2} is the sum of the singular values of
-    # S1^{1/2} S2^{1/2}.  Taking them directly avoids a square root of the
-    # product's eigenvalues, which turns an eps-sized error on a near-zero
-    # one into a sqrt(eps)-sized error (d_F^2(a, a) off by ~1e-7 at tr S ~ 100).
-    cross = np.linalg.svd(psd_sqrt(a.cov) @ psd_sqrt(b.cov), compute_uv=False)
+    # F1 F2^T.  Taking them directly avoids a square root of the product's
+    # eigenvalues, which turns an eps-sized error on a near-zero one into a
+    # sqrt(eps)-sized error (d_F^2(a, a) off by ~1e-7 at tr S ~ 100).
+    cross = np.linalg.svd(a.factor @ b.factor.T, compute_uv=False)
     val = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.sum(cross))
     if val < -_FRECHET_ROUNDOFF * a.dim * float(np.trace(a.cov) + np.trace(b.cov)):
         raise ValidationError(f"Fréchet distance {val} too negative to be roundoff")
@@ -166,14 +187,15 @@ def effective_dims(s: Spectrum) -> dict:
 
 
 def fit_gaussian(measure: EmpiricalMeasure) -> GaussianSummary:
-    """Unbiased Gaussian fit (mean, covariance with B-1 denominator); needs B >= 2."""
+    """Unbiased Gaussian fit (mean, covariance with B-1 denominator, factor the
+    centred points over sqrt(B-1)); needs B >= 2."""
     if measure.size < 2:
         raise ValidationError("Gaussian fit needs at least 2 points")
     pts = measure.points
     mean = pts.mean(axis=0)
     centred = pts - mean
     cov = centred.T @ centred / (measure.size - 1)
-    return GaussianSummary(mean, cov)
+    return GaussianSummary(mean, cov, centred / math.sqrt(measure.size - 1))
 
 
 def covariance_spectrum(measure: EmpiricalMeasure) -> Spectrum:

@@ -207,8 +207,11 @@ def _sami_matrix(own_scores, groups, kept, lengths) -> mi.ScoreMatrix:
 
 
 def _geometry(cur: rep_metrics.EmpiricalMeasure, ref: rep_metrics.EmpiricalMeasure) -> tuple:
-    """(frechet, effrank, pr, degenerate) of the current and reference clouds;
-    each cloud is fitted once, and the spectrum is the current fit's."""
+    """(frechet, effrank, pr, degenerate) of the current and reference clouds.
+
+    Each cloud is fitted once.  The Fréchet cross term comes from the two
+    fits' centred points (no matrix square root); the spectrum is the
+    eigvalsh of the current fit's covariance, from its PSD check."""
     try:
         cur_fit = rep_metrics.fit_gaussian(cur)
     except ValidationError:

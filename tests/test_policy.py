@@ -80,6 +80,24 @@ def reference_decode_one(logits, history, rng):
     return int(rng.choice(probs.size, p=probs))
 
 
+def reference_decode_along_axis(logits, uniforms):
+    """policy._decode with the ranking gathered and scattered through
+    np.take_along_axis and np.put_along_axis."""
+    mass = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    probs = mass / mass.sum(axis=1, keepdims=True)
+    order = np.argsort(-probs, axis=1, kind="stable")
+    ranked = np.take_along_axis(probs, order, axis=1)
+    keep_ranked = np.cumsum(ranked, axis=1) - ranked < pol.TOP_P
+    keep_ranked[:, 0] = True
+    keep = np.zeros_like(keep_ranked)
+    np.put_along_axis(keep, order, keep_ranked, axis=1)
+    mass = np.where(keep, mass, 0.0)
+    probs = mass / mass.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.sum(cdf <= uniforms[:, None], axis=1)
+
+
 def reference_sample_group(p, prompt, principle, group_size, seed):
     """The per-row decode loop: members in turn at each position, one stream."""
     rng = np.random.default_rng(seed)
@@ -714,6 +732,27 @@ class TestBatchedSampler:
         p = randomised_policy(30, max_len=max_len)
         p.out *= 6.0 * logit_scale
         self.assert_matches_reference(p)
+
+
+class TestDecodeIndexing:
+    """_decode ranks with direct (rows, order) indexing; the along-axis
+    version is the reference, token for token."""
+
+    def test_matches_along_axis_on_random_blocks(self):
+        rng = np.random.default_rng(11)
+        for trial in range(3000):
+            n = 1 if trial % 5 == 0 else int(rng.integers(2, 65))
+            v = int(rng.integers(2, 17))
+            logits = rng.normal(0, rng.choice([0.5, 3.0, 12.0]), (n, v))
+            if trial % 3 == 0:
+                # Ties: logits on a coarse grid, so the stable sort's order
+                # among equal probabilities decides the nucleus.
+                logits = np.round(logits * 0.5) * 2.0
+            if trial % 7 == 0:
+                logits[:] = 0.0
+            uniforms = rng.random(n)
+            got = pol._decode(logits, uniforms)
+            assert np.array_equal(got, reference_decode_along_axis(logits, uniforms))
 
 
 class TestReference:

@@ -16,6 +16,21 @@ def random_psd(rng, d, scale=1.0):
     return a @ a.T + 1e-9 * np.eye(d)
 
 
+def psd_sqrt_frechet(a, b):
+    """The squared Fréchet distance with the cross term taken from the
+    covariances' matrix square roots, unclamped: the reference for the
+    factor route."""
+    cross = np.linalg.svd(rm.psd_sqrt(a.cov) @ rm.psd_sqrt(b.cov), compute_uv=False)
+    diff = a.mean - b.mean
+    return float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.sum(cross))
+
+
+def unit_cloud(rng, b, d):
+    pts = rng.normal(size=(b, d))
+    return rm.EmpiricalMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True),
+                               normalised=True)
+
+
 class TestFrechet:
     def test_identical_summaries(self):
         g = rm.GaussianSummary([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
@@ -65,9 +80,15 @@ class TestFrechet:
         # the first two raised, the last two missed the 1e-8 of the property test.
         rng = np.random.default_rng(seed)
         a = rm.GaussianSummary(rng.normal(0, 1, d), random_psd(rng, d))
+        # a against itself returns 0 before the cross term; a rotated factor
+        # describes the same Gaussian and goes through it.
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        rotated = rm.GaussianSummary(a.mean, a.cov, q @ a.factor)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert rm.frechet_distance(a, a) == pytest.approx(0.0, abs=1e-8)
+            assert rm.frechet_distance(a, rotated) == pytest.approx(0.0, abs=1e-8)
+            assert rm.frechet_distance(rotated, a) == pytest.approx(0.0, abs=1e-8)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 64))
@@ -77,6 +98,118 @@ class TestFrechet:
         root = rm.psd_sqrt(mat)
         err = np.linalg.norm(root @ root - mat) / np.linalg.norm(mat)
         assert err < 1e-8
+
+
+class TestFactorRoute:
+    """frechet_distance takes tr(cross) from the summaries' factors: the centred
+    points of a fit, psd_sqrt(cov) of an explicit covariance."""
+
+    @staticmethod
+    def summaries(rng, b, d, kinds):
+        out = []
+        for kind in kinds:
+            if kind == "fit":
+                out.append(rm.fit_gaussian(unit_cloud(rng, b, d)))
+            else:
+                out.append(rm.GaussianSummary(rng.normal(0, 0.3, d),
+                                              random_psd(rng, d, 0.3)))
+        return out
+
+    @pytest.mark.parametrize("kinds, b, d", [
+        *((("fit", "fit"), b, d) for b, d in [(8, 32), (16, 32), (32, 32), (48, 32),
+                                              (2, 3), (3, 3), (5, 3), (12, 3)]),
+        *((kinds, b, d) for kinds in [("fit", "cov"), ("cov", "fit")]
+          for b, d in [(48, 32), (5, 3), (12, 3)]),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_psd_sqrt_formula(self, seed, kinds, b, d):
+        rng = np.random.default_rng(seed)
+        a, c = self.summaries(rng, b, d, kinds)
+        scale = float(np.trace(a.cov) + np.trace(c.cov))
+        assert abs(rm.frechet_distance(a, c) - psd_sqrt_frechet(a, c)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed, b, d, exact", [
+        (1, 2, 3, 0.9872538476353266), (1, 3, 3, 0.9599457291044136),
+        (0, 8, 32, 83.35064837767138)])
+    def test_rank_deficient_fit_against_a_covariance(self, seed, b, d, exact):
+        # A fit of B <= d points against a full-rank explicit covariance;
+        # exact is frozen from a 50-digit mpmath evaluation of the same
+        # inputs.  The psd_sqrt formula misses it by 8.9e-10, 6.2e-10 and
+        # 1.3e-7: the square roots of the fit's zero eigenvalues are
+        # sqrt(eps)-sized, and the full-rank side does not cancel them.
+        rng = np.random.default_rng(seed)
+        a, c = self.summaries(rng, b, d, ("fit", "cov"))
+        scale = float(np.trace(a.cov) + np.trace(c.cov))
+        assert abs(rm.frechet_distance(a, c) - exact) <= 1e-12 * scale
+        assert abs(rm.frechet_distance(c, a) - exact) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("b, d", [(8, 32), (32, 32), (48, 32), (4, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symmetric_in_its_arguments(self, seed, b, d):
+        rng = np.random.default_rng(seed)
+        a, c = self.summaries(rng, b, d, ("fit", "fit"))
+        scale = float(np.trace(a.cov) + np.trace(c.cov))
+        assert abs(rm.frechet_distance(a, c) - rm.frechet_distance(c, a)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("b, d", [(8, 32), (32, 32), (48, 32), (4, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cloud_against_itself(self, seed, b, d):
+        rng = np.random.default_rng(seed)
+        pts = unit_cloud(rng, b, d).points
+        # Duplicate completions make the cloud rank-deficient.
+        pts[1::3] = pts[0]
+        fit = rm.fit_gaussian(rm.EmpiricalMeasure(pts, normalised=True))
+        twice = rm.fit_gaussian(rm.EmpiricalMeasure(pts.copy(), normalised=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rm.frechet_distance(fit, twice) == 0.0
+        # The same points in another order: the same Gaussian, reached
+        # through roundoff.
+        shuffled = rm.fit_gaussian(rm.EmpiricalMeasure(pts[::-1], normalised=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rm.FrechetClampWarning)
+            assert rm.frechet_distance(fit, shuffled) <= rm._FRECHET_ROUNDOFF
+
+    def test_fit_factor_is_the_centred_points(self):
+        rng = np.random.default_rng(3)
+        cloud = unit_cloud(rng, 10, 4)
+        fit = rm.fit_gaussian(cloud)
+        centred = cloud.points - cloud.points.mean(axis=0)
+        assert np.array_equal(fit.factor, centred / 3.0)
+        assert np.allclose(fit.factor.T @ fit.factor, fit.cov, rtol=0, atol=1e-15)
+
+    def test_explicit_covariance_factor_is_psd_sqrt(self):
+        cov = random_psd(np.random.default_rng(4), 5)
+        g = rm.GaussianSummary(np.zeros(5), cov)
+        assert np.array_equal(g.factor, rm.psd_sqrt(g.cov))
+
+    def test_factor_width_must_be_the_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            rm.GaussianSummary(np.zeros(2), np.eye(2), np.ones((3, 3)))
+
+
+class TestStatedTolerances:
+    """The symmetry and unit-norm checks hold at the 1e-9 they state, with no
+    relative slack on top."""
+
+    def test_asymmetry_beyond_1e_9_rejected(self):
+        # 5e-6 on unit entries: within allclose's default rtol of 1e-5.
+        cov = np.array([[2.0, 1.0], [1.0 + 5e-6, 2.0]])
+        with pytest.raises(ValidationError):
+            rm.GaussianSummary([0.0, 0.0], cov)
+
+    def test_asymmetry_within_1e_9_accepted(self):
+        cov = np.array([[1.0, 0.5], [0.5 + 5e-10, 1.0]])
+        g = rm.GaussianSummary([0.0, 0.0], cov)
+        assert g.cov[0, 1] == g.cov[1, 0]
+
+    def test_norm_beyond_1e_9_rejected(self):
+        with pytest.raises(ValidationError):
+            rm.EmpiricalMeasure([[1.0 + 5e-6, 0.0], [0.0, 1.0]], normalised=True)
+
+    def test_norm_within_1e_9_accepted(self):
+        m = rm.EmpiricalMeasure([[1.0 + 5e-10, 0.0], [0.0, 1.0]], normalised=True)
+        assert m.size == 2
 
 
 class TestEffectiveDims:

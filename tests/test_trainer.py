@@ -14,8 +14,9 @@ from geoloop.errors import ValidationError
 from geoloop.policy import (DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, Vocab,
                             make_toy_task, transition_counts, warm_start)
 from geoloop import cli, mi, rep_metrics, rewards
+from geoloop import policy as pol
 from geoloop import trainer as tr
-from test_policy import reference_format_reward
+from test_policy import reference_decode_along_axis, reference_format_reward
 from test_rewards import reference_mi_reward
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -599,3 +600,60 @@ class TestGeometryFlags:
         ref = rep_metrics.EmpiricalMeasure(np.roll(cur.points, 1, axis=1), normalised=True)
         frechet, _, _, degenerate = tr._geometry(cur, ref)
         assert frechet > 0.0 and not degenerate
+
+
+class TestStepGeometry:
+    @pytest.mark.parametrize("ot_warmup", [200, 0])
+    def test_calls_per_step(self, monkeypatch, ot_warmup):
+        # perfbench/tracer.py wraps these names, so its per-layer metrics
+        # count what a step calls: two fits, one distance, one spectrum.
+        t = small_trainer(seed=2, ot_warmup=ot_warmup)
+        counts = dict.fromkeys(("fit_gaussian", "frechet_distance", "effective_dims"), 0)
+        for name in counts:
+            def counted(*args, _fn=getattr(rep_metrics, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(rep_metrics, name, counted)
+
+        def no_sqrt(mat):
+            raise AssertionError("train_step reached psd_sqrt")
+
+        monkeypatch.setattr(rep_metrics, "psd_sqrt", no_sqrt)
+        t.train_step()
+        assert counts == {"fit_gaussian": 2, "frechet_distance": 1, "effective_dims": 1}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_spectrum_statistics_match_a_fresh_fit(self, monkeypatch, seed):
+        t = small_trainer(seed=seed)
+        clouds = []
+        geometry = tr._geometry
+
+        def record(cur, ref):
+            clouds.append(cur)
+            return geometry(cur, ref)
+
+        monkeypatch.setattr(tr, "_geometry", record)
+        for _ in range(4):
+            rep = t.train_step()
+            dims = rep_metrics.effective_dims(rep_metrics.fit_gaussian(clouds[-1]).spectrum())
+            assert rep.effrank == dims["effrank"]
+            assert rep.pr == dims["participation_ratio"]
+
+    def test_step_samples_match_along_axis_decode(self, monkeypatch):
+        runs = []
+        for decode in (pol._decode, reference_decode_along_axis):
+            monkeypatch.setattr(pol, "_decode", decode)
+            t = small_trainer(seed=1)
+            recorded, sample_groups = [], t.policy.sample_groups
+
+            def record(*args, _sample=sample_groups, _out=recorded, **kwargs):
+                _out.append(_sample(*args, **kwargs))
+                return _out[-1]
+
+            monkeypatch.setattr(t.policy, "sample_groups", record)
+            runs.append(([t.train_step().jsonl_row() for _ in range(3)], recorded))
+        (got_reports, got), (want_reports, want) = runs
+        assert got_reports == want_reports
+        for a, b in zip(got, want, strict=True):
+            for name in ("tokens", "lengths", "truncated", "entropies"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
