@@ -232,6 +232,8 @@ def cmd_train(args) -> int:
 # ---------- eval-constitution ----------
 
 def cmd_eval_constitution(args) -> int:
+    if not args.components and args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -322,21 +324,23 @@ def _read_nll_csv(path):
 # ---------- probe ----------
 
 def cmd_probe(args) -> int:
+    for flag, value in (("--items", args.items), ("--grid", args.grid),
+                        ("--top-k", args.top_k)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     loaded = []
     for path in args.checkpoints:
         try:
-            policy, ref, meta = load_checkpoint(path)
+            loaded.append(load_checkpoint(path))
         except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             # np.load raises ValueError on a file that is not an archive and
             # BadZipFile on a cut one; ValidationError is a ValueError too.
             print(f"error: cannot load checkpoint {path}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-        loaded.append((policy, ref, meta, path))
-    hashes = {meta["config_hash"] for _, _, meta, _ in loaded}
-    if len(hashes) > 1:
+    if len({meta["config_hash"] for _, meta in loaded}) > 1:
         raise ConfigError("checkpoints come from different run configs")
 
     pset = _load_principles(args.constitution)
@@ -346,10 +350,11 @@ def cmd_probe(args) -> int:
     probe_item = task.items[0]
     ptoks = task.principle(probe_item.principle_id).tokens
 
-    dists = [prob_metrics.ProbVector(
-        policy.next_token_distribution(probe_item.prompt, ptoks))
-        for policy, _, _, _ in loaded]
-    steps = [meta["step"] for _, _, meta, _ in loaded]
+    # The probe context is bagged once; the bag depends on no parameters.
+    weights = loaded[0][0].bag([(probe_item.prompt, ptoks)])
+    dists = [prob_metrics.ProbVector(policy.forward(weights).next_token_probs(0))
+             for policy, _ in loaded]
+    steps = [meta["step"] for _, meta in loaded]
 
     records = prob_metrics.probe_report_batch(zip(dists[:-1], dists[1:])) \
         if len(dists) >= 2 else []
@@ -401,9 +406,9 @@ def cmd_probe(args) -> int:
     matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
     true_cols = [next(j for j, p in enumerate(task.principles) if p.pid == item.principle_id)
                  for item in sample]
-    aligned = np.zeros_like(matrix)
-    for i, j in enumerate(true_cols):
-        aligned[i] = np.roll(matrix[i], -j)
+    # Row i rotated left by its true column: aligned[i, k] = matrix[i, (k + j_i) mod P].
+    aligned = matrix[own[:, None],
+                     (np.arange(n_principles) + np.array(true_cols)[:, None]) % n_principles]
     mi.write_score_csv(mi.ScoreMatrix(aligned), out_dir / "icmi_matrix.csv")
     shifted = matrix - matrix.max(axis=1, keepdims=True)
     log_sm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -221,7 +221,19 @@ class SufficiencyReport:
             "weights": list(self.weights),
             "leaky": self.leaky,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(_null_nonfinite(payload), indent=2, sort_keys=True,
+                          allow_nan=False)
+
+
+def _null_nonfinite(value):
+    """value with every non-finite float, at any depth, as None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def report_from_components(name: str, bits: float, auc: float, margin_pos: float,
@@ -262,7 +274,12 @@ def _margin_rows(scores: np.ndarray, true_cols) -> np.ndarray:
 
 def _bound_bits(scores: np.ndarray, true_cols, k: int,
                 rng: Stream | np.random.Generator) -> float:
-    """Row contrastive bound (bits) with K uniform shadow columns per item."""
+    """Row contrastive bound (bits) with K uniform shadow columns per item.
+
+    NaN when the pool has no column besides the true one.
+    """
+    if k < 1:
+        raise ValidationError(f"k must be at least 1, got {k}")
     m = scores.shape[1]
     k = min(k, m - 1)
     if k < 1:

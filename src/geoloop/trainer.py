@@ -486,8 +486,11 @@ class Trainer:
 
 
 def load_checkpoint(path) -> tuple:
-    """(policy, reference, meta) from a snapshot; verifies the stored hash.
+    """(policy, meta) from a snapshot; verifies the stored hash.
 
+    A load reads five members: `meta` and the policy's `embed`, `out`,
+    `ctx_scale` and `prev_scale`.  The reference snapshot (the `ref_*`
+    members) stays unread, since probing a checkpoint needs only its policy.
     A snapshot written before checkpoints kept max_len loads with
     DEFAULT_MAX_LEN.
     """
@@ -495,18 +498,12 @@ def load_checkpoint(path) -> tuple:
 
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
-        vocab = Vocab(int(meta["vocab_size"]))
-        max_len = int(meta.get("max_len", DEFAULT_MAX_LEN))
-        policy = ToyPolicy(vocab, int(meta["dim"]), max_len=max_len)
+        policy = ToyPolicy(Vocab(int(meta["vocab_size"])), int(meta["dim"]),
+                           max_len=int(meta.get("max_len", DEFAULT_MAX_LEN)))
         policy.embed = data["embed"]
         policy.out = data["out"]
         policy.ctx_scale = data["ctx_scale"]
         policy.prev_scale = data["prev_scale"]
-        ref = ToyPolicy(vocab, int(meta["dim"]), max_len=max_len)
-        ref.embed = data["ref_embed"]
-        ref.out = data["ref_out"]
-        ref.ctx_scale = data["ref_ctx_scale"]
-        ref.prev_scale = data["ref_prev_scale"]
     if policy.param_hash() != meta["param_hash"]:
         raise ValidationError("checkpoint parameter hash mismatch (corrupt file?)")
-    return policy, ref, meta
+    return policy, meta

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoloop import cli, ot
+from geoloop import cli, mi, ot, prob_metrics
+from geoloop.policy import transition_counts
 from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)
@@ -288,6 +289,110 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "components.json" in err and "'auc'" in err
 
+    def test_missing_bounds_are_strict_json_nulls(self, tmp_path):
+        path = tmp_path / "components.json"
+        path.write_text(json.dumps([{"name": "x", "bits": 0.1, "auc": 0.6,
+                                     "margin_pos": 1.0, "margin_neg": 0.5}]))
+        out = tmp_path / "out"
+        code = cli.main(["eval-constitution", "--components", str(path),
+                         "--out-dir", str(out)])
+        assert code == cli.EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        report = json.loads((out / "report_x.json").read_text(), parse_constant=reject)
+        assert report["mi_lb_pos_bits"] is None and report["mi_lb_neg_bits"] is None
+        assert report["si"] == pytest.approx(0.6 * 0.1 + 0.3 * 0.5 + 0.1 * 0.2)
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_2_before_any_output(self, tmp_path, capsys, k):
+        out = tmp_path / "out"
+        policy_path = ["eval-constitution", str(DATA / "toy_high_si.txt"),
+                       "--k", k, "--out-dir", str(out)]
+        scores_path = self.external_files(tmp_path) + ["--k", k]
+        for argv in (policy_path, scores_path):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert "--k must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
+                    metric="fr", top_k=16, no_path=False):
+    """The probe CSVs as written by scoring each checkpoint's probe context
+    with its own next_token_distribution call and aligning the score matrix
+    row by row with np.roll; `cli.cmd_probe` must write the same bytes."""
+    out.mkdir(parents=True)
+    loaded = [load_checkpoint(path) for path in ckpts]
+    run_cfg = cli.RunConfig(seed=seed, task_items=items, constitution=str(constitution))
+    vocab, task = cli._build_task(run_cfg, cli._load_principles(constitution))
+    item = task.items[0]
+    ptoks = task.principle(item.principle_id).tokens
+    dists = [prob_metrics.ProbVector(policy.next_token_distribution(item.prompt, ptoks))
+             for policy, _ in loaded]
+    steps = [meta["step"] for _, meta in loaded]
+
+    records = prob_metrics.probe_report_batch(zip(dists[:-1], dists[1:])) \
+        if len(dists) >= 2 else []
+    prob_metrics.write_probe_csv(records, out / "probe_report.csv")
+    if len(dists) >= 2 and not no_path:
+        path = prob_metrics.ProbePath(tuple(dists), tuple(steps))
+        stats = prob_metrics.fr_path_stats(path)
+        with open(out / "fr_path.csv", "w") as fh:
+            fh.write("segment_index,step_from,step_to,segment_length\n")
+            for i, seg in enumerate(stats["segment_lengths"]):
+                fh.write(f"{i},{steps[i]},{steps[i + 1]},{seg!r}\n")
+            fh.write("# cumulative_length,endpoint_geodesic,ratio,degenerate\n")
+            fh.write(f"# {stats['cumulative_length']!r},{stats['endpoint_geodesic']!r},"
+                     f"{stats['ratio']!r},{stats['degenerate']}\n")
+        if len(dists) >= 3:
+            with open(out / "turning_angles.csv", "w") as fh:
+                fh.write("interior_step,angle_radians\n")
+                for step, angle in zip(steps[1:-1], prob_metrics.turning_angles(path)):
+                    fh.write(f"{step},{angle!r}\n")
+
+    alphas, betas = np.linspace(0.5, 1.5, grid), np.linspace(0.0, 1.0, grid)
+    values = prob_metrics.landscape_grid(dists[-1], alphas, betas, metric=metric)
+    with open(out / "landscape.csv", "w") as fh:
+        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n# metric={metric}\n")
+        fh.write("alpha,beta,value\n")
+        for i, a in enumerate(alphas):
+            for j, b in enumerate(betas):
+                fh.write(f"{float(a)!r},{float(b)!r},{float(values[i, j])!r}\n")
+
+    policy = loaded[-1][0]
+    n_principles = len(task.principles)
+    sample = task.items[:min(len(task.items), items)]
+    table = policy.forward(policy.bag_grid(
+        [it.prompt for it in sample], [p.tokens for p in task.principles]
+    ).reshape(-1, vocab.size))
+    golds = transition_counts([it.gold for it in sample], vocab.size)
+    scores = table.seq_logprobs(golds).reshape(len(sample), n_principles, len(sample))
+    own = np.arange(len(sample))
+    matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
+    true_cols = [next(j for j, p in enumerate(task.principles) if p.pid == it.principle_id)
+                 for it in sample]
+    aligned = np.zeros_like(matrix)
+    for i, j in enumerate(true_cols):
+        aligned[i] = np.roll(matrix[i], -j)
+    mi.write_score_csv(mi.ScoreMatrix(aligned), out / "icmi_matrix.csv")
+    shifted = matrix - matrix.max(axis=1, keepdims=True)
+    log_sm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    with open(out / "icmi_diag.csv", "w") as fh:
+        fh.write("row,diag_log_softmax,pmi\n")
+        for i, j in enumerate(true_cols):
+            val = float(log_sm[i, j])
+            fh.write(f"{i},{val!r},{float(val + np.log(n_principles))!r}\n")
+
+    if len(dists) >= 2:
+        w2sq = ot.output_space_ot_diag(dists[0], dists[-1], top_k=top_k)
+        (out / "output_ot.csv").write_text(
+            f"step_from,step_to,token_index_w2sq\n{steps[0]},{steps[-1]},{w2sq!r}\n")
+
+
+def csv_bytes(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -363,6 +468,55 @@ class TestProbeCommand:
                          "--constitution", str(DATA / "toy_high_si.txt"),
                          "--out-dir", str(tmp_path / "mixed")])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("options", [
+        {}, {"seed": 3}, {"metric": "diag_mi"}, {"no_path": True},
+        {"seed": 7, "items": 5, "grid": 3, "top_k": 2}],
+        ids=["default", "seed3", "diag_mi", "no_path", "small"])
+    def test_csvs_equal_the_per_checkpoint_reference(self, run_dir, tmp_path, options):
+        ckpts = sorted(run_dir.glob("ckpt_*.npz"))
+        constitution = DATA / "toy_high_si.txt"
+        reference_probe(ckpts, tmp_path / "ref", constitution, **options)
+        argv = ["probe", *map(str, ckpts), "--constitution", str(constitution),
+                "--out-dir", str(tmp_path / "probe")]
+        for name, value in options.items():
+            flag = "--" + name.replace("_", "-")
+            argv += [flag] if value is True else [flag, str(value)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
+
+    def test_checkpoints_without_reference_probe_to_the_same_bytes(self, run_dir, tmp_path):
+        ckpts = sorted(run_dir.glob("ckpt_*.npz"))
+        stripped = []
+        for ckpt in ckpts:
+            with np.load(ckpt, allow_pickle=False) as archive:
+                data = {k: v for k, v in archive.items() if not k.startswith("ref_")}
+            stripped.append(tmp_path / ckpt.name)
+            np.savez(stripped[-1], **data)
+        for name, paths in (("full", ckpts), ("stripped", stripped)):
+            assert cli.main(["probe", *map(str, paths),
+                             "--constitution", str(DATA / "toy_high_si.txt"),
+                             "--out-dir", str(tmp_path / name)]) == cli.EXIT_OK
+        assert csv_bytes(tmp_path / "stripped") == csv_bytes(tmp_path / "full")
+
+    def test_checked_in_schema_1_checkpoint_probes(self, tmp_path):
+        ckpt = Path(__file__).resolve().parent / "data" / "ckpt_schema1.npz"
+        out = tmp_path / "probe"
+        assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
+                         "--out-dir", str(out)]) == cli.EXIT_OK
+        reference_probe([ckpt], tmp_path / "ref", DATA / "toy_high_si.txt")
+        assert csv_bytes(out) == csv_bytes(tmp_path / "ref")
+
+    @pytest.mark.parametrize("flag", ["--items", "--grid", "--top-k"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_size_exits_2_before_reading(self, tmp_path, capsys, flag, value):
+        # The checkpoint does not exist: reading it would exit 1 instead.
+        out = tmp_path / "out"
+        code = cli.main(["probe", str(tmp_path / "missing.npz"), flag, value,
+                         "--out-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_checkpoint_runtime_error(self, run_dir, tmp_path, capsys):
         ckpt = sorted(run_dir.glob("ckpt_*.npz"))[0]

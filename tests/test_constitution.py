@@ -1,5 +1,6 @@
 """Sufficiency evaluation: component arithmetic, AUC, SI, leaky detection."""
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -160,6 +161,17 @@ class TestReportFromComponents:
             assert report.si == pytest.approx(si_expect, abs=0.01)
             assert (1 - report.perplexity_ratio) * 100 == pytest.approx(drop, abs=0.1)
 
+    def test_json_writes_non_finite_values_as_null(self):
+        report = con.report_from_components(
+            "x", 0.1, 0.6, 1.0, 0.5, lb_pos_bits=math.inf,
+            leaky={"count": 1, "delta_nll_bits": {"neg0": math.nan}})
+        text = report.to_json()
+        assert "NaN" not in text and "Infinity" not in text
+        payload = json.loads(text)
+        assert payload["mi_lb_pos_bits"] is None and payload["mi_lb_neg_bits"] is None
+        assert payload["leaky"]["delta_nll_bits"]["neg0"] is None
+        assert payload["si"] == report.si
+
 
 def principle_aware_policy(task, seed=0, epochs=150):
     policy = ToyPolicy(task.vocab)
@@ -223,6 +235,12 @@ class TestEvaluatePrincipleSet:
         report = con.evaluate_principle_set(
             policy, task, con.PrincipleSet("low", pos, neg_leaky), k=2, seed=0)
         assert report.leaky["count"] >= 1
+
+    def test_k_below_one_rejected(self, setup):
+        vocab, task, policy = setup
+        pos, neg = toy_set(vocab, [(5, 10, 5, 5), (4, 9, 9, 9)])
+        with pytest.raises(ValidationError, match="k must be at least 1"):
+            con.evaluate_principle_set(policy, task, con.PrincipleSet("x", pos, neg), k=0)
 
     def test_deterministic(self, setup):
         vocab, task, policy = setup
@@ -345,3 +363,9 @@ class TestExternalScorePath:
         assert report.mi_diag_margin_pos > 1.0
         assert abs(report.mi_diag_margin_neg) < 0.5
         assert report.si > 0.0
+
+    def test_k_below_one_rejected(self):
+        from geoloop.mi import ScoreMatrix
+        scores = ScoreMatrix(np.eye(4))
+        with pytest.raises(ValidationError, match="k must be at least 1"):
+            con.evaluate_from_score_files("x", scores, scores, [(2.0, 1.8)], k=0)

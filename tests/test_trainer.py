@@ -21,6 +21,11 @@ from test_rewards import reference_mi_reward
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+# A schema-1 checkpoint (step 1 of a one-step run: seed 7, task_items 8,
+# policy_dim 8, warmstart_epochs 2, prompts_per_batch 4) and, in the file of
+# the same name ending .param_hash, the hash of its policy parameters.
+SCHEMA_1_CHECKPOINT = Path(__file__).resolve().parent / "data" / "ckpt_schema1.npz"
+
 # The policy-only ablation as configs/grpo_cot.toml states it;
 # configs/grpo_cot_plus.toml adds jitter_sigma = 0.5.
 GRPO_COT = dict(sami_weight=0.0, ot_weight=0.0, channel_weight=0.0, shaping_weight=0.0)
@@ -291,11 +296,15 @@ class TestCheckpoints:
         t.train_step()
         path = tmp_path / "ckpt.npz"
         saved_hash = t.save_checkpoint(path, config_hash="abc")
-        policy, reference, meta = tr.load_checkpoint(path)
+        policy, meta = tr.load_checkpoint(path)
         assert policy.param_hash() == saved_hash == t.policy.param_hash()
-        assert reference.param_hash() == t.reference.param_hash()
         assert meta["config_hash"] == "abc"
         assert meta["step"] == 1
+        assert meta["schema"] == 1
+        # The snapshot still carries the reference, which a load leaves unread.
+        with np.load(path, allow_pickle=False) as data:
+            for name, arr in t.reference.param_blocks().items():
+                assert np.array_equal(data[f"ref_{name}"], arr), name
 
     def test_max_len_round_trip(self, tmp_path):
         task = make_toy_task(seed=13, prompt_len=2, n_items=16)
@@ -305,9 +314,9 @@ class TestCheckpoints:
                        max_steps=2, seed=13)
         path = tmp_path / "ckpt.npz"
         t.save_checkpoint(path)
-        policy, reference, meta = tr.load_checkpoint(path)
+        policy, meta = tr.load_checkpoint(path)
         assert meta["max_len"] == 8
-        assert policy.max_len == reference.max_len == 8
+        assert policy.max_len == 8
 
     def test_missing_max_len_loads_default(self, tmp_path):
         t = small_trainer(seed=14)
@@ -318,8 +327,8 @@ class TestCheckpoints:
         del meta["max_len"]
         data["meta"] = json.dumps(meta, sort_keys=True)
         np.savez(path, **data)
-        policy, reference, _ = tr.load_checkpoint(path)
-        assert policy.max_len == reference.max_len == DEFAULT_MAX_LEN
+        policy, _ = tr.load_checkpoint(path)
+        assert policy.max_len == DEFAULT_MAX_LEN
 
     def test_corruption_detected(self, tmp_path):
         t = small_trainer(seed=11)
@@ -330,6 +339,41 @@ class TestCheckpoints:
         np.savez(path, **data)
         with pytest.raises(ValidationError):
             tr.load_checkpoint(path)
+
+    def test_reads_only_meta_and_the_policy(self, tmp_path, monkeypatch):
+        t = small_trainer(seed=15)
+        path = tmp_path / "ckpt.npz"
+        t.save_checkpoint(path)
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording_getitem(self, key):
+            read.append(key)
+            return getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording_getitem)
+        tr.load_checkpoint(path)
+        assert sorted(read) == ["ctx_scale", "embed", "meta", "out", "prev_scale"]
+
+    def test_loads_without_reference_members(self, tmp_path):
+        t = small_trainer(seed=16)
+        t.train_step()
+        path = tmp_path / "ckpt.npz"
+        saved_hash = t.save_checkpoint(path)
+        data = dict(np.load(path, allow_pickle=False))
+        for name in [k for k in data if k.startswith("ref_")]:
+            del data[name]
+        stripped = tmp_path / "policy_only.npz"
+        np.savez(stripped, **data)
+        policy, meta = tr.load_checkpoint(stripped)
+        assert policy.param_hash() == saved_hash
+        assert meta == tr.load_checkpoint(path)[1]
+
+    def test_checked_in_schema_1_checkpoint_loads_to_its_hash(self):
+        policy, meta = tr.load_checkpoint(SCHEMA_1_CHECKPOINT)
+        expected = SCHEMA_1_CHECKPOINT.with_suffix(".param_hash").read_text().strip()
+        assert meta["schema"] == 1
+        assert policy.param_hash() == expected == meta["param_hash"]
 
 
 def step_contexts(t, step=0):
