@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import zipfile
@@ -234,6 +235,13 @@ def cmd_train(args) -> int:
 def cmd_eval_constitution(args) -> int:
     if not args.components and args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
+    if not args.components and not args.scores:
+        if args.items < 1:
+            raise ConfigError(f"--items must be at least 1, got {args.items}")
+        if args.warm_epochs < 0:
+            raise ConfigError(f"--warm-epochs must be nonnegative, got {args.warm_epochs}")
+        if not (math.isfinite(args.warm_lr) and args.warm_lr >= 0):
+            raise ConfigError(f"--warm-lr must be finite and nonnegative, got {args.warm_lr}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -262,6 +270,12 @@ def cmd_eval_constitution(args) -> int:
         if not args.constitutions:
             raise ConfigError("give at least one constitution file, --components, or --scores")
         reports = []
+        # Principle-aware warm start: the measured policy must carry the
+        # associations the signals probe, like a pretrained base model.  It
+        # depends on the gold triples alone (seed, epochs, rate and vocabulary
+        # are fixed within the call), and scoring only reads the policy, so
+        # sets that build the same triples share one warm start.
+        warmed = {}
         for path in args.constitutions:
             pset = _load_principles(path)
             if not pset.negatives:
@@ -269,11 +283,13 @@ def cmd_eval_constitution(args) -> int:
             run_cfg = RunConfig(seed=args.seed, task_items=args.items,
                                 constitution=str(path))
             vocab, task = _build_task(run_cfg, pset)
-            policy = ToyPolicy(vocab)
-            policy.init_params(args.seed)
-            # Principle-aware warm start: the measured policy must carry the
-            # associations the signals probe, like a pretrained base model.
-            mle_pretrain(policy, gold_items(task), args.warm_epochs, args.warm_lr)
+            triples = tuple(gold_items(task))
+            if triples not in warmed:
+                policy = ToyPolicy(vocab)
+                policy.init_params(args.seed)
+                mle_pretrain(policy, triples, args.warm_epochs, args.warm_lr)
+                warmed[triples] = policy
+            policy = warmed[triples]
             reports.append(consti.evaluate_principle_set(
                 policy, task, pset, k=args.k, seed=args.seed))
 
@@ -328,6 +344,15 @@ def cmd_probe(args) -> int:
                         ("--top-k", args.top_k)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
+    # Every landscape alpha is an inverse-temperature exponent and must be
+    # positive; a one-point grid uses --alpha-min alone.
+    if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
+        raise ConfigError(f"--alpha-min and --alpha-max must be finite, "
+                          f"got {args.alpha_min!r} and {args.alpha_max!r}")
+    alphas = np.linspace(args.alpha_min, args.alpha_max, args.grid)
+    if alphas.min() <= 0:
+        raise ConfigError(f"--alpha-min and --alpha-max must give positive alphas, "
+                          f"got {args.alpha_min!r} and {args.alpha_max!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -380,7 +405,6 @@ def cmd_probe(args) -> int:
                     fh.write(f"{step},{angle!r}\n")
 
     # Landscape grid around the last checkpoint's probe distribution.
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.grid)
     betas = np.linspace(0.0, 1.0, args.grid)
     grid = prob_metrics.landscape_grid(dists[-1], alphas, betas, metric=args.metric)
     with open(out_dir / "landscape.csv", "w") as fh:

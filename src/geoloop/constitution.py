@@ -265,11 +265,11 @@ def _margin_rows(scores: np.ndarray, true_cols) -> np.ndarray:
     n, m = scores.shape
     if m < 2:
         raise ValidationError("margins need at least two principles in the pool")
-    out = np.zeros(n)
-    for i, j in enumerate(true_cols):
-        others = [c for c in range(m) if c != j]
-        out[i] = scores[i, j] - scores[i, others].mean()
-    return out
+    true_cols = np.asarray(true_cols)
+    # Row i's other columns in order: k for k < j_i, then k + 1.
+    others = np.arange(m - 1) + (np.arange(m - 1) >= true_cols[:, None])
+    rows = np.arange(n)
+    return scores[rows, true_cols] - scores[rows[:, None], others].mean(axis=1)
 
 
 def _bound_bits(scores: np.ndarray, true_cols, k: int,

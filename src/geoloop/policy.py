@@ -28,8 +28,8 @@ factors with the counts' row and token sums, hidden summaries are a context
 feature plus the count-weighted mean of row features, and sampling decodes a
 whole batch of rows position by position from a[c] + b[r].  The gradient of
 any weighted sum of log-likelihoods and summaries is one `ToyPolicy.backward`
-call, which needs only three 2-D sums of the coefficients; the per-sequence
-methods are thin views on the table and that call.
+call, which needs only three 2-D sums of the coefficients (`logit_sums`); the
+per-sequence methods are thin views on the table and that call.
 
 Zero-initialised parameters give the uniform policy, so every token template
 has probability V^{-|y|} > 0 from the start.  Sampling decodes with fixed
@@ -440,10 +440,10 @@ class ToyPolicy:
         """The forward pass over (prompt, principle) contexts: forward(bag(contexts))."""
         return self.forward(self.bag(contexts))
 
-    def backward(self, table: NextTokenTable, coeffs: np.ndarray,
+    def backward(self, table: NextTokenTable, sums: tuple,
                  feat_grad: tuple | None = None) -> ParamGrad:
         """Gradient of sum(coeffs * table.logp) + sum(feat_grad[0] * table.cfeat)
-        + sum(feat_grad[1] * table.pfeat).
+        + sum(feat_grad[1] * table.pfeat), with sums = logit_sums(coeffs).
 
         A completion scored under context c with weight w adds w times its
         transition counts to coeffs[c], so one call backpropagates any
@@ -451,14 +451,14 @@ class ToyPolicy:
         hidden summaries).  The logit gradient coeffs - n * softmax, with n
         the per-row sums of coeffs, reaches the two logit factors only through
         its sums over rows (da) and over contexts (db), and softmax is
-        ea[c] * eb[r] / z[c, r], so both sums are 2-D products.
+        ea[c] * eb[r] / z[c, r], so both sums are 2-D products and coeffs
+        enters only through its three sums.  A caller whose coeffs stay fixed
+        over many passes takes the sums once.
         """
-        v = self.vocab.size
-        # Sums over the short token and row axes as products with ones:
-        # numpy reduces a length-16 inner axis several times slower.
-        n_over_z = (coeffs @ np.ones(v)) / table.z
-        da = np.ones(v + 1) @ coeffs - table.ea * (n_over_z @ table.eb)
-        db = coeffs.sum(axis=0) - table.eb * (n_over_z.T @ table.ea)
+        row_sums, token_sums, context_sums = sums
+        n_over_z = row_sums / table.z
+        da = token_sums - table.ea * (n_over_z @ table.eb)
+        db = context_sums - table.eb * (n_over_z.T @ table.ea)
         grad_c, grad_p = da @ self.out.T, db @ self.out.T
         if feat_grad is not None:
             grad_c = grad_c + feat_grad[0]
@@ -503,8 +503,8 @@ class ToyPolicy:
         table = self.table([(prompt, principle)])
         counts = transition_counts([completion], self.vocab.size)
         feat_grad = table.summary_feat_grad([0], counts, np.atleast_2d(summary_grad))
-        return self.backward(table, np.zeros((1, self.vocab.size + 1, self.vocab.size)),
-                             feat_grad)
+        return self.backward(
+            table, logit_sums(np.zeros((1, self.vocab.size + 1, self.vocab.size))), feat_grad)
 
     def grad_seq_logprob(self, prompt, principle, completion) -> ParamGrad:
         """Analytic gradient of the sequence log-likelihood w.r.t. all blocks."""
@@ -514,7 +514,7 @@ class ToyPolicy:
         """sum_i coeffs[i] * grad log p(completion_i | prompt, principle)."""
         counts = transition_counts(completions, self.vocab.size)
         coeffs = np.tensordot(np.asarray(coeffs, dtype=float), counts, axes=1)
-        return self.backward(self.table([(prompt, principle)]), coeffs[None])
+        return self.backward(self.table([(prompt, principle)]), logit_sums(coeffs[None]))
 
     # ---------- sampling ----------
 
@@ -594,6 +594,17 @@ def transition_counts(completions, vocab_size: int) -> np.ndarray:
     for b, comp in enumerate(completions):
         tok[b, :lengths[b]] = comp
     return _count_transitions(tok, lengths, vocab_size)
+
+
+def logit_sums(coeffs: np.ndarray) -> tuple:
+    """The three sums of (C, V+1, V) coefficients that `ToyPolicy.backward` reads:
+    (C, V+1) over tokens, (C, V) over rows and (V+1, V) over contexts.
+
+    The token and row sums are products with ones: numpy reduces a
+    length-16 inner axis several times slower.
+    """
+    v = coeffs.shape[2]
+    return coeffs @ np.ones(v), np.ones(v + 1) @ coeffs, coeffs.sum(axis=0)
 
 
 def _count_transitions(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -824,10 +835,12 @@ def mle_pretrain(policy: ToyPolicy, triples, epochs: int, lr: float) -> None:
 
     Deterministic given the triples; each epoch takes one ascent step on the
     mean per-sequence log-likelihood, one backward pass over every triple.
+    The golds are fixed, so their count sums are taken once.
     """
-    counts = transition_counts([gold for _, _, gold in triples], policy.vocab.size)
+    sums = logit_sums(transition_counts([gold for _, _, gold in triples],
+                                        policy.vocab.size))
     _mle_epochs(policy, [(prompt, principle) for prompt, principle, _ in triples],
-                epochs, lr, lambda epoch: counts)
+                epochs, lr, lambda epoch: sums)
 
 
 def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
@@ -840,23 +853,24 @@ def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
     near chance but measurably off the no-binding saddle.  Only the golds
     change between epochs; the contexts are the task's items throughout.
     """
-    def epoch_counts(epoch):
+    def epoch_sums(epoch):
         triples = format_pretrain_items(task, seed=(seed, epoch), bias=bias)
-        return transition_counts([gold for _, _, gold in triples], policy.vocab.size)
+        return logit_sums(transition_counts([gold for _, _, gold in triples],
+                                            policy.vocab.size))
 
     _mle_epochs(policy, [(prompt, principle) for prompt, principle, _ in gold_items(task)],
-                epochs, lr, epoch_counts)
+                epochs, lr, epoch_sums)
 
 
-def _mle_epochs(policy: ToyPolicy, contexts, epochs: int, lr: float, epoch_counts) -> None:
+def _mle_epochs(policy: ToyPolicy, contexts, epochs: int, lr: float, epoch_sums) -> None:
     """One ascent step per epoch on the mean log-likelihood of gold c under
-    context c, with epoch_counts(epoch) the golds' transition counts; the
-    contexts are checked and bagged once."""
+    context c, with epoch_sums(epoch) the `logit_sums` of the golds'
+    transition counts; the contexts are checked and bagged once."""
     if epochs < 0 or lr < 0:
         raise ValidationError("epochs and lr must be nonnegative")
     if not contexts:
         return
     weights = policy.bag(contexts)
     for epoch in range(epochs):
-        grad = policy.backward(policy.forward(weights), epoch_counts(epoch))
+        grad = policy.backward(policy.forward(weights), epoch_sums(epoch))
         policy.add_scaled(grad, lr / len(contexts))

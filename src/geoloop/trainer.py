@@ -55,7 +55,7 @@ import numpy as np
 from . import mi, ot, prob_metrics, rep_metrics, rewards
 from .draws import Stream
 from .errors import ValidationError
-from .policy import NextTokenTable, ToyPolicy, ToyTask
+from .policy import NextTokenTable, ToyPolicy, ToyTask, logit_sums
 
 STEPS_JSONL_FIELDS = (
     "step", "reward_base_mean", "reward_mi_mean", "reward_std",
@@ -411,8 +411,8 @@ class Trainer:
         loss_total = enigma_loss(loss_grpo, loss_sami, loss_shaping, loss_ot,
                                  config, step)
 
-        total_grad = self.policy.backward(table, np.tensordot(coeffs, counts, axes=1),
-                                          feat_grad)
+        total_grad = self.policy.backward(
+            table, logit_sums(np.tensordot(coeffs, counts, axes=1)), feat_grad)
         grad_norm = total_grad.global_norm()
         if config.grad_clip > 0 and grad_norm > config.grad_clip:
             total_grad = total_grad.scaled(config.grad_clip / grad_norm)

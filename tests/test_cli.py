@@ -1,4 +1,5 @@
 """Command-line surface: config round trip, exit codes, artifact layout."""
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -8,11 +9,15 @@ import numpy as np
 import pytest
 
 from geoloop import cli, mi, ot, prob_metrics
-from geoloop.policy import transition_counts
+from geoloop import constitution as consti
+from geoloop.policy import ToyPolicy, gold_items, mle_pretrain, transition_counts, warm_start
 from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# Golden outputs written by the code before eval-constitution shared warm
+# starts between sets and backward took precomputed count sums.
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def short_config(tmp_path, **overrides) -> Path:
@@ -305,6 +310,27 @@ class TestEvalCommand:
         assert report["mi_lb_pos_bits"] is None and report["mi_lb_neg_bits"] is None
         assert report["si"] == pytest.approx(0.6 * 0.1 + 0.3 * 0.5 + 0.1 * 0.2)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--items", "0", "--items must be at least 1"),
+        ("--items", "-3", "--items must be at least 1"),
+        ("--warm-epochs", "-1", "--warm-epochs must be nonnegative"),
+        ("--warm-lr", "-0.5", "--warm-lr must be finite and nonnegative"),
+        ("--warm-lr", "nan", "--warm-lr must be finite and nonnegative")])
+    def test_bad_warm_start_input_exits_2_before_any_output(self, tmp_path, capsys,
+                                                            flag, value, message):
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", str(DATA / "toy_high_si.txt"),
+                         flag, value, "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scores_and_components_ignore_warm_start_flags(self, tmp_path):
+        ignored = ["--items", "0", "--warm-epochs", "-1", "--warm-lr", "-1"]
+        assert cli.main(self.external_files(tmp_path) + ignored) == cli.EXIT_OK
+        assert cli.main(["eval-constitution", "--components",
+                         str(DATA / "component_replay.json"),
+                         "--out-dir", str(tmp_path / "replay"), *ignored]) == cli.EXIT_OK
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exits_2_before_any_output(self, tmp_path, capsys, k):
         out = tmp_path / "out"
@@ -315,6 +341,142 @@ class TestEvalCommand:
             assert cli.main(argv) == cli.EXIT_CONFIG
             assert "--k must be at least 1" in capsys.readouterr().err
             assert not out.exists()
+
+
+def reference_reports(paths, seed=0, items=32, k=2, epochs=120, lr=0.5) -> dict:
+    """Each set's report JSON as eval-constitution writes it, from a fresh
+    warm start for every set."""
+    reports = []
+    for path in paths:
+        pset = cli._load_principles(path)
+        vocab, task = cli._build_task(
+            cli.RunConfig(seed=seed, task_items=items, constitution=str(path)), pset)
+        policy = ToyPolicy(vocab)
+        policy.init_params(seed)
+        mle_pretrain(policy, gold_items(task), epochs, lr)
+        reports.append(consti.evaluate_principle_set(policy, task, pset, k=k, seed=seed))
+    if len(reports) >= 2:
+        zs = consti.sufficiency_index([r.delta_nll_median for r in reports],
+                                      [r.mi_effective for r in reports],
+                                      [r.auc for r in reports], mode="zscored")
+        reports = [consti.SufficiencyReport(**{**r.__dict__, "si_zscored": float(z)})
+                   for r, z in zip(reports, zs)]
+    return {f"report_{r.name}.json": r.to_json() for r in reports}
+
+
+def principle_file(tmp_path, name, positives):
+    """A token-pattern set with the given positives and two fixed negatives."""
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"name: {name}\npositives:\n"
+                    + "".join(f"- {p}\n" for p in positives)
+                    + "negatives:\n- 4 4 4\n- 10 10 10\n")
+    return path
+
+
+class TestSharedWarmStart:
+    """eval-constitution warm-starts each distinct set of gold triples once."""
+
+    @pytest.fixture
+    def warm_starts(self, monkeypatch):
+        calls = []
+
+        def spy(policy, triples, epochs, lr):
+            calls.append(tuple(triples))
+            return mle_pretrain(policy, triples, epochs, lr)
+
+        monkeypatch.setattr(cli, "mle_pretrain", spy)
+        return calls
+
+    @pytest.fixture
+    def sets(self, tmp_path):
+        bundled = [p.split() for p in ("4 9 4 9", "5 10 5 10", "4 10 4 10", "5 9 5 9")]
+        return {
+            "high": DATA / "toy_high_si.txt",
+            "low": DATA / "toy_low_si.txt",
+            "reordered": principle_file(tmp_path, "reordered",
+                                        [" ".join(p) for p in bundled[::-1]]),
+            "other": principle_file(tmp_path, "other",
+                                    ["4 9 4", "5 10 5", "9 4 10", "10 5 9"]),
+        }
+
+    @pytest.mark.parametrize("names, expected", [
+        (["high", "low"], 1), (["high", "other"], 2), (["high", "reordered"], 2),
+        (["high", "reordered", "low", "other"], 3)],
+        ids=["bundled", "other_positives", "reordered_positives", "four"])
+    def test_one_warm_start_per_distinct_gold_set(self, tmp_path, warm_starts, sets,
+                                                  names, expected):
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", *(str(sets[n]) for n in names),
+                         "--out-dir", str(out)]) == cli.EXIT_OK
+        assert len(warm_starts) == expected == len(set(warm_starts))
+
+    @pytest.mark.parametrize("names, options", [
+        (["high", "low"], {}), (["high", "low"], {"seed": 3}), (["high", "low"], {"k": 1}),
+        (["high", "reordered", "low", "other"], {"seed": 2, "items": 12, "epochs": 40})],
+        ids=["bundled", "seed3", "k1", "four"])
+    def test_reports_equal_a_fresh_warm_start_per_set(self, tmp_path, sets, names, options):
+        paths = [sets[n] for n in names]
+        out = tmp_path / "out"
+        argv = ["eval-constitution", *map(str, paths), "--out-dir", str(out)]
+        for name, value in options.items():
+            argv += ["--warm-epochs" if name == "epochs" else f"--{name}", str(value)]
+        assert cli.main(argv) == cli.EXIT_OK
+        expected = reference_reports(paths, **options)
+        assert {name: (out / name).read_text() for name in expected} == expected
+
+    def test_scoring_leaves_the_shared_policy_unchanged(self, monkeypatch, tmp_path):
+        seen = []
+        evaluate = consti.evaluate_principle_set
+
+        def spy(policy, *args, **kwargs):
+            before = policy.param_hash()
+            report = evaluate(policy, *args, **kwargs)
+            seen.append((id(policy), before, policy.param_hash()))
+            return report
+
+        monkeypatch.setattr(consti, "evaluate_principle_set", spy)
+        assert cli.main(["eval-constitution", str(DATA / "toy_high_si.txt"),
+                         str(DATA / "toy_low_si.txt"),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert len(seen) == 2 and seen[0][0] == seen[1][0]
+        assert all(before == after == seen[0][1] for _, before, after in seen)
+
+
+class TestGoldenOutputs:
+    """Hashes of warm starts and eval outputs pinned in tests/data."""
+
+    def test_train_warm_start_hash(self):
+        config = cli.load_config(CONFIGS / "enigma_high_si.toml",
+                                 {"seed": 42, "constitution": str(DATA / "toy_high_si.txt")})
+        vocab, task = cli._build_task(config, cli._load_principles(config.constitution))
+        policy = ToyPolicy(vocab, config.policy_dim)
+        policy.init_params(config.seed)
+        warm_start(policy, task, config.warmstart_epochs, config.warmstart_lr,
+                   config.seed, bias=config.warmstart_bias)
+        expected = (GOLDEN / "warm_start_enigma_high_si_seed42.param_hash").read_text().strip()
+        assert policy.param_hash() == expected
+
+    def test_eval_warm_start_hash(self):
+        path = DATA / "toy_high_si.txt"
+        vocab, task = cli._build_task(
+            cli.RunConfig(seed=0, task_items=32, constitution=str(path)),
+            cli._load_principles(path))
+        policy = ToyPolicy(vocab)
+        policy.init_params(0)
+        mle_pretrain(policy, gold_items(task), 120, 0.5)
+        expected = (GOLDEN / "mle_pretrain_toy_high_si_seed0.param_hash").read_text().strip()
+        assert policy.param_hash() == expected
+
+    def test_bundled_eval_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", str(DATA / "toy_high_si.txt"),
+                         str(DATA / "toy_low_si.txt"), "--seed", "0",
+                         "--out-dir", str(out)]) == cli.EXIT_OK
+        expected = dict(line.split()[::-1] for line in
+                        (GOLDEN / "eval_bundled_seed0.sha256").read_text().splitlines())
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in expected} == expected
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
 
 def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
@@ -516,6 +678,19 @@ class TestProbeCommand:
                          "--out-dir", str(out)])
         assert code == cli.EXIT_CONFIG
         assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options", [
+        ["--alpha-min", "0"], ["--alpha-min", "-1"], ["--alpha-max", "-0.5"],
+        ["--alpha-min", "nan"], ["--alpha-max", "inf"],
+        ["--alpha-min", "-1", "--alpha-max", "2", "--grid", "2"]],
+        ids=["min_zero", "min_negative", "max_negative", "min_nan", "max_inf", "grid2"])
+    def test_bad_alpha_exits_2_before_reading(self, tmp_path, capsys, options):
+        out = tmp_path / "out"
+        code = cli.main(["probe", str(tmp_path / "missing.npz"), *options,
+                         "--out-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "--alpha-min and --alpha-max must" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_checkpoint_runtime_error(self, run_dir, tmp_path, capsys):

@@ -251,6 +251,40 @@ class TestEvaluatePrincipleSet:
         r2 = con.evaluate_principle_set(policy, task, pset, k=2, seed=7)
         assert r1 == r2
 
+    def test_leaves_the_policy_unchanged(self, setup):
+        # eval-constitution scores every set that shares golds with one policy.
+        vocab, task, policy = setup
+        before = policy.param_hash()
+        for negatives in ([(5, 10, 5, 5), (4, 9, 9, 9)], [(4, 9, 4, 5)]):
+            pos, neg = toy_set(vocab, negatives)
+            con.evaluate_principle_set(policy, task, con.PrincipleSet("x", pos, neg))
+            assert policy.param_hash() == before
+
+
+def reference_margin_rows(scores, true_cols):
+    """Own-column score minus the mean of the other columns, row by row."""
+    n, m = scores.shape
+    out = np.zeros(n)
+    for i, j in enumerate(true_cols):
+        others = [c for c in range(m) if c != j]
+        out[i] = scores[i, j] - scores[i, others].mean()
+    return out
+
+
+class TestMarginRows:
+    def test_matches_the_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(2, 41))
+            scores = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+            true_cols = [int(j) for j in rng.integers(0, m, n)]
+            assert (con._margin_rows(scores, true_cols).tobytes()
+                    == reference_margin_rows(scores, true_cols).tobytes())
+
+    def test_one_column_rejected(self):
+        with pytest.raises(ValidationError, match="at least two principles"):
+            con._margin_rows(np.zeros((3, 1)), [0, 0, 0])
+
 
 def reference_scores(policy, items, principles):
     """(n_items, n_principles) length-normalised gold scores, one table per
@@ -287,10 +321,10 @@ def reference_evaluate(policy, task, pset, k, seed):
     per_neg = {p.pid: float(np.median((neg_scores[:, j] - without) / con.LN2))
                for j, p in enumerate(pset.negatives)}
     auc = con.mann_whitney_auc(list(per_pos.values()), list(per_neg.values()))
-    margin_pos = float(np.mean(con._margin_rows(pos_scores, true_pos_idx)))
+    margin_pos = float(np.mean(reference_margin_rows(pos_scores, true_pos_idx)))
     true_neg_idx = [i % len(pset.negatives) for i in true_pos_idx]
     if len(pset.negatives) >= 2:
-        margin_neg = float(np.mean(con._margin_rows(neg_scores, true_neg_idx)))
+        margin_neg = float(np.mean(reference_margin_rows(neg_scores, true_neg_idx)))
         lb_neg = con._bound_bits(neg_scores, true_neg_idx, k, rng)
     else:
         margin_neg, lb_neg = 0.0, math.nan

@@ -437,12 +437,20 @@ class TestTableKernel:
         p = randomised_policy(23)
         weights = np.random.default_rng(0).normal(size=(len(CONTEXTS), len(COMPLETIONS)))
         counts = pol.transition_counts(COMPLETIONS, 16)
-        grad = p.backward(p.table(CONTEXTS), np.tensordot(weights, counts, axes=1))
+        grad = p.backward(p.table(CONTEXTS), pol.logit_sums(np.tensordot(weights, counts, axes=1)))
         manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
         for c, ctx in enumerate(CONTEXTS):
             for b, comp in enumerate(COMPLETIONS):
                 manual.add(p.grad_seq_logprob(*ctx, comp), weights[c, b])
         assert_grads_close(grad, manual, 1e-12)
+
+    def test_logit_sums_of_counts_are_exact(self):
+        # Integer counts sum exactly in any order, so a caller may take the
+        # sums by any route, once, and get the bits backward reads.
+        counts = pol.transition_counts(COMPLETIONS, 16)
+        for got, want in zip(pol.logit_sums(counts),
+                             (counts.sum(axis=2), counts.sum(axis=1), counts.sum(axis=0))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_feature_gradient_matches_summary_gradients(self):
         p = randomised_policy(24)
@@ -451,7 +459,7 @@ class TestTableKernel:
         table = p.table(CONTEXTS)
         counts = pol.transition_counts(COMPLETIONS, 16)
         units, _ = table.summaries(ctx_idx, counts)
-        grad = p.backward(table, np.zeros_like(table.logp),
+        grad = p.backward(table, pol.logit_sums(np.zeros_like(table.logp)),
                           table.summary_feat_grad(ctx_idx, counts, summary_grad))
         manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
         for b, (c, comp) in enumerate(zip(ctx_idx, COMPLETIONS)):
@@ -627,13 +635,14 @@ class TestFactoredKernel:
         counts = pol.transition_counts([gold for _, _, gold in triples], p.vocab.size)
         weights = np.random.default_rng(41).normal(size=(len(triples), len(triples)))
         coeffs = np.tensordot(weights, counts, axes=1)
-        assert_grads_rel_close(p.backward(table, coeffs),
+        sums = pol.logit_sums(coeffs)
+        assert_grads_rel_close(p.backward(table, sums),
                                reference_backward(p, table.weights, coeffs))
         _, feats, _ = reference_forward(p, table.weights)
         ctx_idx = np.random.default_rng(42).integers(0, len(triples), len(triples))
         summary_grad = np.random.default_rng(43).normal(size=(len(triples), p.dim))
         assert_grads_rel_close(
-            p.backward(table, coeffs, table.summary_feat_grad(ctx_idx, counts, summary_grad)),
+            p.backward(table, sums, table.summary_feat_grad(ctx_idx, counts, summary_grad)),
             reference_backward(p, table.weights, coeffs, reference_summary_feat_grad(
                 feats, ctx_idx, counts, summary_grad)))
 
@@ -665,10 +674,10 @@ class TestFactoredKernel:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            p.backward(p.forward(weights), counts)
+            p.backward(p.forward(weights), pol.logit_sums(counts))
             forward_backward = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            pol._mle_epochs(p, contexts, 1, 0.5, lambda epoch: counts)
+            pol._mle_epochs(p, contexts, 1, 0.5, lambda epoch: pol.logit_sums(counts))
             epoch = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -835,7 +844,7 @@ def reference_mle_epochs(p, epoch_triples, lr):
     for triples in epoch_triples:
         contexts = [(prompt, principle) for prompt, principle, _ in triples]
         counts = pol.transition_counts([gold for _, _, gold in triples], p.vocab.size)
-        p.add_scaled(p.backward(p.table(contexts), counts), lr / len(triples))
+        p.add_scaled(p.backward(p.table(contexts), pol.logit_sums(counts)), lr / len(triples))
 
 
 @pytest.fixture
