@@ -57,6 +57,7 @@ import numpy as np
 
 from .draws import Stream
 from .errors import ValidationError
+from .golds import gold_continuation, warm_start_golds
 
 DEFAULT_VOCAB_SIZE = 16
 DEFAULT_DIM = 32
@@ -618,6 +619,29 @@ def _count_transitions(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) ->
     return counts
 
 
+def _count_sums(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) -> tuple:
+    """`logit_sums(_count_transitions(tok, lengths, vocab_size))`, each sum
+    one bincount of the (context, row, token) triples.
+
+    Every position is keyed, with weight 1.0 for the first lengths[c] of row
+    c and 0.0 for the padding; the counts are integers, so the sums are
+    equal exactly.
+    """
+    # Small-int tokens go through float64: their direct cast to intp maps
+    # 64 KiB of numpy's cast loops that nothing else in a run uses.
+    tok = tok.astype(float).astype(np.intp)
+    rows = _table_rows(tok)
+    ctx = np.arange(len(tok))[:, None]
+    real = (np.arange(tok.shape[1]) < lengths[:, None]).ravel()
+    n_ctx, v = len(tok), vocab_size
+
+    def count(keys, shape):
+        return np.bincount(keys.ravel(), real, minlength=shape[0] * shape[1]).reshape(shape)
+
+    return (count(ctx * (v + 1) + rows, (n_ctx, v + 1)), count(ctx * v + tok, (n_ctx, v)),
+            count(rows * v + tok, (v + 1, v)))
+
+
 def _by_row(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """x @ m one row of x at a time.
 
@@ -760,32 +784,15 @@ def principles_from_patterns(vocab: Vocab, patterns) -> tuple:
     return _assign_prefers(tuple(raw), r_pool, a_pool)
 
 
-def _gold_continuation(vocab: Vocab, prefers: tuple, r_pool, a_pool, bias: float,
-                       rng: Stream | np.random.Generator) -> tuple:
-    def fill(pool, pref, n):
-        picks = []
-        for _ in range(n):
-            if pref is not None and rng.random() < bias:
-                picks.append(pref)
-            else:
-                picks.append(int(pool[rng.integers(len(pool))]))
-        return picks
-
-    r_pref = prefers[0] if prefers else None
-    a_pref = prefers[1] if len(prefers) > 1 else None
-    r_n = int(rng.integers(1, 3))
-    a_n = int(rng.integers(1, 3))
-    toks = ([vocab.r_open] + fill(r_pool, r_pref, r_n)
-            + [vocab.r_close, vocab.a_open]
-            + fill(a_pool, a_pref, a_n) + [vocab.a_close, vocab.eos])
-    return tuple(toks)
-
-
 def make_toy_task(vocab: Vocab | None = None, *, n_principles: int = 4,
                   n_items: int = 32, prompt_len: int = 4, bias: float = 0.8,
                   seed: int = 0, principles: tuple | None = None) -> ToyTask:
     """Seeded synthetic task: random prompts, one positive principle each,
-    format-valid golds whose fillers lean toward the principle's preferences."""
+    format-valid golds whose fillers lean toward the principle's preferences.
+
+    Item i takes principle i mod the number of principles; `n_principles`
+    counts them only when `principles` is not given.
+    """
     vocab = vocab or Vocab()
     rng = Stream(seed)
     if principles is None:
@@ -796,32 +803,10 @@ def make_toy_task(vocab: Vocab | None = None, *, n_principles: int = 4,
     for i in range(n_items):
         prompt = tuple(int(prompt_pool[rng.integers(len(prompt_pool))])
                        for _ in range(prompt_len))
-        principle = principles[i % n_principles]
-        gold = _gold_continuation(vocab, principle.prefers, r_pool, a_pool,
-                                  bias, rng)
+        principle = principles[i % len(principles)]
+        gold = gold_continuation(vocab, principle.prefers, r_pool, a_pool, bias, rng)
         items.append(TaskItem(prompt, principle.pid, gold))
     return ToyTask(vocab, principles, tuple(items), r_pool, a_pool, bias=bias)
-
-
-def format_pretrain_items(task: ToyTask, seed: int = 0,
-                          bias: float = 0.15) -> list:
-    """(prompt, principle, gold) triples with a deliberately weak filler bias.
-
-    Teaches the tag grammar while leaving principle binding near chance.  The
-    bias must not be zero: a perfectly principle-agnostic policy sits on a
-    saddle of the contrastive objective (no preferred binding direction), the
-    toy analog of a pretrained model's weak-but-nonzero principle
-    associations.  The default keeps the step-0 contrastive bound well under
-    0.01 nats while giving the association terms a direction to amplify.
-    """
-    rng = Stream(seed)
-    triples = []
-    for item in task.items:
-        principle = task.principle(item.principle_id)
-        gold = _gold_continuation(task.vocab, principle.prefers, task.gold_r_pool,
-                                  task.gold_a_pool, bias, rng)
-        triples.append((item.prompt, principle.tokens, gold))
-    return triples
 
 
 def gold_items(task: ToyTask) -> list:
@@ -850,16 +835,22 @@ def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
     Resampling keeps the fitted conditionals at the true (weak) filler bias
     instead of overfitting one sample's noise into spurious principle
     binding: the policy arrives format-competent with a contrastive bound
-    near chance but measurably off the no-binding saddle.  Only the golds
-    change between epochs; the contexts are the task's items throughout.
-    """
-    def epoch_sums(epoch):
-        triples = format_pretrain_items(task, seed=(seed, epoch), bias=bias)
-        return logit_sums(transition_counts([gold for _, _, gold in triples],
-                                            policy.vocab.size))
+    near chance but measurably off the no-binding saddle.  The bias must not
+    be zero: a perfectly principle-agnostic policy sits on a saddle of the
+    contrastive objective (no preferred binding direction), the toy analog of
+    a pretrained model's weak-but-nonzero principle associations.
 
+    Epoch e's golds are drawn from the stream seeded (seed, e), item by item,
+    each with its principle's preferred fillers at this bias.  They do not
+    depend on the policy, so every epoch's golds are drawn up front in one
+    lockstep pass (`golds.warm_start_golds`, a stream per epoch); each epoch
+    then takes its count sums with bincounts.  Only the golds change between
+    epochs; the contexts are the task's items throughout.
+    """
+    tokens, lengths = warm_start_golds(task, epochs, seed, bias)
     _mle_epochs(policy, [(prompt, principle) for prompt, principle, _ in gold_items(task)],
-                epochs, lr, epoch_sums)
+                epochs, lr,
+                lambda epoch: _count_sums(tokens[epoch], lengths[epoch], policy.vocab.size))
 
 
 def _mle_epochs(policy: ToyPolicy, contexts, epochs: int, lr: float, epoch_sums) -> None:

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 
 from geoloop import cli, mi, ot, prob_metrics
 from geoloop import constitution as consti
-from geoloop.policy import ToyPolicy, gold_items, mle_pretrain, transition_counts, warm_start
+from geoloop.policy import (ToyPolicy, ToyPrinciple, Vocab, gold_items, make_toy_principles,
+                            make_toy_task, mle_pretrain, transition_counts, warm_start)
 from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)
@@ -442,6 +444,78 @@ class TestSharedWarmStart:
         assert all(before == after == seen[0][1] for _, before, after in seen)
 
 
+POSITIVES = ["4 9 4", "5 10 5", "9 4 10", "10 5 9", "4 10 4"]
+
+
+class TestPositiveCounts:
+    """Task items cycle over however many positives a set has."""
+
+    @pytest.fixture(params=[3, 5], ids=["three", "five"])
+    def constitution(self, request, tmp_path):
+        return principle_file(tmp_path, "set", POSITIVES[:request.param])
+
+    def test_items_cycle_over_every_positive(self, constitution):
+        pset = cli._load_principles(constitution)
+        _, task = cli._build_task(cli.RunConfig(seed=0, task_items=32,
+                                                constitution=str(constitution)), pset)
+        n = len(pset.positives)
+        assert [item.principle_id for item in task.items] == \
+            [task.principles[i % n].pid for i in range(32)]
+
+    def test_eval_constitution(self, tmp_path, constitution):
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", str(constitution), "--out-dir", str(out)]) \
+            == cli.EXIT_OK
+        assert (out / "report_set.json").exists()
+
+    def test_train(self, tmp_path, constitution):
+        config = short_config(tmp_path, constitution=str(constitution))
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+        assert len((tmp_path / "run" / "steps.jsonl").read_text().splitlines()) == 8
+
+
+def bundled_warm_start(seed, **overrides):
+    """The warm start `geoloop train` runs for the bundled enigma_high_si
+    config at this seed: (task, epochs, lr, seed, bias)."""
+    config = cli.load_config(CONFIGS / "enigma_high_si.toml",
+                             {"seed": seed, "constitution": str(DATA / "toy_high_si.txt"),
+                              **overrides})
+    _, task = cli._build_task(config, cli._load_principles(config.constitution))
+    return (task, config.warmstart_epochs, config.warmstart_lr, config.seed,
+            config.warmstart_bias)
+
+
+def no_prefers_warm_start():
+    """Four principles with zero, one, two and zero preferred fillers, so one
+    epoch mixes golds that draw a random() before a filler with golds that
+    do not."""
+    vocab = Vocab()
+    principles = tuple(ToyPrinciple(p.pid, p.tokens, p.prefers[:k])
+                       for p, k in zip(make_toy_principles(vocab, 4), (0, 1, 2, 0)))
+    return make_toy_task(vocab, seed=11, principles=principles), 25, 0.5, 5, 0.15
+
+
+# Warm starts whose parameter hashes in tests/data were written by the code
+# that drew each epoch's golds with its own Stream, one call per draw.
+WARM_START_CASES = {
+    "bundled_seed0": lambda: bundled_warm_start(0),
+    "bundled_seed3": lambda: bundled_warm_start(3),
+    "bias0_25_epochs": lambda: bundled_warm_start(42, warmstart_epochs=25,
+                                                  warmstart_bias=0.0),
+    "bias1_25_epochs": lambda: bundled_warm_start(42, warmstart_epochs=25,
+                                                  warmstart_bias=1.0),
+    "no_prefers_25_epochs": no_prefers_warm_start,
+}
+
+
+def warm_start_case_hash(case: str) -> str:
+    task, epochs, lr, seed, bias = WARM_START_CASES[case]()
+    policy = ToyPolicy(task.vocab)
+    policy.init_params(seed)
+    warm_start(policy, task, epochs, lr, seed, bias=bias)
+    return policy.param_hash()
+
+
 class TestGoldenOutputs:
     """Hashes of warm starts and eval outputs pinned in tests/data."""
 
@@ -455,6 +529,26 @@ class TestGoldenOutputs:
                    config.seed, bias=config.warmstart_bias)
         expected = (GOLDEN / "warm_start_enigma_high_si_seed42.param_hash").read_text().strip()
         assert policy.param_hash() == expected
+
+    @pytest.mark.parametrize("case", sorted(WARM_START_CASES))
+    def test_frozen_warm_start_hashes(self, case):
+        expected = dict(line.split()[::-1] for line in
+                        (GOLDEN / "warm_start_cases.param_hash").read_text().splitlines())
+        assert warm_start_case_hash(case) == expected[case]
+
+    def test_warm_start_memory(self):
+        # Every epoch's golds are drawn before the first epoch: the word
+        # block, the golds and an epoch's arrays stay below 512 KiB in all.
+        task, epochs, lr, seed, bias = bundled_warm_start(42)
+        policy = ToyPolicy(task.vocab)
+        policy.init_params(seed)
+        tracemalloc.start()
+        try:
+            warm_start(policy, task, epochs, lr, seed, bias=bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_eval_warm_start_hash(self):
         path = DATA / "toy_high_si.txt"

@@ -9,6 +9,7 @@ import pytest
 
 from geoloop.errors import ValidationError
 from geoloop import policy as pol
+from test_draws import reference_format_pretrain_items
 
 
 def randomised_policy(seed, dim=8, max_len=pol.DEFAULT_MAX_LEN):
@@ -488,7 +489,7 @@ class TestTableKernel:
 
     def test_batched_mle_epoch_matches_per_triple_sum(self):
         task = pol.make_toy_task(seed=3)
-        triples = pol.format_pretrain_items(task, seed=3)
+        triples = reference_format_pretrain_items(task, seed=3)
         p = pol.ToyPolicy(task.vocab)
         p.init_params(3)
         q = p.clone()
@@ -869,9 +870,22 @@ class TestMleEpochs:
         q = p.clone()
         pol.warm_start(p, task, 25, 0.5, seed=6, bias=0.15)
         assert len(token_checks) == len(task.items)
-        reference_mle_epochs(q, [pol.format_pretrain_items(task, seed=(6, e), bias=0.15)
+        reference_mle_epochs(q, [reference_format_pretrain_items(task, seed=(6, e), bias=0.15)
                                  for e in range(25)], 0.5)
         assert p.param_hash() == q.param_hash()
+
+    @pytest.mark.parametrize("vocab_size", [16, 64])
+    def test_count_sums_equal_logit_sums(self, vocab_size):
+        rng = np.random.default_rng(vocab_size)
+        for _ in range(50):
+            n_ctx, width = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            tok = rng.integers(0, vocab_size, (n_ctx, width)).astype(np.uint8)
+            lengths = rng.integers(0, width + 1, n_ctx).astype(np.uint8)
+            golds = [tuple(row[:n]) for row, n in zip(tok, lengths)]
+            got = pol._count_sums(tok, lengths, vocab_size)
+            expected = pol.logit_sums(pol.transition_counts(golds, vocab_size))
+            assert all(a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+                       for a, b in zip(got, expected))
 
     def test_mle_pretrain_matches_per_epoch_tables(self, token_checks):
         task = pol.make_toy_task(seed=7)
