@@ -7,7 +7,9 @@ Subpackages by concern:
 - ot: entropic optimal transport, Sinkhorn divergence, exact small oracles
 - mi: score matrices, InfoNCE losses, contrastive MI bounds
 - rewards: gates, tie-breaker channel, autoscaler
-- policy: the toy autoregressive policy and its synthetic task
+- task: the synthetic constitution-conditioned task and its gold continuations
+- draws: numpy Generator's scalar draws, bit for bit, one stream or many at once
+- policy: the toy autoregressive policy and its maximum-likelihood warm starts
 - trainer: group advantages, the on-policy GRPO term, the unified loss, train steps
 - constitution: principle-set sufficiency evaluation
 - cli: the geoloop command

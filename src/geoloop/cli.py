@@ -25,8 +25,8 @@ import numpy as np
 from . import constitution as consti
 from . import mi, ot, prob_metrics
 from .errors import ValidationError
-from .policy import (ToyPolicy, Vocab, gold_items, make_toy_task, mle_pretrain,
-                     principles_from_patterns, transition_counts, warm_start)
+from .policy import ToyPolicy, mle_pretrain, transition_counts, warm_start
+from .task import Vocab, gold_items, make_toy_task, principles_from_patterns
 from .trainer import TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2

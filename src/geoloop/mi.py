@@ -136,30 +136,19 @@ def shaping_term(matrix, quantile_mask, weight: float) -> float:
 
 # ---------- contrastive bounds with shadow candidates ----------
 
-@dataclass(frozen=True)
-class ShadowDraw:
-    """K shadow principle ids for one example; the true principle is excluded."""
+def draw_shadows(pool_ids, true_id, k: int, rng: np.random.Generator) -> tuple:
+    """K uniform shadow ids from the positive pool, the true one excluded,
+    without replacement when possible.
 
-    shadow_ids: tuple
-    with_replacement: bool = False
-    positive_index: int = 0
-
-
-def draw_shadows(pool_ids, true_id, k: int, rng: np.random.Generator) -> ShadowDraw:
-    """Uniform shadows from the positive pool, without replacement when possible.
-
-    A pool with fewer than k alternatives falls back to replacement and says so.
+    A pool with fewer than k alternatives falls back to replacement.
     """
     if k < 1:
         raise ValidationError("need at least one shadow")
     candidates = [pid for pid in pool_ids if pid != true_id]
     if not candidates:
         raise ValidationError("shadow pool contains no alternative to the true principle")
-    if len(candidates) >= k:
-        picked = rng.choice(len(candidates), size=k, replace=False)
-        return ShadowDraw(tuple(candidates[int(i)] for i in picked))
-    picked = rng.choice(len(candidates), size=k, replace=True)
-    return ShadowDraw(tuple(candidates[int(i)] for i in picked), with_replacement=True)
+    picked = rng.choice(len(candidates), size=k, replace=len(candidates) < k)
+    return tuple(candidates[int(i)] for i in picked)
 
 
 def shadow_candidates(rng, true_cols, m: int, k: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""A first-order toy policy computed as one next-token table, plus its synthetic task.
+"""A first-order toy policy computed as one next-token table.
 
 Architecture (deliberately tiny so every gradient is analytic):
 
@@ -36,109 +36,23 @@ has probability V^{-|y|} > 0 from the start.  Sampling decodes with fixed
 settings, nucleus TOP_P and repetition penalty REPETITION_PENALTY; they shape
 the draw only, and every log-probability and entropy refers to the plain
 softmax distribution.
-
-The synthetic task mirrors a strict tag format at token level: a completion
-is format-valid iff it is exactly
-
-    R_OPEN <fillers> R_CLOSE A_OPEN <fillers> A_CLOSE
-
-(anchored, one pair of each tag).  Reasoning and answer sections draw from
-disjoint filler subsets so a previous-token policy can represent the grammar,
-and each principle biases the filler choice inside the tags, making the true
-principle statistically identifiable from completions.
 """
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import Stream
 from .errors import ValidationError
-from .golds import gold_continuation, warm_start_golds
+from .task import ToyTask, Vocab, gold_items, warm_start_golds
 
-DEFAULT_VOCAB_SIZE = 16
 DEFAULT_DIM = 32
 DEFAULT_MAX_LEN = 12
 # Decode settings of every sample: nucleus mass and repetition penalty.
 TOP_P = 0.95
 REPETITION_PENALTY = 1.1
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class Vocab:
-    """Token ids: fillers first, five reserved structure tokens at the top."""
-
-    size: int = DEFAULT_VOCAB_SIZE
-
-    def __post_init__(self):
-        if self.size < 8:
-            raise ValidationError("vocabulary needs at least 8 tokens")
-
-    @property
-    def r_open(self) -> int:
-        return self.size - 5
-
-    @property
-    def r_close(self) -> int:
-        return self.size - 4
-
-    @property
-    def a_open(self) -> int:
-        return self.size - 3
-
-    @property
-    def a_close(self) -> int:
-        return self.size - 2
-
-    @property
-    def eos(self) -> int:
-        return self.size - 1
-
-    @property
-    def fillers(self) -> tuple:
-        return tuple(range(self.size - 5))
-
-    @property
-    def reserved(self) -> tuple:
-        return (self.r_open, self.r_close, self.a_open, self.a_close, self.eos)
-
-    @property
-    def reasoning_fillers(self) -> tuple:
-        fillers = self.fillers
-        return fillers[:math.ceil(len(fillers) / 2)]
-
-    @property
-    def answer_fillers(self) -> tuple:
-        fillers = self.fillers
-        return fillers[math.ceil(len(fillers) / 2):]
-
-
-@dataclass(frozen=True)
-class Completion:
-    """One sampled completion with its per-step entropies."""
-
-    tokens: tuple              # includes the trailing EOS unless truncated
-    entropies: np.ndarray      # per-step entropy of the plain softmax (nats)
-    truncated: bool
-
-    @property
-    def content(self) -> tuple:
-        """Tokens with the trailing EOS (when present) stripped."""
-        if self.tokens and not self.truncated:
-            return self.tokens[:-1]
-        return self.tokens
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def mean_entropy(self) -> float:
-        return float(np.mean(self.entropies)) if self.entropies.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -150,16 +64,12 @@ class Samples:
     truncated: np.ndarray   # (B,) True where max_len tokens hold no EOS
     entropies: np.ndarray   # (B, max_len) entropy of each position's plain softmax
 
-    def completions(self) -> list:
-        return [Completion(tuple(self.tokens[b, :n].tolist()), self.entropies[b, :n],
-                           bool(self.truncated[b])) for b, n in enumerate(self.lengths)]
-
     def counts(self, vocab_size: int) -> np.ndarray:
         """(B, V+1, V) transition counts, as transition_counts gives them."""
         return _count_transitions(self.tokens, self.lengths, vocab_size)
 
     def mean_entropies(self) -> np.ndarray:
-        """Completion.mean_entropy of each row.  Rows of one length are
+        """The mean entropy of each row's positions.  Rows of one length are
         averaged together, so each row is summed as its own 1-D mean sums it."""
         out = np.zeros(self.lengths.size)
         for n in np.unique(self.lengths):
@@ -519,10 +429,9 @@ class ToyPolicy:
 
     # ---------- sampling ----------
 
-    def sample_group(self, prompt, principle, group_size: int, seed) -> list:
+    def sample_group(self, prompt, principle, group_size: int, seed) -> Samples:
         """group_size independent completions, deterministic for a fixed seed."""
-        return self.sample_groups(self.table([(prompt, principle)]), [0],
-                                  group_size, [seed]).completions()
+        return self.sample_groups(self.table([(prompt, principle)]), [0], group_size, [seed])
 
     def sample_groups(self, table: NextTokenTable, ctx_idx, group_size: int,
                       seeds) -> Samples:
@@ -664,157 +573,6 @@ def _table_rows(tokens: np.ndarray) -> np.ndarray:
     return rows
 
 
-# ---------- synthetic constitution-conditioned task ----------
-
-@dataclass(frozen=True)
-class ToyPrinciple:
-    """A token-pattern principle; `prefers` are the gold fillers it biases."""
-
-    pid: str
-    tokens: tuple
-    prefers: tuple = ()
-
-
-@dataclass(frozen=True)
-class TaskItem:
-    prompt: tuple
-    principle_id: str
-    gold: tuple  # includes the trailing EOS
-
-
-@dataclass(frozen=True)
-class ToyTask:
-    """Prompts, a positive principle per prompt, and biased gold continuations.
-
-    Principle renderings use marker fillers that never appear in prompts or
-    golds; the gold pools are the remaining fillers.  Keeping the supports
-    disjoint is what lets a format-only warm start stay principle-agnostic:
-    markers receive no gradient until the association terms provide one.
-    """
-
-    vocab: Vocab
-    principles: tuple          # positive pool, ToyPrinciple
-    items: tuple               # TaskItem
-    gold_r_pool: tuple
-    gold_a_pool: tuple
-    bias: float = 0.8
-
-    def __post_init__(self):
-        ids = [p.pid for p in self.principles]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("principle ids must be unique")
-        known = set(ids)
-        for item in self.items:
-            if item.principle_id not in known:
-                raise ValidationError(f"item references unknown principle {item.principle_id!r}")
-
-    def principle(self, pid: str) -> ToyPrinciple:
-        for p in self.principles:
-            if p.pid == pid:
-                return p
-        raise KeyError(pid)
-
-
-
-def gold_filler_pools(vocab: Vocab, principles) -> tuple:
-    """Reasoning/answer filler pools minus every token used by a principle."""
-    used = set()
-    for p in principles:
-        used.update(p.tokens)
-    r_pool = tuple(t for t in vocab.reasoning_fillers if t not in used)
-    a_pool = tuple(t for t in vocab.answer_fillers if t not in used)
-    # Degenerate pattern sets that cover a whole pool fall back to sharing it.
-    if not r_pool:
-        r_pool = vocab.reasoning_fillers
-    if not a_pool:
-        a_pool = vocab.answer_fillers
-    return r_pool, a_pool
-
-
-def _assign_prefers(principles, r_pool, a_pool) -> tuple:
-    """Positional preferred-filler assignment over the gold pools."""
-    out = []
-    for k, p in enumerate(principles):
-        prefers = (r_pool[k % len(r_pool)], a_pool[k % len(a_pool)])
-        out.append(ToyPrinciple(p.pid, p.tokens, prefers=prefers))
-    return tuple(out)
-
-
-def make_toy_principles(vocab: Vocab, count: int) -> tuple:
-    """Distinct marker-token patterns; preferred fillers assigned positionally.
-
-    Markers are the last two fillers of each pool; patterns are distinct
-    multisets over them (the context encoder is a bag mean, so only the
-    multiset matters).  The remaining fillers stay free for prompts and golds.
-    """
-    if count < 2:
-        raise ValidationError("need at least two principles for shadows to exist")
-    f_r, f_a = vocab.reasoning_fillers, vocab.answer_fillers
-    m_r, m_a = f_r[-2:], f_a[-2:]
-    pairs = [(i, j) for i in m_r for j in m_a]
-    patterns = ([(i, j, i, j) for i, j in pairs]
-                + [(i, j, j, j) for i, j in pairs]
-                + [(i, i, i, j) for i, j in pairs])
-    if count > len(patterns):
-        raise ValidationError(f"at most {len(patterns)} distinct principle "
-                              f"patterns for this vocabulary")
-    raw = tuple(ToyPrinciple(f"pos{k}", patterns[k]) for k in range(count))
-    r_pool, a_pool = gold_filler_pools(vocab, raw)
-    return _assign_prefers(raw, r_pool, a_pool)
-
-
-def principles_from_patterns(vocab: Vocab, patterns) -> tuple:
-    """Token-pattern principles from (pid, tokens) pairs.
-
-    Preferred gold fillers are assigned positionally over the pools left free
-    by the patterns, so a principle's identity (its rendering) and the content
-    it biases stay on disjoint token supports.
-    """
-    raw = []
-    for pid, tokens in patterns:
-        toks = tuple(int(t) for t in tokens)
-        if any(t < 0 or t >= vocab.size for t in toks):
-            raise ValidationError(f"principle {pid!r} uses out-of-vocab tokens")
-        if any(t not in vocab.fillers for t in toks):
-            raise ValidationError(f"principle {pid!r} uses reserved tokens")
-        raw.append(ToyPrinciple(pid, toks))
-    if len(raw) < 2:
-        raise ValidationError("need at least two principles for shadows to exist")
-    r_pool, a_pool = gold_filler_pools(vocab, raw)
-    return _assign_prefers(tuple(raw), r_pool, a_pool)
-
-
-def make_toy_task(vocab: Vocab | None = None, *, n_principles: int = 4,
-                  n_items: int = 32, prompt_len: int = 4, bias: float = 0.8,
-                  seed: int = 0, principles: tuple | None = None) -> ToyTask:
-    """Seeded synthetic task: random prompts, one positive principle each,
-    format-valid golds whose fillers lean toward the principle's preferences.
-
-    Item i takes principle i mod the number of principles; `n_principles`
-    counts them only when `principles` is not given.
-    """
-    vocab = vocab or Vocab()
-    rng = Stream(seed)
-    if principles is None:
-        principles = make_toy_principles(vocab, n_principles)
-    r_pool, a_pool = gold_filler_pools(vocab, principles)
-    prompt_pool = r_pool + a_pool
-    items = []
-    for i in range(n_items):
-        prompt = tuple(int(prompt_pool[rng.integers(len(prompt_pool))])
-                       for _ in range(prompt_len))
-        principle = principles[i % len(principles)]
-        gold = gold_continuation(vocab, principle.prefers, r_pool, a_pool, bias, rng)
-        items.append(TaskItem(prompt, principle.pid, gold))
-    return ToyTask(vocab, principles, tuple(items), r_pool, a_pool, bias=bias)
-
-
-def gold_items(task: ToyTask) -> list:
-    """(prompt, principle tokens, gold) triples with the biased golds."""
-    return [(item.prompt, task.principle(item.principle_id).tokens, item.gold)
-            for item in task.items]
-
-
 def mle_pretrain(policy: ToyPolicy, triples, epochs: int, lr: float) -> None:
     """Full-batch maximum-likelihood warm start on (prompt, principle, gold).
 
@@ -843,7 +601,7 @@ def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
     Epoch e's golds are drawn from the stream seeded (seed, e), item by item,
     each with its principle's preferred fillers at this bias.  They do not
     depend on the policy, so every epoch's golds are drawn up front in one
-    lockstep pass (`golds.warm_start_golds`, a stream per epoch); each epoch
+    lockstep pass (`task.warm_start_golds`, a stream per epoch); each epoch
     then takes its count sums with bincounts.  Only the golds change between
     epochs; the contexts are the task's items throughout.
     """

@@ -58,16 +58,6 @@ def format_gate_schedule(step: int, mi_warmup_steps: int) -> bool:
 
 
 @dataclass(frozen=True)
-class GateState:
-    entropy_pass: bool
-    format_pass: bool
-
-    @property
-    def open(self) -> bool:
-        return self.entropy_pass and self.format_pass
-
-
-@dataclass(frozen=True)
 class AutoscalerState:
     """EMA magnitudes and the multiplicative scale of the MI channel."""
 
@@ -88,10 +78,10 @@ class AutoscalerState:
 
 
 def mi_tiebreak_reward(z: float, slope: float, channel_weight: float,
-                       gates: GateState, state: AutoscalerState) -> float:
+                       gate_open: bool, state: AutoscalerState) -> float:
     """Gated dense reward: gate * beta * channel_weight * sigmoid(slope * z),
     as mi_tiebreak_rewards gives it for one completion."""
-    return float(mi_tiebreak_rewards([z], slope, channel_weight, [gates.open], state)[0])
+    return float(mi_tiebreak_rewards([z], slope, channel_weight, [gate_open], state)[0])
 
 
 def mi_tiebreak_rewards(z, slope: float, channel_weight: float, gate_open,

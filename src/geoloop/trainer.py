@@ -39,9 +39,9 @@ its own, so the gathered rows equal those of tables built per step, bit for
 bit.  Because the reference table is built once, code that loads a reference
 into an existing Trainer (a resume) must rebuild it.  Per completion, the
 step's bookkeeping (format check, entropies, gates, MI reward, advantages)
-is array operations.  The shadow draws (mi.shadow_candidates) still pick
-once per completion, as mi.draw_shadows does, but from a draws.Stream: the
-same picks from the same seed without Generator.choice's per-call cost.
+is array operations.  The shadow draws (mi.shadow_candidates) pick once per
+completion from a draws.Stream, which makes Generator.choice's picks without
+its per-call cost.
 """
 from __future__ import annotations
 
@@ -55,7 +55,8 @@ import numpy as np
 from . import mi, ot, prob_metrics, rep_metrics, rewards
 from .draws import Stream
 from .errors import ValidationError
-from .policy import NextTokenTable, ToyPolicy, ToyTask, logit_sums
+from .policy import DEFAULT_MAX_LEN, NextTokenTable, ToyPolicy, logit_sums
+from .task import ToyTask, Vocab
 
 STEPS_JSONL_FIELDS = (
     "step", "reward_base_mean", "reward_mi_mean", "reward_std",
@@ -494,8 +495,6 @@ def load_checkpoint(path) -> tuple:
     A snapshot written before checkpoints kept max_len loads with
     DEFAULT_MAX_LEN.
     """
-    from .policy import DEFAULT_MAX_LEN, Vocab
-
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         policy = ToyPolicy(Vocab(int(meta["vocab_size"])), int(meta["dim"]),

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from geoloop import cli, constitution as con, mi, ot
-from geoloop.policy import ToyPolicy, Vocab, make_toy_task, warm_start
+from geoloop.policy import ToyPolicy, warm_start
+from geoloop.task import Vocab, make_toy_task
 from geoloop.prob_metrics import ProbVector, probe_report
 from geoloop.rep_metrics import (EmpiricalMeasure, GaussianSummary, Spectrum,
                                  effective_dims, frechet_distance)

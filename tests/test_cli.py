@@ -11,8 +11,8 @@ import pytest
 
 from geoloop import cli, mi, ot, prob_metrics
 from geoloop import constitution as consti
-from geoloop.policy import (ToyPolicy, ToyPrinciple, Vocab, gold_items, make_toy_principles,
-                            make_toy_task, mle_pretrain, transition_counts, warm_start)
+from geoloop.policy import ToyPolicy, mle_pretrain, transition_counts, warm_start
+from geoloop.task import ToyPrinciple, Vocab, gold_items, make_toy_principles, make_toy_task
 from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from geoloop.errors import ValidationError
 from geoloop import cli
 from geoloop import constitution as con
-from geoloop.policy import ToyPolicy, Vocab, gold_items, make_toy_task, mle_pretrain, principles_from_patterns
+from geoloop.policy import ToyPolicy, mle_pretrain
+from geoloop.task import Vocab, gold_items, make_toy_task, principles_from_patterns
 
 # (bits, auc, margin_pos, margin_neg) -> (mi_eff, si, drop_pct) published rows
 MEASURED_ROWS = [

@@ -12,8 +12,7 @@ import pytest
 
 from geoloop import cli
 from geoloop import constitution as consti
-from geoloop import golds
-from geoloop import policy as pol
+from geoloop import task as tk
 from geoloop.draws import Stream, Streams
 
 N_SEEDS = 2000
@@ -220,21 +219,21 @@ class TestStreamsMatchStream:
 def reference_make_toy_task(vocab=None, *, n_principles=4, n_items=32, prompt_len=4,
                             bias=0.8, seed=0, principles=None):
     """make_toy_task as it drew from np.random.default_rng(seed)."""
-    vocab = vocab or pol.Vocab()
+    vocab = vocab or tk.Vocab()
     rng = np.random.default_rng(seed)
     if principles is None:
-        principles = pol.make_toy_principles(vocab, n_principles)
-    r_pool, a_pool = pol.gold_filler_pools(vocab, principles)
+        principles = tk.make_toy_principles(vocab, n_principles)
+    r_pool, a_pool = tk.gold_filler_pools(vocab, principles)
     prompt_pool = r_pool + a_pool
     items = []
     for i in range(n_items):
         prompt = tuple(int(prompt_pool[rng.integers(len(prompt_pool))])
                        for _ in range(prompt_len))
         principle = principles[i % len(principles)]
-        gold = golds.gold_continuation(vocab, principle.prefers, r_pool, a_pool,
+        gold = tk.gold_continuation(vocab, principle.prefers, r_pool, a_pool,
                                       bias, rng)
-        items.append(pol.TaskItem(prompt, principle.pid, gold))
-    return pol.ToyTask(vocab, principles, tuple(items), r_pool, a_pool, bias=bias)
+        items.append(tk.TaskItem(prompt, principle.pid, gold))
+    return tk.ToyTask(vocab, principles, tuple(items), r_pool, a_pool, bias=bias)
 
 
 def reference_format_pretrain_items(task, seed=0, bias=0.15):
@@ -243,7 +242,7 @@ def reference_format_pretrain_items(task, seed=0, bias=0.15):
     triples = []
     for item in task.items:
         principle = task.principle(item.principle_id)
-        gold = golds.gold_continuation(task.vocab, principle.prefers, task.gold_r_pool,
+        gold = tk.gold_continuation(task.vocab, principle.prefers, task.gold_r_pool,
                                       task.gold_a_pool, bias, rng)
         triples.append((item.prompt, principle.tokens, gold))
     return triples
@@ -257,8 +256,8 @@ def cli_task_arguments(seed: int) -> dict:
     """make_toy_task's arguments as `geoloop train` builds them from the
     bundled enigma_high_si config."""
     pset = consti.parse_principle_file(cli.DATA_DIR / "toy_high_si.txt")
-    vocab = pol.Vocab(CONFIG.vocab_size)
-    principles = pol.principles_from_patterns(vocab, [(p.pid, p.tokens) for p in pset.positives])
+    vocab = tk.Vocab(CONFIG.vocab_size)
+    principles = tk.principles_from_patterns(vocab, [(p.pid, p.tokens) for p in pset.positives])
     return dict(vocab=vocab, n_items=CONFIG.task_items, prompt_len=CONFIG.prompt_len,
                 bias=CONFIG.task_bias, seed=seed, principles=principles)
 
@@ -270,13 +269,13 @@ def gold_tuples(tokens, lengths) -> list:
 class TestDrawSites:
     @pytest.mark.parametrize("seed", range(10))
     def test_tasks_and_warm_start_golds(self, seed):
-        assert pol.make_toy_task(seed=seed) == reference_make_toy_task(seed=seed)
+        assert tk.make_toy_task(seed=seed) == reference_make_toy_task(seed=seed)
         kwargs = cli_task_arguments(seed)
-        task = pol.make_toy_task(**kwargs)
+        task = tk.make_toy_task(**kwargs)
         assert task == reference_make_toy_task(**kwargs)
         # The warm start's golds: seed (seed, epoch) for epochs 0-199.
         bias = CONFIG.warmstart_bias
-        tokens, lengths = golds.warm_start_golds(task, 200, seed, bias)
+        tokens, lengths = tk.warm_start_golds(task, 200, seed, bias)
         for epoch in range(200):
             expected = reference_format_pretrain_items(task, seed=(seed, epoch), bias=bias)
             assert gold_tuples(tokens[epoch], lengths[epoch]) == [g for _, _, g in expected]

@@ -3,17 +3,19 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from geoloop.errors import ValidationError
 from geoloop import policy as pol
+from geoloop import task as tk
 from test_draws import reference_format_pretrain_items
 
 
 def randomised_policy(seed, dim=8, max_len=pol.DEFAULT_MAX_LEN):
-    p = pol.ToyPolicy(pol.Vocab(), dim=dim, max_len=max_len)
+    p = pol.ToyPolicy(tk.Vocab(), dim=dim, max_len=max_len)
     rng = np.random.default_rng(seed)
     p.embed = rng.normal(0, 0.3, p.embed.shape)
     p.out = rng.normal(0, 0.3, p.out.shape)
@@ -99,6 +101,35 @@ def reference_decode_along_axis(logits, uniforms):
     return np.sum(cdf <= uniforms[:, None], axis=1)
 
 
+@dataclass(frozen=True)
+class Completion:
+    """One row of a Samples, the per-completion view its array methods are
+    checked against."""
+
+    tokens: tuple              # includes the trailing EOS unless truncated
+    entropies: np.ndarray      # per-step entropy of the plain softmax (nats)
+    truncated: bool
+
+    @property
+    def content(self) -> tuple:
+        """Tokens with the trailing EOS (when present) stripped."""
+        return self.tokens if self.truncated else self.tokens[:-1]
+
+    @property
+    def length(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def mean_entropy(self) -> float:
+        return float(np.mean(self.entropies))
+
+
+def completions(samples) -> list:
+    """Row b of samples as a Completion of its first lengths[b] positions."""
+    return [Completion(tuple(samples.tokens[b, :n].tolist()), samples.entropies[b, :n],
+                       bool(samples.truncated[b])) for b, n in enumerate(samples.lengths)]
+
+
 def reference_sample_group(p, prompt, principle, group_size, seed):
     """The per-row decode loop: members in turn at each position, one stream."""
     rng = np.random.default_rng(seed)
@@ -124,16 +155,16 @@ def reference_sample_group(p, prompt, principle, group_size, seed):
 
 class TestVocab:
     def test_reserved_tokens_distinct(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         assert len(set(v.reserved)) == 5
         assert set(v.fillers).isdisjoint(v.reserved)
 
     def test_minimum_size(self):
         with pytest.raises(ValidationError):
-            pol.Vocab(7)
+            tk.Vocab(7)
 
     def test_filler_split_covers_pool(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         assert set(v.reasoning_fillers) | set(v.answer_fillers) == set(v.fillers)
         assert set(v.reasoning_fillers).isdisjoint(v.answer_fillers)
 
@@ -161,38 +192,38 @@ def reference_format_reward(content_tokens, vocab) -> float:
 class TestFormatReward:
     def test_equals_the_reference_on_every_short_sequence(self):
         # Every content of up to 5 tokens over two fillers, the four tags and EOS.
-        v = pol.Vocab()
+        v = tk.Vocab()
         alphabet = (0, 6, v.r_open, v.r_close, v.a_open, v.a_close, v.eos)
         for n in range(6):
             for toks in itertools.product(alphabet, repeat=n):
                 assert pol.toy_format_reward(toks, v) == reference_format_reward(toks, v)
 
     def test_valid_template(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         toks = (v.r_open, 0, 1, v.r_close, v.a_open, 6, v.a_close)
         assert pol.toy_format_reward(toks, v) == 1.0
 
     def test_empty_sections_valid(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         toks = (v.r_open, v.r_close, v.a_open, v.a_close)
         assert pol.toy_format_reward(toks, v) == 1.0
 
     def test_missing_tag(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         assert pol.toy_format_reward((v.r_open, 0, v.r_close, v.a_open, 6), v) == 0.0
 
     def test_duplicate_tag(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         toks = (v.r_open, v.r_open, v.r_close, v.a_open, v.a_close)
         assert pol.toy_format_reward(toks, v) == 0.0
 
     def test_trailing_token(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         toks = (v.r_open, v.r_close, v.a_open, v.a_close, 0)
         assert pol.toy_format_reward(toks, v) == 0.0
 
     def test_fuzz_never_raises(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         rng = np.random.default_rng(0)
         for _ in range(500):
             toks = tuple(rng.integers(0, v.size, rng.integers(0, 13)))
@@ -203,7 +234,7 @@ def random_samples(seed, n=400, max_len=12):
     """Padded rows of near-template completions: tags, a few fillers and
     EOS, an untruncated row ending in EOS; half of them templates, some with
     a token replaced or two neighbours swapped."""
-    v = pol.Vocab()
+    v = tk.Vocab()
     rng = np.random.default_rng(seed)
     tokens = np.zeros((n, max_len), dtype=int)
     lengths = rng.integers(1, max_len + 1, n)
@@ -233,28 +264,28 @@ class TestSamples:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_format_ok_is_the_format_reward(self, seed):
-        v = pol.Vocab()
+        v = tk.Vocab()
         samples = random_samples(seed)
         expected = [(not c.truncated) and reference_format_reward(c.content, v) == 1.0
-                    for c in samples.completions()]
+                    for c in completions(samples)]
         assert 50 < sum(expected) < len(expected)
         assert samples.format_ok(v).tolist() == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mean_entropies(self, seed):
         samples = random_samples(seed)
-        expected = [c.mean_entropy for c in samples.completions()]
+        expected = [c.mean_entropy for c in completions(samples)]
         assert samples.mean_entropies().tolist() == expected
 
     def test_counts(self):
         samples = random_samples(3)
-        expected = pol.transition_counts([c.tokens for c in samples.completions()], 16)
+        expected = pol.transition_counts([c.tokens for c in completions(samples)], 16)
         assert np.array_equal(samples.counts(16), expected)
 
 
 class TestLogprobs:
     def test_zero_params_uniform(self):
-        p = pol.ToyPolicy(pol.Vocab(), dim=8)
+        p = pol.ToyPolicy(tk.Vocab(), dim=8)
         lp = p.token_logprobs((1, 2), (0, 6), (11, 3, 12))
         assert lp == pytest.approx([-math.log(16)] * 3)
 
@@ -272,7 +303,7 @@ class TestLogprobs:
         assert sums[0] == pytest.approx(float(lp.sum()))
 
     def test_out_of_vocab_rejected(self):
-        p = pol.ToyPolicy(pol.Vocab(), dim=8)
+        p = pol.ToyPolicy(tk.Vocab(), dim=8)
         with pytest.raises(ValidationError):
             p.token_logprobs((1,), (), (99,))
 
@@ -352,8 +383,8 @@ class TestHiddenSummary:
 class TestSampling:
     def test_seed_determinism(self):
         p = randomised_policy(11)
-        g1 = p.sample_group((1, 2), (0, 6), 4, np.random.default_rng(99))
-        g2 = p.sample_group((1, 2), (0, 6), 4, np.random.default_rng(99))
+        g1 = completions(p.sample_group((1, 2), (0, 6), 4, np.random.default_rng(99)))
+        g2 = completions(p.sample_group((1, 2), (0, 6), 4, np.random.default_rng(99)))
         assert [c.tokens for c in g1] == [c.tokens for c in g2]
 
     def test_group_size_minimum(self):
@@ -363,11 +394,11 @@ class TestSampling:
 
     def test_max_len_minimum(self):
         with pytest.raises(ValidationError):
-            pol.ToyPolicy(pol.Vocab(), dim=8, max_len=0)
+            pol.ToyPolicy(tk.Vocab(), dim=8, max_len=0)
 
     def test_length_cap(self):
         p = randomised_policy(14)
-        group = p.sample_group((1,), (0,), 4, np.random.default_rng(1))
+        group = completions(p.sample_group((1,), (0,), 4, np.random.default_rng(1)))
         for c in group:
             assert c.length <= p.max_len
             if not c.truncated:
@@ -488,7 +519,7 @@ class TestTableKernel:
                 assert block[idx] == pytest.approx((up - dn) / (2 * h), abs=1e-7)
 
     def test_batched_mle_epoch_matches_per_triple_sum(self):
-        task = pol.make_toy_task(seed=3)
+        task = tk.make_toy_task(seed=3)
         triples = reference_format_pretrain_items(task, seed=3)
         p = pol.ToyPolicy(task.vocab)
         p.init_params(3)
@@ -594,7 +625,7 @@ def assert_grads_rel_close(got, want, rel=1e-12):
 def task_policy(scale):
     """A 32-context task and a dim-32 policy at the given init scale; scale 2
     gives logits of tens of nats."""
-    task = pol.make_toy_task(seed=40)
+    task = tk.make_toy_task(seed=40)
     p = pol.ToyPolicy(task.vocab)
     p.init_params(40, scale=scale)
     return task, p
@@ -606,7 +637,7 @@ class TestFactoredKernel:
     @pytest.mark.parametrize("scale", [0.1, 2.0])
     def test_scores_and_summaries_match_reference(self, scale):
         task, p = task_policy(scale)
-        triples = pol.gold_items(task)
+        triples = tk.gold_items(task)
         contexts = [(prompt, principle) for prompt, principle, _ in triples]
         golds = [gold for _, _, gold in triples]
         table = p.table(contexts)
@@ -631,7 +662,7 @@ class TestFactoredKernel:
     @pytest.mark.parametrize("scale", [0.1, 2.0])
     def test_backward_matches_reference(self, scale):
         task, p = task_policy(scale)
-        triples = pol.gold_items(task)
+        triples = tk.gold_items(task)
         table = p.table([(prompt, principle) for prompt, principle, _ in triples])
         counts = pol.transition_counts([gold for _, _, gold in triples], p.vocab.size)
         weights = np.random.default_rng(41).normal(size=(len(triples), len(triples)))
@@ -650,7 +681,7 @@ class TestFactoredKernel:
     @pytest.mark.parametrize("scale", [0.1, 2.0])
     def test_mle_epoch_matches_reference(self, scale):
         task, p = task_policy(scale)
-        triples = pol.gold_items(task)
+        triples = tk.gold_items(task)
         q = p.clone()
         pol.mle_pretrain(p, triples, 1, 0.5)
         weights = q.bag([(prompt, principle) for prompt, principle, _ in triples])
@@ -664,7 +695,7 @@ class TestFactoredKernel:
         # the 2-D factors of a forward and backward pass together about 6 KB:
         # the peak of each stays under half of one such array, for a pass
         # and for an epoch of _mle_epochs over precomputed counts.
-        p = pol.ToyPolicy(pol.Vocab(64), dim=8)
+        p = pol.ToyPolicy(tk.Vocab(64), dim=8)
         p.init_params(44)
         rng = np.random.default_rng(44)
         fillers = len(p.vocab.fillers)
@@ -689,7 +720,7 @@ class TestFactoredKernel:
         # The context logits peak at token 0 and every row logit after the
         # first at token 1, 800 nats apart: the logits span 1600 nats, and
         # ea @ eb.T underflows although every log-softmax is finite.
-        p = pol.ToyPolicy(pol.Vocab(), dim=8)
+        p = pol.ToyPolicy(tk.Vocab(), dim=8)
         p.embed[:, :2] = 1.0
         p.ctx_scale = np.eye(8)[0]
         p.prev_scale = np.eye(8)[1]
@@ -712,7 +743,7 @@ class TestBatchedSampler:
         table = p.table(CONTEXTS)
         for seed in range(4):
             seeds = [100 * seed + g for g in range(len(CONTEXTS))]
-            comps = p.sample_groups(table, range(len(CONTEXTS)), 4, seeds).completions()
+            comps = completions(p.sample_groups(table, range(len(CONTEXTS)), 4, seeds))
             groups = [comps[4 * g:4 * (g + 1)] for g in range(len(CONTEXTS))]
             for ctx, group, s in zip(CONTEXTS, groups, seeds):
                 for comp, (tokens, ents, truncated) in zip(
@@ -788,18 +819,18 @@ class TestReference:
 
 class TestTask:
     def test_golds_are_format_valid(self):
-        task = pol.make_toy_task(seed=0)
+        task = tk.make_toy_task(seed=0)
         for item in task.items:
             assert item.gold[-1] == task.vocab.eos
             assert pol.toy_format_reward(item.gold[:-1], task.vocab) == 1.0
 
     def test_exactly_one_principle_per_item(self):
-        task = pol.make_toy_task(seed=1)
+        task = tk.make_toy_task(seed=1)
         for item in task.items:
             task.principle(item.principle_id)  # raises KeyError if unknown
 
     def test_principle_tokens_disjoint_from_gold_pools(self):
-        task = pol.make_toy_task(seed=2)
+        task = tk.make_toy_task(seed=2)
         used = set()
         for p in task.principles:
             used.update(p.tokens)
@@ -809,32 +840,32 @@ class TestTask:
             assert used.isdisjoint(item.prompt)
 
     def test_patterns_must_be_fillers(self):
-        v = pol.Vocab()
+        v = tk.Vocab()
         with pytest.raises(ValidationError):
-            pol.principles_from_patterns(v, [("a", (v.eos,)), ("b", (0,))])
+            tk.principles_from_patterns(v, [("a", (v.eos,)), ("b", (0,))])
 
 
 class TestWarmStart:
     def test_format_competence(self):
-        task = pol.make_toy_task(seed=4)
-        p = pol.ToyPolicy(pol.Vocab())
+        task = tk.make_toy_task(seed=4)
+        p = pol.ToyPolicy(tk.Vocab())
         p.init_params(4)
         pol.warm_start(p, task, 120, 0.5, seed=4)
         ok = total = 0
         for gi, item in enumerate(task.items[:8]):
             ptoks = task.principle(item.principle_id).tokens
-            group = p.sample_group(item.prompt, ptoks, 4, np.random.default_rng(gi))
+            group = completions(p.sample_group(item.prompt, ptoks, 4, np.random.default_rng(gi)))
             for c in group:
                 total += 1
                 ok += (not c.truncated) and reference_format_reward(c.content, p.vocab) == 1.0
         assert ok / total > 0.7
 
     def test_deterministic(self):
-        task = pol.make_toy_task(seed=5)
-        p1 = pol.ToyPolicy(pol.Vocab())
+        task = tk.make_toy_task(seed=5)
+        p1 = pol.ToyPolicy(tk.Vocab())
         p1.init_params(5)
         pol.warm_start(p1, task, 30, 0.5, seed=5)
-        p2 = pol.ToyPolicy(pol.Vocab())
+        p2 = pol.ToyPolicy(tk.Vocab())
         p2.init_params(5)
         pol.warm_start(p2, task, 30, 0.5, seed=5)
         assert p1.param_hash() == p2.param_hash()
@@ -864,7 +895,7 @@ def token_checks(monkeypatch):
 
 class TestMleEpochs:
     def test_warm_start_matches_per_epoch_tables(self, token_checks):
-        task = pol.make_toy_task(seed=6)
+        task = tk.make_toy_task(seed=6)
         p = pol.ToyPolicy(task.vocab)
         p.init_params(6)
         q = p.clone()
@@ -888,8 +919,8 @@ class TestMleEpochs:
                        for a, b in zip(got, expected))
 
     def test_mle_pretrain_matches_per_epoch_tables(self, token_checks):
-        task = pol.make_toy_task(seed=7)
-        triples = pol.gold_items(task)
+        task = tk.make_toy_task(seed=7)
+        triples = tk.gold_items(task)
         p = pol.ToyPolicy(task.vocab)
         p.init_params(7)
         q = p.clone()

@@ -55,28 +55,24 @@ class TestFormatGateSchedule:
 
 class TestTieBreakReward:
     def test_neutral_z(self):
-        gates = rewards.GateState(True, True)
         state = rewards.AutoscalerState()
-        value = rewards.mi_tiebreak_reward(0.0, 2.5, 0.15, gates, state)
+        value = rewards.mi_tiebreak_reward(0.0, 2.5, 0.15, True, state)
         assert value == pytest.approx(0.075)
 
     def test_gate_failure_zeroes(self):
         state = rewards.AutoscalerState()
-        for gates in (rewards.GateState(False, True), rewards.GateState(True, False)):
-            assert rewards.mi_tiebreak_reward(10.0, 2.5, 0.15, gates, state) == 0.0
+        assert rewards.mi_tiebreak_reward(10.0, 2.5, 0.15, False, state) == 0.0
 
     def test_sigmoid_asymptote(self):
-        gates = rewards.GateState(True, True)
         state = rewards.AutoscalerState(beta=2.0)
-        value = rewards.mi_tiebreak_reward(1e6, 2.5, 0.15, gates, state)
+        value = rewards.mi_tiebreak_reward(1e6, 2.5, 0.15, True, state)
         assert value == pytest.approx(0.3)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-50, 50), st.floats(0.1, 10.0))
     def test_bounded_by_beta_weight(self, z, beta):
-        gates = rewards.GateState(True, True)
         state = rewards.AutoscalerState(beta=beta)
-        value = rewards.mi_tiebreak_reward(z, 2.5, 0.15, gates, state)
+        value = rewards.mi_tiebreak_reward(z, 2.5, 0.15, True, state)
         assert 0.0 <= value <= beta * 0.15 + 1e-12
 
 
@@ -98,7 +94,7 @@ class TestBatchedTieBreakReward:
         expected = [reference_mi_reward(v, 2.5, 0.15, g, state.beta)
                     for v, g in zip(z, gate_open)]
         assert got.tolist() == expected
-        assert [rewards.mi_tiebreak_reward(v, 2.5, 0.15, rewards.GateState(bool(g), True),
+        assert [rewards.mi_tiebreak_reward(v, 2.5, 0.15, bool(g),
                                            state) for v, g in zip(z, gate_open)] == expected
 
     def test_zero_weight_and_checks(self):

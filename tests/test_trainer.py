@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
-from geoloop.policy import (DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, Vocab,
-                            make_toy_task, transition_counts, warm_start)
+from geoloop.policy import DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, transition_counts, warm_start
+from geoloop.task import Vocab, make_toy_task
 from geoloop import cli, mi, rep_metrics, rewards
 from geoloop import policy as pol
 from geoloop import trainer as tr
-from test_policy import reference_decode_along_axis, reference_format_reward
+from test_policy import completions, reference_decode_along_axis, reference_format_reward
 from test_rewards import reference_mi_reward
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -101,7 +101,7 @@ class TestGrpoUpdate:
 
         def record_groups(*args, **kwargs):
             out = sample_groups(*args, **kwargs)
-            sampled.extend(out.completions())
+            sampled.extend(completions(out))
             return out
 
         monkeypatch.setattr(policy, "sample_groups", record_groups)
@@ -397,7 +397,7 @@ def step_inputs(t, step=0):
     samples = t.policy.sample_groups(
         table, own, t.config.group_size,
         [tr.derive_rng(t.seed, step, tr._CH_SAMPLE, g) for g in range(len(items))])
-    comps = samples.completions()
+    comps = completions(samples)
     groups = np.repeat(np.arange(len(items)), t.config.group_size)
     counts = transition_counts([c.tokens for c in comps], t.policy.vocab.size)
     lengths = np.maximum(1, counts.sum(axis=(1, 2)))
@@ -423,7 +423,7 @@ class TestGatherScorers:
             item = items[groups[b]]
             draw = mi.draw_shadows(pool, item.principle_id, t.config.shadow_k, rng)
             expected = [mean_logprob(t, item.prompt, pid, comp)
-                        for pid in (item.principle_id, *draw.shadow_ids)]
+                        for pid in (item.principle_id, *draw)]
             assert np.max(np.abs(got[b] - expected)) <= 1e-12
 
     def test_column_scores(self):
@@ -561,7 +561,7 @@ class TestBatchedBookkeeping:
             state = t.autoscaler
             report = t.train_step()
             samples = recorded["samples"]
-            comps = samples.completions()
+            comps = completions(samples)
             t.autoscaler, after = state, t.autoscaler
             entropies, format_ok, base, mi_reward, adv, stds = per_completion_rewards(
                 t, step, comps, recorded.get("z"))
@@ -613,7 +613,7 @@ class TestBatchedBookkeeping:
                 pid = items[g].principle_id
                 draw = mi.draw_shadows(pool, pid, t.config.shadow_k, rng)
                 assert list(got[b]) == [pool.index(q) * len(items) + g
-                                        for q in (pid, *draw.shadow_ids)]
+                                        for q in (pid, *draw)]
 
 
 class TestGeometryFlags:
