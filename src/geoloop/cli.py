@@ -63,9 +63,24 @@ class RunConfig(TrainConfig):
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version} "
                               f"(this version reads {SCHEMA_VERSION})")
-        if self.max_steps <= 0 or self.checkpoint_every <= 0:
-            raise ConfigError("max_steps and checkpoint_every must be positive")
-        super().__post_init__()
+        try:
+            super().__post_init__()
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def _rules(self) -> tuple:
+        return super()._rules() + (
+            ("max_steps", self.max_steps >= 1, "at least 1"),
+            ("checkpoint_every", self.checkpoint_every >= 1, "at least 1"),
+            ("task_items", self.task_items >= 1, "at least 1"),
+            ("prompt_len", self.prompt_len >= 0, "nonnegative"),
+            ("vocab_size", self.vocab_size >= 8, "at least 8"),
+            ("policy_dim", self.policy_dim >= 1, "at least 1"),
+            ("warmstart_epochs", self.warmstart_epochs >= 0, "nonnegative"),
+            ("warmstart_lr", self.warmstart_lr >= 0, "nonnegative"),
+            ("warmstart_bias", 0 <= self.warmstart_bias <= 1, "between 0 and 1"),
+            ("task_bias", 0 <= self.task_bias <= 1, "between 0 and 1"),
+        )
 
     def config_hash(self) -> str:
         return hashlib.sha256(serialise_config(self).encode()).hexdigest()
@@ -368,9 +383,12 @@ def cmd_probe(args) -> int:
     if len({meta["config_hash"] for _, meta in loaded}) > 1:
         raise ConfigError("checkpoints come from different run configs")
 
+    # The task's tokens must be the checkpoints' vocabulary: its tags are
+    # its top tokens.
     pset = _load_principles(args.constitution)
     run_cfg = RunConfig(seed=args.seed, task_items=args.items,
-                        constitution=str(args.constitution))
+                        constitution=str(args.constitution),
+                        vocab_size=int(loaded[0][1]["vocab_size"]))
     vocab, task = _build_task(run_cfg, pset)
     probe_item = task.items[0]
     ptoks = task.principle(probe_item.principle_id).tokens

@@ -18,10 +18,9 @@ symmetric, zero at a == b, and converging to W2^2 as eps -> 0.
 Every solve goes through `_sinkhorn_potentials`.  At the target eps the
 cross term takes Newton steps on its semi-dual (Brauer, Clason, Lorenz and
 Wirth 2017, arXiv:1710.06635) with backtracking on the dual value; the
-trainer's 32-point solves converge in a handful of them, where Sinkhorn
-iterations stopped unconverged at 500.  The first step that fails (on
-near-deterministic plans, e.g. integer-index costs at eps 1e-3) hands the
-rest of the solve to the scaling loop.  That loop absorbs the potentials
+trainer's 32-point solves converge in a handful of them.  The first step
+that fails (on near-deterministic plans, e.g. integer-index costs at eps
+1e-3) hands the rest of the solve to the scaling loop.  That loop absorbs the potentials
 into a Gibbs kernel K = exp((f0 + g0 - C)/eps) and iterates on scalings
 u, v with f = f0 + eps*log(u), g = g0 + eps*log(v) (Schmitzer 2019,
 arXiv:1610.06519), so each half-step is one matrix-vector product instead of
@@ -44,8 +43,6 @@ The trainer's representation regulariser calls `sinkhorn_divergence_with_grad`
 on a step's whole hidden clouds (one point per completion, 32 in the bundled
 configs) with eps = blur**2 (blur acts as a length scale on squared-Euclidean
 costs); the customary blur 0.12 therefore means eps = 0.0144.
-`subsample_indices` has no caller in the package; perfbench's tracer still
-wraps it.
 """
 from __future__ import annotations
 

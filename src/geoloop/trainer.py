@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,12 +105,33 @@ class TrainConfig:
     prompts_per_batch: int = 8
 
     def __post_init__(self):
-        if self.group_size < 2:
-            raise ValidationError("group size must be at least 2")
-        for name in ("sami_weight", "ot_weight", "channel_weight", "shaping_weight",
-                     "jitter_sigma", "autoscale_eta", "learning_rate"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+        """Reject a value the run cannot use before anything runs on it."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
+        for name, ok, rule in self._rules():
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+    def _rules(self) -> tuple:
+        """(field, holds, rule) for every range a field must lie in."""
+        return (
+            ("group_size", self.group_size >= 2, "at least 2"),
+            ("prompts_per_batch", self.prompts_per_batch >= 1, "at least 1"),
+            ("shadow_k", self.shadow_k >= 1, "at least 1"),
+            ("mi_warmup_steps", self.mi_warmup_steps >= 0, "nonnegative"),
+            ("ot_warmup", self.ot_warmup >= 0, "nonnegative"),
+            ("blur", self.blur > 0, "positive"),
+            ("sigmoid_slope", self.sigmoid_slope > 0, "positive"),
+            ("grad_clip", self.grad_clip > 0, "positive"),
+            ("entropy_quantile", 0 < self.entropy_quantile < 1, "between 0 and 1, exclusive"),
+            ("autoscale_target", 0 < self.autoscale_target < 1, "between 0 and 1, exclusive"),
+            ("ema_decay", 0 <= self.ema_decay < 1, "at least 0 and below 1"),
+            *((name, getattr(self, name) >= 0, "nonnegative")
+              for name in ("sami_weight", "ot_weight", "channel_weight", "shaping_weight",
+                           "jitter_sigma", "autoscale_eta", "learning_rate")),
+        )
 
 
 @dataclass(frozen=True)
@@ -415,7 +436,7 @@ class Trainer:
         total_grad = self.policy.backward(
             table, logit_sums(np.tensordot(coeffs, counts, axes=1)), feat_grad)
         grad_norm = total_grad.global_norm()
-        if config.grad_clip > 0 and grad_norm > config.grad_clip:
+        if grad_norm > config.grad_clip:
             total_grad = total_grad.scaled(config.grad_clip / grad_norm)
 
         # Geometry probes against the frozen reference.

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -81,7 +82,7 @@ class TestConfigRoundTrip:
                              'ot_subsample_cap = 512\nscale_rewards = "none"\n')
 
     def test_bad_trainer_field_rejected(self):
-        with pytest.raises(cli.ConfigError, match="group size"):
+        with pytest.raises(cli.ConfigError, match="group_size must be at least 2"):
             cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\ngroup_size = 1\n")
 
     @pytest.mark.parametrize("name", ["enigma_high_si", "grpo_cot", "grpo_cot_plus"])
@@ -108,6 +109,29 @@ class TestTrainCommand:
         text = config.read_text().replace("group_size = 4", "group_size = 1")
         config.write_text(text)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        # Each of these failed at the parent, with a traceback and partial
+        # outputs, after the first checkpoint, or (grad_clip) never, running
+        # with clipping off.
+        ("prompts_per_batch", "0"), ("task_items", "0"), ("policy_dim", "0"),
+        ("ema_decay", "2.0"), ("ot_weight", "inf"), ("blur", "0.0"),
+        ("entropy_quantile", "1.5"), ("autoscale_target", "1.5"), ("sigmoid_slope", "0.0"),
+        ("shadow_k", "0"), ("mi_warmup_steps", "-5"), ("learning_rate", "nan"),
+        ("grad_clip", "-1.0"),
+        # A non-finite value in any float field.
+        ("sami_weight", "-inf"), ("warmstart_lr", "inf"), ("task_bias", "nan"),
+        ("jitter_sigma", "nan"), ("autoscale_eta", "inf"),
+    ])
+    def test_out_of_range_field_exits_2_no_output(self, tmp_path, capsys, field, value):
+        config = short_config(tmp_path)
+        text, n = re.subn(rf"^{field} = .*$", f"{field} = {value}", config.read_text(),
+                          flags=re.MULTILINE)
+        assert n == 1
+        config.write_text(text)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert f"config error: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_cold_start_has_gradient(self, tmp_path):
@@ -580,7 +604,8 @@ def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
     row by row with np.roll; `cli.cmd_probe` must write the same bytes."""
     out.mkdir(parents=True)
     loaded = [load_checkpoint(path) for path in ckpts]
-    run_cfg = cli.RunConfig(seed=seed, task_items=items, constitution=str(constitution))
+    run_cfg = cli.RunConfig(seed=seed, task_items=items, constitution=str(constitution),
+                            vocab_size=loaded[0][1]["vocab_size"])
     vocab, task = cli._build_task(run_cfg, cli._load_principles(constitution))
     item = task.items[0]
     ptoks = task.principle(item.principle_id).tokens
@@ -739,6 +764,18 @@ class TestProbeCommand:
             flag = "--" + name.replace("_", "-")
             argv += [flag] if value is True else [flag, str(value)]
         assert cli.main(argv) == cli.EXIT_OK
+        assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
+
+    def test_vocab_20_run_probes_with_its_own_vocabulary(self, tmp_path):
+        # The task's tags are the vocabulary's top tokens, so a 16-token
+        # task would score these checkpoints' contexts with the wrong tags.
+        config = short_config(tmp_path, vocab_size=20, max_steps=4, checkpoint_every=2)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+        ckpts = sorted((tmp_path / "run").glob("ckpt_*.npz"))
+        constitution = DATA / "toy_high_si.txt"
+        assert cli.main(["probe", *map(str, ckpts), "--constitution", str(constitution),
+                         "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_OK
+        reference_probe(ckpts, tmp_path / "ref", constitution)
         assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
 
     def test_checkpoints_without_reference_probe_to_the_same_bytes(self, run_dir, tmp_path):

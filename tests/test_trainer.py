@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from geoloop.errors import ValidationError
 from geoloop.policy import DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, transition_counts, warm_start
 from geoloop.task import Vocab, make_toy_task
-from geoloop import cli, mi, rep_metrics, rewards
+from geoloop import cli, mi, ot, rep_metrics, rewards
 from geoloop import policy as pol
 from geoloop import trainer as tr
 from test_policy import completions, reference_decode_along_axis, reference_format_reward
@@ -138,6 +138,114 @@ class TestGrpoUpdate:
         for name, block in policy.param_blocks().items():
             change = block - before.param_blocks()[name]
             assert np.max(np.abs(change + step * getattr(loss_grad, name))) <= 1e-12, name
+
+
+class TestStepGradient:
+    def test_step_follows_the_surrogate_gradient(self, monkeypatch):
+        """A step with every term on moves the parameters by -lr times the
+        gradient of its surrogate objective, taken by central differences.
+
+        The surrogate is a function of the parameters alone: the samples,
+        the advantages (and so the shadow picks and the MI reward behind
+        them) and the shaping term's entropy mask are the step's own,
+        recorded and held fixed.  It is
+
+            -sum_kept A_i log p_i / (max_len * n_kept)
+            + sami_weight(step) * (lam_row * row_loss + lam_col * col_loss)
+            + shaping_term + ot_weight * S_eps(current cloud, reference cloud).
+
+        The step is step 2, past ot_warmup 2, with the SAMI weight half
+        ramped, and the policy is pushed off the reference first so the OT
+        term is not negligible.  Each term's largest gradient entry is then
+        at least 100 times the tolerance: 0.16 for OT, 0.09 for GRPO, 9e-3
+        for SAMI and 2e-3 for shaping.  The OT solves stop at an L1 marginal
+        violation below ot.DEFAULT_TOL = 1e-9, so each divergence value may
+        be off by up to about tol times the largest cost, 4 for unit
+        vectors, and a central difference over step h by ot_weight * 4 * tol
+        / h.  At h = 1e-4 that is 2e-5, the tolerance; the O(h^2) truncation
+        error is far below it (measured errors are below 1e-7 and grow as
+        1/h for smaller h).
+        """
+        seed, h = 5, 1e-4
+        task = make_toy_task(seed=seed, prompt_len=2, n_items=16)
+        policy = ToyPolicy(Vocab(), dim=8)
+        policy.init_params(seed)
+        warm_start(policy, task, 60, 0.5, seed, bias=0.15)
+        config = tr.TrainConfig(prompts_per_batch=4, sami_weight=0.5, ot_weight=0.5,
+                                shaping_weight=0.2, channel_weight=0.15,
+                                mi_warmup_steps=4, ot_warmup=2)
+        t = tr.Trainer(policy, task, config, max_steps=50, seed=seed)
+        policy.embed += np.random.default_rng(0).normal(0, 0.3, policy.embed.shape)
+        t.train_step()
+        t.train_step()
+        step = t.step
+
+        recorded = {}
+        sample_groups, group_advantages = policy.sample_groups, tr.group_advantages
+        shaping_term = mi.shaping_term
+
+        def record_samples(*args, **kwargs):
+            recorded["samples"] = sample_groups(*args, **kwargs)
+            return recorded["samples"]
+
+        def record_advantages(rewards):
+            out = group_advantages(rewards)
+            recorded["advantages"] = out.advantages.ravel()
+            return out
+
+        def record_mask(matrix, mask, weight):
+            recorded["mask"] = np.array(mask)
+            return shaping_term(matrix, mask, weight)
+
+        monkeypatch.setattr(policy, "sample_groups", record_samples)
+        monkeypatch.setattr(tr, "group_advantages", record_advantages)
+        monkeypatch.setattr(mi, "shaping_term", record_mask)
+        before = policy.clone()
+        report = t.train_step()
+        monkeypatch.undo()
+
+        samples, adv, mask = recorded["samples"], recorded["advantages"], recorded["mask"]
+        assert mask.any() and not mask.all()
+        assert report.grad_norm < config.grad_clip and report.loss_ot > 0
+        _, items, contexts, own = step_contexts(t, step)
+        groups = np.repeat(np.arange(len(items)), config.group_size)
+        ctx = own[groups]
+        counts = samples.counts(policy.vocab.size)
+        kept = np.flatnonzero(~samples.truncated)
+        true_contexts = [(items[g].prompt, task.principle(items[g].principle_id).tokens)
+                         for g in groups]
+        ref = rep_metrics.EmpiricalMeasure(
+            t.reference.table(true_contexts).summaries(np.arange(groups.size), counts)[0],
+            normalised=True)
+        lam_row, lam_col = tr.rowcol_anneal(step, t.max_steps)
+
+        def surrogate(p):
+            table = p.table(contexts)
+            scores = table.seq_logprobs(counts)
+            grpo = -np.sum(adv[kept] * scores[ctx[kept], kept]) / (p.max_len * kept.size)
+            matrix = mi.ScoreMatrix(scores[ctx[kept]][:, kept].T
+                                    / samples.lengths[kept, None])
+            losses = mi.infonce_losses(matrix)
+            sami = tr.sami_weight_at(config, step) * (lam_row * losses["row_loss"]
+                                                      + lam_col * losses["col_loss"])
+            cur = rep_metrics.EmpiricalMeasure(table.summaries(ctx, counts)[0],
+                                               normalised=True)
+            divergence = ot.sinkhorn_divergence_with_grad(cur, ref, config.blur ** 2,
+                                                          max_iter=500)[0]
+            return (grpo + sami + mi.shaping_term(matrix, mask, config.shaping_weight)
+                    + config.ot_weight * divergence)
+
+        tol = config.ot_weight * 4 * ot.DEFAULT_TOL / h
+        for name, block in before.param_blocks().items():
+            change = policy.param_blocks()[name] - block
+            for idx in np.ndindex(block.shape):
+                values = []
+                for shift in (h, -h):
+                    shifted = before.clone()
+                    shifted.param_blocks()[name][idx] += shift
+                    values.append(surrogate(shifted))
+                grad = (values[0] - values[1]) / (2 * h)
+                assert abs(change[idx] + config.learning_rate * grad) <= tol, (name, idx)
 
 
 class TestSchedules:
