@@ -120,7 +120,7 @@ def parse_config(text: str) -> RunConfig:
         raw[key] = _parse_value(value, key, lineno)
     try:
         config = RunConfig(**raw)
-    except (TypeError, ValidationError) as exc:
+    except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     if unknown:
         raise ConfigError(unknown[0])

@@ -108,6 +108,10 @@ class TrainConfig:
         """Reject a value the run cannot use before anything runs on it."""
         for f in fields(self):
             value = getattr(self, f.name)
+            # Every field is an int, a float (an int will do) or a str.
+            if isinstance(value, bool) or not isinstance(
+                    value, {"int": int, "float": (int, float), "str": str}[f.type]):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value!r}")
         for name, ok, rule in self._rules():

@@ -123,6 +123,9 @@ class TestTrainCommand:
         # A non-finite value in any float field.
         ("sami_weight", "-inf"), ("warmstart_lr", "inf"), ("task_bias", "nan"),
         ("jitter_sigma", "nan"), ("autoscale_eta", "inf"),
+        # A value of another type: these failed after the first checkpoint.
+        ("prompts_per_batch", "2.5"), ("shadow_k", "2.0"), ("group_size", "true"),
+        ("output_dir", "5"),
     ])
     def test_out_of_range_field_exits_2_no_output(self, tmp_path, capsys, field, value):
         config = short_config(tmp_path)
