@@ -160,7 +160,10 @@ def _build_task(config: RunConfig, pset: consti.PrincipleSet):
             f"constitution {pset.name!r} has non-token positives; the toy task "
             "needs token patterns (use eval-constitution --components or "
             "--scores for text principle pools)")
-    principles = principles_from_patterns(vocab, patterns)
+    try:
+        principles = principles_from_patterns(vocab, patterns)
+    except ValidationError as exc:
+        raise ConfigError(f"constitution {pset.name!r}: {exc}") from exc
     task = make_toy_task(vocab, n_items=config.task_items,
                          prompt_len=config.prompt_len, bias=config.task_bias,
                          seed=config.seed, principles=principles)
@@ -257,6 +260,19 @@ def cmd_eval_constitution(args) -> int:
             raise ConfigError(f"--warm-epochs must be nonnegative, got {args.warm_epochs}")
         if not (math.isfinite(args.warm_lr) and args.warm_lr >= 0):
             raise ConfigError(f"--warm-lr must be finite and nonnegative, got {args.warm_lr}")
+    # Every principle set is read and its task built before --out-dir exists,
+    # so a bad set leaves no output behind.
+    tasks = []
+    if not args.components and not args.scores:
+        if not args.constitutions:
+            raise ConfigError("give at least one constitution file, --components, or --scores")
+        for path in args.constitutions:
+            pset = _load_principles(path)
+            if not pset.negatives:
+                raise ConfigError(f"constitution {pset.name!r} has no negatives")
+            run_cfg = RunConfig(seed=args.seed, task_items=args.items,
+                                constitution=str(path))
+            tasks.append((pset, *_build_task(run_cfg, pset)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -282,8 +298,6 @@ def cmd_eval_constitution(args) -> int:
             Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows,
             k=args.k, seed=args.seed)]
     else:
-        if not args.constitutions:
-            raise ConfigError("give at least one constitution file, --components, or --scores")
         reports = []
         # Principle-aware warm start: the measured policy must carry the
         # associations the signals probe, like a pretrained base model.  It
@@ -291,13 +305,7 @@ def cmd_eval_constitution(args) -> int:
         # are fixed within the call), and scoring only reads the policy, so
         # sets that build the same triples share one warm start.
         warmed = {}
-        for path in args.constitutions:
-            pset = _load_principles(path)
-            if not pset.negatives:
-                raise ConfigError(f"constitution {pset.name!r} has no negatives")
-            run_cfg = RunConfig(seed=args.seed, task_items=args.items,
-                                constitution=str(path))
-            vocab, task = _build_task(run_cfg, pset)
+        for pset, vocab, task in tasks:
             triples = tuple(gold_items(task))
             if triples not in warmed:
                 policy = ToyPolicy(vocab)
@@ -383,12 +391,16 @@ def cmd_probe(args) -> int:
     if len({meta["config_hash"] for _, meta in loaded}) > 1:
         raise ConfigError("checkpoints come from different run configs")
 
-    # The task's tokens must be the checkpoints' vocabulary: its tags are
-    # its top tokens.
+    # The task is the run's own (its vocabulary, prompt length and bias, from
+    # the config the checkpoints carry), with the probe's seed, item count and
+    # principles.  A checkpoint saved without a config gets the default task
+    # at its own vocabulary.
+    meta = loaded[0][1]
+    run_cfg = replace(parse_config(meta["config_text"]) if meta["config_text"]
+                      else RunConfig(vocab_size=int(meta["vocab_size"])),
+                      seed=args.seed, task_items=args.items,
+                      constitution=str(args.constitution))
     pset = _load_principles(args.constitution)
-    run_cfg = RunConfig(seed=args.seed, task_items=args.items,
-                        constitution=str(args.constitution),
-                        vocab_size=int(loaded[0][1]["vocab_size"]))
     vocab, task = _build_task(run_cfg, pset)
     probe_item = task.items[0]
     ptoks = task.principle(probe_item.principle_id).tokens

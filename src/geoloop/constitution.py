@@ -200,7 +200,6 @@ class SufficiencyReport:
     mi_lb_neg_bits: float
     mi_effective: float
     si: float
-    weights: tuple = DEFAULT_WEIGHTS
     leaky: dict | None = None
     si_zscored: float | None = None
 
@@ -218,7 +217,7 @@ class SufficiencyReport:
             "mi_effective": self.mi_effective,
             "si": self.si,
             "si_zscored": self.si_zscored,
-            "weights": list(self.weights),
+            "weights": list(DEFAULT_WEIGHTS),
             "leaky": self.leaky,
         }
         return json.dumps(_null_nonfinite(payload), indent=2, sort_keys=True,
@@ -238,8 +237,8 @@ def _null_nonfinite(value):
 
 def report_from_components(name: str, bits: float, auc: float, margin_pos: float,
                            margin_neg: float, lb_pos_bits: float = math.nan,
-                           lb_neg_bits: float = math.nan,
-                           weights=DEFAULT_WEIGHTS, *, leaky: dict | None = None) -> SufficiencyReport:
+                           lb_neg_bits: float = math.nan, *,
+                           leaky: dict | None = None) -> SufficiencyReport:
     """The report of measured components: mi_eff, perplexity ratio and raw SI
     follow from them.  Both evaluation paths and the replay build it here;
     only the policy path has a leaky-negative scan."""
@@ -254,8 +253,7 @@ def report_from_components(name: str, bits: float, auc: float, margin_pos: float
         mi_lb_pos_bits=lb_pos_bits,
         mi_lb_neg_bits=lb_neg_bits,
         mi_effective=mie,
-        si=sufficiency_index(bits, mie, auc, weights, "raw"),
-        weights=tuple(weights),
+        si=sufficiency_index(bits, mie, auc),
         leaky=leaky,
     )
 
@@ -289,7 +287,7 @@ def _bound_bits(scores: np.ndarray, true_cols, k: int,
 
 
 def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
-                           weights=DEFAULT_WEIGHTS, seed: int = 0) -> SufficiencyReport:
+                           seed: int = 0) -> SufficiencyReport:
     """Score a principle set against a policy on the task's gold continuations.
 
     Deterministic given the seed.  The policy must carry the associations the
@@ -342,13 +340,12 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
     lb_pos = _bound_bits(pos_scores, true_pos_idx, k, rng)
 
     return report_from_components(pset.name, delta_bits, auc, margin_pos, margin_neg,
-                                  lb_pos, lb_neg, weights,
-                                  leaky=leaky_negative_flags(per_principle_neg))
+                                  lb_pos, lb_neg, leaky=leaky_negative_flags(per_principle_neg))
 
 
 def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
                               neg_matrix: mi.ScoreMatrix, nll_rows, k: int = 2, *,
-                              weights=DEFAULT_WEIGHTS, seed: int = 0) -> SufficiencyReport:
+                              seed: int = 0) -> SufficiencyReport:
     """Evaluation over externally produced scores (e.g. real LLM exports).
 
     `pos_matrix`/`neg_matrix` are items-by-principles score matrices where
@@ -372,4 +369,4 @@ def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
                            neg[np.arange(neg.shape[0]), true_neg])
     return report_from_components(name, delta_bits, auc, margin_pos, margin_neg,
                                   _bound_bits(pos, true_pos, k, rng),
-                                  _bound_bits(neg, true_neg, k, rng), weights)
+                                  _bound_bits(neg, true_neg, k, rng))

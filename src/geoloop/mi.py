@@ -222,19 +222,15 @@ def clean_mi_bounds(batch: BoundBatch, k: int, clean_mask) -> dict:
     return {"row_bound": row, "col_bound": col, "gap": row - col, "clean_count": count}
 
 
-def row_positive_logsoftmax(matrix, standardise: bool = True) -> np.ndarray:
+def row_positive_logsoftmax(matrix) -> np.ndarray:
     """z_i = log softmax over each row's candidates at the positive (column 0).
 
-    Rows are standardised first by default; this is the reward channel's input
-    and is never fed back into the auxiliary loss.
+    Rows are standardised first; this is the reward channel's input and is
+    never fed back into the auxiliary loss.
     """
-    if isinstance(matrix, ScoreMatrix):
-        scores = matrix.standardised() if standardise else matrix.scores
-    else:
-        scores = _scores_of(matrix)
-        if standardise:
-            scores = ScoreMatrix(scores).standardised()
-    return _log_softmax(scores, axis=1)[:, 0]
+    if not isinstance(matrix, ScoreMatrix):
+        matrix = ScoreMatrix(_scores_of(matrix))
+    return _log_softmax(matrix.standardised(), axis=1)[:, 0]
 
 
 # ---------- CSV round-trip (also the ingestion path for external scores) ----------

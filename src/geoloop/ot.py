@@ -15,24 +15,20 @@ divergence is
 
 symmetric, zero at a == b, and converging to W2^2 as eps -> 0.
 
-Every solve goes through `_sinkhorn_potentials`.  At the target eps the
-cross term takes Newton steps on its semi-dual (Brauer, Clason, Lorenz and
-Wirth 2017, arXiv:1710.06635) with backtracking on the dual value; the
-trainer's 32-point solves converge in a handful of them.  The first step
-that fails (on near-deterministic plans, e.g. integer-index costs at eps
-1e-3) hands the rest of the solve to the scaling loop.  That loop absorbs the potentials
-into a Gibbs kernel K = exp((f0 + g0 - C)/eps) and iterates on scalings
-u, v with f = f0 + eps*log(u), g = g0 + eps*log(v) (Schmitzer 2019,
-arXiv:1610.06519), so each half-step is one matrix-vector product instead of
-a log-sum-exp; an iteration whose scaling would leave range runs in the log
-domain and the kernel is rebuilt from its result.  The cross term alternates
-f and g; its row violation is read off the next f half-step (the row sums of
-the plan are a * exp((f - f_next)/eps) = a * u/u_next), so it costs no third
-product.  The self terms OT(a, a) run only the scaling loop, with the
-averaged symmetric update f <- (f + T_eps(f))/2 on a single potential
-(Feydy et al. 2019), u <- sqrt(u*v) in scaling form.  That update needs no
-annealing: from f = 0 at the target eps it converges in a few dozen
-iterations at most, where the alternating update stalls.
+Every solve goes through `_sinkhorn_potentials`, by one path per term.  At
+the target eps the cross term takes Newton steps on its semi-dual (Brauer,
+Clason, Lorenz and Wirth 2017, arXiv:1710.06635) with backtracking on the
+dual value; the trainer's 32-point solves converge in a handful of them.  A
+step that fails (on near-deterministic plans, e.g. integer-index costs at
+eps 1e-3) ends the solve, flagged unconverged.  The self terms OT(a, a) run
+the averaged symmetric update f <- (f + T_eps(f))/2 on a single potential
+(Feydy et al. 2019), which needs no annealing: from f = 0 at the target eps
+it converges in a few dozen iterations at most.  It runs in absorbed scaling
+form (Schmitzer 2019, arXiv:1610.06519): f = f0 + eps*log(u) against the
+Gibbs kernel K = exp((2*f0 - C)/eps), u <- sqrt(u*v) with v = 1/((a*u) @ K),
+so each iteration is one matrix-vector product instead of a log-sum-exp; an
+iteration whose scaling would leave range runs in the log domain and the
+kernel is rebuilt from its result.
 
 `exact_w2_small` enumerates permutation couplings (optimal for equal-weight,
 equal-size clouds) and exists purely as a test oracle; it is never called by
@@ -97,39 +93,34 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     return peak.squeeze(axis) + np.log(np.exp(arr - peak).sum(axis=axis))
 
 
-# Scalings stay at or below this; a kernel product that would take one past it
+# Scalings stay at or below this; a kernel product that would take v past it
 # sends the iteration back to the log domain and the kernel is rebuilt.  No
-# lower bound is needed: each scaling is the reciprocal of a product of the
-# other scaling, at most _SCALING_MAX, with a kernel bounded at its rebuild.
+# lower bound is needed: v is the reciprocal of a product of u, at most
+# _SCALING_MAX, with a kernel bounded at its rebuild, and u <- sqrt(u*v)
+# stays between the two.
 _SCALING_MAX = 1e100
 
-# Log row sums are read up to this bound, so a row violation stays finite.
-# A cross plan (f, T(f)) has entries of at most b_j, so rows of at most one;
-# a self plan (f, f) has rows a * exp((f - T(f))/eps), at most a at the
+# The self loop reads log row sums up to this bound, so a row violation stays
+# finite: the plan (f, f) has rows a * exp((f - T(f))/eps), at most a at the
 # f = 0 start but with no such bound at a later log-domain iteration.
 _LOG_ROWS_MAX = 300.0
 
 
-def _scaling_step(u, ka, kb):
-    """One iteration in absorbed scaling form: (v, u_next, ratio), or None.
+def _scaling_step(u, ka):
+    """One averaged symmetric iteration in scaling form: (u_next, ratio), or None.
 
-    `ka` = a * K and `kb` = K * b, with kb None for the symmetric update
-    u_next = sqrt(u*v); ratio is the plan's row sums over a.  None means a
-    scaling would exceed _SCALING_MAX (a kernel product below its
-    reciprocal, or zero by underflow), and nothing has been divided by it.
-    The smallest entry is read with argmin, a third of the cost of
-    ndarray.min on these 32-entry vectors.
+    `ka` = a * K; the update is v = 1/(u @ ka), u_next = sqrt(u*v), and
+    ratio is the plan's row sums over a.  None means v would exceed
+    _SCALING_MAX (a kernel product below its reciprocal, or zero by
+    underflow), and nothing has been divided by it.  The smallest entry is
+    read with argmin, a third of the cost of ndarray.min on these 32-entry
+    vectors.
     """
     col = u @ ka
     if col[col.argmin()] < 1.0 / _SCALING_MAX:
         return None
     v = 1.0 / col
-    if kb is None:
-        return v, np.sqrt(u * v), u / v
-    row = kb @ v
-    if row[row.argmin()] < 1.0 / _SCALING_MAX:
-        return None
-    return v, 1.0 / row, u * row
+    return np.sqrt(u * v), u / v
 
 
 def _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter):
@@ -153,27 +144,26 @@ def _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter):
     return f, levels
 
 
-def _scaling_loop(costs, log_a, log_b, epsilon, f, max_iter, tol):
-    """Sinkhorn at the target eps from f; returns (f, g, iterations, converged, trace).
+def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
+    """The self term OT(a, a) from f = 0; returns (f, f, iterations, converged, trace).
 
-    The first iteration runs in the log domain: g = T(f), then the next f.
-    From its result the potentials are held in absorbed scaling form
-    (Schmitzer 2019): f = f0 + eps*log(u), g = g0 + eps*log(v) against the
-    Gibbs kernel K = exp((f0 + g0 - C)/eps), so the half-steps g = T(f) and
-    f = T'(g) are v = 1/((a*u) @ K) and u = 1/(K @ (b*v)), one matrix-vector
-    product each.  The iterates are the log-domain ones up to roundoff.  An
-    iteration whose scaling would exceed _SCALING_MAX runs in the log domain
-    instead, and K is rebuilt from its result.  With log_b=None the update
-    is the averaged symmetric one, u <- sqrt(u*v) with f0 = g0.
+    Each iteration is the averaged symmetric update f <- (f + T(f))/2
+    (Feydy et al. 2019) on the plan (f, f).  The first runs in the log
+    domain.  From its result the potential is held in absorbed scaling form
+    (Schmitzer 2019): f = f0 + eps*log(u) against the Gibbs kernel
+    K = exp((2*f0 - C)/eps), so T(f) = f0 + eps*log(v) with v = 1/((a*u) @ K),
+    one matrix-vector product, and the update is u <- sqrt(u*v).  The
+    iterates are the log-domain ones up to roundoff.  An iteration whose
+    scaling would exceed _SCALING_MAX runs in the log domain instead, and K
+    is rebuilt from its result.
 
-    The trace holds the L1 row violation of the plan (f, g) of each
+    The trace holds the L1 row violation of the plan (f, f) of each
     iteration.  Near-deterministic plans converge ever more slowly at small
     eps, so a plateau cut-off stops the loop once the violation has stopped
     improving; the converged flag stays honest (violation < tol) either way.
     """
-    symmetric = log_b is None
     a = np.exp(log_a)
-    f_next = f
+    f_next = np.zeros(costs.shape[0])
     ka = None
     scaled = False
     iterations = 0
@@ -183,37 +173,26 @@ def _scaling_loop(costs, log_a, log_b, epsilon, f, max_iter, tol):
     stalled = 0
     while iterations < max_iter:
         iterations += 1
-        step = None if ka is None else _scaling_step(u_next, ka, kb)
+        step = None if ka is None else _scaling_step(u_next, ka)
         scaled = step is not None
         if scaled:
             u = u_next
-            v, u_next, ratio = step
-            # Row sums of the plan (f, g) are a * ratio; columns are exact
-            # after the g half-step (and equal the rows when symmetric).
+            u_next, ratio = step
+            # Row sums of the plan (f, f) are a * ratio, and so are its columns.
             row_violation = float(a @ np.abs(ratio - 1.0))
         else:
             if ka is not None:
                 f_next = f0 + epsilon * np.log(u_next)
             f = f_next
             g = -epsilon * _logsumexp(log_a[:, None] + (f[:, None] - costs) / epsilon, axis=0)
-            if symmetric:
-                f_next = 0.5 * (f + g)
-                shift = f - g
-            else:
-                f_next = -epsilon * _logsumexp(log_b[None, :] + (g[None, :] - costs) / epsilon, axis=1)
-                shift = f - f_next
-            # The row sums a * exp(shift/eps), from their logarithms and read
-            # up to exp(_LOG_ROWS_MAX).
-            log_rows = np.minimum(log_a + shift / epsilon, _LOG_ROWS_MAX)
+            f_next = 0.5 * (f + g)
+            # The row sums a * exp((f - g)/eps), from their logarithms and
+            # read up to exp(_LOG_ROWS_MAX).
+            log_rows = np.minimum(log_a + (f - g) / epsilon, _LOG_ROWS_MAX)
             row_violation = float(np.abs(np.exp(log_rows) - a).sum())
-            # K from this iteration's result is bounded: for the cross term
-            # f_next = T'(g), so b * K sums to at most one per row; for the
-            # self term K <= 1/sqrt(a_i a_j).
+            # K from this iteration's result is bounded: K <= 1/sqrt(a_i a_j).
             f0 = f_next
-            g0 = f0 if symmetric else g
-            kernel = np.exp((f0[:, None] + g0[None, :] - costs) / epsilon)
-            ka = a[:, None] * kernel
-            kb = None if symmetric else kernel * np.exp(log_b)[None, :]
+            ka = a[:, None] * np.exp((f0[:, None] + f0[None, :] - costs) / epsilon)
             u_next = np.ones_like(f0)
         trace.append(row_violation)
         if row_violation < tol:
@@ -228,8 +207,7 @@ def _scaling_loop(costs, log_a, log_b, epsilon, f, max_iter, tol):
                 break
     if scaled:
         f = f0 + epsilon * np.log(u)
-        g = g0 + epsilon * np.log(v)
-    return f, (f if symmetric else g), iterations, converged, trace
+    return f, f, iterations, converged, trace
 
 
 # Newton's method on the cross term's semi-dual at the target eps (Brauer,
@@ -299,25 +277,23 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     """Sinkhorn with eps-scaling and Newton steps; returns (f, g, iterations, converged, trace).
 
     With log_b=None it solves the self term OT(a, a) on a symmetric `costs`
-    by the scaling loop's averaged update from f = 0 at the target eps, with
-    no eps ladder, and returns (f, f, ...), so the plan is exactly symmetric.
+    by the averaged update from f = 0 at the target eps (`_scaling_loop`),
+    with no eps ladder, and returns (f, f, ...), so the plan is exactly
+    symmetric.
 
     A cross term runs the eps ladder (`_eps_ladder`) in the log domain down
     to the target eps.  From its f, each iteration evaluates the plan
     (f, T(f)) at the target eps, records its L1 row violation in the trace,
     and stops once it is below tol; otherwise it takes a Newton step on the
-    semi-dual with backtracking (`_newton_step`).  The first time a step
-    fails, the rest of the solve goes to the scaling loop (`_scaling_loop`)
-    from the current f; its first iteration evaluates that plan again and
-    takes over its trace entry.
+    semi-dual with backtracking (`_newton_step`).  A step that fails ends
+    the solve at the last accepted f, unconverged.
 
-    Iterations count the ladder levels and the iterations at the target eps,
-    Newton or scaling; the converged flag is honest (row violation < tol),
-    and the trace is empty when max_iter ran out on the ladder.
+    Iterations count the ladder levels and the iterations at the target eps;
+    the converged flag is honest (row violation < tol), and the trace is
+    empty when max_iter ran out on the ladder.
     """
     if log_b is None:
-        return _scaling_loop(costs, log_a, None, epsilon, np.zeros(costs.shape[0]),
-                             max_iter, tol)
+        return _scaling_loop(costs, log_a, epsilon, max_iter, tol)
     f, iterations = _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter)
     trace = []
     a = np.exp(log_a)
@@ -332,20 +308,14 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
             return f, point[1], iterations, converged, trace
         step = _newton_step(costs, log_a, log_b, epsilon, f, point)
         if step is None:
-            break
+            return f, point[1], iterations, False, trace
         f, point = step
-    iterations -= 1
-    trace.pop()
-    f, g, more, converged, tail = _scaling_loop(
-        costs, log_a, log_b, epsilon, f, max_iter - iterations, tol)
-    return f, g, iterations + more, converged, trace + tail
 
 
-def _solve(costs, log_a, log_b, epsilon, scaling=DEFAULT_SCALING,
-           max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL) -> tuple:
+def _solve(costs, log_a, log_b, epsilon, max_iter=DEFAULT_MAX_ITER) -> tuple:
     """(value, plan, iterations, converged, trace) of one solve; log_b=None is a self term."""
     f, g, iterations, converged, trace = _sinkhorn_potentials(
-        costs, log_a, log_b, epsilon, scaling, max_iter, tol)
+        costs, log_a, log_b, epsilon, DEFAULT_SCALING, max_iter, DEFAULT_TOL)
     if log_b is None:
         log_b = log_a
     log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / epsilon
@@ -356,22 +326,21 @@ def _solve(costs, log_a, log_b, epsilon, scaling=DEFAULT_SCALING,
 
 
 def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float, *,
-                scaling: float = DEFAULT_SCALING, max_iter: int = DEFAULT_MAX_ITER,
-                tol: float = DEFAULT_TOL) -> dict:
+                max_iter: int = DEFAULT_MAX_ITER) -> dict:
     """Entropic OT value, plan, and convergence data between two uniform clouds.
 
     Returns {"value", "iterations", "converged", "violation_trace",
     "raw_plan"}.  `raw_plan` is the plan of the final potentials, not
     rebalanced: the trace's last entry is its L1 row violation.
-    Non-convergence at max_iter comes back flagged, never raised.  Passing
-    the same measure twice solves the self term by the symmetric update.
+    Non-convergence (max_iter spent, or a failed Newton step) comes back
+    flagged, never raised.  Passing the same measure twice solves the self
+    term by the symmetric update.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     costs = squared_distances(a.points, b.points)
     value, plan, iterations, converged, trace = _solve(
-        costs, np.log(a.weights), None if b is a else np.log(b.weights),
-        epsilon, scaling, max_iter, tol)
+        costs, np.log(a.weights), None if b is a else np.log(b.weights), epsilon, max_iter)
     return {
         "value": value,
         "iterations": iterations,
@@ -384,8 +353,10 @@ def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float, *,
 def _canonical_order(a: EmpiricalMeasure, b: EmpiricalMeasure) -> bool:
     """True when (a, b) should swap so S(a,b) and S(b,a) run identical solves.
 
-    The alternating Sinkhorn update breaks exchange symmetry by roundoff at
-    non-convergence; a deterministic argument order removes it exactly.
+    The cross solve (eps ladder, then Newton steps on f) treats its two
+    measures differently, so swapping them changes its result by roundoff,
+    and by more when it stops unconverged; a deterministic argument order
+    removes the difference exactly.
     """
     return np.ascontiguousarray(b.points).tobytes() < np.ascontiguousarray(a.points).tobytes()
 
@@ -397,22 +368,22 @@ def _plan_position_grad(plan: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.nd
 
 
 def sinkhorn_divergence_with_grad(a: EmpiricalMeasure, b: EmpiricalMeasure,
-                                  epsilon: float, **kwargs) -> tuple:
+                                  epsilon: float, max_iter: int = DEFAULT_MAX_ITER) -> tuple:
     """(S_eps value clamped at 0, dS/d(a.points), solve stats).
 
-    `kwargs` go to `entropic_ot`.  The stats are {"converged": all three
-    solves converged, "iterations" and "violation": the cross solve's
-    iteration count and final L1 row violation (nan if it never reached the
-    target eps)}.  Symmetric by construction (canonical argument order).
+    `max_iter` bounds each of the three solves.  The stats are {"converged":
+    all three solves converged, "iterations" and "violation": the cross
+    solve's iteration count and final L1 row violation (nan if it never
+    reached the target eps)}.  Symmetric by construction (canonical argument order).
     Gradients w.r.t. the first measure's point positions only; at the
     Sinkhorn fixed point the potentials are stationary, so only the explicit
     cost dependence contributes.
     """
     swapped = _canonical_order(a, b)
     first, second = (b, a) if swapped else (a, b)
-    cross = entropic_ot(first, second, epsilon, **kwargs)
-    self_a = entropic_ot(a, a, epsilon, **kwargs)
-    self_b = entropic_ot(b, b, epsilon, **kwargs)
+    cross = entropic_ot(first, second, epsilon, max_iter=max_iter)
+    self_a = entropic_ot(a, a, epsilon, max_iter=max_iter)
+    self_b = entropic_ot(b, b, epsilon, max_iter=max_iter)
     value = max(0.0, cross["value"] - 0.5 * self_a["value"] - 0.5 * self_b["value"])
     cross_plan = cross["raw_plan"].T if swapped else cross["raw_plan"]
     # The a-a self term counts x on both sides; its plan equals its transpose,

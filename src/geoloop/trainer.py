@@ -212,8 +212,8 @@ class StepReport:
     pr: float
     geometry_degenerate: bool = False
     beta: float = 1.0
-    # The Sinkhorn solve: cross-term iterations (eps levels plus iterations
-    # at the target eps, Newton or scaling) and final L1 row violation, and
+    # The Sinkhorn solve: cross-term iterations (eps levels plus Newton
+    # iterations at the target eps) and final L1 row violation, and
     # whether all three solves converged; None before ot_warmup.
     ot_iters: int | None = None
     ot_violation: float | None = None
@@ -379,7 +379,7 @@ class Trainer:
         format_gate_on = rewards.format_gate_schedule(step, config.mi_warmup_steps)
         mi_reward = np.zeros(b)
         if config.channel_weight > 0:
-            z = mi.row_positive_logsoftmax(mi.ScoreMatrix(row_scores), standardise=True)
+            z = mi.row_positive_logsoftmax(mi.ScoreMatrix(row_scores))
             gate_open = entropy_mask & (format_ok | (not format_gate_on))
             mi_reward = rewards.mi_tiebreak_rewards(
                 z, config.sigmoid_slope, config.channel_weight, gate_open, self.autoscaler)
@@ -425,9 +425,9 @@ class Trainer:
             # Bounded iteration budget: in the 2000-step enigma_high_si run
             # every solve converges well inside it, the self terms in 2-25
             # iterations and the cross term in 21-24 eps levels plus 2-13
-            # Newton iterations.  A cross solve whose Newton step fails goes
-            # on with Sinkhorn iterations up to 500, and the envelope
-            # gradient of the achieved plan stays valid.
+            # Newton iterations.  A cross solve whose Newton step fails stops
+            # there, flagged unconverged, and the envelope gradient of the
+            # achieved plan stays valid.
             value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
                 cur_measure, ref_measure, config.blur ** 2, max_iter=500)
             loss_ot = config.ot_weight * value

@@ -228,6 +228,22 @@ def test_criterion_7_end_to_end_mi_rise(enigma_run):
               f"at step 2000 (> 0.05 nats); OT term peaked at {max_ot:.4f} < 0.1")
 
 
+@pytest.mark.slow
+def test_every_ot_step_of_the_run_converges(enigma_run):
+    """Each of the run's 1 800 OT steps logs an iteration count and a converged solve.
+
+    A cross solve whose Newton step fails stops there unconverged, so this
+    guards the run against that path.
+    """
+    rows = [json.loads(line) for line in
+            (enigma_run / "steps.jsonl").read_text().splitlines()]
+    warmup = cli.RunConfig().ot_warmup
+    assert all(r["ot_iters"] is None and r["ot_converged"] is None for r in rows[:warmup])
+    ot_rows = rows[warmup:]
+    assert len(ot_rows) == 1800
+    assert all(r["ot_iters"] is not None and r["ot_converged"] is True for r in ot_rows)
+
+
 # ---------------------------------------------------------------- criterion 8
 
 def test_criterion_8_determinism(tmp_path):

@@ -501,6 +501,32 @@ class TestPositiveCounts:
         assert len((tmp_path / "run" / "steps.jsonl").read_text().splitlines()) == 8
 
 
+class TestBadTokenPatterns:
+    """A positive with a token outside the vocabulary or a reserved token is a
+    configuration error: exit 2, and no output directory."""
+
+    @pytest.fixture(params=["4 9 4 20", "4 9 4 15"], ids=["out_of_vocab", "reserved"])
+    def constitution(self, request, tmp_path):
+        return principle_file(tmp_path, "bad", ["5 10 5 10", request.param])
+
+    def test_train(self, tmp_path, capsys, constitution):
+        config = short_config(tmp_path, constitution=str(constitution))
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "config error: constitution 'bad': principle 'pos1' uses" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_constitution(self, tmp_path, capsys, constitution):
+        # The bad set comes after a good one: every set is checked before
+        # the output directory is made.
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", str(DATA / "toy_high_si.txt"),
+                         str(constitution), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert "config error: constitution 'bad': principle 'pos1' uses" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
 def bundled_warm_start(seed, **overrides):
     """The warm start `geoloop train` runs for the bundled enigma_high_si
     config at this seed: (task, epochs, lr, seed, bias)."""
@@ -601,14 +627,15 @@ class TestGoldenOutputs:
 
 
 def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
-                    metric="fr", top_k=16, no_path=False):
+                    metric="fr", top_k=16, no_path=False, prompt_len=2):
     """The probe CSVs as written by scoring each checkpoint's probe context
     with its own next_token_distribution call and aligning the score matrix
-    row by row with np.roll; `cli.cmd_probe` must write the same bytes."""
+    row by row with np.roll; `cli.cmd_probe` must write the same bytes.  The
+    task is built at the checkpoints' vocabulary and the given prompt length."""
     out.mkdir(parents=True)
     loaded = [load_checkpoint(path) for path in ckpts]
     run_cfg = cli.RunConfig(seed=seed, task_items=items, constitution=str(constitution),
-                            vocab_size=loaded[0][1]["vocab_size"])
+                            vocab_size=loaded[0][1]["vocab_size"], prompt_len=prompt_len)
     vocab, task = cli._build_task(run_cfg, cli._load_principles(constitution))
     item = task.items[0]
     ptoks = task.principle(item.principle_id).tokens
@@ -779,6 +806,40 @@ class TestProbeCommand:
         assert cli.main(["probe", *map(str, ckpts), "--constitution", str(constitution),
                          "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_OK
         reference_probe(ckpts, tmp_path / "ref", constitution)
+        assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
+
+    def test_run_probes_with_its_own_prompt_length(self, tmp_path):
+        # The probe context is the first item of the run's own task, so a
+        # run trained on 4-token prompts is probed on a 4-token prompt.
+        config = short_config(tmp_path, prompt_len=4, max_steps=2, checkpoint_every=1)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+        ckpts = sorted((tmp_path / "run").glob("ckpt_*.npz"))
+        constitution = DATA / "toy_high_si.txt"
+        assert cli.main(["probe", *map(str, ckpts), "--constitution", str(constitution),
+                         "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_OK
+        reference_probe(ckpts, tmp_path / "ref", constitution, prompt_len=4)
+        assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
+        reference_probe(ckpts, tmp_path / "two", constitution)
+        assert csv_bytes(tmp_path / "two") != csv_bytes(tmp_path / "ref")
+
+    def test_checkpoints_without_config_probe_the_default_task(self, tmp_path):
+        # A checkpoint saved with an empty config_text (a trainer used
+        # outside the CLI) is probed on the default task at its vocabulary.
+        config = short_config(tmp_path, vocab_size=20, prompt_len=4, max_steps=2,
+                              checkpoint_every=1)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+        stripped = []
+        for ckpt in sorted((tmp_path / "run").glob("ckpt_*.npz")):
+            with np.load(ckpt, allow_pickle=False) as archive:
+                data = dict(archive)
+            data["meta"] = json.dumps({**json.loads(str(data["meta"])), "config_text": ""},
+                                      sort_keys=True)
+            stripped.append(tmp_path / ckpt.name)
+            np.savez(stripped[-1], **data)
+        constitution = DATA / "toy_high_si.txt"
+        assert cli.main(["probe", *map(str, stripped), "--constitution", str(constitution),
+                         "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_OK
+        reference_probe(stripped, tmp_path / "ref", constitution)
         assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
 
     def test_checkpoints_without_reference_probe_to_the_same_bytes(self, run_dir, tmp_path):

@@ -182,7 +182,7 @@ class TestSequenceScores:
         assert std[1].std() == pytest.approx(1.0)
 
     def test_row_positive_logsoftmax_uniform(self):
-        z = mi.row_positive_logsoftmax(np.ones((4, 3)) * 2.0, standardise=True)
+        z = mi.row_positive_logsoftmax(np.ones((4, 3)) * 2.0)
         assert z == pytest.approx([-math.log(3)] * 4)
 
 

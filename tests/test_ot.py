@@ -108,8 +108,8 @@ class TestEntropicOt:
         # The trace's last entry must be the violation of the plan returned,
         # whether the solve converged, hit max_iter among the Newton steps
         # (29 of the 30 iterations the trainer-like pair takes to converge) or
-        # in the scaling loop after a failed Newton step, or stopped on the
-        # plateau rule.
+        # stopped at a failed Newton step (the uneven pair, after 36
+        # iterations, within either budget).
         rng = np.random.default_rng(8)
         even = random_cloud(rng, 6), random_cloud(rng, 6, offset=1.0)
         rng = np.random.default_rng(8)
@@ -154,8 +154,8 @@ class TestSymmetricSelfTerm:
     EPS = 0.12 ** 2
 
     def test_converges_fast_and_matches_long_alternating_solve(self):
-        # The alternating scaling loop has not converged on this cloud at 500
-        # iterations; it does by 20 000.
+        # The alternating log-domain loop from the eps ladder's f has not
+        # converged on this cloud at 500 iterations; it does by 20 000.
         m = unit_cloud(1)
         costs = ot.squared_distances(m.points, m.points)
         log_w = np.log(m.weights)
@@ -164,7 +164,7 @@ class TestSymmetricSelfTerm:
         assert converged
         assert iterations <= 100
         start, levels = ot._eps_ladder(costs, log_w, log_w, self.EPS, ot.DEFAULT_SCALING, 20_000)
-        rf, rg, _, r_converged, _ = ot._scaling_loop(
+        rf, rg, _, r_converged, _ = reference_potentials(
             costs, log_w, log_w, self.EPS, start, 20_000 - levels, ot.DEFAULT_TOL)
         assert r_converged
         assert plan_value(costs, log_w, log_w, f, g, self.EPS) == pytest.approx(
@@ -197,7 +197,7 @@ class TestSymmetricSelfTerm:
         result = ot._sinkhorn_potentials(costs, log_a, None, eps, ot.DEFAULT_SCALING,
                                          max_iter, ot.DEFAULT_TOL)
         f, g, iterations, converged, trace = ot._scaling_loop(
-            costs, log_a, None, eps, np.zeros(costs.shape[0]), max_iter, ot.DEFAULT_TOL)
+            costs, log_a, eps, max_iter, ot.DEFAULT_TOL)
         assert np.array_equal(result[0], f) and np.array_equal(result[1], g)
         assert result[2:] == (iterations, converged, trace)
 
@@ -227,7 +227,9 @@ def reference_potentials(costs, log_a, log_b, epsilon, f, max_iter, tol):
     """The log-domain Sinkhorn loop at the target eps from f, two log-sum-exps per iteration.
 
     Kept as the reference for ot._scaling_loop, which runs the same
-    iterations in absorbed scaling form; same arguments and results.
+    symmetric iterations (log_b=None) from f = 0 in absorbed scaling form;
+    with log_b given it is the alternating loop.  Same results as
+    ot._scaling_loop.
     """
     symmetric = log_b is None
     a = np.exp(log_a)
@@ -291,36 +293,39 @@ def solver_instances(kind, seed):
             (costs, log_p, None, 1e-3, ot.DEFAULT_MAX_ITER)]
 
 
-def assert_matches_reference(costs, log_a, log_b, eps, scaling, max_iter):
-    # A self term starts at the target eps from f = 0, as the solver runs it.
-    if log_b is None:
-        start, levels = np.zeros(costs.shape[0]), 0
-    else:
-        start, levels = ot._eps_ladder(costs, log_a, log_b, eps, scaling, max_iter)
-    f, g, iterations, converged, trace = ot._scaling_loop(
-        costs, log_a, log_b, eps, start, max_iter - levels, ot.DEFAULT_TOL)
+def assert_matches_reference(costs, log_a, eps, max_iter, tol=ot.DEFAULT_TOL):
+    # The self term starts at the target eps from f = 0, as the solver runs it.
+    f, g, iterations, converged, trace = ot._scaling_loop(costs, log_a, eps, max_iter, tol)
     # The reference runs in extended precision from the same start: in
     # float64 its own roundoff (one ulp of |f| in each exponent (f - C)/eps)
-    # reaches 1e-11 in the violation on index costs at eps 1e-3, and on slow
-    # solves moves the iteration where the violation crosses tol (4845
-    # against 4846 in extended precision and in the absorbed loop, on
-    # acceptance 2's first instance).
+    # can move the iteration where the violation crosses tol.
     wide = np.longdouble
     rf, rg, r_iterations, r_converged, r_trace = reference_potentials(
-        costs.astype(wide), log_a.astype(wide), None if log_b is None else log_b.astype(wide),
-        eps, start.astype(wide), max_iter - levels, ot.DEFAULT_TOL)
+        costs.astype(wide), log_a.astype(wide), None, eps,
+        np.zeros(costs.shape[0], dtype=wide), max_iter, tol)
     assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
     assert (iterations, converged) == (r_iterations, r_converged)
     assert len(trace) == len(r_trace)
-    # Each float64 exponent (f0 + g0 - C)/eps carries up to one ulp of max C
+    # Each float64 exponent (2*f0 - C)/eps carries up to one ulp of max C
     # over eps, so the row sums a * ratio (total mass 1 + violation) carry a
     # roundoff floor of that size: 6e-14 on the trainer's clouds, 5e-11 on
     # index costs at eps 1e-3.
     floor = max(1e-12, 4 * np.finfo(float).eps * float(costs.max()) / eps)
     np.testing.assert_allclose(trace, r_trace, rtol=floor, atol=floor)
-    log_b = log_a if log_b is None else log_b
-    assert plan_value(costs, log_a, log_b, f, g, eps) == pytest.approx(
-        float(plan_value(costs, log_a, log_b, rf, rg, eps)), rel=1e-10)
+    assert plan_value(costs, log_a, log_a, f, g, eps) == pytest.approx(
+        float(plan_value(costs, log_a, log_a, rf, rg, eps)), rel=1e-10)
+
+
+def assert_honest_cross_solve(costs, log_a, log_b, eps, scaling):
+    # The flag follows the trace, and the trace ends at the row violation of
+    # the plan (f, g) returned, up to the roundoff floor of its exponents.
+    f, g, _, converged, trace = ot._sinkhorn_potentials(
+        costs, log_a, log_b, eps, scaling, ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
+    assert converged == (trace[-1] < ot.DEFAULT_TOL)
+    plan = np.exp(log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / eps)
+    floor = max(1e-12, 4 * np.finfo(float).eps * float(costs.max()) / eps)
+    assert trace[-1] == pytest.approx(np.abs(plan.sum(axis=1) - np.exp(log_a)).sum(),
+                                      rel=floor, abs=floor)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -329,33 +334,51 @@ class TestAbsorbedScaling:
     @pytest.mark.parametrize("kind", ["trainer", "acceptance_2", "index"])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_log_domain_reference(self, kind, seed):
-        for instance in solver_instances(kind, seed):
-            costs, log_a, log_b, eps, max_iter = instance
-            assert_matches_reference(costs, log_a, log_b, eps, ot.DEFAULT_SCALING, max_iter)
+        costs, log_a, _, eps, max_iter = solver_instances(kind, seed)[1]
+        assert_matches_reference(costs, log_a, eps, max_iter)
 
     @pytest.mark.parametrize("scaling", [0.5, 0.05])
     def test_index_costs_absorb_before_overflow(self, scaling):
-        # On peaked index distributions after coarse eps steps the scalings
-        # run past the float range within the target iterations (the cross
-        # solves at seeds 15 and 27 with scaling 0.5, most cross solves with
-        # 0.05): without the range check the kernel products overflow.
+        # Peaked index distributions at eps 1e-3, under raised floating-point
+        # errors: the self solves match the reference, and the cross solves,
+        # which start Newton behind coarse eps steps, report the violation
+        # of the plan they return.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for seed in range(30):
                 costs, log_p, log_q = index_costs(seed, 0.1)
-                assert_matches_reference(costs, log_p, log_q, 1e-3, scaling, ot.DEFAULT_MAX_ITER)
-                assert_matches_reference(costs, log_p, None, 1e-3, scaling, ot.DEFAULT_MAX_ITER)
+                assert_honest_cross_solve(costs, log_p, log_q, 1e-3, scaling)
+                assert_matches_reference(costs, log_p, 1e-3, ot.DEFAULT_MAX_ITER)
+
+    def test_scaling_past_range_reenters_the_log_domain(self, monkeypatch):
+        # A first step from f = 0 leaves the light point's potential at c/2
+        # and its next T(f) near c, so v = exp((T(f) - f0)/eps) passes
+        # _SCALING_MAX once c/(2*eps) > ln(1e100) = 230.3, which needs a
+        # weight below exp(-1.5*c/eps).  Such a weight adds less than itself
+        # to the row violation, so only a tol below it reaches the re-entry.
+        scaling_step, steps = ot._scaling_step, []
+
+        def counted(u, ka):
+            steps.append(scaling_step(u, ka))
+            return steps[-1]
+
+        monkeypatch.setattr(ot, "_scaling_step", counted)
+        costs = np.array([[0.0, 465.0], [465.0, 0.0]])
+        log_a = np.array([math.log1p(-math.exp(-705.0)), -705.0])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert_matches_reference(costs, log_a, 1.0, ot.DEFAULT_MAX_ITER, tol=1e-320)
+        assert steps[0] is None
 
     def test_normal_clouds_after_a_coarse_eps_step(self):
-        # A 20-fold last eps step into eps 4e-4: first row violations up to 4e4.
+        # A 20-fold last eps step into eps 4e-4 for the cross solves; the
+        # self solves start there from f = 0.
         rng = np.random.default_rng(11)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for _ in range(6):
                 n, m = rng.integers(2, 12, size=2)
                 x, y = rng.normal(0, 1, (n, 3)), rng.normal(1.0, 1, (m, 3))
                 log_a, log_b = np.full(n, -math.log(n)), np.full(m, -math.log(m))
-                assert_matches_reference(ot.squared_distances(x, y), log_a, log_b, 4e-4, 0.05,
-                                         ot.DEFAULT_MAX_ITER)
-                assert_matches_reference(ot.squared_distances(x, x), log_a, None, 4e-4, 0.05,
+                assert_honest_cross_solve(ot.squared_distances(x, y), log_a, log_b, 4e-4, 0.05)
+                assert_matches_reference(ot.squared_distances(x, x), log_a, 4e-4,
                                          ot.DEFAULT_MAX_ITER)
 
 
@@ -419,18 +442,23 @@ class TestNewton:
                 assert trace[-1] == pytest.approx(recomputed, rel=floor, abs=floor)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_failed_first_step_ends_as_the_scaling_loop(self, seed):
+    def test_failed_first_step_ends_the_solve(self, seed):
         # On integer-index costs at eps 1e-3 the first Newton step runs out of
-        # halvings: the solve is the scaling loop from the ladder's f, bit for
-        # bit, as before Newton steps were added.
+        # halvings: the solve ends unconverged at the ladder's f, with one
+        # iteration at the target eps, and reports the violation of the plan
+        # it returns.
         costs, log_p, log_q, eps, max_iter = solver_instances("index", seed)[0]
-        result = ot._sinkhorn_potentials(costs, log_p, log_q, eps, ot.DEFAULT_SCALING,
-                                         max_iter, ot.DEFAULT_TOL)
+        f, g, iterations, converged, trace = ot._sinkhorn_potentials(
+            costs, log_p, log_q, eps, ot.DEFAULT_SCALING, max_iter, ot.DEFAULT_TOL)
         start, levels = ot._eps_ladder(costs, log_p, log_q, eps, ot.DEFAULT_SCALING, max_iter)
-        f, g, iterations, converged, trace = ot._scaling_loop(
-            costs, log_p, log_q, eps, start, max_iter - levels, ot.DEFAULT_TOL)
-        assert np.array_equal(result[0], f) and np.array_equal(result[1], g)
-        assert result[2:] == (levels + iterations, converged, trace)
+        assert np.array_equal(f, start)
+        assert (iterations, converged, len(trace)) == (levels + 1, False, 1)
+        _, plan, *stats = ot._solve(costs, log_p, log_q, eps, max_iter)
+        assert stats == [iterations, converged, trace]
+        recomputed = np.abs(plan.sum(axis=1) - np.exp(log_p)).sum()
+        # The plan's exponents (f + g - C)/eps carry one ulp of max C over eps.
+        floor = 4 * np.finfo(float).eps * float(costs.max()) / eps
+        assert trace[-1] == pytest.approx(recomputed, rel=floor, abs=floor)
 
 
 class TestSinkhornDivergence:
