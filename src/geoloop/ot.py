@@ -5,28 +5,29 @@ Primal problem (squared-Euclidean ground cost unless stated otherwise):
     OT_eps(a, b) = min_{pi in Pi(a,b)}  sum_ij pi_ij C_ij + eps * KL(pi || a x b)
 
 solved to an L1 marginal violation below tolerance at the target eps.  A
-cross term OT(a, b) gets there by eps-scaling: Sinkhorn iterations update
-the potentials in the log domain at a geometrically decreasing sequence of
-temperatures (factor `scaling`, default 0.8) from max(C) down to the target
-eps.  A self term OT(a, a) starts at the target eps (below).  The debiased
-divergence is
+cross term OT(a, b) gets there by eps-scaling: it solves at a geometrically
+decreasing sequence of temperatures (factor `scaling`, default 0.3) from
+max(C) down to the target eps, each from the last one's potential.  A self
+term OT(a, a) starts at the target eps (below).  The debiased divergence is
 
     S_eps(a, b) = OT_eps(a, b) - OT_eps(a, a)/2 - OT_eps(b, b)/2,
 
 symmetric, zero at a == b, and converging to W2^2 as eps -> 0.
 
 Every solve goes through `_sinkhorn_potentials`, by one path per term.  At
-the target eps the cross term takes Newton steps on its semi-dual (Brauer,
-Clason, Lorenz and Wirth 2017, arXiv:1710.06635) with backtracking on the
-dual value; the trainer's 32-point solves converge in a handful of them.  A
-step that fails (on near-deterministic plans, e.g. integer-index costs at
-eps 1e-3) ends the solve, flagged unconverged.  The self terms OT(a, a) run
-the averaged symmetric update f <- (f + T_eps(f))/2 on a single potential
-(Feydy et al. 2019), which needs no annealing: from f = 0 at the target eps
-it converges in a few dozen iterations at most.  It runs in absorbed scaling
-form (Schmitzer 2019, arXiv:1610.06519): f = f0 + eps*log(u) against the
-Gibbs kernel K = exp((2*f0 - C)/eps), u <- sqrt(u*v) with v = 1/((a*u) @ K),
-so each iteration is one matrix-vector product instead of a log-sum-exp; an
+every temperature the cross term takes Newton steps on its semi-dual
+(Brauer, Clason, Lorenz and Wirth 2017, arXiv:1710.06635) with backtracking
+on the dual value, to a row violation of 1e-2 at a coarse temperature and
+to tolerance at the target; the trainer's 32-point solves take about 20
+levels and steps in all.  A step that fails at the target eps (on
+near-deterministic plans, e.g. integer-index costs at eps 1e-3) ends the
+solve, flagged unconverged.  The self terms OT(a, a) run the averaged
+symmetric update f <- (f + T_eps(f))/2 on a single potential (Feydy et al.
+2019), which needs no annealing: from f = 0 at the target eps it converges
+in a few dozen iterations at most.  It runs in absorbed scaling form
+(Schmitzer 2019, arXiv:1610.06519): f = f0 + eps*log(u) against the Gibbs
+kernel K = exp((2*f0 - C)/eps), u <- sqrt(u*v) with v = 1/((a*u) @ K), so
+each iteration is one matrix-vector product instead of a log-sum-exp; an
 iteration whose scaling would leave range runs in the log domain and the
 kernel is rebuilt from its result.
 
@@ -53,7 +54,7 @@ from .rep_metrics import EmpiricalMeasure
 
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_TOL = 1e-9
-DEFAULT_SCALING = 0.8
+DEFAULT_SCALING = 0.3
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -123,27 +124,6 @@ def _scaling_step(u, ka):
     return np.sqrt(u * v), u / v
 
 
-def _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter):
-    """Log-domain Sinkhorn, one iteration per temperature above the target eps.
-
-    The temperature starts at max(C) and falls by `scaling` per iteration;
-    each iteration takes g = T(f) and then the next f = T'(g) at the new
-    temperature, which takes the large potential changes between
-    temperatures.  Returns (f, levels): f enters the first iteration at the
-    target eps, and levels is the number of iterations run, at most max_iter.
-    Only the cross term runs it; the self terms start from f = 0.
-    """
-    eps_cur = max(float(costs.max()), epsilon)
-    f = -eps_cur * _logsumexp(log_b[None, :] - costs / eps_cur, axis=1)
-    levels = 0
-    while eps_cur > epsilon and levels < max_iter:
-        levels += 1
-        g = -eps_cur * _logsumexp(log_a[:, None] + (f[:, None] - costs) / eps_cur, axis=0)
-        eps_cur = max(epsilon, eps_cur * scaling)
-        f = -eps_cur * _logsumexp(log_b[None, :] + (g[None, :] - costs) / eps_cur, axis=1)
-    return f, levels
-
-
 def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
     """The self term OT(a, a) from f = 0; returns (f, f, iterations, converged, trace).
 
@@ -210,17 +190,19 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
     return f, f, iterations, converged, trace
 
 
-# Newton's method on the cross term's semi-dual at the target eps (Brauer,
+# Newton's method on the cross term's semi-dual at each temperature (Brauer,
 # Clason, Lorenz and Wirth 2017, arXiv:1710.06635).  A step length t is
 # accepted once the dual value has risen by at least _ARMIJO * t times its
 # predicted rise, less _DUAL_ROUNDOFF times the scale of the potentials and
 # costs: near the optimum the rise falls below the roundoff of the value
 # itself.  After _NEWTON_HALVINGS halvings of t the step has failed.
-# _NEWTON_RIDGE: see `_newton_step`.
+# _NEWTON_RIDGE: see `_newton_step`.  A temperature above the target is
+# left once the L1 row violation is below _LEVEL_TOL.
 _ARMIJO = 1e-4
 _DUAL_ROUNDOFF = 1e-14
-_NEWTON_HALVINGS = 3
+_NEWTON_HALVINGS = 10
 _NEWTON_RIDGE = 1e-12
+_LEVEL_TOL = 1e-2
 
 
 def _dual_point(costs, log_a, log_b, epsilon, f):
@@ -274,42 +256,51 @@ def _newton_step(costs, log_a, log_b, epsilon, f, point):
 
 
 def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
-    """Sinkhorn with eps-scaling and Newton steps; returns (f, g, iterations, converged, trace).
+    """Newton steps down a temperature ladder; returns (f, g, iterations, converged, trace).
 
     With log_b=None it solves the self term OT(a, a) on a symmetric `costs`
-    by the averaged update from f = 0 at the target eps (`_scaling_loop`),
-    with no eps ladder, and returns (f, f, ...), so the plan is exactly
-    symmetric.
+    by the averaged update from f = 0 at the target eps (`_scaling_loop`)
+    and returns (f, f, ...), so the plan is exactly symmetric.
 
-    A cross term runs the eps ladder (`_eps_ladder`) in the log domain down
-    to the target eps.  From its f, each iteration evaluates the plan
-    (f, T(f)) at the target eps, records its L1 row violation in the trace,
-    and stops once it is below tol; otherwise it takes a Newton step on the
-    semi-dual with backtracking (`_newton_step`).  A step that fails ends
-    the solve at the last accepted f, unconverged.
+    A cross term starts from f = 0 at eps = max(max C, eps), and each
+    iteration evaluates the plan (f, T(f)) and its L1 row violation.  At a
+    coarse temperature it takes a Newton step on the semi-dual with
+    backtracking (`_newton_step`) until the violation is below _LEVEL_TOL or
+    a step fails, and then lowers the temperature by `scaling`, down to the
+    target eps, keeping f.  At the target eps each violation goes to the
+    trace, and the solve stops once it is below tol; a step that fails there
+    ends the solve at the last accepted f, unconverged.
 
-    Iterations count the ladder levels and the iterations at the target eps;
-    the converged flag is honest (row violation < tol), and the trace is
-    empty when max_iter ran out on the ladder.
+    Iterations count the levels and the Newton iterations; the converged
+    flag is honest (row violation < tol), and the trace is empty when
+    max_iter ran out before the target eps, where g is then T(f).
     """
     if log_b is None:
         return _scaling_loop(costs, log_a, epsilon, max_iter, tol)
-    f, iterations = _eps_ladder(costs, log_a, log_b, epsilon, scaling, max_iter)
-    trace = []
     a = np.exp(log_a)
-    point = _dual_point(costs, log_a, log_b, epsilon, f)
-    if iterations == max_iter:
-        return f, point[1], iterations, False, trace
-    while True:
+    eps_cur = max(float(costs.max()), epsilon)
+    f = np.zeros(costs.shape[0])
+    point = _dual_point(costs, log_a, log_b, eps_cur, f)
+    trace = []
+    iterations = 0
+    while iterations < max_iter:
         iterations += 1
-        trace.append(float(np.abs(point[3] - a).sum()))
-        converged = trace[-1] < tol
-        if converged or iterations == max_iter:
-            return f, point[1], iterations, converged, trace
-        step = _newton_step(costs, log_a, log_b, epsilon, f, point)
+        violation = float(np.abs(point[3] - a).sum())
+        if eps_cur == epsilon:
+            trace.append(violation)
+            if violation < tol or iterations == max_iter:
+                break
+        step = None if eps_cur > epsilon and violation < _LEVEL_TOL else _newton_step(
+            costs, log_a, log_b, eps_cur, f, point)
         if step is None:
-            return f, point[1], iterations, False, trace
+            if eps_cur == epsilon:
+                break
+            eps_cur = max(epsilon, eps_cur * scaling)
+            step = f, _dual_point(costs, log_a, log_b, eps_cur, f)
         f, point = step
+    if eps_cur > epsilon:
+        point = _dual_point(costs, log_a, log_b, epsilon, f)
+    return f, point[1], iterations, bool(trace) and trace[-1] < tol, trace
 
 
 def _solve(costs, log_a, log_b, epsilon, max_iter=DEFAULT_MAX_ITER) -> tuple:
@@ -353,10 +344,10 @@ def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float, *,
 def _canonical_order(a: EmpiricalMeasure, b: EmpiricalMeasure) -> bool:
     """True when (a, b) should swap so S(a,b) and S(b,a) run identical solves.
 
-    The cross solve (eps ladder, then Newton steps on f) treats its two
-    measures differently, so swapping them changes its result by roundoff,
-    and by more when it stops unconverged; a deterministic argument order
-    removes the difference exactly.
+    The cross solve (Newton steps on f, the first measure's potential)
+    treats its two measures differently, so swapping them changes its
+    result by roundoff, and by more when it stops unconverged; a
+    deterministic argument order removes the difference exactly.
     """
     return np.ascontiguousarray(b.points).tobytes() < np.ascontiguousarray(a.points).tobytes()
 

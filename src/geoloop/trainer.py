@@ -212,9 +212,9 @@ class StepReport:
     pr: float
     geometry_degenerate: bool = False
     beta: float = 1.0
-    # The Sinkhorn solve: cross-term iterations (eps levels plus Newton
-    # iterations at the target eps) and final L1 row violation, and
-    # whether all three solves converged; None before ot_warmup.
+    # The Sinkhorn solve: cross-term iterations (levels plus Newton
+    # iterations) and final L1 row violation, and whether all three
+    # solves converged; None before ot_warmup.
     ot_iters: int | None = None
     ot_violation: float | None = None
     ot_converged: bool | None = None
@@ -424,10 +424,10 @@ class Trainer:
         if config.ot_weight > 0 and step >= config.ot_warmup:
             # Bounded iteration budget: in the 2000-step enigma_high_si run
             # every solve converges well inside it, the self terms in 2-25
-            # iterations and the cross term in 21-24 eps levels plus 2-13
-            # Newton iterations.  A cross solve whose Newton step fails stops
-            # there, flagged unconverged, and the envelope gradient of the
-            # achieved plan stays valid.
+            # iterations and the cross term in 11-22 levels and Newton
+            # iterations.  A cross solve whose Newton step fails at the
+            # target eps stops there, flagged unconverged, and the envelope
+            # gradient of the achieved plan stays valid.
             value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
                 cur_measure, ref_measure, config.blur ** 2, max_iter=500)
             loss_ot = config.ot_weight * value

@@ -527,6 +527,35 @@ class TestBadTokenPatterns:
         assert not out.exists()
 
 
+class TestTextPrinciplePools:
+    """The bundled text pools parse, but the toy task needs token patterns:
+    `train` and `eval-constitution` on them are a configuration error, exit
+    2, with no output directory (they are for `--scores`)."""
+
+    @pytest.fixture(params=["constitution_high_si.txt", "constitution_low_si.txt"],
+                    ids=["high_si", "low_si"])
+    def constitution(self, request):
+        path = DATA / request.param
+        pset = cli._load_principles(path)
+        assert (len(pset.positives), len(pset.negatives)) == (9, 9)
+        return path, f"config error: constitution {pset.name!r} has non-token positives"
+
+    def test_train(self, tmp_path, capsys, constitution):
+        path, message = constitution
+        config = short_config(tmp_path, constitution=str(path))
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_constitution(self, tmp_path, capsys, constitution):
+        path, message = constitution
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", str(path), "--out-dir", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def bundled_warm_start(seed, **overrides):
     """The warm start `geoloop train` runs for the bundled enigma_high_si
     config at this seed: (task, epochs, lr, seed, bias)."""
