@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mi
-from .draws import Stream
 from .errors import ValidationError
 from .policy import transition_counts
 
@@ -271,7 +270,7 @@ def _margin_rows(scores: np.ndarray, true_cols) -> np.ndarray:
 
 
 def _bound_bits(scores: np.ndarray, true_cols, k: int,
-                rng: Stream | np.random.Generator) -> float:
+                rng: np.random.Generator) -> float:
     """Row contrastive bound (bits) with K uniform shadow columns per item.
 
     NaN when the pool has no column besides the true one.
@@ -296,7 +295,7 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
     """
     if not pset.negatives:
         raise ValidationError("evaluation needs at least one negative")
-    rng = Stream(np.random.SeedSequence((seed, 17)))
+    rng = np.random.default_rng((seed, 17))
     items = [(item.prompt, item.gold) for item in task.items]
     if not items:
         raise ValidationError("task sample is empty")
@@ -356,7 +355,7 @@ def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
     neg = neg_matrix.scores
     if pos.shape[0] != neg.shape[0]:
         raise ValidationError("positive and negative matrices must share items")
-    rng = Stream(np.random.SeedSequence((seed, 17)))
+    rng = np.random.default_rng((seed, 17))
     deltas = [delta_nll(a, b)["delta_bits"] for a, b in nll_rows]
     if not deltas:
         raise ValidationError("need at least one NLL row")

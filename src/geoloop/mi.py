@@ -151,16 +151,35 @@ def draw_shadows(pool_ids, true_id, k: int, rng: np.random.Generator) -> tuple:
     return tuple(candidates[int(i)] for i in picked)
 
 
-def shadow_candidates(rng, true_cols, m: int, k: int) -> np.ndarray:
+def shadow_candidates(rng: np.random.Generator, true_cols, m: int, k: int) -> np.ndarray:
     """(n, K+1) columns of range(m): each row's true column, then K shadows.
 
-    One rng.choice per row, in row order, of K of the other m - 1 columns
-    (with replacement only when fewer than K): draw_shadows' draw over the
-    columns as the pool.
+    The picks are those of one rng.choice(m - 1, size=k) per row, in row
+    order (with replacement only when m - 1 < k), over the other columns:
+    draw_shadows' draw with the columns as the pool.  They come from a
+    single rng.integers call.  Without replacement, choice runs Floyd's
+    sampling (a draw on [0, j] for j = m-1-k .. m-2, j itself when the draw
+    is already taken), then shuffles the k picks (a draw on [0, i] for
+    i = k-1 .. 1).  Those spans do not depend on the values drawn, and an
+    array of highs makes the same bounded draws as the scalar calls, in the
+    same order; the clash fix-ups and the swaps are then column operations.
+    (Above 10 000 columns with k above a fiftieth of them, choice switches to
+    a tail shuffle; these picks stay Floyd's, just as uniform.)
     """
     true = np.asarray(true_cols, dtype=np.int64)[:, None]
-    picked = np.array([rng.choice(m - 1, size=k, replace=m - 1 < k) for _ in range(len(true))],
-                      dtype=np.int64).reshape(len(true), k)
+    n, pool = len(true), m - 1
+    if pool < k:
+        picked = rng.integers(0, pool, size=(n, k))
+    else:
+        spans = np.concatenate([np.arange(pool - k + 1, pool + 1), np.arange(k, 1, -1)])
+        draws = rng.integers(0, spans, size=(n, 2 * k - 1))
+        picked = draws[:, :k].copy()
+        for t in range(1, k):
+            clash = (picked[:, :t] == picked[:, t:t + 1]).any(axis=1)
+            picked[clash, t] = pool - k + t
+        rows = np.arange(n)
+        for i, swap in zip(range(k - 1, 0, -1), draws[:, k:].T):
+            picked[rows, i], picked[rows, swap] = picked[rows, swap], picked[rows, i]
     return np.hstack([true, picked + (picked >= true)])
 
 

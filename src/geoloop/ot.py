@@ -124,6 +124,25 @@ def _scaling_step(u, ka):
     return np.sqrt(u * v), u / v
 
 
+def _plateau():
+    """A check of each new violation in turn: true once 200 in a row have
+    not bettered the best so far by a relative 1e-3.
+
+    Near-deterministic plans converge ever more slowly at small eps, so a
+    loop stops there; its converged flag stays honest (violation < tol).
+    """
+    best, stalled = math.inf, 0
+
+    def check(violation):
+        nonlocal best, stalled
+        if violation < best * (1.0 - 1e-3):
+            best, stalled = violation, 0
+        else:
+            stalled += 1
+        return stalled >= 200
+    return check
+
+
 def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
     """The self term OT(a, a) from f = 0; returns (f, f, iterations, converged, trace).
 
@@ -138,9 +157,7 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
     is rebuilt from its result.
 
     The trace holds the L1 row violation of the plan (f, f) of each
-    iteration.  Near-deterministic plans converge ever more slowly at small
-    eps, so a plateau cut-off stops the loop once the violation has stopped
-    improving; the converged flag stays honest (violation < tol) either way.
+    iteration; the loop stops below tol or at a `_plateau`.
     """
     a = np.exp(log_a)
     f_next = np.zeros(costs.shape[0])
@@ -149,8 +166,7 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
     iterations = 0
     trace = []
     converged = False
-    best = math.inf
-    stalled = 0
+    stalled = _plateau()
     while iterations < max_iter:
         iterations += 1
         step = None if ka is None else _scaling_step(u_next, ka)
@@ -178,13 +194,8 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
         if row_violation < tol:
             converged = True
             break
-        if row_violation < best * (1.0 - 1e-3):
-            best = row_violation
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 200:
-                break
+        if stalled(row_violation):
+            break
     if scaled:
         f = f0 + epsilon * np.log(u)
     return f, f, iterations, converged, trace
@@ -268,8 +279,8 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     backtracking (`_newton_step`) until the violation is below _LEVEL_TOL or
     a step fails, and then lowers the temperature by `scaling`, down to the
     target eps, keeping f.  At the target eps each violation goes to the
-    trace, and the solve stops once it is below tol; a step that fails there
-    ends the solve at the last accepted f, unconverged.
+    trace, and the solve stops once it is below tol or at a `_plateau`; a
+    step that fails there ends the solve at the last accepted f, unconverged.
 
     Iterations count the levels and the Newton iterations; the converged
     flag is honest (row violation < tol), and the trace is empty when
@@ -282,13 +293,14 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     f = np.zeros(costs.shape[0])
     point = _dual_point(costs, log_a, log_b, eps_cur, f)
     trace = []
+    stalled = _plateau()
     iterations = 0
     while iterations < max_iter:
         iterations += 1
         violation = float(np.abs(point[3] - a).sum())
         if eps_cur == epsilon:
             trace.append(violation)
-            if violation < tol or iterations == max_iter:
+            if violation < tol or iterations == max_iter or stalled(violation):
                 break
         step = None if eps_cur > epsilon and violation < _LEVEL_TOL else _newton_step(
             costs, log_a, log_b, eps_cur, f, point)
@@ -323,12 +335,14 @@ def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float, *,
     Returns {"value", "iterations", "converged", "violation_trace",
     "raw_plan"}.  `raw_plan` is the plan of the final potentials, not
     rebalanced: the trace's last entry is its L1 row violation.
-    Non-convergence (max_iter spent, or a failed Newton step) comes back
-    flagged, never raised.  Passing the same measure twice solves the self
-    term by the symmetric update.
+    Non-convergence (max_iter spent, a plateau, or a failed Newton step)
+    comes back flagged, never raised; max_iter below 1 is rejected.  Passing
+    the same measure twice solves the self term by the symmetric update.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be at least 1")
     costs = squared_distances(a.points, b.points)
     value, plan, iterations, converged, trace = _solve(
         costs, np.log(a.weights), None if b is a else np.log(b.weights), epsilon, max_iter)

@@ -14,12 +14,12 @@ A gold is R_OPEN, one or two reasoning fillers, R_CLOSE A_OPEN, one or two
 answer fillers, A_CLOSE EOS.  Each filler is the principle's preferred one
 with probability `bias` (when it has one), else uniform over its pool.
 There are two forms of the one draw.  `gold_continuation` draws a gold call
-by call from a Stream: `make_toy_task` draws its golds this way because
+by call from a Generator: `make_toy_task` draws its golds this way because
 their draws interleave with the prompt draws on one stream.
-`gold_continuations` draws one gold per row of a `Streams`, row e as
-`gold_continuation` would from that row's Stream: the warm start's golds
-depend only on the stream seeded (seed, epoch) and the item, so
-`warm_start_golds` draws every epoch's in one pass, a row per epoch.
+`gold_continuations` draws one gold per row of a `draws.Streams`, row e as
+`gold_continuation` would from `np.random.default_rng(seeds[e])`: the warm
+start's golds depend only on the stream seeded (seed, epoch) and the item,
+so `warm_start_golds` draws every epoch's in one pass, a row per epoch.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import Stream, Streams
+from .draws import Streams
 from .errors import ValidationError
 
 DEFAULT_VOCAB_SIZE = 16
@@ -211,7 +211,7 @@ def make_toy_task(vocab: Vocab | None = None, *, n_principles: int = 4,
     counts them only when `principles` is not given.
     """
     vocab = vocab or Vocab()
-    rng = Stream(seed)
+    rng = np.random.default_rng(seed)
     if principles is None:
         principles = make_toy_principles(vocab, n_principles)
     r_pool, a_pool = gold_filler_pools(vocab, principles)
@@ -233,7 +233,7 @@ def gold_items(task: ToyTask) -> list:
 
 
 def gold_continuation(vocab: Vocab, prefers: tuple, r_pool, a_pool, bias: float,
-                      rng: Stream | np.random.Generator) -> tuple:
+                      rng: np.random.Generator) -> tuple:
     """One gold, drawn call by call from rng."""
     def fill(pool, pref, n):
         picks = []

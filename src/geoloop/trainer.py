@@ -39,9 +39,8 @@ its own, so the gathered rows equal those of tables built per step, bit for
 bit.  Because the reference table is built once, code that loads a reference
 into an existing Trainer (a resume) must rebuild it.  Per completion, the
 step's bookkeeping (format check, entropies, gates, MI reward, advantages)
-is array operations.  The shadow draws (mi.shadow_candidates) pick once per
-completion from a draws.Stream, which makes Generator.choice's picks without
-its per-call cost.
+is array operations, and each shadow channel's picks (mi.shadow_candidates)
+are one Generator call.
 """
 from __future__ import annotations
 
@@ -53,7 +52,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import mi, ot, prob_metrics, rep_metrics, rewards
-from .draws import Stream
 from .errors import ValidationError
 from .policy import DEFAULT_MAX_LEN, NextTokenTable, ToyPolicy, logit_sums
 from .task import ToyTask, Vocab
@@ -72,12 +70,8 @@ STEPS_JSONL_FIELDS = (
 _CH_SAMPLE, _CH_SHADOW_P, _CH_SHADOW_C, _CH_JITTER = 0, 1, 2, 4
 
 
-def derive_seed(seed: int, step: int, channel: int, index: int = 0) -> np.random.SeedSequence:
-    return np.random.SeedSequence((seed, step, channel, index))
-
-
 def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(seed, step, channel, index))
+    return np.random.default_rng((seed, step, channel, index))
 
 
 @dataclass(frozen=True)
@@ -310,7 +304,7 @@ class Trainer:
     def _row_candidates(self, item_idx, groups, step: int) -> np.ndarray:
         """(B, K+1) step contexts of each completion's true principle (column
         0) and K uniform shadow principles."""
-        rng = Stream(derive_seed(self.seed, step, _CH_SHADOW_P))
+        rng = derive_rng(self.seed, step, _CH_SHADOW_P)
         cols = mi.shadow_candidates(rng, self._true[item_idx[groups]],
                                     len(self.task.principles), self.config.shadow_k)
         return cols * len(item_idx) + groups[:, None]
@@ -318,7 +312,7 @@ class Trainer:
     def _col_candidates(self, b: int, step: int) -> np.ndarray:
         """(B, K+1) completions {own, K shadows} to score under each
         completion's own rendered prompt."""
-        rng = Stream(derive_seed(self.seed, step, _CH_SHADOW_C))
+        rng = derive_rng(self.seed, step, _CH_SHADOW_C)
         return mi.shadow_candidates(rng, np.arange(b), b, self.config.shadow_k)
 
     def _sami_weights(self, matrix: mi.ScoreMatrix, step: int, lam_row: float,

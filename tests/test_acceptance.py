@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The long end-to-end run (criterion 7) executes once as a module
 fixture and feeds criteria that inspect its artifacts.
 """
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -20,6 +21,7 @@ from geoloop.rep_metrics import (EmpiricalMeasure, GaussianSummary, Spectrum,
 from geoloop.trainer import Trainer
 
 DATA = Path(cli.DATA_DIR)
+GOLDEN = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -242,6 +244,13 @@ def test_every_ot_step_of_the_run_converges(enigma_run):
     ot_rows = rows[warmup:]
     assert len(ot_rows) == 1800
     assert all(r["ot_iters"] is not None and r["ot_converged"] is True for r in ot_rows)
+
+
+@pytest.mark.slow
+def test_run_steps_match_the_golden(enigma_run):
+    """The run's steps.jsonl, byte for byte, as tests/data pins it."""
+    expected = (GOLDEN / "enigma_high_si_seed42_steps.sha256").read_text().split()[0]
+    assert hashlib.sha256((enigma_run / "steps.jsonl").read_bytes()).hexdigest() == expected
 
 
 # ---------------------------------------------------------------- criterion 8

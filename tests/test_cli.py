@@ -578,7 +578,7 @@ def no_prefers_warm_start():
 
 
 # Warm starts whose parameter hashes in tests/data were written by the code
-# that drew each epoch's golds with its own Stream, one call per draw.
+# that drew each epoch's golds from its own Generator, one call per draw.
 WARM_START_CASES = {
     "bundled_seed0": lambda: bundled_warm_start(0),
     "bundled_seed3": lambda: bundled_warm_start(3),
@@ -650,6 +650,28 @@ class TestGoldenOutputs:
                          "--out-dir", str(out)]) == cli.EXIT_OK
         expected = dict(line.split()[::-1] for line in
                         (GOLDEN / "eval_bundled_seed0.sha256").read_text().splitlines())
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in expected} == expected
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+
+
+    def test_score_file_eval_outputs(self, tmp_path):
+        # Inputs from exact formulas: 12 items over five positive and three
+        # negative columns, so both bounds draw shadows (seed 0, k = 2).
+        n, m_pos, m_neg = 12, 5, 3
+        pos = [[-1.0 + (1.5 if j == i % m_pos else 0.0) - ((i * 7 + j * 3) % 11) / 20
+                for j in range(m_pos)] for i in range(n)]
+        neg = [[-1.0 - ((i * 5 + j * 2) % 7) / 10 for j in range(m_neg)] for i in range(n)]
+        mi.write_score_csv(mi.ScoreMatrix(pos), tmp_path / "pos.csv")
+        mi.write_score_csv(mi.ScoreMatrix(neg), tmp_path / "neg.csv")
+        (tmp_path / "nll.csv").write_text("nll_without_bits,nll_with_bits\n" + "".join(
+            f"{2.0 + (i % 3) / 10!r},{1.9 - (i % 4) / 20!r}\n" for i in range(n)))
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", "--scores", str(tmp_path / "pos.csv"),
+                         str(tmp_path / "neg.csv"), "--nll", str(tmp_path / "nll.csv"),
+                         "--seed", "0", "--out-dir", str(out)]) == cli.EXIT_OK
+        expected = dict(line.split()[::-1] for line in
+                        (GOLDEN / "eval_scores_seed0.sha256").read_text().splitlines())
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in expected} == expected
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)

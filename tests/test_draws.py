@@ -1,5 +1,5 @@
-"""draws.Stream against np.random.Generator, draws.Streams against Stream,
-and the draw sites against their Generator versions.
+"""mi.shadow_candidates against Generator.choice, draws.Streams against
+np.random.default_rng, and the draw sites against their Generator versions.
 
 These tests are the guard on numpy's algorithms: if an upgrade changes how
 Generator spends PCG64's words for random, integers or choice, they fail
@@ -10,98 +10,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoloop import cli
+from geoloop import cli, mi
 from geoloop import constitution as consti
 from geoloop import task as tk
-from geoloop.draws import Stream, Streams
-
-N_SEEDS = 2000
-# Every population 1..60, every sample size 0..n, both replace values.
-COMBOS = [(n, k, replace) for n in range(1, 61) for k in range(n + 1)
-          for replace in (False, True)]
+from geoloop.draws import Streams
 
 
-def run(rng, ops) -> list:
-    out = []
-    for op, *args in ops:
-        if op == "choice":
-            n, k, replace = args
-            out.append([int(v) for v in rng.choice(n, size=k, replace=replace)])
-        else:
-            out.append(getattr(rng, op)(*args))
-    return out
-
-
-def interleaved_ops(seed: int) -> list:
-    """This seed's share of COMBOS, shuffled among random() and integers()
-    calls whose spans run from one value to 61."""
-    plan = np.random.default_rng(10_000 + seed)
-    ops = [("choice", *combo) for combo in COMBOS[seed::N_SEEDS]]
-    for _ in range(3):
-        ops.append(("random",))
-        ops.append(("integers", int(plan.integers(1, 62))))
-        low = int(plan.integers(-5, 6))
-        ops.append(("integers", low, low + int(plan.integers(1, 62))))
-    return [ops[i] for i in plan.permutation(len(ops))]
-
-
-class TestStreamMatchesGenerator:
-    def test_interleaved_draws(self):
-        for seed in range(N_SEEDS):
-            ss = np.random.SeedSequence(seed)
-            ops = interleaved_ops(seed)
-            expected = run(np.random.default_rng(ss), ops)
-            got = run(Stream(ss), ops)
-            assert got == expected, (seed, ops)
-
-    def test_seed_arguments(self):
-        for seed in (0, 7, (3, 199), np.random.SeedSequence((1, 2, 3, 4))):
-            rng, stream = np.random.default_rng(seed), Stream(seed)
-            assert [rng.random() for _ in range(5)] == [stream.random() for _ in range(5)]
-
-    def test_quarter_rejected_span(self):
-        # 2**32 mod 3 * 2**30 = 2**30: a quarter of the products are rejected.
-        n = 3 * 2**30
-        for seed in range(20):
-            rng, stream = np.random.default_rng(seed), Stream(seed)
-            ops = [("integers", n)] * 100 + [("random",), ("choice", n, 50, True),
-                                             ("integers", 5, 5 + n), ("random",)]
-            assert run(stream, ops) == run(rng, ops)
-
-    def test_single_value_spans_consume_nothing(self):
-        ops = [("integers", 1), ("integers", -4, -3), ("choice", 1, 3, True),
-               ("choice", 1, 1, False), ("choice", 9, 0, False), ("choice", 9, 0, True)]
-        for seed in range(50):
-            rng, stream = np.random.default_rng(seed), Stream(seed)
-            assert run(stream, ops) == run(rng, ops) == [0, -4, [0, 0, 0], [0], [], []]
-            fresh = np.random.default_rng(seed)
-            assert stream.integers(7) == rng.integers(7) == fresh.integers(7)
-            assert stream.random() == rng.random() == fresh.random()
-
-    def test_largest_supported_spans(self):
-        for seed in range(5):
-            ops = [("choice", 10_000, 30, False), ("integers", 2**32 - 1),
-                   ("integers", -2**31, 2**31 - 1), ("choice", 2**32 - 1, 20, True)]
-            assert run(Stream(seed), ops) == run(np.random.default_rng(seed), ops)
-
-    @pytest.mark.parametrize("call", [
-        lambda s: s.choice(5, size=2, p=[0.2] * 5),
-        lambda s: s.choice(10_001, size=2, replace=False),
-        lambda s: s.choice(2**32, size=2),
-        lambda s: s.choice(5, size=6, replace=False),
-        lambda s: s.choice(5, size=-1),
-        lambda s: s.choice(5, size=None),
-        lambda s: s.choice([1, 2, 3], size=2),
-        lambda s: s.integers(2**32),
-        lambda s: s.integers(-1, 2**32 - 1),
-        lambda s: s.integers(0),
-        lambda s: s.integers(3, 2),
-        lambda s: s.integers(2.5),
-        lambda s: s.random(3),
-    ])
-    def test_unsupported_arguments_raise(self, call):
-        with pytest.raises((TypeError, ValueError)):
-            call(Stream(0))
+class TestShadowCandidatesMatchChoice:
+    def test_every_pool_and_sample_size(self):
+        # Pools of 1..60 other columns and every K from 1 to one past the
+        # pool, so the last two fall back to replacement.  The two
+        # generators run on through each m's calls, so every call must leave
+        # its generator where the row-by-row choices leave theirs.
+        for m in range(2, 62):
+            for seed in range(3):
+                rng, ref = np.random.default_rng((seed, m)), np.random.default_rng((seed, m))
+                for k in range(1, m + 2):
+                    true = rng.integers(0, m, 3)
+                    assert ref.integers(0, m, 3).tolist() == true.tolist()
+                    got = mi.shadow_candidates(rng, true, m, k)
+                    expected = [[j, *mi.draw_shadows(range(m), j, k, ref)] for j in true]
+                    assert got.tolist() == expected, (m, k, seed)
+                assert rng.random() == ref.random(), (m, seed)
 
 
 def lockstep_plan(seed: int, rows: int, length: int) -> list:
@@ -123,12 +53,12 @@ def lockstep_plan(seed: int, rows: int, length: int) -> list:
 
 
 def check_lockstep(seeds, ops):
-    streams, singles = Streams(seeds), [Stream(seed) for seed in seeds]
+    streams, singles = Streams(seeds), [np.random.default_rng(seed) for seed in seeds]
     for op, args, where in ops:
         got = getattr(streams, op)(*args, where=where)
         for row in np.flatnonzero(where):
             assert got[row] == getattr(singles[row], op)(*args), (row, op, args)
-    # A last draw on every row finds each stream where its Stream is.
+    # A last draw on every row finds each row where its Generator is.
     assert streams.random().tolist() == [single.random() for single in singles]
 
 
@@ -160,6 +90,8 @@ class CraftedPCG64:
 
 
 class TestStreamsMatchStream:
+    """Row e of Streams(seeds) against the one stream default_rng(seeds[e])."""
+
     def test_mixed_masks(self):
         # 120 rows of 700 calls: every row refills its block several times.
         seeds = [(7, e) for e in range(100)] + list(range(10)) + [
@@ -190,15 +122,17 @@ class TestStreamsMatchStream:
             2: [0xC0000000_00000000],                       # reject, then 3 * 2**30 -> 2
         }
         monkeypatch.setattr(np.random, "PCG64", CraftedPCG64)
-        streams, singles = Streams([0, 1, 2]), [Stream(seed) for seed in range(3)]
-        assert streams.integers(0, 3).tolist() == [s.integers(3) for s in singles] == [0, 1, 2]
-        # Row 1 rejects its buffered half 0 and both halves of its next word.
-        assert streams.integers(0, 3, where=np.array([False, True, False]))[1] \
-            == singles[1].integers(3) == 0
-        assert streams.random().tolist() == [s.random() for s in singles]
+        streams = Streams([0, 1, 2])
+        assert streams.integers(0, 3).tolist() == [0, 1, 2]
+        # Row 1 rejects its buffered half 0 and both halves of its next word,
+        # then takes the low half 1 of its third.
+        assert streams.integers(0, 3, where=np.array([False, True, False]))[1] == 0
+        # Each row's next whole word: row 0's second, row 1's fourth, row 2's second.
+        words = [0xFFFFFFFF_00000000, (4 << 40) | 1, (2 << 40) | 1]
+        assert streams.random().tolist() == [(w >> 11) * 2.0**-53 for w in words]
 
     def test_span_one_draws_nothing(self):
-        streams, single = Streams([3, 4]), Stream(3)
+        streams, single = Streams([3, 4]), np.random.default_rng(3)
         assert streams.integers(5, 6).tolist() == [5, 5]
         assert streams.integers(0, 10)[0] == single.integers(10)
 

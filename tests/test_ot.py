@@ -95,6 +95,16 @@ class TestEntropicOt:
         with pytest.raises(ValidationError):
             ot.entropic_ot(m, m, 0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        rng = np.random.default_rng(9)
+        a, b = random_cloud(rng, 4), random_cloud(rng, 5, offset=1.0)
+        for solve in (lambda: ot.entropic_ot(a, a, 0.1, max_iter=max_iter),
+                      lambda: ot.entropic_ot(a, b, 0.1, max_iter=max_iter),
+                      lambda: ot.sinkhorn_divergence_with_grad(a, b, 0.1, max_iter=max_iter)):
+            with pytest.raises(ValidationError, match="max_iter"):
+                solve()
+
     def test_violation_trace_decreases(self):
         rng = np.random.default_rng(3)
         a, b = random_cloud(rng, 6), random_cloud(rng, 6, offset=2.0)
@@ -470,6 +480,18 @@ class TestNewton:
         # The plan's exponents (f + g - C)/eps carry one ulp of max C over eps.
         floor = 4 * np.finfo(float).eps * float(costs.max()) / eps
         assert trace[-1] == pytest.approx(recomputed, rel=floor, abs=floor)
+
+
+    def test_stalled_cross_solve_ends_early(self):
+        # Dirichlet(0.1) index weights at eps 1e-3: the violation sits near
+        # 1.75e-8 at the target eps, and the solve stops once 200 iterations
+        # have brought no 1e-3 relative gain, unconverged.
+        costs, log_p, log_q = index_costs(5, 0.1)
+        _, _, iterations, converged, trace = ot._sinkhorn_potentials(
+            costs, log_p, log_q, 1e-3, ot.DEFAULT_SCALING, ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
+        assert not converged and trace[-1] > ot.DEFAULT_TOL
+        assert 200 < len(trace) <= iterations < 1_000
+        assert min(trace[-200:]) >= min(trace[:-200]) * (1.0 - 1e-3)
 
 
 class TestSinkhornDivergence:
