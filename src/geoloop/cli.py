@@ -221,6 +221,9 @@ def cmd_train(args) -> int:
             path, config_hash, config_text)
 
     last_row = None
+    # Run-level counts over the rows steps.jsonl holds.
+    counts = dict.fromkeys(("ot_unconverged_steps", "geometry_degenerate_steps",
+                            "null_row_bound_steps"), 0)
     steps_path = out_dir / "steps.jsonl"
     checkpoint(0)
     with open(steps_path, "w") as fh:
@@ -228,6 +231,9 @@ def cmd_train(args) -> int:
             report = trainer.train_step()
             last_row = report.jsonl_row()
             fh.write(json.dumps(last_row, allow_nan=False) + "\n")
+            counts["ot_unconverged_steps"] += last_row["ot_converged"] is False
+            counts["geometry_degenerate_steps"] += last_row["geometry_degenerate"]
+            counts["null_row_bound_steps"] += last_row["mi_row_clean"] is None
             if trainer.step % config.checkpoint_every == 0:
                 checkpoint(trainer.step)
     if str(config.max_steps) not in checkpoint_hashes:
@@ -239,6 +245,9 @@ def cmd_train(args) -> int:
         "config_hash": config_hash,
         "last_step": last_row,
         "checkpoint_hashes": checkpoint_hashes,
+        **counts,
+        "autoscaler": {name: getattr(trainer.autoscaler, name)
+                       for name in ("ema_mi", "ema_base", "beta")},
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True,
                                                           allow_nan=False))

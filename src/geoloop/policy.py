@@ -25,11 +25,13 @@ table, and `ToyPolicy.table` does both.  A loop over fixed contexts (the MLE
 warm starts) bags them once.  A completion enters only through its
 (row, token) transition counts.  Sequence log-likelihoods are products of the
 factors with the counts' row and token sums, hidden summaries are a context
-feature plus the count-weighted mean of row features, and sampling decodes a
-whole batch of rows position by position from a[c] + b[r].  The gradient of
-any weighted sum of log-likelihoods and summaries is one `ToyPolicy.backward`
-call, which needs only three 2-D sums of the coefficients (`logit_sums`); the
-per-sequence methods are thin views on the table and that call.
+feature plus the count-weighted mean of row features, and sampling builds
+a[c] + b[r] and its repetition-penalised twin once for the batch's contexts
+and decodes every row position by position from gathers of the two.  The
+gradient of any weighted sum of log-likelihoods and summaries is one
+`ToyPolicy.backward` call, which needs only three 2-D sums of the
+coefficients (`logit_sums`); the per-sequence methods are thin views on the
+table and that call.
 
 Zero-initialised parameters give the uniform policy, so every token template
 has probability V^{-|y|} > 0 from the start.  Sampling decodes with fixed
@@ -443,58 +445,77 @@ class ToyPolicy:
         member) order and inverted through the normalised cdf, which is how
         Generator.choice(p=...) would spend the same stream one token at a
         time.
+
+        Every row of every group's table, and its repetition-penalised
+        twin, is built once per call, so a position's logits are one `where`
+        between two row gathers.  The groups' uniforms are one flat array,
+        and a member's slot is its group's running offset plus the count of
+        active members up to it.  Each position decodes every row; a
+        finished row decodes from a real table row into its own state only,
+        writing token 0 and adding nothing to its length.  There must be one
+        seed per group and at least one group.
         """
+        ctx_idx = np.asarray(ctx_idx, dtype=int)
         if group_size < 2:
             raise ValidationError("group size must be at least 2")
-        n_groups, v, eos = len(seeds), self.vocab.size, self.vocab.eos
-        ctx = np.repeat(np.asarray(ctx_idx, dtype=int), group_size)
-        n = ctx.size
-        tokens = np.zeros((n, self.max_len), dtype=int)
+        if ctx_idx.size == 0 or ctx_idx.size != len(seeds):
+            raise ValidationError(f"need one seed per group and at least one group, "
+                                  f"got {ctx_idx.size} contexts and {len(seeds)} seeds")
+        n_groups, v, eos, m = ctx_idx.size, self.vocab.size, self.vocab.eos, self.max_len
+        n = n_groups * group_size
+        raw = (table.a[ctx_idx][:, None, :] + table.b[None]).reshape(-1, v)
+        pen = np.where(raw > 0, raw / REPETITION_PENALTY, raw * REPETITION_PENALTY)
+        group = np.repeat(np.arange(n_groups), group_size)
+        row = group * (v + 1)
+        after = row + 1
+        cells = np.arange(0, n * v, v)
+        draws = np.concatenate([np.random.default_rng(s).random(m * group_size)
+                                for s in seeds])
+        # One before each group's next unused uniform.
+        offset = np.arange(n_groups) * (m * group_size) - 1
+        tokens = np.zeros((n, m), dtype=int)
         lengths = np.zeros(n, dtype=int)
         active = np.ones(n, dtype=bool)
         seen = np.zeros((n, v), dtype=bool)
-        draws = np.stack([np.random.default_rng(s).random(self.max_len * group_size)
-                          for s in seeds])
-        used = np.zeros(n_groups, dtype=int)
-        for t in range(self.max_len):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            prev_rows = tokens[idx, t - 1] + 1 if t else np.zeros(idx.size, dtype=int)
-            logits = table.a[ctx[idx]] + table.b[prev_rows]
-            hit = seen[idx]
-            logits = np.where(hit & (logits > 0), logits / REPETITION_PENALTY,
-                              np.where(hit, logits * REPETITION_PENALTY, logits))
+        for t in range(m):
             live = active.reshape(n_groups, group_size)
-            slot = (used[:, None] + np.cumsum(live, axis=1) - 1).ravel()
-            used += live.sum(axis=1)
-            chosen = _decode(logits, draws[idx // group_size, slot[idx]])
-            tokens[idx, t] = chosen
-            lengths[idx] += 1
-            seen[idx, chosen] = True
-            active[idx[chosen == eos]] = False
-        group = np.repeat(np.arange(n_groups), group_size)
-        ents = table.entropies(np.asarray(ctx_idx, dtype=int))[group[:, None],
-                                                               _table_rows(tokens)]
+            slot = offset[:, None] + live.cumsum(axis=1)
+            offset = slot[:, -1]
+            logits = np.where(seen, pen.take(row, axis=0), raw.take(row, axis=0))
+            chosen = _decode(logits, draws.take(slot.ravel()))
+            token = chosen * active
+            tokens[:, t] = token
+            lengths += active
+            seen.put(cells + chosen, True)
+            active &= chosen != eos
+            if not active.any():
+                break
+            row = after + token
+        ents = table.entropies(ctx_idx)[group[:, None], _table_rows(tokens)]
         return Samples(tokens, lengths, active, ents)
 
 
 def _decode(logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """One token per row from the nucleus of mass TOP_P, by inverting its cdf at uniforms."""
-    mass = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    """One token per row from the nucleus of mass TOP_P, by inverting its cdf at uniforms.
+
+    The ranking is gathered and the nucleus scattered back through flat
+    indices, each row's ranks offset by the row start.
+    """
+    n, v = logits.shape
+    mass = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = mass / mass.sum(axis=1, keepdims=True)
-    order = np.argsort(-probs, axis=1, kind="stable")
-    rows = np.arange(order.shape[0])[:, None]
-    ranked = probs[rows, order]
-    keep_ranked = np.cumsum(ranked, axis=1) - ranked < TOP_P
+    flat = (-probs).argsort(axis=1, kind="stable") + np.arange(0, n * v, v)[:, None]
+    ranked = probs.take(flat)
+    keep_ranked = ranked.cumsum(axis=1) - ranked < TOP_P
     keep_ranked[:, 0] = True
-    keep = np.zeros_like(keep_ranked)
-    keep[rows, order] = keep_ranked
-    mass = np.where(keep, mass, 0.0)
+    keep = np.empty(n * v, dtype=bool)
+    keep.put(flat, keep_ranked)
+    # mass is finite and nonnegative, so the product is mass or 0.0 exactly.
+    mass = mass * keep.reshape(n, v)
     probs = mass / mass.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(probs, axis=1)
+    cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    return np.sum(cdf <= uniforms[:, None], axis=1)
+    return (cdf <= uniforms[:, None]).sum(axis=1)
 
 
 def transition_counts(completions, vocab_size: int) -> np.ndarray:

@@ -218,8 +218,8 @@ def make_toy_task(vocab: Vocab | None = None, *, n_principles: int = 4,
     prompt_pool = r_pool + a_pool
     items = []
     for i in range(n_items):
-        prompt = tuple(int(prompt_pool[rng.integers(len(prompt_pool))])
-                       for _ in range(prompt_len))
+        prompt = tuple(prompt_pool[j]
+                       for j in rng.integers(len(prompt_pool), size=prompt_len).tolist())
         principle = principles[i % len(principles)]
         gold = gold_continuation(vocab, principle.prefers, r_pool, a_pool, bias, rng)
         items.append(TaskItem(prompt, principle.pid, gold))

@@ -253,6 +253,20 @@ def test_run_steps_match_the_golden(enigma_run):
     assert hashlib.sha256((enigma_run / "steps.jsonl").read_bytes()).hexdigest() == expected
 
 
+def test_short_run_steps_match_the_golden(tmp_path):
+    """A 40-step run of the bundled config with ot_warmup = 20, so pre-OT and
+    OT steps both count: its steps.jsonl, byte for byte, as tests/data pins it."""
+    config = cli.load_config(CONFIGS / "enigma_high_si.toml",
+                             {"seed": 42, "max_steps": 40, "ot_warmup": 20,
+                              "constitution": str(DATA / "toy_high_si.txt"),
+                              "output_dir": str(tmp_path / "run")})
+    config_path = tmp_path / "config.toml"
+    config_path.write_text(cli.serialise_config(config))
+    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_OK
+    expected = (GOLDEN / "enigma_high_si_seed42_ot20_40steps.sha256").read_text().split()[0]
+    assert hashlib.sha256((tmp_path / "run" / "steps.jsonl").read_bytes()).hexdigest() == expected
+
+
 # ---------------------------------------------------------------- criterion 8
 
 def test_criterion_8_determinism(tmp_path):

@@ -169,6 +169,30 @@ class TestTrainCommand:
                 assert row["ot_violation"] >= 0.0
                 assert isinstance(row["ot_converged"], bool)
 
+    def test_summary_counts_the_step_rows(self, tmp_path, monkeypatch):
+        # A cold start logs null row bounds; OT runs from step 4.
+        trainers = []
+
+        class Recorded(cli.Trainer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trainers.append(self)
+
+        monkeypatch.setattr(cli, "Trainer", Recorded)
+        config = short_config(tmp_path, warmstart_epochs=0, max_steps=10)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+        run = tmp_path / "run"
+        rows = [json.loads(line) for line in (run / "steps.jsonl").read_text().splitlines()]
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["null_row_bound_steps"] == sum(r["mi_row_clean"] is None for r in rows)
+        assert summary["null_row_bound_steps"] > 0
+        assert summary["geometry_degenerate_steps"] == sum(r["geometry_degenerate"] for r in rows)
+        assert summary["ot_unconverged_steps"] == sum(r["ot_converged"] is False for r in rows)
+        state = trainers[0].autoscaler
+        assert summary["autoscaler"] == {"ema_mi": state.ema_mi, "ema_base": state.ema_base,
+                                         "beta": state.beta}
+        assert state.ema_mi > 0.0
+
     def test_run_directory_contents(self, tmp_path):
         config = short_config(tmp_path)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK

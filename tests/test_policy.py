@@ -739,15 +739,20 @@ class TestFactoredKernel:
 
 class TestBatchedSampler:
     @staticmethod
-    def assert_matches_reference(p):
+    def assert_matches_reference(p, group_size=4):
         table = p.table(CONTEXTS)
         for seed in range(4):
             seeds = [100 * seed + g for g in range(len(CONTEXTS))]
-            comps = completions(p.sample_groups(table, range(len(CONTEXTS)), 4, seeds))
-            groups = [comps[4 * g:4 * (g + 1)] for g in range(len(CONTEXTS))]
+            samples = p.sample_groups(table, range(len(CONTEXTS)), group_size, seeds)
+            # Rows that finish early keep zeros past their length.
+            past = np.arange(p.max_len) >= samples.lengths[:, None]
+            assert not np.any(samples.tokens[past])
+            comps = completions(samples)
+            groups = [comps[group_size * g:group_size * (g + 1)]
+                      for g in range(len(CONTEXTS))]
             for ctx, group, s in zip(CONTEXTS, groups, seeds):
                 for comp, (tokens, ents, truncated) in zip(
-                        group, reference_sample_group(p, *ctx, 4, s)):
+                        group, reference_sample_group(p, *ctx, group_size, s), strict=True):
                     assert comp.tokens == tokens
                     assert comp.truncated == truncated
                     assert np.max(np.abs(comp.entropies - ents)) <= 1e-12
@@ -773,6 +778,38 @@ class TestBatchedSampler:
         p = randomised_policy(30, max_len=max_len)
         p.out *= 6.0 * logit_scale
         self.assert_matches_reference(p)
+
+
+    @pytest.mark.parametrize("group_size", [2, 5])
+    def test_eos_heavy_policy(self, group_size):
+        # Every embedding shares a large first component that out maps onto
+        # EOS, so most rows end at position 0, and the rest (the empty
+        # context starts from h = 0) at position 1.
+        p = randomised_policy(31)
+        p.embed[:, 0] += 3.0
+        p.out[0, p.vocab.eos] = 4.0
+        lengths = p.sample_groups(p.table(CONTEXTS), range(len(CONTEXTS)), group_size,
+                                  range(len(CONTEXTS))).lengths
+        assert lengths.min() == 1 and lengths.max() == 2
+        self.assert_matches_reference(p, group_size)
+
+    @pytest.mark.parametrize("group_size", [2, 5])
+    def test_one_position_cap(self, group_size):
+        p = randomised_policy(32, max_len=1)
+        p.out *= 6.0
+        self.assert_matches_reference(p, group_size)
+
+    @pytest.mark.parametrize("group_size", [2, 5])
+    def test_group_sizes(self, group_size):
+        p = randomised_policy(33)
+        p.out *= 6.0
+        self.assert_matches_reference(p, group_size)
+
+    @pytest.mark.parametrize("ctx_idx, seeds", [([0, 1], [7]), ([0], [7, 8]), ([], [])])
+    def test_groups_need_one_seed_each(self, ctx_idx, seeds):
+        p = randomised_policy(34)
+        with pytest.raises(ValidationError, match="one seed per group"):
+            p.sample_groups(p.table(CONTEXTS), ctx_idx, 4, seeds)
 
 
 class TestDecodeIndexing:
