@@ -179,6 +179,16 @@ def _load_principles(path) -> consti.PrincipleSet:
         raise ConfigError(str(exc)) from exc
 
 
+def _make_out_dir(path) -> Path:
+    """The output directory at `path`, made with its parents if missing."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output dir {out_dir}: {exc.strerror}") from exc
+    return out_dir
+
+
 # ---------- train ----------
 
 def cmd_train(args) -> int:
@@ -196,10 +206,9 @@ def cmd_train(args) -> int:
         raise ConfigError(f"constitution {pset.name!r} has no negatives")
     vocab, task = _build_task(config, pset)
 
-    out_dir = Path(config.output_dir)
-    if out_dir.exists() and any(out_dir.iterdir()):
+    out_dir = _make_out_dir(config.output_dir)
+    if any(out_dir.iterdir()):
         raise ConfigError(f"output dir {out_dir} exists and is not empty")
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
     # Seeded init (exact zeros are a saddle), then the format warm start with
@@ -260,43 +269,38 @@ def cmd_train(args) -> int:
 # ---------- eval-constitution ----------
 
 def cmd_eval_constitution(args) -> int:
+    sources = [name for name, given in (("constitution files", args.constitutions),
+                                        ("--components", args.components),
+                                        ("--scores", args.scores)) if given]
+    if len(sources) != 1:
+        raise ConfigError(f"give one of constitution files, --components or --scores; "
+                          f"got {' and '.join(sources) or 'none'}")
     if not args.components and args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
-    if not args.components and not args.scores:
+    if args.constitutions:
         if args.items < 1:
             raise ConfigError(f"--items must be at least 1, got {args.items}")
         if args.warm_epochs < 0:
             raise ConfigError(f"--warm-epochs must be nonnegative, got {args.warm_epochs}")
         if not (math.isfinite(args.warm_lr) and args.warm_lr >= 0):
             raise ConfigError(f"--warm-lr must be finite and nonnegative, got {args.warm_lr}")
-    # Every principle set is read and its task built before --out-dir exists,
-    # so a bad set leaves no output behind.
+    # Every principle set is read and its task built, and a components file
+    # read and checked, before --out-dir exists, so a bad input leaves no
+    # output behind.
     tasks = []
-    if not args.components and not args.scores:
-        if not args.constitutions:
-            raise ConfigError("give at least one constitution file, --components, or --scores")
-        for path in args.constitutions:
-            pset = _load_principles(path)
-            if not pset.negatives:
-                raise ConfigError(f"constitution {pset.name!r} has no negatives")
-            run_cfg = RunConfig(seed=args.seed, task_items=args.items,
-                                constitution=str(path))
-            tasks.append((pset, *_build_task(run_cfg, pset)))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    for path in args.constitutions:
+        pset = _load_principles(path)
+        if not pset.negatives:
+            raise ConfigError(f"constitution {pset.name!r} has no negatives")
+        run_cfg = RunConfig(seed=args.seed, task_items=args.items,
+                            constitution=str(path))
+        tasks.append((pset, *_build_task(run_cfg, pset)))
     if args.components:
-        try:
-            rows = json.loads(Path(args.components).read_text())
-            components = [(row["name"], row["bits"], row["auc"], row["margin_pos"],
-                           row["margin_neg"], row.get("lb_pos_bits", float("nan")),
-                           row.get("lb_neg_bits", float("nan"))) for row in rows]
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read components file: {exc}") from exc
-        except KeyError as exc:
-            raise ConfigError(f"components file {args.components}: a row lacks {exc}") from exc
-        reports = [consti.report_from_components(*row) for row in components]
-    elif args.scores:
+        reports = [consti.report_from_components(*row)
+                   for row in _read_components(args.components)]
+    out_dir = _make_out_dir(args.out_dir)
+
+    if args.scores:
         nll_rows = _read_nll_csv(args.nll)
         try:
             pos_matrix = mi.read_score_csv(args.scores[0])
@@ -306,7 +310,7 @@ def cmd_eval_constitution(args) -> int:
         reports = [consti.evaluate_from_score_files(
             Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows,
             k=args.k, seed=args.seed)]
-    else:
+    elif args.constitutions:
         reports = []
         # Principle-aware warm start: the measured policy must carry the
         # associations the signals probe, like a pretrained base model.  It
@@ -348,6 +352,44 @@ def cmd_eval_constitution(args) -> int:
     return EXIT_OK
 
 
+# A --components row's fields, in `report_from_components` order.
+_COMPONENT_KEYS = ("name", "bits", "auc", "margin_pos", "margin_neg", "lb_pos_bits",
+                   "lb_neg_bits")
+
+
+def _read_components(path) -> list:
+    """The rows of a --components file as `report_from_components` arguments.
+
+    The file holds a JSON list of objects, each with a string `name`, finite
+    numbers `bits`, `auc`, `margin_pos` and `margin_neg`, and optional
+    numbers or nulls `lb_pos_bits` and `lb_neg_bits` (NaN when null or absent).
+    """
+    try:
+        rows = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read components file: {exc}") from exc
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise ConfigError(f"components file {path}: the top level must be a list of objects")
+    components = []
+    for index, row in enumerate(rows):
+        values = [row.get(key) for key in _COMPONENT_KEYS]
+        for key, value in zip(_COMPONENT_KEYS, values):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if key == "name":
+                ok, kind = isinstance(value, str), "a string"
+            elif key.startswith("lb_"):
+                ok, kind = value is None or number, "a number or null"
+            else:
+                # An int past the float range is not finite either.
+                ok, kind = number and abs(value) <= sys.float_info.max, "a finite number"
+            if not ok:
+                got = repr(value) if key in row else "nothing"
+                raise ConfigError(f"components file {path}, row {index}: "
+                                  f"{key!r} must be {kind}, got {got}")
+        components.append([math.nan if value is None else value for value in values])
+    return components
+
+
 def _read_nll_csv(path):
     if path is None:
         raise ConfigError("--scores needs --nll with per-item NLL rows")
@@ -385,8 +427,7 @@ def cmd_probe(args) -> int:
     if alphas.min() <= 0:
         raise ConfigError(f"--alpha-min and --alpha-max must give positive alphas, "
                           f"got {args.alpha_min!r} and {args.alpha_max!r}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir)
 
     loaded = []
     for path in args.checkpoints:

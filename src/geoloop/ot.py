@@ -24,12 +24,11 @@ near-deterministic plans, e.g. integer-index costs at eps 1e-3) ends the
 solve, flagged unconverged.  The self terms OT(a, a) run the averaged
 symmetric update f <- (f + T_eps(f))/2 on a single potential (Feydy et al.
 2019), which needs no annealing: from f = 0 at the target eps it converges
-in a few dozen iterations at most.  It runs in absorbed scaling form
-(Schmitzer 2019, arXiv:1610.06519): f = f0 + eps*log(u) against the Gibbs
-kernel K = exp((2*f0 - C)/eps), u <- sqrt(u*v) with v = 1/((a*u) @ K), so
-each iteration is one matrix-vector product instead of a log-sum-exp; an
-iteration whose scaling would leave range runs in the log domain and the
-kernel is rebuilt from its result.
+in a few dozen iterations at most.  After one log-domain iteration it runs
+in absorbed scaling form (Schmitzer 2019, arXiv:1610.06519): f = f0 +
+eps*log(u) against the Gibbs kernel K = exp((2*f0 - C)/eps), u <- sqrt(u*v)
+with v = 1/((a*u) @ K), so each later iteration is one matrix-vector product
+instead of a log-sum-exp.
 
 `exact_w2_small` enumerates permutation couplings (optimal for equal-weight,
 equal-size clouds) and exists purely as a test oracle; it is never called by
@@ -94,36 +93,6 @@ def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
     return peak.squeeze(axis) + np.log(np.exp(arr - peak).sum(axis=axis))
 
 
-# Scalings stay at or below this; a kernel product that would take v past it
-# sends the iteration back to the log domain and the kernel is rebuilt.  No
-# lower bound is needed: v is the reciprocal of a product of u, at most
-# _SCALING_MAX, with a kernel bounded at its rebuild, and u <- sqrt(u*v)
-# stays between the two.
-_SCALING_MAX = 1e100
-
-# The self loop reads log row sums up to this bound, so a row violation stays
-# finite: the plan (f, f) has rows a * exp((f - T(f))/eps), at most a at the
-# f = 0 start but with no such bound at a later log-domain iteration.
-_LOG_ROWS_MAX = 300.0
-
-
-def _scaling_step(u, ka):
-    """One averaged symmetric iteration in scaling form: (u_next, ratio), or None.
-
-    `ka` = a * K; the update is v = 1/(u @ ka), u_next = sqrt(u*v), and
-    ratio is the plan's row sums over a.  None means v would exceed
-    _SCALING_MAX (a kernel product below its reciprocal, or zero by
-    underflow), and nothing has been divided by it.  The smallest entry is
-    read with argmin, a third of the cost of ndarray.min on these 32-entry
-    vectors.
-    """
-    col = u @ ka
-    if col[col.argmin()] < 1.0 / _SCALING_MAX:
-        return None
-    v = 1.0 / col
-    return np.sqrt(u * v), u / v
-
-
 def _plateau():
     """A check of each new violation in turn: true once 200 in a row have
     not bettered the best so far by a relative 1e-3.
@@ -148,57 +117,38 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
 
     Each iteration is the averaged symmetric update f <- (f + T(f))/2
     (Feydy et al. 2019) on the plan (f, f).  The first runs in the log
-    domain.  From its result the potential is held in absorbed scaling form
-    (Schmitzer 2019): f = f0 + eps*log(u) against the Gibbs kernel
-    K = exp((2*f0 - C)/eps), so T(f) = f0 + eps*log(v) with v = 1/((a*u) @ K),
-    one matrix-vector product, and the update is u <- sqrt(u*v).  The
-    iterates are the log-domain ones up to roundoff.  An iteration whose
-    scaling would exceed _SCALING_MAX runs in the log domain instead, and K
-    is rebuilt from its result.
+    domain.  From its result f0 the potential is held in absorbed scaling
+    form (Schmitzer 2019): f = f0 + eps*log(u) against the Gibbs kernel
+    K = exp((2*f0 - C)/eps), so T(f) = f0 + eps*log(v) with
+    v = 1/((a*u) @ K), one matrix-vector product, and the update is
+    u <- sqrt(u*v).  The iterates are the log-domain ones up to roundoff.
+
+    No step needs a range check.  At f = 0 the plan's rows
+    a * exp((f - T(f))/eps) are at most a (C >= 0 and a sums to one), and the
+    zero diagonal of C bounds K <= 1/sqrt(a_i a_j) from f0.  A scaling can
+    then leave range only with a weight below about exp(-690), whose row
+    adds less than itself to the violation, so the solve has converged.
 
     The trace holds the L1 row violation of the plan (f, f) of each
     iteration; the loop stops below tol or at a `_plateau`.
     """
     a = np.exp(log_a)
-    f_next = np.zeros(costs.shape[0])
-    ka = None
-    scaled = False
-    iterations = 0
-    trace = []
-    converged = False
+    f = np.zeros(costs.shape[0])
+    g = -epsilon * _logsumexp(log_a[:, None] + (f[:, None] - costs) / epsilon, axis=0)
+    f0 = 0.5 * (f + g)
+    trace = [float(np.abs(np.exp(log_a + (f - g) / epsilon) - a).sum())]
+    ka = a[:, None] * np.exp((f0[:, None] + f0[None, :] - costs) / epsilon)
+    u_next = np.ones_like(f0)
     stalled = _plateau()
-    while iterations < max_iter:
-        iterations += 1
-        step = None if ka is None else _scaling_step(u_next, ka)
-        scaled = step is not None
-        if scaled:
-            u = u_next
-            u_next, ratio = step
-            # Row sums of the plan (f, f) are a * ratio, and so are its columns.
-            row_violation = float(a @ np.abs(ratio - 1.0))
-        else:
-            if ka is not None:
-                f_next = f0 + epsilon * np.log(u_next)
-            f = f_next
-            g = -epsilon * _logsumexp(log_a[:, None] + (f[:, None] - costs) / epsilon, axis=0)
-            f_next = 0.5 * (f + g)
-            # The row sums a * exp((f - g)/eps), from their logarithms and
-            # read up to exp(_LOG_ROWS_MAX).
-            log_rows = np.minimum(log_a + (f - g) / epsilon, _LOG_ROWS_MAX)
-            row_violation = float(np.abs(np.exp(log_rows) - a).sum())
-            # K from this iteration's result is bounded: K <= 1/sqrt(a_i a_j).
-            f0 = f_next
-            ka = a[:, None] * np.exp((f0[:, None] + f0[None, :] - costs) / epsilon)
-            u_next = np.ones_like(f0)
-        trace.append(row_violation)
-        if row_violation < tol:
-            converged = True
-            break
-        if stalled(row_violation):
-            break
-    if scaled:
+    while len(trace) < max_iter and not trace[-1] < tol and not stalled(trace[-1]):
+        u = u_next
+        v = 1.0 / (u @ ka)
+        u_next = np.sqrt(u * v)
+        # Row sums of the plan (f, f) are a * u/v, and so are its columns.
+        trace.append(float(a @ np.abs(u / v - 1.0)))
+    if len(trace) > 1:
         f = f0 + epsilon * np.log(u)
-    return f, f, iterations, converged, trace
+    return f, f, len(trace), trace[-1] < tol, trace
 
 
 # Newton's method on the cross term's semi-dual at each temperature (Brauer,

@@ -38,6 +38,20 @@ def short_config(tmp_path, **overrides) -> Path:
     return path
 
 
+def refuse(*args, **kwargs):
+    pytest.fail("ran before the output dir was checked")
+
+
+def out_dir_file_rejected(tmp_path, capsys, argv):
+    """argv run with --out-dir naming an existing file: exit 2, the path in
+    the message, and the file as it was."""
+    out = tmp_path / "out"
+    out.write_text("keep")
+    assert cli.main([*argv, "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
 class TestConfigRoundTrip:
     def test_parse_serialise_identity(self):
         config = cli.RunConfig(seed=7, channel_weight=0.0, learning_rate=0.25)
@@ -242,6 +256,17 @@ class TestTrainCommand:
         config = short_config(tmp_path)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
 
+    def test_output_dir_that_is_a_file_exits_2_before_the_warm_start(
+            self, tmp_path, capsys, monkeypatch):
+        run = tmp_path / "run"
+        run.write_text("keep")
+        monkeypatch.setattr(cli, "warm_start", refuse)
+        config = short_config(tmp_path)
+        assert cli.main(["train", "--config", str(config),
+                         "--output-dir", str(run)]) == cli.EXIT_CONFIG
+        assert str(run) in capsys.readouterr().err
+        assert run.read_text() == "keep"
+
 
 class TestEvalCommand:
     def test_components_replay(self, tmp_path):
@@ -347,10 +372,12 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "components.json" in err and "'auc'" in err
 
-    def test_missing_bounds_are_strict_json_nulls(self, tmp_path):
+    @pytest.mark.parametrize("bounds", [{}, {"lb_pos_bits": None, "lb_neg_bits": None}],
+                             ids=["missing", "null"])
+    def test_missing_bounds_are_strict_json_nulls(self, tmp_path, bounds):
         path = tmp_path / "components.json"
         path.write_text(json.dumps([{"name": "x", "bits": 0.1, "auc": 0.6,
-                                     "margin_pos": 1.0, "margin_neg": 0.5}]))
+                                     "margin_pos": 1.0, "margin_neg": 0.5, **bounds}]))
         out = tmp_path / "out"
         code = cli.main(["eval-constitution", "--components", str(path),
                          "--out-dir", str(out)])
@@ -383,6 +410,62 @@ class TestEvalCommand:
         assert cli.main(["eval-constitution", "--components",
                          str(DATA / "component_replay.json"),
                          "--out-dir", str(tmp_path / "replay"), *ignored]) == cli.EXIT_OK
+
+    def test_out_dir_that_is_a_file_exits_2_before_the_warm_start(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mle_pretrain", refuse)
+        out_dir_file_rejected(tmp_path, capsys,
+                              ["eval-constitution", str(DATA / "toy_high_si.txt")])
+
+    @pytest.mark.parametrize("sources", [
+        ("constitution files", "--components"), ("constitution files", "--scores"),
+        ("--components", "--scores"),
+        ("constitution files", "--components", "--scores")])
+    def test_more_than_one_input_exits_2_before_any_output(self, tmp_path, capsys,
+                                                            sources):
+        argv = {"constitution files": [str(DATA / "toy_high_si.txt")],
+                "--components": ["--components", str(DATA / "component_replay.json")],
+                "--scores": self.external_files(tmp_path)[1:-2]}
+        out = tmp_path / "eval"
+        assert cli.main(["eval-constitution", *(arg for source in sources
+                                                for arg in argv[source]),
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert " and ".join(sources) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, field", [
+        ({"name": "x", "bits": 0.1}, "top level"),
+        ([[0.1, 0.6]], "top level"),
+        ([{"name": "x", "bits": 0.1, "margin_pos": 1.0, "margin_neg": 0.5}], "'auc'"),
+        ([{"name": 3, "bits": 0.1, "auc": 0.6, "margin_pos": 1.0, "margin_neg": 0.5}],
+         "'name'"),
+        ([{"name": "x", "bits": "a", "auc": 0.6, "margin_pos": 1.0, "margin_neg": 0.5}],
+         "'bits'"),
+        ([{"name": "x", "bits": None, "auc": 0.6, "margin_pos": 1.0, "margin_neg": 0.5}],
+         "'bits'"),
+        ([{"name": "x", "bits": 0.1, "auc": True, "margin_pos": 1.0, "margin_neg": 0.5}],
+         "'auc'"),
+        ([{"name": "x", "bits": 0.1, "auc": 0.6, "margin_pos": math.inf,
+           "margin_neg": 0.5}], "'margin_pos'"),
+        ([{"name": "x", "bits": 0.1, "auc": 0.6, "margin_pos": 1.0,
+           "margin_neg": 10 ** 400}], "'margin_neg'"),
+        ([{"name": "x", "bits": 0.1, "auc": 0.6, "margin_pos": 1.0, "margin_neg": 0.5,
+           "lb_pos_bits": "1.4"}], "'lb_pos_bits'"),
+        ([{"name": "x", "bits": 0.1, "auc": 0.6, "margin_pos": 1.0, "margin_neg": 0.5,
+           "lb_neg_bits": False}], "'lb_neg_bits'")],
+        ids=["object", "list_of_lists", "missing_key", "name", "bits_string", "bits_null",
+             "auc_bool", "margin_pos_inf", "margin_neg_past_float", "lb_string",
+             "lb_bool"])
+    def test_malformed_components_file_exits_2_before_any_output(self, tmp_path, capsys,
+                                                                  rows, field):
+        path = tmp_path / "components.json"
+        path.write_text(json.dumps(rows))
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", "--components", str(path),
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exits_2_before_any_output(self, tmp_path, capsys, k):
@@ -841,6 +924,12 @@ class TestProbeCommand:
         assert code == cli.EXIT_OK
         assert (out / "probe_report.csv").exists()
         assert not (out / "fr_path.csv").exists()
+
+    def test_out_dir_that_is_a_file_exits_2_before_any_checkpoint_load(
+            self, run_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_checkpoint", refuse)
+        ckpt = sorted(str(p) for p in run_dir.glob("ckpt_*.npz"))[0]
+        out_dir_file_rejected(tmp_path, capsys, ["probe", ckpt])
 
     def test_mixed_config_checkpoints_rejected(self, run_dir, tmp_path):
         other_tmp = tmp_path / "other"

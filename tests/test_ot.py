@@ -359,24 +359,20 @@ class TestAbsorbedScaling:
                 assert_honest_cross_solve(costs, log_p, log_q, 1e-3, scaling)
                 assert_matches_reference(costs, log_p, 1e-3, ot.DEFAULT_MAX_ITER)
 
-    def test_scaling_past_range_reenters_the_log_domain(self, monkeypatch):
+    def test_weight_that_could_push_a_scaling_out_of_range_has_converged(self):
         # A first step from f = 0 leaves the light point's potential at c/2
-        # and its next T(f) near c, so v = exp((T(f) - f0)/eps) passes
-        # _SCALING_MAX once c/(2*eps) > ln(1e100) = 230.3, which needs a
-        # weight below exp(-1.5*c/eps).  Such a weight adds less than itself
-        # to the row violation, so only a tol below it reaches the re-entry.
-        scaling_step, steps = ot._scaling_step, []
-
-        def counted(u, ka):
-            steps.append(scaling_step(u, ka))
-            return steps[-1]
-
-        monkeypatch.setattr(ot, "_scaling_step", counted)
+        # and its next T(f) near c, so v = exp((T(f) - f0)/eps) would pass
+        # 1e100 once c/(2*eps) > ln(1e100) = 230.3, which needs a weight
+        # below exp(-1.5*c/eps).  Such a weight adds less than itself to the
+        # row violation: the solve converges at its log-domain first step.
         costs = np.array([[0.0, 465.0], [465.0, 0.0]])
         log_a = np.array([math.log1p(-math.exp(-705.0)), -705.0])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            assert_matches_reference(costs, log_a, 1.0, ot.DEFAULT_MAX_ITER, tol=1e-320)
-        assert steps[0] is None
+            f, _, iterations, converged, _ = ot._scaling_loop(
+                costs, log_a, 1.0, ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
+            assert_matches_reference(costs, log_a, 1.0, ot.DEFAULT_MAX_ITER)
+        assert (iterations, converged) == (1, True)
+        assert np.all(np.isfinite(f))
 
     def test_normal_clouds_after_a_coarse_eps_step(self):
         # A 20-fold last eps step into eps 4e-4 for the cross solves; the
