@@ -372,9 +372,15 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "components.json" in err and "'auc'" in err
 
-    @pytest.mark.parametrize("bounds", [{}, {"lb_pos_bits": None, "lb_neg_bits": None}],
-                             ids=["missing", "null"])
-    def test_missing_bounds_are_strict_json_nulls(self, tmp_path, bounds):
+    def test_missing_bounds_are_strict_json_nulls(self, tmp_path):
+        self.assert_bounds_are_strict_json_nulls(tmp_path, {})
+
+    def test_null_bounds_are_strict_json_nulls(self, tmp_path):
+        self.assert_bounds_are_strict_json_nulls(
+            tmp_path, {"lb_pos_bits": None, "lb_neg_bits": None})
+
+    @staticmethod
+    def assert_bounds_are_strict_json_nulls(tmp_path, bounds):
         path = tmp_path / "components.json"
         path.write_text(json.dumps([{"name": "x", "bits": 0.1, "auc": 0.6,
                                      "margin_pos": 1.0, "margin_neg": 0.5, **bounds}]))
