@@ -166,12 +166,13 @@ _NEWTON_RIDGE = 1e-12
 _LEVEL_TOL = 1e-2
 
 
-def _dual_point(costs, log_a, log_b, epsilon, f):
+def _dual_point(costs, log_a, a, b, epsilon, f):
     """(value, g, kernel, rows) of the semi-dual <a,f> + <b,T(f)> at f, g = T(f).
 
     `kernel` is exp(z - logsumexp(z)) over each column, z = log a + (f - C)/eps,
     so its columns sum to one; the plan (f, g) is kernel * b, with exact
-    columns b, and `rows` are its row sums.
+    columns b, and `rows` are its row sums.  a = exp(log a) and b come in
+    from the solve, which computes them once.
     """
     z = log_a[:, None] + (f[:, None] - costs) / epsilon
     peak = z.max(axis=0)
@@ -179,25 +180,26 @@ def _dual_point(costs, log_a, log_b, epsilon, f):
     mass = kernel.sum(axis=0)
     kernel /= mass
     g = -epsilon * (peak + np.log(mass))
-    b = np.exp(log_b)
-    return float(np.exp(log_a) @ f) + float(b @ g), g, kernel, kernel @ b
+    return float(a @ f) + float(b @ g), g, kernel, kernel @ b
 
 
-def _newton_step(costs, log_a, log_b, epsilon, f, point):
+def _newton_step(costs, log_a, a, b, epsilon, f, point, ridge, cost_max):
     """The next Newton iterate (f, point) from f, or None when the step fails.
 
     The semi-dual's Hessian is -H/eps with H = diag(rows) - P diag(1/b) P^T
-    = diag(rows) - kernel diag(b) kernel^T.  H is singular along the ones
-    vector (f + c, T(f) - c is the same plan) and nearly so on
-    near-deterministic plans; a ridge of _NEWTON_RIDGE * max(a), far above
-    the roundoff of H, fixes both.  The step d solves H d = eps*(a - rows).
-    A singular solve, a direction that is not finite or does not ascend, or
-    a line search that runs out of halvings fails the step.
+    = diag(rows) - kernel diag(b) kernel^T, built in place.  H is singular
+    along the ones vector (f + c, T(f) - c is the same plan) and nearly so on
+    near-deterministic plans; the solve's `ridge`, _NEWTON_RIDGE * max(a),
+    far above the roundoff of H, fixes both.  The step d solves
+    H d = eps*(a - rows).  A singular solve, a direction that is not finite
+    or does not ascend, or a line search that runs out of halvings fails the
+    step.  `cost_max` is max C, for the line search's roundoff allowance.
     """
     value, _, kernel, rows = point
-    a = np.exp(log_a)
     residual = a - rows
-    hessian = np.diag(rows + _NEWTON_RIDGE * a.max()) - kernel @ (kernel * np.exp(log_b)).T
+    hessian = kernel @ (kernel * b).T
+    np.negative(hessian, out=hessian)
+    hessian.flat[::len(rows) + 1] += rows + ridge
     try:
         direction = np.linalg.solve(hessian, epsilon * residual)
     except np.linalg.LinAlgError:
@@ -205,11 +207,11 @@ def _newton_step(costs, log_a, log_b, epsilon, f, point):
     rise = float(residual @ direction)
     if not 0.0 < rise < math.inf:
         return None
-    allowance = _DUAL_ROUNDOFF * (float(np.abs(f).max()) + float(costs.max()))
+    allowance = _DUAL_ROUNDOFF * (float(np.abs(f).max()) + cost_max)
     t = 1.0
     for _ in range(_NEWTON_HALVINGS + 1):
         trial = f + t * direction
-        trial_point = _dual_point(costs, log_a, log_b, epsilon, trial)
+        trial_point = _dual_point(costs, log_a, a, b, epsilon, trial)
         if trial_point[0] >= value + _ARMIJO * t * rise - allowance:
             return trial, trial_point
         t *= 0.5
@@ -238,10 +240,11 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     """
     if log_b is None:
         return _scaling_loop(costs, log_a, epsilon, max_iter, tol)
-    a = np.exp(log_a)
-    eps_cur = max(float(costs.max()), epsilon)
+    a, b = np.exp(log_a), np.exp(log_b)
+    ridge, cost_max = _NEWTON_RIDGE * a.max(), float(costs.max())
+    eps_cur = max(cost_max, epsilon)
     f = np.zeros(costs.shape[0])
-    point = _dual_point(costs, log_a, log_b, eps_cur, f)
+    point = _dual_point(costs, log_a, a, b, eps_cur, f)
     trace = []
     stalled = _plateau()
     iterations = 0
@@ -253,15 +256,15 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
             if violation < tol or iterations == max_iter or stalled(violation):
                 break
         step = None if eps_cur > epsilon and violation < _LEVEL_TOL else _newton_step(
-            costs, log_a, log_b, eps_cur, f, point)
+            costs, log_a, a, b, eps_cur, f, point, ridge, cost_max)
         if step is None:
             if eps_cur == epsilon:
                 break
             eps_cur = max(epsilon, eps_cur * scaling)
-            step = f, _dual_point(costs, log_a, log_b, eps_cur, f)
+            step = f, _dual_point(costs, log_a, a, b, eps_cur, f)
         f, point = step
     if eps_cur > epsilon:
-        point = _dual_point(costs, log_a, log_b, epsilon, f)
+        point = _dual_point(costs, log_a, a, b, epsilon, f)
     return f, point[1], iterations, bool(trace) and trace[-1] < tol, trace
 
 

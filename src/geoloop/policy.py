@@ -213,17 +213,19 @@ class NextTokenTable:
         unit[ok] = mean[ok] / norm[ok, None]
         return unit, norm
 
-    def summary_feat_grad(self, ctx_idx, counts: np.ndarray,
+    def summary_feat_grad(self, ctx_idx, counts: np.ndarray, summaries: tuple,
                           summary_grad: np.ndarray) -> tuple:
         """(d/d cfeat, d/d pfeat) of sum_b summary_grad[b] . summary_b.
 
-        summary = v/|v| with v the mean feature, so each incoming gradient is
-        pulled through the normalisation Jacobian (I - uu^T)/|v| and spread
-        over the completion's feature rows: all of it onto its context's
-        cfeat, and each row's share of the length onto that row's pfeat.  A
-        degenerate summary gets none.
+        `summaries` is the (unit, norm) pair that `summaries(ctx_idx, counts)`
+        returned, which the caller has built already.  summary = v/|v| with v
+        the mean feature, so each incoming gradient is pulled through the
+        normalisation Jacobian (I - uu^T)/|v| and spread over the completion's
+        feature rows: all of it onto its context's cfeat, and each row's
+        share of the length onto that row's pfeat.  A degenerate summary gets
+        none.
         """
-        unit, norm = self.summaries(ctx_idx, counts)
+        unit, norm = summaries
         g = np.asarray(summary_grad, dtype=float)
         inv_norm = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 1e-300)
         g_v = (g - unit * np.sum(unit * g, axis=1, keepdims=True)) * inv_norm[:, None]
@@ -415,7 +417,8 @@ class ToyPolicy:
         """Backpropagate a gradient w.r.t. the L2-normalised summary into params."""
         table = self.table([(prompt, principle)])
         counts = transition_counts([completion], self.vocab.size)
-        feat_grad = table.summary_feat_grad([0], counts, np.atleast_2d(summary_grad))
+        feat_grad = table.summary_feat_grad([0], counts, table.summaries([0], counts),
+                                            np.atleast_2d(summary_grad))
         return self.backward(
             table, logit_sums(np.zeros((1, self.vocab.size + 1, self.vocab.size))), feat_grad)
 

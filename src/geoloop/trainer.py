@@ -408,8 +408,8 @@ class Trainer:
         clean = mi.clean_mi_bounds(mi.BoundBatch(row_scores, col_scores),
                                    config.shadow_k, format_ok & entropy_mask)
 
-        cur_measure = rep_metrics.EmpiricalMeasure(
-            table.summaries(own[groups], counts)[0], normalised=True)
+        cur_summaries = table.summaries(own[groups], counts)
+        cur_measure = rep_metrics.EmpiricalMeasure(cur_summaries[0], normalised=True)
         ref_measure = rep_metrics.EmpiricalMeasure(
             self._ref_table.summaries(item_idx[groups], counts)[0], normalised=True)
         loss_ot = 0.0
@@ -425,7 +425,7 @@ class Trainer:
             value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
                 cur_measure, ref_measure, config.blur ** 2, max_iter=500)
             loss_ot = config.ot_weight * value
-            feat_grad = table.summary_feat_grad(own[groups], counts,
+            feat_grad = table.summary_feat_grad(own[groups], counts, cur_summaries,
                                                 config.ot_weight * point_grad)
 
         loss_total = enigma_loss(loss_grpo, loss_sami, loss_shaping, loss_ot,

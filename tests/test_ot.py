@@ -468,8 +468,10 @@ class TestNewton:
         f, g, iterations, converged, trace = ot._sinkhorn_potentials(
             costs, log_p, log_q, eps, ot.DEFAULT_SCALING, max_iter, ot.DEFAULT_TOL)
         assert (converged, len(trace)) == (False, 1)
-        assert ot._newton_step(costs, log_p, log_q, eps, f,
-                               ot._dual_point(costs, log_p, log_q, eps, f)) is None
+        p, q = np.exp(log_p), np.exp(log_q)
+        point = ot._dual_point(costs, log_p, p, q, eps, f)
+        assert ot._newton_step(costs, log_p, p, q, eps, f, point,
+                               ot._NEWTON_RIDGE * p.max(), float(costs.max())) is None
         _, plan, *stats = ot._solve(costs, log_p, log_q, eps, max_iter)
         assert stats == [iterations, converged, trace]
         recomputed = np.abs(plan.sum(axis=1) - np.exp(log_p)).sum()

@@ -490,9 +490,10 @@ class TestTableKernel:
         summary_grad = np.random.default_rng(1).normal(size=(len(COMPLETIONS), p.dim))
         table = p.table(CONTEXTS)
         counts = pol.transition_counts(COMPLETIONS, 16)
-        units, _ = table.summaries(ctx_idx, counts)
+        summaries = table.summaries(ctx_idx, counts)
+        units = summaries[0]
         grad = p.backward(table, pol.logit_sums(np.zeros_like(table.logp)),
-                          table.summary_feat_grad(ctx_idx, counts, summary_grad))
+                          table.summary_feat_grad(ctx_idx, counts, summaries, summary_grad))
         manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
         for b, (c, comp) in enumerate(zip(ctx_idx, COMPLETIONS)):
             assert units[b] == pytest.approx(p.hidden_summary(*CONTEXTS[c], comp), abs=1e-12)
@@ -674,7 +675,8 @@ class TestFactoredKernel:
         ctx_idx = np.random.default_rng(42).integers(0, len(triples), len(triples))
         summary_grad = np.random.default_rng(43).normal(size=(len(triples), p.dim))
         assert_grads_rel_close(
-            p.backward(table, sums, table.summary_feat_grad(ctx_idx, counts, summary_grad)),
+            p.backward(table, sums, table.summary_feat_grad(
+                ctx_idx, counts, table.summaries(ctx_idx, counts), summary_grad)),
             reference_backward(p, table.weights, coeffs, reference_summary_feat_grad(
                 feats, ctx_idx, counts, summary_grad)))
 
