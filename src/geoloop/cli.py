@@ -285,8 +285,8 @@ def cmd_eval_constitution(args) -> int:
         if not (math.isfinite(args.warm_lr) and args.warm_lr >= 0):
             raise ConfigError(f"--warm-lr must be finite and nonnegative, got {args.warm_lr}")
     # Every principle set is read and its task built, and a components file
-    # read and checked, before --out-dir exists, so a bad input leaves no
-    # output behind.
+    # or the score matrices and NLL rows read and scored, before --out-dir
+    # exists, so a bad input leaves no output behind.
     tasks = []
     for path in args.constitutions:
         pset = _load_principles(path)
@@ -298,8 +298,6 @@ def cmd_eval_constitution(args) -> int:
     if args.components:
         reports = [consti.report_from_components(*row)
                    for row in _read_components(args.components)]
-    out_dir = _make_out_dir(args.out_dir)
-
     if args.scores:
         nll_rows = _read_nll_csv(args.nll)
         try:
@@ -310,7 +308,9 @@ def cmd_eval_constitution(args) -> int:
         reports = [consti.evaluate_from_score_files(
             Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows,
             k=args.k, seed=args.seed)]
-    elif args.constitutions:
+    out_dir = _make_out_dir(args.out_dir)
+
+    if args.constitutions:
         reports = []
         # Principle-aware warm start: the measured policy must carry the
         # associations the signals probe, like a pretrained base model.  It

@@ -14,6 +14,14 @@ term OT(a, a) starts at the target eps (below).  The debiased divergence is
 
 symmetric, zero at a == b, and converging to W2^2 as eps -> 0.
 
+`squared_distances` builds each cost matrix in Gram form, |x|^2 + |y|^2 -
+2<x, y>, as Sinkhorn-divergence codes do (Feydy et al. 2019,
+arXiv:1810.08278): one matrix product instead of a difference tensor.  Both
+clouds are first translated by one common point, the first of x, so the
+roundoff follows the clouds' extent rather than their distance from the
+origin.  A self cost matrix takes its squared norms from the Gram diagonal,
+so its diagonal is exactly zero, which the self loop relies on.
+
 Every solve goes through `_sinkhorn_potentials`, by one path per term.  At
 every temperature the cross term takes Newton steps on its semi-dual
 (Brauer, Clason, Lorenz and Wirth 2017, arXiv:1710.06635) with backtracking
@@ -57,12 +65,30 @@ DEFAULT_SCALING = 0.3
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_i - y_j|^2 in Gram form, |x_i|^2 + |y_j|^2 - 2<x_i, y_j>, clamped at 0.
+
+    Both clouds are first translated by x[0], so the roundoff scales with the
+    clouds' extent, not with their distance from the origin.  For `y is x`
+    the squared norms are the Gram diagonal, so the self costs have an
+    exactly zero diagonal, and they are exactly symmetric (numpy computes
+    x @ x.T as one triangle and mirrors it).
+    """
+    same = y is x
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatchError("point clouds live in different dimensions")
-    diff = x[:, None, :] - y[None, :, :]
-    return np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0)
+    origin = x[0]
+    x = x - origin
+    if same:
+        gram = x @ x.T
+        sq_x = sq_y = gram.diagonal()
+    else:
+        y = y - origin
+        gram = x @ y.T
+        sq_x, sq_y = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+    costs = sq_x[:, None] + sq_y[None, :] - 2.0 * gram
+    return np.maximum(costs, 0.0, out=costs)
 
 
 def exact_w2_small(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:

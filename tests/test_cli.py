@@ -355,12 +355,28 @@ class TestEvalCommand:
         assert cli.main(self.external_files(tmp_path, pos_body=body)) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "pos.csv" in err and "line 3" in err
+        assert not (tmp_path / "out").exists()
 
     def test_short_nll_row_is_a_config_error(self, tmp_path, capsys):
         args = self.external_files(tmp_path, nll_body="2.0,1.9\n2.0\n")
         assert cli.main(args) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "nll.csv" in err and "line 3" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("break_input, message", [
+        (lambda tmp: (tmp / "nll.csv").unlink(), "cannot read NLL CSV"),
+        (lambda tmp: (tmp / "nll.csv").write_text("without,with\n2.0,1.9\n"),
+         "bad NLL CSV header"),
+        (lambda tmp: (tmp / "neg.csv").unlink(), "cannot read score matrix")],
+        ids=["missing_nll", "bad_nll_header", "missing_score_csv"])
+    def test_bad_score_input_exits_2_before_any_output(self, tmp_path, capsys,
+                                                       break_input, message):
+        args = self.external_files(tmp_path)
+        break_input(tmp_path)
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_components_row_without_auc_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "components.json"

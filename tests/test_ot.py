@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoloop.errors import UnsupportedInstanceError, ValidationError
+from geoloop.errors import DimensionMismatchError, UnsupportedInstanceError, ValidationError
 from geoloop import ot
 from geoloop.rep_metrics import EmpiricalMeasure
 
@@ -159,6 +159,49 @@ def plan_value(costs, log_a, log_b, f, g, eps):
     log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / eps
     plan = np.exp(log_plan)
     return float(np.sum(plan * costs) + eps * np.sum(plan * (log_plan - log_a[:, None] - log_b[None, :])))
+
+
+def difference_costs(x, y):
+    """Squared distances from the difference tensor x_i - y_j: the reference
+    for the Gram form."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class TestSquaredDistances:
+    def clouds(self):
+        """(x, y) pairs: the trainer's unit clouds, acceptance 2's N(0,1) and
+        N(2,1) clouds, clouds of unequal size, and clouds 1e3 from the origin."""
+        rng = np.random.default_rng(20260808)
+        pairs = [(unit_cloud(0).points, unit_cloud(50).points)]
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            pairs.append((rng.normal(0, 1, (n, 2)), rng.normal(2.0, 1, (n, 2))))
+        for n, m in ((5, 3), (1, 7), (12, 2)):
+            pairs.append((rng.normal(0, 1, (n, 4)), rng.normal(1.0, 1, (m, 4))))
+        pairs.append((rng.normal(1e3, 1, (6, 3)), rng.normal(1e3 + 2, 1, (9, 3))))
+        pairs.append((rng.normal(-1e3, 1, (8, 2)), rng.normal(1e3, 1, (8, 2))))
+        return pairs
+
+    def test_self_costs_have_zero_diagonal_and_are_symmetric(self):
+        for x, y in self.clouds():
+            for cloud in (x, y):
+                costs = ot.squared_distances(cloud, cloud)
+                assert np.all(np.diag(costs) == 0.0)
+                assert np.array_equal(costs, costs.T)
+
+    def test_matches_difference_form(self):
+        for x, y in self.clouds():
+            for first, second in ((x, y), (y, x), (x, x), (y, y)):
+                want = difference_costs(first, second)
+                got = ot.squared_distances(first, second)
+                assert got.shape == want.shape
+                assert np.all(got >= 0.0)
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, want.max())
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            ot.squared_distances(np.zeros((3, 2)), np.zeros((4, 3)))
 
 
 class TestSymmetricSelfTerm:
@@ -497,6 +540,35 @@ class TestSinkhornDivergence:
         rng = np.random.default_rng(5)
         m = random_cloud(rng, 5)
         assert ot.sinkhorn_divergence_with_grad(m, m, 1e-2)[0] <= 1e-9
+
+    def test_same_measure_is_exactly_zero(self):
+        # b is a: all three terms are the same self solve, so the value and
+        # the gradient cancel exactly.
+        for m in (random_cloud(np.random.default_rng(5), 5), unit_cloud(3)):
+            value, grad, stats = ot.sinkhorn_divergence_with_grad(m, m, 0.12 ** 2)
+            assert value == 0.0
+            assert grad.shape == m.points.shape and np.all(grad == 0.0)
+            assert stats["converged"]
+
+    def test_three_entropic_ot_calls(self, monkeypatch):
+        # perfbench's tracer reads ot.entropic_ot.iters and converged_ratio
+        # from these calls: the cross term and the two self terms.
+        calls = []
+        solve = ot.entropic_ot
+
+        def counted(a, b, epsilon, **kwargs):
+            calls.append((a, b))
+            return solve(a, b, epsilon, **kwargs)
+
+        monkeypatch.setattr(ot, "entropic_ot", counted)
+        rng = np.random.default_rng(11)
+        a, b = random_cloud(rng, 5), random_cloud(rng, 4, offset=1.0)
+        for first, second in ((a, b), (b, a), (a, a)):
+            calls.clear()
+            ot.sinkhorn_divergence_with_grad(first, second, 1e-2)
+            assert len(calls) == 3
+            pairs = {(id(x), id(y)) for x, y in calls}
+            assert {(id(first), id(first)), (id(second), id(second))} <= pairs
 
     def test_singleton_distance(self):
         a, b = EmpiricalMeasure([[0.0]]), EmpiricalMeasure([[2.0]])
