@@ -65,13 +65,10 @@ DEFAULT_SCALING = 0.3
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x_i - y_j|^2 in Gram form, |x_i|^2 + |y_j|^2 - 2<x_i, y_j>, clamped at 0.
+    """|x_i - y_j|^2 in Gram form from a common origin, clamped at 0 (module docstring).
 
-    Both clouds are first translated by x[0], so the roundoff scales with the
-    clouds' extent, not with their distance from the origin.  For `y is x`
-    the squared norms are the Gram diagonal, so the self costs have an
-    exactly zero diagonal, and they are exactly symmetric (numpy computes
-    x @ x.T as one triangle and mirrors it).
+    For `y is x` the costs have an exactly zero diagonal and are exactly
+    symmetric: numpy computes x @ x.T as one triangle and mirrors it.
     """
     same = y is x
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -80,12 +77,11 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("point clouds live in different dimensions")
     origin = x[0]
     x = x - origin
+    y = x if same else y - origin
+    gram = x @ y.T
     if same:
-        gram = x @ x.T
         sq_x = sq_y = gram.diagonal()
     else:
-        y = y - origin
-        gram = x @ y.T
         sq_x, sq_y = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
     costs = sq_x[:, None] + sq_y[None, :] - 2.0 * gram
     return np.maximum(costs, 0.0, out=costs)
@@ -197,8 +193,7 @@ def _dual_point(costs, log_a, a, b, epsilon, f):
 
     `kernel` is exp(z - logsumexp(z)) over each column, z = log a + (f - C)/eps,
     so its columns sum to one; the plan (f, g) is kernel * b, with exact
-    columns b, and `rows` are its row sums.  a = exp(log a) and b come in
-    from the solve, which computes them once.
+    columns b, and `rows` are its row sums.  a = exp(log a).
     """
     z = log_a[:, None] + (f[:, None] - costs) / epsilon
     peak = z.max(axis=0)
@@ -213,13 +208,13 @@ def _newton_step(costs, log_a, a, b, epsilon, f, point, ridge, cost_max):
     """The next Newton iterate (f, point) from f, or None when the step fails.
 
     The semi-dual's Hessian is -H/eps with H = diag(rows) - P diag(1/b) P^T
-    = diag(rows) - kernel diag(b) kernel^T, built in place.  H is singular
-    along the ones vector (f + c, T(f) - c is the same plan) and nearly so on
-    near-deterministic plans; the solve's `ridge`, _NEWTON_RIDGE * max(a),
-    far above the roundoff of H, fixes both.  The step d solves
-    H d = eps*(a - rows).  A singular solve, a direction that is not finite
-    or does not ascend, or a line search that runs out of halvings fails the
-    step.  `cost_max` is max C, for the line search's roundoff allowance.
+    = diag(rows) - kernel diag(b) kernel^T.  H is singular along the ones
+    vector (f + c, T(f) - c is the same plan) and nearly so on
+    near-deterministic plans; `ridge`, _NEWTON_RIDGE * max(a), far above
+    the roundoff of H, fixes both.  The step d solves H d = eps*(a - rows).
+    A singular solve, a direction that is not finite or does not ascend, or
+    a line search that runs out of halvings fails the step.  `cost_max` is
+    max C; the solve computes it, a, b and `ridge` once.
     """
     value, _, kernel, rows = point
     residual = a - rows

@@ -217,13 +217,12 @@ class NextTokenTable:
                           summary_grad: np.ndarray) -> tuple:
         """(d/d cfeat, d/d pfeat) of sum_b summary_grad[b] . summary_b.
 
-        `summaries` is the (unit, norm) pair that `summaries(ctx_idx, counts)`
-        returned, which the caller has built already.  summary = v/|v| with v
-        the mean feature, so each incoming gradient is pulled through the
-        normalisation Jacobian (I - uu^T)/|v| and spread over the completion's
-        feature rows: all of it onto its context's cfeat, and each row's
-        share of the length onto that row's pfeat.  A degenerate summary gets
-        none.
+        `summaries` is the (unit, norm) pair of `summaries(ctx_idx, counts)`,
+        which the caller has already built.  summary = v/|v| with v the mean
+        feature, so each incoming gradient is pulled through the normalisation
+        Jacobian (I - uu^T)/|v| and spread over the completion's feature rows:
+        all of it onto its context's cfeat, and each row's share of the length
+        onto that row's pfeat.  A degenerate summary gets none.
         """
         unit, norm = summaries
         g = np.asarray(summary_grad, dtype=float)
