@@ -17,7 +17,7 @@ import math
 import sys
 import time
 import zipfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .trainer import TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -102,11 +102,11 @@ def serialise_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a config file; unknown keys are reported after the schema check,
-    so a file written for another schema fails on its version."""
-    known = {f.name for f in fields(RunConfig)}
-    raw, unknown = {}, []
+def read_config_lines(text: str) -> list:
+    """(lineno, key, value) for each ``key = value`` line of a config file,
+    its value parsed; blank and ``#`` lines are skipped.  No key, value or
+    schema version is checked against RunConfig."""
+    entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -114,16 +114,22 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
-            unknown.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        raw[key] = _parse_value(value, key, lineno)
+        entries.append((lineno, key, _parse_value(value, key, lineno)))
+    return entries
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a config file; unknown keys are reported after the schema check,
+    so a file written for another schema fails on its version."""
+    known = {f.name for f in fields(RunConfig)}
+    entries = read_config_lines(text)
     try:
-        config = RunConfig(**raw)
+        config = RunConfig(**{key: value for _, key, value in entries if key in known})
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    if unknown:
-        raise ConfigError(unknown[0])
+    for lineno, key, _ in entries:
+        if key not in known:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return config
 
 
@@ -255,8 +261,7 @@ def cmd_train(args) -> int:
         "last_step": last_row,
         "checkpoint_hashes": checkpoint_hashes,
         **counts,
-        "autoscaler": {name: getattr(trainer.autoscaler, name)
-                       for name in ("ema_mi", "ema_base", "beta")},
+        "autoscaler": asdict(trainer.autoscaler),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True,
                                                           allow_nan=False))
@@ -305,6 +310,8 @@ def cmd_eval_constitution(args) -> int:
             neg_matrix = mi.read_score_csv(args.scores[1])
         except OSError as exc:
             raise ConfigError(f"cannot read score matrix: {exc}") from exc
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         reports = [consti.evaluate_from_score_files(
             Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows,
             k=args.k, seed=args.seed)]
@@ -441,15 +448,20 @@ def cmd_probe(args) -> int:
     if len({meta["config_hash"] for _, meta in loaded}) > 1:
         raise ConfigError("checkpoints come from different run configs")
 
-    # The task is the run's own (its vocabulary, prompt length and bias, from
-    # the config the checkpoints carry), with the probe's seed, item count and
-    # principles.  A checkpoint saved without a config gets the default task
-    # at its own vocabulary.
+    # The task is the run's own (vocabulary from meta; prompt length and bias
+    # from the stored config, read whatever its schema_version, since both
+    # mean the same in schemas 3-5), with the probe's seed, item count and
+    # principles.  Without a stored config they take their defaults.
     meta = loaded[0][1]
-    run_cfg = replace(parse_config(meta["config_text"]) if meta["config_text"]
-                      else RunConfig(vocab_size=int(meta["vocab_size"])),
-                      seed=args.seed, task_items=args.items,
-                      constitution=str(args.constitution))
+    try:
+        stored = {key: value for _, key, value in read_config_lines(meta["config_text"])}
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {args.checkpoints[0]} config: {exc}") from exc
+    run_cfg = RunConfig(seed=args.seed, task_items=args.items,
+                        constitution=str(args.constitution),
+                        vocab_size=int(meta["vocab_size"]),
+                        **{key: stored[key] for key in ("prompt_len", "task_bias")
+                           if key in stored})
     pset = _load_principles(args.constitution)
     vocab, task = _build_task(run_cfg, pset)
     probe_item = task.items[0]

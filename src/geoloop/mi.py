@@ -280,5 +280,6 @@ def read_score_csv(path) -> ScoreMatrix:
                     raise ValidationError(f"score CSV {path}, line {lineno}: {exc}") from exc
     scores = np.asarray(rows, dtype=float)
     if scores.shape != (n, m):
-        raise ValidationError(f"score CSV body {scores.shape} does not match header ({n},{m})")
+        raise ValidationError(f"score CSV {path}: body {scores.shape} does not match "
+                              f"header ({n},{m})")
     return ScoreMatrix(scores, normalisation=normalisation)

@@ -1,9 +1,10 @@
 """The single-loop optimiser: group advantages, an on-policy GRPO term, unified loss.
 
 One step runs, in order: sample groups -> base + gated/autoscaled MI rewards
--> centred group advantages -> score matrix for the symmetric InfoNCE
-auxiliary -> OT regulariser on the step's hidden clouds -> total loss -> one
-SGD step, then emits a StepReport.  The loss identity
+(channel_weight is the tie-breaker's one setting; the rest are `rewards`
+constants) -> centred group advantages -> score matrix for the symmetric
+InfoNCE auxiliary -> OT regulariser on the step's hidden clouds -> total loss
+-> one SGD step, then emits a StepReport.  The loss identity
 
     total = grpo + sami_weight(step) * sami + shaping + ot
 
@@ -85,12 +86,7 @@ class TrainConfig:
     ot_warmup: int = 200
     blur: float = 0.12
     shadow_k: int = 2
-    entropy_quantile: float = 0.8
     channel_weight: float = 0.15
-    sigmoid_slope: float = 2.5
-    autoscale_target: float = 0.2
-    autoscale_eta: float = 0.05
-    ema_decay: float = 0.99
     shaping_weight: float = 0.0
     jitter_sigma: float = 0.0
     # Sized for a 16-token policy.
@@ -121,14 +117,10 @@ class TrainConfig:
             ("mi_warmup_steps", self.mi_warmup_steps >= 0, "nonnegative"),
             ("ot_warmup", self.ot_warmup >= 0, "nonnegative"),
             ("blur", self.blur > 0, "positive"),
-            ("sigmoid_slope", self.sigmoid_slope > 0, "positive"),
             ("grad_clip", self.grad_clip > 0, "positive"),
-            ("entropy_quantile", 0 < self.entropy_quantile < 1, "between 0 and 1, exclusive"),
-            ("autoscale_target", 0 < self.autoscale_target < 1, "between 0 and 1, exclusive"),
-            ("ema_decay", 0 <= self.ema_decay < 1, "at least 0 and below 1"),
             *((name, getattr(self, name) >= 0, "nonnegative")
               for name in ("sami_weight", "ot_weight", "channel_weight", "shaping_weight",
-                           "jitter_sigma", "autoscale_eta", "learning_rate")),
+                           "jitter_sigma", "learning_rate")),
         )
 
 
@@ -182,7 +174,6 @@ class StepReport:
     step: int
     reward_base_mean: float
     reward_mi_mean: float
-    reward_total_mean: float
     reward_std: float
     loss_grpo: float
     loss_sami: float
@@ -272,9 +263,7 @@ class Trainer:
         self.seed = seed
         self.step = 0
         self.reference = policy.clone()
-        self.autoscaler = rewards.AutoscalerState(
-            target_ratio=config.autoscale_target, rate=config.autoscale_eta,
-            decay=config.ema_decay)
+        self.autoscaler = rewards.AutoscalerState()
         # Run constants (module docstring).  _grid[p, i] bags item i's prompt
         # with pool principle p, and _true[i] is item i's principle.
         pid_index = {p.pid: i for i, p in enumerate(task.principles)}
@@ -359,7 +348,7 @@ class Trainer:
         coeffs = np.zeros_like(scores)
 
         entropies = samples.mean_entropies()
-        entropy_mask = rewards.entropy_gate(entropies, config.entropy_quantile)
+        entropy_mask = rewards.entropy_gate(entropies)
         format_ok = samples.format_ok(self.policy.vocab)
 
         base = format_ok.astype(float)
@@ -376,9 +365,8 @@ class Trainer:
             z = mi.row_positive_logsoftmax(mi.ScoreMatrix(row_scores))
             gate_open = entropy_mask & (format_ok | (not format_gate_on))
             mi_reward = rewards.mi_tiebreak_rewards(
-                z, config.sigmoid_slope, config.channel_weight, gate_open, self.autoscaler)
-        total_reward = base + mi_reward
-        grouped = group_advantages(total_reward.reshape(n_groups, -1))
+                z, config.channel_weight, gate_open, self.autoscaler)
+        grouped = group_advantages((base + mi_reward).reshape(n_groups, -1))
         adv = grouped.advantages.ravel()
 
         # The on-policy GRPO term over untruncated completions (module
@@ -447,7 +435,6 @@ class Trainer:
             step=step,
             reward_base_mean=float(base.mean()),
             reward_mi_mean=float(mi_reward.mean()),
-            reward_total_mean=float(total_reward.mean()),
             reward_std=float(np.mean(grouped.std)),
             loss_grpo=float(loss_grpo),
             loss_sami=float(loss_sami),

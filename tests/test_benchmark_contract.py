@@ -4,9 +4,11 @@ perfbench/tracer.py wraps the functions listed in its LAYERS table, reads
 "iterations" and "converged" from each ot.entropic_ot result, and counts the
 loops of ot._sinkhorn_potentials by items [2] (iterations) and [3]
 (converged) of its result; perfbench/workloads.py checks each step
-with trainer.sami_weight_at and rewrites two lines of the bundled config.  A
-rename here would silently break ``perfbench/run.py --trace 1``.
+with trainer.sami_weight_at and the StepReport and TrainConfig fields its
+step_problems reads, and rewrites two lines of the bundled config.  A rename
+here would silently break ``perfbench/run.py --trace 1``.
 """
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -68,3 +70,38 @@ def test_config_lines_the_benchmark_rewrites():
     lines = (ROOT / "configs" / "enigma_high_si.toml").read_text().splitlines()
     for key in ("ot_warmup", "checkpoint_every"):
         assert sum(line.split("=")[0].strip() == key for line in lines) == 1
+
+
+def step_problems_reads() -> dict:
+    """{"report": names, "config": names} that perfbench/workloads.py's
+    step_problems reads: attributes, and getattr names from the tuple its
+    loop runs over."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "step_problems")
+    reads = {"report": set(), "config": set()}
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in reads):
+            reads[node.value.id].add(node.attr)
+        elif isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "getattr"
+                        and getattr(call.args[0], "id", None) in reads
+                        and getattr(call.args[1], "id", None) == node.target.id):
+                    reads[call.args[0].id].update(elt.value for elt in node.iter.elts)
+    return reads
+
+
+def test_step_report_and_config_fields_the_benchmark_reads():
+    # A deleted field would fail every benchmark step, not a test.
+    from dataclasses import fields
+
+    from geoloop import trainer
+
+    reads = step_problems_reads()
+    # The extraction finds both kinds of read.
+    assert {"step", "mi_row_clean", "mi_col_clean"} <= reads["report"]
+    assert {"shadow_k", "ot_warmup"} <= reads["config"]
+    assert reads["report"] <= {f.name for f in fields(trainer.StepReport)}
+    assert reads["config"] <= {f.name for f in fields(trainer.TrainConfig)}

@@ -21,6 +21,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # Golden outputs written by the code before eval-constitution shared warm
 # starts between sets and backward took precomputed count sums.
 GOLDEN = Path(__file__).resolve().parent / "data"
+# A one-step run's checkpoint, written when the config schema was 4.
+SCHEMA_1_CHECKPOINT = GOLDEN / "ckpt_schema1.npz"
 
 
 def short_config(tmp_path, **overrides) -> Path:
@@ -36,6 +38,12 @@ def short_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.toml"
     path.write_text(cli.serialise_config(config))
     return path
+
+
+# The tie-breaker settings that schema 4 held, at the values every bundled
+# config gave them; schema 5 makes them constants in geoloop.rewards.
+RETIRED_SCHEMA_4_KEYS = {"entropy_quantile": 0.8, "sigmoid_slope": 2.5,
+                         "autoscale_target": 0.2, "autoscale_eta": 0.05, "ema_decay": 0.99}
 
 
 def refuse(*args, **kwargs):
@@ -95,6 +103,13 @@ class TestConfigRoundTrip:
             cli.parse_config('schema_version = 3\nablation = "grpo_cot"\n'
                              'ot_subsample_cap = 512\nscale_rewards = "none"\n')
 
+    def test_schema_4_file_fails_on_its_version(self):
+        # Schema 4 had the tie-breaker's five settings, now rewards' constants;
+        # the version is reported, not the keys.
+        with pytest.raises(cli.ConfigError, match="schema_version 4"):
+            cli.parse_config("schema_version = 4\n" + "".join(
+                f"{key} = {value}\n" for key, value in RETIRED_SCHEMA_4_KEYS.items()))
+
     def test_bad_trainer_field_rejected(self):
         with pytest.raises(cli.ConfigError, match="group_size must be at least 2"):
             cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\ngroup_size = 1\n")
@@ -130,13 +145,11 @@ class TestTrainCommand:
         # outputs, after the first checkpoint, or (grad_clip) never, running
         # with clipping off.
         ("prompts_per_batch", "0"), ("task_items", "0"), ("policy_dim", "0"),
-        ("ema_decay", "2.0"), ("ot_weight", "inf"), ("blur", "0.0"),
-        ("entropy_quantile", "1.5"), ("autoscale_target", "1.5"), ("sigmoid_slope", "0.0"),
-        ("shadow_k", "0"), ("mi_warmup_steps", "-5"), ("learning_rate", "nan"),
+        ("ot_weight", "inf"), ("blur", "0.0"), ("shadow_k", "0"), ("mi_warmup_steps", "-5"), ("learning_rate", "nan"),
         ("grad_clip", "-1.0"),
         # A non-finite value in any float field.
         ("sami_weight", "-inf"), ("warmstart_lr", "inf"), ("task_bias", "nan"),
-        ("jitter_sigma", "nan"), ("autoscale_eta", "inf"),
+        ("jitter_sigma", "nan"),
         # A value of another type: these failed after the first checkpoint.
         ("prompts_per_batch", "2.5"), ("shadow_k", "2.0"), ("group_size", "true"),
         ("output_dir", "5"),
@@ -149,6 +162,14 @@ class TestTrainCommand:
         config.write_text(text)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
         assert f"config error: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_SCHEMA_4_KEYS))
+    def test_retired_schema_4_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        config = short_config(tmp_path)
+        config.write_text(config.read_text() + f"{key} = {RETIRED_SCHEMA_4_KEYS[key]}\n")
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_cold_start_has_gradient(self, tmp_path):
@@ -205,6 +226,7 @@ class TestTrainCommand:
         state = trainers[0].autoscaler
         assert summary["autoscaler"] == {"ema_mi": state.ema_mi, "ema_base": state.ema_base,
                                          "beta": state.beta}
+        assert {f.name for f in fields(state)} == set(summary["autoscaler"])
         assert state.ema_mi > 0.0
 
     def test_run_directory_contents(self, tmp_path):
@@ -352,9 +374,15 @@ class TestEvalCommand:
     @pytest.mark.parametrize("body", ["0.0,-1.0\n-1.0,oops\n", "0.0,-1.0\n-1.0\n"],
                              ids=["non_numeric", "ragged"])
     def test_malformed_score_csv_is_an_error_not_a_traceback(self, tmp_path, capsys, body):
-        assert cli.main(self.external_files(tmp_path, pos_body=body)) == cli.EXIT_RUNTIME
+        assert cli.main(self.external_files(tmp_path, pos_body=body)) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "pos.csv" in err and "line 3" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_score_csv_with_fewer_rows_than_its_header_exits_2(self, tmp_path, capsys):
+        assert cli.main(self.external_files(tmp_path, pos_body="0.0,-1.0\n")) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "pos.csv" in err and "does not match header (2,2)" in err
         assert not (tmp_path / "out").exists()
 
     def test_short_nll_row_is_a_config_error(self, tmp_path, capsys):
@@ -1049,6 +1077,40 @@ class TestProbeCommand:
                          "--out-dir", str(out)]) == cli.EXIT_OK
         reference_probe([ckpt], tmp_path / "ref", DATA / "toy_high_si.txt")
         assert csv_bytes(out) == csv_bytes(tmp_path / "ref")
+
+    @staticmethod
+    def with_config_text(tmp_path, transform) -> Path:
+        """A copy of the checked-in checkpoint whose stored config text is
+        transform(text); its config_hash is left as it was."""
+        with np.load(SCHEMA_1_CHECKPOINT, allow_pickle=False) as archive:
+            data = dict(archive)
+        meta = json.loads(str(data["meta"]))
+        data["meta"] = json.dumps({**meta, "config_text": transform(meta["config_text"])},
+                                  sort_keys=True)
+        path = tmp_path / "edited.npz"
+        np.savez(path, **data)
+        return path
+
+    def test_checkpoint_config_of_another_schema_probes(self, tmp_path):
+        # The stored config says schema 3 and holds a key that schema 3 had;
+        # the probe reads its prompt length and bias and ignores the rest.
+        def to_schema_3(text):
+            assert text.startswith("schema_version = 4\n")
+            return text.replace("schema_version = 4", "schema_version = 3") \
+                + "ot_subsample_cap = 512\n"
+
+        ckpt = self.with_config_text(tmp_path, to_schema_3)
+        out = tmp_path / "probe"
+        assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
+                         "--out-dir", str(out)]) == cli.EXIT_OK
+        reference_probe([ckpt], tmp_path / "ref", DATA / "toy_high_si.txt")
+        assert csv_bytes(out) == csv_bytes(tmp_path / "ref")
+
+    def test_checkpoint_config_line_that_does_not_parse_exits_2(self, tmp_path, capsys):
+        ckpt = self.with_config_text(tmp_path, lambda text: text + "no equals sign\n")
+        assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
+                         "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_CONFIG
+        assert f"checkpoint {ckpt} config: line" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--items", "--grid", "--top-k"])
     @pytest.mark.parametrize("value", ["0", "-2"])

@@ -612,7 +612,7 @@ def per_completion_rewards(t, step, comps, z):
     per-completion functions and the test references."""
     config = t.config
     entropies = np.array([c.mean_entropy for c in comps])
-    entropy_mask = rewards.entropy_gate(entropies, config.entropy_quantile)
+    entropy_mask = rewards.entropy_gate(entropies)
     format_ok = np.array([(not c.truncated)
                           and reference_format_reward(c.content, t.policy.vocab) == 1.0
                           for c in comps])
@@ -625,8 +625,7 @@ def per_completion_rewards(t, step, comps, z):
     if config.channel_weight > 0:
         for i in range(len(comps)):
             gate_open = entropy_mask[i] and (format_ok[i] or not gate_on)
-            mi_reward[i] = reference_mi_reward(z[i], config.sigmoid_slope,
-                                               config.channel_weight, gate_open,
+            mi_reward[i] = reference_mi_reward(z[i], config.channel_weight, gate_open,
                                                t.autoscaler.beta)
     total = base + mi_reward
     adv, stds = np.zeros(len(comps)), []
@@ -681,12 +680,11 @@ class TestBatchedBookkeeping:
                                   transition_counts([c.tokens for c in comps],
                                                     t.policy.vocab.size))
             if t.config.channel_weight > 0:
-                gate_open = rewards.entropy_gate(entropies, t.config.entropy_quantile) & (
+                gate_open = rewards.entropy_gate(entropies) & (
                     format_ok | (not rewards.format_gate_schedule(
                         step, t.config.mi_warmup_steps)))
                 assert np.array_equal(rewards.mi_tiebreak_rewards(
-                    recorded["z"], t.config.sigmoid_slope, t.config.channel_weight,
-                    gate_open, state), mi_reward)
+                    recorded["z"], t.config.channel_weight, gate_open, state), mi_reward)
                 open_gates += int(np.count_nonzero(mi_reward))
             grouped = tr.group_advantages((base + mi_reward).reshape(-1, t.config.group_size))
             assert np.array_equal(grouped.advantages.ravel(), adv)
