@@ -21,7 +21,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # Golden outputs written by the code before eval-constitution shared warm
 # starts between sets and backward took precomputed count sums.
 GOLDEN = Path(__file__).resolve().parent / "data"
-# A one-step run's checkpoint, written when the config schema was 4.
+# The checked-in checkpoint (meta schema 1) of a one-step run; the config it
+# stores is schema 4.
 SCHEMA_1_CHECKPOINT = GOLDEN / "ckpt_schema1.npz"
 
 
@@ -145,8 +146,8 @@ class TestTrainCommand:
         # outputs, after the first checkpoint, or (grad_clip) never, running
         # with clipping off.
         ("prompts_per_batch", "0"), ("task_items", "0"), ("policy_dim", "0"),
-        ("ot_weight", "inf"), ("blur", "0.0"), ("shadow_k", "0"), ("mi_warmup_steps", "-5"), ("learning_rate", "nan"),
-        ("grad_clip", "-1.0"),
+        ("ot_weight", "inf"), ("blur", "0.0"), ("shadow_k", "0"), ("mi_warmup_steps", "-5"),
+        ("learning_rate", "nan"), ("grad_clip", "-1.0"),
         # A non-finite value in any float field.
         ("sami_weight", "-inf"), ("warmstart_lr", "inf"), ("task_bias", "nan"),
         ("jitter_sigma", "nan"),
