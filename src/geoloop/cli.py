@@ -31,9 +31,13 @@ from .trainer import TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# The train warm start's learning rate and filler bias.
+WARMSTART_LR = 0.5
+WARMSTART_BIAS = 0.15
 
 
 class ConfigError(ValueError):
@@ -51,13 +55,10 @@ class RunConfig(TrainConfig):
     output_dir: str = "run"
     constitution: str = str(DATA_DIR / "toy_high_si.txt")
     warmstart_epochs: int = 200
-    warmstart_lr: float = 0.5
-    warmstart_bias: float = 0.15
     task_items: int = 32
     prompt_len: int = 2
     task_bias: float = 0.8
     vocab_size: int = 16
-    policy_dim: int = 32
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
@@ -75,10 +76,7 @@ class RunConfig(TrainConfig):
             ("task_items", self.task_items >= 1, "at least 1"),
             ("prompt_len", self.prompt_len >= 0, "nonnegative"),
             ("vocab_size", self.vocab_size >= 8, "at least 8"),
-            ("policy_dim", self.policy_dim >= 1, "at least 1"),
             ("warmstart_epochs", self.warmstart_epochs >= 0, "nonnegative"),
-            ("warmstart_lr", self.warmstart_lr >= 0, "nonnegative"),
-            ("warmstart_bias", 0 <= self.warmstart_bias <= 1, "between 0 and 1"),
             ("task_bias", 0 <= self.task_bias <= 1, "between 0 and 1"),
         )
 
@@ -119,10 +117,15 @@ def read_config_lines(text: str) -> list:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a config file; unknown keys are reported after the schema check,
-    so a file written for another schema fails on its version."""
+    """Parse a config file.  A key given twice is rejected first; unknown keys
+    are reported after the schema check, so a file written for another schema
+    fails on its version."""
     known = {f.name for f in fields(RunConfig)}
     entries = read_config_lines(text)
+    first_line = {}
+    for lineno, key, _ in entries:
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
     try:
         config = RunConfig(**{key: value for _, key, value in entries if key in known})
     except TypeError as exc:
@@ -220,10 +223,10 @@ def cmd_train(args) -> int:
     # Seeded init (exact zeros are a saddle), then the format warm start with
     # a weak filler bias: the policy arrives format-competent with principle
     # binding near (but not at) chance.
-    policy = ToyPolicy(vocab, config.policy_dim)
+    policy = ToyPolicy(vocab)
     policy.init_params(config.seed)
-    warm_start(policy, task, config.warmstart_epochs, config.warmstart_lr,
-               config.seed, bias=config.warmstart_bias)
+    warm_start(policy, task, config.warmstart_epochs, WARMSTART_LR, config.seed,
+               bias=WARMSTART_BIAS)
 
     trainer = Trainer(policy, task, config, config.max_steps, config.seed)
     config_hash = config.config_hash()
@@ -280,6 +283,8 @@ def cmd_eval_constitution(args) -> int:
     if len(sources) != 1:
         raise ConfigError(f"give one of constitution files, --components or --scores; "
                           f"got {' and '.join(sources) or 'none'}")
+    if args.nll is not None and not args.scores:
+        raise ConfigError("--nll is read only with --scores")
     if not args.components and args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     if args.constitutions:
@@ -434,7 +439,10 @@ def cmd_probe(args) -> int:
     if alphas.min() <= 0:
         raise ConfigError(f"--alpha-min and --alpha-max must give positive alphas, "
                           f"got {args.alpha_min!r} and {args.alpha_max!r}")
-    out_dir = _make_out_dir(args.out_dir)
+    # --out-dir is made only once every input checks out; one that names a
+    # file fails before any checkpoint is read.
+    if Path(args.out_dir).exists() and not Path(args.out_dir).is_dir():
+        raise ConfigError(f"output dir {args.out_dir} is not a directory")
 
     loaded = []
     for path in args.checkpoints:
@@ -450,7 +458,7 @@ def cmd_probe(args) -> int:
 
     # The task is the run's own (vocabulary from meta; prompt length and bias
     # from the stored config, read whatever its schema_version, since both
-    # mean the same in schemas 3-5), with the probe's seed, item count and
+    # mean the same in schemas 3-6), with the probe's seed, item count and
     # principles.  Without a stored config they take their defaults.
     meta = loaded[0][1]
     try:
@@ -464,6 +472,7 @@ def cmd_probe(args) -> int:
                            if key in stored})
     pset = _load_principles(args.constitution)
     vocab, task = _build_task(run_cfg, pset)
+    out_dir = _make_out_dir(args.out_dir)
     probe_item = task.items[0]
     ptoks = task.principle(probe_item.principle_id).tokens
 

@@ -46,7 +46,7 @@ solver either: its measures sit on a line, where W2^2 has a closed form.
 The trainer's representation regulariser calls `sinkhorn_divergence_with_grad`
 on a step's whole hidden clouds (one point per completion, 32 in the bundled
 configs) with eps = blur**2 (blur acts as a length scale on squared-Euclidean
-costs); the customary blur 0.12 therefore means eps = 0.0144.
+costs); the trainer's blur, trainer.BLUR = 0.12, therefore means eps = 0.0144.
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ constants) -> centred group advantages -> score matrix for the symmetric
 InfoNCE auxiliary -> OT regulariser on the step's hidden clouds -> total loss
 -> one SGD step, then emits a StepReport.  The loss identity
 
-    total = grpo + sami_weight(step) * sami + shaping + ot
+    total = grpo + sami_weight(step) * sami + ot
 
 holds at every step (ot already carries its weight and warmup gate).  The
 GRPO term is on-policy: each sampled batch gets one update, so the policy that
@@ -25,11 +25,11 @@ term is zero before ot_warmup; the format gate activates after 30% of the MI
 warmup.  Everything is deterministic under (config, seed): stochastic
 channels draw from seeds derived via SeedSequence(seed, step, channel, index).
 
-The optimiser is plain SGD with a global gradient-norm clip; external
-trainer defaults do not transfer to this scale.  The GRPO ablations are the
-same objective with sami_weight, ot_weight, channel_weight and shaping_weight
-at 0 (and jitter_sigma > 0 for the jittered one); a TrainConfig is run as
-given, with no presets.
+The optimiser is plain SGD (LEARNING_RATE) with a global gradient-norm clip
+(GRAD_CLIP); external trainer defaults do not transfer to this scale.  The
+GRPO ablations are the same objective with sami_weight, ot_weight and
+channel_weight at 0 (and jitter_sigma > 0 for the jittered one); a
+TrainConfig is run as given, with no presets.
 
 Work that is constant for the run is done once, in `Trainer.__init__`: the
 bag weights of every (principle, item) context (bagging uses no
@@ -70,6 +70,11 @@ STEPS_JSONL_FIELDS = (
 # channel would change its draws.
 _CH_SAMPLE, _CH_SHADOW_P, _CH_SHADOW_C, _CH_JITTER = 0, 1, 2, 4
 
+# OT length scale (eps = BLUR ** 2), SGD rate and gradient-norm clip, sized for 16 tokens.
+BLUR = 0.12
+LEARNING_RATE = 1.0
+GRAD_CLIP = 1.0
+
 
 def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng((seed, step, channel, index))
@@ -84,14 +89,9 @@ class TrainConfig:
     mi_warmup_steps: int = 50
     ot_weight: float = 0.01
     ot_warmup: int = 200
-    blur: float = 0.12
     shadow_k: int = 2
     channel_weight: float = 0.15
-    shaping_weight: float = 0.0
     jitter_sigma: float = 0.0
-    # Sized for a 16-token policy.
-    learning_rate: float = 1.0
-    grad_clip: float = 1.0
     prompts_per_batch: int = 8
 
     def __post_init__(self):
@@ -114,13 +114,9 @@ class TrainConfig:
             ("group_size", self.group_size >= 2, "at least 2"),
             ("prompts_per_batch", self.prompts_per_batch >= 1, "at least 1"),
             ("shadow_k", self.shadow_k >= 1, "at least 1"),
-            ("mi_warmup_steps", self.mi_warmup_steps >= 0, "nonnegative"),
-            ("ot_warmup", self.ot_warmup >= 0, "nonnegative"),
-            ("blur", self.blur > 0, "positive"),
-            ("grad_clip", self.grad_clip > 0, "positive"),
             *((name, getattr(self, name) >= 0, "nonnegative")
-              for name in ("sami_weight", "ot_weight", "channel_weight", "shaping_weight",
-                           "jitter_sigma", "learning_rate")),
+              for name in ("mi_warmup_steps", "ot_warmup", "sami_weight", "ot_weight",
+                           "channel_weight", "jitter_sigma")),
         )
 
 
@@ -160,11 +156,11 @@ def sami_weight_at(config: TrainConfig, step: int) -> float:
     return config.sami_weight * min(1.0, step / config.mi_warmup_steps)
 
 
-def enigma_loss(grpo_term: float, sami_term: float, shaping_term: float,
-                ot_term: float, config: TrainConfig, step: int) -> float:
+def enigma_loss(grpo_term: float, sami_term: float, ot_term: float,
+                config: TrainConfig, step: int) -> float:
     """Unified objective with schedules applied; ot_term is gated by warmup."""
     gated_ot = 0.0 if step < config.ot_warmup else ot_term
-    return grpo_term + sami_weight_at(config, step) * sami_term + shaping_term + gated_ot
+    return grpo_term + sami_weight_at(config, step) * sami_term + gated_ot
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,6 @@ class StepReport:
     reward_std: float
     loss_grpo: float
     loss_sami: float
-    loss_shaping: float
     loss_ot: float
     loss_total: float
     mi_row_clean: float
@@ -203,6 +198,8 @@ class StepReport:
     ot_iters: int | None = None
     ot_violation: float | None = None
     ot_converged: bool | None = None
+    # Always 0: the objective has no shaping term; perfbench's loss check reads it.
+    loss_shaping: float = 0.0
 
     def jsonl_row(self) -> dict:
         """The steps.jsonl row; NaN becomes None (null), so the row is strict JSON."""
@@ -305,8 +302,8 @@ class Trainer:
         return mi.shadow_candidates(rng, np.arange(b), b, self.config.shadow_k)
 
     def _sami_weights(self, matrix: mi.ScoreMatrix, step: int, lam_row: float,
-                      lam_col: float, shaping_mask) -> np.ndarray:
-        """d(sami_weight * sami + shaping)/d(scores) for the kept-row matrix."""
+                      lam_col: float) -> np.ndarray:
+        """d(sami_weight * sami)/d(scores) for the kept-row matrix."""
         scores = matrix.scores
         n = scores.shape[0]
         eye = np.eye(n)
@@ -316,11 +313,7 @@ class Trainer:
         soft_col /= soft_col.sum(axis=0, keepdims=True)
         d_row = -(eye - soft_row) / n
         d_col = -(eye - soft_col) / n
-        weights = sami_weight_at(self.config, step) * (lam_row * d_row + lam_col * d_col)
-        if self.config.shaping_weight > 0 and shaping_mask.any():
-            coeff = (shaping_mask.astype(float) / shaping_mask.sum()) - 1.0 / n
-            weights += self.config.shaping_weight * coeff[:, None] * (soft_row - eye)
-        return weights
+        return sami_weight_at(self.config, step) * (lam_row * d_row + lam_col * d_col)
 
     # ---------- the step ----------
 
@@ -340,8 +333,8 @@ class Trainer:
         lengths = samples.lengths
         # Every score and gradient of the step goes through the completions'
         # transition counts: scores[c, i] is completion i under context c, and
-        # coeffs[c, i] collects its weight in the loss gradient (GRPO, SAMI
-        # and shaping) for the one backward pass.
+        # coeffs[c, i] collects its weight in the loss gradient (GRPO and
+        # SAMI) for the one backward pass.
         counts = samples.counts(self.policy.vocab.size)
         scores = table.seq_logprobs(counts)
         own_scores = scores[own]
@@ -378,16 +371,14 @@ class Trainer:
 
         lam_row, lam_col = rowcol_anneal(step, self.max_steps)
         if kept.size < 2:
-            loss_sami, loss_shaping, diag_stat = 0.0, 0.0, math.nan
+            loss_sami, diag_stat = 0.0, math.nan
         else:
             matrix = _sami_matrix(own_scores, groups, kept, lengths)
             losses = mi.infonce_losses(matrix)
             loss_sami = lam_row * losses["row_loss"] + lam_col * losses["col_loss"]
-            shaping_mask = entropy_mask[kept]
-            loss_shaping = mi.shaping_term(matrix, shaping_mask, config.shaping_weight)
             diag_stat = mi.diag_mi(matrix)
-            if sami_weight_at(config, step) > 0 or config.shaping_weight > 0:
-                weights = self._sami_weights(matrix, step, lam_row, lam_col, shaping_mask)
+            if sami_weight_at(config, step) > 0:
+                weights = self._sami_weights(matrix, step, lam_row, lam_col)
                 np.add.at(coeffs, (own[groups[kept]][None, :], kept[:, None]),
                           weights / lengths[kept, None])
 
@@ -411,19 +402,18 @@ class Trainer:
             # target eps stops there, flagged unconverged, and the envelope
             # gradient of the achieved plan stays valid.
             value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
-                cur_measure, ref_measure, config.blur ** 2, max_iter=500)
+                cur_measure, ref_measure, BLUR ** 2, max_iter=500)
             loss_ot = config.ot_weight * value
             feat_grad = table.summary_feat_grad(own[groups], counts, cur_summaries,
                                                 config.ot_weight * point_grad)
 
-        loss_total = enigma_loss(loss_grpo, loss_sami, loss_shaping, loss_ot,
-                                 config, step)
+        loss_total = enigma_loss(loss_grpo, loss_sami, loss_ot, config, step)
 
         total_grad = self.policy.backward(
             table, logit_sums(np.tensordot(coeffs, counts, axes=1)), feat_grad)
         grad_norm = total_grad.global_norm()
-        if grad_norm > config.grad_clip:
-            total_grad = total_grad.scaled(config.grad_clip / grad_norm)
+        if grad_norm > GRAD_CLIP:
+            total_grad = total_grad.scaled(GRAD_CLIP / grad_norm)
 
         # Geometry probes against the frozen reference.
         p_cur = prob_metrics.ProbVector(
@@ -438,7 +428,6 @@ class Trainer:
             reward_std=float(np.mean(grouped.std)),
             loss_grpo=float(loss_grpo),
             loss_sami=float(loss_sami),
-            loss_shaping=float(loss_shaping),
             loss_ot=float(loss_ot),
             loss_total=float(loss_total),
             mi_row_clean=clean["row_bound"],
@@ -462,7 +451,7 @@ class Trainer:
         )
 
         # Commit: parameter update, autoscaler, step counter.
-        self.policy.add_scaled(total_grad, -config.learning_rate)
+        self.policy.add_scaled(total_grad, -LEARNING_RATE)
         if config.channel_weight > 0:
             self.autoscaler = rewards.autoscale_update(
                 self.autoscaler, float(np.abs(mi_reward).mean()),

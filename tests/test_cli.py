@@ -45,6 +45,13 @@ def short_config(tmp_path, **overrides) -> Path:
 # config gave them; schema 5 makes them constants in geoloop.rewards.
 RETIRED_SCHEMA_4_KEYS = {"entropy_quantile": 0.8, "sigmoid_slope": 2.5,
                          "autoscale_target": 0.2, "autoscale_eta": 0.05, "ema_decay": 0.99}
+# The settings that schema 5 held at one value in every bundled config;
+# schema 6 makes them constants (trainer.BLUR, LEARNING_RATE and GRAD_CLIP,
+# policy.DEFAULT_DIM, cli.WARMSTART_LR and WARMSTART_BIAS) and drops the
+# shaping term.
+RETIRED_SCHEMA_5_KEYS = {"shaping_weight": 0.0, "blur": 0.12, "learning_rate": 1.0,
+                         "grad_clip": 1.0, "policy_dim": 32, "warmstart_lr": 0.5,
+                         "warmstart_bias": 0.15}
 
 
 def refuse(*args, **kwargs):
@@ -63,7 +70,7 @@ def out_dir_file_rejected(tmp_path, capsys, argv):
 
 class TestConfigRoundTrip:
     def test_parse_serialise_identity(self):
-        config = cli.RunConfig(seed=7, channel_weight=0.0, learning_rate=0.25)
+        config = cli.RunConfig(seed=7, channel_weight=0.0, jitter_sigma=0.25)
         text = cli.serialise_config(config)
         again = cli.parse_config(text)
         assert again == config
@@ -111,6 +118,24 @@ class TestConfigRoundTrip:
             cli.parse_config("schema_version = 4\n" + "".join(
                 f"{key} = {value}\n" for key, value in RETIRED_SCHEMA_4_KEYS.items()))
 
+    def test_schema_5_file_fails_on_its_version(self):
+        # Schema 5 had seven settings that are now constants or gone; the
+        # version is reported, not the keys.
+        with pytest.raises(cli.ConfigError, match="schema_version 5"):
+            cli.parse_config("schema_version = 5\n" + "".join(
+                f"{key} = {value}\n" for key, value in RETIRED_SCHEMA_5_KEYS.items()))
+
+    def test_repeated_key_rejected_naming_both_lines(self):
+        # The last value used to win, so an appended line silently changed the run.
+        text = (CONFIGS / "enigma_high_si.toml").read_text()
+        n_lines = text.count("\n")
+        first = next(i for i, line in enumerate(text.splitlines(), start=1)
+                     if line.startswith("sami_weight = "))
+        with pytest.raises(cli.ConfigError,
+                           match=f"line {n_lines + 1}: key 'sami_weight' already set on "
+                                 f"line {first}"):
+            cli.parse_config(text + "sami_weight = 0.0\n")
+
     def test_bad_trainer_field_rejected(self):
         with pytest.raises(cli.ConfigError, match="group_size must be at least 2"):
             cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\ngroup_size = 1\n")
@@ -142,14 +167,12 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field, value", [
-        # Each of these failed at the parent, with a traceback and partial
-        # outputs, after the first checkpoint, or (grad_clip) never, running
-        # with clipping off.
-        ("prompts_per_batch", "0"), ("task_items", "0"), ("policy_dim", "0"),
-        ("ot_weight", "inf"), ("blur", "0.0"), ("shadow_k", "0"), ("mi_warmup_steps", "-5"),
-        ("learning_rate", "nan"), ("grad_clip", "-1.0"),
+        # Each of these once failed with a traceback and partial outputs,
+        # after the first checkpoint.
+        ("prompts_per_batch", "0"), ("task_items", "0"),
+        ("ot_weight", "inf"), ("shadow_k", "0"), ("mi_warmup_steps", "-5"),
         # A non-finite value in any float field.
-        ("sami_weight", "-inf"), ("warmstart_lr", "inf"), ("task_bias", "nan"),
+        ("sami_weight", "-inf"), ("task_bias", "nan"),
         ("jitter_sigma", "nan"),
         # A value of another type: these failed after the first checkpoint.
         ("prompts_per_batch", "2.5"), ("shadow_k", "2.0"), ("group_size", "true"),
@@ -165,13 +188,21 @@ class TestTrainCommand:
         assert f"config error: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key", sorted(RETIRED_SCHEMA_4_KEYS))
-    def test_retired_schema_4_key_exits_2_naming_it(self, tmp_path, capsys, key):
+    @staticmethod
+    def retired_key_rejected(tmp_path, capsys, key, value):
         config = short_config(tmp_path)
-        config.write_text(config.read_text() + f"{key} = {RETIRED_SCHEMA_4_KEYS[key]}\n")
+        config.write_text(config.read_text() + f"{key} = {value}\n")
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
         assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_SCHEMA_4_KEYS))
+    def test_retired_schema_4_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        self.retired_key_rejected(tmp_path, capsys, key, RETIRED_SCHEMA_4_KEYS[key])
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_SCHEMA_5_KEYS))
+    def test_retired_schema_5_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        self.retired_key_rejected(tmp_path, capsys, key, RETIRED_SCHEMA_5_KEYS[key])
 
     def test_cold_start_has_gradient(self, tmp_path):
         # Without a warm start the policy must still leave the all-zero saddle.
@@ -468,6 +499,21 @@ class TestEvalCommand:
         out_dir_file_rejected(tmp_path, capsys,
                               ["eval-constitution", str(DATA / "toy_high_si.txt")])
 
+    @pytest.mark.parametrize("source", [[str(DATA / "toy_high_si.txt")],
+                                        ["--components", str(DATA / "component_replay.json")]],
+                             ids=["constitution_files", "components"])
+    def test_nll_without_scores_exits_2_before_any_output(self, tmp_path, capsys,
+                                                          monkeypatch, source):
+        # --nll was ignored here: the run exited 0 with the other input's reports.
+        monkeypatch.setattr(cli, "mle_pretrain", refuse)
+        nll = tmp_path / "nll.csv"
+        nll.write_text("nll_without_bits,nll_with_bits\n2.0,1.9\n")
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", *source, "--nll", str(nll),
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert "--nll" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sources", [
         ("constitution files", "--components"), ("constitution files", "--scores"),
         ("--components", "--scores"),
@@ -714,15 +760,14 @@ class TestTextPrinciplePools:
         assert not out.exists()
 
 
-def bundled_warm_start(seed, **overrides):
+def bundled_warm_start(seed, bias=cli.WARMSTART_BIAS, lr=cli.WARMSTART_LR, **overrides):
     """The warm start `geoloop train` runs for the bundled enigma_high_si
-    config at this seed: (task, epochs, lr, seed, bias)."""
+    config at this seed, with this bias and rate: (task, epochs, lr, seed, bias)."""
     config = cli.load_config(CONFIGS / "enigma_high_si.toml",
                              {"seed": seed, "constitution": str(DATA / "toy_high_si.txt"),
                               **overrides})
     _, task = cli._build_task(config, cli._load_principles(config.constitution))
-    return (task, config.warmstart_epochs, config.warmstart_lr, config.seed,
-            config.warmstart_bias)
+    return task, config.warmstart_epochs, lr, config.seed, bias
 
 
 def no_prefers_warm_start():
@@ -740,10 +785,8 @@ def no_prefers_warm_start():
 WARM_START_CASES = {
     "bundled_seed0": lambda: bundled_warm_start(0),
     "bundled_seed3": lambda: bundled_warm_start(3),
-    "bias0_25_epochs": lambda: bundled_warm_start(42, warmstart_epochs=25,
-                                                  warmstart_bias=0.0),
-    "bias1_25_epochs": lambda: bundled_warm_start(42, warmstart_epochs=25,
-                                                  warmstart_bias=1.0),
+    "bias0_25_epochs": lambda: bundled_warm_start(42, bias=0.0, warmstart_epochs=25),
+    "bias1_25_epochs": lambda: bundled_warm_start(42, bias=1.0, warmstart_epochs=25),
     "no_prefers_25_epochs": no_prefers_warm_start,
 }
 
@@ -763,10 +806,10 @@ class TestGoldenOutputs:
         config = cli.load_config(CONFIGS / "enigma_high_si.toml",
                                  {"seed": 42, "constitution": str(DATA / "toy_high_si.txt")})
         vocab, task = cli._build_task(config, cli._load_principles(config.constitution))
-        policy = ToyPolicy(vocab, config.policy_dim)
+        policy = ToyPolicy(vocab)
         policy.init_params(config.seed)
-        warm_start(policy, task, config.warmstart_epochs, config.warmstart_lr,
-                   config.seed, bias=config.warmstart_bias)
+        warm_start(policy, task, config.warmstart_epochs, cli.WARMSTART_LR,
+                   config.seed, bias=cli.WARMSTART_BIAS)
         expected = (GOLDEN / "warm_start_enigma_high_si_seed42.param_hash").read_text().strip()
         assert policy.param_hash() == expected
 
@@ -982,6 +1025,21 @@ class TestProbeCommand:
         ckpt = sorted(str(p) for p in run_dir.glob("ckpt_*.npz"))[0]
         out_dir_file_rejected(tmp_path, capsys, ["probe", ckpt])
 
+    @pytest.mark.parametrize("second, code", [("not_a_checkpoint", cli.EXIT_RUNTIME),
+                                              ("other_config", cli.EXIT_CONFIG)])
+    def test_bad_second_checkpoint_leaves_no_out_dir(self, tmp_path, second, code):
+        # The first checkpoint loads; the second does not, or comes from
+        # another run config.  Either way the output dir is never made.
+        if second == "not_a_checkpoint":
+            path = tmp_path / "notes.npz"
+            path.write_text("not a checkpoint\n")
+        else:
+            path = self.with_meta(tmp_path, lambda meta: {**meta, "config_hash": "other"})
+        out = tmp_path / "px"
+        assert cli.main(["probe", str(SCHEMA_1_CHECKPOINT), str(path),
+                         "--out-dir", str(out)]) == code
+        assert not out.exists()
+
     def test_mixed_config_checkpoints_rejected(self, run_dir, tmp_path):
         other_tmp = tmp_path / "other"
         other_tmp.mkdir()
@@ -994,6 +1052,7 @@ class TestProbeCommand:
                          "--constitution", str(DATA / "toy_high_si.txt"),
                          "--out-dir", str(tmp_path / "mixed")])
         assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "mixed").exists()
 
     @pytest.mark.parametrize("options", [
         {}, {"seed": 3}, {"metric": "diag_mi"}, {"no_path": True},
@@ -1080,32 +1139,47 @@ class TestProbeCommand:
         assert csv_bytes(out) == csv_bytes(tmp_path / "ref")
 
     @staticmethod
-    def with_config_text(tmp_path, transform) -> Path:
-        """A copy of the checked-in checkpoint whose stored config text is
-        transform(text); its config_hash is left as it was."""
+    def with_meta(tmp_path, transform) -> Path:
+        """A copy of the checked-in checkpoint whose meta is transform(meta)."""
         with np.load(SCHEMA_1_CHECKPOINT, allow_pickle=False) as archive:
             data = dict(archive)
-        meta = json.loads(str(data["meta"]))
-        data["meta"] = json.dumps({**meta, "config_text": transform(meta["config_text"])},
-                                  sort_keys=True)
+        data["meta"] = json.dumps(transform(json.loads(str(data["meta"]))), sort_keys=True)
         path = tmp_path / "edited.npz"
         np.savez(path, **data)
         return path
 
+    @classmethod
+    def with_config_text(cls, tmp_path, transform) -> Path:
+        """A copy of the checked-in checkpoint whose stored config text is
+        transform(text); its config_hash is left as it was."""
+        return cls.with_meta(tmp_path, lambda meta: {
+            **meta, "config_text": transform(meta["config_text"])})
+
     def test_checkpoint_config_of_another_schema_probes(self, tmp_path):
-        # The stored config says schema 3 and holds a key that schema 3 had;
-        # the probe reads its prompt length and bias and ignores the rest.
+        # The stored config says schema 3 and holds a key that schema 3 had,
+        # or says schema 5 and holds the keys that schema 6 retired; the
+        # probe reads its prompt length and bias and ignores the rest.
         def to_schema_3(text):
             assert text.startswith("schema_version = 4\n")
             return text.replace("schema_version = 4", "schema_version = 3") \
                 + "ot_subsample_cap = 512\n"
 
-        ckpt = self.with_config_text(tmp_path, to_schema_3)
-        out = tmp_path / "probe"
-        assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
-                         "--out-dir", str(out)]) == cli.EXIT_OK
-        reference_probe([ckpt], tmp_path / "ref", DATA / "toy_high_si.txt")
-        assert csv_bytes(out) == csv_bytes(tmp_path / "ref")
+        def to_schema_5(text):
+            assert all(f"\n{key} = " in text for key in RETIRED_SCHEMA_5_KEYS)
+            return "".join(line for line in text.replace(
+                "schema_version = 4", "schema_version = 5").splitlines(keepends=True)
+                if line.split(" = ")[0] not in RETIRED_SCHEMA_4_KEYS)
+
+        for transform in (to_schema_3, to_schema_5):
+            case = tmp_path / transform.__name__
+            case.mkdir()
+            ckpt = self.with_config_text(case, transform)
+            out = case / "probe"
+            assert cli.main(["probe", str(ckpt), "--constitution",
+                             str(DATA / "toy_high_si.txt"), "--out-dir", str(out)]) \
+                == cli.EXIT_OK
+            reference_probe([ckpt], case / "ref", DATA / "toy_high_si.txt")
+            assert csv_bytes(out) == csv_bytes(case / "ref")
 
     def test_checkpoint_config_line_that_does_not_parse_exits_2(self, tmp_path, capsys):
         ckpt = self.with_config_text(tmp_path, lambda text: text + "no equals sign\n")

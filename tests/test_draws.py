@@ -208,7 +208,7 @@ class TestDrawSites:
         task = tk.make_toy_task(**kwargs)
         assert task == reference_make_toy_task(**kwargs)
         # The warm start's golds: seed (seed, epoch) for epochs 0-199.
-        bias = CONFIG.warmstart_bias
+        bias = cli.WARMSTART_BIAS
         tokens, lengths = tk.warm_start_golds(task, 200, seed, bias)
         for epoch in range(200):
             expected = reference_format_pretrain_items(task, seed=(seed, epoch), bias=bias)

@@ -28,7 +28,7 @@ SCHEMA_1_CHECKPOINT = Path(__file__).resolve().parent / "data" / "ckpt_schema1.n
 
 # The policy-only ablation as configs/grpo_cot.toml states it;
 # configs/grpo_cot_plus.toml adds jitter_sigma = 0.5.
-GRPO_COT = dict(sami_weight=0.0, ot_weight=0.0, channel_weight=0.0, shaping_weight=0.0)
+GRPO_COT = dict(sami_weight=0.0, ot_weight=0.0, channel_weight=0.0)
 
 
 def small_trainer(seed=0, steps=50, **config_overrides):
@@ -36,9 +36,7 @@ def small_trainer(seed=0, steps=50, **config_overrides):
     policy = ToyPolicy(Vocab())
     policy.init_params(seed)
     warm_start(policy, task, 60, 0.5, seed, bias=0.15)
-    defaults = dict(learning_rate=1.0, prompts_per_batch=4)
-    defaults.update(config_overrides)
-    config = tr.TrainConfig(**defaults)
+    config = tr.TrainConfig(**{"prompts_per_batch": 4, **config_overrides})
     return tr.Trainer(policy, task, config, max_steps=steps, seed=seed)
 
 
@@ -90,8 +88,8 @@ class TestGrpoUpdate:
         policy = ToyPolicy(Vocab(), max_len=8)
         policy.init_params(4)
         warm_start(policy, task, 60, 0.5, 4, bias=0.15)
-        config = tr.TrainConfig(prompts_per_batch=4, grad_clip=0.05, jitter_sigma=0.5,
-                                **GRPO_COT)
+        monkeypatch.setattr(tr, "GRAD_CLIP", 0.05)
+        config = tr.TrainConfig(prompts_per_batch=4, jitter_sigma=0.5, **GRPO_COT)
         assert config.ot_weight == 0.0 and config.sami_weight == 0.0
         trainer = tr.Trainer(policy, task, config, max_steps=10, seed=4)
         before = policy.clone()
@@ -133,8 +131,8 @@ class TestGrpoUpdate:
                                                  abs=1e-12)
         norm = loss_grad.global_norm()
         assert report.grad_norm == pytest.approx(norm, rel=1e-9)
-        assert norm > config.grad_clip
-        step = config.learning_rate * config.grad_clip / norm
+        assert norm > tr.GRAD_CLIP
+        step = tr.LEARNING_RATE * tr.GRAD_CLIP / norm
         for name, block in policy.param_blocks().items():
             change = block - before.param_blocks()[name]
             assert np.max(np.abs(change + step * getattr(loss_grad, name))) <= 1e-12, name
@@ -145,20 +143,19 @@ class TestStepGradient:
         """A step with every term on moves the parameters by -lr times the
         gradient of its surrogate objective, taken by central differences.
 
-        The surrogate is a function of the parameters alone: the samples,
+        The surrogate is a function of the parameters alone: the samples and
         the advantages (and so the shadow picks and the MI reward behind
-        them) and the shaping term's entropy mask are the step's own,
-        recorded and held fixed.  It is
+        them) are the step's own, recorded and held fixed.  It is
 
             -sum_kept A_i log p_i / (max_len * n_kept)
             + sami_weight(step) * (lam_row * row_loss + lam_col * col_loss)
-            + shaping_term + ot_weight * S_eps(current cloud, reference cloud).
+            + ot_weight * S_eps(current cloud, reference cloud).
 
         The step is step 2, past ot_warmup 2, with the SAMI weight half
         ramped, and the policy is pushed off the reference first so the OT
         term is not negligible.  Each term's largest gradient entry is then
-        at least 100 times the tolerance: 0.16 for OT, 0.09 for GRPO, 9e-3
-        for SAMI and 2e-3 for shaping.  The OT solves stop at an L1 marginal
+        at least 100 times the tolerance: 0.16 for OT, 0.09 for GRPO and 9e-3
+        for SAMI.  The OT solves stop at an L1 marginal
         violation below ot.DEFAULT_TOL = 1e-9, so each divergence value may
         be off by up to about tol times the largest cost, 4 for unit
         vectors, and a central difference over step h by ot_weight * 4 * tol
@@ -172,8 +169,7 @@ class TestStepGradient:
         policy.init_params(seed)
         warm_start(policy, task, 60, 0.5, seed, bias=0.15)
         config = tr.TrainConfig(prompts_per_batch=4, sami_weight=0.5, ot_weight=0.5,
-                                shaping_weight=0.2, channel_weight=0.15,
-                                mi_warmup_steps=4, ot_warmup=2)
+                                channel_weight=0.15, mi_warmup_steps=4, ot_warmup=2)
         t = tr.Trainer(policy, task, config, max_steps=50, seed=seed)
         policy.embed += np.random.default_rng(0).normal(0, 0.3, policy.embed.shape)
         t.train_step()
@@ -182,7 +178,6 @@ class TestStepGradient:
 
         recorded = {}
         sample_groups, group_advantages = policy.sample_groups, tr.group_advantages
-        shaping_term = mi.shaping_term
 
         def record_samples(*args, **kwargs):
             recorded["samples"] = sample_groups(*args, **kwargs)
@@ -193,20 +188,14 @@ class TestStepGradient:
             recorded["advantages"] = out.advantages.ravel()
             return out
 
-        def record_mask(matrix, mask, weight):
-            recorded["mask"] = np.array(mask)
-            return shaping_term(matrix, mask, weight)
-
         monkeypatch.setattr(policy, "sample_groups", record_samples)
         monkeypatch.setattr(tr, "group_advantages", record_advantages)
-        monkeypatch.setattr(mi, "shaping_term", record_mask)
         before = policy.clone()
         report = t.train_step()
         monkeypatch.undo()
 
-        samples, adv, mask = recorded["samples"], recorded["advantages"], recorded["mask"]
-        assert mask.any() and not mask.all()
-        assert report.grad_norm < config.grad_clip and report.loss_ot > 0
+        samples, adv = recorded["samples"], recorded["advantages"]
+        assert report.grad_norm < tr.GRAD_CLIP and report.loss_ot > 0
         _, items, contexts, own = step_contexts(t, step)
         groups = np.repeat(np.arange(len(items)), config.group_size)
         ctx = own[groups]
@@ -230,10 +219,9 @@ class TestStepGradient:
                                                       + lam_col * losses["col_loss"])
             cur = rep_metrics.EmpiricalMeasure(table.summaries(ctx, counts)[0],
                                                normalised=True)
-            divergence = ot.sinkhorn_divergence_with_grad(cur, ref, config.blur ** 2,
+            divergence = ot.sinkhorn_divergence_with_grad(cur, ref, tr.BLUR ** 2,
                                                           max_iter=500)[0]
-            return (grpo + sami + mi.shaping_term(matrix, mask, config.shaping_weight)
-                    + config.ot_weight * divergence)
+            return grpo + sami + config.ot_weight * divergence
 
         tol = config.ot_weight * 4 * ot.DEFAULT_TOL / h
         for name, block in before.param_blocks().items():
@@ -245,7 +233,7 @@ class TestStepGradient:
                     shifted.param_blocks()[name][idx] += shift
                     values.append(surrogate(shifted))
                 grad = (values[0] - values[1]) / (2 * h)
-                assert abs(change[idx] + config.learning_rate * grad) <= tol, (name, idx)
+                assert abs(change[idx] + tr.LEARNING_RATE * grad) <= tol, (name, idx)
 
 
 class TestSchedules:
@@ -273,12 +261,12 @@ class TestSchedules:
     def test_unified_loss_schedule(self):
         config = tr.TrainConfig()
         # step 0: both auxiliaries contribute nothing
-        assert tr.enigma_loss(1.5, 9.9, 0.0, 7.7, config, 0) == pytest.approx(1.5)
+        assert tr.enigma_loss(1.5, 9.9, 7.7, config, 0) == pytest.approx(1.5)
         # past warmup: sami at full weight
-        assert tr.enigma_loss(1.0, 2.0, 0.0, 0.0, config, 50) == pytest.approx(1.1)
+        assert tr.enigma_loss(1.0, 2.0, 0.0, config, 50) == pytest.approx(1.1)
         # ot switches on exactly at ot_warmup
-        assert tr.enigma_loss(0.0, 0.0, 0.0, 0.5, config, 199) == 0.0
-        assert tr.enigma_loss(0.0, 0.0, 0.0, 0.5, config, 200) == pytest.approx(0.5)
+        assert tr.enigma_loss(0.0, 0.0, 0.5, config, 199) == 0.0
+        assert tr.enigma_loss(0.0, 0.0, 0.5, config, 200) == pytest.approx(0.5)
 
 
 def bundled_trainer_config(name) -> tr.TrainConfig:
@@ -316,7 +304,7 @@ class TestTrainStep:
             rep = t.train_step()
             expected = (rep.loss_grpo
                         + tr.sami_weight_at(t.config, rep.step) * rep.loss_sami
-                        + rep.loss_shaping + rep.loss_ot)
+                        + rep.loss_ot)
             assert rep.loss_total == pytest.approx(expected, abs=1e-9)
 
     def test_single_principle_pool_rejected(self):
