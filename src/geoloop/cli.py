@@ -26,18 +26,24 @@ from . import constitution as consti
 from . import mi, ot, prob_metrics
 from .errors import ValidationError
 from .policy import ToyPolicy, mle_pretrain, transition_counts, warm_start
-from .task import Vocab, gold_items, make_toy_task, principles_from_patterns
+from .task import ToyTask, Vocab, gold_items, make_toy_task, principles_from_patterns
 from .trainer import TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 DATA_DIR = Path(__file__).parent / "data"
 
-# The train warm start's learning rate and filler bias.
+# The train warm start's epochs, learning rate and filler bias.
+WARMSTART_EPOCHS = 200
 WARMSTART_LR = 0.5
 WARMSTART_BIAS = 0.15
+# The toy task: items in a training run (eval and probe take --items),
+# prompt length and gold bias.
+TASK_ITEMS = 32
+PROMPT_LEN = 2
+TASK_BIAS = 0.8
 
 
 class ConfigError(ValueError):
@@ -54,11 +60,6 @@ class RunConfig(TrainConfig):
     checkpoint_every: int = 500
     output_dir: str = "run"
     constitution: str = str(DATA_DIR / "toy_high_si.txt")
-    warmstart_epochs: int = 200
-    task_items: int = 32
-    prompt_len: int = 2
-    task_bias: float = 0.8
-    vocab_size: int = 16
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
@@ -71,13 +72,9 @@ class RunConfig(TrainConfig):
 
     def _rules(self) -> tuple:
         return super()._rules() + (
+            ("seed", self.seed >= 0, "nonnegative"),
             ("max_steps", self.max_steps >= 1, "at least 1"),
             ("checkpoint_every", self.checkpoint_every >= 1, "at least 1"),
-            ("task_items", self.task_items >= 1, "at least 1"),
-            ("prompt_len", self.prompt_len >= 0, "nonnegative"),
-            ("vocab_size", self.vocab_size >= 8, "at least 8"),
-            ("warmstart_epochs", self.warmstart_epochs >= 0, "nonnegative"),
-            ("task_bias", 0 <= self.task_bias <= 1, "between 0 and 1"),
         )
 
     def config_hash(self) -> str:
@@ -161,8 +158,9 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 # ---------- shared setup ----------
 
-def _build_task(config: RunConfig, pset: consti.PrincipleSet):
-    vocab = Vocab(config.vocab_size)
+def _build_task(pset: consti.PrincipleSet, seed: int, n_items: int, vocab: Vocab) -> ToyTask:
+    """The toy task over `pset`'s token positives: `n_items` items drawn at
+    `seed` in `vocab`, with PROMPT_LEN-token prompts and gold bias TASK_BIAS."""
     patterns = [(p.pid, p.tokens) for p in pset.positives]
     if any(not toks for _, toks in patterns):
         raise ConfigError(
@@ -173,10 +171,8 @@ def _build_task(config: RunConfig, pset: consti.PrincipleSet):
         principles = principles_from_patterns(vocab, patterns)
     except ValidationError as exc:
         raise ConfigError(f"constitution {pset.name!r}: {exc}") from exc
-    task = make_toy_task(vocab, n_items=config.task_items,
-                         prompt_len=config.prompt_len, bias=config.task_bias,
-                         seed=config.seed, principles=principles)
-    return vocab, task
+    return make_toy_task(vocab, n_items=n_items, prompt_len=PROMPT_LEN, bias=TASK_BIAS,
+                         seed=seed, principles=principles)
 
 
 def _load_principles(path) -> consti.PrincipleSet:
@@ -213,7 +209,7 @@ def cmd_train(args) -> int:
     pset = _load_principles(config.constitution)
     if not pset.negatives:
         raise ConfigError(f"constitution {pset.name!r} has no negatives")
-    vocab, task = _build_task(config, pset)
+    task = _build_task(pset, config.seed, TASK_ITEMS, Vocab())
 
     out_dir = _make_out_dir(config.output_dir)
     if any(out_dir.iterdir()):
@@ -223,9 +219,9 @@ def cmd_train(args) -> int:
     # Seeded init (exact zeros are a saddle), then the format warm start with
     # a weak filler bias: the policy arrives format-competent with principle
     # binding near (but not at) chance.
-    policy = ToyPolicy(vocab)
+    policy = ToyPolicy(task.vocab)
     policy.init_params(config.seed)
-    warm_start(policy, task, config.warmstart_epochs, WARMSTART_LR, config.seed,
+    warm_start(policy, task, WARMSTART_EPOCHS, WARMSTART_LR, config.seed,
                bias=WARMSTART_BIAS)
 
     trainer = Trainer(policy, task, config, config.max_steps, config.seed)
@@ -287,6 +283,8 @@ def cmd_eval_constitution(args) -> int:
         raise ConfigError("--nll is read only with --scores")
     if not args.components and args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
+    if not args.components and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if args.constitutions:
         if args.items < 1:
             raise ConfigError(f"--items must be at least 1, got {args.items}")
@@ -302,21 +300,28 @@ def cmd_eval_constitution(args) -> int:
         pset = _load_principles(path)
         if not pset.negatives:
             raise ConfigError(f"constitution {pset.name!r} has no negatives")
-        run_cfg = RunConfig(seed=args.seed, task_items=args.items,
-                            constitution=str(path))
-        tasks.append((pset, *_build_task(run_cfg, pset)))
+        tasks.append((pset, _build_task(pset, args.seed, args.items, Vocab())))
     if args.components:
         reports = [consti.report_from_components(*row)
                    for row in _read_components(args.components)]
     if args.scores:
         nll_rows = _read_nll_csv(args.nll)
         try:
-            pos_matrix = mi.read_score_csv(args.scores[0])
-            neg_matrix = mi.read_score_csv(args.scores[1])
+            pos_matrix, neg_matrix = map(mi.read_score_csv, args.scores)
         except OSError as exc:
             raise ConfigError(f"cannot read score matrix: {exc}") from exc
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
+        for path, matrix in zip(args.scores, (pos_matrix, neg_matrix)):
+            if matrix.shape[1] < 2:
+                raise ConfigError(f"score CSV {path}: needs at least two principle "
+                                  f"columns, got {matrix.shape[1]}")
+        if pos_matrix.shape[0] != neg_matrix.shape[0]:
+            raise ConfigError(f"score CSVs {args.scores[0]} and {args.scores[1]} hold "
+                              f"{pos_matrix.shape[0]} and {neg_matrix.shape[0]} items")
+        if len(nll_rows) != pos_matrix.shape[0]:
+            raise ConfigError(f"NLL CSV {args.nll}: {len(nll_rows)} rows for "
+                              f"{pos_matrix.shape[0]} score CSV items")
         reports = [consti.evaluate_from_score_files(
             Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows,
             k=args.k, seed=args.seed)]
@@ -330,10 +335,10 @@ def cmd_eval_constitution(args) -> int:
         # are fixed within the call), and scoring only reads the policy, so
         # sets that build the same triples share one warm start.
         warmed = {}
-        for pset, vocab, task in tasks:
+        for pset, task in tasks:
             triples = tuple(gold_items(task))
             if triples not in warmed:
-                policy = ToyPolicy(vocab)
+                policy = ToyPolicy(task.vocab)
                 policy.init_params(args.seed)
                 mle_pretrain(policy, triples, args.warm_epochs, args.warm_lr)
                 warmed[triples] = policy
@@ -410,7 +415,7 @@ def _read_nll_csv(path):
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "nll_without_bits,nll_with_bits":
-                raise ConfigError(f"bad NLL CSV header: {header!r}")
+                raise ConfigError(f"bad NLL CSV header in {path}: {header!r}")
             for lineno, line in enumerate(fh, start=2):
                 if line.strip():
                     try:
@@ -418,8 +423,13 @@ def _read_nll_csv(path):
                         rows.append((float(a), float(b)))
                     except ValueError as exc:
                         raise ConfigError(f"NLL CSV {path}, line {lineno}: {exc}") from exc
+                    if not all(map(math.isfinite, rows[-1])):
+                        raise ConfigError(f"NLL CSV {path}, line {lineno}: values must be "
+                                          f"finite, got {line.strip()!r}")
     except OSError as exc:
         raise ConfigError(f"cannot read NLL CSV: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"NLL CSV {path} has no rows")
     return rows
 
 
@@ -430,6 +440,8 @@ def cmd_probe(args) -> int:
                         ("--top-k", args.top_k)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     # Every landscape alpha is an inverse-temperature exponent and must be
     # positive; a one-point grid uses --alpha-min alone.
     if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
@@ -456,22 +468,21 @@ def cmd_probe(args) -> int:
     if len({meta["config_hash"] for _, meta in loaded}) > 1:
         raise ConfigError("checkpoints come from different run configs")
 
-    # The task is the run's own (vocabulary from meta; prompt length and bias
-    # from the stored config, read whatever its schema_version, since both
-    # mean the same in schemas 3-6), with the probe's seed, item count and
-    # principles.  Without a stored config they take their defaults.
+    # The task is the run's own (vocabulary from meta), with the probe's seed,
+    # item count and principles.  Schemas 3-6 stored the prompt length and
+    # bias, now constants; a stored value other than the constant is refused
+    # rather than probed on another run's prompts.
     meta = loaded[0][1]
     try:
         stored = {key: value for _, key, value in read_config_lines(meta["config_text"])}
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {args.checkpoints[0]} config: {exc}") from exc
-    run_cfg = RunConfig(seed=args.seed, task_items=args.items,
-                        constitution=str(args.constitution),
-                        vocab_size=int(meta["vocab_size"]),
-                        **{key: stored[key] for key in ("prompt_len", "task_bias")
-                           if key in stored})
+    for key, value in (("prompt_len", PROMPT_LEN), ("task_bias", TASK_BIAS)):
+        if stored.get(key, value) != value:
+            raise ConfigError(f"checkpoint {args.checkpoints[0]} config: {key} = "
+                              f"{stored[key]!r}, but the probe task uses {key} = {value!r}")
     pset = _load_principles(args.constitution)
-    vocab, task = _build_task(run_cfg, pset)
+    task = _build_task(pset, args.seed, args.items, Vocab(int(meta["vocab_size"])))
     out_dir = _make_out_dir(args.out_dir)
     probe_item = task.items[0]
     ptoks = task.principle(probe_item.principle_id).tokens
@@ -524,8 +535,8 @@ def cmd_probe(args) -> int:
     sample = task.items[:min(len(task.items), args.items)]
     table = last_policy.forward(last_policy.bag_grid(
         [item.prompt for item in sample],
-        [p.tokens for p in task.principles]).reshape(-1, vocab.size))
-    golds = transition_counts([item.gold for item in sample], vocab.size)
+        [p.tokens for p in task.principles]).reshape(-1, task.vocab.size))
+    golds = transition_counts([item.gold for item in sample], task.vocab.size)
     scores = table.seq_logprobs(golds).reshape(len(sample), n_principles, len(sample))
     own = np.arange(len(sample))
     matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]

@@ -270,7 +270,7 @@ def read_score_csv(path) -> ScoreMatrix:
             normalisation = fields["normalisation"]
             n, m = int(fields["N"]), int(fields["M"])
         except (ValueError, KeyError) as exc:
-            raise ValidationError(f"bad score CSV header: {header!r}") from exc
+            raise ValidationError(f"score CSV {path}: bad header {header!r}") from exc
         rows = []
         for lineno, line in enumerate(fh, start=2):
             if line.strip():
@@ -282,4 +282,7 @@ def read_score_csv(path) -> ScoreMatrix:
     if scores.shape != (n, m):
         raise ValidationError(f"score CSV {path}: body {scores.shape} does not match "
                               f"header ({n},{m})")
-    return ScoreMatrix(scores, normalisation=normalisation)
+    try:
+        return ScoreMatrix(scores, normalisation=normalisation)
+    except ValidationError as exc:
+        raise ValidationError(f"score CSV {path}: {exc}") from exc

@@ -19,11 +19,12 @@ cap max_len, which removes length bias without per-sequence normalisation:
     loss_grpo = -sum_i A_i / n_kept
     gradient  = -sum_i A_i * grad log p_i / (max_len * n_kept)
 
-Schedules: sami_weight ramps linearly over mi_warmup_steps; the row/column
-mix anneals (0.7, 0.3) -> (0.5, 0.5) over the first 10% of max_steps; the OT
-term is zero before ot_warmup; the format gate activates after 30% of the MI
-warmup.  Everything is deterministic under (config, seed): stochastic
-channels draw from seeds derived via SeedSequence(seed, step, channel, index).
+Schedules: sami_weight ramps linearly over the first MI_WARMUP_STEPS steps;
+the row/column mix anneals (0.7, 0.3) -> (0.5, 0.5) over the first 10% of
+max_steps; the OT term is zero before ot_warmup; the format gate activates
+after 30% of the MI warmup.  Everything is deterministic under (config,
+seed): stochastic channels draw from seeds derived via SeedSequence(seed,
+step, channel, index).
 
 The optimiser is plain SGD (LEARNING_RATE) with a global gradient-norm clip
 (GRAD_CLIP); external trainer defaults do not transfer to this scale.  The
@@ -74,6 +75,11 @@ _CH_SAMPLE, _CH_SHADOW_P, _CH_SHADOW_C, _CH_JITTER = 0, 1, 2, 4
 BLUR = 0.12
 LEARNING_RATE = 1.0
 GRAD_CLIP = 1.0
+# Completions per prompt, prompts per step, and the steps over which the
+# auxiliary weight ramps up.
+GROUP_SIZE = 4
+PROMPTS_PER_BATCH = 8
+MI_WARMUP_STEPS = 50
 
 
 def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.Generator:
@@ -84,15 +90,12 @@ def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.
 class TrainConfig:
     """Trainer hyperparameters; defaults are those of the bundled run configs."""
 
-    group_size: int = 4
     sami_weight: float = 0.05
-    mi_warmup_steps: int = 50
     ot_weight: float = 0.01
     ot_warmup: int = 200
     shadow_k: int = 2
     channel_weight: float = 0.15
     jitter_sigma: float = 0.0
-    prompts_per_batch: int = 8
 
     def __post_init__(self):
         """Reject a value the run cannot use before anything runs on it."""
@@ -111,12 +114,10 @@ class TrainConfig:
     def _rules(self) -> tuple:
         """(field, holds, rule) for every range a field must lie in."""
         return (
-            ("group_size", self.group_size >= 2, "at least 2"),
-            ("prompts_per_batch", self.prompts_per_batch >= 1, "at least 1"),
             ("shadow_k", self.shadow_k >= 1, "at least 1"),
             *((name, getattr(self, name) >= 0, "nonnegative")
-              for name in ("mi_warmup_steps", "ot_warmup", "sami_weight", "ot_weight",
-                           "channel_weight", "jitter_sigma")),
+              for name in ("ot_warmup", "sami_weight", "ot_weight", "channel_weight",
+                           "jitter_sigma")),
         )
 
 
@@ -150,10 +151,8 @@ def rowcol_anneal(step: int, max_steps: int) -> tuple:
 
 
 def sami_weight_at(config: TrainConfig, step: int) -> float:
-    """Linear warmup of the auxiliary weight over mi_warmup_steps."""
-    if config.mi_warmup_steps <= 0:
-        return config.sami_weight
-    return config.sami_weight * min(1.0, step / config.mi_warmup_steps)
+    """Linear warmup of the auxiliary weight over MI_WARMUP_STEPS."""
+    return config.sami_weight * min(1.0, step / MI_WARMUP_STEPS)
 
 
 def enigma_loss(grpo_term: float, sami_term: float, ot_term: float,
@@ -279,8 +278,8 @@ class Trainer:
     def _batch_items(self, step: int) -> np.ndarray:
         """Indices of the step's items, the batch's groups in order."""
         n = len(self.task.items)
-        start = (step * self.config.prompts_per_batch) % n
-        return (start + np.arange(self.config.prompts_per_batch)) % n
+        start = (step * PROMPTS_PER_BATCH) % n
+        return (start + np.arange(PROMPTS_PER_BATCH)) % n
 
     def _step_table(self, item_idx) -> NextTokenTable:
         """The policy's table over the step's contexts: context p * G + g
@@ -326,9 +325,9 @@ class Trainer:
         table = self._step_table(item_idx)
         own = self._true[item_idx] * n_groups + np.arange(n_groups)
         samples = self.policy.sample_groups(
-            table, own, config.group_size,
+            table, own, GROUP_SIZE,
             [derive_rng(self.seed, step, _CH_SAMPLE, g) for g in range(n_groups)])
-        groups = np.repeat(np.arange(n_groups), config.group_size)
+        groups = np.repeat(np.arange(n_groups), GROUP_SIZE)
         b = groups.size
         lengths = samples.lengths
         # Every score and gradient of the step goes through the completions'
@@ -352,7 +351,7 @@ class Trainer:
         # Length-normalised candidate scores; the positive is column 0.
         row_scores = (scores[self._row_candidates(item_idx, groups, step), np.arange(b)[:, None]]
                       / lengths[:, None])
-        format_gate_on = rewards.format_gate_schedule(step, config.mi_warmup_steps)
+        format_gate_on = rewards.format_gate_schedule(step, MI_WARMUP_STEPS)
         mi_reward = np.zeros(b)
         if config.channel_weight > 0:
             z = mi.row_positive_logsoftmax(mi.ScoreMatrix(row_scores))

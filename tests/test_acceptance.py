@@ -277,7 +277,7 @@ def test_criterion_8_determinism(tmp_path):
             seed=123, max_steps=50, checkpoint_every=25,
             output_dir=str(tmp_path / name),
             constitution=str(DATA / "toy_high_si.txt"),
-            warmstart_epochs=60, ot_warmup=20)
+            ot_warmup=20)
         path = tmp_path / f"config_{name}.toml"
         path.write_text(cli.serialise_config(config))
         assert cli.main(["train", "--config", str(path)]) == cli.EXIT_OK

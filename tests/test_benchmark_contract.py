@@ -39,10 +39,15 @@ def test_layer_name_resolves(module, qualname):
 
 
 def test_solver_and_schedule_hooks_exist():
-    from geoloop import ot, trainer
+    from geoloop import cli, ot, trainer
 
     assert callable(ot._sinkhorn_potentials)
-    assert callable(trainer.sami_weight_at)
+    # step_problems checks each step's loss identity with
+    # sami_weight_at(config, report.step) on the run's config; a changed
+    # signature would fail every benchmark step instead of a test.
+    config = cli.load_config(ROOT / "configs" / "enigma_high_si.toml")
+    assert [trainer.sami_weight_at(config, step) for step in (0, 25, 50, 100)] \
+        == [0.0, 0.025, 0.05, 0.05]
 
 
 def test_solver_results_the_tracer_reads():

@@ -14,7 +14,7 @@ from geoloop import cli, mi, ot, prob_metrics
 from geoloop import constitution as consti
 from geoloop.policy import ToyPolicy, mle_pretrain, transition_counts, warm_start
 from geoloop.task import ToyPrinciple, Vocab, gold_items, make_toy_principles, make_toy_task
-from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, load_checkpoint
+from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, Trainer, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -31,7 +31,6 @@ def short_config(tmp_path, **overrides) -> Path:
         seed=5, max_steps=8, checkpoint_every=4,
         output_dir=str(tmp_path / "run"),
         constitution=str(DATA / "toy_high_si.txt"),
-        warmstart_epochs=30, task_items=16,
         ot_warmup=4,
     )
     fields.update(overrides)
@@ -52,6 +51,13 @@ RETIRED_SCHEMA_4_KEYS = {"entropy_quantile": 0.8, "sigmoid_slope": 2.5,
 RETIRED_SCHEMA_5_KEYS = {"shaping_weight": 0.0, "blur": 0.12, "learning_rate": 1.0,
                          "grad_clip": 1.0, "policy_dim": 32, "warmstart_lr": 0.5,
                          "warmstart_bias": 0.15}
+# The settings that schema 6 held at one value in every bundled config;
+# schema 7 makes them constants (trainer.GROUP_SIZE, MI_WARMUP_STEPS and
+# PROMPTS_PER_BATCH, cli.WARMSTART_EPOCHS, TASK_ITEMS, PROMPT_LEN and
+# TASK_BIAS, and task.DEFAULT_VOCAB_SIZE).
+RETIRED_SCHEMA_6_KEYS = {"group_size": 4, "mi_warmup_steps": 50, "prompts_per_batch": 8,
+                         "warmstart_epochs": 200, "task_items": 32, "prompt_len": 2,
+                         "task_bias": 0.8, "vocab_size": 16}
 
 
 def refuse(*args, **kwargs):
@@ -125,6 +131,13 @@ class TestConfigRoundTrip:
             cli.parse_config("schema_version = 5\n" + "".join(
                 f"{key} = {value}\n" for key, value in RETIRED_SCHEMA_5_KEYS.items()))
 
+    def test_schema_6_file_fails_on_its_version(self):
+        # Schema 6 had eight settings that are now constants; the version is
+        # reported, not the keys.
+        with pytest.raises(cli.ConfigError, match="schema_version 6"):
+            cli.parse_config("schema_version = 6\n" + "".join(
+                f"{key} = {value}\n" for key, value in RETIRED_SCHEMA_6_KEYS.items()))
+
     def test_repeated_key_rejected_naming_both_lines(self):
         # The last value used to win, so an appended line silently changed the run.
         text = (CONFIGS / "enigma_high_si.toml").read_text()
@@ -137,8 +150,8 @@ class TestConfigRoundTrip:
             cli.parse_config(text + "sami_weight = 0.0\n")
 
     def test_bad_trainer_field_rejected(self):
-        with pytest.raises(cli.ConfigError, match="group_size must be at least 2"):
-            cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\ngroup_size = 1\n")
+        with pytest.raises(cli.ConfigError, match="shadow_k must be at least 1"):
+            cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\nshadow_k = 0\n")
 
     @pytest.mark.parametrize("name", ["enigma_high_si", "grpo_cot", "grpo_cot_plus"])
     def test_bundled_configs_round_trip(self, name):
@@ -161,7 +174,7 @@ class TestTrainCommand:
 
     def test_bad_trainer_field_exits_2_no_output(self, tmp_path):
         config = short_config(tmp_path)
-        text = config.read_text().replace("group_size = 4", "group_size = 1")
+        text = config.read_text().replace("shadow_k = 2", "shadow_k = 0")
         config.write_text(text)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
         assert not (tmp_path / "run").exists()
@@ -169,14 +182,13 @@ class TestTrainCommand:
     @pytest.mark.parametrize("field, value", [
         # Each of these once failed with a traceback and partial outputs,
         # after the first checkpoint.
-        ("prompts_per_batch", "0"), ("task_items", "0"),
-        ("ot_weight", "inf"), ("shadow_k", "0"), ("mi_warmup_steps", "-5"),
+        ("ot_weight", "inf"), ("shadow_k", "0"),
+        # This died in numpy's seeding with a traceback (exit 1).
+        ("seed", "-1"),
         # A non-finite value in any float field.
-        ("sami_weight", "-inf"), ("task_bias", "nan"),
-        ("jitter_sigma", "nan"),
+        ("sami_weight", "-inf"), ("jitter_sigma", "nan"),
         # A value of another type: these failed after the first checkpoint.
-        ("prompts_per_batch", "2.5"), ("shadow_k", "2.0"), ("group_size", "true"),
-        ("output_dir", "5"),
+        ("shadow_k", "2.0"), ("output_dir", "5"),
     ])
     def test_out_of_range_field_exits_2_no_output(self, tmp_path, capsys, field, value):
         config = short_config(tmp_path)
@@ -204,18 +216,31 @@ class TestTrainCommand:
     def test_retired_schema_5_key_exits_2_naming_it(self, tmp_path, capsys, key):
         self.retired_key_rejected(tmp_path, capsys, key, RETIRED_SCHEMA_5_KEYS[key])
 
-    def test_cold_start_has_gradient(self, tmp_path):
+    @pytest.mark.parametrize("key", sorted(RETIRED_SCHEMA_6_KEYS))
+    def test_retired_schema_6_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        self.retired_key_rejected(tmp_path, capsys, key, RETIRED_SCHEMA_6_KEYS[key])
+
+    def test_negative_seed_flag_exits_2_no_output(self, tmp_path, capsys):
+        # It died in numpy's seeding with a traceback (exit 1).
+        config = short_config(tmp_path)
+        assert cli.main(["train", "--config", str(config), "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_cold_start_has_gradient(self, tmp_path, monkeypatch):
         # Without a warm start the policy must still leave the all-zero saddle.
-        config = short_config(tmp_path, warmstart_epochs=0, max_steps=3)
+        monkeypatch.setattr(cli, "WARMSTART_EPOCHS", 0)
+        config = short_config(tmp_path, max_steps=3)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
         rows = [json.loads(line) for line in
                 (tmp_path / "run" / "steps.jsonl").read_text().splitlines()]
         assert any(row["grad_norm"] > 0 for row in rows)
 
-    def test_logs_are_strict_json(self, tmp_path):
+    def test_logs_are_strict_json(self, tmp_path, monkeypatch):
         # A cold start has no clean subset, so the clean bounds are NaN in
         # memory; the logs carry them as null, never as a bare NaN.
-        config = short_config(tmp_path, warmstart_epochs=0, max_steps=10)
+        monkeypatch.setattr(cli, "WARMSTART_EPOCHS", 0)
+        config = short_config(tmp_path, max_steps=10)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
         run = tmp_path / "run"
 
@@ -246,7 +271,8 @@ class TestTrainCommand:
                 trainers.append(self)
 
         monkeypatch.setattr(cli, "Trainer", Recorded)
-        config = short_config(tmp_path, warmstart_epochs=0, max_steps=10)
+        monkeypatch.setattr(cli, "WARMSTART_EPOCHS", 0)
+        config = short_config(tmp_path, max_steps=10)
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
         run = tmp_path / "run"
         rows = [json.loads(line) for line in (run / "steps.jsonl").read_text().splitlines()]
@@ -424,18 +450,38 @@ class TestEvalCommand:
         assert "nll.csv" in err and "line 3" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("break_input, message", [
-        (lambda tmp: (tmp / "nll.csv").unlink(), "cannot read NLL CSV"),
+    @pytest.mark.parametrize("break_input, message, name", [
+        (lambda tmp: (tmp / "nll.csv").unlink(), "cannot read NLL CSV", "nll.csv"),
         (lambda tmp: (tmp / "nll.csv").write_text("without,with\n2.0,1.9\n"),
-         "bad NLL CSV header"),
-        (lambda tmp: (tmp / "neg.csv").unlink(), "cannot read score matrix")],
-        ids=["missing_nll", "bad_nll_header", "missing_score_csv"])
+         "bad NLL CSV header", "nll.csv"),
+        (lambda tmp: (tmp / "neg.csv").unlink(), "cannot read score matrix", "neg.csv"),
+        # Each of the rest exited 1, or (the row count) was accepted.
+        (lambda tmp: (tmp / "nll.csv").write_text(
+            "nll_without_bits,nll_with_bits\n2.0,nan\n2.0,1.8\n"),
+         "line 2: values must be finite", "nll.csv"),
+        (lambda tmp: (tmp / "nll.csv").write_text("nll_without_bits,nll_with_bits\n"),
+         "has no rows", "nll.csv"),
+        (lambda tmp: (tmp / "nll.csv").write_text(
+            "nll_without_bits,nll_with_bits\n2.0,1.9\n2.0,1.8\n2.0,1.7\n"),
+         "3 rows for 2 score CSV items", "nll.csv"),
+        (lambda tmp: (tmp / "neg.csv").write_text(
+            "normalisation=length_mean,N=3,M=2\n0.0,-0.5\n-0.5,0.0\n0.0,-0.5\n"),
+         "hold 2 and 3 items", "neg.csv"),
+        (lambda tmp: (tmp / "pos.csv").write_text(
+            "normalisation=length_mean,N=2,M=1\n0.0\n-1.0\n"),
+         "needs at least two principle columns, got 1", "pos.csv"),
+        (lambda tmp: (tmp / "pos.csv").write_text(
+            "normalisation=length_mean,N=2,M=2\n0.0,-1.0\n-1.0,inf\n"),
+         "entries must be finite", "pos.csv")],
+        ids=["missing_nll", "bad_nll_header", "missing_score_csv", "nonfinite_nll",
+             "empty_nll", "nll_row_count", "item_count", "one_column", "nonfinite_score"])
     def test_bad_score_input_exits_2_before_any_output(self, tmp_path, capsys,
-                                                       break_input, message):
+                                                       break_input, message, name):
         args = self.external_files(tmp_path)
         break_input(tmp_path)
         assert cli.main(args) == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and str(tmp_path / name) in err
         assert not (tmp_path / "out").exists()
 
     def test_components_row_without_auc_is_a_config_error(self, tmp_path, capsys):
@@ -564,6 +610,15 @@ class TestEvalCommand:
         assert str(path) in err and field in err
         assert not out.exists()
 
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, capsys):
+        # It died in numpy's seeding with a traceback (exit 1).
+        out = tmp_path / "out"
+        for argv in (["eval-constitution", str(DATA / "toy_high_si.txt"),
+                      "--out-dir", str(out)], self.external_files(tmp_path)):
+            assert cli.main([*argv, "--seed", "-3"]) == cli.EXIT_CONFIG
+            assert "--seed must be nonnegative, got -3" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exits_2_before_any_output(self, tmp_path, capsys, k):
         out = tmp_path / "out"
@@ -582,9 +637,8 @@ def reference_reports(paths, seed=0, items=32, k=2, epochs=120, lr=0.5) -> dict:
     reports = []
     for path in paths:
         pset = cli._load_principles(path)
-        vocab, task = cli._build_task(
-            cli.RunConfig(seed=seed, task_items=items, constitution=str(path)), pset)
-        policy = ToyPolicy(vocab)
+        task = cli._build_task(pset, seed, items, Vocab())
+        policy = ToyPolicy(task.vocab)
         policy.init_params(seed)
         mle_pretrain(policy, gold_items(task), epochs, lr)
         reports.append(consti.evaluate_principle_set(policy, task, pset, k=k, seed=seed))
@@ -687,8 +741,7 @@ class TestPositiveCounts:
 
     def test_items_cycle_over_every_positive(self, constitution):
         pset = cli._load_principles(constitution)
-        _, task = cli._build_task(cli.RunConfig(seed=0, task_items=32,
-                                                constitution=str(constitution)), pset)
+        task = cli._build_task(pset, 0, 32, Vocab())
         n = len(pset.positives)
         assert [item.principle_id for item in task.items] == \
             [task.principles[i % n].pid for i in range(32)]
@@ -760,14 +813,13 @@ class TestTextPrinciplePools:
         assert not out.exists()
 
 
-def bundled_warm_start(seed, bias=cli.WARMSTART_BIAS, lr=cli.WARMSTART_LR, **overrides):
-    """The warm start `geoloop train` runs for the bundled enigma_high_si
-    config at this seed, with this bias and rate: (task, epochs, lr, seed, bias)."""
-    config = cli.load_config(CONFIGS / "enigma_high_si.toml",
-                             {"seed": seed, "constitution": str(DATA / "toy_high_si.txt"),
-                              **overrides})
-    _, task = cli._build_task(config, cli._load_principles(config.constitution))
-    return task, config.warmstart_epochs, lr, config.seed, bias
+def bundled_warm_start(seed, bias=cli.WARMSTART_BIAS, lr=cli.WARMSTART_LR,
+                       epochs=cli.WARMSTART_EPOCHS):
+    """The warm start `geoloop train` runs for the bundled toy_high_si set at
+    this seed, with this bias, rate and epoch count: (task, epochs, lr, seed, bias)."""
+    task = cli._build_task(cli._load_principles(DATA / "toy_high_si.txt"), seed,
+                           cli.TASK_ITEMS, Vocab())
+    return task, epochs, lr, seed, bias
 
 
 def no_prefers_warm_start():
@@ -785,8 +837,8 @@ def no_prefers_warm_start():
 WARM_START_CASES = {
     "bundled_seed0": lambda: bundled_warm_start(0),
     "bundled_seed3": lambda: bundled_warm_start(3),
-    "bias0_25_epochs": lambda: bundled_warm_start(42, bias=0.0, warmstart_epochs=25),
-    "bias1_25_epochs": lambda: bundled_warm_start(42, bias=1.0, warmstart_epochs=25),
+    "bias0_25_epochs": lambda: bundled_warm_start(42, bias=0.0, epochs=25),
+    "bias1_25_epochs": lambda: bundled_warm_start(42, bias=1.0, epochs=25),
     "no_prefers_25_epochs": no_prefers_warm_start,
 }
 
@@ -805,10 +857,11 @@ class TestGoldenOutputs:
     def test_train_warm_start_hash(self):
         config = cli.load_config(CONFIGS / "enigma_high_si.toml",
                                  {"seed": 42, "constitution": str(DATA / "toy_high_si.txt")})
-        vocab, task = cli._build_task(config, cli._load_principles(config.constitution))
-        policy = ToyPolicy(vocab)
+        task = cli._build_task(cli._load_principles(config.constitution), config.seed,
+                               cli.TASK_ITEMS, Vocab())
+        policy = ToyPolicy(task.vocab)
         policy.init_params(config.seed)
-        warm_start(policy, task, config.warmstart_epochs, cli.WARMSTART_LR,
+        warm_start(policy, task, cli.WARMSTART_EPOCHS, cli.WARMSTART_LR,
                    config.seed, bias=cli.WARMSTART_BIAS)
         expected = (GOLDEN / "warm_start_enigma_high_si_seed42.param_hash").read_text().strip()
         assert policy.param_hash() == expected
@@ -835,10 +888,8 @@ class TestGoldenOutputs:
 
     def test_eval_warm_start_hash(self):
         path = DATA / "toy_high_si.txt"
-        vocab, task = cli._build_task(
-            cli.RunConfig(seed=0, task_items=32, constitution=str(path)),
-            cli._load_principles(path))
-        policy = ToyPolicy(vocab)
+        task = cli._build_task(cli._load_principles(path), 0, 32, Vocab())
+        policy = ToyPolicy(task.vocab)
         policy.init_params(0)
         mle_pretrain(policy, gold_items(task), 120, 0.5)
         expected = (GOLDEN / "mle_pretrain_toy_high_si_seed0.param_hash").read_text().strip()
@@ -879,16 +930,15 @@ class TestGoldenOutputs:
 
 
 def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
-                    metric="fr", top_k=16, no_path=False, prompt_len=2):
+                    metric="fr", top_k=16, no_path=False):
     """The probe CSVs as written by scoring each checkpoint's probe context
     with its own next_token_distribution call and aligning the score matrix
     row by row with np.roll; `cli.cmd_probe` must write the same bytes.  The
-    task is built at the checkpoints' vocabulary and the given prompt length."""
+    task is built at the checkpoints' vocabulary."""
     out.mkdir(parents=True)
     loaded = [load_checkpoint(path) for path in ckpts]
-    run_cfg = cli.RunConfig(seed=seed, task_items=items, constitution=str(constitution),
-                            vocab_size=loaded[0][1]["vocab_size"], prompt_len=prompt_len)
-    vocab, task = cli._build_task(run_cfg, cli._load_principles(constitution))
+    vocab = Vocab(loaded[0][1]["vocab_size"])
+    task = cli._build_task(cli._load_principles(constitution), seed, items, vocab)
     item = task.items[0]
     ptoks = task.principle(item.principle_id).tokens
     dists = [prob_metrics.ProbVector(policy.next_token_distribution(item.prompt, ptoks))
@@ -957,6 +1007,29 @@ def csv_bytes(directory) -> dict:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
+def library_run(tmp_path, vocab_size, config=None, max_steps=4, every=2) -> list:
+    """The checkpoints, every `every` steps, of a bundled-recipe run at this
+    vocabulary, trained through library calls (`geoloop train` uses the
+    16-token vocabulary) and saved with this run config, or with none."""
+    seed = 5
+    task = cli._build_task(cli._load_principles(DATA / "toy_high_si.txt"), seed,
+                           cli.TASK_ITEMS, Vocab(vocab_size))
+    policy = ToyPolicy(task.vocab)
+    policy.init_params(seed)
+    warm_start(policy, task, cli.WARMSTART_EPOCHS, cli.WARMSTART_LR, seed,
+               bias=cli.WARMSTART_BIAS)
+    trainer = Trainer(policy, task, TrainConfig(), max_steps, seed)
+    stored = (config.config_hash(), cli.serialise_config(config)) if config else ("", "")
+    ckpts = []
+    while True:
+        if trainer.step % every == 0:
+            ckpts.append(tmp_path / f"ckpt_{trainer.step:06d}.npz")
+            trainer.save_checkpoint(ckpts[-1], *stored)
+        if trainer.step == max_steps:
+            return ckpts
+        trainer.train_step()
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("probe_run")
@@ -1001,8 +1074,7 @@ class TestProbeCommand:
         assert header == "step_from,step_to,token_index_w2sq"
         w2sq = float(row.split(",")[2])
         pset = cli._load_principles(DATA / "toy_high_si.txt")
-        _, task = cli._build_task(cli.RunConfig(
-            seed=0, task_items=32, constitution=str(DATA / "toy_high_si.txt")), pset)
+        task = cli._build_task(pset, 0, 32, Vocab())
         item = task.items[0]
         dists = [load_checkpoint(path)[0].next_token_distribution(
             item.prompt, task.principle(item.principle_id).tokens) for path in ckpts]
@@ -1073,47 +1145,42 @@ class TestProbeCommand:
     def test_vocab_20_run_probes_with_its_own_vocabulary(self, tmp_path):
         # The task's tags are the vocabulary's top tokens, so a 16-token
         # task would score these checkpoints' contexts with the wrong tags.
-        config = short_config(tmp_path, vocab_size=20, max_steps=4, checkpoint_every=2)
-        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
-        ckpts = sorted((tmp_path / "run").glob("ckpt_*.npz"))
+        ckpts = library_run(tmp_path, 20, cli.RunConfig(seed=5))
         constitution = DATA / "toy_high_si.txt"
         assert cli.main(["probe", *map(str, ckpts), "--constitution", str(constitution),
                          "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_OK
         reference_probe(ckpts, tmp_path / "ref", constitution)
         assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
+        assert load_checkpoint(ckpts[0])[1]["vocab_size"] == 20
 
-    def test_run_probes_with_its_own_prompt_length(self, tmp_path):
-        # The probe context is the first item of the run's own task, so a
-        # run trained on 4-token prompts is probed on a 4-token prompt.
-        config = short_config(tmp_path, prompt_len=4, max_steps=2, checkpoint_every=1)
-        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
-        ckpts = sorted((tmp_path / "run").glob("ckpt_*.npz"))
-        constitution = DATA / "toy_high_si.txt"
-        assert cli.main(["probe", *map(str, ckpts), "--constitution", str(constitution),
-                         "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_OK
-        reference_probe(ckpts, tmp_path / "ref", constitution, prompt_len=4)
-        assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
-        reference_probe(ckpts, tmp_path / "two", constitution)
-        assert csv_bytes(tmp_path / "two") != csv_bytes(tmp_path / "ref")
+    @pytest.mark.parametrize("key, value", [("prompt_len", "4"), ("task_bias", "0.5")])
+    def test_stored_task_setting_of_another_value_exits_2(self, tmp_path, capsys,
+                                                          key, value):
+        # Schema 6 and earlier stored the prompt length and bias, now
+        # constants.  A run trained on other prompts used to be probed on
+        # its own; it is refused rather than probed on the constants'.
+        def set_value(text):
+            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+            assert n == 1
+            return text
+
+        ckpt = self.with_config_text(tmp_path, set_value)
+        out = tmp_path / "probe"
+        assert cli.main(["probe", str(ckpt), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} config: {key} = {value}," in err
+        assert f"the probe task uses {key} = {getattr(cli, key.upper())!r}" in err
+        assert not out.exists()
 
     def test_checkpoints_without_config_probe_the_default_task(self, tmp_path):
         # A checkpoint saved with an empty config_text (a trainer used
         # outside the CLI) is probed on the default task at its vocabulary.
-        config = short_config(tmp_path, vocab_size=20, prompt_len=4, max_steps=2,
-                              checkpoint_every=1)
-        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
-        stripped = []
-        for ckpt in sorted((tmp_path / "run").glob("ckpt_*.npz")):
-            with np.load(ckpt, allow_pickle=False) as archive:
-                data = dict(archive)
-            data["meta"] = json.dumps({**json.loads(str(data["meta"])), "config_text": ""},
-                                      sort_keys=True)
-            stripped.append(tmp_path / ckpt.name)
-            np.savez(stripped[-1], **data)
+        ckpts = library_run(tmp_path, 20, max_steps=2, every=1)
+        assert all(load_checkpoint(ckpt)[1]["config_text"] == "" for ckpt in ckpts)
         constitution = DATA / "toy_high_si.txt"
-        assert cli.main(["probe", *map(str, stripped), "--constitution", str(constitution),
+        assert cli.main(["probe", *map(str, ckpts), "--constitution", str(constitution),
                          "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_OK
-        reference_probe(stripped, tmp_path / "ref", constitution)
+        reference_probe(ckpts, tmp_path / "ref", constitution)
         assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
 
     def test_checkpoints_without_reference_probe_to_the_same_bytes(self, run_dir, tmp_path):
@@ -1158,7 +1225,7 @@ class TestProbeCommand:
     def test_checkpoint_config_of_another_schema_probes(self, tmp_path):
         # The stored config says schema 3 and holds a key that schema 3 had,
         # or says schema 5 and holds the keys that schema 6 retired; the
-        # probe reads its prompt length and bias and ignores the rest.
+        # probe checks its prompt length and bias and ignores the rest.
         def to_schema_3(text):
             assert text.startswith("schema_version = 4\n")
             return text.replace("schema_version = 4", "schema_version = 3") \
@@ -1196,6 +1263,14 @@ class TestProbeCommand:
                          "--out-dir", str(out)])
         assert code == cli.EXIT_CONFIG
         assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_before_reading(self, tmp_path, capsys):
+        # It died in numpy's seeding with a traceback (exit 1).
+        out = tmp_path / "out"
+        assert cli.main(["probe", str(tmp_path / "missing.npz"), "--seed", "-1",
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("options", [

@@ -372,9 +372,8 @@ class TestMatchesPerPoolScoring:
         # The eval-constitution set-up at its default items, epochs and rate.
         path = cli.DATA_DIR / f"{name}.txt"
         pset = cli._load_principles(path)
-        vocab, task = cli._build_task(
-            cli.RunConfig(seed=1, task_items=32, constitution=str(path)), pset)
-        policy = ToyPolicy(vocab)
+        task = cli._build_task(pset, 1, 32, Vocab())
+        policy = ToyPolicy(task.vocab)
         policy.init_params(1)
         mle_pretrain(policy, gold_items(task), 120, 0.5)
         assert_same_report(con.evaluate_principle_set(policy, task, pset, k=2, seed=1),

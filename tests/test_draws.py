@@ -5,7 +5,6 @@ These tests are the guard on numpy's algorithms: if an upgrade changes how
 Generator spends PCG64's words for random, integers or choice, they fail
 here, in the fast tier, instead of silently changing steps.jsonl.
 """
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,18 +181,14 @@ def reference_format_pretrain_items(task, seed=0, bias=0.15):
     return triples
 
 
-CONFIG = cli.load_config(Path(__file__).resolve().parent.parent / "configs"
-                         / "enigma_high_si.toml")
-
-
 def cli_task_arguments(seed: int) -> dict:
-    """make_toy_task's arguments as `geoloop train` builds them from the
-    bundled enigma_high_si config."""
+    """make_toy_task's arguments as `geoloop train` builds them for the
+    bundled toy_high_si set."""
     pset = consti.parse_principle_file(cli.DATA_DIR / "toy_high_si.txt")
-    vocab = tk.Vocab(CONFIG.vocab_size)
+    vocab = tk.Vocab(tk.DEFAULT_VOCAB_SIZE)
     principles = tk.principles_from_patterns(vocab, [(p.pid, p.tokens) for p in pset.positives])
-    return dict(vocab=vocab, n_items=CONFIG.task_items, prompt_len=CONFIG.prompt_len,
-                bias=CONFIG.task_bias, seed=seed, principles=principles)
+    return dict(vocab=vocab, n_items=cli.TASK_ITEMS, prompt_len=cli.PROMPT_LEN,
+                bias=cli.TASK_BIAS, seed=seed, principles=principles)
 
 
 def gold_tuples(tokens, lengths) -> list:

@@ -31,13 +31,19 @@ SCHEMA_1_CHECKPOINT = Path(__file__).resolve().parent / "data" / "ckpt_schema1.n
 GRPO_COT = dict(sami_weight=0.0, ot_weight=0.0, channel_weight=0.0)
 
 
+@pytest.fixture(autouse=True)
+def four_prompts_per_batch(monkeypatch):
+    """The trainers here take 4 prompts a step, half a run's batch."""
+    monkeypatch.setattr(tr, "PROMPTS_PER_BATCH", 4)
+
+
 def small_trainer(seed=0, steps=50, **config_overrides):
     task = make_toy_task(seed=seed, prompt_len=2, n_items=16)
     policy = ToyPolicy(Vocab())
     policy.init_params(seed)
     warm_start(policy, task, 60, 0.5, seed, bias=0.15)
-    config = tr.TrainConfig(**{"prompts_per_batch": 4, **config_overrides})
-    return tr.Trainer(policy, task, config, max_steps=steps, seed=seed)
+    return tr.Trainer(policy, task, tr.TrainConfig(**config_overrides),
+                      max_steps=steps, seed=seed)
 
 
 class TestGroupAdvantages:
@@ -89,7 +95,7 @@ class TestGrpoUpdate:
         policy.init_params(4)
         warm_start(policy, task, 60, 0.5, 4, bias=0.15)
         monkeypatch.setattr(tr, "GRAD_CLIP", 0.05)
-        config = tr.TrainConfig(prompts_per_batch=4, jitter_sigma=0.5, **GRPO_COT)
+        config = tr.TrainConfig(jitter_sigma=0.5, **GRPO_COT)
         assert config.ot_weight == 0.0 and config.sami_weight == 0.0
         trainer = tr.Trainer(policy, task, config, max_steps=10, seed=4)
         before = policy.clone()
@@ -107,20 +113,20 @@ class TestGrpoUpdate:
 
         # The step's advantages, recomputed from the completions: the format
         # reward plus the grpo_cot_plus jitter, centred within each group.
-        size = config.group_size
+        size = tr.GROUP_SIZE
         reward = np.array([float((not c.truncated)
                                  and reference_format_reward(c.content, policy.vocab) == 1.0)
                            for c in sampled])
         reward = reward + config.jitter_sigma * tr.derive_rng(
             4, 0, tr._CH_JITTER).standard_normal(len(sampled))
         advantages = [tr.group_advantages(reward[g * size:(g + 1) * size]).advantages
-                      for g in range(config.prompts_per_batch)]
-        sampled = [sampled[g * size:(g + 1) * size] for g in range(config.prompts_per_batch)]
+                      for g in range(tr.PROMPTS_PER_BATCH)]
+        sampled = [sampled[g * size:(g + 1) * size] for g in range(tr.PROMPTS_PER_BATCH)]
 
-        items = task.items[:config.prompts_per_batch]
+        items = task.items[:tr.PROMPTS_PER_BATCH]
         kept = [(item, comp, a) for item, group, adv in zip(items, sampled, advantages)
                 for comp, a in zip(group, adv) if not comp.truncated]
-        assert 0 < len(kept) < len(items) * config.group_size
+        assert 0 < len(kept) < len(items) * tr.GROUP_SIZE
         assert any(a != 0.0 for *_, a in kept)
         loss_grad = ParamGrad.zeros(policy.vocab.size, policy.dim)
         for item, comp, a in kept:
@@ -168,8 +174,9 @@ class TestStepGradient:
         policy = ToyPolicy(Vocab(), dim=8)
         policy.init_params(seed)
         warm_start(policy, task, 60, 0.5, seed, bias=0.15)
-        config = tr.TrainConfig(prompts_per_batch=4, sami_weight=0.5, ot_weight=0.5,
-                                channel_weight=0.15, mi_warmup_steps=4, ot_warmup=2)
+        monkeypatch.setattr(tr, "MI_WARMUP_STEPS", 4)
+        config = tr.TrainConfig(sami_weight=0.5, ot_weight=0.5, channel_weight=0.15,
+                                ot_warmup=2)
         t = tr.Trainer(policy, task, config, max_steps=50, seed=seed)
         policy.embed += np.random.default_rng(0).normal(0, 0.3, policy.embed.shape)
         t.train_step()
@@ -188,16 +195,16 @@ class TestStepGradient:
             recorded["advantages"] = out.advantages.ravel()
             return out
 
-        monkeypatch.setattr(policy, "sample_groups", record_samples)
-        monkeypatch.setattr(tr, "group_advantages", record_advantages)
         before = policy.clone()
-        report = t.train_step()
-        monkeypatch.undo()
+        with monkeypatch.context() as recording:
+            recording.setattr(policy, "sample_groups", record_samples)
+            recording.setattr(tr, "group_advantages", record_advantages)
+            report = t.train_step()
 
         samples, adv = recorded["samples"], recorded["advantages"]
         assert report.grad_norm < tr.GRAD_CLIP and report.loss_ot > 0
         _, items, contexts, own = step_contexts(t, step)
-        groups = np.repeat(np.arange(len(items)), config.group_size)
+        groups = np.repeat(np.arange(len(items)), tr.GROUP_SIZE)
         ctx = own[groups]
         counts = samples.counts(policy.vocab.size)
         kept = np.flatnonzero(~samples.truncated)
@@ -298,8 +305,9 @@ class TestTrainStep:
             assert r1 == r2
         assert t1.policy.param_hash() == t2.policy.param_hash()
 
-    def test_loss_identity(self):
-        t = small_trainer(seed=4, mi_warmup_steps=2, ot_warmup=3)
+    def test_loss_identity(self, monkeypatch):
+        monkeypatch.setattr(tr, "MI_WARMUP_STEPS", 2)
+        t = small_trainer(seed=4, ot_warmup=3)
         for _ in range(6):
             rep = t.train_step()
             expected = (rep.loss_grpo
@@ -406,8 +414,7 @@ class TestCheckpoints:
         task = make_toy_task(seed=13, prompt_len=2, n_items=16)
         policy = ToyPolicy(Vocab(), max_len=8)
         policy.init_params(13)
-        t = tr.Trainer(policy, task, tr.TrainConfig(prompts_per_batch=4),
-                       max_steps=2, seed=13)
+        t = tr.Trainer(policy, task, tr.TrainConfig(), max_steps=2, seed=13)
         path = tmp_path / "ckpt.npz"
         t.save_checkpoint(path)
         policy, meta = tr.load_checkpoint(path)
@@ -491,10 +498,10 @@ def step_inputs(t, step=0):
     item_idx, items, contexts, own = step_contexts(t, step)
     table = t.policy.table(contexts)
     samples = t.policy.sample_groups(
-        table, own, t.config.group_size,
+        table, own, tr.GROUP_SIZE,
         [tr.derive_rng(t.seed, step, tr._CH_SAMPLE, g) for g in range(len(items))])
     comps = completions(samples)
-    groups = np.repeat(np.arange(len(items)), t.config.group_size)
+    groups = np.repeat(np.arange(len(items)), tr.GROUP_SIZE)
     counts = transition_counts([c.tokens for c in comps], t.policy.vocab.size)
     lengths = np.maximum(1, counts.sum(axis=(1, 2)))
     return item_idx, items, own, table.seq_logprobs(counts), comps, groups, lengths
@@ -557,8 +564,9 @@ class TestRunConstants:
     """The tables a step gathers from the run's bags are the per-step tables, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_step_table_is_the_policy_table(self, seed):
-        t = small_trainer(seed=seed, steps=20, prompts_per_batch=6)
+    def test_step_table_is_the_policy_table(self, monkeypatch, seed):
+        monkeypatch.setattr(tr, "PROMPTS_PER_BATCH", 6)
+        t = small_trainer(seed=seed, steps=20)
         for step in range(6):
             item_idx, _, contexts, _ = step_contexts(t, step)
             got, expected = t._step_table(item_idx), t.policy.table(contexts)
@@ -567,8 +575,9 @@ class TestRunConstants:
             t.train_step()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_reference_rows_are_the_reference_table(self, seed):
-        t = small_trainer(seed=seed, steps=20, prompts_per_batch=6)
+    def test_reference_rows_are_the_reference_table(self, monkeypatch, seed):
+        monkeypatch.setattr(tr, "PROMPTS_PER_BATCH", 6)
+        t = small_trainer(seed=seed, steps=20)
         for step in range(4):
             item_idx, items, contexts, own = step_contexts(t, step)
             expected = t.reference.table([contexts[c] for c in own])
@@ -608,7 +617,7 @@ def per_completion_rewards(t, step, comps, z):
     if config.jitter_sigma > 0:
         base = base + config.jitter_sigma * tr.derive_rng(
             t.seed, step, tr._CH_JITTER).standard_normal(len(comps))
-    gate_on = rewards.format_gate_schedule(step, config.mi_warmup_steps)
+    gate_on = rewards.format_gate_schedule(step, tr.MI_WARMUP_STEPS)
     mi_reward = np.zeros(len(comps))
     if config.channel_weight > 0:
         for i in range(len(comps)):
@@ -617,7 +626,7 @@ def per_completion_rewards(t, step, comps, z):
                                                t.autoscaler.beta)
     total = base + mi_reward
     adv, stds = np.zeros(len(comps)), []
-    size = config.group_size
+    size = tr.GROUP_SIZE
     for g in range(len(comps) // size):
         out = tr.group_advantages(total[g * size:(g + 1) * size])
         adv[g * size:(g + 1) * size] = out.advantages
@@ -629,13 +638,15 @@ class TestBatchedBookkeeping:
     """The step's array bookkeeping equals the per-completion functions exactly."""
 
     @pytest.mark.parametrize("overrides", [
-        dict(mi_warmup_steps=10),
+        {},
         dict(GRPO_COT, jitter_sigma=0.5),
         GRPO_COT,
-        dict(mi_warmup_steps=10, jitter_sigma=0.3),
+        dict(jitter_sigma=0.3),
     ], ids=["enigma", "grpo_cot_plus", "grpo_cot", "enigma_jitter"])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_step_rewards_and_advantages(self, monkeypatch, overrides, seed):
+        # A 10-step MI warmup: the format gate opens at step 3 of the 8.
+        monkeypatch.setattr(tr, "MI_WARMUP_STEPS", 10)
         t = small_trainer(seed=seed, steps=40, **overrides)
         recorded = {}
         sample_groups, row_z = t.policy.sample_groups, mi.row_positive_logsoftmax
@@ -670,11 +681,11 @@ class TestBatchedBookkeeping:
             if t.config.channel_weight > 0:
                 gate_open = rewards.entropy_gate(entropies) & (
                     format_ok | (not rewards.format_gate_schedule(
-                        step, t.config.mi_warmup_steps)))
+                        step, tr.MI_WARMUP_STEPS)))
                 assert np.array_equal(rewards.mi_tiebreak_rewards(
                     recorded["z"], t.config.channel_weight, gate_open, state), mi_reward)
                 open_gates += int(np.count_nonzero(mi_reward))
-            grouped = tr.group_advantages((base + mi_reward).reshape(-1, t.config.group_size))
+            grouped = tr.group_advantages((base + mi_reward).reshape(-1, tr.GROUP_SIZE))
             assert np.array_equal(grouped.advantages.ravel(), adv)
             assert np.array_equal(grouped.std, stds)
 
@@ -695,12 +706,13 @@ class TestBatchedBookkeeping:
             assert zero_variance_groups > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_shadow_indices_are_draw_shadows(self, seed):
-        t = small_trainer(seed=seed, steps=20, prompts_per_batch=6)
+    def test_shadow_indices_are_draw_shadows(self, monkeypatch, seed):
+        monkeypatch.setattr(tr, "PROMPTS_PER_BATCH", 6)
+        t = small_trainer(seed=seed, steps=20)
         pool = [p.pid for p in t.task.principles]
         for step in range(5):
             item_idx, items, _, _ = step_contexts(t, step)
-            groups = np.repeat(np.arange(len(items)), t.config.group_size)
+            groups = np.repeat(np.arange(len(items)), tr.GROUP_SIZE)
             got = t._row_candidates(item_idx, groups, step)
             rng = tr.derive_rng(t.seed, step, tr._CH_SHADOW_P)
             for b, g in enumerate(groups):
