@@ -465,14 +465,19 @@ def cmd_probe(args) -> int:
             # BadZipFile on a cut one; ValidationError is a ValueError too.
             print(f"error: cannot load checkpoint {path}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-    if len({meta["config_hash"] for _, meta in loaded}) > 1:
-        raise ConfigError("checkpoints come from different run configs")
+    # A trainer used outside the CLI saves checkpoints with config_hash "",
+    # so their shapes are compared too: one probe task is scored through all.
+    meta = loaded[0][1]
+    for key in ("config_hash", "vocab_size", "dim", "max_len"):
+        for path, (_, other) in zip(args.checkpoints, loaded):
+            if other.get(key) != meta.get(key):
+                raise ConfigError(f"checkpoints {args.checkpoints[0]} and {path} "
+                                  f"differ in {key}")
 
     # The task is the run's own (vocabulary from meta), with the probe's seed,
     # item count and principles.  Schemas 3-6 stored the prompt length and
     # bias, now constants; a stored value other than the constant is refused
     # rather than probed on another run's prompts.
-    meta = loaded[0][1]
     try:
         stored = {key: value for _, key, value in read_config_lines(meta["config_text"])}
     except ConfigError as exc:
@@ -493,13 +498,11 @@ def cmd_probe(args) -> int:
              for policy, _ in loaded]
     steps = [meta["step"] for _, meta in loaded]
 
-    records = prob_metrics.probe_report_batch(zip(dists[:-1], dists[1:])) \
-        if len(dists) >= 2 else []
+    records = prob_metrics.probe_report_batch(zip(dists[:-1], dists[1:]))
     prob_metrics.write_probe_csv(records, out_dir / "probe_report.csv")
 
     if len(dists) >= 2 and not args.no_path:
-        path_stats = prob_metrics.fr_path_stats(
-            prob_metrics.ProbePath(tuple(dists), tuple(steps)))
+        path_stats = prob_metrics.fr_path_stats(dists)
         with open(out_dir / "fr_path.csv", "w") as fh:
             fh.write("segment_index,step_from,step_to,segment_length\n")
             for i, seg in enumerate(path_stats["segment_lengths"]):
@@ -509,8 +512,7 @@ def cmd_probe(args) -> int:
                      f"{path_stats['endpoint_geodesic']!r},"
                      f"{path_stats['ratio']!r},{path_stats['degenerate']}\n")
         if len(dists) >= 3:
-            angles = prob_metrics.turning_angles(
-                prob_metrics.ProbePath(tuple(dists), tuple(steps)))
+            angles = prob_metrics.turning_angles(dists)
             with open(out_dir / "turning_angles.csv", "w") as fh:
                 fh.write("interior_step,angle_radians\n")
                 for step, angle in zip(steps[1:-1], angles):
@@ -532,16 +534,15 @@ def cmd_probe(args) -> int:
     # i's prompt with principle j, scored against item i's gold.
     last_policy = loaded[-1][0]
     n_principles = len(task.principles)
-    sample = task.items[:min(len(task.items), args.items)]
     table = last_policy.forward(last_policy.bag_grid(
-        [item.prompt for item in sample],
+        [item.prompt for item in task.items],
         [p.tokens for p in task.principles]).reshape(-1, task.vocab.size))
-    golds = transition_counts([item.gold for item in sample], task.vocab.size)
-    scores = table.seq_logprobs(golds).reshape(len(sample), n_principles, len(sample))
-    own = np.arange(len(sample))
+    golds = transition_counts([item.gold for item in task.items], task.vocab.size)
+    scores = table.seq_logprobs(golds).reshape(args.items, n_principles, args.items)
+    own = np.arange(args.items)
     matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
     true_cols = [next(j for j, p in enumerate(task.principles) if p.pid == item.principle_id)
-                 for item in sample]
+                 for item in task.items]
     # Row i rotated left by its true column: aligned[i, k] = matrix[i, (k + j_i) mod P].
     aligned = matrix[own[:, None],
                      (np.arange(n_principles) + np.array(true_cols)[:, None]) % n_principles]

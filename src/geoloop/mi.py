@@ -198,46 +198,34 @@ def infonce_bound(candidate_scores: np.ndarray, positive_index: int = 0) -> floa
     return math.log(cands) - loss
 
 
-@dataclass(frozen=True)
-class BoundBatch:
-    """Candidate scores for the clean bounds; positives sit in column 0.
+def clean_mi_bounds(row_scores, col_scores, k: int, clean_mask) -> dict:
+    """Row/column contrastive bounds over the clean subset, in nats.
 
+    Both (n, K+1) candidate blocks hold the positive in column 0.
     row_scores[i]: completion i scored under {true principle, K shadows}.
     col_scores[i]: {true completion, K shadow completions} scored under
     completion i's own rendered prompt.
-    """
-
-    row_scores: np.ndarray
-    col_scores: np.ndarray
-
-    def __post_init__(self):
-        row = np.atleast_2d(np.asarray(self.row_scores, dtype=float))
-        col = np.atleast_2d(np.asarray(self.col_scores, dtype=float))
-        if row.shape != col.shape:
-            raise ValidationError("row and column candidate blocks must align")
-        object.__setattr__(self, "row_scores", row)
-        object.__setattr__(self, "col_scores", col)
-
-
-def clean_mi_bounds(batch: BoundBatch, k: int, clean_mask) -> dict:
-    """Row/column contrastive bounds over the clean subset, in nats.
 
     Returns {"row_bound", "col_bound", "gap", "clean_count"}; with zero clean
     rows the bounds are NaN and clean_count is 0.
     """
+    row_scores = np.atleast_2d(np.asarray(row_scores, dtype=float))
+    col_scores = np.atleast_2d(np.asarray(col_scores, dtype=float))
+    if row_scores.shape != col_scores.shape:
+        raise ValidationError("row and column candidate blocks must align")
     if k < 1:
         raise ValidationError("k must be at least 1")
-    if batch.row_scores.shape[1] != k + 1:
+    if row_scores.shape[1] != k + 1:
         raise ValidationError(f"expected {k + 1} candidates per row")
     mask = np.asarray(clean_mask, dtype=bool)
-    if mask.shape != (batch.row_scores.shape[0],):
+    if mask.shape != (row_scores.shape[0],):
         raise ValidationError("clean mask length must match the batch")
     count = int(mask.sum())
     if count == 0:
         return {"row_bound": math.nan, "col_bound": math.nan,
                 "gap": math.nan, "clean_count": 0}
-    row = infonce_bound(batch.row_scores[mask])
-    col = infonce_bound(batch.col_scores[mask])
+    row = infonce_bound(row_scores[mask])
+    col = infonce_bound(col_scores[mask])
     return {"row_bound": row, "col_bound": col, "gap": row - col, "clean_count": count}
 
 

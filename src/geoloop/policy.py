@@ -610,7 +610,7 @@ def mle_pretrain(policy: ToyPolicy, triples, epochs: int, lr: float) -> None:
 
 
 def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
-               seed: int, bias: float = 0.05) -> None:
+               seed: int, bias: float) -> None:
     """Format warm start with fresh golds every epoch.
 
     Resampling keeps the fitted conditionals at the true (weak) filler bias

@@ -53,30 +53,18 @@ class ProbVector:
         object.__setattr__(self, "support_size", probs.size)
 
 
-@dataclass(frozen=True)
-class ProbePath:
-    """Ordered checkpoints of one distribution over training, same support each."""
-
-    checkpoints: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        cps = tuple(cp if isinstance(cp, ProbVector) else ProbVector(cp)
-                    for cp in self.checkpoints)
-        if len(cps) < 2:
-            raise ValidationError("a path needs at least 2 checkpoints")
-        size = cps[0].support_size
-        if any(cp.support_size != size for cp in cps):
-            raise DimensionMismatchError("all checkpoints must share one support")
-        labels = tuple(self.labels) if self.labels else tuple(range(len(cps)))
-        if len(labels) != len(cps):
-            raise ValidationError("labels must match checkpoint count")
-        object.__setattr__(self, "checkpoints", cps)
-        object.__setattr__(self, "labels", labels)
-
-
 def _as_prob(p) -> ProbVector:
     return p if isinstance(p, ProbVector) else ProbVector(p)
+
+
+def _path(checkpoints, least: int) -> tuple:
+    """The checkpoints as ProbVectors: at least `least` of them, on one support."""
+    cps = tuple(_as_prob(cp) for cp in checkpoints)
+    if len(cps) < least:
+        raise ValidationError(f"need at least {least} checkpoints, got {len(cps)}")
+    if any(cp.support_size != cps[0].support_size for cp in cps):
+        raise DimensionMismatchError("all checkpoints must share one support")
+    return cps
 
 
 def bhattacharyya_coefficient(p, q) -> float:
@@ -142,15 +130,17 @@ def write_probe_csv(records: Sequence[dict], path) -> None:
             writer.writerow({k: repr(float(rec[k])) for k in PROBE_CSV_FIELDS})
 
 
-def fr_path_stats(path: ProbePath) -> dict:
+def fr_path_stats(checkpoints) -> dict:
     """Cumulative geodesic path length vs. the endpoint geodesic.
+
+    `checkpoints` is one distribution at each of at least 2 checkpoints, in
+    training order and on one support (ProbVectors or probability vectors).
 
     ratio = L / d_geo >= 1 whenever d_geo > 0.  A stationary or closed path
     (d_geo = 0) reports ratio = NaN with degenerate=True instead of raising,
     so batch sweeps never abort.
     """
-    path = path if isinstance(path, ProbePath) else ProbePath(tuple(path), ())
-    cps = path.checkpoints
+    cps = _path(checkpoints, 2)
     segments = [fr_distance(a, b) for a, b in zip(cps[:-1], cps[1:])]
     total = float(sum(segments))
     d_geo = fr_distance(cps[0], cps[-1])
@@ -165,16 +155,14 @@ def fr_path_stats(path: ProbePath) -> dict:
     }
 
 
-def turning_angles(path: ProbePath) -> list:
+def turning_angles(checkpoints) -> list:
     """Angle between successive displacement chords in the sqrt-embedding.
 
-    One angle per interior checkpoint, in [0, pi]; a zero-length segment
-    contributes angle 0 by convention.
+    `checkpoints` is as in fr_path_stats, at least 3 of them.  One angle per
+    interior checkpoint, in [0, pi]; a zero-length segment contributes angle
+    0 by convention.
     """
-    path = path if isinstance(path, ProbePath) else ProbePath(tuple(path), ())
-    cps = path.checkpoints
-    if len(cps) < 3:
-        raise ValidationError("turning angles need at least 3 checkpoints")
+    cps = _path(checkpoints, 3)
     emb = [np.sqrt(cp.probs) for cp in cps]
     chords = [b - a for a, b in zip(emb[:-1], emb[1:])]
     angles = []

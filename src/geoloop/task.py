@@ -115,7 +115,6 @@ class ToyTask:
     items: tuple               # TaskItem
     gold_r_pool: tuple
     gold_a_pool: tuple
-    bias: float = 0.8
 
     def __post_init__(self):
         ids = [p.pid for p in self.principles]
@@ -223,7 +222,7 @@ def make_toy_task(vocab: Vocab | None = None, *, n_principles: int = 4,
         principle = principles[i % len(principles)]
         gold = gold_continuation(vocab, principle.prefers, r_pool, a_pool, bias, rng)
         items.append(TaskItem(prompt, principle.pid, gold))
-    return ToyTask(vocab, principles, tuple(items), r_pool, a_pool, bias=bias)
+    return ToyTask(vocab, principles, tuple(items), r_pool, a_pool)
 
 
 def gold_items(task: ToyTask) -> list:

@@ -383,8 +383,8 @@ class Trainer:
 
         cands = self._col_candidates(b, step)
         col_scores = own_scores[groups[:, None], cands] / lengths[cands]
-        clean = mi.clean_mi_bounds(mi.BoundBatch(row_scores, col_scores),
-                                   config.shadow_k, format_ok & entropy_mask)
+        clean = mi.clean_mi_bounds(row_scores, col_scores, config.shadow_k,
+                                   format_ok & entropy_mask)
 
         cur_summaries = table.summaries(own[groups], counts)
         cur_measure = rep_metrics.EmpiricalMeasure(cur_summaries[0], normalised=True)

@@ -12,7 +12,7 @@ import pytest
 
 from geoloop import cli, mi, ot, prob_metrics
 from geoloop import constitution as consti
-from geoloop.policy import ToyPolicy, mle_pretrain, transition_counts, warm_start
+from geoloop.policy import DEFAULT_DIM, ToyPolicy, mle_pretrain, transition_counts, warm_start
 from geoloop.task import ToyPrinciple, Vocab, gold_items, make_toy_principles, make_toy_task
 from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, Trainer, load_checkpoint
 
@@ -949,8 +949,7 @@ def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
         if len(dists) >= 2 else []
     prob_metrics.write_probe_csv(records, out / "probe_report.csv")
     if len(dists) >= 2 and not no_path:
-        path = prob_metrics.ProbePath(tuple(dists), tuple(steps))
-        stats = prob_metrics.fr_path_stats(path)
+        stats = prob_metrics.fr_path_stats(dists)
         with open(out / "fr_path.csv", "w") as fh:
             fh.write("segment_index,step_from,step_to,segment_length\n")
             for i, seg in enumerate(stats["segment_lengths"]):
@@ -961,7 +960,7 @@ def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
         if len(dists) >= 3:
             with open(out / "turning_angles.csv", "w") as fh:
                 fh.write("interior_step,angle_radians\n")
-                for step, angle in zip(steps[1:-1], prob_metrics.turning_angles(path)):
+                for step, angle in zip(steps[1:-1], prob_metrics.turning_angles(dists)):
                     fh.write(f"{step},{angle!r}\n")
 
     alphas, betas = np.linspace(0.5, 1.5, grid), np.linspace(0.0, 1.0, grid)
@@ -1007,14 +1006,16 @@ def csv_bytes(directory) -> dict:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-def library_run(tmp_path, vocab_size, config=None, max_steps=4, every=2) -> list:
+def library_run(tmp_path, vocab_size, config=None, max_steps=4, every=2,
+                dim=DEFAULT_DIM) -> list:
     """The checkpoints, every `every` steps, of a bundled-recipe run at this
-    vocabulary, trained through library calls (`geoloop train` uses the
-    16-token vocabulary) and saved with this run config, or with none."""
+    vocabulary and policy width, trained through library calls (`geoloop
+    train` uses the 16-token vocabulary) and saved with this run config, or
+    with none."""
     seed = 5
     task = cli._build_task(cli._load_principles(DATA / "toy_high_si.txt"), seed,
                            cli.TASK_ITEMS, Vocab(vocab_size))
-    policy = ToyPolicy(task.vocab)
+    policy = ToyPolicy(task.vocab, dim)
     policy.init_params(seed)
     warm_start(policy, task, cli.WARMSTART_EPOCHS, cli.WARMSTART_LR, seed,
                bias=cli.WARMSTART_BIAS)
@@ -1182,6 +1183,22 @@ class TestProbeCommand:
                          "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_OK
         reference_probe(ckpts, tmp_path / "ref", constitution)
         assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("vocab_size", (16, DEFAULT_DIM), (20, DEFAULT_DIM)), ("dim", (16, 8), (16, 32))],
+        ids=["vocab_size", "dim"])
+    def test_checkpoints_of_other_shapes_exit_2(self, tmp_path, capsys, key, first, second):
+        # Checkpoints saved with no config all carry config_hash "", so the
+        # config check passes these pairs; the probe task cannot serve both.
+        ckpts = []
+        for i, (vocab_size, dim) in enumerate((first, second)):
+            (tmp_path / str(i)).mkdir()
+            ckpts += library_run(tmp_path / str(i), vocab_size, max_steps=1, dim=dim)
+        out = tmp_path / "probe"
+        assert cli.main(["probe", *map(str, ckpts), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert f"checkpoints {ckpts[0]} and {ckpts[1]} differ in {key}" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_checkpoints_without_reference_probe_to_the_same_bytes(self, run_dir, tmp_path):
         ckpts = sorted(run_dir.glob("ckpt_*.npz"))

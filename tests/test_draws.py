@@ -166,7 +166,7 @@ def reference_make_toy_task(vocab=None, *, n_principles=4, n_items=32, prompt_le
         gold = tk.gold_continuation(vocab, principle.prefers, r_pool, a_pool,
                                       bias, rng)
         items.append(tk.TaskItem(prompt, principle.pid, gold))
-    return tk.ToyTask(vocab, principles, tuple(items), r_pool, a_pool, bias=bias)
+    return tk.ToyTask(vocab, principles, tuple(items), r_pool, a_pool)
 
 
 def reference_format_pretrain_items(task, seed=0, bias=0.15):

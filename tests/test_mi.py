@@ -125,22 +125,24 @@ class TestBounds:
 
     def test_clean_bounds_masking(self):
         rng = np.random.default_rng(2)
-        batch = mi.BoundBatch(rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (6, 3)))
-        out = mi.clean_mi_bounds(batch, 2, [True, False, True, True, False, True])
+        out = mi.clean_mi_bounds(rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (6, 3)), 2,
+                                 [True, False, True, True, False, True])
         assert out["clean_count"] == 4
         assert out["gap"] == pytest.approx(out["row_bound"] - out["col_bound"])
 
     def test_zero_clean_rows(self):
-        batch = mi.BoundBatch(np.zeros((3, 3)), np.zeros((3, 3)))
-        out = mi.clean_mi_bounds(batch, 2, [False, False, False])
+        out = mi.clean_mi_bounds(np.zeros((3, 3)), np.zeros((3, 3)), 2, [False, False, False])
         assert math.isnan(out["row_bound"])
         assert math.isnan(out["col_bound"])
         assert out["clean_count"] == 0
 
     def test_candidate_count_checked(self):
-        batch = mi.BoundBatch(np.zeros((3, 4)), np.zeros((3, 4)))
         with pytest.raises(ValidationError):
-            mi.clean_mi_bounds(batch, 2, [True, True, True])
+            mi.clean_mi_bounds(np.zeros((3, 4)), np.zeros((3, 4)), 2, [True, True, True])
+
+    def test_row_and_column_blocks_must_align(self):
+        with pytest.raises(ValidationError):
+            mi.clean_mi_bounds(np.zeros((3, 3)), np.zeros((4, 3)), 2, [True, True, True])
 
 
 class TestShadowDraws:

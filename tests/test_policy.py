@@ -889,7 +889,7 @@ class TestWarmStart:
         task = tk.make_toy_task(seed=4)
         p = pol.ToyPolicy(tk.Vocab())
         p.init_params(4)
-        pol.warm_start(p, task, 120, 0.5, seed=4)
+        pol.warm_start(p, task, 120, 0.5, seed=4, bias=0.05)
         ok = total = 0
         for gi, item in enumerate(task.items[:8]):
             ptoks = task.principle(item.principle_id).tokens
@@ -903,10 +903,10 @@ class TestWarmStart:
         task = tk.make_toy_task(seed=5)
         p1 = pol.ToyPolicy(tk.Vocab())
         p1.init_params(5)
-        pol.warm_start(p1, task, 30, 0.5, seed=5)
+        pol.warm_start(p1, task, 30, 0.5, seed=5, bias=0.05)
         p2 = pol.ToyPolicy(tk.Vocab())
         p2.init_params(5)
-        pol.warm_start(p2, task, 30, 0.5, seed=5)
+        pol.warm_start(p2, task, 30, 0.5, seed=5, bias=0.05)
         assert p1.param_hash() == p2.param_hash()
 
 

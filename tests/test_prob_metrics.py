@@ -109,7 +109,7 @@ class TestProbeReport:
 
 class TestPathStats:
     def test_great_circle_path(self):
-        stats = pm.fr_path_stats(pm.ProbePath(([1, 0], [0.5, 0.5], [0, 1]), (0, 1, 2)))
+        stats = pm.fr_path_stats(([1, 0], [0.5, 0.5], [0, 1]))
         assert stats["segment_lengths"] == pytest.approx([math.pi / 2, math.pi / 2])
         assert stats["cumulative_length"] == pytest.approx(math.pi)
         assert stats["endpoint_geodesic"] == pytest.approx(math.pi)
@@ -117,14 +117,13 @@ class TestPathStats:
         assert not stats["degenerate"]
 
     def test_stationary_path(self):
-        stats = pm.fr_path_stats(pm.ProbePath(([0.3, 0.7], [0.3, 0.7]), (0, 1)))
+        stats = pm.fr_path_stats(([0.3, 0.7], [0.3, 0.7]))
         assert stats["cumulative_length"] == pytest.approx(0.0, abs=1e-9)
         assert math.isnan(stats["ratio"])
         assert stats["degenerate"]
 
     def test_closed_loop(self):
-        stats = pm.fr_path_stats(
-            pm.ProbePath(([1, 0], [0.5, 0.5], [1, 0]), (0, 1, 2)))
+        stats = pm.fr_path_stats(([1, 0], [0.5, 0.5], [1, 0]))
         assert stats["cumulative_length"] == pytest.approx(math.pi)
         assert stats["endpoint_geodesic"] == pytest.approx(0.0, abs=1e-9)
         assert math.isnan(stats["ratio"])
@@ -132,14 +131,19 @@ class TestPathStats:
 
     def test_needs_two_checkpoints(self):
         with pytest.raises(ValidationError):
-            pm.ProbePath(([1, 0],), (0,))
+            pm.fr_path_stats(([1, 0],))
+
+    @pytest.mark.parametrize("measure", [pm.fr_path_stats, pm.turning_angles])
+    def test_checkpoints_must_share_one_support(self, measure):
+        with pytest.raises(DimensionMismatchError):
+            measure(([1, 0], [0.2, 0.3, 0.5], [0.5, 0.5]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 6))
     def test_ratio_at_least_one(self, seed, length):
         rng = np.random.default_rng(seed)
         cps = [random_simplex(rng, 4) for _ in range(length)]
-        stats = pm.fr_path_stats(pm.ProbePath(tuple(cps), tuple(range(length))))
+        stats = pm.fr_path_stats(cps)
         if not stats["degenerate"]:
             assert stats["ratio"] >= 1.0 - 1e-9
 
@@ -148,30 +152,27 @@ class TestTurningAngles:
     def test_quarter_circle_turn(self):
         # Chord-turn of a two-segment great-circle path: pi/4 (frozen from the
         # sqrt-embedding chord oracle).
-        angles = pm.turning_angles(
-            pm.ProbePath(([1, 0], [0.5, 0.5], [0, 1]), (0, 1, 2)))
+        angles = pm.turning_angles(([1, 0], [0.5, 0.5], [0, 1]))
         assert angles == pytest.approx([math.pi / 4], abs=1e-12)
 
     def test_repeated_middle_point(self):
-        angles = pm.turning_angles(
-            pm.ProbePath(([0.2, 0.8], [0.2, 0.8], [0.6, 0.4]), (0, 1, 2)))
+        angles = pm.turning_angles(([0.2, 0.8], [0.2, 0.8], [0.6, 0.4]))
         assert angles[0] == 0.0
 
     def test_exact_reversal(self):
-        angles = pm.turning_angles(
-            pm.ProbePath(([1, 0], [0.5, 0.5], [1, 0]), (0, 1, 2)))
+        angles = pm.turning_angles(([1, 0], [0.5, 0.5], [1, 0]))
         assert angles[0] == pytest.approx(math.pi)
 
     def test_needs_three_checkpoints(self):
         with pytest.raises(ValidationError):
-            pm.turning_angles(pm.ProbePath(([1, 0], [0, 1]), (0, 1)))
+            pm.turning_angles(([1, 0], [0, 1]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
     def test_angles_in_range(self, seed):
         rng = np.random.default_rng(seed)
         cps = [random_simplex(rng, 4) for _ in range(5)]
-        for angle in pm.turning_angles(pm.ProbePath(tuple(cps), tuple(range(5)))):
+        for angle in pm.turning_angles(cps):
             assert 0.0 <= angle <= math.pi
 
 
