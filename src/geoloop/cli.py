@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import zipfile
@@ -25,8 +26,8 @@ import numpy as np
 from . import constitution as consti
 from . import mi, ot, prob_metrics
 from .errors import ValidationError
-from .policy import ToyPolicy, mle_pretrain, transition_counts, warm_start
-from .task import ToyTask, Vocab, gold_items, make_toy_task, principles_from_patterns
+from .policy import ToyPolicy, warm_start
+from .task import ToyTask, Vocab, make_toy_task, principles_from_patterns
 from .trainer import TrainConfig, Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
@@ -35,7 +36,7 @@ SCHEMA_VERSION = 7
 
 DATA_DIR = Path(__file__).parent / "data"
 
-# The train warm start's epochs, learning rate and filler bias.
+# The train warm start's epochs, learning rate (the eval's too) and filler bias.
 WARMSTART_EPOCHS = 200
 WARMSTART_LR = 0.5
 WARMSTART_BIAS = 0.15
@@ -44,6 +45,11 @@ WARMSTART_BIAS = 0.15
 TASK_ITEMS = 32
 PROMPT_LEN = 2
 TASK_BIAS = 0.8
+# The probe's PROBE_GRID x PROBE_GRID landscape over alpha in PROBE_ALPHA_RANGE
+# and beta in [0, 1], and the top-k token support of its OT diagnostic.
+PROBE_GRID = 11
+PROBE_ALPHA_RANGE = (0.5, 1.5)
+PROBE_TOP_K = 16
 
 
 class ConfigError(ValueError):
@@ -290,8 +296,6 @@ def cmd_eval_constitution(args) -> int:
             raise ConfigError(f"--items must be at least 1, got {args.items}")
         if args.warm_epochs < 0:
             raise ConfigError(f"--warm-epochs must be nonnegative, got {args.warm_epochs}")
-        if not (math.isfinite(args.warm_lr) and args.warm_lr >= 0):
-            raise ConfigError(f"--warm-lr must be finite and nonnegative, got {args.warm_lr}")
     # Every principle set is read and its task built, and a components file
     # or the score matrices and NLL rows read and scored, before --out-dir
     # exists, so a bad input leaves no output behind.
@@ -325,37 +329,22 @@ def cmd_eval_constitution(args) -> int:
         reports = [consti.evaluate_from_score_files(
             Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows,
             k=args.k, seed=args.seed)]
+    # Each report is written to report_<name>.json under --out-dir.
+    names = [pset.name for pset, _ in tasks] if tasks else [r.name for r in reports]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"two reports are named {name!r}; each would write "
+                              f"report_{name}.json")
+        if "/" in name or os.sep in name:
+            raise ConfigError(f"report name {name!r} holds a path separator")
     out_dir = _make_out_dir(args.out_dir)
 
-    if args.constitutions:
-        reports = []
-        # Principle-aware warm start: the measured policy must carry the
-        # associations the signals probe, like a pretrained base model.  It
-        # depends on the gold triples alone (seed, epochs, rate and vocabulary
-        # are fixed within the call), and scoring only reads the policy, so
-        # sets that build the same triples share one warm start.
-        warmed = {}
-        for pset, task in tasks:
-            triples = tuple(gold_items(task))
-            if triples not in warmed:
-                policy = ToyPolicy(task.vocab)
-                policy.init_params(args.seed)
-                mle_pretrain(policy, triples, args.warm_epochs, args.warm_lr)
-                warmed[triples] = policy
-            policy = warmed[triples]
-            reports.append(consti.evaluate_principle_set(
-                policy, task, pset, k=args.k, seed=args.seed))
+    if tasks:
+        reports = consti.warm_started_reports(tasks, args.k, args.seed, args.warm_epochs,
+                                              WARMSTART_LR)
+    reports = consti.with_zscored_si(reports)
 
-    if len(reports) >= 2:
-        zs = consti.sufficiency_index(
-            [r.delta_nll_median for r in reports],
-            [r.mi_effective for r in reports],
-            [r.auc for r in reports], mode="zscored")
-        reports = [consti.SufficiencyReport(
-            **{**r.__dict__, "si_zscored": float(z)}) for r, z in zip(reports, zs)]
-
-    per_principle = out_dir / "per_principle.csv"
-    with open(per_principle, "w") as fh:
+    with open(out_dir / "per_principle.csv", "w") as fh:
         fh.write("set,pid,delta_nll_bits,leaky\n")
         for report in reports:
             if report.leaky is not None:
@@ -436,21 +425,10 @@ def _read_nll_csv(path):
 # ---------- probe ----------
 
 def cmd_probe(args) -> int:
-    for flag, value in (("--items", args.items), ("--grid", args.grid),
-                        ("--top-k", args.top_k)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    if args.items < 1:
+        raise ConfigError(f"--items must be at least 1, got {args.items}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    # Every landscape alpha is an inverse-temperature exponent and must be
-    # positive; a one-point grid uses --alpha-min alone.
-    if not (math.isfinite(args.alpha_min) and math.isfinite(args.alpha_max)):
-        raise ConfigError(f"--alpha-min and --alpha-max must be finite, "
-                          f"got {args.alpha_min!r} and {args.alpha_max!r}")
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.grid)
-    if alphas.min() <= 0:
-        raise ConfigError(f"--alpha-min and --alpha-max must give positive alphas, "
-                          f"got {args.alpha_min!r} and {args.alpha_max!r}")
     # --out-dir is made only once every input checks out; one that names a
     # file fails before any checkpoint is read.
     if Path(args.out_dir).exists() and not Path(args.out_dir).is_dir():
@@ -486,14 +464,13 @@ def cmd_probe(args) -> int:
         if stored.get(key, value) != value:
             raise ConfigError(f"checkpoint {args.checkpoints[0]} config: {key} = "
                               f"{stored[key]!r}, but the probe task uses {key} = {value!r}")
-    pset = _load_principles(args.constitution)
-    task = _build_task(pset, args.seed, args.items, Vocab(int(meta["vocab_size"])))
+    task = _build_task(_load_principles(args.constitution), args.seed, args.items,
+                       Vocab(int(meta["vocab_size"])))
     out_dir = _make_out_dir(args.out_dir)
-    probe_item = task.items[0]
-    ptoks = task.principle(probe_item.principle_id).tokens
-
-    # The probe context is bagged once; the bag depends on no parameters.
-    weights = loaded[0][0].bag([(probe_item.prompt, ptoks)])
+    # The probe context (the first item's prompt and principle) is bagged
+    # once; the bag depends on no parameters.
+    item = task.items[0]
+    weights = loaded[0][0].bag([(item.prompt, task.principle(item.principle_id).tokens)])
     dists = [prob_metrics.ProbVector(policy.forward(weights).next_token_probs(0))
              for policy, _ in loaded]
     steps = [meta["step"] for _, meta in loaded]
@@ -501,7 +478,7 @@ def cmd_probe(args) -> int:
     records = prob_metrics.probe_report_batch(zip(dists[:-1], dists[1:]))
     prob_metrics.write_probe_csv(records, out_dir / "probe_report.csv")
 
-    if len(dists) >= 2 and not args.no_path:
+    if len(dists) >= 2:
         path_stats = prob_metrics.fr_path_stats(dists)
         with open(out_dir / "fr_path.csv", "w") as fh:
             fh.write("segment_index,step_from,step_to,segment_length\n")
@@ -512,54 +489,32 @@ def cmd_probe(args) -> int:
                      f"{path_stats['endpoint_geodesic']!r},"
                      f"{path_stats['ratio']!r},{path_stats['degenerate']}\n")
         if len(dists) >= 3:
-            angles = prob_metrics.turning_angles(dists)
             with open(out_dir / "turning_angles.csv", "w") as fh:
                 fh.write("interior_step,angle_radians\n")
-                for step, angle in zip(steps[1:-1], angles):
+                for step, angle in zip(steps[1:-1], prob_metrics.turning_angles(dists)):
                     fh.write(f"{step},{angle!r}\n")
+        # Exact token-index W2^2 between the first and last checkpoints.
+        w2sq = ot.output_space_ot_diag(dists[0], dists[-1], top_k=PROBE_TOP_K)
+        (out_dir / "output_ot.csv").write_text(
+            f"step_from,step_to,token_index_w2sq\n{steps[0]},{steps[-1]},{w2sq!r}\n")
 
     # Landscape grid around the last checkpoint's probe distribution.
-    betas = np.linspace(0.0, 1.0, args.grid)
+    alphas = np.linspace(*PROBE_ALPHA_RANGE, PROBE_GRID)
+    betas = np.linspace(0.0, 1.0, PROBE_GRID)
     grid = prob_metrics.landscape_grid(dists[-1], alphas, betas, metric=args.metric)
     with open(out_dir / "landscape.csv", "w") as fh:
-        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n")
-        fh.write(f"# metric={args.metric}\n")
-        fh.write("alpha,beta,value\n")
+        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n# metric={args.metric}\nalpha,beta,value\n")
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
                 fh.write(f"{float(a)!r},{float(b)!r},{float(grid[i, j])!r}\n")
 
     # Aligned score matrix and per-row diagonal statistics for the last policy.
-    # One table over every (item, principle) context: row i * P + j is item
-    # i's prompt with principle j, scored against item i's gold.
-    last_policy = loaded[-1][0]
-    n_principles = len(task.principles)
-    table = last_policy.forward(last_policy.bag_grid(
-        [item.prompt for item in task.items],
-        [p.tokens for p in task.principles]).reshape(-1, task.vocab.size))
-    golds = transition_counts([item.gold for item in task.items], task.vocab.size)
-    scores = table.seq_logprobs(golds).reshape(args.items, n_principles, args.items)
-    own = np.arange(args.items)
-    matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
-    true_cols = [next(j for j, p in enumerate(task.principles) if p.pid == item.principle_id)
-                 for item in task.items]
-    # Row i rotated left by its true column: aligned[i, k] = matrix[i, (k + j_i) mod P].
-    aligned = matrix[own[:, None],
-                     (np.arange(n_principles) + np.array(true_cols)[:, None]) % n_principles]
+    aligned, diag = consti.aligned_scores(loaded[-1][0], task)
     mi.write_score_csv(mi.ScoreMatrix(aligned), out_dir / "icmi_matrix.csv")
-    shifted = matrix - matrix.max(axis=1, keepdims=True)
-    log_sm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     with open(out_dir / "icmi_diag.csv", "w") as fh:
         fh.write("row,diag_log_softmax,pmi\n")
-        for i, j in enumerate(true_cols):
-            val = float(log_sm[i, j])
-            fh.write(f"{i},{val!r},{float(val + np.log(n_principles))!r}\n")
-
-    # Exact token-index W2^2 between the first and last checkpoints.
-    if len(dists) >= 2:
-        w2sq = ot.output_space_ot_diag(dists[0], dists[-1], top_k=args.top_k)
-        (out_dir / "output_ot.csv").write_text(
-            f"step_from,step_to,token_index_w2sq\n{steps[0]},{steps[-1]},{w2sq!r}\n")
+        for i, val in enumerate(diag.tolist()):
+            fh.write(f"{i},{val!r},{float(val + np.log(len(task.principles)))!r}\n")
 
     print(f"probe artifacts written to {out_dir}")
     return EXIT_OK
@@ -591,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--k", type=int, default=2)
     p_eval.add_argument("--warm-epochs", type=int, default=120, dest="warm_epochs")
-    p_eval.add_argument("--warm-lr", type=float, default=0.5, dest="warm_lr")
     p_eval.add_argument("--out-dir", default="eval_out", dest="out_dir")
     p_eval.set_defaults(func=cmd_eval_constitution)
 
@@ -600,12 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--constitution", default=str(DATA_DIR / "toy_high_si.txt"))
     p_probe.add_argument("--items", type=int, default=32)
     p_probe.add_argument("--seed", type=int, default=0)
-    p_probe.add_argument("--grid", type=int, default=11)
-    p_probe.add_argument("--alpha-min", type=float, default=0.5, dest="alpha_min")
-    p_probe.add_argument("--alpha-max", type=float, default=1.5, dest="alpha_max")
     p_probe.add_argument("--metric", choices=("fr", "diag_mi"), default="fr")
-    p_probe.add_argument("--top-k", type=int, default=16, dest="top_k")
-    p_probe.add_argument("--no-path", action="store_true", dest="no_path")
     p_probe.add_argument("--out-dir", default="probe_out", dest="out_dir")
     p_probe.set_defaults(func=cmd_probe)
     return parser

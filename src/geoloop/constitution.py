@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import mi
 from .errors import ValidationError
-from .policy import transition_counts
+from .policy import ToyPolicy, mle_pretrain, transition_counts
+from .task import gold_items
 
 DEFAULT_WEIGHTS = (0.6, 0.3, 0.1)
 
@@ -299,9 +300,7 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
     items = [(item.prompt, item.gold) for item in task.items]
     if not items:
         raise ValidationError("task sample is empty")
-    pos_by_pid = {p.pid: i for i, p in enumerate(task.principles)}
-    true_pos_idx = [pos_by_pid[item.principle_id] % len(pset.positives)
-                    for item in task.items]
+    true_pos_idx = [j % len(pset.positives) for j in task.true_columns]
 
     # One table over every item's contexts: its prompt with every positive,
     # every negative and no principle, each context scoring the item's gold.
@@ -340,6 +339,51 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
 
     return report_from_components(pset.name, delta_bits, auc, margin_pos, margin_neg,
                                   lb_pos, lb_neg, leaky=leaky_negative_flags(per_principle_neg))
+
+
+def warm_started_reports(tasks, k: int, seed: int, epochs: int, lr: float) -> list:
+    """Each (principle set, task) pair's report, scored against a policy
+    that `mle_pretrain` fits from `init_params(seed)` to the task's gold
+    triples, as a base model brings its pretraining.  Scoring only reads the
+    policy, so sets that build the same triples share one warm start."""
+    warmed, reports = {}, []
+    for pset, task in tasks:
+        triples = tuple(gold_items(task))
+        if triples not in warmed:
+            warmed[triples] = ToyPolicy(task.vocab)
+            warmed[triples].init_params(seed)
+            mle_pretrain(warmed[triples], triples, epochs, lr)
+        reports.append(evaluate_principle_set(warmed[triples], task, pset, k=k, seed=seed))
+    return reports
+
+
+def with_zscored_si(reports) -> list:
+    """The reports, each with its z-scored SI across them when there are two or more."""
+    if len(reports) < 2:
+        return reports
+    zs = sufficiency_index([r.delta_nll_median for r in reports],
+                           [r.mi_effective for r in reports],
+                           [r.auc for r in reports], mode="zscored")
+    return [replace(r, si_zscored=float(z)) for r, z in zip(reports, zs)]
+
+
+def aligned_scores(policy, task) -> tuple:
+    """The policy's items-by-principles score matrix, each row rotated left by
+    its item's true column, and each row's log-softmax at its true column.
+    Entry (i, j) is item i's gold log-probability per token under its prompt
+    with principle j; one table scores every (item, principle) context."""
+    n_items, n_principles = len(task.items), len(task.principles)
+    table = policy.forward(policy.bag_grid(
+        [item.prompt for item in task.items],
+        [p.tokens for p in task.principles]).reshape(-1, task.vocab.size))
+    golds = transition_counts([item.gold for item in task.items], task.vocab.size)
+    scores = table.seq_logprobs(golds).reshape(n_items, n_principles, n_items)
+    own = np.arange(n_items)
+    matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
+    true_cols = np.array(task.true_columns)
+    # aligned[i, k] = matrix[i, (k + j_i) mod P].
+    aligned = matrix[own[:, None], (np.arange(n_principles) + true_cols[:, None]) % n_principles]
+    return aligned, mi._log_softmax(matrix, axis=1)[own, true_cols]
 
 
 def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,

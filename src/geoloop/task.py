@@ -125,6 +125,12 @@ class ToyTask:
             if item.principle_id not in known:
                 raise ValidationError(f"item references unknown principle {item.principle_id!r}")
 
+    @property
+    def true_columns(self) -> list:
+        """Each item's principle as its index in `principles`."""
+        column = {p.pid: j for j, p in enumerate(self.principles)}
+        return [column[item.principle_id] for item in self.items]
+
     def principle(self, pid: str) -> ToyPrinciple:
         for p in self.principles:
             if p.pid == pid:

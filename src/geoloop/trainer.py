@@ -262,8 +262,7 @@ class Trainer:
         self.autoscaler = rewards.AutoscalerState()
         # Run constants (module docstring).  _grid[p, i] bags item i's prompt
         # with pool principle p, and _true[i] is item i's principle.
-        pid_index = {p.pid: i for i, p in enumerate(task.principles)}
-        self._true = np.array([pid_index[item.principle_id] for item in task.items], dtype=int)
+        self._true = np.array(task.true_columns, dtype=int)
         self._grid = np.ascontiguousarray(policy.bag_grid(
             [item.prompt for item in task.items],
             [p.tokens for p in task.principles]).transpose(1, 0, 2))

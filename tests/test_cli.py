@@ -521,9 +521,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--items", "0", "--items must be at least 1"),
         ("--items", "-3", "--items must be at least 1"),
-        ("--warm-epochs", "-1", "--warm-epochs must be nonnegative"),
-        ("--warm-lr", "-0.5", "--warm-lr must be finite and nonnegative"),
-        ("--warm-lr", "nan", "--warm-lr must be finite and nonnegative")])
+        ("--warm-epochs", "-1", "--warm-epochs must be nonnegative")])
     def test_bad_warm_start_input_exits_2_before_any_output(self, tmp_path, capsys,
                                                             flag, value, message):
         out = tmp_path / "out"
@@ -533,7 +531,7 @@ class TestEvalCommand:
         assert not out.exists()
 
     def test_scores_and_components_ignore_warm_start_flags(self, tmp_path):
-        ignored = ["--items", "0", "--warm-epochs", "-1", "--warm-lr", "-1"]
+        ignored = ["--items", "0", "--warm-epochs", "-1"]
         assert cli.main(self.external_files(tmp_path) + ignored) == cli.EXIT_OK
         assert cli.main(["eval-constitution", "--components",
                          str(DATA / "component_replay.json"),
@@ -541,7 +539,7 @@ class TestEvalCommand:
 
     def test_out_dir_that_is_a_file_exits_2_before_the_warm_start(
             self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "mle_pretrain", refuse)
+        monkeypatch.setattr(consti, "mle_pretrain", refuse)
         out_dir_file_rejected(tmp_path, capsys,
                               ["eval-constitution", str(DATA / "toy_high_si.txt")])
 
@@ -551,7 +549,7 @@ class TestEvalCommand:
     def test_nll_without_scores_exits_2_before_any_output(self, tmp_path, capsys,
                                                           monkeypatch, source):
         # --nll was ignored here: the run exited 0 with the other input's reports.
-        monkeypatch.setattr(cli, "mle_pretrain", refuse)
+        monkeypatch.setattr(consti, "mle_pretrain", refuse)
         nll = tmp_path / "nll.csv"
         nll.write_text("nll_without_bits,nll_with_bits\n2.0,1.9\n")
         out = tmp_path / "out"
@@ -630,6 +628,51 @@ class TestEvalCommand:
             assert "--k must be at least 1" in capsys.readouterr().err
             assert not out.exists()
 
+    @staticmethod
+    def renamed_sets(tmp_path, first, second) -> list:
+        """Copies of the two bundled sets whose `name:` lines give the names
+        first and second (None: no `name:` line)."""
+        paths = []
+        for i, (source, name) in enumerate((("toy_high_si", first), ("toy_low_si", second))):
+            text = re.sub(r"^name: .*\n", "" if name is None else f"name: {name}\n",
+                          (DATA / f"{source}.txt").read_text(), flags=re.MULTILINE)
+            paths.append(tmp_path / f"set{i}.txt")
+            paths[-1].write_text(text)
+        return paths
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("toy_high_si", "toy_high_si", "two reports are named 'toy_high_si'"),
+        (None, None, "two reports are named 'unnamed'"),
+        ("toy_high_si", "a/b", "report name 'a/b' holds a path separator")],
+        ids=["same_name", "both_unnamed", "separator"])
+    def test_report_name_that_clobbers_or_escapes_exits_2_before_any_output(
+            self, tmp_path, capsys, monkeypatch, first, second, message):
+        # The second report overwrote the first's (exit 0), or a set named
+        # a/b died with a FileNotFoundError traceback after writing
+        # per_principle.csv (exit 1).
+        monkeypatch.setattr(consti, "mle_pretrain", refuse)
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", *map(str, self.renamed_sets(
+            tmp_path, first, second)), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names, message", [
+        (["x", "y", "x"], "two reports are named 'x'"),
+        (["x", "a/b"], "report name 'a/b' holds a path separator")],
+        ids=["same_name", "separator"])
+    def test_components_name_that_clobbers_or_escapes_exits_2_before_any_output(
+            self, tmp_path, capsys, names, message):
+        path = tmp_path / "components.json"
+        path.write_text(json.dumps([{"name": name, "bits": 0.1, "auc": 0.6,
+                                     "margin_pos": 1.0, "margin_neg": 0.5}
+                                    for name in names]))
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", "--components", str(path),
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def reference_reports(paths, seed=0, items=32, k=2, epochs=120, lr=0.5) -> dict:
     """Each set's report JSON as eval-constitution writes it, from a fresh
@@ -671,7 +714,7 @@ class TestSharedWarmStart:
             calls.append(tuple(triples))
             return mle_pretrain(policy, triples, epochs, lr)
 
-        monkeypatch.setattr(cli, "mle_pretrain", spy)
+        monkeypatch.setattr(consti, "mle_pretrain", spy)
         return calls
 
     @pytest.fixture
@@ -929,8 +972,7 @@ class TestGoldenOutputs:
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
 
-def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
-                    metric="fr", top_k=16, no_path=False):
+def reference_probe(ckpts, out, constitution, items=32, seed=0, metric="fr"):
     """The probe CSVs as written by scoring each checkpoint's probe context
     with its own next_token_distribution call and aligning the score matrix
     row by row with np.roll; `cli.cmd_probe` must write the same bytes.  The
@@ -948,7 +990,7 @@ def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
     records = prob_metrics.probe_report_batch(zip(dists[:-1], dists[1:])) \
         if len(dists) >= 2 else []
     prob_metrics.write_probe_csv(records, out / "probe_report.csv")
-    if len(dists) >= 2 and not no_path:
+    if len(dists) >= 2:
         stats = prob_metrics.fr_path_stats(dists)
         with open(out / "fr_path.csv", "w") as fh:
             fh.write("segment_index,step_from,step_to,segment_length\n")
@@ -963,7 +1005,8 @@ def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
                 for step, angle in zip(steps[1:-1], prob_metrics.turning_angles(dists)):
                     fh.write(f"{step},{angle!r}\n")
 
-    alphas, betas = np.linspace(0.5, 1.5, grid), np.linspace(0.0, 1.0, grid)
+    alphas = np.linspace(*cli.PROBE_ALPHA_RANGE, cli.PROBE_GRID)
+    betas = np.linspace(0.0, 1.0, cli.PROBE_GRID)
     values = prob_metrics.landscape_grid(dists[-1], alphas, betas, metric=metric)
     with open(out / "landscape.csv", "w") as fh:
         fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n# metric={metric}\n")
@@ -997,7 +1040,7 @@ def reference_probe(ckpts, out, constitution, items=32, seed=0, grid=11,
             fh.write(f"{i},{val!r},{float(val + np.log(n_principles))!r}\n")
 
     if len(dists) >= 2:
-        w2sq = ot.output_space_ot_diag(dists[0], dists[-1], top_k=top_k)
+        w2sq = ot.output_space_ot_diag(dists[0], dists[-1], top_k=cli.PROBE_TOP_K)
         (out / "output_ot.csv").write_text(
             f"step_from,step_to,token_index_w2sq\n{steps[0]},{steps[-1]},{w2sq!r}\n")
 
@@ -1085,7 +1128,7 @@ class TestProbeCommand:
     def test_single_checkpoint_no_path(self, run_dir, tmp_path):
         out = tmp_path / "probe_single"
         ckpt = sorted(str(p) for p in run_dir.glob("ckpt_*.npz"))[0]
-        code = cli.main(["probe", ckpt, "--no-path",
+        code = cli.main(["probe", ckpt,
                          "--constitution", str(DATA / "toy_high_si.txt"),
                          "--out-dir", str(out)])
         assert code == cli.EXIT_OK
@@ -1128,9 +1171,8 @@ class TestProbeCommand:
         assert not (tmp_path / "mixed").exists()
 
     @pytest.mark.parametrize("options", [
-        {}, {"seed": 3}, {"metric": "diag_mi"}, {"no_path": True},
-        {"seed": 7, "items": 5, "grid": 3, "top_k": 2}],
-        ids=["default", "seed3", "diag_mi", "no_path", "small"])
+        {}, {"seed": 3}, {"metric": "diag_mi"}, {"seed": 7, "items": 5}],
+        ids=["default", "seed3", "diag_mi", "small"])
     def test_csvs_equal_the_per_checkpoint_reference(self, run_dir, tmp_path, options):
         ckpts = sorted(run_dir.glob("ckpt_*.npz"))
         constitution = DATA / "toy_high_si.txt"
@@ -1138,8 +1180,7 @@ class TestProbeCommand:
         argv = ["probe", *map(str, ckpts), "--constitution", str(constitution),
                 "--out-dir", str(tmp_path / "probe")]
         for name, value in options.items():
-            flag = "--" + name.replace("_", "-")
-            argv += [flag] if value is True else [flag, str(value)]
+            argv += [f"--{name}", str(value)]
         assert cli.main(argv) == cli.EXIT_OK
         assert csv_bytes(tmp_path / "probe") == csv_bytes(tmp_path / "ref")
 
@@ -1271,7 +1312,7 @@ class TestProbeCommand:
                          "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_CONFIG
         assert f"checkpoint {ckpt} config: line" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--items", "--grid", "--top-k"])
+    @pytest.mark.parametrize("flag", ["--items"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_nonpositive_size_exits_2_before_reading(self, tmp_path, capsys, flag, value):
         # The checkpoint does not exist: reading it would exit 1 instead.
@@ -1288,19 +1329,6 @@ class TestProbeCommand:
         assert cli.main(["probe", str(tmp_path / "missing.npz"), "--seed", "-1",
                          "--out-dir", str(out)]) == cli.EXIT_CONFIG
         assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("options", [
-        ["--alpha-min", "0"], ["--alpha-min", "-1"], ["--alpha-max", "-0.5"],
-        ["--alpha-min", "nan"], ["--alpha-max", "inf"],
-        ["--alpha-min", "-1", "--alpha-max", "2", "--grid", "2"]],
-        ids=["min_zero", "min_negative", "max_negative", "min_nan", "max_inf", "grid2"])
-    def test_bad_alpha_exits_2_before_reading(self, tmp_path, capsys, options):
-        out = tmp_path / "out"
-        code = cli.main(["probe", str(tmp_path / "missing.npz"), *options,
-                         "--out-dir", str(out)])
-        assert code == cli.EXIT_CONFIG
-        assert "--alpha-min and --alpha-max must" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_checkpoint_runtime_error(self, run_dir, tmp_path, capsys):

@@ -1,26 +1,35 @@
 """The compile peak of each source module, which sets the program's peak heap."""
-import tracemalloc
+import subprocess
+import sys
 from pathlib import Path
 
 import geoloop
 
 SRC = Path(geoloop.__file__).parent
 
-# With Python 3.11, the largest peak is policy.py's 1 909 KiB (cli.py's is
-# 1 825 KiB); before the synthetic task moved to task.py, policy.py's was
-# 2 352 KiB.  A line of code adds about 4 KiB to its module's peak, so the
-# margin of 139 KiB leaves the largest module about 35 lines to grow.
+# Each module is compiled in its own fresh `python -I` process: a compile
+# that resizes the interned-string table peaks about 900 KiB higher, and how
+# many strings a long-lived process has interned depends on what ran in it
+# before.  With Python 3.11, the largest peak is policy.py's 1 928 KiB,
+# then cli.py's 1 874 KiB and trainer.py's 1 203 KiB.  A line of code adds
+# about 4 KiB to its module's peak, so the margin of 120 KiB leaves the
+# largest module about 30 lines to grow.
 BOUND_KIB = 2048
+
+# Reads the module named by argv[1] and prints its compile peak in bytes.
+_PEAK = """
+import sys, tracemalloc
+source = open(sys.argv[1]).read()
+tracemalloc.start()
+compile(source, sys.argv[1], "exec")
+print(tracemalloc.get_traced_memory()[1])
+"""
 
 
 def compile_peak(path: Path) -> int:
-    source = path.read_text()
-    tracemalloc.start()
-    try:
-        compile(source, str(path), "exec")
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result = subprocess.run([sys.executable, "-I", "-c", _PEAK, str(path)],
+                            capture_output=True, text=True, check=True)
+    return int(result.stdout)
 
 
 def test_largest_compile_peak_is_bounded():
