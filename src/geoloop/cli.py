@@ -298,13 +298,17 @@ def cmd_eval_constitution(args) -> int:
             raise ConfigError(f"--warm-epochs must be nonnegative, got {args.warm_epochs}")
     # Every principle set is read and its task built, and a components file
     # or the score matrices and NLL rows read and scored, before --out-dir
-    # exists, so a bad input leaves no output behind.
-    tasks = []
+    # exists, so a bad input leaves no output behind.  A task depends only on
+    # the positives, so sets with the same positives share one.
+    tasks, built = [], {}
     for path in args.constitutions:
         pset = _load_principles(path)
         if not pset.negatives:
             raise ConfigError(f"constitution {pset.name!r} has no negatives")
-        tasks.append((pset, _build_task(pset, args.seed, args.items, Vocab())))
+        positives = tuple((p.pid, p.tokens) for p in pset.positives)
+        if positives not in built:
+            built[positives] = _build_task(pset, args.seed, args.items, Vocab())
+        tasks.append((pset, built[positives]))
     if args.components:
         reports = [consti.report_from_components(*row)
                    for row in _read_components(args.components)]
@@ -329,7 +333,8 @@ def cmd_eval_constitution(args) -> int:
         reports = [consti.evaluate_from_score_files(
             Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows,
             k=args.k, seed=args.seed)]
-    # Each report is written to report_<name>.json under --out-dir.
+    # Each report is written to report_<name>.json under --out-dir, which
+    # must be one file name of at most 255 bytes.
     names = [pset.name for pset, _ in tasks] if tasks else [r.name for r in reports]
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -337,6 +342,11 @@ def cmd_eval_constitution(args) -> int:
                               f"report_{name}.json")
         if "/" in name or os.sep in name:
             raise ConfigError(f"report name {name!r} holds a path separator")
+        if "\0" in name:
+            raise ConfigError(f"report name {name!r} holds a NUL byte")
+        if len(os.fsencode(f"report_{name}.json")) > 255:
+            raise ConfigError(f"report name {name!r} makes report_<name>.json longer "
+                              f"than 255 bytes")
     out_dir = _make_out_dir(args.out_dir)
 
     if tasks:

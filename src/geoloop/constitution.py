@@ -320,11 +320,12 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
     with_lp = sums[np.arange(len(items)), true_pos_idx]
     delta_bits = float(np.median((with_lp - sums[:, -1]) / n_tok / LN2))
 
-    # Per-principle delta-NLL scores for separation and the leaky scan.
-    per_principle_pos = {p.pid: float(np.median((pos_scores[:, j] - without) / LN2))
-                         for j, p in enumerate(pset.positives)}
-    per_principle_neg = {p.pid: float(np.median((neg_scores[:, j] - without) / LN2))
-                         for j, p in enumerate(pset.negatives)}
+    # Per-principle delta-NLL scores for separation and the leaky scan: one
+    # median call per block, each column's median that of its own 1-D call.
+    per_principle_pos = dict(zip([p.pid for p in pset.positives], np.median(
+        (pos_scores - without[:, None]) / LN2, axis=0).tolist()))
+    per_principle_neg = dict(zip([p.pid for p in pset.negatives], np.median(
+        (neg_scores - without[:, None]) / LN2, axis=0).tolist()))
     auc = mann_whitney_auc(list(per_principle_pos.values()),
                            list(per_principle_neg.values()))
 

@@ -13,25 +13,25 @@ over C contexts: row 0 is the first position, row r = 1..V follows token r-1.
 The table is an outer sum.  The feature of row r of context c is
 cfeat[c] + pfeat[r], with cfeat = ctx_scale * ctx (C, d) and
 pfeat = [0; prev_scale * embed] (V+1, d), so its logits are a[c] + b[r] with
-a = cfeat @ out and b = pfeat @ out.  The table keeps only these 2-D factors:
-a row's log-partition is max a[c] + max b[r] + log (ea @ eb.T)[c, r], with
-ea and eb the max-shifted exponentials of a and b, and every sum over the
-(C, V+1, V) table is a matrix product of factors; no (C, V+1, d) or
-(C, V+1, V) array is built on the way.
+a = cfeat @ out and b = pfeat @ out.  The table keeps only these 2-D factors.
+A row's log-partition, max a[c] + max b[r] + log (ea @ eb.T)[c, r] with ea
+and eb the max-shifted exponentials of a and b, is taken only when a view
+first reads it.  Every sum over the (C, V+1, V) table is a matrix product of
+factors; no (C, V+1, d) or (C, V+1, V) array is built on the way.
 
-`ToyPolicy.bag` checks each context's tokens and computes its bag weights,
-which no parameter touches; `ToyPolicy.forward` turns those weights into the
-table, and `ToyPolicy.table` does both.  A loop over fixed contexts (the MLE
-warm starts) bags them once.  A completion enters only through its
-(row, token) transition counts.  Sequence log-likelihoods are products of the
-factors with the counts' row and token sums, hidden summaries are a context
-feature plus the count-weighted mean of row features, and sampling builds
-a[c] + b[r] and its repetition-penalised twin once for the batch's contexts
-and decodes every row position by position from gathers of the two.  The
-gradient of any weighted sum of log-likelihoods and summaries is one
-`ToyPolicy.backward` call, which needs only three 2-D sums of the
-coefficients (`logit_sums`); the per-sequence methods are thin views on the
-table and that call.
+`ToyPolicy.bag` checks and counts every context's tokens in one pass and
+computes their bag weights, which no parameter touches; `ToyPolicy.forward`
+turns those weights into the table, and `ToyPolicy.table` does both.  A loop
+over fixed contexts (the MLE warm starts) bags them once.  A completion
+enters only through its (row, token) transition counts.  Sequence
+log-likelihoods are products of the factors with the counts' row and token
+sums, hidden summaries are a context feature plus the count-weighted mean of
+row features, and sampling builds a[c] + b[r] and its repetition-penalised
+twin once for the batch's contexts and decodes every row position by
+position from gathers of the two.  The gradient of any weighted sum of
+log-likelihoods and summaries is one `ToyPolicy.backward` call, which needs
+only three 2-D sums of the coefficients (`logit_sums`); the per-sequence
+methods are thin views on the table and that call.
 
 Zero-initialised parameters give the uniform policy, so every token template
 has probability V^{-|y|} > 0 from the start.  Sampling decodes with fixed
@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -144,11 +146,13 @@ class NextTokenTable:
     Row 0 of a context is the first position; row r = 1..V follows token r-1.
     The features are an outer sum, feats[c, r] = cfeat[c] + pfeat[r], so the
     logits are too: logits[c, r] = a[c] + b[r].  The table stores the feature
-    factors, the logit factors, their row-max-shifted exponentials ea and eb,
-    the shifted partitions z = ea @ eb.T and the log-partitions lse, so every
-    sum over the (C, V+1, V) table is a product of 2-D factors.  `logp`
-    materialises the whole log-softmax for the one-context gather views.
-    It describes the parameters the policy had when the table was built.
+    factors, the logit factors, their row maxima, their row-max-shifted
+    exponentials ea and eb and the shifted partitions z = ea @ eb.T, so every
+    sum over the (C, V+1, V) table is a product of 2-D factors.  The
+    log-partitions `lse` are taken from these when first read (the warm
+    start's backward passes never read them).  `logp` materialises the whole
+    log-softmax for the one-context gather views.  It describes the
+    parameters the policy had when the table was built.
     """
 
     weights: np.ndarray   # (C, V) bag-mean weights of each context's tokens
@@ -157,10 +161,16 @@ class NextTokenTable:
     pfeat: np.ndarray     # (V+1, d) row features, [0; prev_scale * embed]
     a: np.ndarray         # (C, V) context logits, cfeat @ out
     b: np.ndarray         # (V+1, V) row logits, pfeat @ out
+    peak_a: np.ndarray    # (C, 1) max a per context
+    peak_b: np.ndarray    # (V+1, 1) max b per row
     ea: np.ndarray        # (C, V) exp(a - max a) per context
     eb: np.ndarray        # (V+1, V) exp(b - max b) per row
     z: np.ndarray         # (C, V+1) shifted partitions, ea @ eb.T
-    lse: np.ndarray       # (C, V+1) log-partitions, max a + max b + log z
+
+    @cached_property
+    def lse(self) -> np.ndarray:
+        """(C, V+1) log-partitions, max a + max b + log z."""
+        return self.peak_a + self.peak_b.T + np.log(self.z)
 
     @property
     def logp(self) -> np.ndarray:
@@ -190,9 +200,8 @@ class NextTokenTable:
 
     def entropies(self, ctx_idx) -> np.ndarray:
         """(len(ctx_idx), V+1) entropy in nats of every row of the chosen contexts."""
-        a = self.a[ctx_idx]
-        a = a - a.max(axis=1, keepdims=True)
-        b = self.b - self.b.max(axis=1, keepdims=True)
+        a = self.a[ctx_idx] - self.peak_a[ctx_idx]
+        b = self.b - self.peak_b
         ea, z = self.ea[ctx_idx], self.z[ctx_idx]
         return np.log(z) - ((ea * a) @ self.eb.T + ea @ (self.eb * b).T) / z
 
@@ -302,14 +311,14 @@ class ToyPolicy:
         return arr
 
     def _token_counts(self, seqs) -> tuple:
-        """((n, V) token counts, (n,) lengths) of checked token sequences."""
-        counts = np.zeros((len(seqs), self.vocab.size), dtype=int)
-        lengths = np.zeros(len(seqs), dtype=int)
-        for i, seq in enumerate(seqs):
-            tokens = self._check_tokens(seq)
-            counts[i] = np.bincount(tokens, minlength=self.vocab.size)
-            lengths[i] = tokens.size
-        return counts, lengths
+        """((n, V) token counts, (n,) lengths) of token sequences, all checked
+        together and counted with one bincount over row * V + token."""
+        v = self.vocab.size
+        lengths = np.array([len(seq) for seq in seqs], dtype=int)
+        tokens = self._check_tokens(chain.from_iterable(seqs))
+        rows = np.repeat(np.arange(lengths.size), lengths)
+        counts = np.bincount(rows * v + tokens, minlength=lengths.size * v)
+        return counts.reshape(-1, v), lengths
 
     def bag(self, contexts) -> np.ndarray:
         """(C, V) bag-mean token weights of each (prompt, principle); no parameters."""
@@ -319,9 +328,9 @@ class ToyPolicy:
     def bag_grid(self, prompts, principles) -> np.ndarray:
         """(P, Q, V) bag weights of prompt i with principle j, equal to bag's.
 
-        Each prompt and each principle is checked and counted once; the
-        counts are integers, so their sums and the division are exact as in
-        bag.
+        The prompts are checked and counted in one pass and the principles in
+        another; the counts are integers, so their sums and the division are
+        exact as in bag.
         """
         p_counts, p_lengths = self._token_counts(prompts)
         q_counts, q_lengths = self._token_counts(principles)
@@ -341,14 +350,16 @@ class ToyPolicy:
         pfeat = np.zeros((self.vocab.size + 1, self.dim))
         np.multiply(self.prev_scale, self.embed, out=pfeat[1:])
         a, b = _by_row(cfeat, self.out), pfeat @ self.out
-        peak_a, peak_b = a.max(axis=1, keepdims=True), b.max(axis=1, keepdims=True)
-        ea, eb = np.exp(a - peak_a), np.exp(b - peak_b)
+        peak_a = np.maximum.reduce(a, axis=1, keepdims=True)
+        peak_b = np.maximum.reduce(b, axis=1, keepdims=True)
+        ea, eb = np.subtract(a, peak_a), np.subtract(b, peak_b)
+        np.exp(ea, out=ea)
+        np.exp(eb, out=eb)
         z = _by_row(ea, eb.T)
-        if z.min() < _TINY:
+        if np.minimum.reduce(z, axis=None) < _TINY:
             raise ValidationError("next-token partition underflows: the logits span "
                                   "more than the float range")
-        return NextTokenTable(weights, ctx, cfeat, pfeat, a, b, ea, eb, z,
-                              peak_a + peak_b.T + np.log(z))
+        return NextTokenTable(weights, ctx, cfeat, pfeat, a, b, peak_a, peak_b, ea, eb, z)
 
     def table(self, contexts) -> NextTokenTable:
         """The forward pass over (prompt, principle) contexts: forward(bag(contexts))."""
@@ -380,8 +391,8 @@ class ToyPolicy:
         return ParamGrad(
             embed=self.prev_scale * grad_p[1:] + table.weights.T @ (self.ctx_scale * grad_c),
             out=table.cfeat.T @ da + table.pfeat.T @ db,
-            ctx_scale=np.sum(grad_c * table.ctx, axis=0),
-            prev_scale=np.sum(grad_p[1:] * self.embed, axis=0))
+            ctx_scale=np.add.reduce(grad_c * table.ctx, axis=0),
+            prev_scale=np.add.reduce(grad_p[1:] * self.embed, axis=0))
 
     # ---------- views on the table ----------
 

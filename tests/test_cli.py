@@ -19,7 +19,8 @@ from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, Trainer, load_check
 DATA = Path(cli.DATA_DIR)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # Golden outputs written by the code before eval-constitution shared warm
-# starts between sets and backward took precomputed count sums.
+# starts between sets and backward took precomputed count sums; the probe's
+# before the table kernel took its log-partitions only when read.
 GOLDEN = Path(__file__).resolve().parent / "data"
 # The checked-in checkpoint (meta schema 1) of a one-step run; the config it
 # stores is schema 4.
@@ -643,13 +644,16 @@ class TestEvalCommand:
     @pytest.mark.parametrize("first, second, message", [
         ("toy_high_si", "toy_high_si", "two reports are named 'toy_high_si'"),
         (None, None, "two reports are named 'unnamed'"),
-        ("toy_high_si", "a/b", "report name 'a/b' holds a path separator")],
-        ids=["same_name", "both_unnamed", "separator"])
+        ("toy_high_si", "a/b", "report name 'a/b' holds a path separator"),
+        ("toy_high_si", "x" * 300, f"report name '{'x' * 300}' makes report_<name>.json "
+                                   "longer than 255 bytes"),
+        ("toy_high_si", "a\0b", "report name 'a\\x00b' holds a NUL byte")],
+        ids=["same_name", "both_unnamed", "separator", "too_long", "nul"])
     def test_report_name_that_clobbers_or_escapes_exits_2_before_any_output(
             self, tmp_path, capsys, monkeypatch, first, second, message):
         # The second report overwrote the first's (exit 0), or a set named
-        # a/b died with a FileNotFoundError traceback after writing
-        # per_principle.csv (exit 1).
+        # a/b, or one whose report file name was too long or held a NUL
+        # byte, died with a traceback after writing per_principle.csv (exit 1).
         monkeypatch.setattr(consti, "mle_pretrain", refuse)
         out = tmp_path / "out"
         assert cli.main(["eval-constitution", *map(str, self.renamed_sets(
@@ -659,8 +663,11 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("names, message", [
         (["x", "y", "x"], "two reports are named 'x'"),
-        (["x", "a/b"], "report name 'a/b' holds a path separator")],
-        ids=["same_name", "separator"])
+        (["x", "a/b"], "report name 'a/b' holds a path separator"),
+        # 134 characters, but 256 bytes with "report_" and ".json" in UTF-8.
+        (["x", "\u00e9" * 122], "makes report_<name>.json longer than 255 bytes"),
+        (["x", "a\0b"], "report name 'a\\x00b' holds a NUL byte")],
+        ids=["same_name", "separator", "too_long_encoded", "nul"])
     def test_components_name_that_clobbers_or_escapes_exits_2_before_any_output(
             self, tmp_path, capsys, names, message):
         path = tmp_path / "components.json"
@@ -692,6 +699,20 @@ def reference_reports(paths, seed=0, items=32, k=2, epochs=120, lr=0.5) -> dict:
         reports = [consti.SufficiencyReport(**{**r.__dict__, "si_zscored": float(z)})
                    for r, z in zip(reports, zs)]
     return {f"report_{r.name}.json": r.to_json() for r in reports}
+
+
+@pytest.fixture
+def built_tasks(monkeypatch):
+    """The name of the set each cli._build_task call builds a task for."""
+    calls = []
+    build = cli._build_task
+
+    def spy(pset, *args):
+        calls.append(pset.name)
+        return build(pset, *args)
+
+    monkeypatch.setattr(cli, "_build_task", spy)
+    return calls
 
 
 def principle_file(tmp_path, name, positives):
@@ -739,6 +760,17 @@ class TestSharedWarmStart:
         assert cli.main(["eval-constitution", *(str(sets[n]) for n in names),
                          "--out-dir", str(out)]) == cli.EXIT_OK
         assert len(warm_starts) == expected == len(set(warm_starts))
+
+    @pytest.mark.parametrize("names, expected", [
+        (["high", "low"], ["toy_high_si"]), (["high", "other"], ["toy_high_si", "other"]),
+        (["high", "reordered", "low", "other"], ["toy_high_si", "reordered", "other"])],
+        ids=["bundled", "other_positives", "four"])
+    def test_one_task_per_distinct_positive_set(self, tmp_path, built_tasks, sets,
+                                                names, expected):
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", *(str(sets[n]) for n in names),
+                         "--out-dir", str(out)]) == cli.EXIT_OK
+        assert built_tasks == expected
 
     @pytest.mark.parametrize("names, options", [
         (["high", "low"], {}), (["high", "low"], {"seed": 3}), (["high", "low"], {"k": 1}),
@@ -938,17 +970,31 @@ class TestGoldenOutputs:
         expected = (GOLDEN / "mle_pretrain_toy_high_si_seed0.param_hash").read_text().strip()
         assert policy.param_hash() == expected
 
-    def test_bundled_eval_outputs(self, tmp_path):
+    def test_bundled_eval_outputs(self, tmp_path, built_tasks):
         out = tmp_path / "out"
         assert cli.main(["eval-constitution", str(DATA / "toy_high_si.txt"),
                          str(DATA / "toy_low_si.txt"), "--seed", "0",
                          "--out-dir", str(out)]) == cli.EXIT_OK
+        # The two sets share their positives, so they share one task.
+        assert built_tasks == ["toy_high_si"]
         expected = dict(line.split()[::-1] for line in
                         (GOLDEN / "eval_bundled_seed0.sha256").read_text().splitlines())
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in expected} == expected
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
+    def test_probe_outputs(self, run_dir, tmp_path):
+        # Every file the probe writes over the four checkpoints of the short
+        # seed-5 run, which reaches its OT term at step 4.
+        out = tmp_path / "out"
+        assert cli.main(["probe", *sorted(str(p) for p in run_dir.glob("ckpt_*.npz")),
+                         "--constitution", str(DATA / "toy_high_si.txt"),
+                         "--out-dir", str(out)]) == cli.EXIT_OK
+        expected = dict(line.split()[::-1] for line in
+                        (GOLDEN / "probe_short_run_seed5.sha256").read_text().splitlines())
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in expected} == expected
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
     def test_score_file_eval_outputs(self, tmp_path):
         # Inputs from exact formulas: 12 items over five positive and three

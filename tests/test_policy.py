@@ -919,27 +919,28 @@ def reference_mle_epochs(p, epoch_triples, lr):
 
 
 @pytest.fixture
-def token_checks(monkeypatch):
-    """Counts ToyPolicy._check_tokens calls; bagging checks each context once."""
+def bag_calls(monkeypatch):
+    """The contexts of each ToyPolicy.bag call, which checks and bags them."""
     calls = []
-    check = pol.ToyPolicy._check_tokens
+    bag = pol.ToyPolicy.bag
 
-    def spy(self, tokens):
-        calls.append(tuple(tokens))
-        return check(self, tokens)
+    def spy(self, contexts):
+        calls.append(list(contexts))
+        return bag(self, calls[-1])
 
-    monkeypatch.setattr(pol.ToyPolicy, "_check_tokens", spy)
+    monkeypatch.setattr(pol.ToyPolicy, "bag", spy)
     return calls
 
 
 class TestMleEpochs:
-    def test_warm_start_matches_per_epoch_tables(self, token_checks):
+    def test_warm_start_matches_per_epoch_tables(self, bag_calls):
         task = tk.make_toy_task(seed=6)
         p = pol.ToyPolicy(task.vocab)
         p.init_params(6)
         q = p.clone()
         pol.warm_start(p, task, 25, 0.5, seed=6, bias=0.15)
-        assert len(token_checks) == len(task.items)
+        # The contexts are checked and bagged once, not once per epoch.
+        assert [len(contexts) for contexts in bag_calls] == [len(task.items)]
         reference_mle_epochs(q, [reference_format_pretrain_items(task, seed=(6, e), bias=0.15)
                                  for e in range(25)], 0.5)
         assert p.param_hash() == q.param_hash()
@@ -957,13 +958,13 @@ class TestMleEpochs:
             assert all(a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
                        for a, b in zip(got, expected))
 
-    def test_mle_pretrain_matches_per_epoch_tables(self, token_checks):
+    def test_mle_pretrain_matches_per_epoch_tables(self, bag_calls):
         task = tk.make_toy_task(seed=7)
         triples = tk.gold_items(task)
         p = pol.ToyPolicy(task.vocab)
         p.init_params(7)
         q = p.clone()
         pol.mle_pretrain(p, triples, 25, 0.5)
-        assert len(token_checks) == len(triples)
+        assert [len(contexts) for contexts in bag_calls] == [len(triples)]
         reference_mle_epochs(q, [triples] * 25, 0.5)
         assert p.param_hash() == q.param_hash()
