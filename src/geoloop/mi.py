@@ -80,17 +80,24 @@ def _log_softmax(arr: np.ndarray, axis: int) -> np.ndarray:
 # ---------- InfoNCE on square matrices ----------
 
 def infonce_losses(matrix) -> dict:
-    """Row and column InfoNCE losses of a square score matrix (both >= 0)."""
+    """Row and column InfoNCE losses of a square score matrix (both >= 0),
+    the diagonal statistic (`diag_mi`) and the row and column softmaxes, from
+    one max-shift, exponential and partition per direction."""
     scores = _scores_of(matrix)
     n, m = scores.shape
     if n != m:
         raise ValidationError(f"InfoNCE needs a square matrix, got {n}x{m}")
-    row_ls = _log_softmax(scores, axis=1)
-    col_ls = _log_softmax(scores, axis=0)
-    diag = np.arange(n)
-    row_loss = float(-np.mean(row_ls[diag, diag]))
-    col_loss = float(-np.mean(col_ls[diag, diag]))
-    return {"row_loss": max(0.0, row_loss), "col_loss": max(0.0, col_loss)}
+    out = {}
+    terms = []
+    for name, axis in (("row", 1), ("col", 0)):
+        shifted = scores - np.max(scores, axis=axis, keepdims=True)
+        mass = np.exp(shifted)
+        total = np.sum(mass, axis=axis, keepdims=True)
+        terms.append(float(np.mean(np.diagonal(shifted) - np.log(total).ravel())))
+        out[f"{name}_loss"] = max(0.0, -terms[-1])
+        out[f"{name}_softmax"] = mass / total
+    out["diag_mi"] = min(0.0, 0.5 * (terms[0] + terms[1]))
+    return out
 
 
 def diag_mi(matrix) -> float:
@@ -98,14 +105,7 @@ def diag_mi(matrix) -> float:
 
     Always <= 0, with equality only in the 1x1 case.
     """
-    scores = _scores_of(matrix)
-    n, m = scores.shape
-    if n != m:
-        raise ValidationError(f"diag statistic needs a square matrix, got {n}x{m}")
-    diag = np.arange(n)
-    row_term = float(np.mean(_log_softmax(scores, axis=1)[diag, diag]))
-    col_term = float(np.mean(_log_softmax(scores, axis=0)[diag, diag]))
-    return min(0.0, 0.5 * (row_term + col_term))
+    return infonce_losses(matrix)["diag_mi"]
 
 
 def shaping_term(matrix, quantile_mask, weight: float) -> float:

@@ -78,7 +78,8 @@ class Samples:
         out = np.zeros(self.lengths.size)
         for n in np.unique(self.lengths):
             rows = self.lengths == n
-            out[rows] = self.entropies[rows, :n].mean(axis=1)
+            # .mean's sum and divide, without its Python-level wrapper.
+            out[rows] = np.add.reduce(self.entropies[rows, :n], axis=1) / n
         return out
 
     def format_ok(self, vocab: Vocab) -> np.ndarray:
@@ -178,8 +179,10 @@ class NextTokenTable:
         return self.a[:, None, :] + self.b[None, :, :] - self.lse[:, :, None]
 
     def seq_logprobs(self, counts: np.ndarray) -> np.ndarray:
-        """(C, B) log-likelihood of each completion under each context."""
-        tokens, rows = counts.sum(axis=1), counts.sum(axis=2)
+        """(C, B) log-likelihood of each completion under each context; the
+        counts' token and row sums are exact products with ones (`logit_sums`)."""
+        v = counts.shape[2]
+        tokens, rows = np.ones(v + 1) @ counts, counts @ np.ones(v)
         row_terms = counts.reshape(counts.shape[0], -1) @ self.b.ravel()
         return _by_row(self.a, tokens.T) - _by_row(self.lse, rows.T) + row_terms
 
@@ -205,10 +208,10 @@ class NextTokenTable:
         ea, z = self.ea[ctx_idx], self.z[ctx_idx]
         return np.log(z) - ((ea * a) @ self.eb.T + ea @ (self.eb * b).T) / z
 
-    def summaries(self, ctx_idx, counts: np.ndarray) -> tuple:
+    def summaries(self, ctx_idx, row_counts: np.ndarray) -> tuple:
         """(unit, norm): L2-normalised mean features of completion b under
-        context ctx_idx[b], and the norm of each mean."""
-        row_counts = counts.sum(axis=2)
+        context ctx_idx[b], and the norm of each mean.  row_counts[b] holds
+        completion b's transition counts summed over tokens, (B, V+1)."""
         lengths = row_counts.sum(axis=1)
         if np.any(lengths == 0):
             raise ValidationError("hidden summary needs a non-empty completion")
@@ -222,11 +225,11 @@ class NextTokenTable:
         unit[ok] = mean[ok] / norm[ok, None]
         return unit, norm
 
-    def summary_feat_grad(self, ctx_idx, counts: np.ndarray, summaries: tuple,
+    def summary_feat_grad(self, ctx_idx, row_counts: np.ndarray, summaries: tuple,
                           summary_grad: np.ndarray) -> tuple:
         """(d/d cfeat, d/d pfeat) of sum_b summary_grad[b] . summary_b.
 
-        `summaries` is the (unit, norm) pair of `summaries(ctx_idx, counts)`,
+        `summaries` is the (unit, norm) pair of `summaries(ctx_idx, row_counts)`,
         which the caller has already built.  summary = v/|v| with v the mean
         feature, so each incoming gradient is pulled through the normalisation
         Jacobian (I - uu^T)/|v| and spread over the completion's feature rows:
@@ -237,7 +240,6 @@ class NextTokenTable:
         g = np.asarray(summary_grad, dtype=float)
         inv_norm = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 1e-300)
         g_v = (g - unit * np.sum(unit * g, axis=1, keepdims=True)) * inv_norm[:, None]
-        row_counts = counts.sum(axis=2)
         share = row_counts / row_counts.sum(axis=1, keepdims=True)
         ctx_grad = np.zeros_like(self.cfeat)
         np.add.at(ctx_grad, np.asarray(ctx_idx), g_v)
@@ -419,15 +421,15 @@ class ToyPolicy:
 
     def hidden_summary(self, prompt, principle, completion) -> np.ndarray:
         """L2-normalised mean of per-token features over completion tokens."""
-        counts = transition_counts([completion], self.vocab.size)
-        return self.table([(prompt, principle)]).summaries([0], counts)[0][0]
+        rows = transition_counts([completion], self.vocab.size).sum(axis=2)
+        return self.table([(prompt, principle)]).summaries([0], rows)[0][0]
 
     def hidden_summary_grad(self, prompt, principle, completion,
                             summary_grad: np.ndarray) -> ParamGrad:
         """Backpropagate a gradient w.r.t. the L2-normalised summary into params."""
         table = self.table([(prompt, principle)])
-        counts = transition_counts([completion], self.vocab.size)
-        feat_grad = table.summary_feat_grad([0], counts, table.summaries([0], counts),
+        rows = transition_counts([completion], self.vocab.size).sum(axis=2)
+        feat_grad = table.summary_feat_grad([0], rows, table.summaries([0], rows),
                                             np.atleast_2d(summary_grad))
         return self.backward(
             table, logit_sums(np.zeros((1, self.vocab.size + 1, self.vocab.size))), feat_grad)
@@ -495,7 +497,7 @@ class ToyPolicy:
             slot = offset[:, None] + live.cumsum(axis=1)
             offset = slot[:, -1]
             logits = np.where(seen, pen.take(row, axis=0), raw.take(row, axis=0))
-            chosen = _decode(logits, draws.take(slot.ravel()))
+            chosen = _decode(logits, draws.take(slot.ravel()), cells)
             token = chosen * active
             tokens[:, t] = token
             lengths += active
@@ -508,23 +510,19 @@ class ToyPolicy:
         return Samples(tokens, lengths, active, ents)
 
 
-def _decode(logits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _decode(logits: np.ndarray, uniforms: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """One token per row from the nucleus of mass TOP_P, by inverting its cdf at uniforms.
 
-    The ranking is gathered and the nucleus scattered back through flat
-    indices, each row's ranks offset by the row start.
+    The ranking is gathered and the dropped mass zeroed through flat indices,
+    each row's ranks offset by its start in the flattened logits, starts[i] =
+    i * V.  The top rank's exclusive prefix is x - x = 0.0 < TOP_P, so the
+    nucleus always keeps it.
     """
-    n, v = logits.shape
     mass = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = mass / mass.sum(axis=1, keepdims=True)
-    flat = (-probs).argsort(axis=1, kind="stable") + np.arange(0, n * v, v)[:, None]
+    flat = (-probs).argsort(axis=1, kind="stable") + starts[:, None]
     ranked = probs.take(flat)
-    keep_ranked = ranked.cumsum(axis=1) - ranked < TOP_P
-    keep_ranked[:, 0] = True
-    keep = np.empty(n * v, dtype=bool)
-    keep.put(flat, keep_ranked)
-    # mass is finite and nonnegative, so the product is mass or 0.0 exactly.
-    mass = mass * keep.reshape(n, v)
+    mass.put(flat[ranked.cumsum(axis=1) - ranked >= TOP_P], 0.0)
     probs = mass / mass.sum(axis=1, keepdims=True)
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
@@ -552,14 +550,15 @@ def logit_sums(coeffs: np.ndarray) -> tuple:
 
 
 def _count_transitions(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Transition counts of the first lengths[b] tokens of each row of tok."""
+    """Transition counts of the first lengths[b] tokens of each row of tok,
+    one bincount over the (row, table row, token) keys."""
     mask = np.arange(tok.shape[1]) < lengths[:, None]
-    if np.any((tok[mask] < 0) | (tok[mask] >= vocab_size)):
+    real = tok[mask]
+    if np.any((real < 0) | (real >= vocab_size)):
         raise ValidationError(f"token out of vocabulary (size {vocab_size})")
-    counts = np.zeros((tok.shape[0], vocab_size + 1, vocab_size))
-    batch = np.broadcast_to(np.arange(tok.shape[0])[:, None], tok.shape)
-    np.add.at(counts, (batch[mask], _table_rows(tok)[mask], tok[mask]), 1.0)
-    return counts
+    n, v = tok.shape[0], vocab_size
+    keys = (np.arange(n)[:, None] * (v + 1) + _table_rows(tok)) * v + tok
+    return np.bincount(keys[mask], minlength=n * (v + 1) * v).reshape(n, v + 1, v).astype(float)
 
 
 def _count_sums(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) -> tuple:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,15 +45,15 @@ _FRECHET_ROUNDOFF = math.sqrt(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class GaussianSummary:
-    """Mean and symmetric PSD covariance of a point cloud in R^d, with the
-    covariance's ascending eigenvalues from the PSD check and a factor F
-    (k x d) with F^T F = cov: fit_gaussian passes the centred points over
-    sqrt(B - 1); without one, F is psd_sqrt(cov)."""
+    """Mean and symmetric PSD covariance of a point cloud in R^d, with a
+    factor F (k x d) with F^T F = cov: fit_gaussian passes the centred points
+    over sqrt(B - 1); without one, F is psd_sqrt(cov).  A summary constructed
+    directly has its covariance checked and keeps the PSD check's ascending
+    eigenvalues; fit_gaussian's skips the checks and takes them on first read."""
 
     mean: np.ndarray
     cov: np.ndarray
     factor: np.ndarray | None = field(default=None, repr=False, compare=False)
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -75,6 +76,11 @@ class GaussianSummary:
         object.__setattr__(self, "cov", sym)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "eigenvalues", eigvals)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the covariance."""
+        return np.linalg.eigvalsh(self.cov)
 
     @property
     def dim(self) -> int:
@@ -188,14 +194,23 @@ def effective_dims(s: Spectrum) -> dict:
 
 def fit_gaussian(measure: EmpiricalMeasure) -> GaussianSummary:
     """Unbiased Gaussian fit (mean, covariance with B-1 denominator, factor the
-    centred points over sqrt(B-1)); needs B >= 2."""
+    centred points over sqrt(B-1)); needs B >= 2 and finite points.
+
+    numpy mirrors one triangle of an array times its own transpose, so the
+    covariance is exactly symmetric, and it is PSD by construction: the fit
+    skips GaussianSummary's checks and takes its eigenvalues on first read.
+    """
     if measure.size < 2:
         raise ValidationError("Gaussian fit needs at least 2 points")
     pts = measure.points
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("Gaussian fit needs finite points")
     mean = pts.mean(axis=0)
     centred = pts - mean
     cov = centred.T @ centred / (measure.size - 1)
-    return GaussianSummary(mean, cov, centred / math.sqrt(measure.size - 1))
+    fit = object.__new__(GaussianSummary)
+    fit.__dict__.update(mean=mean, cov=cov, factor=centred / math.sqrt(measure.size - 1))
+    return fit
 
 
 def covariance_spectrum(measure: EmpiricalMeasure) -> Spectrum:

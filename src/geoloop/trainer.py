@@ -42,7 +42,9 @@ bit.  Because the reference table is built once, code that loads a reference
 into an existing Trainer (a resume) must rebuild it.  Per completion, the
 step's bookkeeping (format check, entropies, gates, MI reward, advantages)
 is array operations, and each shadow channel's picks (mi.shadow_candidates)
-are one Generator call.
+are one Generator call.  One mi.infonce_losses pass gives the SAMI losses,
+the diagonal statistic and the SAMI gradient's softmaxes, and only the
+current cloud's fit takes its eigenvalues.
 """
 from __future__ import annotations
 
@@ -107,6 +109,9 @@ class TrainConfig:
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value!r}")
+            # A config file holds one key a line, split by str.splitlines.
+            if isinstance(value, str) and "".join(value.splitlines()) != value:
+                raise ValidationError(f"{f.name} must be one line, got {value!r}")
         for name, ok, rule in self._rules():
             if not ok:
                 raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -218,7 +223,8 @@ def _geometry(cur: rep_metrics.EmpiricalMeasure, ref: rep_metrics.EmpiricalMeasu
 
     Each cloud is fitted once.  The Fréchet cross term comes from the two
     fits' centred points (no matrix square root); the spectrum is the
-    eigvalsh of the current fit's covariance, from its PSD check."""
+    eigvalsh of the current fit's covariance, which only the current fit
+    takes."""
     try:
         cur_fit = rep_metrics.fit_gaussian(cur)
     except ValidationError:
@@ -299,18 +305,14 @@ class Trainer:
         rng = derive_rng(self.seed, step, _CH_SHADOW_C)
         return mi.shadow_candidates(rng, np.arange(b), b, self.config.shadow_k)
 
-    def _sami_weights(self, matrix: mi.ScoreMatrix, step: int, lam_row: float,
+    def _sami_weights(self, losses: dict, step: int, lam_row: float,
                       lam_col: float) -> np.ndarray:
-        """d(sami_weight * sami)/d(scores) for the kept-row matrix."""
-        scores = matrix.scores
-        n = scores.shape[0]
+        """d(sami_weight * sami)/d(scores) for the kept-row matrix, from the
+        row and column softmaxes of its `mi.infonce_losses`."""
+        n = losses["row_softmax"].shape[0]
         eye = np.eye(n)
-        soft_row = np.exp(scores - scores.max(axis=1, keepdims=True))
-        soft_row /= soft_row.sum(axis=1, keepdims=True)
-        soft_col = np.exp(scores - scores.max(axis=0, keepdims=True))
-        soft_col /= soft_col.sum(axis=0, keepdims=True)
-        d_row = -(eye - soft_row) / n
-        d_col = -(eye - soft_col) / n
+        d_row = -(eye - losses["row_softmax"]) / n
+        d_col = -(eye - losses["col_softmax"]) / n
         return sami_weight_at(self.config, step) * (lam_row * d_row + lam_col * d_col)
 
     # ---------- the step ----------
@@ -334,6 +336,9 @@ class Trainer:
         # coeffs[c, i] collects its weight in the loss gradient (GRPO and
         # SAMI) for the one backward pass.
         counts = samples.counts(self.policy.vocab.size)
+        # Their row sums, exact as a product since the counts are integers,
+        # serve both clouds' summaries and the OT gradient.
+        row_counts = counts @ np.ones(self.policy.vocab.size)
         scores = table.seq_logprobs(counts)
         own_scores = scores[own]
         coeffs = np.zeros_like(scores)
@@ -374,9 +379,9 @@ class Trainer:
             matrix = _sami_matrix(own_scores, groups, kept, lengths)
             losses = mi.infonce_losses(matrix)
             loss_sami = lam_row * losses["row_loss"] + lam_col * losses["col_loss"]
-            diag_stat = mi.diag_mi(matrix)
+            diag_stat = losses["diag_mi"]
             if sami_weight_at(config, step) > 0:
-                weights = self._sami_weights(matrix, step, lam_row, lam_col)
+                weights = self._sami_weights(losses, step, lam_row, lam_col)
                 np.add.at(coeffs, (own[groups[kept]][None, :], kept[:, None]),
                           weights / lengths[kept, None])
 
@@ -385,10 +390,10 @@ class Trainer:
         clean = mi.clean_mi_bounds(row_scores, col_scores, config.shadow_k,
                                    format_ok & entropy_mask)
 
-        cur_summaries = table.summaries(own[groups], counts)
+        cur_summaries = table.summaries(own[groups], row_counts)
         cur_measure = rep_metrics.EmpiricalMeasure(cur_summaries[0], normalised=True)
         ref_measure = rep_metrics.EmpiricalMeasure(
-            self._ref_table.summaries(item_idx[groups], counts)[0], normalised=True)
+            self._ref_table.summaries(item_idx[groups], row_counts)[0], normalised=True)
         loss_ot = 0.0
         ot_stats = {"iterations": None, "violation": None, "converged": None}
         feat_grad = None
@@ -402,7 +407,7 @@ class Trainer:
             value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
                 cur_measure, ref_measure, BLUR ** 2, max_iter=500)
             loss_ot = config.ot_weight * value
-            feat_grad = table.summary_feat_grad(own[groups], counts, cur_summaries,
+            feat_grad = table.summary_feat_grad(own[groups], row_counts, cur_summaries,
                                                 config.ot_weight * point_grad)
 
         loss_total = enigma_loss(loss_grpo, loss_sami, loss_ot, config, step)

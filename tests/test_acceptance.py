@@ -267,6 +267,21 @@ def test_short_run_steps_match_the_golden(tmp_path):
     assert hashlib.sha256((tmp_path / "run" / "steps.jsonl").read_bytes()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("name", ["grpo_cot", "grpo_cot_plus"])
+def test_ablation_run_steps_match_the_golden(tmp_path, name):
+    """A 40-step run of each bundled GRPO ablation (SAMI weight 0; jitter on
+    in grpo_cot_plus): its steps.jsonl, byte for byte, as tests/data pins it."""
+    config = cli.load_config(CONFIGS / f"{name}.toml",
+                             {"seed": 42, "max_steps": 40,
+                              "constitution": str(DATA / "toy_high_si.txt"),
+                              "output_dir": str(tmp_path / "run")})
+    config_path = tmp_path / "config.toml"
+    config_path.write_text(cli.serialise_config(config))
+    assert cli.main(["train", "--config", str(config_path)]) == cli.EXIT_OK
+    expected = (GOLDEN / f"{name}_seed42_40steps.sha256").read_text().split()[0]
+    assert hashlib.sha256((tmp_path / "run" / "steps.jsonl").read_bytes()).hexdigest() == expected
+
+
 # ---------------------------------------------------------------- criterion 8
 
 def test_criterion_8_determinism(tmp_path):

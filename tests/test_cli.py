@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geoloop import cli, mi, ot, prob_metrics
 from geoloop import constitution as consti
@@ -86,6 +88,32 @@ class TestConfigRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(f"schema_version = {cli.SCHEMA_VERSION}\nbogus = 3\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_accepted_config_round_trips(self, data):
+        # Each field drawn from its type, mostly in range; a config that
+        # RunConfig accepts must read back equal from its serialised text.
+        strategy = {"int": st.integers(0, 10 ** 6),
+                    "float": st.one_of(st.integers(0, 100),
+                                       st.floats(0, allow_nan=False, allow_infinity=False)),
+                    "str": st.text()}
+        values = {f.name: data.draw(strategy[f.type], label=f.name)
+                  for f in fields(cli.RunConfig) if f.name != "schema_version"}
+        try:
+            config = cli.RunConfig(**values)
+        except cli.ConfigError:
+            assume(False)
+        assert cli.parse_config(cli.serialise_config(config)) == config
+
+    @pytest.mark.parametrize("value", ["a\nb", "a\r", "\r\n", "a\x0bb", "a\x1cb", "\x85",
+                                       "a\u2028b"])
+    @pytest.mark.parametrize("key", ["output_dir", "constitution"])
+    def test_string_that_splits_into_lines_rejected(self, key, value):
+        # serialise_config writes one line per key, and read_config_lines
+        # splits the text with str.splitlines.
+        with pytest.raises(cli.ConfigError, match=f"{key} must be one line"):
+            cli.RunConfig(**{key: value})
 
     def test_bad_ablation_rejected(self):
         # Every ablation key is bad: a run's weights are stated in its file,
@@ -220,6 +248,16 @@ class TestTrainCommand:
     @pytest.mark.parametrize("key", sorted(RETIRED_SCHEMA_6_KEYS))
     def test_retired_schema_6_key_exits_2_naming_it(self, tmp_path, capsys, key):
         self.retired_key_rejected(tmp_path, capsys, key, RETIRED_SCHEMA_6_KEYS[key])
+
+    def test_output_dir_flag_with_a_line_break_exits_2_no_output(self, tmp_path, capsys):
+        # It used to run: the checkpoints' stored config then split the path
+        # over two lines, and probe refused every one of them with exit 2.
+        config = short_config(tmp_path)
+        out = tmp_path / "nl\nrun"
+        code = cli.main(["train", "--config", str(config), "--output-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: output_dir must be one line" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_negative_seed_flag_exits_2_no_output(self, tmp_path, capsys):
         # It died in numpy's seeding with a traceback (exit 1).

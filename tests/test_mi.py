@@ -70,6 +70,56 @@ class TestInfonceLosses:
         assert shifted_cols["col_loss"] == pytest.approx(base["col_loss"], abs=1e-9)
 
 
+def reference_log_softmax(scores, axis):
+    shifted = scores - np.max(scores, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
+def reference_infonce(scores):
+    """Losses, diagonal statistic and softmaxes, each from its own pass over
+    the matrix: the separate infonce_losses, diag_mi and SAMI-gradient
+    formulas that infonce_losses' single pass replaces."""
+    diag = np.arange(len(scores))
+    row_ls, col_ls = reference_log_softmax(scores, 1), reference_log_softmax(scores, 0)
+    row_loss = float(-np.mean(row_ls[diag, diag]))
+    col_loss = float(-np.mean(col_ls[diag, diag]))
+    row_term = float(np.mean(row_ls[diag, diag]))
+    col_term = float(np.mean(col_ls[diag, diag]))
+    soft_row = np.exp(scores - scores.max(axis=1, keepdims=True))
+    soft_row /= soft_row.sum(axis=1, keepdims=True)
+    soft_col = np.exp(scores - scores.max(axis=0, keepdims=True))
+    soft_col /= soft_col.sum(axis=0, keepdims=True)
+    return {"row_loss": max(0.0, row_loss), "col_loss": max(0.0, col_loss),
+            "diag_mi": min(0.0, 0.5 * (row_term + col_term)),
+            "row_softmax": soft_row, "col_softmax": soft_col}
+
+
+def reference_cases(seed):
+    """Square score matrices: random, tied on a coarse grid, with constant
+    rows or columns, all equal, and 1 x 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    scores = rng.normal(0, rng.choice([0.1, 2.0, 30.0]), (n, n))
+    tied = np.round(scores)
+    constant_rows = scores.copy()
+    constant_rows[::3] = rng.normal()
+    constant_cols = scores.copy()
+    constant_cols[:, 1::2] = rng.normal()
+    return [scores, tied, constant_rows, constant_cols, np.full((n, n), rng.normal()),
+            rng.normal(0, 5, (1, 1))]
+
+
+class TestInfonceSinglePass:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_separate_formulas_bit_for_bit(self, seed):
+        for scores in reference_cases(seed):
+            got, want = mi.infonce_losses(scores), reference_infonce(scores)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert np.array_equal(got[key], value), key
+            assert mi.diag_mi(scores) == want["diag_mi"]
+
+
 class TestDiagMi:
     def test_uniform(self):
         assert mi.diag_mi(np.zeros((2, 2))) == pytest.approx(-math.log(2))

@@ -101,6 +101,16 @@ def reference_decode_along_axis(logits, uniforms):
     return np.sum(cdf <= uniforms[:, None], axis=1)
 
 
+def reference_count_transitions(tok, lengths, vocab_size):
+    """policy._count_transitions accumulating each real position's
+    (row, table row, token) with np.add.at."""
+    mask = np.arange(tok.shape[1]) < lengths[:, None]
+    counts = np.zeros((tok.shape[0], vocab_size + 1, vocab_size))
+    batch = np.broadcast_to(np.arange(tok.shape[0])[:, None], tok.shape)
+    np.add.at(counts, (batch[mask], pol._table_rows(tok)[mask], tok[mask]), 1.0)
+    return counts
+
+
 @dataclass(frozen=True)
 class Completion:
     """One row of a Samples, the per-completion view its array methods are
@@ -281,6 +291,19 @@ class TestSamples:
         samples = random_samples(3)
         expected = pol.transition_counts([c.tokens for c in completions(samples)], 16)
         assert np.array_equal(samples.counts(16), expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_equal_the_add_at_reference(self, seed):
+        # Empty, one-token and full rows, repeated transitions, and arbitrary
+        # ids past each row's length, which no count may read.
+        rng = np.random.default_rng(seed)
+        b, m, v = int(rng.integers(1, 40)), int(rng.integers(1, 13)), int(rng.integers(8, 17))
+        tok = rng.integers(0, rng.choice([2, v]), (b, m))
+        lengths = rng.integers(0, m + 1, b)
+        tok[np.arange(m) >= lengths[:, None]] = rng.integers(-5, 3 * v)
+        got = pol._count_transitions(tok, lengths, v)
+        want = reference_count_transitions(tok, lengths, v)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestLogprobs:
@@ -490,10 +513,11 @@ class TestTableKernel:
         summary_grad = np.random.default_rng(1).normal(size=(len(COMPLETIONS), p.dim))
         table = p.table(CONTEXTS)
         counts = pol.transition_counts(COMPLETIONS, 16)
-        summaries = table.summaries(ctx_idx, counts)
+        summaries = table.summaries(ctx_idx, counts.sum(axis=2))
         units = summaries[0]
         grad = p.backward(table, pol.logit_sums(np.zeros_like(table.logp)),
-                          table.summary_feat_grad(ctx_idx, counts, summaries, summary_grad))
+                          table.summary_feat_grad(ctx_idx, counts.sum(axis=2), summaries,
+                                                  summary_grad))
         manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
         for b, (c, comp) in enumerate(zip(ctx_idx, COMPLETIONS)):
             assert units[b] == pytest.approx(p.hidden_summary(*CONTEXTS[c], comp), abs=1e-12)
@@ -653,7 +677,7 @@ class TestFactoredKernel:
                          logp.reshape(len(contexts), -1) @ counts.reshape(len(golds), -1).T,
                          name="seq_logprobs")
         ctx_idx = np.arange(len(golds))[::-1]
-        assert_rel_close(table.summaries(ctx_idx, counts)[0],
+        assert_rel_close(table.summaries(ctx_idx, counts.sum(axis=2))[0],
                          reference_summaries(feats, ctx_idx, counts)[0], name="summaries")
         chosen = [3, 3, 17, 0]
         assert_rel_close(table.entropies(chosen),
@@ -676,7 +700,8 @@ class TestFactoredKernel:
         summary_grad = np.random.default_rng(43).normal(size=(len(triples), p.dim))
         assert_grads_rel_close(
             p.backward(table, sums, table.summary_feat_grad(
-                ctx_idx, counts, table.summaries(ctx_idx, counts), summary_grad)),
+                ctx_idx, counts.sum(axis=2), table.summaries(ctx_idx, counts.sum(axis=2)),
+                summary_grad)),
             reference_backward(p, table.weights, coeffs, reference_summary_feat_grad(
                 feats, ctx_idx, counts, summary_grad)))
 
@@ -815,8 +840,9 @@ class TestBatchedSampler:
 
 
 class TestDecodeIndexing:
-    """_decode ranks with direct (rows, order) indexing; the along-axis
-    version is the reference, token for token."""
+    """_decode ranks through flat indices offset by each row's start and
+    zeroes the dropped mass in place; the along-axis version, which keeps the
+    top rank explicitly, is the reference, token for token."""
 
     def test_matches_along_axis_on_random_blocks(self):
         rng = np.random.default_rng(11)
@@ -831,7 +857,7 @@ class TestDecodeIndexing:
             if trial % 7 == 0:
                 logits[:] = 0.0
             uniforms = rng.random(n)
-            got = pol._decode(logits, uniforms)
+            got = pol._decode(logits, uniforms, np.arange(0, n * v, v))
             assert np.array_equal(got, reference_decode_along_axis(logits, uniforms))
 
 

@@ -263,10 +263,38 @@ class TestGaussianFit:
         with pytest.raises(ValidationError):
             rm.fit_gaussian(rm.EmpiricalMeasure([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_equals_the_checked_summary_bit_for_bit(self, seed):
+        # The reference is the fit through GaussianSummary's checks: the
+        # covariance symmetrised and eigvalsh of that.  Clouds of 2 to 40
+        # points in 1 to 32 dimensions, some with repeated or equal points.
+        rng = np.random.default_rng(seed)
+        b, d = int(rng.integers(2, 41)), int(rng.choice([1, 2, 7, 32]))
+        pts = rng.normal(0, rng.choice([1e-3, 1.0, 50.0]), (b, d))
+        if seed % 4 == 1:
+            pts[1::2] = pts[0]
+        if seed % 4 == 2:
+            pts[:] = pts[0]
+        fit = rm.fit_gaussian(rm.EmpiricalMeasure(pts))
+        centred = pts - pts.mean(axis=0)
+        cov = centred.T @ centred / (b - 1)
+        checked = rm.GaussianSummary(pts.mean(axis=0), cov, centred / math.sqrt(b - 1))
+        assert np.array_equal(fit.cov, fit.cov.T)
+        for name in ("mean", "cov", "factor", "eigenvalues"):
+            assert np.array_equal(getattr(fit, name), getattr(checked, name)), name
+        assert np.array_equal(fit.eigenvalues, np.linalg.eigvalsh(0.5 * (cov + cov.T)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(5).normal(size=(6, 3))
+        pts[2, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            rm.fit_gaussian(rm.EmpiricalMeasure(pts))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_spectrum_is_a_fresh_eigvalsh(self, seed):
-        # The spectrum comes from the PSD check's eigenvalues; it equals
-        # eigvalsh of the stored covariance, descending and clamped at 0.
+        # The spectrum equals eigvalsh of the stored covariance, descending
+        # and clamped at 0.
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(32, 8))
         fit = rm.fit_gaussian(rm.EmpiricalMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True),

@@ -16,6 +16,7 @@ from geoloop.task import Vocab, make_toy_task
 from geoloop import cli, mi, ot, rep_metrics, rewards
 from geoloop import policy as pol
 from geoloop import trainer as tr
+from test_mi import reference_cases, reference_infonce
 from test_policy import completions, reference_decode_along_axis, reference_format_reward
 from test_rewards import reference_mi_reward
 
@@ -211,7 +212,8 @@ class TestStepGradient:
         true_contexts = [(items[g].prompt, task.principle(items[g].principle_id).tokens)
                          for g in groups]
         ref = rep_metrics.EmpiricalMeasure(
-            t.reference.table(true_contexts).summaries(np.arange(groups.size), counts)[0],
+            t.reference.table(true_contexts).summaries(np.arange(groups.size),
+                                                       counts.sum(axis=2))[0],
             normalised=True)
         lam_row, lam_col = tr.rowcol_anneal(step, t.max_steps)
 
@@ -224,7 +226,7 @@ class TestStepGradient:
             losses = mi.infonce_losses(matrix)
             sami = tr.sami_weight_at(config, step) * (lam_row * losses["row_loss"]
                                                       + lam_col * losses["col_loss"])
-            cur = rep_metrics.EmpiricalMeasure(table.summaries(ctx, counts)[0],
+            cur = rep_metrics.EmpiricalMeasure(table.summaries(ctx, counts.sum(axis=2))[0],
                                                normalised=True)
             divergence = ot.sinkhorn_divergence_with_grad(cur, ref, tr.BLUR ** 2,
                                                           max_iter=500)[0]
@@ -588,8 +590,9 @@ class TestRunConstants:
                 assert np.array_equal(getattr(t._ref_table, name), getattr(expected, name))
             _, _, _, _, comps, groups, _ = step_inputs(t, step)
             counts = transition_counts([c.tokens for c in comps], t.policy.vocab.size)
-            for got, want in zip(t._ref_table.summaries(item_idx[groups], counts),
-                                 expected.summaries(groups, counts)):
+            rows = counts.sum(axis=2)
+            for got, want in zip(t._ref_table.summaries(item_idx[groups], rows),
+                                 expected.summaries(groups, rows)):
                 assert np.array_equal(got, want)
             t.train_step()
 
@@ -769,8 +772,19 @@ class TestStepGeometry:
             raise AssertionError("train_step reached psd_sqrt")
 
         monkeypatch.setattr(rep_metrics, "psd_sqrt", no_sqrt)
+        # Only the current cloud's spectrum is read, so only its fit takes
+        # the eigenvalues.
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted_eigvalsh(*args, **kwargs):
+            counts["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        counts["eigvalsh"] = 0
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         t.train_step()
-        assert counts == {"fit_gaussian": 2, "frechet_distance": 1, "effective_dims": 1}
+        assert counts == {"fit_gaussian": 2, "frechet_distance": 1, "effective_dims": 1,
+                          "eigvalsh": 1}
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_spectrum_statistics_match_a_fresh_fit(self, monkeypatch, seed):
@@ -789,9 +803,49 @@ class TestStepGeometry:
             assert rep.effrank == dims["effrank"]
             assert rep.pr == dims["participation_ratio"]
 
+    @pytest.mark.parametrize("poisoned", ["current", "reference"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cloud_logs_nulls(self, monkeypatch, poisoned, bad):
+        # A fit of a non-finite cloud raises, so the statistics it feeds are
+        # logged as null and the step is flagged degenerate.
+        t = small_trainer(seed=1)
+        geometry = tr._geometry
+
+        def poison(cur, ref):
+            clouds = {"current": cur, "reference": ref}
+            points = clouds[poisoned].points.copy()
+            points[3, 0] = bad
+            clouds[poisoned] = rep_metrics.EmpiricalMeasure(points)
+            return geometry(clouds["current"], clouds["reference"])
+
+        monkeypatch.setattr(tr, "_geometry", poison)
+        row = t.train_step().jsonl_row()
+        assert row["geometry_degenerate"] is True
+        assert row["frechet"] is None
+        if poisoned == "current":
+            assert row["effrank"] is None and row["pr"] is None
+        else:
+            assert math.isfinite(row["effrank"]) and math.isfinite(row["pr"])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sami_weights_equal_the_separate_formula(self, seed):
+        # The reference takes its own row and column softmaxes of the matrix.
+        t = small_trainer(seed=seed)
+        for scores in reference_cases(seed):
+            n = len(scores)
+            ref = reference_infonce(scores)
+            for step, (lam_row, lam_col) in ((3, (0.7, 0.3)), (60, (0.55, 0.45))):
+                want = tr.sami_weight_at(t.config, step) * (
+                    lam_row * (-(np.eye(n) - ref["row_softmax"]) / n)
+                    + lam_col * (-(np.eye(n) - ref["col_softmax"]) / n))
+                got = t._sami_weights(mi.infonce_losses(mi.ScoreMatrix(scores)), step,
+                                      lam_row, lam_col)
+                assert np.array_equal(got, want)
+
     def test_step_samples_match_along_axis_decode(self, monkeypatch):
         runs = []
-        for decode in (pol._decode, reference_decode_along_axis):
+        for decode in (pol._decode, lambda logits, uniforms, starts:
+                       reference_decode_along_axis(logits, uniforms)):
             monkeypatch.setattr(pol, "_decode", decode)
             t = small_trainer(seed=1)
             recorded, sample_groups = [], t.policy.sample_groups
