@@ -1,4 +1,5 @@
 """Group advantages, the GRPO update, schedules, and the full step loop."""
+import hashlib
 import json
 import math
 import warnings
@@ -26,6 +27,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # policy_dim 8, warmstart_epochs 2, prompts_per_batch 4) and, in the file of
 # the same name ending .param_hash, the hash of its policy parameters.
 SCHEMA_1_CHECKPOINT = Path(__file__).resolve().parent / "data" / "ckpt_schema1.npz"
+# sha256 of the seed-12 trainer's checkpoints at steps 0 and 5, saved with no
+# config hash or text (test_checkpoint_bytes_match_the_golden).
+CHECKPOINT_SHA256 = SCHEMA_1_CHECKPOINT.with_name("checkpoint_seed12_steps0_5.sha256")
 
 # The policy-only ablation as configs/grpo_cot.toml states it;
 # configs/grpo_cot_plus.toml adds jitter_sigma = 0.5.
@@ -473,6 +477,20 @@ class TestCheckpoints:
         policy, meta = tr.load_checkpoint(stripped)
         assert policy.param_hash() == saved_hash
         assert meta == tr.load_checkpoint(path)[1]
+
+    def test_checkpoint_bytes_match_the_golden(self, tmp_path):
+        # A library checkpoint holds no path, so its bytes are pinned: meta,
+        # the policy's blocks and the reference's, in that order.
+        t = small_trainer(seed=12)
+        for step in (0, 5):
+            while t.step < step:
+                t.train_step()
+            path = tmp_path / f"step{step}.npz"
+            saved_hash = t.save_checkpoint(path)
+            assert tr.load_checkpoint(path)[1]["param_hash"] == saved_hash == t.policy.param_hash()
+        expected = dict(line.split()[::-1] for line in CHECKPOINT_SHA256.read_text().splitlines())
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in expected} == expected
 
     def test_checked_in_schema_1_checkpoint_loads_to_its_hash(self):
         policy, meta = tr.load_checkpoint(SCHEMA_1_CHECKPOINT)
