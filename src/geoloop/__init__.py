@@ -1,10 +1,10 @@
 """Desk-scale single-loop policy trainer with information-geometry metrology.
 
-Subpackages by concern:
+Modules by concern:
 
 - prob_metrics: distances/angles between categorical distributions, path stats
 - rep_metrics: Fréchet distance, effective rank, participation ratio
-- ot: entropic optimal transport, Sinkhorn divergence, exact small oracles
+- ot: entropic optimal transport, Sinkhorn divergence, W2 on a line
 - mi: score matrices, InfoNCE losses, contrastive MI bounds
 - rewards: gates, tie-breaker channel, autoscaler
 - task: the synthetic constitution-conditioned task and its gold continuations
@@ -13,11 +13,11 @@ Subpackages by concern:
 - trainer: group advantages, the on-policy GRPO term, the unified loss, train steps
 - constitution: principle-set sufficiency evaluation
 - cli: the geoloop command
+- errors: ValidationError, the one type every bad input raises
 """
 
 __version__ = "0.1.0"
 
-from .errors import DimensionMismatchError, UnsupportedInstanceError, ValidationError
+from .errors import ValidationError
 
-__all__ = ["DimensionMismatchError", "UnsupportedInstanceError", "ValidationError",
-           "__version__"]
+__all__ = ["ValidationError", "__version__"]

@@ -1,13 +1,6 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
 class ValidationError(ValueError):
-    """Input violates a documented precondition (bad values, not bad shapes)."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operands have incompatible shapes or supports."""
-
-
-class UnsupportedInstanceError(ValueError):
-    """Instance is outside the range an exact/brute-force routine accepts."""
+    """Input violates a documented precondition: a bad value, or operands of
+    incompatible shapes or supports."""

@@ -1,4 +1,4 @@
-"""Entropic optimal transport, debiased Sinkhorn divergence, and exact W2 values.
+"""Entropic optimal transport, debiased Sinkhorn divergence, and W2 on a line.
 
 Primal problem (squared-Euclidean ground cost unless stated otherwise):
 
@@ -38,10 +38,8 @@ eps*log(u) against the Gibbs kernel K = exp((2*f0 - C)/eps), u <- sqrt(u*v)
 with v = 1/((a*u) @ K), so each later iteration is one matrix-vector product
 instead of a log-sum-exp.
 
-`exact_w2_small` enumerates permutation couplings (optimal for equal-weight,
-equal-size clouds) and exists purely as a test oracle; it is never called by
-the solver it checks.  `output_space_ot_diag`, the probe's diagnostic, runs no
-solver either: its measures sit on a line, where W2^2 has a closed form.
+`output_space_ot_diag`, the probe's diagnostic, runs no solver: its
+measures sit on a line, where W2^2 has a closed form.
 
 The trainer's representation regulariser calls `sinkhorn_divergence_with_grad`
 on a step's whole hidden clouds (one point per completion, 32 in the bundled
@@ -50,12 +48,11 @@ costs); the trainer's blur, trainer.BLUR = 0.12, therefore means eps = 0.0144.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedInstanceError, ValidationError
+from .errors import ValidationError
 from .prob_metrics import ProbVector
 from .rep_metrics import EmpiricalMeasure
 
@@ -74,7 +71,7 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[1] != y.shape[1]:
-        raise DimensionMismatchError("point clouds live in different dimensions")
+        raise ValidationError("point clouds live in different dimensions")
     origin = x[0]
     x = x - origin
     y = x if same else y - origin
@@ -85,28 +82,6 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         sq_x, sq_y = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
     costs = sq_x[:, None] + sq_y[None, :] - 2.0 * gram
     return np.maximum(costs, 0.0, out=costs)
-
-
-def exact_w2_small(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Exact W2^2 between equal-size uniform clouds by permutation enumeration.
-
-    Brute-force test oracle; refuses anything beyond 10 points per side.
-    """
-    if a.size != b.size:
-        raise UnsupportedInstanceError("exact oracle needs equal-size clouds")
-    if a.size > 10:
-        raise UnsupportedInstanceError("exact oracle handles at most 10 points per side")
-    costs = squared_distances(a.points, b.points)
-    n = a.size
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        total = 0.0
-        for i, j in enumerate(perm):
-            total += costs[i, j]
-            if total >= best:
-                break
-        best = min(best, total)
-    return best / n
 
 
 def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -399,7 +374,7 @@ def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int) -> float:
     p = p if isinstance(p, ProbVector) else ProbVector(p)
     q = q if isinstance(q, ProbVector) else ProbVector(q)
     if p.support_size != q.support_size:
-        raise DimensionMismatchError("distributions must share a vocabulary")
+        raise ValidationError("distributions must share a vocabulary")
     if top_k < 1:
         raise ValidationError("top_k must be at least 1")
     k = min(top_k, p.support_size)

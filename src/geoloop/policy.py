@@ -118,26 +118,11 @@ class ParamGrad:
     ctx_scale: np.ndarray
     prev_scale: np.ndarray
 
-    @classmethod
-    def zeros(cls, vocab_size: int, dim: int) -> "ParamGrad":
-        return cls(np.zeros((vocab_size, dim)), np.zeros((dim, vocab_size)),
-                   np.zeros(dim), np.zeros(dim))
-
-    def add(self, other: "ParamGrad", scale: float = 1.0) -> "ParamGrad":
-        self.embed += scale * other.embed
-        self.out += scale * other.out
-        self.ctx_scale += scale * other.ctx_scale
-        self.prev_scale += scale * other.prev_scale
-        return self
-
     def scaled(self, scale: float) -> "ParamGrad":
-        return ParamGrad(self.embed * scale, self.out * scale,
-                         self.ctx_scale * scale, self.prev_scale * scale)
+        return ParamGrad(**{name: block * scale for name, block in vars(self).items()})
 
     def global_norm(self) -> float:
-        total = (np.sum(self.embed ** 2) + np.sum(self.out ** 2)
-                 + np.sum(self.ctx_scale ** 2) + np.sum(self.prev_scale ** 2))
-        return float(np.sqrt(total))
+        return float(np.sqrt(sum(np.sum(block ** 2) for block in vars(self).values())))
 
 
 @dataclass(frozen=True)
@@ -283,8 +268,7 @@ class ToyPolicy:
 
     def param_hash(self) -> str:
         digest = hashlib.sha256()
-        for name in sorted(self.param_blocks()):
-            arr = self.param_blocks()[name]
+        for name, arr in sorted(self.param_blocks().items()):
             digest.update(name.encode())
             digest.update(str(arr.shape).encode())
             digest.update(np.ascontiguousarray(arr).tobytes())
@@ -292,17 +276,13 @@ class ToyPolicy:
 
     def clone(self) -> "ToyPolicy":
         twin = ToyPolicy(self.vocab, self.dim, max_len=self.max_len)
-        twin.embed = self.embed.copy()
-        twin.out = self.out.copy()
-        twin.ctx_scale = self.ctx_scale.copy()
-        twin.prev_scale = self.prev_scale.copy()
+        for name, block in self.param_blocks().items():
+            setattr(twin, name, block.copy())
         return twin
 
     def add_scaled(self, grad: ParamGrad, scale: float) -> None:
-        self.embed += scale * grad.embed
-        self.out += scale * grad.out
-        self.ctx_scale += scale * grad.ctx_scale
-        self.prev_scale += scale * grad.prev_scale
+        for name, block in self.param_blocks().items():
+            block += scale * getattr(grad, name)
 
     # ---------- the table kernel ----------
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 
 PROBE_CSV_FIELDS = ("bc", "bhat_angle", "bhat_distance", "hellinger",
                     "js_nats", "js_bits", "fr_distance")
@@ -63,7 +63,7 @@ def _path(checkpoints, least: int) -> tuple:
     if len(cps) < least:
         raise ValidationError(f"need at least {least} checkpoints, got {len(cps)}")
     if any(cp.support_size != cps[0].support_size for cp in cps):
-        raise DimensionMismatchError("all checkpoints must share one support")
+        raise ValidationError("all checkpoints must share one support")
     return cps
 
 
@@ -71,8 +71,7 @@ def bhattacharyya_coefficient(p, q) -> float:
     """BC(p,q) = sum_k sqrt(p_k q_k), clipped into [0,1] against roundoff."""
     p, q = _as_prob(p), _as_prob(q)
     if p.support_size != q.support_size:
-        raise DimensionMismatchError(
-            f"support mismatch: {p.support_size} vs {q.support_size}")
+        raise ValidationError(f"support mismatch: {p.support_size} vs {q.support_size}")
     bc = float(np.sum(np.sqrt(p.probs * q.probs)))
     return min(max(bc, 0.0), 1.0)
 
@@ -81,8 +80,7 @@ def js_divergence_nats(p, q) -> float:
     """Jensen-Shannon divergence in nats; finite for any pair (m_k > 0 wherever needed)."""
     p, q = _as_prob(p), _as_prob(q)
     if p.support_size != q.support_size:
-        raise DimensionMismatchError(
-            f"support mismatch: {p.support_size} vs {q.support_size}")
+        raise ValidationError(f"support mismatch: {p.support_size} vs {q.support_size}")
     m = 0.5 * (p.probs + q.probs)
 
     def _kl(a: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 
 _SYM_TOL = 1e-9
 _EIG_FLOOR = -1e-9
@@ -59,7 +59,7 @@ class GaussianSummary:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise DimensionMismatchError("cov must be d x d for a d-vector mean")
+            raise ValidationError("cov must be d x d for a d-vector mean")
         if not np.all(np.abs(cov - cov.T) <= _SYM_TOL):
             raise ValidationError("covariance must be symmetric within 1e-9")
         sym = 0.5 * (cov + cov.T)
@@ -71,7 +71,7 @@ class GaussianSummary:
         else:
             factor = np.asarray(self.factor, dtype=float)
             if factor.ndim != 2 or factor.shape[1] != mean.size:
-                raise DimensionMismatchError("factor must be k x d for a d-vector mean")
+                raise ValidationError("factor must be k x d for a d-vector mean")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", sym)
         object.__setattr__(self, "factor", factor)
@@ -159,7 +159,7 @@ def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
     beyond it raises.
     """
     if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if np.array_equal(a.mean, b.mean) and np.array_equal(a.factor, b.factor):
         return 0.0
     diff = a.mean - b.mean

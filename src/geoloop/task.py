@@ -70,10 +70,6 @@ class Vocab:
         return tuple(range(self.size - 5))
 
     @property
-    def reserved(self) -> tuple:
-        return (self.r_open, self.r_close, self.a_open, self.a_close, self.eos)
-
-    @property
     def reasoning_fillers(self) -> tuple:
         fillers = self.fillers
         return fillers[:math.ceil(len(fillers) / 2)]

@@ -60,15 +60,6 @@ from .errors import ValidationError
 from .policy import DEFAULT_MAX_LEN, NextTokenTable, ToyPolicy, logit_sums
 from .task import ToyTask, Vocab
 
-STEPS_JSONL_FIELDS = (
-    "step", "reward_base_mean", "reward_mi_mean", "reward_std",
-    "loss_total", "loss_grpo", "loss_sami", "loss_ot",
-    "mi_row_clean", "mi_col_clean", "mi_gap", "diag_mi",
-    "grad_norm", "entropy", "clean_count",
-    "bhat_angle", "hellinger", "js_bits", "frechet", "effrank", "pr",
-    "geometry_degenerate", "beta", "ot_iters", "ot_violation", "ot_converged",
-)
-
 # Seed-derivation channel ids; 3 is unused, and renumbering the jitter
 # channel would change its draws.
 _CH_SAMPLE, _CH_SHADOW_P, _CH_SHADOW_C, _CH_JITTER = 0, 1, 2, 4
@@ -85,6 +76,11 @@ MI_WARMUP_STEPS = 50
 
 
 def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.Generator:
+    # SeedSequence drops trailing zero words, so step s's group-0 sampling
+    # stream (seed, s, 0, 0) is the warm start's epoch-s gold stream (seed, s),
+    # and at s = 0 also default_rng(seed), which init_params and make_toy_task
+    # draw from.  Changing it changes every run; a stream redesign would give
+    # each consumer a distinct nonzero word.
     return np.random.default_rng((seed, step, channel, index))
 
 
@@ -109,9 +105,12 @@ class TrainConfig:
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value!r}")
-            # A config file holds one key a line, split by str.splitlines.
+            # A config file holds one key a line, split by str.splitlines,
+            # and is UTF-8, which holds no lone surrogate.
             if isinstance(value, str) and "".join(value.splitlines()) != value:
                 raise ValidationError(f"{f.name} must be one line, got {value!r}")
+            if isinstance(value, str) and value.encode(errors="replace").decode() != value:
+                raise ValidationError(f"{f.name} must encode as UTF-8, got {value!r}")
         for name, ok, rule in self._rules():
             if not ok:
                 raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -169,16 +168,17 @@ def enigma_loss(grpo_term: float, sami_term: float, ot_term: float,
 
 @dataclass(frozen=True)
 class StepReport:
-    """Everything logged for one step; the JSONL row is a fixed subset."""
+    """Everything logged for one step; the steps.jsonl row is every field
+    but loss_shaping, in this order."""
 
     step: int
     reward_base_mean: float
     reward_mi_mean: float
     reward_std: float
+    loss_total: float
     loss_grpo: float
     loss_sami: float
     loss_ot: float
-    loss_total: float
     mi_row_clean: float
     mi_col_clean: float
     mi_gap: float
@@ -209,6 +209,9 @@ class StepReport:
         """The steps.jsonl row; NaN becomes None (null), so the row is strict JSON."""
         row = {k: getattr(self, k) for k in STEPS_JSONL_FIELDS}
         return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+
+
+STEPS_JSONL_FIELDS = tuple(f.name for f in fields(StepReport) if f.name != "loss_shaping")
 
 
 def _sami_matrix(own_scores, groups, kept, lengths) -> mi.ScoreMatrix:
@@ -429,10 +432,10 @@ class Trainer:
             reward_base_mean=float(base.mean()),
             reward_mi_mean=float(mi_reward.mean()),
             reward_std=float(np.mean(grouped.std)),
+            loss_total=float(loss_total),
             loss_grpo=float(loss_grpo),
             loss_sami=float(loss_sami),
             loss_ot=float(loss_ot),
-            loss_total=float(loss_total),
             mi_row_clean=clean["row_bound"],
             mi_col_clean=clean["col_bound"],
             mi_gap=clean["gap"],
@@ -470,37 +473,30 @@ class Trainer:
 
         Returns the parameter hash stored for integrity checking.
         """
-        blocks = self.policy.param_blocks()
         meta = {"step": self.step, "seed": self.seed, "max_steps": self.max_steps,
                 "param_hash": self.policy.param_hash(), "config_hash": config_hash,
                 "config_text": config_text,
                 "vocab_size": self.policy.vocab.size, "dim": self.policy.dim,
                 "max_len": self.policy.max_len, "schema": 1}
-        np.savez(path, meta=json.dumps(meta, sort_keys=True),
-                 **{k: v for k, v in blocks.items()},
-                 ref_embed=self.reference.embed, ref_out=self.reference.out,
-                 ref_ctx_scale=self.reference.ctx_scale,
-                 ref_prev_scale=self.reference.prev_scale)
+        np.savez(path, meta=json.dumps(meta, sort_keys=True), **self.policy.param_blocks(),
+                 **{f"ref_{k}": v for k, v in self.reference.param_blocks().items()})
         return meta["param_hash"]
 
 
 def load_checkpoint(path) -> tuple:
     """(policy, meta) from a snapshot; verifies the stored hash.
 
-    A load reads five members: `meta` and the policy's `embed`, `out`,
-    `ctx_scale` and `prev_scale`.  The reference snapshot (the `ref_*`
-    members) stays unread, since probing a checkpoint needs only its policy.
-    A snapshot written before checkpoints kept max_len loads with
-    DEFAULT_MAX_LEN.
+    A load reads `meta` and the policy's parameter blocks.  The reference
+    snapshot (the `ref_*` members) stays unread, since probing a checkpoint
+    needs only its policy.  A snapshot written before checkpoints kept
+    max_len loads with DEFAULT_MAX_LEN.
     """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         policy = ToyPolicy(Vocab(int(meta["vocab_size"])), int(meta["dim"]),
                            max_len=int(meta.get("max_len", DEFAULT_MAX_LEN)))
-        policy.embed = data["embed"]
-        policy.out = data["out"]
-        policy.ctx_scale = data["ctx_scale"]
-        policy.prev_scale = data["prev_scale"]
+        for name in policy.param_blocks():
+            setattr(policy, name, data[name])
     if policy.param_hash() != meta["param_hash"]:
         raise ValidationError("checkpoint parameter hash mismatch (corrupt file?)")
     return policy, meta

@@ -19,6 +19,7 @@ from geoloop.prob_metrics import ProbVector, probe_report
 from geoloop.rep_metrics import (EmpiricalMeasure, GaussianSummary, Spectrum,
                                  effective_dims, frechet_distance)
 from geoloop.trainer import Trainer
+from test_ot import exact_w2_small
 
 DATA = Path(cli.DATA_DIR)
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -61,7 +62,7 @@ def test_criterion_2_ot_oracle_equivalence():
         n = int(rng.integers(2, 9))
         a = EmpiricalMeasure(rng.normal(0, 1, (n, 2)))
         b = EmpiricalMeasure(rng.normal(2.0, 1, (n, 2)))
-        exact = ot.exact_w2_small(a, b)
+        exact = exact_w2_small(a, b)
         approx = ot.sinkhorn_divergence_with_grad(a, b, 1e-3)[0]
         worst = max(worst, abs(approx - exact) / exact)
         assert abs(approx - exact) / exact < 0.01

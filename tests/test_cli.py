@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import fields
@@ -92,19 +93,22 @@ class TestConfigRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_every_accepted_config_round_trips(self, data):
-        # Each field drawn from its type, mostly in range; a config that
-        # RunConfig accepts must read back equal from its serialised text.
+        # Each field drawn from its type, mostly in range, and half the
+        # strings from an alphabet with lone surrogates, which no UTF-8 file
+        # holds; a config that RunConfig accepts must read back equal from
+        # its serialised text, stored as UTF-8.
         strategy = {"int": st.integers(0, 10 ** 6),
                     "float": st.one_of(st.integers(0, 100),
                                        st.floats(0, allow_nan=False, allow_infinity=False)),
-                    "str": st.text()}
+                    "str": st.one_of(st.text(), st.text(st.one_of(
+                        st.characters(), st.characters(categories=["Cs"]))))}
         values = {f.name: data.draw(strategy[f.type], label=f.name)
                   for f in fields(cli.RunConfig) if f.name != "schema_version"}
         try:
             config = cli.RunConfig(**values)
         except cli.ConfigError:
             assume(False)
-        assert cli.parse_config(cli.serialise_config(config)) == config
+        assert cli.parse_config(cli.serialise_config(config).encode().decode()) == config
 
     @pytest.mark.parametrize("value", ["a\nb", "a\r", "\r\n", "a\x0bb", "a\x1cb", "\x85",
                                        "a\u2028b"])
@@ -257,6 +261,17 @@ class TestTrainCommand:
         code = cli.main(["train", "--config", str(config), "--output-dir", str(out)])
         assert code == cli.EXIT_CONFIG
         assert "config error: output_dir must be one line" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_output_dir_flag_that_is_not_utf8_exits_2_no_output(self, tmp_path, capsys):
+        # A path byte that is not UTF-8 reaches Python as a lone surrogate.
+        # It used to die in the config hash with a traceback (exit 1), after
+        # the warm start, leaving the output directory behind empty.
+        config = short_config(tmp_path)
+        out = tmp_path / os.fsdecode(b"x\xffy")
+        code = cli.main(["train", "--config", str(config), "--output-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: output_dir must encode as UTF-8" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
     def test_negative_seed_flag_exits_2_no_output(self, tmp_path, capsys):

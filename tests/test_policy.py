@@ -163,11 +163,28 @@ def reference_sample_group(p, prompt, principle, group_size, seed):
     return [(tuple(seqs[i]), np.array(ents[i]), not done[i]) for i in range(group_size)]
 
 
+def reserved(vocab: tk.Vocab) -> tuple:
+    """The five structure tokens: the four tags and EOS."""
+    return (vocab.r_open, vocab.r_close, vocab.a_open, vocab.a_close, vocab.eos)
+
+
+def zero_grad(policy: pol.ToyPolicy) -> pol.ParamGrad:
+    """A zero gradient with the policy's block shapes."""
+    return pol.ParamGrad(**{name: np.zeros_like(block)
+                            for name, block in policy.param_blocks().items()})
+
+
+def add_grad(total: pol.ParamGrad, grad: pol.ParamGrad, scale: float = 1.0) -> None:
+    """total += scale * grad, block by block."""
+    for name, block in vars(total).items():
+        block += scale * getattr(grad, name)
+
+
 class TestVocab:
     def test_reserved_tokens_distinct(self):
         v = tk.Vocab()
-        assert len(set(v.reserved)) == 5
-        assert set(v.fillers).isdisjoint(v.reserved)
+        assert len(set(reserved(v))) == 5
+        assert set(v.fillers).isdisjoint(reserved(v))
 
     def test_minimum_size(self):
         with pytest.raises(ValidationError):
@@ -249,7 +266,7 @@ def random_samples(seed, n=400, max_len=12):
     tokens = np.zeros((n, max_len), dtype=int)
     lengths = rng.integers(1, max_len + 1, n)
     truncated = (lengths == max_len) & (rng.random(n) < 0.5)
-    pool = np.array([*v.reserved, 0, 3, 6, 9])
+    pool = np.array([*reserved(v), 0, 3, 6, 9])
     for b in range(n):
         row = rng.choice(pool, size=lengths[b])
         content = lengths[b] - 1
@@ -362,9 +379,9 @@ class TestGradients:
         comps = [(11, 2, 12, 13, 7, 14), (11, 12, 13, 14, 15), (11, 3, 3, 12, 13, 8, 14)]
         coeffs = [0.5, -1.5, 2.0]
         batch = p.weighted_grad_batch((1, 2), (0, 6), comps, coeffs)
-        manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
+        manual = zero_grad(p)
         for comp, c in zip(comps, coeffs):
-            manual.add(p.grad_seq_logprob((1, 2), (0, 6), comp), c)
+            add_grad(manual, p.grad_seq_logprob((1, 2), (0, 6), comp), c)
         assert batch.embed == pytest.approx(manual.embed, abs=1e-12)
         assert batch.out == pytest.approx(manual.out, abs=1e-12)
         assert batch.ctx_scale == pytest.approx(manual.ctx_scale, abs=1e-12)
@@ -493,10 +510,10 @@ class TestTableKernel:
         weights = np.random.default_rng(0).normal(size=(len(CONTEXTS), len(COMPLETIONS)))
         counts = pol.transition_counts(COMPLETIONS, 16)
         grad = p.backward(p.table(CONTEXTS), pol.logit_sums(np.tensordot(weights, counts, axes=1)))
-        manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
+        manual = zero_grad(p)
         for c, ctx in enumerate(CONTEXTS):
             for b, comp in enumerate(COMPLETIONS):
-                manual.add(p.grad_seq_logprob(*ctx, comp), weights[c, b])
+                add_grad(manual, p.grad_seq_logprob(*ctx, comp), weights[c, b])
         assert_grads_close(grad, manual, 1e-12)
 
     def test_logit_sums_of_counts_are_exact(self):
@@ -518,10 +535,10 @@ class TestTableKernel:
         grad = p.backward(table, pol.logit_sums(np.zeros_like(table.logp)),
                           table.summary_feat_grad(ctx_idx, counts.sum(axis=2), summaries,
                                                   summary_grad))
-        manual = pol.ParamGrad.zeros(p.vocab.size, p.dim)
+        manual = zero_grad(p)
         for b, (c, comp) in enumerate(zip(ctx_idx, COMPLETIONS)):
             assert units[b] == pytest.approx(p.hidden_summary(*CONTEXTS[c], comp), abs=1e-12)
-            manual.add(p.hidden_summary_grad(*CONTEXTS[c], comp, summary_grad[b]))
+            add_grad(manual, p.hidden_summary_grad(*CONTEXTS[c], comp, summary_grad[b]))
         assert_grads_close(grad, manual, 1e-12)
 
     def test_summary_gradient_finite_difference(self):
@@ -550,9 +567,9 @@ class TestTableKernel:
         p.init_params(3)
         q = p.clone()
         pol.mle_pretrain(p, triples, 1, 0.5)
-        total = pol.ParamGrad.zeros(q.vocab.size, q.dim)
+        total = zero_grad(q)
         for prompt, principle, gold in triples:
-            total.add(q.grad_seq_logprob(prompt, principle, gold))
+            add_grad(total, q.grad_seq_logprob(prompt, principle, gold))
         q.add_scaled(total, 0.5 / len(triples))
         for name, block in p.param_blocks().items():
             assert np.max(np.abs(block - q.param_blocks()[name])) <= 1e-12, name

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoloop.errors import DimensionMismatchError, ValidationError
+from geoloop.errors import ValidationError
 from geoloop import prob_metrics as pm
 
 
@@ -64,7 +64,7 @@ class TestProbeReport:
         assert rec["fr_distance"] == pytest.approx(oracle["fr"])
 
     def test_support_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError):
             pm.probe_report([0.5, 0.5], [0.5, 0.25, 0.25])
 
     def test_unnormalised_input(self):
@@ -135,7 +135,7 @@ class TestPathStats:
 
     @pytest.mark.parametrize("measure", [pm.fr_path_stats, pm.turning_angles])
     def test_checkpoints_must_share_one_support(self, measure):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError):
             measure(([1, 0], [0.2, 0.3, 0.5], [0.5, 0.5]))
 
     @settings(max_examples=100, deadline=None)

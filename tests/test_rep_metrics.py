@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoloop.errors import DimensionMismatchError, ValidationError
+from geoloop.errors import ValidationError
 from geoloop import rep_metrics as rm
 
 
@@ -50,7 +50,7 @@ class TestFrechet:
     def test_dimension_mismatch(self):
         a = rm.GaussianSummary([0.0], [[1.0]])
         b = rm.GaussianSummary([0.0, 0.0], np.eye(2))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError):
             rm.frechet_distance(a, b)
 
     def test_asymmetric_cov_rejected(self):
@@ -184,7 +184,7 @@ class TestFactorRoute:
         assert np.array_equal(g.factor, rm.psd_sqrt(g.cov))
 
     def test_factor_width_must_be_the_dimension(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError):
             rm.GaussianSummary(np.zeros(2), np.eye(2), np.ones((3, 3)))
 
 

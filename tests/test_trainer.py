@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
-from geoloop.policy import DEFAULT_MAX_LEN, ParamGrad, ToyPolicy, transition_counts, warm_start
+from geoloop.policy import DEFAULT_MAX_LEN, ToyPolicy, transition_counts, warm_start
 from geoloop.task import Vocab, make_toy_task
 from geoloop import cli, mi, ot, rep_metrics, rewards
 from geoloop import policy as pol
 from geoloop import trainer as tr
 from test_mi import reference_cases, reference_infonce
-from test_policy import completions, reference_decode_along_axis, reference_format_reward
+from test_policy import (add_grad, completions, reference_decode_along_axis,
+                         reference_format_reward, zero_grad)
 from test_rewards import reference_mi_reward
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -133,11 +134,11 @@ class TestGrpoUpdate:
                 for comp, a in zip(group, adv) if not comp.truncated]
         assert 0 < len(kept) < len(items) * tr.GROUP_SIZE
         assert any(a != 0.0 for *_, a in kept)
-        loss_grad = ParamGrad.zeros(policy.vocab.size, policy.dim)
+        loss_grad = zero_grad(policy)
         for item, comp, a in kept:
             ctx = (item.prompt, task.principle(item.principle_id).tokens)
-            loss_grad.add(before.grad_seq_logprob(*ctx, comp.tokens),
-                          -a / (policy.max_len * len(kept)))
+            add_grad(loss_grad, before.grad_seq_logprob(*ctx, comp.tokens),
+                     -a / (policy.max_len * len(kept)))
         assert report.loss_grpo == pytest.approx(-sum(a for *_, a in kept) / len(kept),
                                                  abs=1e-12)
         norm = loss_grad.global_norm()
