@@ -691,7 +691,7 @@ class TestOutputSpaceDiag:
             a, b = rng.integers(0, 12, n), rng.integers(0, 12, n)
             p, q = np.bincount(a, minlength=12) / n, np.bincount(b, minlength=12) / n
             exact = exact_w2_small(EmpiricalMeasure(a[:, None].astype(float)),
-                                      EmpiricalMeasure(b[:, None].astype(float)))
+                                   EmpiricalMeasure(b[:, None].astype(float)))
             assert abs(ot.output_space_ot_diag(p, q, 12) - exact) <= 1e-12
 
     def test_symmetric(self):
