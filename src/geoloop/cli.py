@@ -1,10 +1,10 @@
 """Command-line entry points: train, eval-constitution, probe.
 
-Run configs are flat key = value files with an explicit schema version; the
-serialise(parse(text)) round trip is the identity.  Logs are append-only
-JSONL with a fixed field order; wall-clock timestamps live in a sidecar
-(run_meta.json) so steps.jsonl stays byte-identical across reruns of the
-same config and seed.
+Run configs are TOML, read with tomllib: ``key = value`` lines with an
+explicit schema version, and parse_config(serialise_config(c)) == c.  Logs
+are append-only JSONL with a fixed field order; wall-clock timestamps live in
+a sidecar (run_meta.json) so steps.jsonl stays byte-identical across reruns
+of the same config and seed.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import tomllib
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -88,70 +89,37 @@ class RunConfig(TrainConfig):
 
 
 def serialise_config(config: RunConfig) -> str:
-    """One ``key = value`` line per field, run-level fields first."""
+    """One TOML ``key = value`` line per field, run-level fields first."""
     trainer_fields = {f.name for f in fields(TrainConfig)}
     lines = []
     for f in sorted(fields(RunConfig), key=lambda f: f.name in trainer_fields):
         value = getattr(config, f.name)
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, str):
-            rendered = f'"{value}"'
-        else:
-            rendered = repr(value)
+        # JSON's string escapes are TOML's; TOML also takes U+007F only escaped.
+        rendered = (json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")
+                    if isinstance(value, str) else repr(value))
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"
 
 
-def read_config_lines(text: str) -> list:
-    """(lineno, key, value) for each ``key = value`` line of a config file,
-    its value parsed; blank and ``#`` lines are skipped.  No key, value or
-    schema version is checked against RunConfig."""
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value, got {stripped!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        entries.append((lineno, key, _parse_value(value, key, lineno)))
-    return entries
+def _read_toml(text: str, source: str = "config") -> dict:
+    """The TOML document `text`; one that does not parse (tomllib names the
+    line and column) is a ConfigError naming `source`."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a config file.  A key given twice is rejected first; unknown keys
-    are reported after the schema check, so a file written for another schema
-    fails on its version."""
+    """Parse a config file.  Unknown keys are reported after the schema
+    check, so a file written for another schema fails on its version."""
     known = {f.name for f in fields(RunConfig)}
-    entries = read_config_lines(text)
-    first_line = {}
-    for lineno, key, _ in entries:
-        if first_line.setdefault(key, lineno) != lineno:
-            raise ConfigError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
-    try:
-        config = RunConfig(**{key: value for _, key, value in entries if key in known})
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    for lineno, key, _ in entries:
+    values = _read_toml(text)
+    config = RunConfig(**{key: value for key, value in values.items() if key in known})
+    for key in values:
         if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"unknown key {key!r}")
     return config
-
-
-def _parse_value(value: str, key: str, lineno: int):
-    if value.startswith('"') and value.endswith('"') and len(value) >= 2:
-        return value[1:-1]
-    if value in ("true", "false"):
-        return value == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {value!r}")
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -466,14 +434,15 @@ def cmd_probe(args) -> int:
     # item count and principles.  Schemas 3-6 stored the prompt length and
     # bias, now constants; a stored value other than the constant is refused
     # rather than probed on another run's prompts.
-    try:
-        stored = {key: value for _, key, value in read_config_lines(meta["config_text"])}
-    except ConfigError as exc:
-        raise ConfigError(f"checkpoint {args.checkpoints[0]} config: {exc}") from exc
+    source = f"checkpoint {args.checkpoints[0]} config"
+    config_text = meta.get("config_text")
+    if not isinstance(config_text, str):
+        raise ConfigError(f"{source}: config_text must be a string, got {config_text!r}")
+    stored = _read_toml(config_text, source)
     for key, value in (("prompt_len", PROMPT_LEN), ("task_bias", TASK_BIAS)):
         if stored.get(key, value) != value:
-            raise ConfigError(f"checkpoint {args.checkpoints[0]} config: {key} = "
-                              f"{stored[key]!r}, but the probe task uses {key} = {value!r}")
+            raise ConfigError(f"{source}: {key} = {stored[key]!r}, but the probe task "
+                              f"uses {key} = {value!r}")
     task = _build_task(_load_principles(args.constitution), args.seed, args.items,
                        Vocab(int(meta["vocab_size"])))
     out_dir = _make_out_dir(args.out_dir)

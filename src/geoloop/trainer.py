@@ -105,8 +105,8 @@ class TrainConfig:
                 raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value!r}")
-            # A config file holds one key a line, split by str.splitlines,
-            # and is UTF-8, which holds no lone surrogate.
+            # A config file holds one key a line by str.splitlines (U+2028 is
+            # written raw) and is UTF-8, which holds no lone surrogate.
             if isinstance(value, str) and "".join(value.splitlines()) != value:
                 raise ValidationError(f"{f.name} must be one line, got {value!r}")
             if isinstance(value, str) and value.encode(errors="replace").decode() != value:
@@ -493,6 +493,9 @@ def load_checkpoint(path) -> tuple:
     """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
+        if not isinstance(meta, dict):
+            raise ValidationError(f"checkpoint meta must be a JSON object, "
+                                  f"got {type(meta).__name__}")
         policy = ToyPolicy(Vocab(int(meta["vocab_size"])), int(meta["dim"]),
                            max_len=int(meta.get("max_len", DEFAULT_MAX_LEN)))
         for name in policy.param_blocks():

@@ -80,11 +80,14 @@ def out_dir_file_rejected(tmp_path, capsys, argv):
 
 class TestConfigRoundTrip:
     def test_parse_serialise_identity(self):
-        config = cli.RunConfig(seed=7, channel_weight=0.0, jitter_sigma=0.25)
-        text = cli.serialise_config(config)
-        again = cli.parse_config(text)
-        assert again == config
-        assert cli.serialise_config(again) == text
+        # A quote, a backslash, a tab and U+007F are written escaped.
+        for output_dir in ("run", 'a"b', "a\\b", "a\tb", "a\x7fb"):
+            config = cli.RunConfig(seed=7, channel_weight=0.0, jitter_sigma=0.25,
+                                   output_dir=output_dir)
+            text = cli.serialise_config(config)
+            again = cli.parse_config(text)
+            assert again == config
+            assert cli.serialise_config(again) == text
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ConfigError):
@@ -114,8 +117,8 @@ class TestConfigRoundTrip:
                                        "a\u2028b"])
     @pytest.mark.parametrize("key", ["output_dir", "constitution"])
     def test_string_that_splits_into_lines_rejected(self, key, value):
-        # serialise_config writes one line per key, and read_config_lines
-        # splits the text with str.splitlines.
+        # serialise_config writes one key a line; str.splitlines splits on
+        # each of these, and the writer leaves U+0085 and U+2028 unescaped.
         with pytest.raises(cli.ConfigError, match=f"{key} must be one line"):
             cli.RunConfig(**{key: value})
 
@@ -128,6 +131,14 @@ class TestConfigRoundTrip:
     def test_comments_and_blanks_ignored(self):
         config = cli.parse_config("# comment\n\nseed = 9\n")
         assert config.seed == 9
+
+    @pytest.mark.parametrize("line, key, value", [
+        ("seed = 3  # note", "seed", 3),
+        ("output_dir = 'runs/a'", "output_dir", "runs/a"),
+        ('"seed" = 3', "seed", 3),
+    ])
+    def test_toml_comment_literal_string_and_quoted_key_read(self, line, key, value):
+        assert getattr(cli.parse_config(line + "\n"), key) == value
 
     def test_schema_version_checked(self):
         with pytest.raises(cli.ConfigError):
@@ -171,15 +182,12 @@ class TestConfigRoundTrip:
             cli.parse_config("schema_version = 6\n" + "".join(
                 f"{key} = {value}\n" for key, value in RETIRED_SCHEMA_6_KEYS.items()))
 
-    def test_repeated_key_rejected_naming_both_lines(self):
+    def test_repeated_key_rejected_naming_its_line(self):
         # The last value used to win, so an appended line silently changed the run.
         text = (CONFIGS / "enigma_high_si.toml").read_text()
         n_lines = text.count("\n")
-        first = next(i for i, line in enumerate(text.splitlines(), start=1)
-                     if line.startswith("sami_weight = "))
         with pytest.raises(cli.ConfigError,
-                           match=f"line {n_lines + 1}: key 'sami_weight' already set on "
-                                 f"line {first}"):
+                           match=re.escape(f"Cannot overwrite a value (at line {n_lines + 1},")):
             cli.parse_config(text + "sami_weight = 0.0\n")
 
     def test_bad_trainer_field_rejected(self):
@@ -1409,7 +1417,28 @@ class TestProbeCommand:
         ckpt = self.with_config_text(tmp_path, lambda text: text + "no equals sign\n")
         assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
                          "--out-dir", str(tmp_path / "probe")]) == cli.EXIT_CONFIG
-        assert f"checkpoint {ckpt} config: line" in capsys.readouterr().err
+        assert f"checkpoint {ckpt} config: Expected '=' after a key in a key/value pair " \
+            "(at line" in capsys.readouterr().err
+
+    def test_checkpoint_config_text_that_is_not_a_string_exits_2(self, tmp_path, capsys):
+        # It died in the config reader with an AttributeError traceback (exit 1).
+        ckpt = self.with_config_text(tmp_path, lambda text: 7)
+        out = tmp_path / "probe"
+        assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert f"checkpoint {ckpt} config: config_text must be a string, got 7" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_meta_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        # It died in load_checkpoint with a TypeError traceback.
+        ckpt = self.with_meta(tmp_path, lambda meta: [meta])
+        out = tmp_path / "probe"
+        assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
+                         "--out-dir", str(out)]) == cli.EXIT_RUNTIME
+        assert f"error: cannot load checkpoint {ckpt}: checkpoint meta must be a JSON " \
+            "object, got list" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--items"])
     @pytest.mark.parametrize("value", ["0", "-2"])
