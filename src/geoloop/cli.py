@@ -416,9 +416,9 @@ def cmd_probe(args) -> int:
     for path in args.checkpoints:
         try:
             loaded.append(load_checkpoint(path))
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            # np.load raises ValueError on a file that is not an archive and
-            # BadZipFile on a cut one; ValidationError is a ValueError too.
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            # zipfile raises BadZipFile on a file that is not an archive or
+            # is cut; the reader's ValidationError is a ValueError.
             print(f"error: cannot load checkpoint {path}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
     # A trainer used outside the CLI saves checkpoints with config_hash "",
@@ -444,7 +444,7 @@ def cmd_probe(args) -> int:
             raise ConfigError(f"{source}: {key} = {stored[key]!r}, but the probe task "
                               f"uses {key} = {value!r}")
     task = _build_task(_load_principles(args.constitution), args.seed, args.items,
-                       Vocab(int(meta["vocab_size"])))
+                       Vocab(meta["vocab_size"]))
     out_dir = _make_out_dir(args.out_dir)
     # The probe context (the first item's prompt and principle) is bagged
     # once; the bag depends on no parameters.

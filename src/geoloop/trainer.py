@@ -48,9 +48,12 @@ current cloud's fit takes its eigenvalues.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 import warnings
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -483,23 +486,91 @@ class Trainer:
         return meta["param_hash"]
 
 
+# The one .npy header np.savez writes for a checkpoint member: version 1.0, a
+# little-endian float64 or unicode dtype, C order, and a shape tuple.
+_NPY_HEADER = re.compile(rb"\x93NUMPY\x01\x00(..)\{'descr': '(<f8|<U[1-9]\d{0,7})', "
+                         rb"'fortran_order': False, 'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n",
+                         re.DOTALL)
+
+
+def read_npy_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array np.savez stored as `name`, writable and C-contiguous.
+
+    Reading the member checks its CRC.  It must be stored uncompressed with
+    the exact header above, so nothing is unpickled; anything else is
+    refused naming the member."""
+    member = f"{name}.npy"
+    try:
+        stored = archive.getinfo(member).compress_type == zipfile.ZIP_STORED
+        raw = archive.read(member) if stored else b""
+    except KeyError:
+        raise ValidationError(f"checkpoint has no member {name!r}") from None
+    except (EOFError, NotImplementedError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"checkpoint member {name!r} does not read: "
+                              f"{str(exc) or type(exc).__name__}") from None
+    header = _NPY_HEADER.match(raw)
+    if header is None or header.end() != 10 + int.from_bytes(header[1], "little"):
+        raise ValidationError(f"checkpoint member {name!r} is not a stored .npy v1.0 "
+                              f"array of C-order <f8 or <U")
+    dtype = np.dtype(header[2].decode())
+    shape = tuple(int(n) for n in header[3].replace(b",", b" ").split())
+    if len(raw) - header.end() != math.prod(shape) * dtype.itemsize:
+        raise ValidationError(f"checkpoint member {name!r} does not hold shape {shape}")
+    return np.frombuffer(raw, dtype, offset=header.end()).reshape(shape).copy()
+
+
+def _check_meta(meta) -> None:
+    """Refuse a meta without the typed, in-range fields a load reads."""
+    if not isinstance(meta, dict):
+        raise ValidationError(f"checkpoint meta must be a JSON object, got {type(meta).__name__}")
+    floors = {"step": 0, "vocab_size": 8, "dim": 1, "schema": 1}
+    if "max_len" in meta:
+        floors["max_len"] = 1
+    for key, floor in floors.items():
+        value = meta.get(key)
+        if type(value) is not int or value < floor:
+            raise ValidationError(f"checkpoint meta {key} must be an int of at least "
+                                  f"{floor}, got {value!r}")
+    for key in ("param_hash", "config_hash"):
+        if not isinstance(meta.get(key), str):
+            raise ValidationError(f"checkpoint meta {key} must be a string, "
+                                  f"got {meta.get(key)!r}")
+
+
 def load_checkpoint(path) -> tuple:
     """(policy, meta) from a snapshot; verifies the stored hash.
 
-    A load reads `meta` and the policy's parameter blocks.  The reference
-    snapshot (the `ref_*` members) stays unread, since probing a checkpoint
-    needs only its policy.  A snapshot written before checkpoints kept
-    max_len loads with DEFAULT_MAX_LEN.
+    A load reads the file once, then `meta` and the policy's parameter
+    blocks with `read_npy_member`, so it accepts what np.savez writes: .npy v1.0
+    members, a unicode 0-d `meta` and little-endian float64 blocks.  Each
+    meta field's type and range is checked before any block is read, and
+    each block's shape against the meta.  The reference snapshot (the
+    `ref_*` members) stays unread, since probing a checkpoint needs only its
+    policy.  A snapshot written before checkpoints kept max_len loads with
+    DEFAULT_MAX_LEN.
     """
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if not isinstance(meta, dict):
-            raise ValidationError(f"checkpoint meta must be a JSON object, "
-                                  f"got {type(meta).__name__}")
-        policy = ToyPolicy(Vocab(int(meta["vocab_size"])), int(meta["dim"]),
-                           max_len=int(meta.get("max_len", DEFAULT_MAX_LEN)))
-        for name in policy.param_blocks():
-            setattr(policy, name, data[name])
+    with open(path, "rb") as fh:
+        archive = zipfile.ZipFile(io.BytesIO(fh.read()))
+    meta = read_npy_member(archive, "meta")
+    if meta.dtype.kind != "U" or meta.shape != ():
+        raise ValidationError("checkpoint member 'meta' is not a unicode string")
+    try:
+        meta = json.loads(str(meta))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"checkpoint member 'meta' is not JSON: {exc}") from None
+    _check_meta(meta)
+    # The blocks are read and checked against the meta before the policy is
+    # built, so a meta that claims a huge vocabulary allocates nothing.
+    v, d = meta["vocab_size"], meta["dim"]
+    shapes = {"embed": (v, d), "out": (d, v), "ctx_scale": (d,), "prev_scale": (d,)}
+    blocks = {name: read_npy_member(archive, name) for name in shapes}
+    for name, block in blocks.items():
+        if block.dtype != np.float64 or block.shape != shapes[name]:
+            raise ValidationError(f"checkpoint block {name!r} is {block.dtype} of shape "
+                                  f"{block.shape}, meta says float64 of {shapes[name]}")
+    policy = ToyPolicy(Vocab(v), d, max_len=meta.get("max_len", DEFAULT_MAX_LEN))
+    for name, block in blocks.items():
+        setattr(policy, name, block)
     if policy.param_hash() != meta["param_hash"]:
         raise ValidationError("checkpoint parameter hash mismatch (corrupt file?)")
     return policy, meta

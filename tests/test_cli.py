@@ -1,10 +1,13 @@
 """Command-line surface: config round trip, exit codes, artifact layout."""
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import struct
 import tracemalloc
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -1190,6 +1193,52 @@ def run_dir(tmp_path_factory):
     return tmp / "run"
 
 
+def flipped_embed_byte() -> bytes:
+    """The checked-in checkpoint with one byte of its embed block flipped."""
+    raw = SCHEMA_1_CHECKPOINT.read_bytes()
+    info = zipfile.ZipFile(io.BytesIO(raw)).getinfo("embed.npy")
+    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:
+                                                  info.header_offset + 30])
+    at = info.header_offset + 30 + name_len + extra_len + 128 + 3
+    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:]
+
+
+def edited_embed_entry(*edits) -> bytes:
+    """The checked-in checkpoint with, for each (offset, mask), that byte of
+    the embed member's central-directory entry ORed with mask: 8 holds the
+    flag bits, 22 and 26 the third bytes of the stored and full sizes."""
+    raw = bytearray(SCHEMA_1_CHECKPOINT.read_bytes())
+    entry = raw.index(b"embed.npy", raw.index(b"PK\x01\x02")) - 46
+    for offset, mask in edits:
+        raw[entry + offset] |= mask
+    return bytes(raw)
+
+
+def resaved(transform, save=np.savez) -> bytes:
+    """The checked-in checkpoint saved again with save(**transform(data)),
+    data being its members."""
+    with np.load(SCHEMA_1_CHECKPOINT, allow_pickle=False) as archive:
+        data = dict(archive)
+    buffer = io.BytesIO()
+    save(buffer, **transform(data))
+    return buffer.getvalue()
+
+
+def flattened_embed(data) -> dict:
+    """data with embed flattened and the meta's param_hash that of the
+    flattened block, so only a shape check against the meta refuses it."""
+    meta = json.loads(str(data["meta"]))
+    policy = ToyPolicy(Vocab(meta["vocab_size"]), meta["dim"])
+    for name in policy.param_blocks():
+        setattr(policy, name, data[name])
+    policy.embed = policy.embed.reshape(-1)
+    meta["param_hash"] = policy.param_hash()
+    return {**data, "meta": json.dumps(meta, sort_keys=True), "embed": policy.embed}
+
+
+NOT_NPY = "is not a stored .npy v1.0 array of C-order <f8 or <U"
+
+
 class TestProbeCommand:
     def test_probe_artifacts(self, run_dir, tmp_path):
         out = tmp_path / "probe"
@@ -1438,6 +1487,72 @@ class TestProbeCommand:
                          "--out-dir", str(out)]) == cli.EXIT_RUNTIME
         assert f"error: cannot load checkpoint {ckpt}: checkpoint meta must be a JSON " \
             "object, got list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transform, message", [
+        # A TypeError traceback from int([16]).
+        (lambda meta: {**meta, "vocab_size": [16]},
+         "checkpoint meta vocab_size must be an int of at least 8, got [16]"),
+        # A KeyError traceback after --out-dir was made.
+        (lambda meta: {k: v for k, v in meta.items() if k != "step"},
+         "checkpoint meta step must be an int of at least 0, got None"),
+        # Exit 0, with "x" written as a step label in fr_path.csv.
+        (lambda meta: {**meta, "step": "x"},
+         "checkpoint meta step must be an int of at least 0, got 'x'"),
+        (lambda meta: {**meta, "dim": True}, "checkpoint meta dim must be an int of at least 1, "
+         "got True"),
+        (lambda meta: {**meta, "param_hash": 5}, "checkpoint meta param_hash must be a string, "
+         "got 5"),
+    ], ids=["vocab_size_list", "step_missing", "step_string", "dim_bool", "param_hash_int"])
+    def test_checkpoint_meta_field_of_the_wrong_type_exits_1(self, tmp_path, capsys,
+                                                             transform, message):
+        ckpt = self.with_meta(tmp_path, transform)
+        out = tmp_path / "probe"
+        assert cli.main(["probe", str(SCHEMA_1_CHECKPOINT), str(ckpt),
+                         "--constitution", str(DATA / "toy_high_si.txt"),
+                         "--out-dir", str(out)]) == cli.EXIT_RUNTIME
+        assert f"error: cannot load checkpoint {ckpt}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make, message", [
+        (flipped_embed_byte,
+         "checkpoint member 'embed' does not read: Bad CRC-32 for file 'embed.npy'"),
+        (lambda: edited_embed_entry((8, 0x01)), "checkpoint member 'embed' does not read: "
+         "File 'embed.npy' is encrypted, password required for extraction"),
+        (lambda: edited_embed_entry((8, 0x20)), "checkpoint member 'embed' does not read: "
+         "compressed patched data (flag bit 5)"),
+        (lambda: edited_embed_entry((22, 0x10), (26, 0x10)),
+         "checkpoint member 'embed' does not read: EOFError"),
+        (lambda: SCHEMA_1_CHECKPOINT.read_bytes()[:5000], "File is not a zip file"),
+        (lambda: resaved(lambda d: {k: v for k, v in d.items() if k != "out"}),
+         "checkpoint has no member 'out'"),
+        (lambda: resaved(lambda d: {**d, "embed": np.asfortranarray(d["embed"])}),
+         f"checkpoint member 'embed' {NOT_NPY}"),
+        (lambda: resaved(lambda d: {**d, "out": d["out"].astype(np.float32)}),
+         f"checkpoint member 'out' {NOT_NPY}"),
+        (lambda: resaved(lambda d: {**d, "ctx_scale": d["ctx_scale"].astype(">f8")}),
+         f"checkpoint member 'ctx_scale' {NOT_NPY}"),
+        (lambda: resaved(lambda d: {**d, "meta": np.array(str(d["meta"]), dtype=object)}),
+         f"checkpoint member 'meta' {NOT_NPY}"),
+        (lambda: resaved(dict, np.savez_compressed), f"checkpoint member 'meta' {NOT_NPY}"),
+        (lambda: resaved(lambda d: {**d, "meta": np.float64(1.0)}),
+         "checkpoint member 'meta' is not a unicode string"),
+        (lambda: resaved(lambda d: {**d, "meta": "step = 1"}),
+         "checkpoint member 'meta' is not JSON: Expecting value: line 1 column 1"),
+        (lambda: resaved(flattened_embed),
+         "checkpoint block 'embed' is float64 of shape (128,), meta says float64 of (16, 8)"),
+    ], ids=["flipped_byte", "encrypted_flag", "patched_data_flag", "sizes_past_the_end",
+            "cut", "missing_member", "fortran_order", "float32",
+            "big_endian", "object_dtype", "compressed", "float_meta", "meta_not_json",
+            "flattened_block_with_its_hash"])
+    def test_malformed_checkpoint_exits_1_naming_the_cause(self, tmp_path, capsys,
+                                                            make, message):
+        ckpt = tmp_path / "broken.npz"
+        ckpt.write_bytes(make())
+        out = tmp_path / "probe"
+        assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
+                         "--out-dir", str(out)]) == cli.EXIT_RUNTIME
+        assert f"error: cannot load checkpoint {ckpt}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--items"])

@@ -11,7 +11,7 @@ SRC = Path(geoloop.__file__).parent
 # that resizes the interned-string table peaks about 900 KiB higher, and how
 # many strings a long-lived process has interned depends on what ran in it
 # before.  With Python 3.11, the largest peak is policy.py's 1 887 KiB, then
-# cli.py's 1 822 KiB and trainer.py's 1 203 KiB.  A line of code adds about
+# cli.py's 1 822 KiB and trainer.py's 1 384 KiB.  A line of code adds about
 # 4 KiB to its module's peak, so the margin of 161 KiB leaves the largest
 # module about 40 lines to grow.
 BOUND_KIB = 2048

@@ -1,8 +1,10 @@
 """Group advantages, the GRPO update, schedules, and the full step loop."""
 import hashlib
+import io
 import json
 import math
 import warnings
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -455,15 +457,33 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.npz"
         t.save_checkpoint(path)
         read = []
-        getitem = np.lib.npyio.NpzFile.__getitem__
+        zip_read = zipfile.ZipFile.read
 
-        def recording_getitem(self, key):
-            read.append(key)
-            return getitem(self, key)
+        def recording_read(self, name, pwd=None):
+            read.append(name)
+            return zip_read(self, name, pwd)
 
-        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording_getitem)
+        monkeypatch.setattr(zipfile.ZipFile, "read", recording_read)
         tr.load_checkpoint(path)
-        assert sorted(read) == ["ctx_scale", "embed", "meta", "out", "prev_scale"]
+        assert sorted(read) == ["ctx_scale.npy", "embed.npy", "meta.npy", "out.npy",
+                                "prev_scale.npy"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes=st.lists(st.lists(st.integers(0, 4), max_size=2), min_size=1, max_size=4),
+           text=st.text(min_size=1), seed=st.integers(0, 2**32 - 1))
+    def test_member_reader_matches_np_load(self, shapes, text, seed):
+        rng = np.random.default_rng(seed)
+        arrays = {f"a{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        buffer = io.BytesIO()
+        np.savez(buffer, meta=text, **arrays)
+        archive = zipfile.ZipFile(buffer)
+        with np.load(buffer, allow_pickle=False) as data:
+            for name in ["meta", *arrays]:
+                got, want = tr.read_npy_member(archive, name), data[name]
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes()), name
+                assert got.flags.writeable and got.flags.c_contiguous, name
+        assert str(tr.read_npy_member(archive, "meta")) == text.rstrip("\0")
 
     def test_loads_without_reference_members(self, tmp_path):
         t = small_trainer(seed=16)
