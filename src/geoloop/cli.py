@@ -29,7 +29,7 @@ from . import mi, ot, prob_metrics
 from .errors import ValidationError
 from .policy import ToyPolicy, warm_start
 from .task import ToyTask, Vocab, make_toy_task, principles_from_patterns
-from .trainer import TrainConfig, Trainer, load_checkpoint
+from .trainer import Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
@@ -58,8 +58,9 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig(TrainConfig):
-    """A training run: the trainer hyperparameters plus the run-level fields."""
+class RunConfig:
+    """A training run, its fields in config.txt order: the run-level fields,
+    then the trainer's hyperparameters, whose defaults are the bundled recipe."""
 
     schema_version: int = SCHEMA_VERSION
     seed: int = 0
@@ -67,32 +68,52 @@ class RunConfig(TrainConfig):
     checkpoint_every: int = 500
     output_dir: str = "run"
     constitution: str = str(DATA_DIR / "toy_high_si.txt")
+    sami_weight: float = 0.05
+    ot_weight: float = 0.01
+    ot_warmup: int = 200
+    shadow_k: int = 2
+    channel_weight: float = 0.15
+    jitter_sigma: float = 0.0
 
     def __post_init__(self):
+        """Reject a value the run cannot use before anything runs on it."""
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {self.schema_version} "
                               f"(this version reads {SCHEMA_VERSION})")
-        try:
-            super().__post_init__()
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def _rules(self) -> tuple:
-        return super()._rules() + (
-            ("seed", self.seed >= 0, "nonnegative"),
-            ("max_steps", self.max_steps >= 1, "at least 1"),
-            ("checkpoint_every", self.checkpoint_every >= 1, "at least 1"),
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # Every field is an int, a float (an int will do) or a str.
+            if isinstance(value, bool) or not isinstance(
+                    value, {"int": int, "float": (int, float), "str": str}[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            # A config file holds one key a line by str.splitlines (U+2028 is
+            # written raw) and is UTF-8, which holds no lone surrogate.
+            if isinstance(value, str) and "".join(value.splitlines()) != value:
+                raise ConfigError(f"{f.name} must be one line, got {value!r}")
+            if isinstance(value, str) and value.encode(errors="replace").decode() != value:
+                raise ConfigError(f"{f.name} must encode as UTF-8, got {value!r}")
+        rules = (
+            *((name, getattr(self, name) >= 0, "nonnegative")
+              for name in ("seed", "sami_weight", "ot_weight", "ot_warmup",
+                           "channel_weight", "jitter_sigma")),
+            *((name, getattr(self, name) >= 1, "at least 1")
+              for name in ("max_steps", "checkpoint_every", "shadow_k")),
+            ("output_dir", self.output_dir != "", "non-empty"),
         )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def config_hash(self) -> str:
         return hashlib.sha256(serialise_config(self).encode()).hexdigest()
 
 
 def serialise_config(config: RunConfig) -> str:
-    """One TOML ``key = value`` line per field, run-level fields first."""
-    trainer_fields = {f.name for f in fields(TrainConfig)}
+    """One TOML ``key = value`` line per field, in field order."""
     lines = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name in trainer_fields):
+    for f in fields(RunConfig):
         value = getattr(config, f.name)
         # JSON's string escapes are TOML's; TOML also takes U+007F only escaped.
         rendered = (json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")
@@ -123,11 +144,19 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
+    return replace(parse_config(_read_input(path, "config")), **(overrides or {}))
+
+
+def _read_input(path, what: str, reader=None):
+    """`reader(path)`, or the file's text without a reader; every input file
+    is read as UTF-8.  A file that does not read or decode is a ConfigError
+    naming `what` and the file, and so is the reader's ValidationError."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return replace(parse_config(text), **(overrides or {}))
+        return reader(path) if reader else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------- shared setup ----------
@@ -150,12 +179,7 @@ def _build_task(pset: consti.PrincipleSet, seed: int, n_items: int, vocab: Vocab
 
 
 def _load_principles(path) -> consti.PrincipleSet:
-    try:
-        return consti.parse_principle_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read constitution {path}: {exc}") from exc
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _read_input(path, "constitution", consti.parse_principle_file)
 
 
 def _make_out_dir(path) -> Path:
@@ -171,13 +195,8 @@ def _make_out_dir(path) -> Path:
 # ---------- train ----------
 
 def cmd_train(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_steps is not None:
-        overrides["max_steps"] = args.max_steps
-    if args.output_dir:
-        overrides["output_dir"] = args.output_dir
+    overrides = {key: getattr(args, key) for key in ("seed", "max_steps", "output_dir")
+                 if getattr(args, key) is not None}
     config = load_config(args.config, overrides)
 
     pset = _load_principles(config.constitution)
@@ -198,7 +217,7 @@ def cmd_train(args) -> int:
     warm_start(policy, task, WARMSTART_EPOCHS, WARMSTART_LR, config.seed,
                bias=WARMSTART_BIAS)
 
-    trainer = Trainer(policy, task, config, config.max_steps, config.seed)
+    trainer = Trainer(policy, task, config)
     config_hash = config.config_hash()
     config_text = serialise_config(config)
     checkpoint_hashes = {}
@@ -282,12 +301,8 @@ def cmd_eval_constitution(args) -> int:
                    for row in _read_components(args.components)]
     if args.scores:
         nll_rows = _read_nll_csv(args.nll)
-        try:
-            pos_matrix, neg_matrix = map(mi.read_score_csv, args.scores)
-        except OSError as exc:
-            raise ConfigError(f"cannot read score matrix: {exc}") from exc
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+        pos_matrix, neg_matrix = (_read_input(path, "score matrix", mi.read_score_csv)
+                                  for path in args.scores)
         for path, matrix in zip(args.scores, (pos_matrix, neg_matrix)):
             if matrix.shape[1] < 2:
                 raise ConfigError(f"score CSV {path}: needs at least two principle "
@@ -348,10 +363,11 @@ def _read_components(path) -> list:
     numbers `bits`, `auc`, `margin_pos` and `margin_neg`, and optional
     numbers or nulls `lb_pos_bits` and `lb_neg_bits` (NaN when null or absent).
     """
+    text = _read_input(path, "components file")
     try:
-        rows = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read components file: {exc}") from exc
+        rows = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read components file {path}: {exc}") from exc
     if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
         raise ConfigError(f"components file {path}: the top level must be a list of objects")
     components = []
@@ -377,24 +393,21 @@ def _read_components(path) -> list:
 def _read_nll_csv(path):
     if path is None:
         raise ConfigError("--scores needs --nll with per-item NLL rows")
+    # Read text has universal newlines, so its lines are the file's lines.
+    header, *lines = _read_input(path, "NLL CSV").split("\n")
+    if header.strip() != "nll_without_bits,nll_with_bits":
+        raise ConfigError(f"bad NLL CSV header in {path}: {header.strip()!r}")
     rows = []
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "nll_without_bits,nll_with_bits":
-                raise ConfigError(f"bad NLL CSV header in {path}: {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                if line.strip():
-                    try:
-                        a, b = line.strip().split(",")
-                        rows.append((float(a), float(b)))
-                    except ValueError as exc:
-                        raise ConfigError(f"NLL CSV {path}, line {lineno}: {exc}") from exc
-                    if not all(map(math.isfinite, rows[-1])):
-                        raise ConfigError(f"NLL CSV {path}, line {lineno}: values must be "
-                                          f"finite, got {line.strip()!r}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read NLL CSV: {exc}") from exc
+    for lineno, line in enumerate(lines, start=2):
+        if line.strip():
+            try:
+                a, b = line.strip().split(",")
+                rows.append((float(a), float(b)))
+            except ValueError as exc:
+                raise ConfigError(f"NLL CSV {path}, line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ConfigError(f"NLL CSV {path}, line {lineno}: values must be "
+                                  f"finite, got {line.strip()!r}")
     if not rows:
         raise ConfigError(f"NLL CSV {path} has no rows")
     return rows

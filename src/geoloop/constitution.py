@@ -54,7 +54,9 @@ class Principle:
     @staticmethod
     def parse(pid: str, text: str) -> "Principle":
         parts = text.split()
-        if parts and all(p.lstrip("-").isdigit() for p in parts):
+        # One sign and decimal digits: what int() parses, unlike isdigit's
+        # superscripts or a second sign.
+        if parts and all(p.removeprefix("-").isdecimal() for p in parts):
             return Principle(pid, text, tuple(int(p) for p in parts))
         return Principle(pid, text, ())
 
@@ -81,7 +83,7 @@ def parse_principle_file(path) -> PrincipleSet:
     name = "unnamed"
     sections = {"positives": [], "negatives": []}
     current = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -109,11 +111,16 @@ def parse_principle_file(path) -> PrincipleSet:
 # ---------- scalar signals ----------
 
 def delta_nll(nll_without: float, nll_with: float) -> dict:
-    """ΔNLL in bits/token and the induced perplexity ratio 2^{-Δ}."""
+    """ΔNLL in bits/token and the induced perplexity ratio 2^{-Δ}, inf past
+    the float range (Δ at or below about -1024 bits)."""
     if not (math.isfinite(nll_without) and math.isfinite(nll_with)):
         raise ValidationError("NLL inputs must be finite")
     delta = nll_without - nll_with
-    return {"delta_bits": delta, "perplexity_ratio": 2.0 ** (-delta)}
+    try:
+        ratio = 2.0 ** (-delta)
+    except OverflowError:
+        ratio = math.inf
+    return {"delta_bits": delta, "perplexity_ratio": ratio}
 
 
 def mann_whitney_auc(pos_scores, neg_scores) -> float:

@@ -251,7 +251,7 @@ def write_score_csv(matrix: ScoreMatrix, path) -> None:
 
 
 def read_score_csv(path) -> ScoreMatrix:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
             fields = dict(part.split("=") for part in header.split(","))
@@ -259,6 +259,8 @@ def read_score_csv(path) -> ScoreMatrix:
             n, m = int(fields["N"]), int(fields["M"])
         except (ValueError, KeyError) as exc:
             raise ValidationError(f"score CSV {path}: bad header {header!r}") from exc
+        if m < 1:
+            raise ValidationError(f"score CSV {path}: header M must be at least 1, got {m}")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             if line.strip():

@@ -22,15 +22,15 @@ cap max_len, which removes length bias without per-sequence normalisation:
 Schedules: sami_weight ramps linearly over the first MI_WARMUP_STEPS steps;
 the row/column mix anneals (0.7, 0.3) -> (0.5, 0.5) over the first 10% of
 max_steps; the OT term is zero before ot_warmup; the format gate activates
-after 30% of the MI warmup.  Everything is deterministic under (config,
-seed): stochastic channels draw from seeds derived via SeedSequence(seed,
-step, channel, index).
+after 30% of the MI warmup.  Everything is deterministic under the config:
+stochastic channels draw from seeds derived via SeedSequence(seed, step,
+channel, index).
 
 The optimiser is plain SGD (LEARNING_RATE) with a global gradient-norm clip
 (GRAD_CLIP); external trainer defaults do not transfer to this scale.  The
 GRPO ablations are the same objective with sami_weight, ot_weight and
-channel_weight at 0 (and jitter_sigma > 0 for the jittered one); a
-TrainConfig is run as given, with no presets.
+channel_weight at 0 (and jitter_sigma > 0 for the jittered one); a run
+config is run as given, with no presets.
 
 Work that is constant for the run is done once, in `Trainer.__init__`: the
 bag weights of every (principle, item) context (bagging uses no
@@ -88,47 +88,6 @@ def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Trainer hyperparameters; defaults are those of the bundled run configs."""
-
-    sami_weight: float = 0.05
-    ot_weight: float = 0.01
-    ot_warmup: int = 200
-    shadow_k: int = 2
-    channel_weight: float = 0.15
-    jitter_sigma: float = 0.0
-
-    def __post_init__(self):
-        """Reject a value the run cannot use before anything runs on it."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # Every field is an int, a float (an int will do) or a str.
-            if isinstance(value, bool) or not isinstance(
-                    value, {"int": int, "float": (int, float), "str": str}[f.type]):
-                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value!r}")
-            # A config file holds one key a line by str.splitlines (U+2028 is
-            # written raw) and is UTF-8, which holds no lone surrogate.
-            if isinstance(value, str) and "".join(value.splitlines()) != value:
-                raise ValidationError(f"{f.name} must be one line, got {value!r}")
-            if isinstance(value, str) and value.encode(errors="replace").decode() != value:
-                raise ValidationError(f"{f.name} must encode as UTF-8, got {value!r}")
-        for name, ok, rule in self._rules():
-            if not ok:
-                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-    def _rules(self) -> tuple:
-        """(field, holds, rule) for every range a field must lie in."""
-        return (
-            ("shadow_k", self.shadow_k >= 1, "at least 1"),
-            *((name, getattr(self, name) >= 0, "nonnegative")
-              for name in ("ot_warmup", "sami_weight", "ot_weight", "channel_weight",
-                           "jitter_sigma")),
-        )
-
-
-@dataclass(frozen=True)
 class GroupAdvantages:
     advantages: np.ndarray
     std: np.ndarray
@@ -157,13 +116,13 @@ def rowcol_anneal(step: int, max_steps: int) -> tuple:
     return 0.7 - 0.2 * t, 0.3 + 0.2 * t
 
 
-def sami_weight_at(config: TrainConfig, step: int) -> float:
+def sami_weight_at(config, step: int) -> float:
     """Linear warmup of the auxiliary weight over MI_WARMUP_STEPS."""
     return config.sami_weight * min(1.0, step / MI_WARMUP_STEPS)
 
 
 def enigma_loss(grpo_term: float, sami_term: float, ot_term: float,
-                config: TrainConfig, step: int) -> float:
+                config, step: int) -> float:
     """Unified objective with schedules applied; ot_term is gated by warmup."""
     gated_ot = 0.0 if step < config.ot_warmup else ot_term
     return grpo_term + sami_weight_at(config, step) * sami_term + gated_ot
@@ -256,19 +215,15 @@ def _geometry(cur: rep_metrics.EmpiricalMeasure, ref: rep_metrics.EmpiricalMeasu
 
 
 class Trainer:
-    """Owns the mutable policy, reference snapshot, and autoscaler state."""
+    """Owns the mutable policy, reference snapshot, and autoscaler state; it
+    runs `config`, a `cli.RunConfig`, seed and max_steps included."""
 
-    def __init__(self, policy: ToyPolicy, task: ToyTask, config: TrainConfig,
-                 max_steps: int, seed: int):
-        if max_steps <= 0:
-            raise ValidationError("max_steps must be positive")
+    def __init__(self, policy: ToyPolicy, task: ToyTask, config):
         if len(task.principles) < 2:
             raise ValidationError("shadow principles need a pool of at least two")
         self.policy = policy
         self.task = task
         self.config = config
-        self.max_steps = max_steps
-        self.seed = seed
         self.step = 0
         self.reference = policy.clone()
         self.autoscaler = rewards.AutoscalerState()
@@ -300,7 +255,7 @@ class Trainer:
     def _row_candidates(self, item_idx, groups, step: int) -> np.ndarray:
         """(B, K+1) step contexts of each completion's true principle (column
         0) and K uniform shadow principles."""
-        rng = derive_rng(self.seed, step, _CH_SHADOW_P)
+        rng = derive_rng(self.config.seed, step, _CH_SHADOW_P)
         cols = mi.shadow_candidates(rng, self._true[item_idx[groups]],
                                     len(self.task.principles), self.config.shadow_k)
         return cols * len(item_idx) + groups[:, None]
@@ -308,7 +263,7 @@ class Trainer:
     def _col_candidates(self, b: int, step: int) -> np.ndarray:
         """(B, K+1) completions {own, K shadows} to score under each
         completion's own rendered prompt."""
-        rng = derive_rng(self.seed, step, _CH_SHADOW_C)
+        rng = derive_rng(self.config.seed, step, _CH_SHADOW_C)
         return mi.shadow_candidates(rng, np.arange(b), b, self.config.shadow_k)
 
     def _sami_weights(self, losses: dict, step: int, lam_row: float,
@@ -333,7 +288,7 @@ class Trainer:
         own = self._true[item_idx] * n_groups + np.arange(n_groups)
         samples = self.policy.sample_groups(
             table, own, GROUP_SIZE,
-            [derive_rng(self.seed, step, _CH_SAMPLE, g) for g in range(n_groups)])
+            [derive_rng(config.seed, step, _CH_SAMPLE, g) for g in range(n_groups)])
         groups = np.repeat(np.arange(n_groups), GROUP_SIZE)
         b = groups.size
         lengths = samples.lengths
@@ -355,7 +310,7 @@ class Trainer:
 
         base = format_ok.astype(float)
         if config.jitter_sigma > 0:
-            jitter_rng = derive_rng(self.seed, step, _CH_JITTER)
+            jitter_rng = derive_rng(config.seed, step, _CH_JITTER)
             base = base + config.jitter_sigma * jitter_rng.standard_normal(b)
 
         # Length-normalised candidate scores; the positive is column 0.
@@ -378,7 +333,7 @@ class Trainer:
         loss_grpo = sum(-adv[kept]) / n_kept
         coeffs[own[groups[kept]], kept] = -adv[kept] / self.policy.max_len / n_kept
 
-        lam_row, lam_col = rowcol_anneal(step, self.max_steps)
+        lam_row, lam_col = rowcol_anneal(step, config.max_steps)
         if kept.size < 2:
             loss_sami, diag_stat = 0.0, math.nan
         else:
@@ -476,7 +431,8 @@ class Trainer:
 
         Returns the parameter hash stored for integrity checking.
         """
-        meta = {"step": self.step, "seed": self.seed, "max_steps": self.max_steps,
+        meta = {"step": self.step, "seed": self.config.seed,
+                "max_steps": self.config.max_steps,
                 "param_hash": self.policy.param_hash(), "config_hash": config_hash,
                 "config_text": config_text,
                 "vocab_size": self.policy.vocab.size, "dim": self.policy.dim,

@@ -7,6 +7,7 @@ fixture and feeds criteria that inspect its artifacts.
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +169,8 @@ def _short_ablation_run(name, steps=30, seed=11):
     policy = ToyPolicy(Vocab())
     policy.init_params(seed)
     warm_start(policy, task, 200, 0.5, seed, bias=0.15)
-    config = cli.load_config(CONFIGS / f"{name}.toml")
-    trainer = Trainer(policy, task, config, max_steps=steps, seed=seed)
+    config = replace(cli.load_config(CONFIGS / f"{name}.toml"), max_steps=steps, seed=seed)
+    trainer = Trainer(policy, task, config)
     return [trainer.train_step() for _ in range(steps)]
 
 

@@ -4,7 +4,7 @@ perfbench/tracer.py wraps the functions listed in its LAYERS table, reads
 "iterations" and "converged" from each ot.entropic_ot result, and counts the
 loops of ot._sinkhorn_potentials by items [2] (iterations) and [3]
 (converged) of its result; perfbench/workloads.py checks each step
-with trainer.sami_weight_at and the StepReport and TrainConfig fields its
+with trainer.sami_weight_at and the StepReport and cli.RunConfig fields its
 step_problems reads, and rewrites two lines of the bundled config.  A rename
 here would silently break ``perfbench/run.py --trace 1``.
 """
@@ -102,11 +102,11 @@ def test_step_report_and_config_fields_the_benchmark_reads():
     # A deleted field would fail every benchmark step, not a test.
     from dataclasses import fields
 
-    from geoloop import trainer
+    from geoloop import cli, trainer
 
     reads = step_problems_reads()
     # The extraction finds both kinds of read.
     assert {"step", "mi_row_clean", "mi_col_clean"} <= reads["report"]
     assert {"shadow_k", "ot_warmup"} <= reads["config"]
     assert reads["report"] <= {f.name for f in fields(trainer.StepReport)}
-    assert reads["config"] <= {f.name for f in fields(trainer.TrainConfig)}
+    assert reads["config"] <= {f.name for f in fields(cli.RunConfig)}

@@ -20,7 +20,7 @@ from geoloop import cli, mi, ot, prob_metrics
 from geoloop import constitution as consti
 from geoloop.policy import DEFAULT_DIM, ToyPolicy, mle_pretrain, transition_counts, warm_start
 from geoloop.task import ToyPrinciple, Vocab, gold_items, make_toy_principles, make_toy_task
-from geoloop.trainer import STEPS_JSONL_FIELDS, TrainConfig, Trainer, load_checkpoint
+from geoloop.trainer import STEPS_JSONL_FIELDS, Trainer, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -31,6 +31,9 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 # The checked-in checkpoint (meta schema 1) of a one-step run; the config it
 # stores is schema 4.
 SCHEMA_1_CHECKPOINT = GOLDEN / "ckpt_schema1.npz"
+# The run config's trainer hyperparameters.
+TRAINER_FIELDS = ("sami_weight", "ot_weight", "ot_warmup", "shadow_k", "channel_weight",
+                  "jitter_sigma")
 
 
 def short_config(tmp_path, **overrides) -> Path:
@@ -204,9 +207,9 @@ class TestConfigRoundTrip:
 
     def test_trainer_defaults_are_the_bundled_recipe(self):
         bundled = cli.load_config(CONFIGS / "enigma_high_si.toml")
-        defaults = TrainConfig()
-        for f in fields(TrainConfig):
-            assert getattr(bundled, f.name) == getattr(defaults, f.name), f.name
+        defaults = cli.RunConfig()
+        for name in TRAINER_FIELDS:
+            assert getattr(bundled, name) == getattr(defaults, name), name
 
 
 class TestTrainCommand:
@@ -291,6 +294,27 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(config), "--seed", "-1"]) == cli.EXIT_CONFIG
         assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_empty_output_dir_in_the_config_exits_2_no_output(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # It wrote the whole run into the working directory and exited 0.
+        config = short_config(tmp_path)
+        config.write_text(re.sub(r"(?m)^output_dir = .*$", 'output_dir = ""',
+                                 config.read_text()))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "config error: output_dir must be non-empty, got ''" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
+    def test_empty_output_dir_flag_exits_2_no_output(self, tmp_path, capsys):
+        # It was ignored, and the run went to the config's output_dir.
+        config = short_config(tmp_path)
+        code = cli.main(["train", "--config", str(config), "--output-dir", ""])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: output_dir must be non-empty, got ''" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_cold_start_has_gradient(self, tmp_path, monkeypatch):
         # Without a warm start the policy must still leave the all-zero saddle.
@@ -484,7 +508,8 @@ class TestEvalCommand:
                          "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
 
-    def external_files(self, tmp_path, pos_body="0.0,-1.0\n-1.0,0.0\n",
+    @staticmethod
+    def external_files(tmp_path, pos_body="0.0,-1.0\n-1.0,0.0\n",
                        nll_body="2.0,1.9\n2.0,1.8\n"):
         """--scores and --nll arguments over two items and two principles."""
         for name, body in (("pos", pos_body), ("neg", "0.0,-0.5\n-0.5,0.0\n")):
@@ -537,9 +562,15 @@ class TestEvalCommand:
          "needs at least two principle columns, got 1", "pos.csv"),
         (lambda tmp: (tmp / "pos.csv").write_text(
             "normalisation=length_mean,N=2,M=2\n0.0,-1.0\n-1.0,inf\n"),
-         "entries must be finite", "pos.csv")],
+         "entries must be finite", "pos.csv"),
+        # M=-1 let rows of any length through to numpy's inhomogeneous-shape
+        # ValueError, a traceback.
+        (lambda tmp: (tmp / "pos.csv").write_text(
+            "normalisation=length_mean,N=2,M=-1\n0.0,-1.0\n-1.0\n"),
+         "header M must be at least 1, got -1", "pos.csv")],
         ids=["missing_nll", "bad_nll_header", "missing_score_csv", "nonfinite_nll",
-             "empty_nll", "nll_row_count", "item_count", "one_column", "nonfinite_score"])
+             "empty_nll", "nll_row_count", "item_count", "one_column", "nonfinite_score",
+             "m_below_1"])
     def test_bad_score_input_exits_2_before_any_output(self, tmp_path, capsys,
                                                        break_input, message, name):
         args = self.external_files(tmp_path)
@@ -548,6 +579,23 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert message in err and str(tmp_path / name) in err
         assert not (tmp_path / "out").exists()
+
+    def test_perplexity_ratio_past_the_float_range_is_null(self, tmp_path):
+        # 2 ** 2000 raised OverflowError: a traceback and no report.
+        components = tmp_path / "components.json"
+        components.write_text(json.dumps([{"name": "c", "bits": -2000, "auc": 0.5,
+                                           "margin_pos": 1.0, "margin_neg": 0.5}]))
+        assert cli.main(["eval-constitution", "--components", str(components),
+                         "--out-dir", str(tmp_path / "replay")]) == cli.EXIT_OK
+        args = self.external_files(tmp_path, nll_body="0.0,2000.0\n0.0,2000.0\n")
+        assert cli.main(args) == cli.EXIT_OK
+        for path in (tmp_path / "replay" / "report_c.json", tmp_path / "out" / "report_pos.json"):
+            report = json.loads(path.read_text())
+            assert report["delta_nll_median_bits"] == -2000
+            assert report["perplexity_ratio"] is None
+            assert report["perplexity_drop_pct"] is None
+            assert report["si"] == consti.sufficiency_index(-2000, report["mi_effective"],
+                                                            report["auc"])
 
     def test_components_row_without_auc_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "components.json"
@@ -952,6 +1000,64 @@ class TestTextPrinciplePools:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("pattern", ["4 ²", "--4 5"], ids=["superscript", "two_signs"])
+def test_number_int_does_not_parse_makes_a_text_principle(tmp_path, capsys, pattern):
+    # '²' passed str.isdigit and '--4' the sign-stripped test, and int() then
+    # raised a ValueError traceback.
+    assert consti.Principle.parse("pos1", pattern).tokens == ()
+    path = principle_file(tmp_path, "sup", ["5 10 5 10", pattern])
+    out = tmp_path / "out"
+    assert cli.main(["eval-constitution", str(path), "--out-dir", str(out)]) \
+        == cli.EXIT_CONFIG
+    assert "config error: constitution 'sup' has non-token positives" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def copy_of_data(tmp, name) -> Path:
+    path = tmp / name
+    path.write_bytes((DATA / name).read_bytes())
+    return path
+
+
+# Per input reader, the file a call reads and the call's arguments, its
+# output going to <tmp>/out.
+INPUT_READERS = {
+    "config": ("config.toml", lambda tmp: [
+        "train", "--config", str(short_config(tmp, output_dir=str(tmp / "out")))]),
+    "constitution_train": ("toy_high_si.txt", lambda tmp: [
+        "train", "--config", str(short_config(
+            tmp, output_dir=str(tmp / "out"),
+            constitution=str(copy_of_data(tmp, "toy_high_si.txt"))))]),
+    "constitution_eval": ("toy_high_si.txt", lambda tmp: [
+        "eval-constitution", str(copy_of_data(tmp, "toy_high_si.txt")),
+        "--out-dir", str(tmp / "out")]),
+    "constitution_probe": ("toy_high_si.txt", lambda tmp: [
+        "probe", str(SCHEMA_1_CHECKPOINT),
+        "--constitution", str(copy_of_data(tmp, "toy_high_si.txt")),
+        "--out-dir", str(tmp / "out")]),
+    "components": ("component_replay.json", lambda tmp: [
+        "eval-constitution", "--components", str(copy_of_data(tmp, "component_replay.json")),
+        "--out-dir", str(tmp / "out")]),
+    "scores": ("pos.csv", TestEvalCommand.external_files),
+    "nll": ("nll.csv", TestEvalCommand.external_files),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(INPUT_READERS))
+def test_input_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, reader):
+    # Each reader ended in a UnicodeDecodeError traceback.
+    name, argv = INPUT_READERS[reader]
+    argv = argv(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: cannot read " in err and str(path) in err
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
+
+
 def bundled_warm_start(seed, bias=cli.WARMSTART_BIAS, lr=cli.WARMSTART_LR,
                        epochs=cli.WARMSTART_EPOCHS):
     """The warm start `geoloop train` runs for the bundled toy_high_si set at
@@ -1172,7 +1278,7 @@ def library_run(tmp_path, vocab_size, config=None, max_steps=4, every=2,
     policy.init_params(seed)
     warm_start(policy, task, cli.WARMSTART_EPOCHS, cli.WARMSTART_LR, seed,
                bias=cli.WARMSTART_BIAS)
-    trainer = Trainer(policy, task, TrainConfig(), max_steps, seed)
+    trainer = Trainer(policy, task, cli.RunConfig(seed=seed, max_steps=max_steps))
     stored = (config.config_hash(), cli.serialise_config(config)) if config else ("", "")
     ckpts = []
     while True:

@@ -10,9 +10,9 @@ SRC = Path(geoloop.__file__).parent
 # Each module is compiled in its own fresh `python -I` process: a compile
 # that resizes the interned-string table peaks about 900 KiB higher, and how
 # many strings a long-lived process has interned depends on what ran in it
-# before.  With Python 3.11, the largest peak is policy.py's 1 887 KiB, then
-# cli.py's 1 822 KiB and trainer.py's 1 384 KiB.  A line of code adds about
-# 4 KiB to its module's peak, so the margin of 161 KiB leaves the largest
+# before.  With Python 3.11, the largest peak is policy.py's 1 886 KiB, then
+# cli.py's 1 876 KiB and trainer.py's 1 276 KiB.  A line of code adds about
+# 4 KiB to its module's peak, so the margin of 162 KiB leaves the largest
 # module about 40 lines to grow.
 BOUND_KIB = 2048
 

@@ -5,7 +5,7 @@ import json
 import math
 import warnings
 import zipfile
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from geoloop.task import Vocab, make_toy_task
 from geoloop import cli, mi, ot, rep_metrics, rewards
 from geoloop import policy as pol
 from geoloop import trainer as tr
+from test_cli import TRAINER_FIELDS
 from test_mi import reference_cases, reference_infonce
 from test_policy import (add_grad, completions, reference_decode_along_axis,
                          reference_format_reward, zero_grad)
@@ -50,8 +51,8 @@ def small_trainer(seed=0, steps=50, **config_overrides):
     policy = ToyPolicy(Vocab())
     policy.init_params(seed)
     warm_start(policy, task, 60, 0.5, seed, bias=0.15)
-    return tr.Trainer(policy, task, tr.TrainConfig(**config_overrides),
-                      max_steps=steps, seed=seed)
+    return tr.Trainer(policy, task,
+                      cli.RunConfig(seed=seed, max_steps=steps, **config_overrides))
 
 
 class TestGroupAdvantages:
@@ -103,9 +104,9 @@ class TestGrpoUpdate:
         policy.init_params(4)
         warm_start(policy, task, 60, 0.5, 4, bias=0.15)
         monkeypatch.setattr(tr, "GRAD_CLIP", 0.05)
-        config = tr.TrainConfig(jitter_sigma=0.5, **GRPO_COT)
+        config = cli.RunConfig(seed=4, max_steps=10, jitter_sigma=0.5, **GRPO_COT)
         assert config.ot_weight == 0.0 and config.sami_weight == 0.0
-        trainer = tr.Trainer(policy, task, config, max_steps=10, seed=4)
+        trainer = tr.Trainer(policy, task, config)
         before = policy.clone()
 
         sampled = []
@@ -183,9 +184,9 @@ class TestStepGradient:
         policy.init_params(seed)
         warm_start(policy, task, 60, 0.5, seed, bias=0.15)
         monkeypatch.setattr(tr, "MI_WARMUP_STEPS", 4)
-        config = tr.TrainConfig(sami_weight=0.5, ot_weight=0.5, channel_weight=0.15,
-                                ot_warmup=2)
-        t = tr.Trainer(policy, task, config, max_steps=50, seed=seed)
+        config = cli.RunConfig(seed=seed, max_steps=50, sami_weight=0.5, ot_weight=0.5,
+                               channel_weight=0.15, ot_warmup=2)
+        t = tr.Trainer(policy, task, config)
         policy.embed += np.random.default_rng(0).normal(0, 0.3, policy.embed.shape)
         t.train_step()
         t.train_step()
@@ -222,7 +223,7 @@ class TestStepGradient:
             t.reference.table(true_contexts).summaries(np.arange(groups.size),
                                                        counts.sum(axis=2))[0],
             normalised=True)
-        lam_row, lam_col = tr.rowcol_anneal(step, t.max_steps)
+        lam_row, lam_col = tr.rowcol_anneal(step, t.config.max_steps)
 
         def surrogate(p):
             table = p.table(contexts)
@@ -268,14 +269,14 @@ class TestSchedules:
         assert lam_row + lam_col == pytest.approx(1.0)
 
     def test_sami_warmup(self):
-        config = tr.TrainConfig()
+        config = cli.RunConfig()
         assert tr.sami_weight_at(config, 0) == 0.0
         assert tr.sami_weight_at(config, 25) == pytest.approx(0.025)
         assert tr.sami_weight_at(config, 50) == pytest.approx(0.05)
         assert tr.sami_weight_at(config, 500) == pytest.approx(0.05)
 
     def test_unified_loss_schedule(self):
-        config = tr.TrainConfig()
+        config = cli.RunConfig()
         # step 0: both auxiliaries contribute nothing
         assert tr.enigma_loss(1.5, 9.9, 7.7, config, 0) == pytest.approx(1.5)
         # past warmup: sami at full weight
@@ -285,9 +286,9 @@ class TestSchedules:
         assert tr.enigma_loss(0.0, 0.0, 0.5, config, 200) == pytest.approx(0.5)
 
 
-def bundled_trainer_config(name) -> tr.TrainConfig:
+def bundled_trainer_config(name) -> dict:
     run = cli.load_config(CONFIGS / f"{name}.toml")
-    return tr.TrainConfig(**{f.name: getattr(run, f.name) for f in fields(tr.TrainConfig)})
+    return {key: getattr(run, key) for key in TRAINER_FIELDS}
 
 
 class TestAblationPresets:
@@ -296,12 +297,12 @@ class TestAblationPresets:
 
     def test_grpo_cot_disables_everything(self):
         config = bundled_trainer_config("grpo_cot")
-        assert config == replace(bundled_trainer_config("enigma_high_si"), **GRPO_COT)
-        assert config.jitter_sigma == 0.0
+        assert config == {**bundled_trainer_config("enigma_high_si"), **GRPO_COT}
+        assert config["jitter_sigma"] == 0.0
 
     def test_cot_plus_enables_jitter(self):
         config = bundled_trainer_config("grpo_cot_plus")
-        assert config == replace(bundled_trainer_config("grpo_cot"), jitter_sigma=0.5)
+        assert config == {**bundled_trainer_config("grpo_cot"), "jitter_sigma": 0.5}
 
 
 class TestTrainStep:
@@ -330,7 +331,7 @@ class TestTrainStep:
         task = replace(task, principles=(first,), items=tuple(
             item for item in task.items if item.principle_id == first.pid))
         with pytest.raises(ValidationError, match="two"):
-            tr.Trainer(ToyPolicy(Vocab()), task, tr.TrainConfig(), max_steps=2, seed=2)
+            tr.Trainer(ToyPolicy(Vocab()), task, cli.RunConfig(seed=2, max_steps=2))
 
     def test_reference_untouched(self):
         t = small_trainer(seed=5)
@@ -423,7 +424,7 @@ class TestCheckpoints:
         task = make_toy_task(seed=13, prompt_len=2, n_items=16)
         policy = ToyPolicy(Vocab(), max_len=8)
         policy.init_params(13)
-        t = tr.Trainer(policy, task, tr.TrainConfig(), max_steps=2, seed=13)
+        t = tr.Trainer(policy, task, cli.RunConfig(seed=13, max_steps=2))
         path = tmp_path / "ckpt.npz"
         t.save_checkpoint(path)
         policy, meta = tr.load_checkpoint(path)
@@ -540,7 +541,7 @@ def step_inputs(t, step=0):
     table = t.policy.table(contexts)
     samples = t.policy.sample_groups(
         table, own, tr.GROUP_SIZE,
-        [tr.derive_rng(t.seed, step, tr._CH_SAMPLE, g) for g in range(len(items))])
+        [tr.derive_rng(t.config.seed, step, tr._CH_SAMPLE, g) for g in range(len(items))])
     comps = completions(samples)
     groups = np.repeat(np.arange(len(items)), tr.GROUP_SIZE)
     counts = transition_counts([c.tokens for c in comps], t.policy.vocab.size)
@@ -561,7 +562,7 @@ class TestGatherScorers:
         item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
         ctx = t._row_candidates(item_idx, groups, 0)
         got = scores[ctx, np.arange(len(comps))[:, None]] / lengths[:, None]
-        rng = tr.derive_rng(t.seed, 0, tr._CH_SHADOW_P)
+        rng = tr.derive_rng(t.config.seed, 0, tr._CH_SHADOW_P)
         pool = [p.pid for p in t.task.principles]
         for b, comp in enumerate(comps):
             item = items[groups[b]]
@@ -575,7 +576,7 @@ class TestGatherScorers:
         item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
         cands = t._col_candidates(len(comps), 0)
         got = scores[own][groups[:, None], cands] / lengths[cands]
-        rng = tr.derive_rng(t.seed, 0, tr._CH_SHADOW_C)
+        rng = tr.derive_rng(t.config.seed, 0, tr._CH_SHADOW_C)
         for idx, comp in enumerate(comps):
             others = [j for j in range(len(comps)) if j != idx]
             picked = [others[int(i)] for i in
@@ -658,7 +659,7 @@ def per_completion_rewards(t, step, comps, z):
     base = format_ok.astype(float)
     if config.jitter_sigma > 0:
         base = base + config.jitter_sigma * tr.derive_rng(
-            t.seed, step, tr._CH_JITTER).standard_normal(len(comps))
+            t.config.seed, step, tr._CH_JITTER).standard_normal(len(comps))
     gate_on = rewards.format_gate_schedule(step, tr.MI_WARMUP_STEPS)
     mi_reward = np.zeros(len(comps))
     if config.channel_weight > 0:
@@ -756,7 +757,7 @@ class TestBatchedBookkeeping:
             item_idx, items, _, _ = step_contexts(t, step)
             groups = np.repeat(np.arange(len(items)), tr.GROUP_SIZE)
             got = t._row_candidates(item_idx, groups, step)
-            rng = tr.derive_rng(t.seed, step, tr._CH_SHADOW_P)
+            rng = tr.derive_rng(t.config.seed, step, tr._CH_SHADOW_P)
             for b, g in enumerate(groups):
                 pid = items[g].principle_id
                 draw = mi.draw_shadows(pool, pid, t.config.shadow_k, rng)
