@@ -182,8 +182,21 @@ def _load_principles(path) -> consti.PrincipleSet:
     return _read_input(path, "constitution", consti.parse_principle_file)
 
 
+def _check_out_dir(path) -> None:
+    """Refuse an output dir that names a file or holds files: a command
+    writes into a new or empty directory only, so no file of an earlier call
+    is left beside its own."""
+    out_dir = Path(path)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output dir {out_dir} is not a directory")
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise ConfigError(f"output dir {out_dir} exists and is not empty")
+
+
 def _make_out_dir(path) -> Path:
-    """The output directory at `path`, made with its parents if missing."""
+    """The output directory at `path`, checked by `_check_out_dir` and made
+    with its parents if missing."""
+    _check_out_dir(path)
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,8 +218,6 @@ def cmd_train(args) -> int:
     task = _build_task(pset, config.seed, TASK_ITEMS, Vocab())
 
     out_dir = _make_out_dir(config.output_dir)
-    if any(out_dir.iterdir()):
-        raise ConfigError(f"output dir {out_dir} exists and is not empty")
     started = time.time()
 
     # Seeded init (exact zeros are a saddle), then the format warm start with
@@ -421,9 +432,8 @@ def cmd_probe(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     # --out-dir is made only once every input checks out; one that names a
-    # file fails before any checkpoint is read.
-    if Path(args.out_dir).exists() and not Path(args.out_dir).is_dir():
-        raise ConfigError(f"output dir {args.out_dir} is not a directory")
+    # file or holds files fails before any checkpoint is read.
+    _check_out_dir(args.out_dir)
 
     loaded = []
     for path in args.checkpoints:

@@ -19,9 +19,12 @@ costs n numpy calls whatever the number of rows.  The arithmetic is int64,
 so a span must be below 2**31.  Halves and a double's 53 bits come off a
 word's int64 view with >> and % by a power of two (floor modulo keeps the
 low bits of a negative view), not &: int64 & maps 64 KiB of numpy's loops
-that no other step uses.  Rows keep their unspent words in one (rows, 64)
-block; a row that spends its block reloads its PCG64 state into a single
-shared generator, since a PCG64 object holds about 4.5 kB.
+that no other step uses.  Rows keep their unspent words in one (rows, 192)
+block, sized to one epoch's warm-start golds: those spend 145-190 words a
+row at the seeds measured, so a row seldom refills, and 200 rows of 192
+words stay within the warm start's memory test (256 would not).  A row that
+spends its block rebuilds its stream as `PCG64(seed)` advanced past the
+words already drawn, since a PCG64 object holds about 4.5 kB.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import operator
 
 import numpy as np
 
-_BLOCK = 64                     # raw words fetched per refill
+_BLOCK = 192                    # raw words fetched per refill
 _SPAN_MAX = 1 << 32             # the values of a 32-bit half
 _STREAMS_SPAN_MAX = 1 << 31     # half * span stays below 2**63
 _DOUBLE_SPAN = 1 << 53          # random() keeps 53 bits of a word
@@ -44,7 +47,7 @@ class Streams:
     and their entries are not draws.
     """
 
-    __slots__ = ("_bitgen", "_states", "_words", "_flat", "_base", "_pos",
+    __slots__ = ("_seeds", "_blocks", "_words", "_flat", "_base", "_pos",
                  "_upper", "_has_upper", "_all")
 
     def __init__(self, seeds):
@@ -56,25 +59,20 @@ class Streams:
         self._upper = np.zeros(rows, dtype=np.int64)        # buffered high half
         self._has_upper = np.zeros(rows, dtype=bool)
         self._all = np.ones(rows, dtype=bool)
-        self._states = [None] * rows    # each row's PCG64 (state, inc) after its last block
-        self._bitgen = None
-        for row, seed in enumerate(seeds):
-            self._bitgen = np.random.PCG64(seed)
+        self._seeds = list(seeds)
+        self._blocks = [0] * rows       # blocks each row has drawn
+        for row in range(rows):
             self._fill(row)
 
     def _fill(self, row: int) -> None:
-        """Draw the row's next block from the shared generator, which holds
-        the row's state, and keep the state it leaves."""
-        self._words[row] = self._bitgen.random_raw(_BLOCK).view(np.int64)
-        pcg = self._bitgen.state["state"]
-        self._states[row] = (pcg["state"], pcg["inc"])
+        """Draw the row's next block from its stream, rebuilt and advanced
+        past the row's earlier blocks."""
+        bitgen = np.random.PCG64(self._seeds[row])
+        if self._blocks[row]:
+            bitgen.advance(self._blocks[row] * _BLOCK)
+        self._words[row] = bitgen.random_raw(_BLOCK).view(np.int64)
+        self._blocks[row] += 1
         self._pos[row] = 0
-
-    def _refill(self, row: int) -> None:
-        state, inc = self._states[row]
-        self._bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                              "has_uint32": 0, "uinteger": 0}
-        self._fill(row)
 
     def _take(self, where) -> np.ndarray:
         """The next word of every row; the rows in where spend theirs."""
@@ -83,7 +81,7 @@ class Streams:
         spent = self._pos == _BLOCK
         if spent.any():
             for row in np.flatnonzero(spent).tolist():
-                self._refill(row)
+                self._fill(row)
         return words
 
     def _halves(self, where) -> np.ndarray:
@@ -114,8 +112,9 @@ class Streams:
         threshold = _SPAN_MAX % span
         where = self._all if where is None else where
         products = self._halves(where) * span
-        rejected = where & (products % _SPAN_MAX < threshold)
-        while rejected.any():
-            products = np.where(rejected, self._halves(rejected) * span, products)
-            rejected &= products % _SPAN_MAX < threshold
+        if threshold:       # a span that divides 2**32 rejects nothing
+            rejected = where & (products % _SPAN_MAX < threshold)
+            while rejected.any():
+                products = np.where(rejected, self._halves(rejected) * span, products)
+                rejected &= products % _SPAN_MAX < threshold
         return low + (products >> 32)

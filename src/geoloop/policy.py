@@ -22,7 +22,8 @@ factors; no (C, V+1, d) or (C, V+1, V) array is built on the way.
 `ToyPolicy.bag` checks and counts every context's tokens in one pass and
 computes their bag weights, which no parameter touches; `ToyPolicy.forward`
 turns those weights into the table, and `ToyPolicy.table` does both.  A loop
-over fixed contexts (the MLE warm starts) bags them once.  A completion
+over fixed contexts (the MLE warm starts) bags them once and writes each
+pass's table over the last.  A completion
 enters only through its (row, token) transition counts.  Sequence
 log-likelihoods are products of the factors with the counts' row and token
 sums, hidden summaries are a context feature plus the count-weighted mean of
@@ -44,7 +45,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -57,6 +58,7 @@ DEFAULT_MAX_LEN = 12
 TOP_P = 0.95
 REPETITION_PENALTY = 1.1
 _TINY = np.finfo(float).tiny
+_COUNT_EPOCHS = 8       # warm-start epochs whose golds share a bincount pass
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ class NextTokenTable:
     log-partitions `lse` are taken from these when first read (the warm
     start's backward passes never read them).  `logp` materialises the whole
     log-softmax for the one-context gather views.  It describes the
-    parameters the policy had when the table was built.
+    parameters the policy had when `ToyPolicy.forward` last wrote it.
     """
 
     weights: np.ndarray   # (C, V) bag-mean weights of each context's tokens
@@ -319,36 +321,46 @@ class ToyPolicy:
         lengths = np.maximum(1, p_lengths[:, None] + q_lengths[None, :])
         return (p_counts[:, None, :] + q_counts[None, :, :]) / lengths[:, :, None]
 
-    def forward(self, weights: np.ndarray) -> NextTokenTable:
+    def forward(self, weights: np.ndarray, out: NextTokenTable | None = None) -> NextTokenTable:
         """Every next-token distribution of each bagged context under the current parameters.
 
         The log-partition of row r of context c is max a[c] + max b[r] +
         log z[c, r].  A shifted partition below the smallest normal float
         means the context and row logits disagree by more than the float
         range, and it is rejected before anything is divided by it.
+
+        `out`, a table of an earlier call on the same weights, is written
+        over and returned, so a loop over fixed contexts allocates its arrays
+        once; its cached log-partitions are dropped.
         """
-        ctx = _by_row(weights, self.embed)
-        cfeat = self.ctx_scale * ctx
-        pfeat = np.zeros((self.vocab.size + 1, self.dim))
+        if out is not None and out.weights is not weights:
+            raise ValidationError("out must be a table of the same weights")
+        reuse = {} if out is None else vars(out)
+        reuse.pop("lse", None)
+        ctx = _by_row(weights, self.embed, reuse.get("ctx"))
+        cfeat = np.multiply(self.ctx_scale, ctx, out=reuse.get("cfeat"))
+        pfeat = np.zeros((self.vocab.size + 1, self.dim)) if out is None else out.pfeat
         np.multiply(self.prev_scale, self.embed, out=pfeat[1:])
-        a, b = _by_row(cfeat, self.out), pfeat @ self.out
-        peak_a = np.maximum.reduce(a, axis=1, keepdims=True)
-        peak_b = np.maximum.reduce(b, axis=1, keepdims=True)
-        ea, eb = np.subtract(a, peak_a), np.subtract(b, peak_b)
+        a = _by_row(cfeat, self.out, reuse.get("a"))
+        b = np.matmul(pfeat, self.out, out=reuse.get("b"))
+        peak_a = np.maximum.reduce(a, axis=1, keepdims=True, out=reuse.get("peak_a"))
+        peak_b = np.maximum.reduce(b, axis=1, keepdims=True, out=reuse.get("peak_b"))
+        ea = np.subtract(a, peak_a, out=reuse.get("ea"))
+        eb = np.subtract(b, peak_b, out=reuse.get("eb"))
         np.exp(ea, out=ea)
         np.exp(eb, out=eb)
-        z = _by_row(ea, eb.T)
+        z = _by_row(ea, eb.T, reuse.get("z"))
         if np.minimum.reduce(z, axis=None) < _TINY:
             raise ValidationError("next-token partition underflows: the logits span "
                                   "more than the float range")
-        return NextTokenTable(weights, ctx, cfeat, pfeat, a, b, peak_a, peak_b, ea, eb, z)
+        return out or NextTokenTable(weights, ctx, cfeat, pfeat, a, b, peak_a, peak_b, ea, eb, z)
 
     def table(self, contexts) -> NextTokenTable:
         """The forward pass over (prompt, principle) contexts: forward(bag(contexts))."""
         return self.forward(self.bag(contexts))
 
-    def backward(self, table: NextTokenTable, sums: tuple,
-                 feat_grad: tuple | None = None) -> ParamGrad:
+    def backward(self, table: NextTokenTable, sums: tuple, feat_grad: tuple | None = None,
+                 out: ParamGrad | None = None) -> ParamGrad:
         """Gradient of sum(coeffs * table.logp) + sum(feat_grad[0] * table.cfeat)
         + sum(feat_grad[1] * table.pfeat), with sums = logit_sums(coeffs).
 
@@ -360,7 +372,8 @@ class ToyPolicy:
         its sums over rows (da) and over contexts (db), and softmax is
         ea[c] * eb[r] / z[c, r], so both sums are 2-D products and coeffs
         enters only through its three sums.  A caller whose coeffs stay fixed
-        over many passes takes the sums once.
+        over many passes takes the sums once.  The gradient is written into
+        `out`'s blocks when it is given.
         """
         row_sums, token_sums, context_sums = sums
         n_over_z = row_sums / table.z
@@ -370,11 +383,13 @@ class ToyPolicy:
         if feat_grad is not None:
             grad_c = grad_c + feat_grad[0]
             grad_p = grad_p + feat_grad[1]
-        return ParamGrad(
-            embed=self.prev_scale * grad_p[1:] + table.weights.T @ (self.ctx_scale * grad_c),
-            out=table.cfeat.T @ da + table.pfeat.T @ db,
-            ctx_scale=np.add.reduce(grad_c * table.ctx, axis=0),
-            prev_scale=np.add.reduce(grad_p[1:] * self.embed, axis=0))
+        reuse = {} if out is None else vars(out)
+        embed = np.add(self.prev_scale * grad_p[1:],
+                       table.weights.T @ (self.ctx_scale * grad_c), out=reuse.get("embed"))
+        out_ = np.add(table.cfeat.T @ da, table.pfeat.T @ db, out=reuse.get("out"))
+        ctx_scale = np.add.reduce(grad_c * table.ctx, axis=0, out=reuse.get("ctx_scale"))
+        prev_scale = np.add.reduce(grad_p[1:] * self.embed, axis=0, out=reuse.get("prev_scale"))
+        return out or ParamGrad(embed, out_, ctx_scale, prev_scale)
 
     # ---------- views on the table ----------
 
@@ -541,37 +556,43 @@ def _count_transitions(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) ->
     return np.bincount(keys[mask], minlength=n * (v + 1) * v).reshape(n, v + 1, v).astype(float)
 
 
-def _count_sums(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) -> tuple:
-    """`logit_sums(_count_transitions(tok, lengths, vocab_size))`, each sum
-    one bincount of the (context, row, token) triples.
+def _count_sums(tok: np.ndarray, lengths: np.ndarray, vocab_size: int):
+    """Yields `logit_sums(_count_transitions(tok[e], lengths[e], vocab_size))`
+    for each epoch e of (E, C, L) golds in turn, counted _COUNT_EPOCHS epochs
+    to a pass: each sum of a pass is one bincount of the (epoch, context, row,
+    token) keys.
 
-    Every position is keyed, with weight 1.0 for the first lengths[c] of row
-    c and 0.0 for the padding; the counts are integers, so the sums are
+    Every position is keyed, with weight 1.0 for the first lengths[e, c] of
+    row c and 0.0 for the padding; the counts are integers, so the sums are
     equal exactly.
     """
-    # Small-int tokens go through float64: their direct cast to intp maps
-    # 64 KiB of numpy's cast loops that nothing else in a run uses.
-    tok = tok.astype(float).astype(np.intp)
-    rows = _table_rows(tok)
-    ctx = np.arange(len(tok))[:, None]
-    real = (np.arange(tok.shape[1]) < lengths[:, None]).ravel()
-    n_ctx, v = len(tok), vocab_size
+    v = vocab_size
+    for start in range(0, len(tok), _COUNT_EPOCHS):
+        # Small-int tokens go through float64: their direct cast to intp maps
+        # 64 KiB of numpy's cast loops that nothing else in a run uses.
+        part = tok[start:start + _COUNT_EPOCHS].astype(float).astype(np.intp)
+        rows = _table_rows(part)
+        n_ep, n_ctx, width = part.shape
+        ctx = np.arange(n_ep * n_ctx).reshape(n_ep, n_ctx, 1)
+        real = (np.arange(width) < lengths[start:start + _COUNT_EPOCHS, :, None]).ravel()
 
-    def count(keys, shape):
-        return np.bincount(keys.ravel(), real, minlength=shape[0] * shape[1]).reshape(shape)
+        def count(keys, *shape):
+            return np.bincount(keys.ravel(), real, minlength=n_ep * shape[0] * shape[1]
+                               ).reshape(n_ep, *shape)
 
-    return (count(ctx * (v + 1) + rows, (n_ctx, v + 1)), count(ctx * v + tok, (n_ctx, v)),
-            count(rows * v + tok, (v + 1, v)))
+        yield from zip(count(ctx * (v + 1) + rows, n_ctx, v + 1), count(ctx * v + part, n_ctx, v),
+                       count((np.arange(n_ep)[:, None, None] * (v + 1) + rows) * v + part,
+                             v + 1, v))
 
 
-def _by_row(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m one row of x at a time.
+def _by_row(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ m one row of x at a time, written into out when it is given.
 
     A 2-D BLAS product can round row c differently depending on how many
     rows share the call; row by row, a context's table and scores do not
     depend on which other contexts are in the table.
     """
-    return (x[:, None, :] @ m)[:, 0]
+    return np.matmul(x[:, None, :], m, out=None if out is None else out[:, None, :])[:, 0]
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -596,7 +617,7 @@ def mle_pretrain(policy: ToyPolicy, triples, epochs: int, lr: float) -> None:
     sums = logit_sums(transition_counts([gold for _, _, gold in triples],
                                         policy.vocab.size))
     _mle_epochs(policy, [(prompt, principle) for prompt, principle, _ in triples],
-                epochs, lr, lambda epoch: sums)
+                epochs, lr, repeat(sums))
 
 
 def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
@@ -614,25 +635,46 @@ def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
     Epoch e's golds are drawn from the stream seeded (seed, e), item by item,
     each with its principle's preferred fillers at this bias.  They do not
     depend on the policy, so every epoch's golds are drawn up front in one
-    lockstep pass (`task.warm_start_golds`, a stream per epoch); each epoch
-    then takes its count sums with bincounts.  Only the golds change between
-    epochs; the contexts are the task's items throughout.
+    lockstep pass (`task.warm_start_golds`, a stream per epoch), and their
+    count sums are taken _COUNT_EPOCHS epochs to a pass, as they are needed.
+    Only the golds change between epochs; the contexts are the task's items
+    throughout.
     """
     tokens, lengths = warm_start_golds(task, epochs, seed, bias)
     _mle_epochs(policy, [(prompt, principle) for prompt, principle, _ in gold_items(task)],
-                epochs, lr,
-                lambda epoch: _count_sums(tokens[epoch], lengths[epoch], policy.vocab.size))
+                epochs, lr, _count_sums(tokens, lengths, policy.vocab.size))
 
 
 def _mle_epochs(policy: ToyPolicy, contexts, epochs: int, lr: float, epoch_sums) -> None:
     """One ascent step per epoch on the mean log-likelihood of gold c under
-    context c, with epoch_sums(epoch) the `logit_sums` of the golds'
-    transition counts; the contexts are checked and bagged once."""
+    context c, with epoch_sums yielding each epoch's `logit_sums` of the
+    golds' transition counts; the contexts are checked and bagged once.
+
+    Each epoch's table and gradient are written over the last epoch's, and
+    the parameters and the gradient each sit in one flat vector, so the
+    update is one multiply and one add, elementwise as `add_scaled` makes
+    it.  The policy keeps its blocks as views of that vector.
+    """
     if epochs < 0 or lr < 0:
         raise ValidationError("epochs and lr must be nonnegative")
     if not contexts:
         return
     weights = policy.bag(contexts)
-    for epoch in range(epochs):
-        grad = policy.backward(policy.forward(weights), epoch_sums(epoch))
-        policy.add_scaled(grad, lr / len(contexts))
+    params, blocks = _flat_blocks(policy.param_blocks())
+    for name, block in blocks.items():
+        setattr(policy, name, block)
+    grad_flat, grad_blocks = _flat_blocks(blocks)
+    grad, table, scale = ParamGrad(**grad_blocks), None, lr / len(contexts)
+    for sums in islice(epoch_sums, epochs):
+        table = policy.forward(weights, out=table)
+        policy.backward(table, sums, out=grad)
+        params += scale * grad_flat
+
+
+def _flat_blocks(blocks: dict) -> tuple:
+    """One vector holding the blocks' values in order, and views of it
+    shaped as each block."""
+    flat = np.concatenate([block.ravel() for block in blocks.values()])
+    parts = np.split(flat, np.cumsum([block.size for block in blocks.values()])[:-1])
+    return flat, {name: part.reshape(block.shape)
+                  for (name, block), part in zip(blocks.items(), parts)}

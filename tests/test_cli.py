@@ -74,14 +74,18 @@ def refuse(*args, **kwargs):
     pytest.fail("ran before the output dir was checked")
 
 
-def out_dir_file_rejected(tmp_path, capsys, argv):
-    """argv run with --out-dir naming an existing file: exit 2, the path in
-    the message, and the file as it was."""
+def out_dir_file_rejected(tmp_path, capsys, argv, inside=False):
+    """argv run with --out-dir naming an existing file, or with inside a
+    directory that holds one: exit 2, the path in the message, and the file
+    as it was."""
     out = tmp_path / "out"
-    out.write_text("keep")
+    kept = out / "old.csv" if inside else out
+    kept.parent.mkdir(exist_ok=True)
+    kept.write_text("keep")
     assert cli.main([*argv, "--out-dir", str(out)]) == cli.EXIT_CONFIG
     assert str(out) in capsys.readouterr().err
-    assert out.read_text() == "keep"
+    assert kept.read_text() == "keep"
+    assert not inside or list(out.iterdir()) == [kept]
 
 
 class TestConfigRoundTrip:
@@ -102,16 +106,23 @@ class TestConfigRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_every_accepted_config_round_trips(self, data):
-        # Each field drawn from its type, mostly in range, and half the
-        # strings from an alphabet with lone surrogates, which no UTF-8 file
-        # holds; a config that RunConfig accepts must read back equal from
-        # its serialised text, stored as UTF-8.
-        strategy = {"int": st.integers(0, 10 ** 6),
-                    "float": st.one_of(st.integers(0, 100),
-                                       st.floats(0, allow_nan=False, allow_infinity=False)),
-                    "str": st.one_of(st.text(), st.text(st.one_of(
-                        st.characters(), st.characters(categories=["Cs"]))))}
-        values = {f.name: data.draw(strategy[f.type], label=f.name)
+        # Each field drawn from its type, mostly in range: an int from 1
+        # where RunConfig requires at least 1, and the output dir non-empty.
+        # Half the strings come from an alphabet with lone surrogates, which
+        # no UTF-8 file holds; a config that RunConfig accepts must read back
+        # equal from its serialised text, stored as UTF-8.
+        def strategy(name, kind):
+            if kind == "int":
+                low = 1 if name in {"max_steps", "checkpoint_every", "shadow_k"} else 0
+                return st.integers(low, 10 ** 6)
+            if kind == "float":
+                return st.one_of(st.integers(0, 100),
+                                 st.floats(0, allow_nan=False, allow_infinity=False))
+            size = 1 if name == "output_dir" else 0
+            return st.one_of(st.text(min_size=size), st.text(st.one_of(
+                st.characters(), st.characters(categories=["Cs"])), min_size=size))
+
+        values = {f.name: data.draw(strategy(f.name, f.type), label=f.name)
                   for f in fields(cli.RunConfig) if f.name != "schema_version"}
         try:
             config = cli.RunConfig(**values)
@@ -655,6 +666,13 @@ class TestEvalCommand:
         monkeypatch.setattr(consti, "mle_pretrain", refuse)
         out_dir_file_rejected(tmp_path, capsys,
                               ["eval-constitution", str(DATA / "toy_high_si.txt")])
+
+    def test_out_dir_that_holds_files_exits_2_before_the_warm_start(
+            self, tmp_path, capsys, monkeypatch):
+        # It wrote its reports beside an earlier call's files.
+        monkeypatch.setattr(consti, "mle_pretrain", refuse)
+        out_dir_file_rejected(tmp_path, capsys,
+                              ["eval-constitution", str(DATA / "toy_high_si.txt")], inside=True)
 
     @pytest.mark.parametrize("source", [[str(DATA / "toy_high_si.txt")],
                                         ["--components", str(DATA / "component_replay.json")]],
@@ -1402,6 +1420,14 @@ class TestProbeCommand:
         monkeypatch.setattr(cli, "load_checkpoint", refuse)
         ckpt = sorted(str(p) for p in run_dir.glob("ckpt_*.npz"))[0]
         out_dir_file_rejected(tmp_path, capsys, ["probe", ckpt])
+
+    def test_out_dir_that_holds_files_exits_2_before_any_load(
+            self, run_dir, tmp_path, capsys, monkeypatch):
+        # It left an earlier call's turning_angles.csv beside an fr_path.csv
+        # of other checkpoints.
+        monkeypatch.setattr(cli, "load_checkpoint", refuse)
+        ckpt = sorted(str(p) for p in run_dir.glob("ckpt_*.npz"))[0]
+        out_dir_file_rejected(tmp_path, capsys, ["probe", ckpt], inside=True)
 
     @pytest.mark.parametrize("second, code", [("not_a_checkpoint", cli.EXIT_RUNTIME),
                                               ("other_config", cli.EXIT_CONFIG)])

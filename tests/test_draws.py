@@ -9,7 +9,7 @@ here, in the fast tier, instead of silently changing steps.jsonl.
 import numpy as np
 import pytest
 
-from geoloop import cli, mi
+from geoloop import cli, draws, mi
 from geoloop import constitution as consti
 from geoloop import task as tk
 from geoloop.draws import Streams
@@ -62,22 +62,12 @@ def check_lockstep(seeds, ops):
 
 
 class CraftedPCG64:
-    """Stands in for np.random.PCG64: the seed names a list of raw words,
-    and the state is the position in it."""
+    """Stands in for np.random.PCG64: the seed names a list of raw words."""
 
     WORDS = {}
 
     def __init__(self, seed):
         self._seed, self._pos = seed, 0
-
-    @property
-    def state(self):
-        return {"bit_generator": "PCG64", "state": {"state": self._pos, "inc": self._seed},
-                "has_uint32": 0, "uinteger": 0}
-
-    @state.setter
-    def state(self, value):
-        self._pos, self._seed = value["state"]["state"], value["state"]["inc"]
 
     def random_raw(self, size):
         """The listed words, then word i = (i + 1) * 2**40 + 1 (low half 1)."""
@@ -92,10 +82,11 @@ class TestStreamsMatchStream:
     """Row e of Streams(seeds) against the one stream default_rng(seeds[e])."""
 
     def test_mixed_masks(self):
-        # 120 rows of 700 calls: every row refills its block several times.
+        # 120 rows of 1500 calls: every row refills its block three times,
+        # so its stream is rebuilt and advanced past one, two and three blocks.
         seeds = [(7, e) for e in range(100)] + list(range(10)) + [
             np.random.SeedSequence((5, e)) for e in range(10)]
-        check_lockstep(seeds, lockstep_plan(0, len(seeds), 700))
+        check_lockstep(seeds, lockstep_plan(0, len(seeds), 1500))
 
     @pytest.mark.parametrize("plan_seed", range(5))
     def test_short_plans(self, plan_seed):
@@ -208,3 +199,14 @@ class TestDrawSites:
         for epoch in range(200):
             expected = reference_format_pretrain_items(task, seed=(seed, epoch), bias=bias)
             assert gold_tuples(tokens[epoch], lengths[epoch]) == [g for _, _, g in expected]
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_warm_start_golds_fit_one_block(self, seed, monkeypatch):
+        # An epoch's golds spend fewer words than a block, so each epoch's
+        # stream fills its row once, when the Streams is built.
+        fills, fill = [], draws.Streams._fill
+        monkeypatch.setattr(draws.Streams, "_fill",
+                            lambda self, row: (fills.append(row), fill(self, row)))
+        task = tk.make_toy_task(**cli_task_arguments(seed))
+        tk.warm_start_golds(task, cli.WARMSTART_EPOCHS, seed, cli.WARMSTART_BIAS)
+        assert sorted(fills) == list(range(cli.WARMSTART_EPOCHS))

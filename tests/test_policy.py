@@ -11,6 +11,7 @@ import pytest
 from geoloop.errors import ValidationError
 from geoloop import policy as pol
 from geoloop import task as tk
+from test_cli import no_prefers_warm_start
 from test_draws import reference_format_pretrain_items
 
 
@@ -516,6 +517,28 @@ class TestTableKernel:
                 add_grad(manual, p.grad_seq_logprob(*ctx, comp), weights[c, b])
         assert_grads_close(grad, manual, 1e-12)
 
+    def test_tables_and_gradients_held_by_callers_stay_as_returned(self):
+        # Only a table or gradient passed as out is written over: a later
+        # call on other parameters leaves the ones already returned as they
+        # were, and a table written over reads its new log-partitions.
+        p = randomised_policy(26)
+        weights = p.bag(CONTEXTS)
+        sums = pol.logit_sums(pol.transition_counts(COMPLETIONS[:3], 16))
+        table = p.forward(weights)
+        grad = p.backward(table, sums)
+        lse = table.lse.copy()
+        held = [block.copy() for block in [*vars(table).values(), *vars(grad).values()]]
+        p.add_scaled(grad, 0.5)
+        p.backward(p.forward(weights), sums)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(held, [*vars(table).values(), *vars(grad).values()]))
+        assert np.array_equal(table.lse, lse)
+        again = p.forward(weights, out=table)
+        assert again is table and np.array_equal(table.lse, p.forward(weights).lse)
+        assert not np.array_equal(table.lse, lse)
+        with pytest.raises(ValidationError, match="same weights"):
+            p.forward(weights.copy(), out=table)
+
     def test_logit_sums_of_counts_are_exact(self):
         # Integer counts sum exactly in any order, so a caller may take the
         # sums by any route, once, and get the bits backward reads.
@@ -753,7 +776,7 @@ class TestFactoredKernel:
             p.backward(p.forward(weights), pol.logit_sums(counts))
             forward_backward = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            pol._mle_epochs(p, contexts, 1, 0.5, lambda epoch: pol.logit_sums(counts))
+            pol._mle_epochs(p, contexts, 1, 0.5, [pol.logit_sums(counts)])
             epoch = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -988,18 +1011,35 @@ class TestMleEpochs:
                                  for e in range(25)], 0.5)
         assert p.param_hash() == q.param_hash()
 
+    def test_mixed_golds_over_two_count_passes_match_per_epoch_tables(self):
+        # Ten epochs of golds with zero, one and two preferred fillers, a
+        # case no golden pins, counted in a full pass and a partial one: the
+        # loop's reused table, gradient and flat update give the bits of
+        # fresh forward, backward and add_scaled calls.
+        task, _, lr, seed, bias = no_prefers_warm_start()
+        p = pol.ToyPolicy(task.vocab)
+        p.init_params(seed)
+        q = p.clone()
+        pol.warm_start(p, task, 10, lr, seed=seed, bias=bias)
+        reference_mle_epochs(q, [reference_format_pretrain_items(task, seed=(seed, e), bias=bias)
+                                 for e in range(10)], lr)
+        assert p.param_hash() == q.param_hash()
+
     @pytest.mark.parametrize("vocab_size", [16, 64])
     def test_count_sums_equal_logit_sums(self, vocab_size):
         rng = np.random.default_rng(vocab_size)
         for _ in range(50):
-            n_ctx, width = int(rng.integers(1, 40)), int(rng.integers(1, 12))
-            tok = rng.integers(0, vocab_size, (n_ctx, width)).astype(np.uint8)
-            lengths = rng.integers(0, width + 1, n_ctx).astype(np.uint8)
-            golds = [tuple(row[:n]) for row, n in zip(tok, lengths)]
-            got = pol._count_sums(tok, lengths, vocab_size)
-            expected = pol.logit_sums(pol.transition_counts(golds, vocab_size))
-            assert all(a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-                       for a, b in zip(got, expected))
+            # Up to 20 epochs, so some runs count in several passes.
+            shape = tuple(int(n) for n in rng.integers(1, [21, 40, 12]))
+            tok = rng.integers(0, vocab_size, shape).astype(np.uint8)
+            lengths = rng.integers(0, shape[2] + 1, shape[:2]).astype(np.uint8)
+            got = list(pol._count_sums(tok, lengths, vocab_size))
+            assert len(got) == shape[0]
+            for epoch, sums in enumerate(got):
+                golds = [tuple(row[:n]) for row, n in zip(tok[epoch], lengths[epoch])]
+                expected = pol.logit_sums(pol.transition_counts(golds, vocab_size))
+                assert all(a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+                           for a, b in zip(sums, expected))
 
     def test_mle_pretrain_matches_per_epoch_tables(self, bag_calls):
         task = tk.make_toy_task(seed=7)
