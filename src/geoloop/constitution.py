@@ -146,11 +146,23 @@ def mi_effective(pos_margin: float, neg_margin: float) -> float:
     return pos_margin - neg_margin
 
 
+def median(values) -> np.ndarray:
+    """np.median(values, axis=0) to the bit, from a sort, without the numpy.ma
+    import np.median loads: the middle order statistic of an odd count, and
+    (lower + upper) / 2 of an even one, the sum and halving of np.median's
+    mean of the two.  NaN wherever the reduced slice holds a NaN, as there."""
+    ordered = np.sort(values, axis=0)
+    n = ordered.shape[0]
+    mid = ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2
+    return np.where(np.isnan(ordered[-1]), np.nan, mid)
+
+
 def robust_zscores(values) -> np.ndarray:
-    """(x - median) / MAD, with MAD = 0 mapping every score to 0."""
+    """(x - median) / MAD over all entries, with MAD = 0 mapping every score
+    to 0; each median is `median`'s, so np.median's value."""
     arr = np.asarray(values, dtype=float)
-    med = float(np.median(arr))
-    mad = float(np.median(np.abs(arr - med)))
+    med = float(median(arr.ravel()))
+    mad = float(median(np.abs(arr - med).ravel()))
     if mad == 0.0:
         return np.zeros_like(arr)
     return (arr - med) / mad
@@ -299,7 +311,8 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
 
     Deterministic given the seed.  The policy must carry the associations the
     signals probe (i.e. be trained/warm-started on the task), exactly as an
-    LLM brings its pretraining to the same measurement.
+    LLM brings its pretraining to the same measurement.  Every median is
+    `median`'s, so np.median's value.
     """
     if not pset.negatives:
         raise ValidationError("evaluation needs at least one negative")
@@ -325,14 +338,14 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
 
     # Predictive information: condition on the true positive vs. no principle.
     with_lp = sums[np.arange(len(items)), true_pos_idx]
-    delta_bits = float(np.median((with_lp - sums[:, -1]) / n_tok / LN2))
+    delta_bits = float(median((with_lp - sums[:, -1]) / n_tok / LN2))
 
     # Per-principle delta-NLL scores for separation and the leaky scan: one
     # median call per block, each column's median that of its own 1-D call.
-    per_principle_pos = dict(zip([p.pid for p in pset.positives], np.median(
-        (pos_scores - without[:, None]) / LN2, axis=0).tolist()))
-    per_principle_neg = dict(zip([p.pid for p in pset.negatives], np.median(
-        (neg_scores - without[:, None]) / LN2, axis=0).tolist()))
+    per_principle_pos = dict(zip([p.pid for p in pset.positives], median(
+        (pos_scores - without[:, None]) / LN2).tolist()))
+    per_principle_neg = dict(zip([p.pid for p in pset.negatives], median(
+        (neg_scores - without[:, None]) / LN2).tolist()))
     auc = mann_whitney_auc(list(per_principle_pos.values()),
                            list(per_principle_neg.values()))
 
@@ -401,7 +414,8 @@ def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
 
     `pos_matrix`/`neg_matrix` are items-by-principles score matrices where
     item i's true (or index-paired) principle sits in column i mod M.
-    `nll_rows` are (nll_without_bits, nll_with_bits) per item.
+    `nll_rows` are (nll_without_bits, nll_with_bits) per item; the report's
+    delta is `median`'s of their deltas, so np.median's value.
     """
     pos = pos_matrix.scores
     neg = neg_matrix.scores
@@ -411,7 +425,7 @@ def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
     deltas = [delta_nll(a, b)["delta_bits"] for a, b in nll_rows]
     if not deltas:
         raise ValidationError("need at least one NLL row")
-    delta_bits = float(np.median(deltas))
+    delta_bits = float(median(deltas))
     true_pos = [i % pos.shape[1] for i in range(pos.shape[0])]
     true_neg = [i % neg.shape[1] for i in range(neg.shape[0])]
     margin_pos = float(np.mean(_margin_rows(pos, true_pos)))

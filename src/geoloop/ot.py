@@ -370,6 +370,8 @@ def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int) -> float:
     [0, 1] of (Q_p(t) - Q_q(t))^2, with quantile functions Q that are constant
     between the merged breakpoints of the two cumulative sums (Peyre and Cuturi
     2019, arXiv:1803.00567, the 1-D case).  Never enters any training loss.
+    The union and the breakpoints are sorted Python sets, the values
+    np.unique and np.union1d give, without the numpy.ma import those load.
     """
     p = p if isinstance(p, ProbVector) else ProbVector(p)
     q = q if isinstance(q, ProbVector) else ProbVector(q)
@@ -380,13 +382,13 @@ def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int) -> float:
     k = min(top_k, p.support_size)
     top_p = np.argsort(-p.probs, kind="stable")[:k]
     top_q = np.argsort(-q.probs, kind="stable")[:k]
-    union = np.unique(np.concatenate([top_p, top_q]))
+    union = np.array(sorted({*top_p.tolist(), *top_q.tolist()}))
     # The union holds each side's largest entry, so neither mass below is zero.
     mass_p = p.probs[union]
     mass_q = q.probs[union]
     cdf_p = np.cumsum(mass_p / mass_p.sum())
     cdf_q = np.cumsum(mass_q / mass_q.sum())
-    breaks = np.union1d(cdf_p, cdf_q)
+    breaks = np.array(sorted({*cdf_p.tolist(), *cdf_q.tolist()}))
     widths = np.diff(breaks, prepend=0.0)
     mids = breaks - 0.5 * widths
     # Q(t) is the first index whose cumulative sum reaches t; the last takes the rest.

@@ -76,9 +76,10 @@ class Samples:
 
     def mean_entropies(self) -> np.ndarray:
         """The mean entropy of each row's positions.  Rows of one length are
-        averaged together, so each row is summed as its own 1-D mean sums it."""
+        averaged together, so each row is summed as its own 1-D mean sums it.
+        The lengths come from a sorted set: np.unique would import numpy.ma."""
         out = np.zeros(self.lengths.size)
-        for n in np.unique(self.lengths):
+        for n in sorted(set(self.lengths.tolist())):
             rows = self.lengths == n
             # .mean's sum and divide, without its Python-level wrapper.
             out[rows] = np.add.reduce(self.entropies[rows, :n], axis=1) / n

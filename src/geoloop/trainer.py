@@ -174,6 +174,9 @@ class StepReport:
 
 
 STEPS_JSONL_FIELDS = tuple(f.name for f in fields(StepReport) if f.name != "loss_shaping")
+# The StepReport fields a committed step holds finite; the rest may be NaN (null).
+_FINITE_FIELDS = ("reward_base_mean", "reward_mi_mean", "reward_std", "loss_total",
+                  "loss_grpo", "loss_sami", "loss_ot", "grad_norm")
 
 
 def _sami_matrix(own_scores, groups, kept, lengths) -> mi.ScoreMatrix:
@@ -279,7 +282,10 @@ class Trainer:
     # ---------- the step ----------
 
     def train_step(self) -> StepReport:
-        """One full optimisation step; state mutates only on success."""
+        """One full optimisation step; state mutates only on success.  A step
+        whose `_FINITE_FIELDS` are not all finite (a weight or jitter so large
+        that a loss or the gradient norm overflows) raises ValidationError
+        naming the step and the fields, and commits nothing."""
         config = self.config
         step = self.step
         item_idx = self._batch_items(step)
@@ -413,6 +419,12 @@ class Trainer:
             ot_violation=ot_stats["violation"],
             ot_converged=ot_stats["converged"],
         )
+
+        # Refused, not rescaled (that would change grad_norm's bits in every
+        # run), so steps.jsonl holds only finite numbers and nulls.
+        overflowed = [name for name in _FINITE_FIELDS if not math.isfinite(getattr(report, name))]
+        if overflowed:
+            raise ValidationError(f"step {step}: {', '.join(overflowed)} not finite")
 
         # Commit: parameter update, autoscaler, step counter.
         self.policy.add_scaled(total_grad, -LEARNING_RATE)

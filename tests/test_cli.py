@@ -361,6 +361,33 @@ class TestTrainCommand:
                 assert row["ot_violation"] >= 0.0
                 assert isinstance(row["ot_converged"], bool)
 
+    # sami_weight reaches the gradient from step 1, when its warm-up leaves
+    # zero; a huge jitter overflows the reward spread at step 0.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("key, value, step, overflowed", [
+        ("sami_weight", 1e300, 1, "grad_norm"),
+        ("sami_weight", 1e160, 1, "grad_norm"),
+        ("jitter_sigma", 1e300, 0, "reward_std, grad_norm"),
+    ])
+    def test_overflowing_step_exits_1_keeping_strict_json_rows(self, tmp_path, capsys, key,
+                                                                value, step, overflowed):
+        config = cli.load_config(CONFIGS / "enigma_high_si.toml", {
+            key: value, "constitution": str(DATA / "toy_high_si.txt"),
+            "output_dir": str(tmp_path / "run")})
+        path = tmp_path / "config.toml"
+        path.write_text(cli.serialise_config(config))
+        assert cli.main(["train", "--config", str(path), "--max-steps", "25"]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: step {step}: {overflowed} not finite\n"
+        run = tmp_path / "run"
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        rows = [json.loads(line, parse_constant=reject)
+                for line in (run / "steps.jsonl").read_text().splitlines()]
+        assert [row["step"] for row in rows] == list(range(step))
+        assert sorted(p.name for p in run.iterdir()) == ["ckpt_000000.npz", "steps.jsonl"]
+
     def test_summary_counts_the_step_rows(self, tmp_path, monkeypatch):
         # A cold start logs null row bounds; OT runs from step 4.
         trainers = []

@@ -11,7 +11,7 @@ SRC = Path(geoloop.__file__).parent
 # that resizes the interned-string table peaks about 900 KiB higher, and how
 # many strings a long-lived process has interned depends on what ran in it
 # before.  With Python 3.11, the largest peak is policy.py's 2 013 KiB, then
-# cli.py's 1 885 KiB and trainer.py's 1 276 KiB.  A line of code adds about
+# cli.py's 1 885 KiB and trainer.py's 1 297 KiB.  A line of code adds about
 # 4 KiB to its module's peak, so the margin of 35 KiB leaves policy.py about
 # 8 lines to grow, and cli.py about 40.
 BOUND_KIB = 2048

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geoloop.errors import ValidationError
 from geoloop import cli
@@ -110,6 +111,61 @@ class TestSufficiencyIndex:
         si1 = con.sufficiency_index(bits, mie, auc)
         si2 = con.sufficiency_index(bits, mie * factor, auc)
         assert si2 - si1 == pytest.approx(0.3 * mie * (factor - 1), abs=1e-9)
+
+
+# Entries for the median checks: any float, often one of a few values (ties)
+# or an infinity or NaN.  -0.0 becomes 0.0, since a sort and np.median's
+# partition may order the two zeros differently, and no geoloop path
+# produces -0.0.
+MEDIAN_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1.0, -2.5, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+).map(lambda x: 0.0 if x == 0.0 else x)
+
+
+def assert_same_medians(got, want):
+    """Equal shape, == on every entry, and NaN exactly where `want` is NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+
+
+class TestMedian:
+    """`median` is np.median's value to the bit: the middle order statistic,
+    (lower + upper) / 2, and NaN wherever the reduced slice holds a NaN
+    (including inf - inf from a pair of infinities)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(MEDIAN_ENTRIES, min_size=1, max_size=12))
+    def test_one_dimensional(self, values):
+        with np.errstate(all="ignore"):
+            assert_same_medians(con.median(values), np.median(values))
+            assert_same_medians(con.median(np.array(values)), np.median(np.array(values)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 5)),
+                      elements=MEDIAN_ENTRIES))
+    def test_columns_of_a_matrix(self, matrix):
+        with np.errstate(all="ignore"):
+            assert_same_medians(con.median(matrix), np.median(matrix, axis=0))
+
+    def test_odd_and_even_counts_with_ties(self):
+        assert float(con.median([3.0, 1.0, 2.0])) == 2.0
+        assert float(con.median([4.0, 1.0, 2.0, 3.0])) == 2.5
+        assert float(con.median([1.0, 1.0, 5.0, 5.0])) == 3.0
+        assert con.median([[1.0, 2.0], [3.0, math.nan], [5.0, 0.0]]).tolist()[0] == 3.0
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(con.median([-math.inf, math.inf]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6).map(lambda x: 0.0 if x == 0.0 else x),
+                    min_size=2, max_size=12))
+    def test_robust_zscores_use_np_median_values(self, values):
+        arr = np.array(values)
+        med = float(np.median(arr))
+        mad = float(np.median(np.abs(arr - med)))
+        want = np.zeros_like(arr) if mad == 0.0 else (arr - med) / mad
+        assert_same_medians(con.robust_zscores(values), want)
 
 
 class TestLeakyFlags:

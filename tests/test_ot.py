@@ -716,3 +716,34 @@ class TestOutputSpaceDiag:
         p = np.array([0.5, 0.5])
         with pytest.raises(ValidationError):
             ot.output_space_ot_diag(p, p, 0)
+
+    def test_equals_the_unique_and_union1d_version(self):
+        # Sparse and tied distributions: zero masses repeat cumulative sums,
+        # so the breakpoints deduplicate, and tied probabilities exercise the
+        # stable top-k order.
+        rng = np.random.default_rng(3)
+        for case in range(600):
+            v = int(rng.integers(2, 21))
+            p, q = rng.dirichlet(np.full(v, rng.choice([0.05, 0.5, 5.0])), size=2)
+            if case % 3 == 0:
+                p = np.where(rng.random(v) < 0.4, 0.0, np.round(p, 1) + 0.1)
+                p[rng.integers(v)] += 1.0
+                p /= p.sum()
+            for top_k in range(1, 17):
+                assert (ot.output_space_ot_diag(p, q, top_k)
+                        == output_space_ot_diag_with_unique(p, q, top_k)), (case, top_k)
+
+
+def output_space_ot_diag_with_unique(p, q, top_k: int) -> float:
+    """ot.output_space_ot_diag as it was written with np.unique and np.union1d."""
+    k = min(top_k, p.size)
+    union = np.unique(np.concatenate([np.argsort(-p, kind="stable")[:k],
+                                      np.argsort(-q, kind="stable")[:k]]))
+    cdf_p = np.cumsum(p[union] / p[union].sum())
+    cdf_q = np.cumsum(q[union] / q[union].sum())
+    breaks = np.union1d(cdf_p, cdf_q)
+    widths = np.diff(breaks, prepend=0.0)
+    mids = breaks - 0.5 * widths
+    x_p = union[np.searchsorted(cdf_p[:-1], mids)]
+    x_q = union[np.searchsorted(cdf_q[:-1], mids)]
+    return float(np.sum(widths * (x_p - x_q) ** 2))
