@@ -41,8 +41,7 @@ DATA_DIR = Path(__file__).parent / "data"
 WARMSTART_EPOCHS = 200
 WARMSTART_LR = 0.5
 WARMSTART_BIAS = 0.15
-# The toy task: items in a training run (eval and probe take --items),
-# prompt length and gold bias.
+# The toy task of every command: items, prompt length and gold bias.
 TASK_ITEMS = 32
 PROMPT_LEN = 2
 TASK_BIAS = 0.8
@@ -161,8 +160,8 @@ def _read_input(path, what: str, reader=None):
 
 # ---------- shared setup ----------
 
-def _build_task(pset: consti.PrincipleSet, seed: int, n_items: int, vocab: Vocab) -> ToyTask:
-    """The toy task over `pset`'s token positives: `n_items` items drawn at
+def _build_task(pset: consti.PrincipleSet, seed: int, vocab: Vocab) -> ToyTask:
+    """The toy task over `pset`'s token positives: TASK_ITEMS items drawn at
     `seed` in `vocab`, with PROMPT_LEN-token prompts and gold bias TASK_BIAS."""
     patterns = [(p.pid, p.tokens) for p in pset.positives]
     if any(not toks for _, toks in patterns):
@@ -174,7 +173,7 @@ def _build_task(pset: consti.PrincipleSet, seed: int, n_items: int, vocab: Vocab
         principles = principles_from_patterns(vocab, patterns)
     except ValidationError as exc:
         raise ConfigError(f"constitution {pset.name!r}: {exc}") from exc
-    return make_toy_task(vocab, n_items=n_items, prompt_len=PROMPT_LEN, bias=TASK_BIAS,
+    return make_toy_task(vocab, n_items=TASK_ITEMS, prompt_len=PROMPT_LEN, bias=TASK_BIAS,
                          seed=seed, principles=principles)
 
 
@@ -215,7 +214,7 @@ def cmd_train(args) -> int:
     pset = _load_principles(config.constitution)
     if not pset.negatives:
         raise ConfigError(f"constitution {pset.name!r} has no negatives")
-    task = _build_task(pset, config.seed, TASK_ITEMS, Vocab())
+    task = _build_task(pset, config.seed, Vocab())
 
     out_dir = _make_out_dir(config.output_dir)
     started = time.time()
@@ -285,15 +284,10 @@ def cmd_eval_constitution(args) -> int:
                           f"got {' and '.join(sources) or 'none'}")
     if args.nll is not None and not args.scores:
         raise ConfigError("--nll is read only with --scores")
-    if not args.components and args.k < 1:
-        raise ConfigError(f"--k must be at least 1, got {args.k}")
     if not args.components and args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    if args.constitutions:
-        if args.items < 1:
-            raise ConfigError(f"--items must be at least 1, got {args.items}")
-        if args.warm_epochs < 0:
-            raise ConfigError(f"--warm-epochs must be nonnegative, got {args.warm_epochs}")
+    if args.constitutions and args.warm_epochs < 0:
+        raise ConfigError(f"--warm-epochs must be nonnegative, got {args.warm_epochs}")
     # Every principle set is read and its task built, and a components file
     # or the score matrices and NLL rows read and scored, before --out-dir
     # exists, so a bad input leaves no output behind.  A task depends only on
@@ -305,7 +299,7 @@ def cmd_eval_constitution(args) -> int:
             raise ConfigError(f"constitution {pset.name!r} has no negatives")
         positives = tuple((p.pid, p.tokens) for p in pset.positives)
         if positives not in built:
-            built[positives] = _build_task(pset, args.seed, args.items, Vocab())
+            built[positives] = _build_task(pset, args.seed, Vocab())
         tasks.append((pset, built[positives]))
     if args.components:
         reports = [consti.report_from_components(*row)
@@ -325,8 +319,7 @@ def cmd_eval_constitution(args) -> int:
             raise ConfigError(f"NLL CSV {args.nll}: {len(nll_rows)} rows for "
                               f"{pos_matrix.shape[0]} score CSV items")
         reports = [consti.evaluate_from_score_files(
-            Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows,
-            k=args.k, seed=args.seed)]
+            Path(args.scores[0]).stem, pos_matrix, neg_matrix, nll_rows, seed=args.seed)]
     # Each report is written to report_<name>.json under --out-dir, which
     # must be one file name of at most 255 bytes.
     names = [pset.name for pset, _ in tasks] if tasks else [r.name for r in reports]
@@ -344,8 +337,7 @@ def cmd_eval_constitution(args) -> int:
     out_dir = _make_out_dir(args.out_dir)
 
     if tasks:
-        reports = consti.warm_started_reports(tasks, args.k, args.seed, args.warm_epochs,
-                                              WARMSTART_LR)
+        reports = consti.warm_started_reports(tasks, args.seed, args.warm_epochs, WARMSTART_LR)
     reports = consti.with_zscored_si(reports)
 
     with open(out_dir / "per_principle.csv", "w") as fh:
@@ -427,8 +419,6 @@ def _read_nll_csv(path):
 # ---------- probe ----------
 
 def cmd_probe(args) -> int:
-    if args.items < 1:
-        raise ConfigError(f"--items must be at least 1, got {args.items}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     # --out-dir is made only once every input checks out; one that names a
@@ -453,8 +443,8 @@ def cmd_probe(args) -> int:
                 raise ConfigError(f"checkpoints {args.checkpoints[0]} and {path} "
                                   f"differ in {key}")
 
-    # The task is the run's own (vocabulary from meta), with the probe's seed,
-    # item count and principles.  Schemas 3-6 stored the prompt length and
+    # The task is the run's own (vocabulary from meta), with the probe's seed
+    # and principles.  Schemas 3-6 stored the prompt length and
     # bias, now constants; a stored value other than the constant is refused
     # rather than probed on another run's prompts.
     source = f"checkpoint {args.checkpoints[0]} config"
@@ -466,8 +456,7 @@ def cmd_probe(args) -> int:
         if stored.get(key, value) != value:
             raise ConfigError(f"{source}: {key} = {stored[key]!r}, but the probe task "
                               f"uses {key} = {value!r}")
-    task = _build_task(_load_principles(args.constitution), args.seed, args.items,
-                       Vocab(meta["vocab_size"]))
+    task = _build_task(_load_principles(args.constitution), args.seed, Vocab(meta["vocab_size"]))
     out_dir = _make_out_dir(args.out_dir)
     # The probe context (the first item's prompt and principle) is bagged
     # once; the bag depends on no parameters.
@@ -544,9 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--scores", nargs=2, metavar=("POS_CSV", "NEG_CSV"),
                         help="external score matrices (items x principles)")
     p_eval.add_argument("--nll", help="per-item NLL CSV for --scores mode")
-    p_eval.add_argument("--items", type=int, default=32)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--k", type=int, default=2)
     p_eval.add_argument("--warm-epochs", type=int, default=120, dest="warm_epochs")
     p_eval.add_argument("--out-dir", default="eval_out", dest="out_dir")
     p_eval.set_defaults(func=cmd_eval_constitution)
@@ -554,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="geometry probes over checkpoints")
     p_probe.add_argument("checkpoints", nargs="+")
     p_probe.add_argument("--constitution", default=str(DATA_DIR / "toy_high_si.txt"))
-    p_probe.add_argument("--items", type=int, default=32)
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.add_argument("--metric", choices=("fr", "diag_mi"), default="fr")
     p_probe.add_argument("--out-dir", default="probe_out", dest="out_dir")

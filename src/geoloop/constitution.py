@@ -41,6 +41,8 @@ from .policy import ToyPolicy, mle_pretrain, transition_counts
 from .task import gold_items
 
 DEFAULT_WEIGHTS = (0.6, 0.3, 0.1)
+# K, the uniform shadow columns per item of the contrastive bounds.
+SHADOWS = 2
 
 LN2 = math.log(2.0)
 
@@ -125,18 +127,13 @@ def delta_nll(nll_without: float, nll_with: float) -> dict:
 
 def mann_whitney_auc(pos_scores, neg_scores) -> float:
     """Pr[s+ > s-] + Pr[s+ = s-]/2 by exhaustive pair counting."""
-    pos = [float(s) for s in pos_scores]
-    neg = [float(s) for s in neg_scores]
-    if not pos or not neg:
+    pos = np.asarray(pos_scores, dtype=float)[:, None]
+    neg = np.asarray(neg_scores, dtype=float)
+    if not pos.size or not neg.size:
         raise ValidationError("both score lists must be non-empty")
-    wins = ties = 0
-    for sp in pos:
-        for sn in neg:
-            if sp > sn:
-                wins += 1
-            elif sp == sn:
-                ties += 1
-    return (wins + 0.5 * ties) / (len(pos) * len(neg))
+    wins = int(np.count_nonzero(pos > neg))
+    ties = int(np.count_nonzero(pos == neg))
+    return (wins + 0.5 * ties) / (pos.size * neg.size)
 
 
 def mi_effective(pos_margin: float, neg_margin: float) -> float:
@@ -168,16 +165,14 @@ def robust_zscores(values) -> np.ndarray:
     return (arr - med) / mad
 
 
-def sufficiency_index(bits, mi_eff, auc, weights=DEFAULT_WEIGHTS, mode: str = "raw"):
-    """Weighted combination of the three sufficiency components.
+def sufficiency_index(bits, mi_eff, auc, mode: str = "raw"):
+    """The three sufficiency components combined with DEFAULT_WEIGHTS.
 
     raw mode takes scalars (or arrays elementwise); zscored mode takes the
     whole cohort as arrays (length >= 2) and robust-z-scores each component
     across it before weighting.
     """
-    w_b, w_m, w_s = (float(w) for w in weights)
-    if w_b < 0 or w_m < 0 or w_s < 0:
-        raise ValidationError("weights must be nonnegative")
+    w_b, w_m, w_s = DEFAULT_WEIGHTS
     if mode == "raw":
         bits_a = np.asarray(bits, dtype=float)
         mi_a = np.asarray(mi_eff, dtype=float)
@@ -289,23 +284,21 @@ def _margin_rows(scores: np.ndarray, true_cols) -> np.ndarray:
     return scores[rows, true_cols] - scores[rows[:, None], others].mean(axis=1)
 
 
-def _bound_bits(scores: np.ndarray, true_cols, k: int,
-                rng: np.random.Generator) -> float:
-    """Row contrastive bound (bits) with K uniform shadow columns per item.
+def _bound_bits(scores: np.ndarray, true_cols, rng: np.random.Generator) -> float:
+    """Row contrastive bound (bits) with SHADOWS uniform shadow columns per
+    item, or as many as the pool has besides the true one.
 
     NaN when the pool has no column besides the true one.
     """
-    if k < 1:
-        raise ValidationError(f"k must be at least 1, got {k}")
     m = scores.shape[1]
-    k = min(k, m - 1)
+    k = min(SHADOWS, m - 1)
     if k < 1:
         return math.nan
     cols = mi.shadow_candidates(rng, true_cols, m, k)
     return mi.infonce_bound(np.take_along_axis(scores, cols, axis=1)) / LN2
 
 
-def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
+def evaluate_principle_set(policy, task, pset: PrincipleSet, *,
                            seed: int = 0) -> SufficiencyReport:
     """Score a principle set against a policy on the task's gold continuations.
 
@@ -353,16 +346,16 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, k: int = 2, *,
     true_neg_idx = [i % len(pset.negatives) for i in true_pos_idx]
     if len(pset.negatives) >= 2:
         margin_neg = float(np.mean(_margin_rows(neg_scores, true_neg_idx)))
-        lb_neg = _bound_bits(neg_scores, true_neg_idx, k, rng)
+        lb_neg = _bound_bits(neg_scores, true_neg_idx, rng)
     else:
         margin_neg, lb_neg = 0.0, math.nan
-    lb_pos = _bound_bits(pos_scores, true_pos_idx, k, rng)
+    lb_pos = _bound_bits(pos_scores, true_pos_idx, rng)
 
     return report_from_components(pset.name, delta_bits, auc, margin_pos, margin_neg,
                                   lb_pos, lb_neg, leaky=leaky_negative_flags(per_principle_neg))
 
 
-def warm_started_reports(tasks, k: int, seed: int, epochs: int, lr: float) -> list:
+def warm_started_reports(tasks, seed: int, epochs: int, lr: float) -> list:
     """Each (principle set, task) pair's report, scored against a policy
     that `mle_pretrain` fits from `init_params(seed)` to the task's gold
     triples, as a base model brings its pretraining.  Scoring only reads the
@@ -374,7 +367,7 @@ def warm_started_reports(tasks, k: int, seed: int, epochs: int, lr: float) -> li
             warmed[triples] = ToyPolicy(task.vocab)
             warmed[triples].init_params(seed)
             mle_pretrain(warmed[triples], triples, epochs, lr)
-        reports.append(evaluate_principle_set(warmed[triples], task, pset, k=k, seed=seed))
+        reports.append(evaluate_principle_set(warmed[triples], task, pset, seed=seed))
     return reports
 
 
@@ -408,7 +401,7 @@ def aligned_scores(policy, task) -> tuple:
 
 
 def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
-                              neg_matrix: mi.ScoreMatrix, nll_rows, k: int = 2, *,
+                              neg_matrix: mi.ScoreMatrix, nll_rows, *,
                               seed: int = 0) -> SufficiencyReport:
     """Evaluation over externally produced scores (e.g. real LLM exports).
 
@@ -433,5 +426,4 @@ def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
     auc = mann_whitney_auc(pos[np.arange(pos.shape[0]), true_pos],
                            neg[np.arange(neg.shape[0]), true_neg])
     return report_from_components(name, delta_bits, auc, margin_pos, margin_neg,
-                                  _bound_bits(pos, true_pos, k, rng),
-                                  _bound_bits(neg, true_neg, k, rng))
+                                  _bound_bits(pos, true_pos, rng), _bound_bits(neg, true_neg, rng))

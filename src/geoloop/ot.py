@@ -84,12 +84,6 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(costs, 0.0, out=costs)
 
 
-def _logsumexp(arr: np.ndarray, axis: int) -> np.ndarray:
-    peak = arr.max(axis=axis, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    return peak.squeeze(axis) + np.log(np.exp(arr - peak).sum(axis=axis))
-
-
 def _plateau():
     """A check of each new violation in turn: true once 200 in a row have
     not bettered the best so far by a relative 1e-3.
@@ -131,7 +125,7 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
     """
     a = np.exp(log_a)
     f = np.zeros(costs.shape[0])
-    g = -epsilon * _logsumexp(log_a[:, None] + (f[:, None] - costs) / epsilon, axis=0)
+    g = _dual_point(costs, log_a, a, a, epsilon, f)[1]
     f0 = 0.5 * (f + g)
     trace = [float(np.abs(np.exp(log_a + (f - g) / epsilon) - a).sum())]
     ka = a[:, None] * np.exp((f0[:, None] + f0[None, :] - costs) / epsilon)

@@ -158,25 +158,16 @@ def _assign_prefers(principles, r_pool, a_pool) -> tuple:
     return tuple(out)
 
 
-def make_toy_principles(vocab: Vocab, count: int) -> tuple:
-    """Distinct marker-token patterns; preferred fillers assigned positionally.
+def make_toy_principles(vocab: Vocab) -> tuple:
+    """The marker-token patterns (i, j, i, j); preferred fillers assigned positionally.
 
-    Markers are the last two fillers of each pool; patterns are distinct
-    multisets over them (the context encoder is a bag mean, so only the
-    multiset matters).  The remaining fillers stay free for prompts and golds.
+    Markers are the last two fillers of each pool, and i and j run over the
+    reasoning and answer markers: four principles, two on an 8-token
+    vocabulary, whose answer pool holds one filler.  The remaining fillers
+    stay free for prompts and golds.
     """
-    if count < 2:
-        raise ValidationError("need at least two principles for shadows to exist")
-    f_r, f_a = vocab.reasoning_fillers, vocab.answer_fillers
-    m_r, m_a = f_r[-2:], f_a[-2:]
-    pairs = [(i, j) for i in m_r for j in m_a]
-    patterns = ([(i, j, i, j) for i, j in pairs]
-                + [(i, j, j, j) for i, j in pairs]
-                + [(i, i, i, j) for i, j in pairs])
-    if count > len(patterns):
-        raise ValidationError(f"at most {len(patterns)} distinct principle "
-                              f"patterns for this vocabulary")
-    raw = tuple(ToyPrinciple(f"pos{k}", patterns[k]) for k in range(count))
+    pairs = [(i, j) for i in vocab.reasoning_fillers[-2:] for j in vocab.answer_fillers[-2:]]
+    raw = tuple(ToyPrinciple(f"pos{k}", (i, j, i, j)) for k, (i, j) in enumerate(pairs))
     r_pool, a_pool = gold_filler_pools(vocab, raw)
     return _assign_prefers(raw, r_pool, a_pool)
 
@@ -202,19 +193,19 @@ def principles_from_patterns(vocab: Vocab, patterns) -> tuple:
     return _assign_prefers(tuple(raw), r_pool, a_pool)
 
 
-def make_toy_task(vocab: Vocab | None = None, *, n_principles: int = 4,
-                  n_items: int = 32, prompt_len: int = 4, bias: float = 0.8,
-                  seed: int = 0, principles: tuple | None = None) -> ToyTask:
+def make_toy_task(vocab: Vocab | None = None, *, n_items: int = 32, prompt_len: int = 4,
+                  bias: float = 0.8, seed: int = 0,
+                  principles: tuple | None = None) -> ToyTask:
     """Seeded synthetic task: random prompts, one positive principle each,
     format-valid golds whose fillers lean toward the principle's preferences.
 
-    Item i takes principle i mod the number of principles; `n_principles`
-    counts them only when `principles` is not given.
+    Item i takes principle i mod the number of principles, which are
+    `make_toy_principles`' when `principles` is not given.
     """
     vocab = vocab or Vocab()
     rng = np.random.default_rng(seed)
     if principles is None:
-        principles = make_toy_principles(vocab, n_principles)
+        principles = make_toy_principles(vocab)
     r_pool, a_pool = gold_filler_pools(vocab, principles)
     prompt_pool = r_pool + a_pool
     items = []

@@ -1,10 +1,11 @@
 """The single-loop optimiser: group advantages, an on-policy GRPO term, unified loss.
 
-One step runs, in order: sample groups -> base + gated/autoscaled MI rewards
-(channel_weight is the tie-breaker's one setting; the rest are `rewards`
-constants) -> centred group advantages -> score matrix for the symmetric
-InfoNCE auxiliary -> OT regulariser on the step's hidden clouds -> total loss
--> one SGD step, then emits a StepReport.  The loss identity
+One step samples groups, then computes what no loss weight scales: the score
+matrix for the symmetric InfoNCE auxiliary, the Sinkhorn solve on the step's
+hidden clouds and the geometry probes.  Then base + gated/autoscaled MI
+rewards (channel_weight is the tie-breaker's one setting; the rest are
+`rewards` constants) -> centred group advantages -> weighted terms -> total
+loss -> one SGD step, and it emits a StepReport.  The loss identity
 
     total = grpo + sami_weight(step) * sami + ot
 
@@ -285,7 +286,8 @@ class Trainer:
         """One full optimisation step; state mutates only on success.  A step
         whose `_FINITE_FIELDS` are not all finite (a weight or jitter so large
         that a loss or the gradient norm overflows) raises ValidationError
-        naming the step and the fields, and commits nothing."""
+        naming the step and the fields, and commits nothing; numpy warns of
+        no overflow in it."""
         config = self.config
         step = self.step
         item_idx = self._batch_items(step)
@@ -314,76 +316,38 @@ class Trainer:
         entropy_mask = rewards.entropy_gate(entropies)
         format_ok = samples.format_ok(self.policy.vocab)
 
-        base = format_ok.astype(float)
-        if config.jitter_sigma > 0:
-            jitter_rng = derive_rng(config.seed, step, _CH_JITTER)
-            base = base + config.jitter_sigma * jitter_rng.standard_normal(b)
-
         # Length-normalised candidate scores; the positive is column 0.
         row_scores = (scores[self._row_candidates(item_idx, groups, step), np.arange(b)[:, None]]
                       / lengths[:, None])
-        format_gate_on = rewards.format_gate_schedule(step, MI_WARMUP_STEPS)
-        mi_reward = np.zeros(b)
-        if config.channel_weight > 0:
-            z = mi.row_positive_logsoftmax(mi.ScoreMatrix(row_scores))
-            gate_open = entropy_mask & (format_ok | (not format_gate_on))
-            mi_reward = rewards.mi_tiebreak_rewards(
-                z, config.channel_weight, gate_open, self.autoscaler)
-        grouped = group_advantages((base + mi_reward).reshape(n_groups, -1))
-        adv = grouped.advantages.ravel()
-
-        # The on-policy GRPO term over untruncated completions (module
-        # docstring); the builtin sum adds the advantages in completion order.
-        kept = np.flatnonzero(~samples.truncated)
-        n_kept = max(1, kept.size)
-        loss_grpo = sum(-adv[kept]) / n_kept
-        coeffs[own[groups[kept]], kept] = -adv[kept] / self.policy.max_len / n_kept
-
-        lam_row, lam_col = rowcol_anneal(step, config.max_steps)
-        if kept.size < 2:
-            loss_sami, diag_stat = 0.0, math.nan
-        else:
-            matrix = _sami_matrix(own_scores, groups, kept, lengths)
-            losses = mi.infonce_losses(matrix)
-            loss_sami = lam_row * losses["row_loss"] + lam_col * losses["col_loss"]
-            diag_stat = losses["diag_mi"]
-            if sami_weight_at(config, step) > 0:
-                weights = self._sami_weights(losses, step, lam_row, lam_col)
-                np.add.at(coeffs, (own[groups[kept]][None, :], kept[:, None]),
-                          weights / lengths[kept, None])
-
         cands = self._col_candidates(b, step)
         col_scores = own_scores[groups[:, None], cands] / lengths[cands]
         clean = mi.clean_mi_bounds(row_scores, col_scores, config.shadow_k,
                                    format_ok & entropy_mask)
 
+        # The on-policy GRPO term is over untruncated completions (module
+        # docstring), and so is the SAMI matrix.
+        kept = np.flatnonzero(~samples.truncated)
+        n_kept = max(1, kept.size)
+        lam_row, lam_col = rowcol_anneal(step, config.max_steps)
+        losses = None
+        if kept.size >= 2:
+            losses = mi.infonce_losses(_sami_matrix(own_scores, groups, kept, lengths))
+
         cur_summaries = table.summaries(own[groups], row_counts)
         cur_measure = rep_metrics.EmpiricalMeasure(cur_summaries[0], normalised=True)
         ref_measure = rep_metrics.EmpiricalMeasure(
             self._ref_table.summaries(item_idx[groups], row_counts)[0], normalised=True)
-        loss_ot = 0.0
+        ot_on = config.ot_weight > 0 and step >= config.ot_warmup
         ot_stats = {"iterations": None, "violation": None, "converged": None}
-        feat_grad = None
-        if config.ot_weight > 0 and step >= config.ot_warmup:
+        if ot_on:
             # Bounded iteration budget: in the 2000-step enigma_high_si run
             # every solve converges well inside it, the self terms in 2-25
             # iterations and the cross term in 11-22 levels and Newton
             # iterations.  A cross solve whose Newton step fails at the
             # target eps stops there, flagged unconverged, and the envelope
             # gradient of the achieved plan stays valid.
-            value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
+            ot_value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
                 cur_measure, ref_measure, BLUR ** 2, max_iter=500)
-            loss_ot = config.ot_weight * value
-            feat_grad = table.summary_feat_grad(own[groups], row_counts, cur_summaries,
-                                                config.ot_weight * point_grad)
-
-        loss_total = enigma_loss(loss_grpo, loss_sami, loss_ot, config, step)
-
-        total_grad = self.policy.backward(
-            table, logit_sums(np.tensordot(coeffs, counts, axes=1)), feat_grad)
-        grad_norm = total_grad.global_norm()
-        if grad_norm > GRAD_CLIP:
-            total_grad = total_grad.scaled(GRAD_CLIP / grad_norm)
 
         # Geometry probes against the frozen reference.
         p_cur = prob_metrics.ProbVector(
@@ -391,20 +355,65 @@ class Trainer:
         probes = prob_metrics.probe_report(p_cur, self._probe_ref)
         frechet, effrank, pr, degenerate = _geometry(cur_measure, ref_measure)
 
+        # Every value computed here feeds a _FINITE_FIELDS field or the
+        # gradient behind grad_norm, so a weight or jitter that overflows it is
+        # refused below; numpy's warnings would only repeat the refusal.
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = format_ok.astype(float)
+            if config.jitter_sigma > 0:
+                jitter_rng = derive_rng(config.seed, step, _CH_JITTER)
+                base = base + config.jitter_sigma * jitter_rng.standard_normal(b)
+            format_gate_on = rewards.format_gate_schedule(step, MI_WARMUP_STEPS)
+            mi_reward = np.zeros(b)
+            if config.channel_weight > 0:
+                z = mi.row_positive_logsoftmax(mi.ScoreMatrix(row_scores))
+                gate_open = entropy_mask & (format_ok | (not format_gate_on))
+                mi_reward = rewards.mi_tiebreak_rewards(
+                    z, config.channel_weight, gate_open, self.autoscaler)
+            grouped = group_advantages((base + mi_reward).reshape(n_groups, -1))
+            adv = grouped.advantages.ravel()
+
+            # The builtin sum adds the advantages in completion order.
+            loss_grpo = sum(-adv[kept]) / n_kept
+            coeffs[own[groups[kept]], kept] = -adv[kept] / self.policy.max_len / n_kept
+            loss_sami = 0.0
+            if losses is not None:
+                loss_sami = lam_row * losses["row_loss"] + lam_col * losses["col_loss"]
+                if sami_weight_at(config, step) > 0:
+                    weights = self._sami_weights(losses, step, lam_row, lam_col)
+                    np.add.at(coeffs, (own[groups[kept]][None, :], kept[:, None]),
+                              weights / lengths[kept, None])
+
+            loss_ot = 0.0
+            feat_grad = None
+            if ot_on:
+                loss_ot = config.ot_weight * ot_value
+                feat_grad = table.summary_feat_grad(own[groups], row_counts, cur_summaries,
+                                                    config.ot_weight * point_grad)
+            loss_total = enigma_loss(loss_grpo, loss_sami, loss_ot, config, step)
+
+            total_grad = self.policy.backward(
+                table, logit_sums(np.tensordot(coeffs, counts, axes=1)), feat_grad)
+            grad_norm = total_grad.global_norm()
+            if grad_norm > GRAD_CLIP:
+                total_grad = total_grad.scaled(GRAD_CLIP / grad_norm)
+            finite = dict(zip(_FINITE_FIELDS, map(float, (
+                base.mean(), mi_reward.mean(), np.mean(grouped.std), loss_total,
+                loss_grpo, loss_sami, loss_ot, grad_norm))))
+
+        # Refused, not rescaled (that would change grad_norm's bits in every
+        # run), so steps.jsonl holds only finite numbers and nulls.
+        overflowed = [name for name, value in finite.items() if not math.isfinite(value)]
+        if overflowed:
+            raise ValidationError(f"step {step}: {', '.join(overflowed)} not finite")
+
         report = StepReport(
             step=step,
-            reward_base_mean=float(base.mean()),
-            reward_mi_mean=float(mi_reward.mean()),
-            reward_std=float(np.mean(grouped.std)),
-            loss_total=float(loss_total),
-            loss_grpo=float(loss_grpo),
-            loss_sami=float(loss_sami),
-            loss_ot=float(loss_ot),
+            **finite,
             mi_row_clean=clean["row_bound"],
             mi_col_clean=clean["col_bound"],
             mi_gap=clean["gap"],
-            diag_mi=diag_stat,
-            grad_norm=float(grad_norm),
+            diag_mi=math.nan if losses is None else losses["diag_mi"],
             entropy=float(entropies.mean()),
             clean_count=clean["clean_count"],
             bhat_angle=probes["bhat_angle"],
@@ -419,12 +428,6 @@ class Trainer:
             ot_violation=ot_stats["violation"],
             ot_converged=ot_stats["converged"],
         )
-
-        # Refused, not rescaled (that would change grad_norm's bits in every
-        # run), so steps.jsonl holds only finite numbers and nulls.
-        overflowed = [name for name in _FINITE_FIELDS if not math.isfinite(getattr(report, name))]
-        if overflowed:
-            raise ValidationError(f"step {step}: {', '.join(overflowed)} not finite")
 
         # Commit: parameter update, autoscaler, step counter.
         self.policy.add_scaled(total_grad, -LEARNING_RATE)

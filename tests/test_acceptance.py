@@ -311,7 +311,7 @@ def test_criterion_9_si_ordering(tmp_path):
     out = tmp_path / "eval"
     code = cli.main(["eval-constitution",
                      str(DATA / "toy_high_si.txt"), str(DATA / "toy_low_si.txt"),
-                     "--items", "32", "--warm-epochs", "150", "--seed", "0",
+                     "--warm-epochs", "150", "--seed", "0",
                      "--out-dir", str(out)])
     assert code == cli.EXIT_OK
     high = json.loads((out / "report_toy_high_si.json").read_text())

@@ -1,4 +1,5 @@
 """Command-line surface: config round trip, exit codes, artifact layout."""
+import argparse
 import hashlib
 import io
 import json
@@ -223,6 +224,35 @@ class TestConfigRoundTrip:
             assert getattr(bundled, name) == getattr(defaults, name), name
 
 
+class TestOptions:
+    """Each subcommand's options, so an added or retired flag shows in this diff."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("train", ["--config", "--seed", "--max-steps", "--output-dir"]),
+        ("eval-constitution", ["constitutions", "--components", "--scores", "--nll", "--seed",
+                               "--warm-epochs", "--out-dir"]),
+        ("probe", ["checkpoints", "--constitution", "--seed", "--metric", "--out-dir"])])
+    def test_subcommand_options(self, command, options):
+        subcommands = next(action for action in cli.build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        assert [action.option_strings[0] if action.option_strings else action.dest
+                for action in subcommands.choices[command]._actions
+                if not isinstance(action, argparse._HelpAction)] == options
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-constitution", str(DATA / "toy_high_si.txt"), "--items", "32"],
+        ["eval-constitution", str(DATA / "toy_high_si.txt"), "--k", "2"],
+        ["probe", "ckpt.npz", "--items", "32"]],
+        ids=["eval_items", "eval_k", "probe_items"])
+    def test_retired_flag_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out-dir", str(out)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainCommand:
     def test_missing_constitution_exits_2_no_output(self, tmp_path):
         config = short_config(tmp_path, constitution=str(tmp_path / "absent.txt"))
@@ -362,12 +392,14 @@ class TestTrainCommand:
                 assert isinstance(row["ot_converged"], bool)
 
     # sami_weight reaches the gradient from step 1, when its warm-up leaves
-    # zero; a huge jitter overflows the reward spread at step 0.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # zero; a huge jitter overflows the reward spread at step 0, and a
+    # larger one the rewards themselves.  No step prints a numpy warning.
     @pytest.mark.parametrize("key, value, step, overflowed", [
         ("sami_weight", 1e300, 1, "grad_norm"),
         ("sami_weight", 1e160, 1, "grad_norm"),
         ("jitter_sigma", 1e300, 0, "reward_std, grad_norm"),
+        ("jitter_sigma", 5e307, 0,
+         "reward_base_mean, reward_std, loss_total, loss_grpo, grad_norm"),
     ])
     def test_overflowing_step_exits_1_keeping_strict_json_rows(self, tmp_path, capsys, key,
                                                                 value, step, overflowed):
@@ -492,7 +524,7 @@ class TestEvalCommand:
         out = tmp_path / "eval"
         code = cli.main(["eval-constitution",
                          str(DATA / "toy_high_si.txt"), str(DATA / "toy_low_si.txt"),
-                         "--items", "24", "--warm-epochs", "80",
+                         "--warm-epochs", "80",
                          "--out-dir", str(out)])
         assert code == cli.EXIT_OK
         high = json.loads((out / "report_toy_high_si.json").read_text())
@@ -670,8 +702,6 @@ class TestEvalCommand:
         assert report["si"] == pytest.approx(0.6 * 0.1 + 0.3 * 0.5 + 0.1 * 0.2)
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--items", "0", "--items must be at least 1"),
-        ("--items", "-3", "--items must be at least 1"),
         ("--warm-epochs", "-1", "--warm-epochs must be nonnegative")])
     def test_bad_warm_start_input_exits_2_before_any_output(self, tmp_path, capsys,
                                                             flag, value, message):
@@ -682,7 +712,7 @@ class TestEvalCommand:
         assert not out.exists()
 
     def test_scores_and_components_ignore_warm_start_flags(self, tmp_path):
-        ignored = ["--items", "0", "--warm-epochs", "-1"]
+        ignored = ["--warm-epochs", "-1"]
         assert cli.main(self.external_files(tmp_path) + ignored) == cli.EXIT_OK
         assert cli.main(["eval-constitution", "--components",
                          str(DATA / "component_replay.json"),
@@ -775,17 +805,6 @@ class TestEvalCommand:
             assert "--seed must be nonnegative, got -3" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("k", ["0", "-1"])
-    def test_k_below_one_exits_2_before_any_output(self, tmp_path, capsys, k):
-        out = tmp_path / "out"
-        policy_path = ["eval-constitution", str(DATA / "toy_high_si.txt"),
-                       "--k", k, "--out-dir", str(out)]
-        scores_path = self.external_files(tmp_path) + ["--k", k]
-        for argv in (policy_path, scores_path):
-            assert cli.main(argv) == cli.EXIT_CONFIG
-            assert "--k must be at least 1" in capsys.readouterr().err
-            assert not out.exists()
-
     @staticmethod
     def renamed_sets(tmp_path, first, second) -> list:
         """Copies of the two bundled sets whose `name:` lines give the names
@@ -838,17 +857,17 @@ class TestEvalCommand:
         assert not out.exists()
 
 
-def reference_reports(paths, seed=0, items=32, k=2, epochs=120, lr=0.5) -> dict:
+def reference_reports(paths, seed=0, epochs=120, lr=0.5) -> dict:
     """Each set's report JSON as eval-constitution writes it, from a fresh
     warm start for every set."""
     reports = []
     for path in paths:
         pset = cli._load_principles(path)
-        task = cli._build_task(pset, seed, items, Vocab())
+        task = cli._build_task(pset, seed, Vocab())
         policy = ToyPolicy(task.vocab)
         policy.init_params(seed)
         mle_pretrain(policy, gold_items(task), epochs, lr)
-        reports.append(consti.evaluate_principle_set(policy, task, pset, k=k, seed=seed))
+        reports.append(consti.evaluate_principle_set(policy, task, pset, seed=seed))
     if len(reports) >= 2:
         zs = consti.sufficiency_index([r.delta_nll_median for r in reports],
                                       [r.mi_effective for r in reports],
@@ -930,9 +949,9 @@ class TestSharedWarmStart:
         assert built_tasks == expected
 
     @pytest.mark.parametrize("names, options", [
-        (["high", "low"], {}), (["high", "low"], {"seed": 3}), (["high", "low"], {"k": 1}),
-        (["high", "reordered", "low", "other"], {"seed": 2, "items": 12, "epochs": 40})],
-        ids=["bundled", "seed3", "k1", "four"])
+        (["high", "low"], {}), (["high", "low"], {"seed": 3}),
+        (["high", "reordered", "low", "other"], {"seed": 2, "epochs": 40})],
+        ids=["bundled", "seed3", "four"])
     def test_reports_equal_a_fresh_warm_start_per_set(self, tmp_path, sets, names, options):
         paths = [sets[n] for n in names]
         out = tmp_path / "out"
@@ -973,7 +992,7 @@ class TestPositiveCounts:
 
     def test_items_cycle_over_every_positive(self, constitution):
         pset = cli._load_principles(constitution)
-        task = cli._build_task(pset, 0, 32, Vocab())
+        task = cli._build_task(pset, 0, Vocab())
         n = len(pset.positives)
         assert [item.principle_id for item in task.items] == \
             [task.principles[i % n].pid for i in range(32)]
@@ -1107,8 +1126,7 @@ def bundled_warm_start(seed, bias=cli.WARMSTART_BIAS, lr=cli.WARMSTART_LR,
                        epochs=cli.WARMSTART_EPOCHS):
     """The warm start `geoloop train` runs for the bundled toy_high_si set at
     this seed, with this bias, rate and epoch count: (task, epochs, lr, seed, bias)."""
-    task = cli._build_task(cli._load_principles(DATA / "toy_high_si.txt"), seed,
-                           cli.TASK_ITEMS, Vocab())
+    task = cli._build_task(cli._load_principles(DATA / "toy_high_si.txt"), seed, Vocab())
     return task, epochs, lr, seed, bias
 
 
@@ -1118,7 +1136,7 @@ def no_prefers_warm_start():
     do not."""
     vocab = Vocab()
     principles = tuple(ToyPrinciple(p.pid, p.tokens, p.prefers[:k])
-                       for p, k in zip(make_toy_principles(vocab, 4), (0, 1, 2, 0)))
+                       for p, k in zip(make_toy_principles(vocab), (0, 1, 2, 0)))
     return make_toy_task(vocab, seed=11, principles=principles), 25, 0.5, 5, 0.15
 
 
@@ -1147,8 +1165,7 @@ class TestGoldenOutputs:
     def test_train_warm_start_hash(self):
         config = cli.load_config(CONFIGS / "enigma_high_si.toml",
                                  {"seed": 42, "constitution": str(DATA / "toy_high_si.txt")})
-        task = cli._build_task(cli._load_principles(config.constitution), config.seed,
-                               cli.TASK_ITEMS, Vocab())
+        task = cli._build_task(cli._load_principles(config.constitution), config.seed, Vocab())
         policy = ToyPolicy(task.vocab)
         policy.init_params(config.seed)
         warm_start(policy, task, cli.WARMSTART_EPOCHS, cli.WARMSTART_LR,
@@ -1178,7 +1195,7 @@ class TestGoldenOutputs:
 
     def test_eval_warm_start_hash(self):
         path = DATA / "toy_high_si.txt"
-        task = cli._build_task(cli._load_principles(path), 0, 32, Vocab())
+        task = cli._build_task(cli._load_principles(path), 0, Vocab())
         policy = ToyPolicy(task.vocab)
         policy.init_params(0)
         mle_pretrain(policy, gold_items(task), 120, 0.5)
@@ -1213,7 +1230,7 @@ class TestGoldenOutputs:
 
     def test_score_file_eval_outputs(self, tmp_path):
         # Inputs from exact formulas: 12 items over five positive and three
-        # negative columns, so both bounds draw shadows (seed 0, k = 2).
+        # negative columns, so both bounds draw consti.SHADOWS shadows (seed 0).
         n, m_pos, m_neg = 12, 5, 3
         pos = [[-1.0 + (1.5 if j == i % m_pos else 0.0) - ((i * 7 + j * 3) % 11) / 20
                 for j in range(m_pos)] for i in range(n)]
@@ -1233,7 +1250,7 @@ class TestGoldenOutputs:
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
 
-def reference_probe(ckpts, out, constitution, items=32, seed=0, metric="fr"):
+def reference_probe(ckpts, out, constitution, seed=0, metric="fr"):
     """The probe CSVs as written by scoring each checkpoint's probe context
     with its own next_token_distribution call and aligning the score matrix
     row by row with np.roll; `cli.cmd_probe` must write the same bytes.  The
@@ -1241,7 +1258,7 @@ def reference_probe(ckpts, out, constitution, items=32, seed=0, metric="fr"):
     out.mkdir(parents=True)
     loaded = [load_checkpoint(path) for path in ckpts]
     vocab = Vocab(loaded[0][1]["vocab_size"])
-    task = cli._build_task(cli._load_principles(constitution), seed, items, vocab)
+    task = cli._build_task(cli._load_principles(constitution), seed, vocab)
     item = task.items[0]
     ptoks = task.principle(item.principle_id).tokens
     dists = [prob_metrics.ProbVector(policy.next_token_distribution(item.prompt, ptoks))
@@ -1278,7 +1295,7 @@ def reference_probe(ckpts, out, constitution, items=32, seed=0, metric="fr"):
 
     policy = loaded[-1][0]
     n_principles = len(task.principles)
-    sample = task.items[:min(len(task.items), items)]
+    sample = task.items
     table = policy.forward(policy.bag_grid(
         [it.prompt for it in sample], [p.tokens for p in task.principles]
     ).reshape(-1, vocab.size))
@@ -1318,7 +1335,7 @@ def library_run(tmp_path, vocab_size, config=None, max_steps=4, every=2,
     with none."""
     seed = 5
     task = cli._build_task(cli._load_principles(DATA / "toy_high_si.txt"), seed,
-                           cli.TASK_ITEMS, Vocab(vocab_size))
+                           Vocab(vocab_size))
     policy = ToyPolicy(task.vocab, dim)
     policy.init_params(seed)
     warm_start(policy, task, cli.WARMSTART_EPOCHS, cli.WARMSTART_LR, seed,
@@ -1425,7 +1442,7 @@ class TestProbeCommand:
         assert header == "step_from,step_to,token_index_w2sq"
         w2sq = float(row.split(",")[2])
         pset = cli._load_principles(DATA / "toy_high_si.txt")
-        task = cli._build_task(pset, 0, 32, Vocab())
+        task = cli._build_task(pset, 0, Vocab())
         item = task.items[0]
         dists = [load_checkpoint(path)[0].next_token_distribution(
             item.prompt, task.principle(item.principle_id).tokens) for path in ckpts]
@@ -1486,8 +1503,8 @@ class TestProbeCommand:
         assert not (tmp_path / "mixed").exists()
 
     @pytest.mark.parametrize("options", [
-        {}, {"seed": 3}, {"metric": "diag_mi"}, {"seed": 7, "items": 5}],
-        ids=["default", "seed3", "diag_mi", "small"])
+        {}, {"seed": 3}, {"metric": "diag_mi"}, {"seed": 7}],
+        ids=["default", "seed3", "diag_mi", "seed7"])
     def test_csvs_equal_the_per_checkpoint_reference(self, run_dir, tmp_path, options):
         ckpts = sorted(run_dir.glob("ckpt_*.npz"))
         constitution = DATA / "toy_high_si.txt"
@@ -1712,17 +1729,6 @@ class TestProbeCommand:
         assert cli.main(["probe", str(ckpt), "--constitution", str(DATA / "toy_high_si.txt"),
                          "--out-dir", str(out)]) == cli.EXIT_RUNTIME
         assert f"error: cannot load checkpoint {ckpt}: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--items"])
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_nonpositive_size_exits_2_before_reading(self, tmp_path, capsys, flag, value):
-        # The checkpoint does not exist: reading it would exit 1 instead.
-        out = tmp_path / "out"
-        code = cli.main(["probe", str(tmp_path / "missing.npz"), flag, value,
-                         "--out-dir", str(out)])
-        assert code == cli.EXIT_CONFIG
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exits_2_before_reading(self, tmp_path, capsys):

@@ -39,6 +39,18 @@ class TestDeltaNll:
             con.delta_nll(math.inf, 0.0)
 
 
+def reference_auc(pos, neg) -> float:
+    """mann_whitney_auc by a loop over every (positive, negative) pair."""
+    wins = ties = 0
+    for sp in pos:
+        for sn in neg:
+            if sp > sn:
+                wins += 1
+            elif sp == sn:
+                ties += 1
+    return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
 class TestMannWhitneyAuc:
     def test_full_separation(self):
         assert con.mann_whitney_auc([2, 3], [0, 1]) == 1.0
@@ -53,6 +65,13 @@ class TestMannWhitneyAuc:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             con.mann_whitney_auc([], [1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, math.nan]),
+                                st.floats(allow_nan=True)), min_size=1, max_size=12)] * 2)
+    def test_equals_the_pair_loop(self, pos, neg):
+        # Ties are common, and NaN neither wins nor ties.
+        assert con.mann_whitney_auc(pos, neg) == reference_auc(pos, neg)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 10), st.integers(1, 10))
@@ -98,8 +117,10 @@ class TestSufficiencyIndex:
 
     def test_linear_in_components(self):
         base = con.sufficiency_index(0.1, 2.0, 0.3)
-        doubled_w = con.sufficiency_index(0.1, 2.0, 0.3, weights=(0.6, 0.6, 0.1))
-        assert doubled_w - base == pytest.approx(0.3 * 2.0)
+        assert con.DEFAULT_WEIGHTS == (0.6, 0.3, 0.1)
+        assert base == pytest.approx(0.6 * 0.1 + 0.3 * 2.0 + 0.1 * (2 * 0.3 - 1))
+        doubled_mi = con.sufficiency_index(0.1, 4.0, 0.3)
+        assert doubled_mi - base == pytest.approx(0.3 * 2.0)
 
     def test_zscored_needs_cohort(self):
         with pytest.raises(ValidationError):
@@ -267,7 +288,7 @@ class TestEvaluatePrincipleSet:
         neg = tuple(con.Principle(f"neg{i}", p.text, p.tokens)
                     for i, p in enumerate(pos))
         pset = con.PrincipleSet("mirror", pos, neg)
-        report = con.evaluate_principle_set(policy, task, pset, k=2, seed=0)
+        report = con.evaluate_principle_set(policy, task, pset, seed=0)
         assert report.mi_effective == pytest.approx(0.0, abs=1e-9)
         assert report.auc == pytest.approx(0.5, abs=0.05)
 
@@ -278,9 +299,9 @@ class TestEvaluatePrincipleSet:
         _, neg_leaky = toy_set(vocab, [(4, 9, 4, 5), (5, 10, 5, 4),
                                        (4, 10, 4, 5), (5, 9, 5, 10)])
         high = con.evaluate_principle_set(
-            policy, task, con.PrincipleSet("high", pos, neg_clean), k=2, seed=0)
+            policy, task, con.PrincipleSet("high", pos, neg_clean), seed=0)
         low = con.evaluate_principle_set(
-            policy, task, con.PrincipleSet("low", pos, neg_leaky), k=2, seed=0)
+            policy, task, con.PrincipleSet("low", pos, neg_leaky), seed=0)
         assert high.si > low.si
         assert high.mi_effective > low.mi_effective
         assert high.delta_nll_median == pytest.approx(low.delta_nll_median, abs=1e-9)
@@ -290,22 +311,16 @@ class TestEvaluatePrincipleSet:
         pos, neg_leaky = toy_set(vocab, [(4, 9, 4, 5), (5, 10, 5, 4),
                                          (4, 10, 4, 5), (5, 9, 5, 10)])
         report = con.evaluate_principle_set(
-            policy, task, con.PrincipleSet("low", pos, neg_leaky), k=2, seed=0)
+            policy, task, con.PrincipleSet("low", pos, neg_leaky), seed=0)
         assert report.leaky["count"] >= 1
-
-    def test_k_below_one_rejected(self, setup):
-        vocab, task, policy = setup
-        pos, neg = toy_set(vocab, [(5, 10, 5, 5), (4, 9, 9, 9)])
-        with pytest.raises(ValidationError, match="k must be at least 1"):
-            con.evaluate_principle_set(policy, task, con.PrincipleSet("x", pos, neg), k=0)
 
     def test_deterministic(self, setup):
         vocab, task, policy = setup
         pos, neg = toy_set(vocab, [(5, 10, 5, 5), (4, 9, 9, 9),
                                    (5, 9, 9, 9), (4, 10, 10, 10)])
         pset = con.PrincipleSet("high", pos, neg)
-        r1 = con.evaluate_principle_set(policy, task, pset, k=2, seed=7)
-        r2 = con.evaluate_principle_set(policy, task, pset, k=2, seed=7)
+        r1 = con.evaluate_principle_set(policy, task, pset, seed=7)
+        r2 = con.evaluate_principle_set(policy, task, pset, seed=7)
         assert r1 == r2
 
     def test_leaves_the_policy_unchanged(self, setup):
@@ -353,7 +368,7 @@ def reference_scores(policy, items, principles):
     return out
 
 
-def reference_evaluate(policy, task, pset, k, seed):
+def reference_evaluate(policy, task, pset, seed):
     """evaluate_principle_set with a separate table for every pool, every
     true positive and every no-principle score: 5 per item, 160 in all on a
     32-item task."""
@@ -382,10 +397,10 @@ def reference_evaluate(policy, task, pset, k, seed):
     true_neg_idx = [i % len(pset.negatives) for i in true_pos_idx]
     if len(pset.negatives) >= 2:
         margin_neg = float(np.mean(reference_margin_rows(neg_scores, true_neg_idx)))
-        lb_neg = con._bound_bits(neg_scores, true_neg_idx, k, rng)
+        lb_neg = con._bound_bits(neg_scores, true_neg_idx, rng)
     else:
         margin_neg, lb_neg = 0.0, math.nan
-    lb_pos = con._bound_bits(pos_scores, true_pos_idx, k, rng)
+    lb_pos = con._bound_bits(pos_scores, true_pos_idx, rng)
     mie = margin_pos - margin_neg
     return con.SufficiencyReport(
         name=pset.name, delta_nll_median=delta_bits,
@@ -420,20 +435,20 @@ class TestMatchesPerPoolScoring:
         vocab, task, policy = setup
         pos, neg = toy_set(vocab, negatives)
         pset = con.PrincipleSet("set", pos, neg)
-        assert_same_report(con.evaluate_principle_set(policy, task, pset, k=2, seed=seed),
-                           reference_evaluate(policy, task, pset, 2, seed))
+        assert_same_report(con.evaluate_principle_set(policy, task, pset, seed=seed),
+                           reference_evaluate(policy, task, pset, seed))
 
     @pytest.mark.parametrize("name", ["toy_high_si", "toy_low_si"])
     def test_bundled_sets(self, name):
         # The eval-constitution set-up at its default items, epochs and rate.
         path = cli.DATA_DIR / f"{name}.txt"
         pset = cli._load_principles(path)
-        task = cli._build_task(pset, 1, 32, Vocab())
+        task = cli._build_task(pset, 1, Vocab())
         policy = ToyPolicy(task.vocab)
         policy.init_params(1)
         mle_pretrain(policy, gold_items(task), 120, 0.5)
-        assert_same_report(con.evaluate_principle_set(policy, task, pset, k=2, seed=1),
-                           reference_evaluate(policy, task, pset, 2, 1))
+        assert_same_report(con.evaluate_principle_set(policy, task, pset, seed=1),
+                           reference_evaluate(policy, task, pset, 1))
 
 
 class TestExternalScorePath:
@@ -448,14 +463,8 @@ class TestExternalScorePath:
         neg = rng.normal(-1.5, 0.1, (n, m))
         nll_rows = [(2.0, 1.8)] * n  # delta = 0.2 bits/token
         report = con.evaluate_from_score_files(
-            "external", ScoreMatrix(pos), ScoreMatrix(neg), nll_rows, k=2)
+            "external", ScoreMatrix(pos), ScoreMatrix(neg), nll_rows)
         assert report.delta_nll_median == pytest.approx(0.2)
         assert report.mi_diag_margin_pos > 1.0
         assert abs(report.mi_diag_margin_neg) < 0.5
         assert report.si > 0.0
-
-    def test_k_below_one_rejected(self):
-        from geoloop.mi import ScoreMatrix
-        scores = ScoreMatrix(np.eye(4))
-        with pytest.raises(ValidationError, match="k must be at least 1"):
-            con.evaluate_from_score_files("x", scores, scores, [(2.0, 1.8)], k=0)

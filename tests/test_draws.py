@@ -140,13 +140,13 @@ class TestStreamsMatchStream:
         check_lockstep([0, 1, 2], [("integers", (-2**30, 2**30 - 1), np.ones(3, bool))] * 80)
 
 
-def reference_make_toy_task(vocab=None, *, n_principles=4, n_items=32, prompt_len=4,
-                            bias=0.8, seed=0, principles=None):
+def reference_make_toy_task(vocab=None, *, n_items=32, prompt_len=4, bias=0.8, seed=0,
+                            principles=None):
     """make_toy_task as it drew from np.random.default_rng(seed)."""
     vocab = vocab or tk.Vocab()
     rng = np.random.default_rng(seed)
     if principles is None:
-        principles = tk.make_toy_principles(vocab, n_principles)
+        principles = tk.make_toy_principles(vocab)
     r_pool, a_pool = tk.gold_filler_pools(vocab, principles)
     prompt_pool = r_pool + a_pool
     items = []
