@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -340,12 +341,13 @@ def cmd_eval_constitution(args) -> int:
         reports = consti.warm_started_reports(tasks, args.seed, args.warm_epochs, WARMSTART_LR)
     reports = consti.with_zscored_si(reports)
 
-    with open(out_dir / "per_principle.csv", "w") as fh:
-        fh.write("set,pid,delta_nll_bits,leaky\n")
+    with open(out_dir / "per_principle.csv", "w", newline="") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(("set", "pid", "delta_nll_bits", "leaky"))
         for report in reports:
             if report.leaky is not None:
-                for pid, bits in report.leaky["delta_nll_bits"].items():
-                    fh.write(f"{report.name},{pid},{bits!r},1\n")
+                rows.writerows((report.name, pid, bits, 1)
+                               for pid, bits in report.leaky["delta_nll_bits"].items())
     for report in reports:
         path = out_dir / f"report_{report.name}.json"
         path.write_text(report.to_json())

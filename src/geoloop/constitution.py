@@ -10,12 +10,12 @@ Signals per candidate set (positives shared, negatives under test):
                and how much its index-paired negative beats the other
                negatives (a leaky negative scores high here)
     mi_eff     positive margin - negative margin
-    si         w_b * bits + w_m * mi_eff + w_s * (2*auc - 1)   (raw mode)
+    si         w_b * bits + w_m * mi_eff + w_s * (2*auc - 1)   (sufficiency_index)
 
-The z-scored SI variant replaces each component with a robust z-score
-((x - median) / MAD, zero when MAD is zero) across a cohort of candidate
-sets; both modes are reported because they answer different questions (raw
-reproduces absolute bookkeeping, z-scored ranks a cohort).
+The z-scored SI (zscored_sufficiency_index) replaces each component with a
+robust z-score ((x - median) / MAD, zero when MAD is zero) across a cohort of
+candidate sets; both are reported because they answer different questions
+(raw reproduces absolute bookkeeping, z-scored ranks a cohort).
 
 All task items are scored with one table: each item's gold under its
 prompt with every positive, every negative and no principle; each prompt and
@@ -156,38 +156,33 @@ def median(values) -> np.ndarray:
 
 def robust_zscores(values) -> np.ndarray:
     """(x - median) / MAD over all entries, with MAD = 0 mapping every score
-    to 0; each median is `median`'s, so np.median's value."""
+    to 0; each median is `median`'s, so np.median's value.  A z past the
+    float range (a subnormal MAD) is +-inf, without a warning."""
     arr = np.asarray(values, dtype=float)
-    med = float(median(arr.ravel()))
-    mad = float(median(np.abs(arr - med).ravel()))
-    if mad == 0.0:
-        return np.zeros_like(arr)
-    return (arr - med) / mad
+    with np.errstate(over="ignore", invalid="ignore"):
+        med = float(median(arr.ravel()))
+        mad = float(median(np.abs(arr - med).ravel()))
+        if mad == 0.0:
+            return np.zeros_like(arr)
+        return (arr - med) / mad
 
 
-def sufficiency_index(bits, mi_eff, auc, mode: str = "raw"):
-    """The three sufficiency components combined with DEFAULT_WEIGHTS.
-
-    raw mode takes scalars (or arrays elementwise); zscored mode takes the
-    whole cohort as arrays (length >= 2) and robust-z-scores each component
-    across it before weighting.
-    """
+def sufficiency_index(bits: float, mi_eff: float, auc: float) -> float:
+    """One report's raw SI: its three components combined with DEFAULT_WEIGHTS."""
     w_b, w_m, w_s = DEFAULT_WEIGHTS
-    if mode == "raw":
-        bits_a = np.asarray(bits, dtype=float)
-        mi_a = np.asarray(mi_eff, dtype=float)
-        sep = 2.0 * np.asarray(auc, dtype=float) - 1.0
-        out = w_b * bits_a + w_m * mi_a + w_s * sep
-        return float(out) if out.ndim == 0 else out
-    if mode == "zscored":
-        bits_a = np.atleast_1d(np.asarray(bits, dtype=float))
-        mi_a = np.atleast_1d(np.asarray(mi_eff, dtype=float))
-        auc_a = np.atleast_1d(np.asarray(auc, dtype=float))
-        if bits_a.size < 2:
-            raise ValidationError("zscored mode needs a cohort of at least 2")
-        return (w_b * robust_zscores(bits_a) + w_m * robust_zscores(mi_a)
-                + w_s * robust_zscores(2.0 * auc_a - 1.0))
-    raise ValidationError(f"unknown SI mode {mode!r}")
+    return float(w_b * bits + w_m * mi_eff + w_s * (2.0 * auc - 1.0))
+
+
+def zscored_sufficiency_index(bits, mi_eff, auc) -> np.ndarray:
+    """A cohort's SI (each argument holds one entry per set, at least 2): each
+    component robust-z-scored across the cohort, then weighted.  An infinite
+    z gives an infinite or NaN SI, without a warning."""
+    if len(bits) < 2:
+        raise ValidationError("the z-scored SI needs a cohort of at least 2")
+    w_b, w_m, w_s = DEFAULT_WEIGHTS
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (w_b * robust_zscores(bits) + w_m * robust_zscores(mi_eff)
+                + w_s * robust_zscores(2.0 * np.asarray(auc, dtype=float) - 1.0))
 
 
 def leaky_negative_flags(per_negative_delta_nll: dict) -> dict:
@@ -375,9 +370,9 @@ def with_zscored_si(reports) -> list:
     """The reports, each with its z-scored SI across them when there are two or more."""
     if len(reports) < 2:
         return reports
-    zs = sufficiency_index([r.delta_nll_median for r in reports],
-                           [r.mi_effective for r in reports],
-                           [r.auc for r in reports], mode="zscored")
+    zs = zscored_sufficiency_index([r.delta_nll_median for r in reports],
+                                   [r.mi_effective for r in reports],
+                                   [r.auc for r in reports])
     return [replace(r, si_zscored=float(z)) for r, z in zip(reports, zs)]
 
 

@@ -11,7 +11,8 @@ The score matrix L collects normalised sequence log-scores between completions
 On an (N, K+1) candidate block with the positive in column 0, the contrastive
 bound is log(K+1) minus the empirical InfoNCE loss; it can never exceed
 log(K+1) and goes negative for worse-than-chance association (the sign is
-kept).  Shadow candidates are drawn uniformly from the positive pool without
+kept).  clean_mi_bounds(row_scores, col_scores, clean_mask) reads K from the
+blocks' width.  Shadow candidates are drawn uniformly from the positive pool without
 replacement, excluding the true principle.
 
 A score matrix carries a normalisation label: raw_sum (plain log-likelihood
@@ -53,13 +54,10 @@ class ScoreMatrix:
     def shape(self) -> tuple:
         return self.scores.shape
 
-    def row_stats(self) -> tuple:
-        """Per-row mean and population std (sigma may be 0 for constant rows)."""
-        return self.scores.mean(axis=1), self.scores.std(axis=1)
-
     def standardised(self) -> np.ndarray:
-        """(L - mu_i) / sigma_i per row; constant rows map to all-zero rows."""
-        mu, sigma = self.row_stats()
+        """(L - mu_i) / sigma_i per row, with the row's mean and population
+        std; constant rows (sigma_i = 0) map to all-zero rows."""
+        mu, sigma = self.scores.mean(axis=1), self.scores.std(axis=1)
         safe = np.where(sigma > 0, sigma, 1.0)
         out = (self.scores - mu[:, None]) / safe[:, None]
         out[sigma == 0] = 0.0
@@ -183,8 +181,9 @@ def shadow_candidates(rng: np.random.Generator, true_cols, m: int, k: int) -> np
     return np.hstack([true, picked + (picked >= true)])
 
 
-def infonce_bound(candidate_scores: np.ndarray, positive_index: int = 0) -> float:
-    """log(K+1) - InfoNCE loss over (n, K+1) candidate scores; ceiling log(K+1).
+def infonce_bound(candidate_scores: np.ndarray) -> float:
+    """log(K+1) - InfoNCE loss over (n, K+1) candidate scores with the
+    positive in column 0; ceiling log(K+1).
 
     Equal scores give exactly 0 (chance level); the value may be negative and
     is reported as-is.
@@ -194,14 +193,15 @@ def infonce_bound(candidate_scores: np.ndarray, positive_index: int = 0) -> floa
     if cands < 2:
         raise ValidationError("need the positive plus at least one shadow")
     log_sm = _log_softmax(scores, axis=1)
-    loss = float(-np.mean(log_sm[:, positive_index]))
+    loss = float(-np.mean(log_sm[:, 0]))
     return math.log(cands) - loss
 
 
-def clean_mi_bounds(row_scores, col_scores, k: int, clean_mask) -> dict:
+def clean_mi_bounds(row_scores, col_scores, clean_mask) -> dict:
     """Row/column contrastive bounds over the clean subset, in nats.
 
-    Both (n, K+1) candidate blocks hold the positive in column 0.
+    Both (n, K+1) candidate blocks hold the positive in column 0; K is read
+    from their width, which must be at least 2.
     row_scores[i]: completion i scored under {true principle, K shadows}.
     col_scores[i]: {true completion, K shadow completions} scored under
     completion i's own rendered prompt.
@@ -213,10 +213,8 @@ def clean_mi_bounds(row_scores, col_scores, k: int, clean_mask) -> dict:
     col_scores = np.atleast_2d(np.asarray(col_scores, dtype=float))
     if row_scores.shape != col_scores.shape:
         raise ValidationError("row and column candidate blocks must align")
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    if row_scores.shape[1] != k + 1:
-        raise ValidationError(f"expected {k + 1} candidates per row")
+    if row_scores.shape[1] < 2:
+        raise ValidationError("candidate blocks need the positive plus at least one shadow")
     mask = np.asarray(clean_mask, dtype=bool)
     if mask.shape != (row_scores.shape[0],):
         raise ValidationError("clean mask length must match the batch")

@@ -87,13 +87,11 @@ def mi_tiebreak_rewards(z, channel_weight: float, gate_open,
     """gate_open[i] * beta * channel_weight * sigmoid(SIGMOID_SLOPE * z[i]) per completion.
 
     The exponential is math.exp's: np.exp rounds differently in the last bit
-    on some arguments.
+    on some arguments.  The trainer calls this only when channel_weight > 0.
     """
     if channel_weight < 0:
         raise ValidationError("channel weight cannot be negative")
     z = np.asarray(z, dtype=float)
-    if channel_weight == 0.0:
-        return np.zeros_like(z)
     decay = np.fromiter(map(math.exp, (-SIGMOID_SLOPE * z).tolist()), dtype=float, count=z.size)
     return np.where(gate_open, state.beta * channel_weight / (1.0 + decay), 0.0)
 

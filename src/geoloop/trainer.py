@@ -9,7 +9,9 @@ loss -> one SGD step, and it emits a StepReport.  The loss identity
 
     total = grpo + sami_weight(step) * sami + ot
 
-holds at every step (ot already carries its weight and warmup gate).  The
+is how train_step sums loss_total, with the step's one read of
+sami_weight_at; ot is ot_weight times the divergence when the step's one
+warmup gate, ot_on, is open, and 0 otherwise.  The
 GRPO term is on-policy: each sampled batch gets one update, so the policy that
 sampled it is the one being differentiated, the sequence-level ratio
 exp((new - old) / max_len) is exactly 1 and a PPO clip on it never binds
@@ -88,15 +90,9 @@ def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.
     return np.random.default_rng((seed, step, channel, index))
 
 
-@dataclass(frozen=True)
-class GroupAdvantages:
-    advantages: np.ndarray
-    std: np.ndarray
-
-
-def group_advantages(group_rewards) -> GroupAdvantages:
-    """Centred advantages within each group, the last axis; std has one entry
-    per group (it is logged, not applied).
+def group_advantages(group_rewards) -> tuple:
+    """(advantages, std): centred advantages within each group, the last
+    axis, and one std per group (it is logged, not applied).
 
     The advantages are raw, not divided by the group std, as in Dr. GRPO
     (Liu et al. 2025, arXiv:2503.20783): at this scale std scaling amplifies
@@ -106,7 +102,7 @@ def group_advantages(group_rewards) -> GroupAdvantages:
     r = np.asarray(group_rewards, dtype=float)
     if r.shape[-1] < 2:
         raise ValidationError("a group needs at least 2 rewards")
-    return GroupAdvantages(r - r.mean(axis=-1, keepdims=True), r.std(axis=-1))
+    return r - r.mean(axis=-1, keepdims=True), r.std(axis=-1)
 
 
 def rowcol_anneal(step: int, max_steps: int) -> tuple:
@@ -120,13 +116,6 @@ def rowcol_anneal(step: int, max_steps: int) -> tuple:
 def sami_weight_at(config, step: int) -> float:
     """Linear warmup of the auxiliary weight over MI_WARMUP_STEPS."""
     return config.sami_weight * min(1.0, step / MI_WARMUP_STEPS)
-
-
-def enigma_loss(grpo_term: float, sami_term: float, ot_term: float,
-                config, step: int) -> float:
-    """Unified objective with schedules applied; ot_term is gated by warmup."""
-    gated_ot = 0.0 if step < config.ot_warmup else ot_term
-    return grpo_term + sami_weight_at(config, step) * sami_term + gated_ot
 
 
 @dataclass(frozen=True)
@@ -199,23 +188,33 @@ def _geometry(cur: rep_metrics.EmpiricalMeasure, ref: rep_metrics.EmpiricalMeasu
     except ValidationError:
         return math.nan, math.nan, math.nan, True
     degenerate = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", rep_metrics.FrechetClampWarning)
+    # A clamp is raised, so it flags the step instead of warning; any other
+    # warning reaches the caller.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", rep_metrics.FrechetClampWarning)
         try:
             frechet = rep_metrics.frechet_distance(cur_fit, rep_metrics.fit_gaussian(ref))
+        except rep_metrics.FrechetClampWarning:
+            frechet, degenerate = 0.0, True
         except ValidationError:
             frechet, degenerate = math.nan, True
-    for w in caught:
-        if issubclass(w.category, rep_metrics.FrechetClampWarning):
-            degenerate = True
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     try:
         dims = rep_metrics.effective_dims(cur_fit.spectrum())
         effrank, pr = dims["effrank"], dims["participation_ratio"]
     except ValidationError:
         effrank, pr, degenerate = math.nan, math.nan, True
     return float(frechet), float(effrank), float(pr), degenerate
+
+
+def _sami_weights(losses: dict, w_sami: float, lam_row: float,
+                  lam_col: float) -> np.ndarray:
+    """d(w_sami * sami)/d(scores) for the kept-row matrix, from the row and
+    column softmaxes of its `mi.infonce_losses`."""
+    n = losses["row_softmax"].shape[0]
+    eye = np.eye(n)
+    d_row = -(eye - losses["row_softmax"]) / n
+    d_col = -(eye - losses["col_softmax"]) / n
+    return w_sami * (lam_row * d_row + lam_col * d_col)
 
 
 class Trainer:
@@ -270,16 +269,6 @@ class Trainer:
         rng = derive_rng(self.config.seed, step, _CH_SHADOW_C)
         return mi.shadow_candidates(rng, np.arange(b), b, self.config.shadow_k)
 
-    def _sami_weights(self, losses: dict, step: int, lam_row: float,
-                      lam_col: float) -> np.ndarray:
-        """d(sami_weight * sami)/d(scores) for the kept-row matrix, from the
-        row and column softmaxes of its `mi.infonce_losses`."""
-        n = losses["row_softmax"].shape[0]
-        eye = np.eye(n)
-        d_row = -(eye - losses["row_softmax"]) / n
-        d_col = -(eye - losses["col_softmax"]) / n
-        return sami_weight_at(self.config, step) * (lam_row * d_row + lam_col * d_col)
-
     # ---------- the step ----------
 
     def train_step(self) -> StepReport:
@@ -321,14 +310,14 @@ class Trainer:
                       / lengths[:, None])
         cands = self._col_candidates(b, step)
         col_scores = own_scores[groups[:, None], cands] / lengths[cands]
-        clean = mi.clean_mi_bounds(row_scores, col_scores, config.shadow_k,
-                                   format_ok & entropy_mask)
+        clean = mi.clean_mi_bounds(row_scores, col_scores, format_ok & entropy_mask)
 
         # The on-policy GRPO term is over untruncated completions (module
         # docstring), and so is the SAMI matrix.
         kept = np.flatnonzero(~samples.truncated)
         n_kept = max(1, kept.size)
         lam_row, lam_col = rowcol_anneal(step, config.max_steps)
+        w_sami = sami_weight_at(config, step)
         losses = None
         if kept.size >= 2:
             losses = mi.infonce_losses(_sami_matrix(own_scores, groups, kept, lengths))
@@ -370,8 +359,8 @@ class Trainer:
                 gate_open = entropy_mask & (format_ok | (not format_gate_on))
                 mi_reward = rewards.mi_tiebreak_rewards(
                     z, config.channel_weight, gate_open, self.autoscaler)
-            grouped = group_advantages((base + mi_reward).reshape(n_groups, -1))
-            adv = grouped.advantages.ravel()
+            adv, group_std = group_advantages((base + mi_reward).reshape(n_groups, -1))
+            adv = adv.ravel()
 
             # The builtin sum adds the advantages in completion order.
             loss_grpo = sum(-adv[kept]) / n_kept
@@ -379,8 +368,8 @@ class Trainer:
             loss_sami = 0.0
             if losses is not None:
                 loss_sami = lam_row * losses["row_loss"] + lam_col * losses["col_loss"]
-                if sami_weight_at(config, step) > 0:
-                    weights = self._sami_weights(losses, step, lam_row, lam_col)
+                if w_sami > 0:
+                    weights = _sami_weights(losses, w_sami, lam_row, lam_col)
                     np.add.at(coeffs, (own[groups[kept]][None, :], kept[:, None]),
                               weights / lengths[kept, None])
 
@@ -390,7 +379,7 @@ class Trainer:
                 loss_ot = config.ot_weight * ot_value
                 feat_grad = table.summary_feat_grad(own[groups], row_counts, cur_summaries,
                                                     config.ot_weight * point_grad)
-            loss_total = enigma_loss(loss_grpo, loss_sami, loss_ot, config, step)
+            loss_total = loss_grpo + w_sami * loss_sami + loss_ot
 
             total_grad = self.policy.backward(
                 table, logit_sums(np.tensordot(coeffs, counts, axes=1)), feat_grad)
@@ -398,7 +387,7 @@ class Trainer:
             if grad_norm > GRAD_CLIP:
                 total_grad = total_grad.scaled(GRAD_CLIP / grad_norm)
             finite = dict(zip(_FINITE_FIELDS, map(float, (
-                base.mean(), mi_reward.mean(), np.mean(grouped.std), loss_total,
+                base.mean(), mi_reward.mean(), np.mean(group_std), loss_total,
                 loss_grpo, loss_sami, loss_ot, grad_norm))))
 
         # Refused, not rescaled (that would change grad_norm's bits in every

@@ -1,5 +1,6 @@
 """Command-line surface: config round trip, exit codes, artifact layout."""
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import struct
 import tracemalloc
+import warnings
 import zipfile
 from dataclasses import fields
 from pathlib import Path
@@ -543,6 +545,36 @@ class TestEvalCommand:
             assert float(bits) == reports[name]["leaky"]["delta_nll_bits"][pid]
             assert leaky == "1"
 
+    def test_set_name_with_csv_specials_reads_back_as_one_field(self, tmp_path):
+        name = 'toy, "high" si'
+        path = tmp_path / "named.txt"
+        path.write_text((DATA / "toy_low_si.txt").read_text(encoding="utf-8").replace(
+            "name: toy_low_si", f"name: {name}"), encoding="utf-8")
+        out = tmp_path / "eval"
+        assert cli.main(["eval-constitution", str(path), str(DATA / "toy_high_si.txt"),
+                         "--warm-epochs", "80", "--out-dir", str(out)]) == cli.EXIT_OK
+        with open(out / "per_principle.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        leaky = json.loads((out / f"report_{name}.json").read_text())["leaky"]
+        assert header == ["set", "pid", "delta_nll_bits", "leaky"]
+        assert [row[:2] for row in rows if row[0] == name] == [
+            [name, pid] for pid in leaky["delta_nll_bits"]] != []
+        assert all(len(row) == 4 for row in rows)
+
+    def test_subnormal_mad_writes_a_null_zscored_si_without_a_warning(self, tmp_path,
+                                                                      capsys):
+        # The bits' MAD is the subnormal 1.1e-308, so the z of 2.0 bits is past
+        # the float range: that set's z-scored SI is inf, written as null.
+        out = tmp_path / "eval"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["eval-constitution", "--components",
+                             str(GOLDEN / "subnormal_mad_components.json"),
+                             "--out-dir", str(out)])
+        assert code == cli.EXIT_OK and capsys.readouterr().err == ""
+        assert [json.loads((out / f"report_{name}.json").read_text())["si_zscored"]
+                for name in ("zero", "two", "subnormal")] == [-0.6, None, 0.0]
+
     def test_empty_negatives_schema_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("positives:\n- 4 9 4 9\n- 5 10 5 10\nnegatives:\n")
@@ -869,9 +901,9 @@ def reference_reports(paths, seed=0, epochs=120, lr=0.5) -> dict:
         mle_pretrain(policy, gold_items(task), epochs, lr)
         reports.append(consti.evaluate_principle_set(policy, task, pset, seed=seed))
     if len(reports) >= 2:
-        zs = consti.sufficiency_index([r.delta_nll_median for r in reports],
-                                      [r.mi_effective for r in reports],
-                                      [r.auc for r in reports], mode="zscored")
+        zs = consti.zscored_sufficiency_index([r.delta_nll_median for r in reports],
+                                              [r.mi_effective for r in reports],
+                                              [r.auc for r in reports])
         reports = [consti.SufficiencyReport(**{**r.__dict__, "si_zscored": float(z)})
                    for r, z in zip(reports, zs)]
     return {f"report_{r.name}.json": r.to_json() for r in reports}

@@ -11,9 +11,9 @@ SRC = Path(geoloop.__file__).parent
 # that resizes the interned-string table peaks about 900 KiB higher, and how
 # many strings a long-lived process has interned depends on what ran in it
 # before.  With Python 3.11, the largest peak is policy.py's 2 013 KiB, then
-# cli.py's 1 850 KiB and trainer.py's 1 298 KiB.  A line of code adds about
+# cli.py's 1 859 KiB and trainer.py's 1 270 KiB.  A line of code adds about
 # 4 KiB to its module's peak, so the margin of 35 KiB leaves policy.py about
-# 8 lines to grow, and cli.py about 49.
+# 8 lines to grow, and cli.py about 47.
 BOUND_KIB = 2048
 
 # Reads the module named by argv[1] and prints its compile peak in bytes.

@@ -1,4 +1,5 @@
-"""What the commands import: no CLI path loads numpy's masked-array package."""
+"""What the commands import and print: no CLI path loads numpy's masked-array
+package or issues a warning."""
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # Runs each CLI path in turn in one fresh process (argv[1] is the package's
 # parent, argv[2] a scratch directory) and prints the label of the first
 # path after which numpy.ma is in sys.modules, or "none".  The bundled
-# configs name their constitution relative to the repository root, the
-# working directory.
+# configs and the subnormal-MAD components file (whose z-scored SI
+# overflows) are named relative to the repository root, the working
+# directory.
 _PATHS = r"""
 import sys
 from pathlib import Path
@@ -41,6 +43,9 @@ paths = [
     ("eval-constitution --components", ["eval-constitution", "--components",
                                         str(data / "component_replay.json"),
                                         "--out-dir", str(work / "e2")]),
+    ("eval-constitution --components, subnormal MAD",
+     ["eval-constitution", "--components", "tests/data/subnormal_mad_components.json",
+      "--out-dir", str(work / "e4")]),
     ("eval-constitution --scores", ["eval-constitution", "--scores", str(work / "pos.csv"),
                                     str(work / "neg.csv"), "--nll", str(work / "nll.csv"),
                                     "--out-dir", str(work / "e3")]),
@@ -62,10 +67,12 @@ else:
 def test_no_cli_path_imports_numpy_ma(tmp_path):
     """numpy loads numpy.ma on the first np.unique, np.union1d or np.median
     call, about 6 ms of CPU and 0.8 MB that a one-shot command pays for
-    nothing, since no geoloop command uses masked arrays."""
+    nothing, since no geoloop command uses masked arrays.  The sweep runs
+    with -W error, so a warning any path prints fails it."""
     result = subprocess.run(
-        [sys.executable, "-I", "-c", _PATHS, str(Path(geoloop.__file__).parent.parent),
-         str(tmp_path)], cwd=ROOT, capture_output=True, text=True)
+        [sys.executable, "-I", "-W", "error", "-c", _PATHS,
+         str(Path(geoloop.__file__).parent.parent), str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     first = result.stdout.splitlines()[-1]
     assert first == "none", f"numpy.ma was first imported by {first!r}"

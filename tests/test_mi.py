@@ -174,25 +174,33 @@ class TestBounds:
         assert mi.infonce_bound(scores) <= math.log(k + 1) + 1e-9
 
     def test_clean_bounds_masking(self):
+        # K is read from the blocks' width.
         rng = np.random.default_rng(2)
-        out = mi.clean_mi_bounds(rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (6, 3)), 2,
-                                 [True, False, True, True, False, True])
-        assert out["clean_count"] == 4
-        assert out["gap"] == pytest.approx(out["row_bound"] - out["col_bound"])
+        mask = np.array([True, False, True, True, False, True])
+        for k in (1, 2, 5):
+            rows, cols = rng.normal(0, 1, (2, 6, k + 1))
+            out = mi.clean_mi_bounds(rows, cols, mask)
+            assert out["clean_count"] == 4
+            assert out["row_bound"] == mi.infonce_bound(rows[mask]) <= math.log(k + 1)
+            assert out["col_bound"] == mi.infonce_bound(cols[mask])
+            assert out["gap"] == pytest.approx(out["row_bound"] - out["col_bound"])
 
     def test_zero_clean_rows(self):
-        out = mi.clean_mi_bounds(np.zeros((3, 3)), np.zeros((3, 3)), 2, [False, False, False])
+        out = mi.clean_mi_bounds(np.zeros((3, 3)), np.zeros((3, 3)), [False, False, False])
         assert math.isnan(out["row_bound"])
         assert math.isnan(out["col_bound"])
         assert out["clean_count"] == 0
 
     def test_candidate_count_checked(self):
-        with pytest.raises(ValidationError):
-            mi.clean_mi_bounds(np.zeros((3, 4)), np.zeros((3, 4)), 2, [True, True, True])
+        # K is the blocks' width less the positive: a one-column block has no
+        # shadow, and is refused even when no row is clean.
+        for clean in ([True, True, True], [False, False, False]):
+            with pytest.raises(ValidationError, match="at least one shadow"):
+                mi.clean_mi_bounds(np.zeros((3, 1)), np.zeros((3, 1)), clean)
 
     def test_row_and_column_blocks_must_align(self):
         with pytest.raises(ValidationError):
-            mi.clean_mi_bounds(np.zeros((3, 3)), np.zeros((4, 3)), 2, [True, True, True])
+            mi.clean_mi_bounds(np.zeros((3, 3)), np.zeros((4, 3)), [True, True, True])
 
 
 class TestShadowDraws:

@@ -57,13 +57,13 @@ def small_trainer(seed=0, steps=50, **config_overrides):
 
 class TestGroupAdvantages:
     def test_all_equal_rewards(self):
-        out = tr.group_advantages([0.7, 0.7, 0.7, 0.7])
-        assert np.all(out.advantages == 0.0)
-        assert out.std == 0.0
+        advantages, std = tr.group_advantages([0.7, 0.7, 0.7, 0.7])
+        assert np.all(advantages == 0.0)
+        assert std == 0.0
 
     def test_mean_subtraction_mode_none(self):
-        out = tr.group_advantages([1.0, 0.0, 0.0, 0.0])
-        assert out.advantages == pytest.approx([0.75, -0.25, -0.25, -0.25])
+        advantages, _ = tr.group_advantages([1.0, 0.0, 0.0, 0.0])
+        assert advantages == pytest.approx([0.75, -0.25, -0.25, -0.25])
 
     def test_needs_two(self):
         with pytest.raises(ValidationError):
@@ -73,13 +73,13 @@ class TestGroupAdvantages:
         rng = np.random.default_rng(7)
         rewards = rng.normal(0, 1, (6, 4))
         rewards[2] = 0.3
-        out = tr.group_advantages(rewards)
+        advantages, std = tr.group_advantages(rewards)
         for g in range(6):
-            one = tr.group_advantages(rewards[g])
-            assert np.array_equal(out.advantages[g], one.advantages)
-            assert out.std[g] == one.std
-        assert out.std[2] == 0.0
-        assert np.all(out.advantages[2] == 0.0)
+            one_advantages, one_std = tr.group_advantages(rewards[g])
+            assert np.array_equal(advantages[g], one_advantages)
+            assert std[g] == one_std
+        assert std[2] == 0.0
+        assert np.all(advantages[2] == 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 12))
@@ -87,9 +87,9 @@ class TestGroupAdvantages:
         # Centred, not scaled: the advantages keep the rewards' spread.
         rng = np.random.default_rng(seed)
         rewards = rng.normal(0, 1, g)
-        out = tr.group_advantages(rewards)
-        assert out.advantages.mean() == pytest.approx(0.0, abs=1e-9)
-        assert out.advantages.std() == pytest.approx(out.std, abs=1e-12)
+        advantages, std = tr.group_advantages(rewards)
+        assert advantages.mean() == pytest.approx(0.0, abs=1e-9)
+        assert advantages.std() == pytest.approx(std, abs=1e-12)
 
 
 class TestGrpoUpdate:
@@ -128,7 +128,7 @@ class TestGrpoUpdate:
                            for c in sampled])
         reward = reward + config.jitter_sigma * tr.derive_rng(
             4, 0, tr._CH_JITTER).standard_normal(len(sampled))
-        advantages = [tr.group_advantages(reward[g * size:(g + 1) * size]).advantages
+        advantages = [tr.group_advantages(reward[g * size:(g + 1) * size])[0]
                       for g in range(tr.PROMPTS_PER_BATCH)]
         sampled = [sampled[g * size:(g + 1) * size] for g in range(tr.PROMPTS_PER_BATCH)]
 
@@ -201,7 +201,7 @@ class TestStepGradient:
 
         def record_advantages(rewards):
             out = group_advantages(rewards)
-            recorded["advantages"] = out.advantages.ravel()
+            recorded["advantages"] = out[0].ravel()
             return out
 
         before = policy.clone()
@@ -275,16 +275,6 @@ class TestSchedules:
         assert tr.sami_weight_at(config, 50) == pytest.approx(0.05)
         assert tr.sami_weight_at(config, 500) == pytest.approx(0.05)
 
-    def test_unified_loss_schedule(self):
-        config = cli.RunConfig()
-        # step 0: both auxiliaries contribute nothing
-        assert tr.enigma_loss(1.5, 9.9, 7.7, config, 0) == pytest.approx(1.5)
-        # past warmup: sami at full weight
-        assert tr.enigma_loss(1.0, 2.0, 0.0, config, 50) == pytest.approx(1.1)
-        # ot switches on exactly at ot_warmup
-        assert tr.enigma_loss(0.0, 0.0, 0.5, config, 199) == 0.0
-        assert tr.enigma_loss(0.0, 0.0, 0.5, config, 200) == pytest.approx(0.5)
-
 
 def bundled_trainer_config(name) -> dict:
     run = cli.load_config(CONFIGS / f"{name}.toml")
@@ -316,14 +306,21 @@ class TestTrainStep:
         assert t1.policy.param_hash() == t2.policy.param_hash()
 
     def test_loss_identity(self, monkeypatch):
+        # loss_total is the logged terms' sum to the bit, in each bundled
+        # config, as the SAMI weight ramps up (from 0 at step 0 to its full
+        # value at step 2) and on both sides of ot_warmup 3: the OT term is
+        # 0 before it and switches on exactly at it where ot_weight > 0.
         monkeypatch.setattr(tr, "MI_WARMUP_STEPS", 2)
-        t = small_trainer(seed=4, ot_warmup=3)
-        for _ in range(6):
-            rep = t.train_step()
-            expected = (rep.loss_grpo
-                        + tr.sami_weight_at(t.config, rep.step) * rep.loss_sami
-                        + rep.loss_ot)
-            assert rep.loss_total == pytest.approx(expected, abs=1e-9)
+        for name in ("enigma_high_si", "grpo_cot", "grpo_cot_plus"):
+            t = small_trainer(seed=4, **{**bundled_trainer_config(name), "ot_warmup": 3})
+            for _ in range(6):
+                rep = t.train_step()
+                assert rep.loss_total == (rep.loss_grpo
+                                          + tr.sami_weight_at(t.config, rep.step) * rep.loss_sami
+                                          + rep.loss_ot), (name, rep.step)
+                ot_on = t.config.ot_weight > 0 and rep.step >= 3
+                assert (rep.loss_ot > 0) == ot_on and (rep.ot_iters is None) != ot_on, \
+                    (name, rep.step)
 
     def test_single_principle_pool_rejected(self):
         task = make_toy_task(seed=2, prompt_len=2, n_items=16)
@@ -671,9 +668,8 @@ def per_completion_rewards(t, step, comps, z):
     adv, stds = np.zeros(len(comps)), []
     size = tr.GROUP_SIZE
     for g in range(len(comps) // size):
-        out = tr.group_advantages(total[g * size:(g + 1) * size])
-        adv[g * size:(g + 1) * size] = out.advantages
-        stds.append(float(out.std))
+        adv[g * size:(g + 1) * size], std = tr.group_advantages(total[g * size:(g + 1) * size])
+        stds.append(float(std))
     return entropies, format_ok, base, mi_reward, adv, stds
 
 
@@ -728,9 +724,9 @@ class TestBatchedBookkeeping:
                 assert np.array_equal(rewards.mi_tiebreak_rewards(
                     recorded["z"], t.config.channel_weight, gate_open, state), mi_reward)
                 open_gates += int(np.count_nonzero(mi_reward))
-            grouped = tr.group_advantages((base + mi_reward).reshape(-1, tr.GROUP_SIZE))
-            assert np.array_equal(grouped.advantages.ravel(), adv)
-            assert np.array_equal(grouped.std, stds)
+            grouped, std = tr.group_advantages((base + mi_reward).reshape(-1, tr.GROUP_SIZE))
+            assert np.array_equal(grouped.ravel(), adv)
+            assert np.array_equal(std, stds)
 
             kept = [i for i, c in enumerate(comps) if not c.truncated]
             assert report.entropy == float(entropies.mean())
@@ -785,6 +781,26 @@ class TestGeometryFlags:
             warnings.simplefilter("error")
             frechet, effrank, _, degenerate = tr._geometry(cloud, cloud)
         assert frechet == 0.0 and degenerate and effrank > 1.0
+
+    @pytest.mark.parametrize("category", [UserWarning, RuntimeWarning])
+    def test_other_warnings_reach_the_caller(self, monkeypatch, category):
+        def warning_frechet(a, b):
+            warnings.warn("not a clamp", category)
+            return 0.5
+
+        monkeypatch.setattr(rep_metrics, "frechet_distance", warning_frechet)
+        points = np.random.default_rng(0).normal(size=(8, 3))
+        cloud = rep_metrics.EmpiricalMeasure(
+            points / np.linalg.norm(points, axis=1, keepdims=True), normalised=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frechet, _, _, degenerate = tr._geometry(cloud, cloud)
+        assert [(w.category, str(w.message)) for w in caught] == [(category, "not a clamp")]
+        assert frechet == 0.5 and not degenerate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", category)
+            with pytest.raises(category, match="not a clamp"):
+                tr._geometry(cloud, cloud)
 
     def test_healthy_fit_not_flagged(self):
         points = np.random.default_rng(1).normal(size=(16, 3))
@@ -878,8 +894,8 @@ class TestStepGeometry:
                 want = tr.sami_weight_at(t.config, step) * (
                     lam_row * (-(np.eye(n) - ref["row_softmax"]) / n)
                     + lam_col * (-(np.eye(n) - ref["col_softmax"]) / n))
-                got = t._sami_weights(mi.infonce_losses(mi.ScoreMatrix(scores)), step,
-                                      lam_row, lam_col)
+                got = tr._sami_weights(mi.infonce_losses(mi.ScoreMatrix(scores)),
+                                       tr.sami_weight_at(t.config, step), lam_row, lam_col)
                 assert np.array_equal(got, want)
 
     def test_step_samples_match_along_axis_decode(self, monkeypatch):
