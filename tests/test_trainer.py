@@ -275,6 +275,20 @@ class TestSchedules:
         assert tr.sami_weight_at(config, 50) == pytest.approx(0.05)
         assert tr.sami_weight_at(config, 500) == pytest.approx(0.05)
 
+    def test_unified_loss_schedule(self, monkeypatch):
+        # The step's loss_total follows the schedule: at step 0 both
+        # auxiliaries contribute nothing, past the SAMI warmup SAMI counts
+        # at full weight, and OT switches on exactly at ot_warmup.
+        monkeypatch.setattr(tr, "MI_WARMUP_STEPS", 2)
+        t = small_trainer(seed=4, ot_warmup=4)
+        reports = [t.train_step() for _ in range(6)]
+        first = reports[0]
+        assert first.loss_ot == 0.0 and first.loss_total == first.loss_grpo
+        for rep in reports[2:]:
+            assert rep.loss_total == (rep.loss_grpo + t.config.sami_weight * rep.loss_sami
+                                      + rep.loss_ot), rep.step
+        assert [rep.loss_ot > 0 for rep in reports] == [False] * 4 + [True] * 2
+
 
 def bundled_trainer_config(name) -> dict:
     run = cli.load_config(CONFIGS / f"{name}.toml")
