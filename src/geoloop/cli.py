@@ -495,19 +495,20 @@ def cmd_probe(args) -> int:
     alphas = np.linspace(*PROBE_ALPHA_RANGE, PROBE_GRID)
     betas = np.linspace(0.0, 1.0, PROBE_GRID)
     grid = prob_metrics.landscape_grid(dists[-1], alphas, betas, metric=args.metric)
+    beta_values = betas.tolist()
+    cells = "".join(f"{a!r},{b!r},{value!r}\n" for a, row in zip(alphas.tolist(), grid.tolist())
+                    for b, value in zip(beta_values, row))
     with open(out_dir / "landscape.csv", "w") as fh:
-        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n# metric={args.metric}\nalpha,beta,value\n")
-        for i, a in enumerate(alphas):
-            for j, b in enumerate(betas):
-                fh.write(f"{float(a)!r},{float(b)!r},{float(grid[i, j])!r}\n")
+        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n# metric={args.metric}\nalpha,beta,value\n"
+                 + cells)
 
     # Aligned score matrix and per-row diagonal statistics for the last policy.
     aligned, diag = consti.aligned_scores(loaded[-1][0], task)
     mi.write_score_csv(mi.ScoreMatrix(aligned), out_dir / "icmi_matrix.csv")
+    log_p = float(np.log(len(task.principles)))
     with open(out_dir / "icmi_diag.csv", "w") as fh:
-        fh.write("row,diag_log_softmax,pmi\n")
-        for i, val in enumerate(diag.tolist()):
-            fh.write(f"{i},{val!r},{float(val + np.log(len(task.principles)))!r}\n")
+        fh.write("row,diag_log_softmax,pmi\n" + "".join(
+            f"{i},{val!r},{val + log_p!r}\n" for i, val in enumerate(diag.tolist())))
 
     print(f"probe artifacts written to {out_dir}")
     return EXIT_OK

@@ -243,9 +243,8 @@ def row_positive_logsoftmax(matrix) -> np.ndarray:
 def write_score_csv(matrix: ScoreMatrix, path) -> None:
     n, m = matrix.shape
     with open(path, "w", newline="") as fh:
-        fh.write(f"normalisation={matrix.normalisation},N={n},M={m}\n")
-        for row in matrix.scores:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(f"normalisation={matrix.normalisation},N={n},M={m}\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in matrix.scores.tolist()))
 
 
 def read_score_csv(path) -> ScoreMatrix:

@@ -155,6 +155,15 @@ class NextTokenTable:
     ea: np.ndarray        # (C, V) exp(a - max a) per context
     eb: np.ndarray        # (V+1, V) exp(b - max b) per row
     z: np.ndarray         # (C, V+1) shifted partitions, ea @ eb.T
+    logits: np.ndarray    # (C+V+1, V) [a; b], the buffer that a and b view
+    peaks: np.ndarray     # (C+V+1, 1) [peak_a; peak_b], viewed likewise
+    exps: np.ndarray      # (C+V+1, V) [ea; eb], viewed likewise
+
+    @cached_property
+    def rows(self) -> tuple:
+        """(C, 1, n) views of weights, ctx, cfeat, a, ea and z that forward writes through."""
+        return tuple(x.reshape(-1, 1, x.shape[1]) for x in (self.weights, self.ctx, self.cfeat,
+                                                            self.a, self.ea, self.z))
 
     @cached_property
     def lse(self) -> np.ndarray:
@@ -330,31 +339,33 @@ class ToyPolicy:
         means the context and row logits disagree by more than the float
         range, and it is rejected before anything is divided by it.
 
-        `out`, a table of an earlier call on the same weights, is written
-        over and returned, so a loop over fixed contexts allocates its arrays
-        once; its cached log-partitions are dropped.
+        The arrays of a new table, or of `out`, a table of an earlier call on
+        the same weights (its cached log-partitions dropped), are written in
+        place; ctx, a and z row by row as `_by_row` takes them, through `rows`.
+        a and b share one buffer, so each step after them is one call on both.
         """
-        if out is not None and out.weights is not weights:
+        if out is None:
+            (c, v), d = weights.shape, self.dim
+            logits, peaks, exps = (np.empty((c + v + 1, n)) for n in (v, 1, v))
+            out = NextTokenTable(weights, np.empty((c, d)), np.empty((c, d)), np.zeros((v + 1, d)),
+                                 logits[:c], logits[c:], peaks[:c], peaks[c:], exps[:c],
+                                 exps[c:], np.empty((c, v + 1)), logits, peaks, exps)
+        elif out.weights is not weights:
             raise ValidationError("out must be a table of the same weights")
-        reuse = {} if out is None else vars(out)
-        reuse.pop("lse", None)
-        ctx = _by_row(weights, self.embed, reuse.get("ctx"))
-        cfeat = np.multiply(self.ctx_scale, ctx, out=reuse.get("cfeat"))
-        pfeat = np.zeros((self.vocab.size + 1, self.dim)) if out is None else out.pfeat
-        np.multiply(self.prev_scale, self.embed, out=pfeat[1:])
-        a = _by_row(cfeat, self.out, reuse.get("a"))
-        b = np.matmul(pfeat, self.out, out=reuse.get("b"))
-        peak_a = np.maximum.reduce(a, axis=1, keepdims=True, out=reuse.get("peak_a"))
-        peak_b = np.maximum.reduce(b, axis=1, keepdims=True, out=reuse.get("peak_b"))
-        ea = np.subtract(a, peak_a, out=reuse.get("ea"))
-        eb = np.subtract(b, peak_b, out=reuse.get("eb"))
-        np.exp(ea, out=ea)
-        np.exp(eb, out=eb)
-        z = _by_row(ea, eb.T, reuse.get("z"))
-        if np.minimum.reduce(z, axis=None) < _TINY:
+        vars(out).pop("lse", None)
+        w_rows, ctx_rows, cfeat_rows, a_rows, ea_rows, z_rows = out.rows
+        np.matmul(w_rows, self.embed, out=ctx_rows)
+        np.multiply(self.ctx_scale, out.ctx, out=out.cfeat)
+        np.multiply(self.prev_scale, self.embed, out=out.pfeat[1:])
+        np.matmul(cfeat_rows, self.out, out=a_rows)
+        np.matmul(out.pfeat, self.out, out=out.b)
+        np.maximum.reduce(out.logits, axis=1, keepdims=True, out=out.peaks)
+        np.exp(np.subtract(out.logits, out.peaks, out=out.exps), out=out.exps)
+        np.matmul(ea_rows, out.eb.T, out=z_rows)
+        if np.minimum.reduce(out.z, axis=None) < _TINY:
             raise ValidationError("next-token partition underflows: the logits span "
                                   "more than the float range")
-        return out or NextTokenTable(weights, ctx, cfeat, pfeat, a, b, peak_a, peak_b, ea, eb, z)
+        return out
 
     def table(self, contexts) -> NextTokenTable:
         """The forward pass over (prompt, principle) contexts: forward(bag(contexts))."""
@@ -384,13 +395,13 @@ class ToyPolicy:
         if feat_grad is not None:
             grad_c = grad_c + feat_grad[0]
             grad_p = grad_p + feat_grad[1]
-        reuse = {} if out is None else vars(out)
-        embed = np.add(self.prev_scale * grad_p[1:],
-                       table.weights.T @ (self.ctx_scale * grad_c), out=reuse.get("embed"))
-        out_ = np.add(table.cfeat.T @ da, table.pfeat.T @ db, out=reuse.get("out"))
-        ctx_scale = np.add.reduce(grad_c * table.ctx, axis=0, out=reuse.get("ctx_scale"))
-        prev_scale = np.add.reduce(grad_p[1:] * self.embed, axis=0, out=reuse.get("prev_scale"))
-        return out or ParamGrad(embed, out_, ctx_scale, prev_scale)
+        grad = out or ParamGrad(*map(np.empty_like, self.param_blocks().values()))
+        np.add(self.prev_scale * grad_p[1:], table.weights.T @ (self.ctx_scale * grad_c),
+               out=grad.embed)
+        np.add(table.cfeat.T @ da, table.pfeat.T @ db, out=grad.out)
+        np.add.reduce(grad_c * table.ctx, axis=0, out=grad.ctx_scale)
+        np.add.reduce(grad_p[1:] * self.embed, axis=0, out=grad.prev_scale)
+        return grad
 
     # ---------- views on the table ----------
 
@@ -586,14 +597,11 @@ def _count_sums(tok: np.ndarray, lengths: np.ndarray, vocab_size: int):
                              v + 1, v))
 
 
-def _by_row(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x @ m one row of x at a time, written into out when it is given.
-
-    A 2-D BLAS product can round row c differently depending on how many
-    rows share the call; row by row, a context's table and scores do not
-    depend on which other contexts are in the table.
-    """
-    return np.matmul(x[:, None, :], m, out=None if out is None else out[:, None, :])[:, 0]
+def _by_row(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m one row of x at a time: a 2-D BLAS product can round row c
+    differently depending on how many rows share the call; row by row, a
+    context's table and scores do not depend on which other contexts are in it."""
+    return (x[:, None, :] @ m)[:, 0]
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -110,3 +110,38 @@ def test_step_report_and_config_fields_the_benchmark_reads():
     assert {"shadow_k", "ot_warmup"} <= reads["config"]
     assert reads["report"] <= {f.name for f in fields(trainer.StepReport)}
     assert reads["config"] <= {f.name for f in fields(cli.RunConfig)}
+
+
+def test_eval_scoring_starts_inside_the_first_evaluate_call(monkeypatch, tmp_path):
+    # perfbench/workloads.py ends an eval set-up at the first
+    # constitution.evaluate_principle_set call.  Scoring hoisted ahead of
+    # that call would be timed as set-up, and a path that bypassed the
+    # function would leave the workload with no set-ups at all.
+    from geoloop import cli, constitution
+    from geoloop.policy import ToyPolicy
+
+    events = []
+    evaluate, forward, pretrain = (constitution.evaluate_principle_set, ToyPolicy.forward,
+                                   constitution.mle_pretrain)
+
+    def spy_pretrain(*args):
+        pretrain(*args)
+        events.append("pretrained")
+
+    def spy_forward(policy, *args, **kwargs):
+        events.append("forward")
+        return forward(policy, *args, **kwargs)
+
+    def spy_evaluate(*args, **kwargs):
+        events.append("evaluate")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(constitution, "mle_pretrain", spy_pretrain)
+    monkeypatch.setattr(constitution, "evaluate_principle_set", spy_evaluate)
+    monkeypatch.setattr(ToyPolicy, "forward", spy_forward)
+    data = Path(cli.DATA_DIR)
+    assert cli.main(["eval-constitution", str(data / "toy_high_si.txt"),
+                     str(data / "toy_low_si.txt"), "--out-dir", str(tmp_path / "out")]) == 0
+    first = events.index("evaluate")
+    assert "forward" not in events[events.index("pretrained"):first]
+    assert events.count("pretrained") == 1 and events.count("evaluate") == 2

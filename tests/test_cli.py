@@ -923,12 +923,13 @@ def built_tasks(monkeypatch):
     return calls
 
 
-def principle_file(tmp_path, name, positives):
-    """A token-pattern set with the given positives and two fixed negatives."""
+def principle_file(tmp_path, name, positives, negatives=("4 4 4", "10 10 10")):
+    """A set with the given positives and negatives, two fixed token
+    patterns unless given."""
     path = tmp_path / f"{name}.txt"
     path.write_text(f"name: {name}\npositives:\n"
                     + "".join(f"- {p}\n" for p in positives)
-                    + "negatives:\n- 4 4 4\n- 10 10 10\n")
+                    + "negatives:\n" + "".join(f"- {n}\n" for n in negatives))
     return path
 
 
@@ -956,6 +957,12 @@ class TestSharedWarmStart:
                                         [" ".join(p) for p in bundled[::-1]]),
             "other": principle_file(tmp_path, "other",
                                     ["4 9 4", "5 10 5", "9 4 10", "10 5 9"]),
+            # The bundled positives, with a negative that repeats one of them.
+            "repeats": principle_file(tmp_path, "repeats", [" ".join(p) for p in bundled],
+                                      ["4 9 4 9", "4 4 4"]),
+            # A free-text negative has no tokens: its bag is the no-principle one.
+            "free_text": principle_file(tmp_path, "free_text", [" ".join(p) for p in bundled],
+                                        ["be kind", "10 10 10"]),
         }
 
     @pytest.mark.parametrize("names, expected", [
@@ -982,8 +989,11 @@ class TestSharedWarmStart:
 
     @pytest.mark.parametrize("names, options", [
         (["high", "low"], {}), (["high", "low"], {"seed": 3}),
-        (["high", "reordered", "low", "other"], {"seed": 2, "epochs": 40})],
-        ids=["bundled", "seed3", "four"])
+        (["high", "reordered", "low", "other"], {"seed": 2, "epochs": 40}),
+        (["low", "high"], {}), (["high", "repeats"], {}), (["high", "free_text"], {}),
+        (["high", "other"], {})],
+        ids=["bundled", "seed3", "four", "bundled_reversed", "negative_repeats_positive",
+             "free_text_negative", "other_positives"])
     def test_reports_equal_a_fresh_warm_start_per_set(self, tmp_path, sets, names, options):
         paths = [sets[n] for n in names]
         out = tmp_path / "out"
@@ -993,6 +1003,37 @@ class TestSharedWarmStart:
         assert cli.main(argv) == cli.EXIT_OK
         expected = reference_reports(paths, **options)
         assert {name: (out / name).read_text() for name in expected} == expected
+
+    @pytest.mark.parametrize("names, patterns, caches", [
+        (["high", "low"], 13, 1), (["low", "high"], 13, 1), (["high", "repeats"], 10, 1),
+        (["high", "free_text"], 10, 1), (["high", "other"], 16, 2)],
+        ids=["bundled", "bundled_reversed", "negative_repeats_positive", "free_text_negative",
+             "other_positives"])
+    def test_each_pattern_is_scored_once_per_warm_start(self, monkeypatch, tmp_path, sets,
+                                                        names, patterns, caches):
+        # The bundled pair shares four positives and the no-principle
+        # context, so it scores 13 patterns, not 2 x 9.  Sets with other
+        # positives have their own warm start and their own cache.
+        rows, scored, cache_ids = [], [], set()
+        evaluate, forward = consti.evaluate_principle_set, ToyPolicy.forward
+
+        def spy_evaluate(policy, task, *args, **kwargs):
+            cache_ids.add(id(kwargs["cache"]))
+            start = len(rows)
+            report = evaluate(policy, task, *args, **kwargs)
+            scored.append(sum(rows[start:]) / len(task.items))
+            return report
+
+        def spy_forward(policy, weights, out=None):
+            rows.append(len(weights))
+            return forward(policy, weights, out)
+
+        monkeypatch.setattr(consti, "evaluate_principle_set", spy_evaluate)
+        monkeypatch.setattr(ToyPolicy, "forward", spy_forward)
+        assert cli.main(["eval-constitution", *(str(sets[n]) for n in names),
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert len(scored) == len(names) and len(cache_ids) == caches
+        assert sum(scored) == patterns
 
     def test_scoring_leaves_the_shared_policy_unchanged(self, monkeypatch, tmp_path):
         seen = []

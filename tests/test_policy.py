@@ -3,7 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -452,6 +452,12 @@ COMPLETIONS = [(11, 2, 12, 13, 7, 14, 15), (11, 12, 13, 14), (3, 3, 3), (15,),
                (11, 3, 12, 13, 8, 14, 15)]
 
 
+def field_values(*instances) -> list:
+    """The dataclass fields' values of each instance in turn; attributes
+    cached on a table (its row views, its log-partitions) are not fields."""
+    return [getattr(x, f.name) for x in instances for f in fields(x)]
+
+
 def assert_grads_close(a, b, tol):
     for name in ("embed", "out", "ctx_scale", "prev_scale"):
         assert np.max(np.abs(getattr(a, name) - getattr(b, name))) <= tol, name
@@ -527,17 +533,36 @@ class TestTableKernel:
         table = p.forward(weights)
         grad = p.backward(table, sums)
         lse = table.lse.copy()
-        held = [block.copy() for block in [*vars(table).values(), *vars(grad).values()]]
+        held = [block.copy() for block in field_values(table, grad)]
         p.add_scaled(grad, 0.5)
         p.backward(p.forward(weights), sums)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(held, [*vars(table).values(), *vars(grad).values()]))
+        assert all(np.array_equal(a, b) for a, b in zip(held, field_values(table, grad)))
         assert np.array_equal(table.lse, lse)
         again = p.forward(weights, out=table)
         assert again is table and np.array_equal(table.lse, p.forward(weights).lse)
         assert not np.array_equal(table.lse, lse)
         with pytest.raises(ValidationError, match="same weights"):
             p.forward(weights.copy(), out=table)
+
+    def test_tables_and_gradients_written_over_equal_fresh_ones(self):
+        # A warm-start loop writes each epoch's table and gradient over the
+        # last epoch's, through the table's row views; after a parameter
+        # update they hold the bits a fresh forward and backward return.
+        p = randomised_policy(27)
+        weights = p.bag(CONTEXTS)
+        sums = pol.logit_sums(pol.transition_counts(COMPLETIONS[:3], 16))
+        table = p.forward(weights)
+        grad = p.backward(table, sums)
+        assert table.lse.shape == (len(CONTEXTS), 17)
+        for _ in range(3):
+            p.add_scaled(grad, 0.5)
+            assert p.forward(weights, out=table) is table
+            assert p.backward(table, sums, out=grad) is grad
+            fresh = p.forward(weights)
+            fresh_grad = p.backward(fresh, sums)
+            assert all(a.tobytes() == b.tobytes() for a, b in
+                       zip(field_values(table, grad), field_values(fresh, fresh_grad)))
+            assert table.lse.tobytes() == fresh.lse.tobytes()
 
     def test_logit_sums_of_counts_are_exact(self):
         # Integer counts sum exactly in any order, so a caller may take the
