@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -516,7 +517,10 @@ def cmd_probe(args) -> int:
 
 # ---------- entry point ----------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `geoloop` parser, built once per process: parsing only reads it,
+    and `main` looks the command's function up when it is called."""
     parser = argparse.ArgumentParser(
         prog="geoloop",
         description="Single-loop toy trainer and information-geometry metrology")
@@ -527,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--max-steps", type=int, dest="max_steps")
     p_train.add_argument("--output-dir", dest="output_dir")
-    p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval-constitution",
                             help="score principle sets for training sufficiency")
@@ -539,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--warm-epochs", type=int, default=120, dest="warm_epochs")
     p_eval.add_argument("--out-dir", default="eval_out", dest="out_dir")
-    p_eval.set_defaults(func=cmd_eval_constitution)
 
     p_probe = sub.add_parser("probe", help="geometry probes over checkpoints")
     p_probe.add_argument("checkpoints", nargs="+")
@@ -547,15 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.add_argument("--metric", choices=("fr", "diag_mi"), default="fr")
     p_probe.add_argument("--out-dir", default="probe_out", dest="out_dir")
-    p_probe.set_defaults(func=cmd_probe)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {"train": cmd_train, "eval-constitution": cmd_eval_constitution,
+               "probe": cmd_probe}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,8 +19,7 @@ candidate sets; both are reported because they answer different questions
 
 All task items are scored with one table: each item's gold under its
 prompt with every positive, every negative and no principle; each prompt and
-principle pattern is bagged and scored once, and sets that share a warm start
-share their patterns' scores.  Every report, measured, replayed or read
+principle is bagged once.  Every report, measured, replayed or read
 from external score files, is assembled by `report_from_components`.
 
 Negatives pair with positives by index (cyclically when counts differ),
@@ -294,18 +293,14 @@ def _bound_bits(scores: np.ndarray, true_cols, rng: np.random.Generator) -> floa
     return mi.infonce_bound(np.take_along_axis(scores, cols, axis=1)) / LN2
 
 
-def evaluate_principle_set(policy, task, pset: PrincipleSet, *, seed: int = 0,
-                           cache: dict | None = None) -> SufficiencyReport:
+def evaluate_principle_set(policy, task, pset: PrincipleSet, *,
+                           seed: int = 0) -> SufficiencyReport:
     """Score a principle set against a policy on the task's gold continuations.
 
     Deterministic given the seed.  The policy must carry the associations the
     signals probe (i.e. be trained/warm-started on the task), exactly as an
     LLM brings its pretraining to the same measurement.  Every median is
     `median`'s, so np.median's value.
-
-    `cache` maps a principle token pattern to the items' gold log-likelihoods
-    under it, from earlier calls with the same policy parameters and task
-    items; the patterns it lacks are scored and added to it.
     """
     if not pset.negatives:
         raise ValidationError("evaluation needs at least one negative")
@@ -315,21 +310,16 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, *, seed: int = 0,
         raise ValidationError("task sample is empty")
     true_pos_idx = [j % len(pset.positives) for j in task.true_columns]
 
-    # Each item's gold under its prompt with every positive, every negative
-    # and no principle.  The patterns not yet cached are scored in one table;
-    # each of its rows is computed on its own, so a score does not depend on
-    # which table it came from.
+    # One table over every item's contexts: its prompt with every positive,
+    # every negative and no principle, each context scoring the item's gold.
     n_pos = len(pset.positives)
-    patterns = [p.tokens for p in pset.positives + pset.negatives] + [()]
-    cache = {} if cache is None else cache
-    missing = list(dict.fromkeys(t for t in patterns if t not in cache))
-    if missing:
-        bags = policy.bag_grid([prompt for prompt, _ in items], missing)
-        golds = transition_counts([gold for _, gold in items], policy.vocab.size)
-        table = policy.forward(bags.reshape(-1, policy.vocab.size))
-        scored = table.context_logprobs(golds, np.repeat(np.arange(len(items)), len(missing)))
-        cache.update(zip(missing, scored.reshape(len(items), len(missing)).T))
-    sums = np.stack([cache[t] for t in patterns], axis=1)
+    principles = pset.positives + pset.negatives
+    bags = policy.bag_grid([prompt for prompt, _ in items],
+                           [p.tokens for p in principles] + [()])
+    n_ctx = bags.shape[1]
+    golds = transition_counts([gold for _, gold in items], policy.vocab.size)
+    sums = policy.forward(bags.reshape(-1, policy.vocab.size)).context_logprobs(
+        golds, np.repeat(np.arange(len(items)), n_ctx)).reshape(len(items), n_ctx)
     n_tok = np.array([max(1, len(gold)) for _, gold in items], dtype=float)
     scores = sums / n_tok[:, None]
     pos_scores, neg_scores, without = scores[:, :n_pos], scores[:, n_pos:-1], scores[:, -1]
@@ -364,18 +354,15 @@ def warm_started_reports(tasks, seed: int, epochs: int, lr: float) -> list:
     """Each (principle set, task) pair's report, scored against a policy
     that `mle_pretrain` fits from `init_params(seed)` to the task's gold
     triples, as a base model brings its pretraining.  Scoring only reads the
-    policy, so sets that build the same triples share one warm start and one
-    score cache, and each principle pattern is scored once per call."""
+    policy, so sets that build the same triples share one warm start."""
     warmed, reports = {}, []
     for pset, task in tasks:
         triples = tuple(gold_items(task))
         if triples not in warmed:
-            policy = ToyPolicy(task.vocab)
-            policy.init_params(seed)
-            mle_pretrain(policy, triples, epochs, lr)
-            warmed[triples] = policy, {}
-        policy, cache = warmed[triples]
-        reports.append(evaluate_principle_set(policy, task, pset, seed=seed, cache=cache))
+            warmed[triples] = ToyPolicy(task.vocab)
+            warmed[triples].init_params(seed)
+            mle_pretrain(warmed[triples], triples, epochs, lr)
+        reports.append(evaluate_principle_set(warmed[triples], task, pset, seed=seed))
     return reports
 
 

@@ -155,9 +155,6 @@ class NextTokenTable:
     ea: np.ndarray        # (C, V) exp(a - max a) per context
     eb: np.ndarray        # (V+1, V) exp(b - max b) per row
     z: np.ndarray         # (C, V+1) shifted partitions, ea @ eb.T
-    logits: np.ndarray    # (C+V+1, V) [a; b], the buffer that a and b view
-    peaks: np.ndarray     # (C+V+1, 1) [peak_a; peak_b], viewed likewise
-    exps: np.ndarray      # (C+V+1, V) [ea; eb], viewed likewise
 
     @cached_property
     def rows(self) -> tuple:
@@ -342,14 +339,13 @@ class ToyPolicy:
         The arrays of a new table, or of `out`, a table of an earlier call on
         the same weights (its cached log-partitions dropped), are written in
         place; ctx, a and z row by row as `_by_row` takes them, through `rows`.
-        a and b share one buffer, so each step after them is one call on both.
         """
         if out is None:
             (c, v), d = weights.shape, self.dim
-            logits, peaks, exps = (np.empty((c + v + 1, n)) for n in (v, 1, v))
             out = NextTokenTable(weights, np.empty((c, d)), np.empty((c, d)), np.zeros((v + 1, d)),
-                                 logits[:c], logits[c:], peaks[:c], peaks[c:], exps[:c],
-                                 exps[c:], np.empty((c, v + 1)), logits, peaks, exps)
+                                 *(np.empty(shape) for shape in ((c, v), (v + 1, v), (c, 1),
+                                                                 (v + 1, 1), (c, v), (v + 1, v),
+                                                                 (c, v + 1))))
         elif out.weights is not weights:
             raise ValidationError("out must be a table of the same weights")
         vars(out).pop("lse", None)
@@ -359,8 +355,10 @@ class ToyPolicy:
         np.multiply(self.prev_scale, self.embed, out=out.pfeat[1:])
         np.matmul(cfeat_rows, self.out, out=a_rows)
         np.matmul(out.pfeat, self.out, out=out.b)
-        np.maximum.reduce(out.logits, axis=1, keepdims=True, out=out.peaks)
-        np.exp(np.subtract(out.logits, out.peaks, out=out.exps), out=out.exps)
+        np.maximum.reduce(out.a, axis=1, keepdims=True, out=out.peak_a)
+        np.maximum.reduce(out.b, axis=1, keepdims=True, out=out.peak_b)
+        np.exp(np.subtract(out.a, out.peak_a, out=out.ea), out=out.ea)
+        np.exp(np.subtract(out.b, out.peak_b, out=out.eb), out=out.eb)
         np.matmul(ea_rows, out.eb.T, out=z_rows)
         if np.minimum.reduce(out.z, axis=None) < _TINY:
             raise ValidationError("next-token partition underflows: the logits span "
@@ -395,7 +393,7 @@ class ToyPolicy:
         if feat_grad is not None:
             grad_c = grad_c + feat_grad[0]
             grad_p = grad_p + feat_grad[1]
-        grad = out or ParamGrad(*map(np.empty_like, self.param_blocks().values()))
+        grad = out or ParamGrad(**{k: np.empty_like(v) for k, v in self.param_blocks().items()})
         np.add(self.prev_scale * grad_p[1:], table.weights.T @ (self.ctx_scale * grad_c),
                out=grad.embed)
         np.add(table.cfeat.T @ da, table.pfeat.T @ db, out=grad.out)

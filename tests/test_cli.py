@@ -254,6 +254,18 @@ class TestOptions:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_parser_per_process_and_commands_looked_up_per_call(self, monkeypatch):
+        # The parser is reused, so a parse must leave nothing behind for the
+        # next, and a command patched after the first call must still run.
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = parser.parse_args(["eval-constitution", "a.txt", "--seed", "3"])
+        again = parser.parse_args(["eval-constitution"])
+        assert (first.constitutions, first.seed) == (["a.txt"], 3)
+        assert (again.constitutions, again.seed, again.out_dir) == ([], 0, "eval_out")
+        monkeypatch.setattr(cli, "cmd_probe", lambda args: 7)
+        assert cli.main(["probe", "ckpt.npz"]) == 7
+
 
 class TestTrainCommand:
     def test_missing_constitution_exits_2_no_output(self, tmp_path):
@@ -1003,37 +1015,6 @@ class TestSharedWarmStart:
         assert cli.main(argv) == cli.EXIT_OK
         expected = reference_reports(paths, **options)
         assert {name: (out / name).read_text() for name in expected} == expected
-
-    @pytest.mark.parametrize("names, patterns, caches", [
-        (["high", "low"], 13, 1), (["low", "high"], 13, 1), (["high", "repeats"], 10, 1),
-        (["high", "free_text"], 10, 1), (["high", "other"], 16, 2)],
-        ids=["bundled", "bundled_reversed", "negative_repeats_positive", "free_text_negative",
-             "other_positives"])
-    def test_each_pattern_is_scored_once_per_warm_start(self, monkeypatch, tmp_path, sets,
-                                                        names, patterns, caches):
-        # The bundled pair shares four positives and the no-principle
-        # context, so it scores 13 patterns, not 2 x 9.  Sets with other
-        # positives have their own warm start and their own cache.
-        rows, scored, cache_ids = [], [], set()
-        evaluate, forward = consti.evaluate_principle_set, ToyPolicy.forward
-
-        def spy_evaluate(policy, task, *args, **kwargs):
-            cache_ids.add(id(kwargs["cache"]))
-            start = len(rows)
-            report = evaluate(policy, task, *args, **kwargs)
-            scored.append(sum(rows[start:]) / len(task.items))
-            return report
-
-        def spy_forward(policy, weights, out=None):
-            rows.append(len(weights))
-            return forward(policy, weights, out)
-
-        monkeypatch.setattr(consti, "evaluate_principle_set", spy_evaluate)
-        monkeypatch.setattr(ToyPolicy, "forward", spy_forward)
-        assert cli.main(["eval-constitution", *(str(sets[n]) for n in names),
-                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
-        assert len(scored) == len(names) and len(cache_ids) == caches
-        assert sum(scored) == patterns
 
     def test_scoring_leaves_the_shared_policy_unchanged(self, monkeypatch, tmp_path):
         seen = []

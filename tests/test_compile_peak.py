@@ -10,10 +10,10 @@ SRC = Path(geoloop.__file__).parent
 # Each module is compiled in its own fresh `python -I` process: a compile
 # that resizes the interned-string table peaks about 900 KiB higher, and how
 # many strings a long-lived process has interned depends on what ran in it
-# before.  With Python 3.11, the largest peak is policy.py's 2 042 KiB, then
-# cli.py's 1 860 KiB and trainer.py's 1 271 KiB.  A line of code adds about
-# 4 KiB to its module's peak, so the margin of 6 KiB leaves policy.py about
-# 1 line to grow, and cli.py about 47.
+# before.  With Python 3.11, the largest peak is policy.py's 2 041 KiB, then
+# cli.py's 1 852 KiB and trainer.py's 1 270 KiB.  A line of code adds about
+# 4 KiB to its module's peak, so the margin of 7 KiB leaves policy.py about
+# 1 line to grow, and cli.py about 49.
 BOUND_KIB = 2048
 
 # Reads the module named by argv[1] and prints its compile peak in bytes.
