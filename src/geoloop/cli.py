@@ -47,11 +47,6 @@ WARMSTART_BIAS = 0.15
 TASK_ITEMS = 32
 PROMPT_LEN = 2
 TASK_BIAS = 0.8
-# The probe's PROBE_GRID x PROBE_GRID landscape over alpha in PROBE_ALPHA_RANGE
-# and beta in [0, 1], and the top-k token support of its OT diagnostic.
-PROBE_GRID = 11
-PROBE_ALPHA_RANGE = (0.5, 1.5)
-PROBE_TOP_K = 16
 
 
 class ConfigError(ValueError):
@@ -488,20 +483,17 @@ def cmd_probe(args) -> int:
                 for step, angle in zip(steps[1:-1], prob_metrics.turning_angles(dists)):
                     fh.write(f"{step},{angle!r}\n")
         # Exact token-index W2^2 between the first and last checkpoints.
-        w2sq = ot.output_space_ot_diag(dists[0], dists[-1], top_k=PROBE_TOP_K)
+        w2sq = ot.output_space_ot_diag(dists[0], dists[-1])
         (out_dir / "output_ot.csv").write_text(
             f"step_from,step_to,token_index_w2sq\n{steps[0]},{steps[-1]},{w2sq!r}\n")
 
     # Landscape grid around the last checkpoint's probe distribution.
-    alphas = np.linspace(*PROBE_ALPHA_RANGE, PROBE_GRID)
-    betas = np.linspace(0.0, 1.0, PROBE_GRID)
-    grid = prob_metrics.landscape_grid(dists[-1], alphas, betas, metric=args.metric)
-    beta_values = betas.tolist()
-    cells = "".join(f"{a!r},{b!r},{value!r}\n" for a, row in zip(alphas.tolist(), grid.tolist())
-                    for b, value in zip(beta_values, row))
+    grid = prob_metrics.landscape_grid(dists[-1])
+    betas = prob_metrics.LANDSCAPE_BETAS.tolist()
+    cells = "".join(f"{a!r},{b!r},{value!r}\n" for a, row in zip(
+        prob_metrics.LANDSCAPE_ALPHAS.tolist(), grid.tolist()) for b, value in zip(betas, row))
     with open(out_dir / "landscape.csv", "w") as fh:
-        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n# metric={args.metric}\nalpha,beta,value\n"
-                 + cells)
+        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\nalpha,beta,value\n" + cells)
 
     # Aligned score matrix and per-row diagonal statistics for the last policy.
     aligned, diag = consti.aligned_scores(loaded[-1][0], task)
@@ -547,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("checkpoints", nargs="+")
     p_probe.add_argument("--constitution", default=str(DATA_DIR / "toy_high_si.txt"))
     p_probe.add_argument("--seed", type=int, default=0)
-    p_probe.add_argument("--metric", choices=("fr", "diag_mi"), default="fr")
     p_probe.add_argument("--out-dir", default="probe_out", dest="out_dir")
     return parser
 

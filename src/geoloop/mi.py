@@ -252,12 +252,17 @@ def read_score_csv(path) -> ScoreMatrix:
         header = fh.readline().strip()
         try:
             fields = dict(part.split("=") for part in header.split(","))
+            # Exactly these three fields, each once.
+            if header.count(",") != 2 or fields.keys() != {"normalisation", "N", "M"}:
+                raise ValueError(header)
             normalisation = fields["normalisation"]
             n, m = int(fields["N"]), int(fields["M"])
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"score CSV {path}: bad header {header!r}") from exc
-        if m < 1:
-            raise ValidationError(f"score CSV {path}: header M must be at least 1, got {m}")
+        for name, value in (("N", n), ("M", m)):
+            if value < 1:
+                raise ValidationError(
+                    f"score CSV {path}: header {name} must be at least 1, got {value}")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             if line.strip():

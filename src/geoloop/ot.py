@@ -4,11 +4,12 @@ Primal problem (squared-Euclidean ground cost unless stated otherwise):
 
     OT_eps(a, b) = min_{pi in Pi(a,b)}  sum_ij pi_ij C_ij + eps * KL(pi || a x b)
 
-solved to an L1 marginal violation below tolerance at the target eps.  A
-cross term OT(a, b) gets there by eps-scaling: it solves at a geometrically
-decreasing sequence of temperatures (factor `scaling`, default 0.3) from
-max(C) down to the target eps, each from the last one's potential.  A self
-term OT(a, a) starts at the target eps (below).  The debiased divergence is
+solved to an L1 marginal violation below TOL = 1e-9 at the target eps, in at
+most MAX_ITER = 500 iterations.  A cross term OT(a, b) gets there by
+eps-scaling: it solves at a geometrically decreasing sequence of
+temperatures (factor SCALING = 0.3) from max(C) down to the target eps, each
+from the last one's potential.  A self term OT(a, a) starts at the target
+eps (below).  The debiased divergence is
 
     S_eps(a, b) = OT_eps(a, b) - OT_eps(a, a)/2 - OT_eps(b, b)/2,
 
@@ -39,7 +40,8 @@ with v = 1/((a*u) @ K), so each later iteration is one matrix-vector product
 instead of a log-sum-exp.
 
 `output_space_ot_diag`, the probe's diagnostic, runs no solver: its
-measures sit on a line, where W2^2 has a closed form.
+measures, cut to their top DIAG_TOP_K = 16 tokens, sit on a line, where
+W2^2 has a closed form.
 
 The trainer's representation regulariser calls `sinkhorn_divergence_with_grad`
 on a step's whole hidden clouds (one point per completion, 32 in the bundled
@@ -56,9 +58,18 @@ from .errors import ValidationError
 from .prob_metrics import ProbVector
 from .rep_metrics import EmpiricalMeasure
 
-DEFAULT_MAX_ITER = 10_000
-DEFAULT_TOL = 1e-9
-DEFAULT_SCALING = 0.3
+# Each solve's iteration budget, its tolerance on the L1 row violation and
+# the cross term's eps-scaling factor, read when a solve runs.  The budget is
+# the trainer's: in the 2000-step enigma_high_si run every solve converges
+# well inside it, the self terms in 2-25 iterations and the cross term in
+# 11-22 levels and Newton iterations.  A cross solve whose Newton step fails
+# at the target eps stops there, flagged unconverged, and the envelope
+# gradient of the achieved plan stays valid.
+MAX_ITER = 500
+TOL = 1e-9
+SCALING = 0.3
+# The probe diagnostic's top-k token support.
+DIAG_TOP_K = 16
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -89,7 +100,7 @@ def _plateau():
     not bettered the best so far by a relative 1e-3.
 
     Near-deterministic plans converge ever more slowly at small eps, so a
-    loop stops there; its converged flag stays honest (violation < tol).
+    loop stops there; its converged flag stays honest (violation < TOL).
     """
     best, stalled = math.inf, 0
 
@@ -103,7 +114,7 @@ def _plateau():
     return check
 
 
-def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
+def _scaling_loop(costs, log_a, epsilon):
     """The self term OT(a, a) from f = 0; returns (f, f, iterations, converged, trace).
 
     Each iteration is the averaged symmetric update f <- (f + T(f))/2
@@ -121,7 +132,7 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
     adds less than itself to the violation, so the solve has converged.
 
     The trace holds the L1 row violation of the plan (f, f) of each
-    iteration; the loop stops below tol or at a `_plateau`.
+    iteration; the loop stops below TOL, at a `_plateau` or after MAX_ITER.
     """
     a = np.exp(log_a)
     f = np.zeros(costs.shape[0])
@@ -131,7 +142,7 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
     ka = a[:, None] * np.exp((f0[:, None] + f0[None, :] - costs) / epsilon)
     u_next = np.ones_like(f0)
     stalled = _plateau()
-    while len(trace) < max_iter and not trace[-1] < tol and not stalled(trace[-1]):
+    while len(trace) < MAX_ITER and not trace[-1] < TOL and not stalled(trace[-1]):
         u = u_next
         v = 1.0 / (u @ ka)
         u_next = np.sqrt(u * v)
@@ -139,7 +150,7 @@ def _scaling_loop(costs, log_a, epsilon, max_iter, tol):
         trace.append(float(a @ np.abs(u / v - 1.0)))
     if len(trace) > 1:
         f = f0 + epsilon * np.log(u)
-    return f, f, len(trace), trace[-1] < tol, trace
+    return f, f, len(trace), trace[-1] < TOL, trace
 
 
 # Newton's method on the cross term's semi-dual at each temperature (Brauer,
@@ -208,7 +219,7 @@ def _newton_step(costs, log_a, a, b, epsilon, f, point, ridge, cost_max):
     return None
 
 
-def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
+def _sinkhorn_potentials(costs, log_a, log_b, epsilon):
     """Newton steps down a temperature ladder; returns (f, g, iterations, converged, trace).
 
     With log_b=None it solves the self term OT(a, a) on a symmetric `costs`
@@ -219,17 +230,17 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     iteration evaluates the plan (f, T(f)) and its L1 row violation.  At a
     coarse temperature it takes a Newton step on the semi-dual with
     backtracking (`_newton_step`) until the violation is below _LEVEL_TOL or
-    a step fails, and then lowers the temperature by `scaling`, down to the
+    a step fails, and then lowers the temperature by SCALING, down to the
     target eps, keeping f.  At the target eps each violation goes to the
-    trace, and the solve stops once it is below tol or at a `_plateau`; a
+    trace, and the solve stops once it is below TOL or at a `_plateau`; a
     step that fails there ends the solve at the last accepted f, unconverged.
 
-    Iterations count the levels and the Newton iterations; the converged
-    flag is honest (row violation < tol), and the trace is empty when
-    max_iter ran out before the target eps, where g is then T(f).
+    Iterations count the levels and the Newton iterations, at most MAX_ITER;
+    the converged flag is honest (row violation < TOL), and the trace is
+    empty when MAX_ITER ran out before the target eps, where g is then T(f).
     """
     if log_b is None:
-        return _scaling_loop(costs, log_a, epsilon, max_iter, tol)
+        return _scaling_loop(costs, log_a, epsilon)
     a, b = np.exp(log_a), np.exp(log_b)
     ridge, cost_max = _NEWTON_RIDGE * a.max(), float(costs.max())
     eps_cur = max(cost_max, epsilon)
@@ -238,59 +249,49 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon, scaling, max_iter, tol):
     trace = []
     stalled = _plateau()
     iterations = 0
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         iterations += 1
         violation = float(np.abs(point[3] - a).sum())
         if eps_cur == epsilon:
             trace.append(violation)
-            if violation < tol or iterations == max_iter or stalled(violation):
+            if violation < TOL or iterations == MAX_ITER or stalled(violation):
                 break
         step = None if eps_cur > epsilon and violation < _LEVEL_TOL else _newton_step(
             costs, log_a, a, b, eps_cur, f, point, ridge, cost_max)
         if step is None:
             if eps_cur == epsilon:
                 break
-            eps_cur = max(epsilon, eps_cur * scaling)
+            eps_cur = max(epsilon, eps_cur * SCALING)
             step = f, _dual_point(costs, log_a, a, b, eps_cur, f)
         f, point = step
     if eps_cur > epsilon:
         point = _dual_point(costs, log_a, a, b, epsilon, f)
-    return f, point[1], iterations, bool(trace) and trace[-1] < tol, trace
+    return f, point[1], iterations, bool(trace) and trace[-1] < TOL, trace
 
 
-def _solve(costs, log_a, log_b, epsilon, max_iter=DEFAULT_MAX_ITER) -> tuple:
-    """(value, plan, iterations, converged, trace) of one solve; log_b=None is a self term."""
-    f, g, iterations, converged, trace = _sinkhorn_potentials(
-        costs, log_a, log_b, epsilon, DEFAULT_SCALING, max_iter, DEFAULT_TOL)
-    if log_b is None:
-        log_b = log_a
-    log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / epsilon
-    plan = np.exp(log_plan)
-    transport = float(np.sum(plan * costs))
-    kl = float(np.sum(plan * (log_plan - log_a[:, None] - log_b[None, :])))
-    return transport + epsilon * kl, plan, iterations, converged, trace
-
-
-def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float, *,
-                max_iter: int = DEFAULT_MAX_ITER) -> dict:
+def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float) -> dict:
     """Entropic OT value, plan, and convergence data between two uniform clouds.
 
     Returns {"value", "iterations", "converged", "violation_trace",
     "raw_plan"}.  `raw_plan` is the plan of the final potentials, not
     rebalanced: the trace's last entry is its L1 row violation.
-    Non-convergence (max_iter spent, a plateau, or a failed Newton step)
-    comes back flagged, never raised; max_iter below 1 is rejected.  Passing
-    the same measure twice solves the self term by the symmetric update.
+    Non-convergence (MAX_ITER spent, a plateau, or a failed Newton step)
+    comes back flagged, never raised.  Passing the same measure twice solves
+    the self term by the symmetric update.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
     costs = squared_distances(a.points, b.points)
-    value, plan, iterations, converged, trace = _solve(
-        costs, np.log(a.weights), None if b is a else np.log(b.weights), epsilon, max_iter)
+    log_a = np.log(a.weights)
+    log_b = log_a if b is a else np.log(b.weights)
+    f, g, iterations, converged, trace = _sinkhorn_potentials(
+        costs, log_a, None if b is a else log_b, epsilon)
+    log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / epsilon
+    plan = np.exp(log_plan)
+    transport = float(np.sum(plan * costs))
+    kl = float(np.sum(plan * (log_plan - log_a[:, None] - log_b[None, :])))
     return {
-        "value": value,
+        "value": transport + epsilon * kl,
         "iterations": iterations,
         "converged": converged,
         "violation_trace": trace,
@@ -316,10 +317,10 @@ def _plan_position_grad(plan: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.nd
 
 
 def sinkhorn_divergence_with_grad(a: EmpiricalMeasure, b: EmpiricalMeasure,
-                                  epsilon: float, max_iter: int = DEFAULT_MAX_ITER) -> tuple:
+                                  epsilon: float) -> tuple:
     """(S_eps value clamped at 0, dS/d(a.points), solve stats).
 
-    `max_iter` bounds each of the three solves.  The stats are {"converged":
+    MAX_ITER bounds each of the three solves.  The stats are {"converged":
     all three solves converged, "iterations" and "violation": the cross
     solve's iteration count and final L1 row violation (nan if it never
     reached the target eps)}.  Symmetric by construction (canonical argument order).
@@ -329,9 +330,9 @@ def sinkhorn_divergence_with_grad(a: EmpiricalMeasure, b: EmpiricalMeasure,
     """
     swapped = _canonical_order(a, b)
     first, second = (b, a) if swapped else (a, b)
-    cross = entropic_ot(first, second, epsilon, max_iter=max_iter)
-    self_a = entropic_ot(a, a, epsilon, max_iter=max_iter)
-    self_b = entropic_ot(b, b, epsilon, max_iter=max_iter)
+    cross = entropic_ot(first, second, epsilon)
+    self_a = entropic_ot(a, a, epsilon)
+    self_b = entropic_ot(b, b, epsilon)
     value = max(0.0, cross["value"] - 0.5 * self_a["value"] - 0.5 * self_b["value"])
     cross_plan = cross["raw_plan"].T if swapped else cross["raw_plan"]
     # The a-a self term counts x on both sides; its plan equals its transpose,
@@ -356,14 +357,14 @@ def subsample_indices(size: int, cap: int, seed) -> np.ndarray:
     return np.sort(rng.choice(size, size=cap, replace=False))
 
 
-def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int) -> float:
+def output_space_ot_diag(p: ProbVector, q: ProbVector) -> float:
     """Exact W2^2 between two distributions on the integer token index.
 
-    Both are cut to the union of their top-k supports and renormalised.  On a
-    line the monotone coupling is optimal: W2^2 is the integral over t in
-    [0, 1] of (Q_p(t) - Q_q(t))^2, with quantile functions Q that are constant
-    between the merged breakpoints of the two cumulative sums (Peyre and Cuturi
-    2019, arXiv:1803.00567, the 1-D case).  Never enters any training loss.
+    Both are cut to the union of their top-DIAG_TOP_K supports and
+    renormalised.  On a line the monotone coupling is optimal: W2^2 is the
+    integral over t in [0, 1] of (Q_p(t) - Q_q(t))^2, with quantile functions
+    Q that are constant between the merged breakpoints of the two cumulative
+    sums (Peyre and Cuturi 2019, arXiv:1803.00567, the 1-D case).  Never enters any training loss.
     The union and the breakpoints are sorted Python sets, the values
     np.unique and np.union1d give, without the numpy.ma import those load.
     """
@@ -371,9 +372,7 @@ def output_space_ot_diag(p: ProbVector, q: ProbVector, top_k: int) -> float:
     q = q if isinstance(q, ProbVector) else ProbVector(q)
     if p.support_size != q.support_size:
         raise ValidationError("distributions must share a vocabulary")
-    if top_k < 1:
-        raise ValidationError("top_k must be at least 1")
-    k = min(top_k, p.support_size)
+    k = min(DIAG_TOP_K, p.support_size)
     top_p = np.argsort(-p.probs, kind="stable")[:k]
     top_q = np.argsort(-q.probs, kind="stable")[:k]
     union = np.array(sorted({*top_p.tolist(), *top_q.tolist()}))

@@ -12,6 +12,10 @@ The sqrt map p -> sqrt(p) embeds the simplex isometrically (up to a factor 2)
 into the unit sphere, which is what makes 2*arccos(BC) the geodesic distance
 and lets path curvature be read off from chords between sqrt-embedded points.
 
+The perturbation landscape is the fr distance from a base distribution to
+its tempered, uniform-mixed perturbations on one fixed 11 x 11 grid
+(LANDSCAPE_ALPHAS, LANDSCAPE_BETAS).
+
 Conventions: zero entries contribute 0 to KL terms when the numerator is 0;
 reductions use fixed left-to-right summation so results are reproducible.
 All functions are pure and safe to call concurrently.
@@ -122,7 +126,7 @@ def probe_report_batch(pairs: Iterable) -> list:
 
 def write_probe_csv(records: Sequence[dict], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=PROBE_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=PROBE_CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         for rec in records:
             writer.writerow({k: repr(float(rec[k])) for k in PROBE_CSV_FIELDS})
@@ -176,56 +180,31 @@ def turning_angles(checkpoints) -> list:
 
 # ---------- perturbation landscape ----------
 
+# The landscape's 11 x 11 grid: alpha in [0.5, 1.5], beta in [0, 1].
+LANDSCAPE_ALPHAS = np.linspace(0.5, 1.5, 11)
+LANDSCAPE_BETAS = np.linspace(0.0, 1.0, 11)
 LANDSCAPE_METADATA = (
     "perturbation: q(alpha,beta) = (1-beta) * normalise(p**alpha) + beta * uniform; "
     "alpha = inverse-temperature exponent, beta = uniform mixing weight; "
-    "metric fr = geodesic distance to base; metric diag_mi = "
-    "sum_k base_k*log(q_k) + log(K) (base-weighted log-score relative to uniform)"
+    "value = fr geodesic distance to base"
 )
 
 
-def landscape_grid(base, alphas, betas, metric: str = "fr") -> np.ndarray:
-    """Metric values over the (alpha, beta) perturbation grid.
+def landscape_grid(base) -> np.ndarray:
+    """Geodesic (fr) distances to `base` over the (alpha, beta) perturbation grid.
 
-    Row i, column j holds the metric at (alphas[i], betas[j]); the (1, 0) cell
-    equals the unperturbed metric.  See LANDSCAPE_METADATA for the declared
-    parametrisation (emitted alongside any serialised grid).  The first cell,
-    row-major, whose perturbation is not a valid distribution raises.
+    Row i, column j holds the distance at (LANDSCAPE_ALPHAS[i],
+    LANDSCAPE_BETAS[j]), both read when called; the (1, 0) cell is 0.  See
+    LANDSCAPE_METADATA for the declared parametrisation (emitted alongside
+    any serialised grid).  Each alpha is positive and each beta in [0, 1], so
+    every cell is a distribution.
     """
     base = _as_prob(base)
-    alphas = np.array([float(a) for a in alphas])
-    betas = np.array([float(b) for b in betas])
-    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))):
-        raise ValidationError("alphas and betas must be finite")
-    if metric not in ("fr", "diag_mi"):
-        raise ValidationError(f"unknown landscape metric {metric!r}")
     k = base.support_size
     # One power call per alpha: an array exponent rounds differently.
-    powered = np.array([np.power(base.probs, a) if a > 0 else base.probs
-                        for a in alphas]).reshape(-1, k)
-    totals = powered.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tempered = powered / totals[:, None]
-    q = ((1.0 - betas)[None, :, None] * tempered[:, None, :]
-         + betas[None, :, None] * np.full(k, 1.0 / k))
-    q_totals = q.sum(axis=2)
-    failures = np.select(
-        [(alphas <= 0)[:, None], ~((0.0 <= betas) & (betas <= 1.0))[None, :],
-         (totals <= 0)[:, None], np.any(q < 0, axis=2),
-         ~np.isfinite(q_totals) | (np.abs(q_totals - 1.0) > _NORM_TOL)],
-        [1, 2, 3, 4, 5], 0)
-    if failures.any():
-        i, j = divmod(int(np.flatnonzero(failures)[0]), betas.size)
-        raise ValidationError((
-            "alpha must be positive", "beta must lie in [0, 1]",
-            "perturbation annihilated all mass", "probs must be nonnegative",
-            f"probs must sum to 1 within {_NORM_TOL}, got {float(q_totals[i, j])!r}",
-        )[failures[i, j] - 1])
-    if metric == "fr":
-        bc = np.clip(np.sqrt(base.probs * q).sum(axis=2), 0.0, 1.0)
-        return 2.0 * np.array([math.acos(c) for c in bc.ravel()]).reshape(bc.shape)
-    mask = base.probs > 0
-    with np.errstate(divide="ignore"):
-        # Contiguous, so each cell sums in the order of a 1-D sum.
-        logq = np.ascontiguousarray(np.log(q)[:, :, mask])
-    return (base.probs[mask] * logq).sum(axis=2) + math.log(k)
+    powered = np.array([np.power(base.probs, a) for a in LANDSCAPE_ALPHAS])
+    tempered = powered / powered.sum(axis=1)[:, None]
+    betas = LANDSCAPE_BETAS[None, :, None]
+    q = (1.0 - betas) * tempered[:, None, :] + betas * np.full(k, 1.0 / k)
+    bc = np.clip(np.sqrt(base.probs * q).sum(axis=2), 0.0, 1.0)
+    return 2.0 * np.array([math.acos(c) for c in bc.ravel()]).reshape(bc.shape)

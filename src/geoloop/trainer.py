@@ -329,14 +329,8 @@ class Trainer:
         ot_on = config.ot_weight > 0 and step >= config.ot_warmup
         ot_stats = {"iterations": None, "violation": None, "converged": None}
         if ot_on:
-            # Bounded iteration budget: in the 2000-step enigma_high_si run
-            # every solve converges well inside it, the self terms in 2-25
-            # iterations and the cross term in 11-22 levels and Newton
-            # iterations.  A cross solve whose Newton step fails at the
-            # target eps stops there, flagged unconverged, and the envelope
-            # gradient of the achieved plan stays valid.
             ot_value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
-                cur_measure, ref_measure, BLUR ** 2, max_iter=500)
+                cur_measure, ref_measure, BLUR ** 2)
 
         # Geometry probes against the frozen reference.
         p_cur = prob_metrics.ProbVector(

@@ -61,8 +61,8 @@ def test_solver_results_the_tracer_reads():
     costs = ot.squared_distances(a.points, b.points)
     self_costs = ot.squared_distances(a.points, a.points)
     log_w = np.log(a.weights)
-    for result in (ot._sinkhorn_potentials(costs, log_w, log_w, 0.1, 0.8, 500, 1e-9),
-                   ot._sinkhorn_potentials(self_costs, log_w, None, 0.1, 0.8, 500, 1e-9)):
+    for result in (ot._sinkhorn_potentials(costs, log_w, log_w, 0.1),
+                   ot._sinkhorn_potentials(self_costs, log_w, None, 0.1)):
         assert isinstance(result, tuple) and len(result) == 5
         assert isinstance(result[2], int)
         assert isinstance(result[3], bool)

@@ -233,7 +233,7 @@ class TestOptions:
         ("train", ["--config", "--seed", "--max-steps", "--output-dir"]),
         ("eval-constitution", ["constitutions", "--components", "--scores", "--nll", "--seed",
                                "--warm-epochs", "--out-dir"]),
-        ("probe", ["checkpoints", "--constitution", "--seed", "--metric", "--out-dir"])])
+        ("probe", ["checkpoints", "--constitution", "--seed", "--out-dir"])])
     def test_subcommand_options(self, command, options):
         subcommands = next(action for action in cli.build_parser()._actions
                            if isinstance(action, argparse._SubParsersAction))
@@ -681,10 +681,17 @@ class TestEvalCommand:
         # ValueError, a traceback.
         (lambda tmp: (tmp / "pos.csv").write_text(
             "normalisation=length_mean,N=2,M=-1\n0.0,-1.0\n-1.0\n"),
-         "header M must be at least 1, got -1", "pos.csv")],
+         "header M must be at least 1, got -1", "pos.csv"),
+        # N=0 was refused as "body (0,) does not match header (0,2)".
+        (lambda tmp: (tmp / "pos.csv").write_text("normalisation=length_mean,N=0,M=2\n"),
+         "header N must be at least 1, got 0", "pos.csv"),
+        # The last N was taken and junk ignored: the call exited 0.
+        (lambda tmp: (tmp / "pos.csv").write_text(
+            "normalisation=length_mean,N=9,M=2,N=1,junk=3\n0.0,-1.0\n"),
+         "bad header 'normalisation=length_mean,N=9,M=2,N=1,junk=3'", "pos.csv")],
         ids=["missing_nll", "bad_nll_header", "missing_score_csv", "nonfinite_nll",
              "empty_nll", "nll_row_count", "item_count", "one_column", "nonfinite_score",
-             "m_below_1"])
+             "m_below_1", "n_below_1", "repeated_and_unknown_header_fields"])
     def test_bad_score_input_exits_2_before_any_output(self, tmp_path, capsys,
                                                        break_input, message, name):
         args = self.external_files(tmp_path)
@@ -1304,7 +1311,7 @@ class TestGoldenOutputs:
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
 
-def reference_probe(ckpts, out, constitution, seed=0, metric="fr"):
+def reference_probe(ckpts, out, constitution, seed=0):
     """The probe CSVs as written by scoring each checkpoint's probe context
     with its own next_token_distribution call and aligning the score matrix
     row by row with np.roll; `cli.cmd_probe` must write the same bytes.  The
@@ -1337,11 +1344,11 @@ def reference_probe(ckpts, out, constitution, seed=0, metric="fr"):
                 for step, angle in zip(steps[1:-1], prob_metrics.turning_angles(dists)):
                     fh.write(f"{step},{angle!r}\n")
 
-    alphas = np.linspace(*cli.PROBE_ALPHA_RANGE, cli.PROBE_GRID)
-    betas = np.linspace(0.0, 1.0, cli.PROBE_GRID)
-    values = prob_metrics.landscape_grid(dists[-1], alphas, betas, metric=metric)
+    alphas = np.linspace(0.5, 1.5, 11)
+    betas = np.linspace(0.0, 1.0, 11)
+    values = prob_metrics.landscape_grid(dists[-1])
     with open(out / "landscape.csv", "w") as fh:
-        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n# metric={metric}\n")
+        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\n")
         fh.write("alpha,beta,value\n")
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
@@ -1372,7 +1379,7 @@ def reference_probe(ckpts, out, constitution, seed=0, metric="fr"):
             fh.write(f"{i},{val!r},{float(val + np.log(n_principles))!r}\n")
 
     if len(dists) >= 2:
-        w2sq = ot.output_space_ot_diag(dists[0], dists[-1], top_k=cli.PROBE_TOP_K)
+        w2sq = ot.output_space_ot_diag(dists[0], dists[-1])
         (out / "output_ot.csv").write_text(
             f"step_from,step_to,token_index_w2sq\n{steps[0]},{steps[-1]},{w2sq!r}\n")
 
@@ -1501,7 +1508,18 @@ class TestProbeCommand:
         dists = [load_checkpoint(path)[0].next_token_distribution(
             item.prompt, task.principle(item.principle_id).tokens) for path in ckpts]
         assert math.isfinite(w2sq) and w2sq >= 0.0
-        assert w2sq == ot.output_space_ot_diag(dists[0], dists[-1], 16)
+        assert ot.DIAG_TOP_K == 16
+        assert w2sq == ot.output_space_ot_diag(dists[0], dists[-1])
+
+    def test_no_file_holds_a_carriage_return(self, run_dir, tmp_path):
+        # Every CSV the probe writes ends its lines with "\n" alone.
+        out = tmp_path / "probe"
+        ckpts = sorted(str(p) for p in run_dir.glob("ckpt_*.npz"))
+        assert cli.main(["probe", *ckpts, "--out-dir", str(out)]) == cli.EXIT_OK
+        files = sorted(out.iterdir())
+        assert "probe_report.csv" in {path.name for path in files}
+        for path in files:
+            assert b"\r" not in path.read_bytes(), path.name
 
     def test_single_checkpoint_no_path(self, run_dir, tmp_path):
         out = tmp_path / "probe_single"
@@ -1556,9 +1574,8 @@ class TestProbeCommand:
         assert code == cli.EXIT_CONFIG
         assert not (tmp_path / "mixed").exists()
 
-    @pytest.mark.parametrize("options", [
-        {}, {"seed": 3}, {"metric": "diag_mi"}, {"seed": 7}],
-        ids=["default", "seed3", "diag_mi", "seed7"])
+    @pytest.mark.parametrize("options", [{}, {"seed": 3}, {"seed": 7}],
+                             ids=["default", "seed3", "seed7"])
     def test_csvs_equal_the_per_checkpoint_reference(self, run_dir, tmp_path, options):
         ckpts = sorted(run_dir.glob("ckpt_*.npz"))
         constitution = DATA / "toy_high_si.txt"

@@ -49,9 +49,7 @@ paths = [
     ("eval-constitution --scores", ["eval-constitution", "--scores", str(work / "pos.csv"),
                                     str(work / "neg.csv"), "--nll", str(work / "nll.csv"),
                                     "--out-dir", str(work / "e3")]),
-    ("probe --metric fr", ["probe", *ckpts, "--metric", "fr", "--out-dir", str(work / "p1")]),
-    ("probe --metric diag_mi", ["probe", *ckpts, "--metric", "diag_mi",
-                                "--out-dir", str(work / "p2")]),
+    ("probe", ["probe", *ckpts, "--out-dir", str(work / "p1")]),
 ]
 for label, argv in paths:
     if cli.main(argv) != cli.EXIT_OK:

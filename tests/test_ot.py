@@ -122,16 +122,6 @@ class TestEntropicOt:
         with pytest.raises(ValidationError):
             ot.entropic_ot(m, m, 0.0)
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_max_iter_below_one_rejected(self, max_iter):
-        rng = np.random.default_rng(9)
-        a, b = random_cloud(rng, 4), random_cloud(rng, 5, offset=1.0)
-        for solve in (lambda: ot.entropic_ot(a, a, 0.1, max_iter=max_iter),
-                      lambda: ot.entropic_ot(a, b, 0.1, max_iter=max_iter),
-                      lambda: ot.sinkhorn_divergence_with_grad(a, b, 0.1, max_iter=max_iter)):
-            with pytest.raises(ValidationError, match="max_iter"):
-                solve()
-
     def test_violation_trace_decreases(self):
         rng = np.random.default_rng(3)
         a, b = random_cloud(rng, 6), random_cloud(rng, 6, offset=2.0)
@@ -141,9 +131,9 @@ class TestEntropicOt:
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-9)
 
-    def test_violation_trace_ends_at_raw_plan_violation(self):
+    def test_violation_trace_ends_at_raw_plan_violation(self, monkeypatch):
         # The trace's last entry must be the violation of the plan returned,
-        # whether the solve converged, hit max_iter among the Newton steps at
+        # whether the solve converged, hit MAX_ITER among the Newton steps at
         # the target eps (17 of the 19 iterations the trainer-like pair takes
         # to converge) or stopped at a failed Newton step (the integer
         # clouds, 27 and 26 points on 16 indices, at their first target-eps
@@ -154,10 +144,11 @@ class TestEntropicOt:
         rng = np.random.default_rng(13)
         sizes = rng.integers(4, 30, size=2)
         index = tuple(EmpiricalMeasure(rng.integers(0, 16, (k, 1))) for k in sizes)
-        for (a, b), eps, max_iter, converged in ((even, 1e-2, 10_000, True),
+        for (a, b), eps, max_iter, converged in ((even, 1e-2, ot.MAX_ITER, True),
                                                  (trainer, 0.12 ** 2, 17, False),
-                                                 (index, 1e-3, 10_000, False)):
-            res = ot.entropic_ot(a, b, eps, max_iter=max_iter)
+                                                 (index, 1e-3, ot.MAX_ITER, False)):
+            monkeypatch.setattr(ot, "MAX_ITER", max_iter)
+            res = ot.entropic_ot(a, b, eps)
             assert res["converged"] is converged
             recomputed = np.abs(res["raw_plan"].sum(axis=1) - a.weights).sum()
             assert res["violation_trace"][-1] == pytest.approx(recomputed, abs=1e-12)
@@ -186,6 +177,11 @@ def plan_value(costs, log_a, log_b, f, g, eps):
     log_plan = log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / eps
     plan = np.exp(log_plan)
     return float(np.sum(plan * costs) + eps * np.sum(plan * (log_plan - log_a[:, None] - log_b[None, :])))
+
+
+def plan_of(costs, log_a, log_b, f, g, eps):
+    """The plan of the potentials (f, g), as ot.entropic_ot forms it."""
+    return np.exp(log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / eps)
 
 
 def difference_costs(x, y):
@@ -240,22 +236,22 @@ class TestSymmetricSelfTerm:
         m = unit_cloud(1)
         costs = ot.squared_distances(m.points, m.points)
         log_w = np.log(m.weights)
-        f, g, iterations, converged, _ = ot._sinkhorn_potentials(
-            costs, log_w, None, self.EPS, ot.DEFAULT_SCALING, ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
+        f, g, iterations, converged, _ = ot._sinkhorn_potentials(costs, log_w, None, self.EPS)
         assert converged
         assert iterations <= 100
         rf, rg, _, r_converged, _ = reference_potentials(
-            costs, log_w, log_w, self.EPS, np.zeros(m.size), 20_000, ot.DEFAULT_TOL)
+            costs, log_w, log_w, self.EPS, np.zeros(m.size), 20_000, ot.TOL)
         assert r_converged
         assert plan_value(costs, log_w, log_w, f, g, self.EPS) == pytest.approx(
             plan_value(costs, log_w, log_w, rf, rg, self.EPS), rel=1e-6)
 
-    def test_peaked_plans_keep_a_finite_trace(self):
+    def test_peaked_plans_keep_a_finite_trace(self, monkeypatch):
         # Dirichlet(0.05) weights over 16 integer indices at eps 1e-4, zero
         # weights dropped.  Behind a 20-fold eps step the first target-eps
         # plans of 20 of these 40 have row sums up to e^1571; from f = 0
-        # they are at most a.  Self terms take no eps step: scaling 0.05 is
-        # ignored.
+        # they are at most a.  Self terms take no eps step: a scaling of
+        # 0.05 is ignored.
+        monkeypatch.setattr(ot, "SCALING", 0.05)
         idx = np.arange(16, dtype=float)
         costs = (idx[:, None] - idx[None, :]) ** 2
         with np.errstate(over="raise"):
@@ -263,8 +259,7 @@ class TestSymmetricSelfTerm:
                 for p in np.random.default_rng(seed).dirichlet(np.full(16, 0.05), size=2):
                     keep = p > 0
                     _, _, _, converged, trace = ot._sinkhorn_potentials(
-                        costs[np.ix_(keep, keep)], np.log(p[keep]), None, 1e-4, 0.05,
-                        ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
+                        costs[np.ix_(keep, keep)], np.log(p[keep]), None, 1e-4)
                     assert converged
                     assert np.all(np.isfinite(trace))
 
@@ -273,11 +268,9 @@ class TestSymmetricSelfTerm:
     def test_is_the_scaling_loop_from_zero(self, kind, seed):
         # No eps ladder: the solve is the scaling loop from f = 0 at the
         # target eps, bit for bit.
-        costs, log_a, _, eps, max_iter = solver_instances(kind, seed)[1]
-        result = ot._sinkhorn_potentials(costs, log_a, None, eps, ot.DEFAULT_SCALING,
-                                         max_iter, ot.DEFAULT_TOL)
-        f, g, iterations, converged, trace = ot._scaling_loop(
-            costs, log_a, eps, max_iter, ot.DEFAULT_TOL)
+        costs, log_a, _, eps = solver_instances(kind, seed)[1]
+        result = ot._sinkhorn_potentials(costs, log_a, None, eps)
+        f, g, iterations, converged, trace = ot._scaling_loop(costs, log_a, eps)
         assert np.array_equal(result[0], f) and np.array_equal(result[1], g)
         assert result[2:] == (iterations, converged, trace)
 
@@ -285,14 +278,13 @@ class TestSymmetricSelfTerm:
     def test_converges_within_25_iterations(self, kind):
         # Behind an eps ladder these take 27-58 iterations.
         for seed in range(8):
-            costs, log_a, _, eps, max_iter = solver_instances(kind, seed)[1]
-            _, _, iterations, converged, _ = ot._sinkhorn_potentials(
-                costs, log_a, None, eps, ot.DEFAULT_SCALING, max_iter, ot.DEFAULT_TOL)
+            costs, log_a, _, eps = solver_instances(kind, seed)[1]
+            _, _, iterations, converged, _ = ot._sinkhorn_potentials(costs, log_a, None, eps)
             assert converged and iterations <= 25
 
     def test_entropic_ot_self_plan_is_symmetric(self):
         for m in (unit_cloud(2, n=9, d=4, rank=2), unit_cloud(3)):
-            res = ot.entropic_ot(m, m, self.EPS, max_iter=500)
+            res = ot.entropic_ot(m, m, self.EPS)
             assert res["converged"]
             assert np.array_equal(res["raw_plan"], res["raw_plan"].T)
 
@@ -355,34 +347,33 @@ def index_costs(seed, concentration, k=16):
 
 
 def solver_instances(kind, seed):
-    """(cross, self) Sinkhorn inputs: (costs, log_a, log_b, eps, max_iter); log_b None on the self term."""
+    """(cross, self) Sinkhorn inputs: (costs, log_a, log_b, eps); log_b None on the self term."""
     if kind == "trainer":
         x, y = unit_cloud(seed, rank=6 + seed % 8), unit_cloud(seed + 50, rank=6 + seed % 5)
         log_w = np.log(x.weights)
-        return [(ot.squared_distances(x.points, y.points), log_w, log_w, 0.12 ** 2, 500),
-                (ot.squared_distances(x.points, x.points), log_w, None, 0.12 ** 2, 500)]
+        return [(ot.squared_distances(x.points, y.points), log_w, log_w, 0.12 ** 2),
+                (ot.squared_distances(x.points, x.points), log_w, None, 0.12 ** 2)]
     if kind == "acceptance_2":
         rng = np.random.default_rng(20260808 + seed)
         n = int(rng.integers(2, 9))
         x, y = rng.normal(0, 1, (n, 2)), rng.normal(2.0, 1, (n, 2))
         log_w = np.full(n, -math.log(n))
-        return [(ot.squared_distances(x, y), log_w, log_w, 1e-3, ot.DEFAULT_MAX_ITER),
-                (ot.squared_distances(x, x), log_w, None, 1e-3, ot.DEFAULT_MAX_ITER)]
+        return [(ot.squared_distances(x, y), log_w, log_w, 1e-3),
+                (ot.squared_distances(x, x), log_w, None, 1e-3)]
     costs, log_p, log_q = index_costs(seed, 1.0)
-    return [(costs, log_p, log_q, 1e-3, ot.DEFAULT_MAX_ITER),
-            (costs, log_p, None, 1e-3, ot.DEFAULT_MAX_ITER)]
+    return [(costs, log_p, log_q, 1e-3), (costs, log_p, None, 1e-3)]
 
 
-def assert_matches_reference(costs, log_a, eps, max_iter, tol=ot.DEFAULT_TOL):
+def assert_matches_reference(costs, log_a, eps):
     # The self term starts at the target eps from f = 0, as the solver runs it.
-    f, g, iterations, converged, trace = ot._scaling_loop(costs, log_a, eps, max_iter, tol)
+    f, g, iterations, converged, trace = ot._scaling_loop(costs, log_a, eps)
     # The reference runs in extended precision from the same start: in
     # float64 its own roundoff (one ulp of |f| in each exponent (f - C)/eps)
     # can move the iteration where the violation crosses tol.
     wide = np.longdouble
     rf, rg, r_iterations, r_converged, r_trace = reference_potentials(
         costs.astype(wide), log_a.astype(wide), None, eps,
-        np.zeros(costs.shape[0], dtype=wide), max_iter, tol)
+        np.zeros(costs.shape[0], dtype=wide), ot.MAX_ITER, ot.TOL)
     assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
     assert (iterations, converged) == (r_iterations, r_converged)
     assert len(trace) == len(r_trace)
@@ -396,13 +387,12 @@ def assert_matches_reference(costs, log_a, eps, max_iter, tol=ot.DEFAULT_TOL):
         float(plan_value(costs, log_a, log_a, rf, rg, eps)), rel=1e-10)
 
 
-def assert_honest_cross_solve(costs, log_a, log_b, eps, scaling):
+def assert_honest_cross_solve(costs, log_a, log_b, eps):
     # The flag follows the trace, and the trace ends at the row violation of
     # the plan (f, g) returned, up to the roundoff floor of its exponents.
-    f, g, _, converged, trace = ot._sinkhorn_potentials(
-        costs, log_a, log_b, eps, scaling, ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
-    assert converged == (trace[-1] < ot.DEFAULT_TOL)
-    plan = np.exp(log_a[:, None] + log_b[None, :] + (f[:, None] + g[None, :] - costs) / eps)
+    f, g, _, converged, trace = ot._sinkhorn_potentials(costs, log_a, log_b, eps)
+    assert converged == (trace[-1] < ot.TOL)
+    plan = plan_of(costs, log_a, log_b, f, g, eps)
     floor = max(1e-12, 4 * np.finfo(float).eps * float(costs.max()) / eps)
     assert trace[-1] == pytest.approx(np.abs(plan.sum(axis=1) - np.exp(log_a)).sum(),
                                       rel=floor, abs=floor)
@@ -414,20 +404,21 @@ class TestAbsorbedScaling:
     @pytest.mark.parametrize("kind", ["trainer", "acceptance_2", "index"])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_log_domain_reference(self, kind, seed):
-        costs, log_a, _, eps, max_iter = solver_instances(kind, seed)[1]
-        assert_matches_reference(costs, log_a, eps, max_iter)
+        costs, log_a, _, eps = solver_instances(kind, seed)[1]
+        assert_matches_reference(costs, log_a, eps)
 
     @pytest.mark.parametrize("scaling", [0.5, 0.05])
-    def test_index_costs_absorb_before_overflow(self, scaling):
+    def test_index_costs_absorb_before_overflow(self, monkeypatch, scaling):
         # Peaked index distributions at eps 1e-3, under raised floating-point
         # errors: the self solves match the reference, and the cross solves,
         # which start Newton behind coarse eps steps, report the violation
         # of the plan they return.
+        monkeypatch.setattr(ot, "SCALING", scaling)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for seed in range(30):
                 costs, log_p, log_q = index_costs(seed, 0.1)
-                assert_honest_cross_solve(costs, log_p, log_q, 1e-3, scaling)
-                assert_matches_reference(costs, log_p, 1e-3, ot.DEFAULT_MAX_ITER)
+                assert_honest_cross_solve(costs, log_p, log_q, 1e-3)
+                assert_matches_reference(costs, log_p, 1e-3)
 
     def test_weight_that_could_push_a_scaling_out_of_range_has_converged(self):
         # A first step from f = 0 leaves the light point's potential at c/2
@@ -438,45 +429,43 @@ class TestAbsorbedScaling:
         costs = np.array([[0.0, 465.0], [465.0, 0.0]])
         log_a = np.array([math.log1p(-math.exp(-705.0)), -705.0])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            f, _, iterations, converged, _ = ot._scaling_loop(
-                costs, log_a, 1.0, ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
-            assert_matches_reference(costs, log_a, 1.0, ot.DEFAULT_MAX_ITER)
+            f, _, iterations, converged, _ = ot._scaling_loop(costs, log_a, 1.0)
+            assert_matches_reference(costs, log_a, 1.0)
         assert (iterations, converged) == (1, True)
         assert np.all(np.isfinite(f))
 
-    def test_normal_clouds_after_a_coarse_eps_step(self):
+    def test_normal_clouds_after_a_coarse_eps_step(self, monkeypatch):
         # A 20-fold last eps step into eps 4e-4 for the cross solves; the
         # self solves start there from f = 0.
+        monkeypatch.setattr(ot, "SCALING", 0.05)
         rng = np.random.default_rng(11)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for _ in range(6):
                 n, m = rng.integers(2, 12, size=2)
                 x, y = rng.normal(0, 1, (n, 3)), rng.normal(1.0, 1, (m, 3))
                 log_a, log_b = np.full(n, -math.log(n)), np.full(m, -math.log(m))
-                assert_honest_cross_solve(ot.squared_distances(x, y), log_a, log_b, 4e-4, 0.05)
-                assert_matches_reference(ot.squared_distances(x, x), log_a, 4e-4,
-                                         ot.DEFAULT_MAX_ITER)
+                assert_honest_cross_solve(ot.squared_distances(x, y), log_a, log_b, 4e-4)
+                assert_matches_reference(ot.squared_distances(x, x), log_a, 4e-4)
 
 
 class TestNewton:
     @pytest.mark.parametrize("seed", range(8))
     def test_trainer_clouds_converge_within_40_iterations(self, seed):
         # The cross solves take 18-21 iterations, levels included.
-        for costs, log_a, log_b, eps, max_iter in solver_instances("trainer", seed):
-            _, _, iterations, converged, trace = ot._sinkhorn_potentials(
-                costs, log_a, log_b, eps, ot.DEFAULT_SCALING, max_iter, ot.DEFAULT_TOL)
+        for costs, log_a, log_b, eps in solver_instances("trainer", seed):
+            _, _, iterations, converged, trace = ot._sinkhorn_potentials(costs, log_a, log_b, eps)
             assert converged and iterations <= 25
-            assert trace[-1] < ot.DEFAULT_TOL
+            assert trace[-1] < ot.TOL
 
     @pytest.mark.parametrize("seed", [15, 32, 47, 64])
-    def test_converges_past_the_roundoff_of_the_dual_value(self, seed):
+    def test_converges_past_the_roundoff_of_the_dual_value(self, monkeypatch, seed):
         # At tol 1e-12 the last steps raise the dual value by less than its
         # roundoff.  Without the line search's allowance for it seeds 47 and
         # 64 end at a failed step (violations 2.5e-12 and 1.5e-12), and
         # seeds 15 and 32 take one and two more iterations.
-        costs, log_a, log_b, eps, max_iter = solver_instances("trainer", seed)[0]
-        _, _, iterations, converged, _ = ot._sinkhorn_potentials(
-            costs, log_a, log_b, eps, ot.DEFAULT_SCALING, max_iter, 1e-12)
+        monkeypatch.setattr(ot, "TOL", 1e-12)
+        costs, log_a, log_b, eps = solver_instances("trainer", seed)[0]
+        _, _, iterations, converged, _ = ot._sinkhorn_potentials(costs, log_a, log_b, eps)
         assert converged and iterations <= 40
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 4e-4])
@@ -489,7 +478,7 @@ class TestNewton:
             x, y = rng.normal(0, 1, (n, 3)), rng.normal(1.0, 1, (m, 3))
             _, _, iterations, converged, _ = ot._sinkhorn_potentials(
                 ot.squared_distances(x, y), np.full(n, -math.log(n)), np.full(m, -math.log(m)),
-                eps, ot.DEFAULT_SCALING, ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
+                eps)
             assert converged and iterations <= 60
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -498,9 +487,8 @@ class TestNewton:
     def test_matches_converged_extended_precision_reference(self, seed):
         # The reference is the log-domain loop from f = 0, run to a violation
         # of 1e-12: 2 382 and 2 841 iterations on these pairs.
-        costs, log_a, log_b, eps, max_iter = solver_instances("trainer", seed)[0]
-        f, g, _, converged, _ = ot._sinkhorn_potentials(
-            costs, log_a, log_b, eps, ot.DEFAULT_SCALING, max_iter, ot.DEFAULT_TOL)
+        costs, log_a, log_b, eps = solver_instances("trainer", seed)[0]
+        f, g, _, converged, _ = ot._sinkhorn_potentials(costs, log_a, log_b, eps)
         assert converged
         wide = np.longdouble
         rf, rg, _, r_converged, _ = reference_potentials(
@@ -515,14 +503,17 @@ class TestNewton:
     @pytest.mark.parametrize("kind", ["acceptance_2", "index"])
     def test_no_warning_and_honest_flags(self, kind):
         for seed in range(8):
-            for costs, log_a, log_b, eps, max_iter in solver_instances(kind, seed):
+            for costs, log_a, log_b, eps in solver_instances(kind, seed):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with np.errstate(over="raise", divide="raise", invalid="raise"):
-                        value, plan, iterations, converged, trace = ot._solve(
-                            costs, log_a, log_b, eps, max_iter=max_iter)
-                assert isinstance(converged, bool) and iterations <= max_iter
-                assert converged == (trace[-1] < ot.DEFAULT_TOL)
+                        f, g, iterations, converged, trace = ot._sinkhorn_potentials(
+                            costs, log_a, log_b, eps)
+                        log_b = log_a if log_b is None else log_b
+                        value = plan_value(costs, log_a, log_b, f, g, eps)
+                        plan = plan_of(costs, log_a, log_b, f, g, eps)
+                assert isinstance(converged, bool) and iterations <= ot.MAX_ITER
+                assert converged == (trace[-1] < ot.TOL)
                 assert math.isfinite(value)
                 floor = max(1e-12, 4 * np.finfo(float).eps * float(costs.max()) / eps)
                 recomputed = np.abs(plan.sum(axis=1) - np.exp(log_a)).sum()
@@ -534,17 +525,15 @@ class TestNewton:
         # Newton step at the target eps runs out of halvings: the solve ends
         # unconverged at the f the coarser levels left, with one iteration
         # at the target eps, and reports the violation of the plan it returns.
-        costs, log_p, log_q, eps, max_iter = solver_instances("index", 2 * seed)[0]
-        f, g, iterations, converged, trace = ot._sinkhorn_potentials(
-            costs, log_p, log_q, eps, ot.DEFAULT_SCALING, max_iter, ot.DEFAULT_TOL)
+        costs, log_p, log_q, eps = solver_instances("index", 2 * seed)[0]
+        f, g, iterations, converged, trace = ot._sinkhorn_potentials(costs, log_p, log_q, eps)
         assert (converged, len(trace)) == (False, 1)
         p, q = np.exp(log_p), np.exp(log_q)
         point = ot._dual_point(costs, log_p, p, q, eps, f)
         assert ot._newton_step(costs, log_p, p, q, eps, f, point,
                                ot._NEWTON_RIDGE * p.max(), float(costs.max())) is None
-        _, plan, *stats = ot._solve(costs, log_p, log_q, eps, max_iter)
-        assert stats == [iterations, converged, trace]
-        recomputed = np.abs(plan.sum(axis=1) - np.exp(log_p)).sum()
+        recomputed = np.abs(plan_of(costs, log_p, log_q, f, g, eps).sum(axis=1)
+                            - np.exp(log_p)).sum()
         # The plan's exponents (f + g - C)/eps carry one ulp of max C over eps.
         floor = 4 * np.finfo(float).eps * float(costs.max()) / eps
         assert trace[-1] == pytest.approx(recomputed, rel=floor, abs=floor)
@@ -555,9 +544,8 @@ class TestNewton:
         # 1.75e-8 at the target eps, and the solve stops once 200 iterations
         # have brought no 1e-3 relative gain, unconverged.
         costs, log_p, log_q = index_costs(5, 0.1)
-        _, _, iterations, converged, trace = ot._sinkhorn_potentials(
-            costs, log_p, log_q, 1e-3, ot.DEFAULT_SCALING, ot.DEFAULT_MAX_ITER, ot.DEFAULT_TOL)
-        assert not converged and trace[-1] > ot.DEFAULT_TOL
+        _, _, iterations, converged, trace = ot._sinkhorn_potentials(costs, log_p, log_q, 1e-3)
+        assert not converged and trace[-1] > ot.TOL
         assert 200 < len(trace) <= iterations < 1_000
         assert min(trace[-200:]) >= min(trace[:-200]) * (1.0 - 1e-3)
 
@@ -583,9 +571,9 @@ class TestSinkhornDivergence:
         calls = []
         solve = ot.entropic_ot
 
-        def counted(a, b, epsilon, **kwargs):
+        def counted(a, b, epsilon):
             calls.append((a, b))
-            return solve(a, b, epsilon, **kwargs)
+            return solve(a, b, epsilon)
 
         monkeypatch.setattr(ot, "entropic_ot", counted)
         rng = np.random.default_rng(11)
@@ -663,24 +651,26 @@ class TestRegulariser:
 class TestOutputSpaceDiag:
     def test_identical_distributions(self):
         p = np.array([0.25, 0.25, 0.25, 0.25])
-        assert ot.output_space_ot_diag(p, p, 4) == 0.0
+        assert ot.output_space_ot_diag(p, p) == 0.0
 
     def test_point_masses(self):
         p = np.zeros(10); p[3] = 1.0
         q = np.zeros(10); q[7] = 1.0
-        assert ot.output_space_ot_diag(p, q, 4) == 16.0
+        assert ot.output_space_ot_diag(p, q) == 16.0
 
     def test_shift_by_two(self):
         p = np.array([0.5, 0.5, 0.0, 0.0])
         q = np.array([0.0, 0.0, 0.5, 0.5])
-        assert ot.output_space_ot_diag(p, q, 4) == 4.0
+        assert ot.output_space_ot_diag(p, q) == 4.0
 
-    def test_point_mass_moved_by_k(self):
+    def test_point_mass_moved_by_k(self, monkeypatch):
         for k in range(12):
             p, q = np.zeros(12), np.zeros(12)
             p[0], q[k] = 1.0, 1.0
-            assert ot.output_space_ot_diag(p, q, 1) == float(k * k)
-            assert ot.output_space_ot_diag(q, p, 12) == float(k * k)
+            monkeypatch.setattr(ot, "DIAG_TOP_K", 1)
+            assert ot.output_space_ot_diag(p, q) == float(k * k)
+            monkeypatch.setattr(ot, "DIAG_TOP_K", 12)
+            assert ot.output_space_ot_diag(q, p) == float(k * k)
 
     def test_matches_the_exact_oracle_on_integer_clouds(self):
         # A uniform cloud of n integer points over 12 tokens is the histogram
@@ -692,16 +682,16 @@ class TestOutputSpaceDiag:
             p, q = np.bincount(a, minlength=12) / n, np.bincount(b, minlength=12) / n
             exact = exact_w2_small(EmpiricalMeasure(a[:, None].astype(float)),
                                    EmpiricalMeasure(b[:, None].astype(float)))
-            assert abs(ot.output_space_ot_diag(p, q, 12) - exact) <= 1e-12
+            assert abs(ot.output_space_ot_diag(p, q) - exact) <= 1e-12
 
     def test_symmetric(self):
         for seed in range(20):
             p, q = np.random.default_rng(seed).dirichlet(np.ones(16), size=2)
-            value = ot.output_space_ot_diag(p, q, 16)
+            value = ot.output_space_ot_diag(p, q)
             assert math.isfinite(value) and value > 0.0
-            assert ot.output_space_ot_diag(q, p, 16) == value
+            assert ot.output_space_ot_diag(q, p) == value
 
-    def test_top_k_union_is_renormalised(self):
+    def test_top_k_union_is_renormalised(self, monkeypatch):
         # top-2 of p is {0, 1}, of q {4, 5}: the mass on tokens 2 and 3 is
         # dropped and each side is rescaled to 1 on {0, 1, 4, 5}.  Then p is
         # 3/4 at 0 and 1/4 at 1, q is 1/2 at 4 and 1/2 at 5; the monotone
@@ -709,15 +699,12 @@ class TestOutputSpaceDiag:
         p = np.array([0.6, 0.2, 0.1, 0.1, 0.0, 0.0])
         q = np.array([0.0, 0.0, 0.1, 0.1, 0.4, 0.4])
         expected = 0.5 * 16 + 0.25 * 25 + 0.25 * 16
-        assert ot.output_space_ot_diag(p, q, 2) == pytest.approx(expected, abs=1e-12)
-        assert ot.output_space_ot_diag(p, q, 6) != pytest.approx(expected)
+        monkeypatch.setattr(ot, "DIAG_TOP_K", 2)
+        assert ot.output_space_ot_diag(p, q) == pytest.approx(expected, abs=1e-12)
+        monkeypatch.setattr(ot, "DIAG_TOP_K", 6)
+        assert ot.output_space_ot_diag(p, q) != pytest.approx(expected)
 
-    def test_requires_positive_top_k(self):
-        p = np.array([0.5, 0.5])
-        with pytest.raises(ValidationError):
-            ot.output_space_ot_diag(p, p, 0)
-
-    def test_equals_the_unique_and_union1d_version(self):
+    def test_equals_the_unique_and_union1d_version(self, monkeypatch):
         # Sparse and tied distributions: zero masses repeat cumulative sums,
         # so the breakpoints deduplicate, and tied probabilities exercise the
         # stable top-k order.
@@ -730,7 +717,8 @@ class TestOutputSpaceDiag:
                 p[rng.integers(v)] += 1.0
                 p /= p.sum()
             for top_k in range(1, 17):
-                assert (ot.output_space_ot_diag(p, q, top_k)
+                monkeypatch.setattr(ot, "DIAG_TOP_K", top_k)
+                assert (ot.output_space_ot_diag(p, q)
                         == output_space_ot_diag_with_unique(p, q, top_k)), (case, top_k)
 
 

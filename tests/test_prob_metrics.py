@@ -1,7 +1,6 @@
 """Categorical-distribution probes: frozen oracles and randomized properties."""
 import csv
 import math
-import re
 
 import numpy as np
 import pytest
@@ -178,34 +177,19 @@ class TestTurningAngles:
 
 def perturb(base, alpha, beta):
     """Per-cell reference: power-temper a ProbVector, then mix it toward uniform."""
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
-    if not (0.0 <= beta <= 1.0):
-        raise ValidationError("beta must lie in [0, 1]")
     powered = np.power(base.probs, alpha)
-    total = float(np.sum(powered))
-    if total <= 0:
-        raise ValidationError("perturbation annihilated all mass")
-    tempered = powered / total
+    tempered = powered / float(np.sum(powered))
     uniform = np.full(base.support_size, 1.0 / base.support_size)
     return pm.ProbVector((1.0 - beta) * tempered + beta * uniform)
 
 
-def reference_grid(base, alphas, betas, metric):
+def reference_grid(base, alphas, betas):
     """landscape_grid one cell at a time, as the probe computed it before it was batched."""
     base = pm.ProbVector(base)
     grid = np.empty((len(alphas), len(betas)))
     for i, a in enumerate(alphas):
         for j, b in enumerate(betas):
-            q = perturb(base, float(a), float(b))
-            if metric == "fr":
-                grid[i, j] = pm.fr_distance(base, q)
-            else:
-                with np.errstate(divide="ignore"):
-                    logq = np.log(q.probs)
-                mask = base.probs > 0
-                grid[i, j] = (float(np.sum(base.probs[mask] * logq[mask]))
-                              + math.log(base.support_size))
+            grid[i, j] = pm.fr_distance(base, perturb(base, float(a), float(b)))
     return grid
 
 
@@ -218,58 +202,40 @@ def landscape_bases():
 
 
 class TestLandscape:
-    @pytest.mark.parametrize("metric", ["fr", "diag_mi"])
-    def test_matches_the_per_cell_loop(self, metric):
-        # The probe's default 11x11 grid, bit for bit.
+    # The grid's alpha 1 (row 5) and betas 0 and 1 (first and last columns)
+    # are exact in floating point.
+    UNIT_ALPHA = 5
+
+    def test_matches_the_per_cell_loop(self):
+        # The probe's 11x11 grid, bit for bit.
         alphas, betas = np.linspace(0.5, 1.5, 11), np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(pm.LANDSCAPE_ALPHAS, alphas)
+        assert np.array_equal(pm.LANDSCAPE_BETAS, betas)
         for base in landscape_bases():
-            grid = pm.landscape_grid(base, alphas, betas, metric=metric)
-            assert np.array_equal(grid, reference_grid(base, alphas, betas, metric))
-
-    @pytest.mark.parametrize("alphas, betas, message", [
-        ([1.0, 0.0], [0.0, 0.5], "alpha must be positive"),
-        ([1.0, -2.0], [0.0, 1.5], "beta must lie in [0, 1]"),
-        ([1.0, 5000.0], [0.0], "perturbation annihilated all mass"),
-    ])
-    def test_first_invalid_cell_raises_as_the_per_cell_loop(self, alphas, betas, message):
-        base = landscape_bases()[0]
-        for compute in (pm.landscape_grid, reference_grid):
-            with pytest.raises(ValidationError, match=re.escape(message)):
-                compute(base, alphas, betas, metric="fr")
-
-    def test_non_finite_alpha_rejected(self):
-        with pytest.raises(ValidationError, match="finite"):
-            pm.landscape_grid([0.5, 0.5], [1.0, math.inf], [0.0])
+            grid = pm.landscape_grid(base)
+            assert np.array_equal(grid, reference_grid(base, alphas, betas))
 
     def test_identity_cell_fr(self):
-        grid = pm.landscape_grid([0.6, 0.3, 0.1], [1.0], [0.0], metric="fr")
-        assert grid[0, 0] == pytest.approx(0.0, abs=1e-12)
+        grid = pm.landscape_grid([0.6, 0.3, 0.1])
+        assert pm.LANDSCAPE_ALPHAS[self.UNIT_ALPHA] == 1.0 and pm.LANDSCAPE_BETAS[0] == 0.0
+        assert grid[self.UNIT_ALPHA, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_row_closed_form(self):
         base = [0.7, 0.2, 0.1]
-        grid = pm.landscape_grid(base, [1.0], [1.0], metric="fr")
+        grid = pm.landscape_grid(base)
+        assert pm.LANDSCAPE_BETAS[-1] == 1.0
         expected = 2 * math.acos(sum(math.sqrt(p / 3) for p in base))
-        assert grid[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert np.all(np.abs(grid[:, -1] - expected) <= 1e-12)
 
-    def test_beta_monotone_for_unit_alpha(self):
-        base = [0.9, 0.05, 0.05]
-        betas = np.linspace(0, 1, 21)
-        grid = pm.landscape_grid(base, [1.0], betas, metric="fr")
-        diffs = np.diff(grid[0])
+    def test_beta_monotone_for_unit_alpha(self, monkeypatch):
+        monkeypatch.setattr(pm, "LANDSCAPE_BETAS", np.linspace(0, 1, 21))
+        grid = pm.landscape_grid([0.9, 0.05, 0.05])
+        assert grid.shape == (11, 21)
+        diffs = np.diff(grid[self.UNIT_ALPHA])
         assert np.all(diffs >= -1e-12)
 
-    def test_diag_mi_metric_zero_at_uniform(self):
-        base = [0.7, 0.2, 0.1]
-        grid = pm.landscape_grid(base, [1.0], [1.0], metric="diag_mi")
-        assert grid[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(ValidationError):
-            pm.landscape_grid([0.5, 0.5], [0.0], [0.0])
-
     def test_grid_shape(self):
-        grid = pm.landscape_grid([0.5, 0.5], np.linspace(0.5, 1.5, 11),
-                                 np.linspace(0, 1, 11))
+        grid = pm.landscape_grid([0.5, 0.5])
         assert grid.shape == (11, 11)
 
 

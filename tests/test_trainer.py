@@ -171,7 +171,7 @@ class TestStepGradient:
         term is not negligible.  Each term's largest gradient entry is then
         at least 100 times the tolerance: 0.16 for OT, 0.09 for GRPO and 9e-3
         for SAMI.  The OT solves stop at an L1 marginal
-        violation below ot.DEFAULT_TOL = 1e-9, so each divergence value may
+        violation below ot.TOL = 1e-9, so each divergence value may
         be off by up to about tol times the largest cost, 4 for unit
         vectors, and a central difference over step h by ot_weight * 4 * tol
         / h.  At h = 1e-4 that is 2e-5, the tolerance; the O(h^2) truncation
@@ -236,11 +236,10 @@ class TestStepGradient:
                                                       + lam_col * losses["col_loss"])
             cur = rep_metrics.EmpiricalMeasure(table.summaries(ctx, counts.sum(axis=2))[0],
                                                normalised=True)
-            divergence = ot.sinkhorn_divergence_with_grad(cur, ref, tr.BLUR ** 2,
-                                                          max_iter=500)[0]
+            divergence = ot.sinkhorn_divergence_with_grad(cur, ref, tr.BLUR ** 2)[0]
             return grpo + sami + config.ot_weight * divergence
 
-        tol = config.ot_weight * 4 * ot.DEFAULT_TOL / h
+        tol = config.ot_weight * 4 * ot.TOL / h
         for name, block in before.param_blocks().items():
             change = policy.param_blocks()[name] - block
             for idx in np.ndindex(block.shape):
