@@ -459,7 +459,7 @@ def cmd_probe(args) -> int:
     # The probe context (the first item's prompt and principle) is bagged
     # once; the bag depends on no parameters.
     item = task.items[0]
-    weights = loaded[0][0].bag([(item.prompt, task.principle(item.principle_id).tokens)])
+    weights = loaded[0][0].bag([(item.prompt, task.principles[item.column].tokens)])
     dists = [prob_metrics.ProbVector(policy.forward(weights).next_token_probs(0))
              for policy, _ in loaded]
     steps = [meta["step"] for _, meta in loaded]

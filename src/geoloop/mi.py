@@ -1,7 +1,8 @@
 """Score matrices, row/column InfoNCE, contrastive MI bounds, diagnostics.
 
-The score matrix L collects normalised sequence log-scores between completions
-(rows) and principle-conditioned prompts (columns).  On a square matrix:
+A score matrix L, a float array, collects normalised sequence log-scores
+between completions (rows) and principle-conditioned prompts (columns); the
+score functions below take it as an array.  On a square matrix:
 
     row loss  = -(1/N) sum_i log softmax_j(L_i.)|_{j=i}
     col loss  = -(1/N) sum_j log softmax_i(L_.j)|_{i=j}
@@ -15,13 +16,13 @@ kept).  clean_mi_bounds(row_scores, col_scores, clean_mask) reads K from the
 blocks' width.  Shadow candidates are drawn uniformly from the positive pool without
 replacement, excluding the true principle.
 
-A score matrix carries a normalisation label: raw_sum (plain log-likelihood
-sum), length_mean (divide by token count) or fisher_weighted (token weights
-proportional to p_t(1-p_t)).  Every score geoloop computes is length_mean;
-the other two labels are accepted on external score CSVs.  Row
-standardisation ((L - mu_i)/sigma_i) exists solely for the reward channel's
-z statistic and never touches the auxiliary loss; a constant row
-(sigma_i = 0) standardises to all zeros.
+`ScoreMatrix` is the score CSV's type: the matrix plus a normalisation
+label, raw_sum (plain log-likelihood sum), length_mean (divide by token
+count) or fisher_weighted (token weights proportional to p_t(1-p_t)).  Every
+score geoloop computes is length_mean; the other two labels are accepted on
+external score CSVs.  Row standardisation ((L - mu_i)/sigma_i) exists solely
+for the reward channel's z statistic and never touches the auxiliary loss; a
+constant row (sigma_i = 0) standardises to all zeros.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ NORMALISATIONS = ("raw_sum", "length_mean", "fisher_weighted")
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """N x M matrix of sequence log-scores plus the normalisation used."""
+    """N x M matrix of sequence log-scores plus the normalisation used, as a
+    score CSV holds them."""
 
     scores: np.ndarray
     normalisation: str = "length_mean"
@@ -54,21 +56,6 @@ class ScoreMatrix:
     def shape(self) -> tuple:
         return self.scores.shape
 
-    def standardised(self) -> np.ndarray:
-        """(L - mu_i) / sigma_i per row, with the row's mean and population
-        std; constant rows (sigma_i = 0) map to all-zero rows."""
-        mu, sigma = self.scores.mean(axis=1), self.scores.std(axis=1)
-        safe = np.where(sigma > 0, sigma, 1.0)
-        out = (self.scores - mu[:, None]) / safe[:, None]
-        out[sigma == 0] = 0.0
-        return out
-
-
-def _scores_of(matrix) -> np.ndarray:
-    if isinstance(matrix, ScoreMatrix):
-        return matrix.scores
-    return np.atleast_2d(np.asarray(matrix, dtype=float))
-
 
 def _log_softmax(arr: np.ndarray, axis: int) -> np.ndarray:
     shifted = arr - np.max(arr, axis=axis, keepdims=True)
@@ -77,11 +64,10 @@ def _log_softmax(arr: np.ndarray, axis: int) -> np.ndarray:
 
 # ---------- InfoNCE on square matrices ----------
 
-def infonce_losses(matrix) -> dict:
-    """Row and column InfoNCE losses of a square score matrix (both >= 0),
+def infonce_losses(scores: np.ndarray) -> dict:
+    """Row and column InfoNCE losses of a square score array (both >= 0),
     the diagonal statistic (`diag_mi`) and the row and column softmaxes, from
     one max-shift, exponential and partition per direction."""
-    scores = _scores_of(matrix)
     n, m = scores.shape
     if n != m:
         raise ValidationError(f"InfoNCE needs a square matrix, got {n}x{m}")
@@ -98,15 +84,15 @@ def infonce_losses(matrix) -> dict:
     return out
 
 
-def diag_mi(matrix) -> float:
+def diag_mi(scores: np.ndarray) -> float:
     """Diagonal PMI-like statistic: mean row/col log-softmax diagonal, halved.
 
     Always <= 0, with equality only in the 1x1 case.
     """
-    return infonce_losses(matrix)["diag_mi"]
+    return infonce_losses(scores)["diag_mi"]
 
 
-def shaping_term(matrix, quantile_mask, weight: float) -> float:
+def shaping_term(scores: np.ndarray, quantile_mask, weight: float) -> float:
     """weight * mean over masked rows of the centred diagonal cross-entropy.
 
     The statistic is e_i = -log softmax_row(L)|_{ii} centred on the full-batch
@@ -117,7 +103,6 @@ def shaping_term(matrix, quantile_mask, weight: float) -> float:
         raise ValidationError("shaping weight must be nonnegative")
     if weight == 0.0:
         return 0.0
-    scores = _scores_of(matrix)
     n, m = scores.shape
     if n != m:
         raise ValidationError("shaping term needs a square matrix")
@@ -227,15 +212,17 @@ def clean_mi_bounds(row_scores, col_scores, clean_mask) -> dict:
     return {"row_bound": row, "col_bound": col, "gap": row - col, "clean_count": count}
 
 
-def row_positive_logsoftmax(matrix) -> np.ndarray:
+def row_positive_logsoftmax(scores: np.ndarray) -> np.ndarray:
     """z_i = log softmax over each row's candidates at the positive (column 0).
 
-    Rows are standardised first; this is the reward channel's input and is
-    never fed back into the auxiliary loss.
+    Each row is first scaled to (L - mu_i) / sigma_i, with its mean and
+    population std, and a constant row (sigma_i = 0) to all zeros; this is
+    the reward channel's input and is never fed back into the auxiliary loss.
     """
-    if not isinstance(matrix, ScoreMatrix):
-        matrix = ScoreMatrix(_scores_of(matrix))
-    return _log_softmax(matrix.standardised(), axis=1)[:, 0]
+    mu, sigma = scores.mean(axis=1), scores.std(axis=1)
+    scaled = (scores - mu[:, None]) / np.where(sigma > 0, sigma, 1.0)[:, None]
+    scaled[sigma == 0] = 0.0
+    return _log_softmax(scaled, axis=1)[:, 0]
 
 
 # ---------- CSV round-trip (also the ingestion path for external scores) ----------

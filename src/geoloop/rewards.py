@@ -6,8 +6,8 @@ one pair of each tag, nothing outside).  Content is never inspected.  The
 trainer scores it on the toy task's tokens with `policy.Samples.format_ok`,
 where the four tags are reserved tokens.
 
-The tie-breaker channel converts a standardised row log-softmax z into a
-small dense reward
+The tie-breaker channel converts the row log-softmax z of
+`mi.row_positive_logsoftmax` into a small dense reward
 
     r_mi = gate * beta_t * channel_weight * sigmoid(SIGMOID_SLOPE * z),
 

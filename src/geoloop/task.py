@@ -12,7 +12,7 @@ principle statistically identifiable from completions.
 
 A gold is R_OPEN, one or two reasoning fillers, R_CLOSE A_OPEN, one or two
 answer fillers, A_CLOSE EOS.  Each filler is the principle's preferred one
-with probability `bias` (when it has one), else uniform over its pool.
+with probability `bias`, else uniform over its pool.
 There are two forms of the one draw.  `gold_continuation` draws a gold call
 by call from a Generator: `make_toy_task` draws its golds this way because
 their draws interleave with the prompt draws on one stream.
@@ -82,23 +82,27 @@ class Vocab:
 
 @dataclass(frozen=True)
 class ToyPrinciple:
-    """A token-pattern principle; `prefers` are the gold fillers it biases."""
+    """A token-pattern principle and the two gold fillers it biases: a
+    reasoning one from the task's `gold_r_pool`, then an answer one from its
+    `gold_a_pool`."""
 
-    pid: str
     tokens: tuple
-    prefers: tuple = ()
+    prefers: tuple
 
 
 @dataclass(frozen=True)
 class TaskItem:
+    """A prompt, its principle as a column of the task's `principles`, and its gold."""
+
     prompt: tuple
-    principle_id: str
+    column: int
     gold: tuple  # includes the trailing EOS
 
 
 @dataclass(frozen=True)
 class ToyTask:
-    """Prompts, a positive principle per prompt, and biased gold continuations.
+    """Prompts, a positive principle per prompt (each item's `column` in
+    `principles`), and biased gold continuations.
 
     Principle renderings use marker fillers that never appear in prompts or
     golds; the gold pools are the remaining fillers.  Keeping the supports
@@ -112,33 +116,15 @@ class ToyTask:
     gold_r_pool: tuple
     gold_a_pool: tuple
 
-    def __post_init__(self):
-        ids = [p.pid for p in self.principles]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("principle ids must be unique")
-        known = set(ids)
-        for item in self.items:
-            if item.principle_id not in known:
-                raise ValidationError(f"item references unknown principle {item.principle_id!r}")
-
     @property
     def true_columns(self) -> list:
         """Each item's principle as its index in `principles`."""
-        column = {p.pid: j for j, p in enumerate(self.principles)}
-        return [column[item.principle_id] for item in self.items]
-
-    def principle(self, pid: str) -> ToyPrinciple:
-        for p in self.principles:
-            if p.pid == pid:
-                return p
-        raise KeyError(pid)
+        return [item.column for item in self.items]
 
 
-def gold_filler_pools(vocab: Vocab, principles) -> tuple:
-    """Reasoning/answer filler pools minus every token used by a principle."""
-    used = set()
-    for p in principles:
-        used.update(p.tokens)
+def gold_filler_pools(vocab: Vocab, patterns) -> tuple:
+    """Reasoning/answer filler pools minus every token of the token patterns."""
+    used = {t for tokens in patterns for t in tokens}
     r_pool = tuple(t for t in vocab.reasoning_fillers if t not in used)
     a_pool = tuple(t for t in vocab.answer_fillers if t not in used)
     # Degenerate pattern sets that cover a whole pool fall back to sharing it.
@@ -149,13 +135,12 @@ def gold_filler_pools(vocab: Vocab, principles) -> tuple:
     return r_pool, a_pool
 
 
-def _assign_prefers(principles, r_pool, a_pool) -> tuple:
-    """Positional preferred-filler assignment over the gold pools."""
-    out = []
-    for k, p in enumerate(principles):
-        prefers = (r_pool[k % len(r_pool)], a_pool[k % len(a_pool)])
-        out.append(ToyPrinciple(p.pid, p.tokens, prefers=prefers))
-    return tuple(out)
+def _principles(vocab: Vocab, patterns) -> tuple:
+    """Principles of the token patterns, pattern k preferring the k-th filler
+    (cyclically) of each gold pool the patterns leave free."""
+    r_pool, a_pool = gold_filler_pools(vocab, patterns)
+    return tuple(ToyPrinciple(tokens, (r_pool[k % len(r_pool)], a_pool[k % len(a_pool)]))
+                 for k, tokens in enumerate(patterns))
 
 
 def make_toy_principles(vocab: Vocab) -> tuple:
@@ -166,31 +151,29 @@ def make_toy_principles(vocab: Vocab) -> tuple:
     vocabulary, whose answer pool holds one filler.  The remaining fillers
     stay free for prompts and golds.
     """
-    pairs = [(i, j) for i in vocab.reasoning_fillers[-2:] for j in vocab.answer_fillers[-2:]]
-    raw = tuple(ToyPrinciple(f"pos{k}", (i, j, i, j)) for k, (i, j) in enumerate(pairs))
-    r_pool, a_pool = gold_filler_pools(vocab, raw)
-    return _assign_prefers(raw, r_pool, a_pool)
+    return _principles(vocab, [(i, j, i, j) for i in vocab.reasoning_fillers[-2:]
+                               for j in vocab.answer_fillers[-2:]])
 
 
 def principles_from_patterns(vocab: Vocab, patterns) -> tuple:
-    """Token-pattern principles from (pid, tokens) pairs.
+    """Token-pattern principles from (pid, tokens) pairs; a pid names its
+    pattern in error messages only.
 
     Preferred gold fillers are assigned positionally over the pools left free
     by the patterns, so a principle's identity (its rendering) and the content
     it biases stay on disjoint token supports.
     """
-    raw = []
+    checked = []
     for pid, tokens in patterns:
         toks = tuple(int(t) for t in tokens)
         if any(t < 0 or t >= vocab.size for t in toks):
             raise ValidationError(f"principle {pid!r} uses out-of-vocab tokens")
         if any(t not in vocab.fillers for t in toks):
             raise ValidationError(f"principle {pid!r} uses reserved tokens")
-        raw.append(ToyPrinciple(pid, toks))
-    if len(raw) < 2:
+        checked.append(toks)
+    if len(checked) < 2:
         raise ValidationError("need at least two principles for shadows to exist")
-    r_pool, a_pool = gold_filler_pools(vocab, raw)
-    return _assign_prefers(tuple(raw), r_pool, a_pool)
+    return _principles(vocab, checked)
 
 
 def make_toy_task(vocab: Vocab | None = None, *, n_items: int = 32, prompt_len: int = 4,
@@ -206,21 +189,21 @@ def make_toy_task(vocab: Vocab | None = None, *, n_items: int = 32, prompt_len: 
     rng = np.random.default_rng(seed)
     if principles is None:
         principles = make_toy_principles(vocab)
-    r_pool, a_pool = gold_filler_pools(vocab, principles)
+    r_pool, a_pool = gold_filler_pools(vocab, [p.tokens for p in principles])
     prompt_pool = r_pool + a_pool
     items = []
     for i in range(n_items):
         prompt = tuple(prompt_pool[j]
                        for j in rng.integers(len(prompt_pool), size=prompt_len).tolist())
-        principle = principles[i % len(principles)]
-        gold = gold_continuation(vocab, principle.prefers, r_pool, a_pool, bias, rng)
-        items.append(TaskItem(prompt, principle.pid, gold))
+        column = i % len(principles)
+        gold = gold_continuation(vocab, principles[column].prefers, r_pool, a_pool, bias, rng)
+        items.append(TaskItem(prompt, column, gold))
     return ToyTask(vocab, principles, tuple(items), r_pool, a_pool)
 
 
 def gold_items(task: ToyTask) -> list:
     """(prompt, principle tokens, gold) triples with the biased golds."""
-    return [(item.prompt, task.principle(item.principle_id).tokens, item.gold)
+    return [(item.prompt, task.principles[item.column].tokens, item.gold)
             for item in task.items]
 
 
@@ -230,14 +213,13 @@ def gold_continuation(vocab: Vocab, prefers: tuple, r_pool, a_pool, bias: float,
     def fill(pool, pref, n):
         picks = []
         for _ in range(n):
-            if pref is not None and rng.random() < bias:
+            if rng.random() < bias:
                 picks.append(pref)
             else:
                 picks.append(int(pool[rng.integers(len(pool))]))
         return picks
 
-    r_pref = prefers[0] if prefers else None
-    a_pref = prefers[1] if len(prefers) > 1 else None
+    r_pref, a_pref = prefers
     r_n = int(rng.integers(1, 3))
     a_n = int(rng.integers(1, 3))
     toks = ([vocab.r_open] + fill(r_pool, r_pref, r_n)
@@ -259,16 +241,12 @@ def gold_continuations(vocab: Vocab, prefers: tuple, r_pool, a_pool, bias: float
         picks = []
         for k in range(2):
             drawn = n > k
-            if pref is None:
-                picks.append(pool[streams.integers(0, len(pool), drawn)])
-            else:
-                take_pref = drawn & (streams.random(drawn) < bias)
-                picks.append(np.where(take_pref, pref, pool[streams.integers(
-                    0, len(pool), drawn & ~take_pref)]))
+            take_pref = drawn & (streams.random(drawn) < bias)
+            picks.append(np.where(take_pref, pref, pool[streams.integers(
+                0, len(pool), drawn & ~take_pref)]))
         return picks
 
-    r_pref = prefers[0] if prefers else None
-    a_pref = prefers[1] if len(prefers) > 1 else None
+    r_pref, a_pref = prefers
     r_n = streams.integers(1, 3)
     a_n = streams.integers(1, 3)
     r1, r2 = fill(r_pool, r_pref, r_n)
@@ -298,6 +276,6 @@ def warm_start_golds(task: ToyTask, epochs: int, seed: int, bias: float) -> tupl
     lengths = np.zeros(tokens.shape[:2], dtype=np.int64)
     for c, item in enumerate(task.items):
         tokens[:, c], lengths[:, c] = gold_continuations(
-            task.vocab, task.principle(item.principle_id).prefers, task.gold_r_pool,
+            task.vocab, task.principles[item.column].prefers, task.gold_r_pool,
             task.gold_a_pool, bias, streams)
     return tokens, lengths

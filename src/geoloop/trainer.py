@@ -169,13 +169,6 @@ _FINITE_FIELDS = ("reward_base_mean", "reward_mi_mean", "reward_std", "loss_tota
                   "loss_grpo", "loss_sami", "loss_ot", "grad_norm")
 
 
-def _sami_matrix(own_scores, groups, kept, lengths) -> mi.ScoreMatrix:
-    """Square cross-query matrix over kept rows: entry (i, j) scores completion
-    kept[i] under the true context of completion kept[j]."""
-    return mi.ScoreMatrix(own_scores[groups[kept]][:, kept].T / lengths[kept, None],
-                          normalisation="length_mean")
-
-
 def _geometry(cur: rep_metrics.EmpiricalMeasure, ref: rep_metrics.EmpiricalMeasure) -> tuple:
     """(frechet, effrank, pr, degenerate) of the current and reference clouds.
 
@@ -298,29 +291,30 @@ class Trainer:
         # serve both clouds' summaries and the OT gradient.
         row_counts = counts @ np.ones(self.policy.vocab.size)
         scores = table.seq_logprobs(counts)
-        own_scores = scores[own]
+        # Each completion's scores divided by its length, once: the row,
+        # column and SAMI blocks gather their entries from it.
+        norm = scores / lengths
         coeffs = np.zeros_like(scores)
 
         entropies = samples.mean_entropies()
         entropy_mask = rewards.entropy_gate(entropies)
         format_ok = samples.format_ok(self.policy.vocab)
 
-        # Length-normalised candidate scores; the positive is column 0.
-        row_scores = (scores[self._row_candidates(item_idx, groups, step), np.arange(b)[:, None]]
-                      / lengths[:, None])
-        cands = self._col_candidates(b, step)
-        col_scores = own_scores[groups[:, None], cands] / lengths[cands]
+        # Candidate scores; the positive is column 0.
+        row_scores = norm[self._row_candidates(item_idx, groups, step), np.arange(b)[:, None]]
+        col_scores = norm[own[groups][:, None], self._col_candidates(b, step)]
         clean = mi.clean_mi_bounds(row_scores, col_scores, format_ok & entropy_mask)
 
         # The on-policy GRPO term is over untruncated completions (module
-        # docstring), and so is the SAMI matrix.
+        # docstring), and so is the SAMI matrix: entry (i, j) scores
+        # completion kept[i] under the true context of completion kept[j].
         kept = np.flatnonzero(~samples.truncated)
         n_kept = max(1, kept.size)
         lam_row, lam_col = rowcol_anneal(step, config.max_steps)
         w_sami = sami_weight_at(config, step)
         losses = None
         if kept.size >= 2:
-            losses = mi.infonce_losses(_sami_matrix(own_scores, groups, kept, lengths))
+            losses = mi.infonce_losses(norm[own[groups[kept]]][:, kept].T)
 
         cur_summaries = table.summaries(own[groups], row_counts)
         cur_measure = rep_metrics.EmpiricalMeasure(cur_summaries[0], normalised=True)
@@ -349,7 +343,7 @@ class Trainer:
             format_gate_on = rewards.format_gate_schedule(step, MI_WARMUP_STEPS)
             mi_reward = np.zeros(b)
             if config.channel_weight > 0:
-                z = mi.row_positive_logsoftmax(mi.ScoreMatrix(row_scores))
+                z = mi.row_positive_logsoftmax(row_scores)
                 gate_open = entropy_mask & (format_ok | (not format_gate_on))
                 mi_reward = rewards.mi_tiebreak_rewards(
                     z, config.channel_weight, gate_open, self.autoscaler)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from geoloop import cli, mi, ot, prob_metrics
 from geoloop import constitution as consti
 from geoloop.policy import DEFAULT_DIM, ToyPolicy, mle_pretrain, transition_counts, warm_start
-from geoloop.task import ToyPrinciple, Vocab, gold_items, make_toy_principles, make_toy_task
+from geoloop.task import Vocab, gold_items
 from geoloop.trainer import STEPS_JSONL_FIELDS, Trainer, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)
@@ -1055,8 +1055,8 @@ class TestPositiveCounts:
         pset = cli._load_principles(constitution)
         task = cli._build_task(pset, 0, Vocab())
         n = len(pset.positives)
-        assert [item.principle_id for item in task.items] == \
-            [task.principles[i % n].pid for i in range(32)]
+        assert [item.column for item in task.items] == [i % n for i in range(32)]
+        assert [p.tokens for p in task.principles] == [p.tokens for p in pset.positives]
 
     def test_eval_constitution(self, tmp_path, constitution):
         out = tmp_path / "out"
@@ -1191,16 +1191,6 @@ def bundled_warm_start(seed, bias=cli.WARMSTART_BIAS, lr=cli.WARMSTART_LR,
     return task, epochs, lr, seed, bias
 
 
-def no_prefers_warm_start():
-    """Four principles with zero, one, two and zero preferred fillers, so one
-    epoch mixes golds that draw a random() before a filler with golds that
-    do not."""
-    vocab = Vocab()
-    principles = tuple(ToyPrinciple(p.pid, p.tokens, p.prefers[:k])
-                       for p, k in zip(make_toy_principles(vocab), (0, 1, 2, 0)))
-    return make_toy_task(vocab, seed=11, principles=principles), 25, 0.5, 5, 0.15
-
-
 # Warm starts whose parameter hashes in tests/data were written by the code
 # that drew each epoch's golds from its own Generator, one call per draw.
 WARM_START_CASES = {
@@ -1208,7 +1198,6 @@ WARM_START_CASES = {
     "bundled_seed3": lambda: bundled_warm_start(3),
     "bias0_25_epochs": lambda: bundled_warm_start(42, bias=0.0, epochs=25),
     "bias1_25_epochs": lambda: bundled_warm_start(42, bias=1.0, epochs=25),
-    "no_prefers_25_epochs": no_prefers_warm_start,
 }
 
 
@@ -1321,7 +1310,7 @@ def reference_probe(ckpts, out, constitution, seed=0):
     vocab = Vocab(loaded[0][1]["vocab_size"])
     task = cli._build_task(cli._load_principles(constitution), seed, vocab)
     item = task.items[0]
-    ptoks = task.principle(item.principle_id).tokens
+    ptoks = task.principles[item.column].tokens
     dists = [prob_metrics.ProbVector(policy.next_token_distribution(item.prompt, ptoks))
              for policy, _ in loaded]
     steps = [meta["step"] for _, meta in loaded]
@@ -1364,8 +1353,7 @@ def reference_probe(ckpts, out, constitution, seed=0):
     scores = table.seq_logprobs(golds).reshape(len(sample), n_principles, len(sample))
     own = np.arange(len(sample))
     matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
-    true_cols = [next(j for j, p in enumerate(task.principles) if p.pid == it.principle_id)
-                 for it in sample]
+    true_cols = [it.column for it in sample]
     aligned = np.zeros_like(matrix)
     for i, j in enumerate(true_cols):
         aligned[i] = np.roll(matrix[i], -j)
@@ -1506,7 +1494,7 @@ class TestProbeCommand:
         task = cli._build_task(pset, 0, Vocab())
         item = task.items[0]
         dists = [load_checkpoint(path)[0].next_token_distribution(
-            item.prompt, task.principle(item.principle_id).tokens) for path in ckpts]
+            item.prompt, task.principles[item.column].tokens) for path in ckpts]
         assert math.isfinite(w2sq) and w2sq >= 0.0
         assert ot.DIAG_TOP_K == 16
         assert w2sq == ot.output_space_ot_diag(dists[0], dists[-1])

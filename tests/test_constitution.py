@@ -377,9 +377,7 @@ def reference_evaluate(policy, task, pset, seed):
     32-item task."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
     items = [(item.prompt, item.gold) for item in task.items]
-    pos_by_pid = {p.pid: i for i, p in enumerate(task.principles)}
-    true_pos_idx = [pos_by_pid[item.principle_id] % len(pset.positives)
-                    for item in task.items]
+    true_pos_idx = [item.column % len(pset.positives) for item in task.items]
     pos_scores = reference_scores(policy, items, pset.positives)
     neg_scores = reference_scores(policy, items, pset.negatives)
     deltas_bits = []

@@ -147,16 +147,16 @@ def reference_make_toy_task(vocab=None, *, n_items=32, prompt_len=4, bias=0.8, s
     rng = np.random.default_rng(seed)
     if principles is None:
         principles = tk.make_toy_principles(vocab)
-    r_pool, a_pool = tk.gold_filler_pools(vocab, principles)
+    r_pool, a_pool = tk.gold_filler_pools(vocab, [p.tokens for p in principles])
     prompt_pool = r_pool + a_pool
     items = []
     for i in range(n_items):
         prompt = tuple(int(prompt_pool[rng.integers(len(prompt_pool))])
                        for _ in range(prompt_len))
-        principle = principles[i % len(principles)]
-        gold = tk.gold_continuation(vocab, principle.prefers, r_pool, a_pool,
+        column = i % len(principles)
+        gold = tk.gold_continuation(vocab, principles[column].prefers, r_pool, a_pool,
                                       bias, rng)
-        items.append(tk.TaskItem(prompt, principle.pid, gold))
+        items.append(tk.TaskItem(prompt, column, gold))
     return tk.ToyTask(vocab, principles, tuple(items), r_pool, a_pool)
 
 
@@ -165,7 +165,7 @@ def reference_format_pretrain_items(task, seed=0, bias=0.15):
     rng = np.random.default_rng(seed)
     triples = []
     for item in task.items:
-        principle = task.principle(item.principle_id)
+        principle = task.principles[item.column]
         gold = tk.gold_continuation(task.vocab, principle.prefers, task.gold_r_pool,
                                       task.gold_a_pool, bias, rng)
         triples.append((item.prompt, principle.tokens, gold))

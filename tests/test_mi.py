@@ -32,12 +32,12 @@ class TestInfonceLosses:
         assert losses["col_loss"] == pytest.approx(math.log(2))
 
     def test_strong_diagonal(self):
-        losses = mi.infonce_losses([[10.0, 0.0], [0.0, 10.0]])
+        losses = mi.infonce_losses(np.array([[10.0, 0.0], [0.0, 10.0]]))
         expected = math.log(1 + math.exp(-10))
         assert losses["row_loss"] == pytest.approx(expected, rel=1e-12)
 
     def test_single_candidate(self):
-        losses = mi.infonce_losses([[3.7]])
+        losses = mi.infonce_losses(np.array([[3.7]]))
         assert losses["row_loss"] == 0.0
         assert losses["col_loss"] == 0.0
 
@@ -129,7 +129,7 @@ class TestDiagMi:
         assert mi.diag_mi(np.diag([10.0, 10.0])) == pytest.approx(expected, rel=1e-9)
 
     def test_one_by_one(self):
-        assert mi.diag_mi([[5.0]]) == 0.0
+        assert mi.diag_mi(np.array([[5.0]])) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6))
@@ -235,11 +235,15 @@ class TestShadowDraws:
 
 class TestSequenceScores:
     def test_standardisation_constant_row(self):
-        matrix = mi.ScoreMatrix(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
-        std = matrix.standardised()
-        assert np.all(std[0] == 0.0)
-        assert std[1].mean() == pytest.approx(0.0, abs=1e-12)
-        assert std[1].std() == pytest.approx(1.0)
+        # A constant row scales to all zeros, so its z is chance level.  Any
+        # other row is scaled to mean 0 and population std 1 first, so a
+        # positive affine map of it leaves z as it was.
+        z = mi.row_positive_logsoftmax(
+            np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [10.0, 13.0, 16.0]]))
+        assert z[0] == pytest.approx(-math.log(3))
+        unit = np.array([-1.0, 0.0, 1.0]) / math.sqrt(2 / 3)
+        assert z[1] == pytest.approx(unit[0] - math.log(np.exp(unit).sum()), rel=1e-12)
+        assert z[2] == pytest.approx(z[1], rel=1e-12)
 
     def test_row_positive_logsoftmax_uniform(self):
         z = mi.row_positive_logsoftmax(np.ones((4, 3)) * 2.0)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from geoloop.errors import ValidationError
+from geoloop import cli
+from geoloop import constitution as consti
 from geoloop import policy as pol
 from geoloop import task as tk
-from test_cli import no_prefers_warm_start
 from test_draws import reference_format_pretrain_items
 
 
@@ -957,7 +958,7 @@ class TestTask:
     def test_exactly_one_principle_per_item(self):
         task = tk.make_toy_task(seed=1)
         for item in task.items:
-            task.principle(item.principle_id)  # raises KeyError if unknown
+            assert type(item.column) is int and 0 <= item.column < len(task.principles)
 
     def test_principle_tokens_disjoint_from_gold_pools(self):
         task = tk.make_toy_task(seed=2)
@@ -975,6 +976,40 @@ class TestTask:
             tk.principles_from_patterns(v, [("a", (v.eos,)), ("b", (0,))])
 
 
+def assert_items_index_principles_preferring_two_fillers(task):
+    """Item i's column is i mod the principle count, and every principle
+    prefers a reasoning filler of the gold_r_pool, then an answer filler of
+    the gold_a_pool, as the gold draws take for granted."""
+    n = len(task.principles)
+    assert [item.column for item in task.items] == [i % n for i in range(len(task.items))]
+    for p in task.principles:
+        assert len(p.prefers) == 2
+        assert p.prefers[0] in task.gold_r_pool and p.prefers[1] in task.gold_a_pool
+
+
+class TestEveryPrinciplePrefersTwoFillers:
+    @pytest.mark.parametrize("vocab_size", [8, 9, 12, 16, 20])
+    def test_toy_principles(self, vocab_size):
+        vocab = tk.Vocab(vocab_size)
+        task = tk.make_toy_task(vocab, seed=vocab_size)
+        assert task.principles == tk.make_toy_principles(vocab)
+        assert_items_index_principles_preferring_two_fillers(task)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in cli.DATA_DIR.glob("*.txt")))
+    def test_bundled_constitutions(self, name):
+        pset = consti.parse_principle_file(cli.DATA_DIR / name)
+        patterns = [(p.pid, p.tokens) for p in pset.positives]
+        if not all(tokens for _, tokens in patterns):
+            # A text constitution builds no toy principles.
+            with pytest.raises(cli.ConfigError, match="non-token positives"):
+                cli._build_task(pset, 0, tk.Vocab())
+            return
+        task = cli._build_task(pset, 0, tk.Vocab())
+        assert task.principles == tk.principles_from_patterns(tk.Vocab(), patterns)
+        assert [p.tokens for p in task.principles] == [tokens for _, tokens in patterns]
+        assert_items_index_principles_preferring_two_fillers(task)
+
+
 class TestWarmStart:
     def test_format_competence(self):
         task = tk.make_toy_task(seed=4)
@@ -983,7 +1018,7 @@ class TestWarmStart:
         pol.warm_start(p, task, 120, 0.5, seed=4, bias=0.05)
         ok = total = 0
         for gi, item in enumerate(task.items[:8]):
-            ptoks = task.principle(item.principle_id).tokens
+            ptoks = task.principles[item.column].tokens
             group = completions(p.sample_group(item.prompt, ptoks, 4, np.random.default_rng(gi)))
             for c in group:
                 total += 1
@@ -1037,11 +1072,11 @@ class TestMleEpochs:
         assert p.param_hash() == q.param_hash()
 
     def test_mixed_golds_over_two_count_passes_match_per_epoch_tables(self):
-        # Ten epochs of golds with zero, one and two preferred fillers, a
-        # case no golden pins, counted in a full pass and a partial one: the
-        # loop's reused table, gradient and flat update give the bits of
-        # fresh forward, backward and add_scaled calls.
-        task, _, lr, seed, bias = no_prefers_warm_start()
+        # Ten epochs of golds of one and two fillers a section, on a task
+        # and seeds no golden pins, counted in a full pass and a partial
+        # one: the loop's reused table, gradient and flat update give the
+        # bits of fresh forward, backward and add_scaled calls.
+        task, lr, seed, bias = tk.make_toy_task(seed=11), 0.5, 5, 0.15
         p = pol.ToyPolicy(task.vocab)
         p.init_params(seed)
         q = p.clone()

@@ -139,7 +139,7 @@ class TestGrpoUpdate:
         assert any(a != 0.0 for *_, a in kept)
         loss_grad = zero_grad(policy)
         for item, comp, a in kept:
-            ctx = (item.prompt, task.principle(item.principle_id).tokens)
+            ctx = (item.prompt, task.principles[item.column].tokens)
             add_grad(loss_grad, before.grad_seq_logprob(*ctx, comp.tokens),
                      -a / (policy.max_len * len(kept)))
         assert report.loss_grpo == pytest.approx(-sum(a for *_, a in kept) / len(kept),
@@ -217,7 +217,7 @@ class TestStepGradient:
         ctx = own[groups]
         counts = samples.counts(policy.vocab.size)
         kept = np.flatnonzero(~samples.truncated)
-        true_contexts = [(items[g].prompt, task.principle(items[g].principle_id).tokens)
+        true_contexts = [(items[g].prompt, task.principles[items[g].column].tokens)
                          for g in groups]
         ref = rep_metrics.EmpiricalMeasure(
             t.reference.table(true_contexts).summaries(np.arange(groups.size),
@@ -229,9 +229,8 @@ class TestStepGradient:
             table = p.table(contexts)
             scores = table.seq_logprobs(counts)
             grpo = -np.sum(adv[kept] * scores[ctx[kept], kept]) / (p.max_len * kept.size)
-            matrix = mi.ScoreMatrix(scores[ctx[kept]][:, kept].T
-                                    / samples.lengths[kept, None])
-            losses = mi.infonce_losses(matrix)
+            losses = mi.infonce_losses(scores[ctx[kept]][:, kept].T
+                                       / samples.lengths[kept, None])
             sami = tr.sami_weight_at(config, step) * (lam_row * losses["row_loss"]
                                                       + lam_col * losses["col_loss"])
             cur = rep_metrics.EmpiricalMeasure(table.summaries(ctx, counts.sum(axis=2))[0],
@@ -339,7 +338,7 @@ class TestTrainStep:
         task = make_toy_task(seed=2, prompt_len=2, n_items=16)
         first = task.principles[0]
         task = replace(task, principles=(first,), items=tuple(
-            item for item in task.items if item.principle_id == first.pid))
+            item for item in task.items if item.column == 0))
         with pytest.raises(ValidationError, match="two"):
             tr.Trainer(ToyPolicy(Vocab()), task, cli.RunConfig(seed=2, max_steps=2))
 
@@ -539,9 +538,7 @@ def step_contexts(t, step=0):
     items = [t.task.items[i] for i in item_idx]
     pool = t.task.principles
     contexts = [(item.prompt, p.tokens) for p in pool for item in items]
-    pids = [p.pid for p in pool]
-    own = np.array([pids.index(item.principle_id) * len(items) + g
-                    for g, item in enumerate(items)])
+    own = np.array([item.column * len(items) + g for g, item in enumerate(items)])
     return item_idx, items, contexts, own
 
 
@@ -559,53 +556,79 @@ def step_inputs(t, step=0):
     return item_idx, items, own, table.seq_logprobs(counts), comps, groups, lengths
 
 
-def mean_logprob(t, prompt, pid, comp):
-    tokens = t.task.principle(pid).tokens
+def mean_logprob(t, prompt, column, comp):
+    tokens = t.task.principles[column].tokens
     return float(np.sum(t.policy.token_logprobs(prompt, tokens, comp.tokens))) / comp.length
 
 
-class TestGatherScorers:
-    """Each gather over the step's table equals its per-sequence definition."""
+def step_blocks(seed, monkeypatch) -> dict:
+    """The row, column and SAMI score blocks of the first step of a fresh
+    small_trainer(seed), as train_step passes them to mi.clean_mi_bounds and
+    mi.infonce_losses."""
+    seen = {}
+    clean_mi_bounds, infonce_losses = mi.clean_mi_bounds, mi.infonce_losses
 
-    def test_row_scores(self):
+    def record_bounds(row_scores, col_scores, clean_mask):
+        seen["row"], seen["col"] = row_scores, col_scores
+        return clean_mi_bounds(row_scores, col_scores, clean_mask)
+
+    def record_losses(scores):
+        seen["sami"] = scores
+        return infonce_losses(scores)
+
+    with monkeypatch.context() as recording:
+        recording.setattr(mi, "clean_mi_bounds", record_bounds)
+        recording.setattr(mi, "infonce_losses", record_losses)
+        small_trainer(seed=seed).train_step()
+    return seen
+
+
+class TestGatherScorers:
+    """The step's blocks equal the gather-then-divide formulas bit for bit,
+    and each entry its per-sequence definition."""
+
+    def test_row_scores(self, monkeypatch):
         t = small_trainer(seed=12)
         item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
         ctx = t._row_candidates(item_idx, groups, 0)
-        got = scores[ctx, np.arange(len(comps))[:, None]] / lengths[:, None]
+        got = step_blocks(t.config.seed, monkeypatch)["row"]
+        assert np.array_equal(got, scores[ctx, np.arange(len(comps))[:, None]] / lengths[:, None])
         rng = tr.derive_rng(t.config.seed, 0, tr._CH_SHADOW_P)
-        pool = [p.pid for p in t.task.principles]
+        pool = range(len(t.task.principles))
         for b, comp in enumerate(comps):
             item = items[groups[b]]
-            draw = mi.draw_shadows(pool, item.principle_id, t.config.shadow_k, rng)
-            expected = [mean_logprob(t, item.prompt, pid, comp)
-                        for pid in (item.principle_id, *draw)]
+            draw = mi.draw_shadows(pool, item.column, t.config.shadow_k, rng)
+            expected = [mean_logprob(t, item.prompt, column, comp)
+                        for column in (item.column, *draw)]
             assert np.max(np.abs(got[b] - expected)) <= 1e-12
 
-    def test_column_scores(self):
+    def test_column_scores(self, monkeypatch):
         t = small_trainer(seed=13)
         item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
         cands = t._col_candidates(len(comps), 0)
-        got = scores[own][groups[:, None], cands] / lengths[cands]
+        got = step_blocks(t.config.seed, monkeypatch)["col"]
+        assert np.array_equal(got, scores[own][groups[:, None], cands] / lengths[cands])
         rng = tr.derive_rng(t.config.seed, 0, tr._CH_SHADOW_C)
         for idx, comp in enumerate(comps):
             others = [j for j in range(len(comps)) if j != idx]
             picked = [others[int(i)] for i in
                       rng.choice(len(others), size=t.config.shadow_k, replace=False)]
             item = items[groups[idx]]
-            expected = [mean_logprob(t, item.prompt, item.principle_id, comps[j])
+            expected = [mean_logprob(t, item.prompt, item.column, comps[j])
                         for j in [idx] + picked]
             assert np.max(np.abs(got[idx] - expected)) <= 1e-12
 
-    def test_sami_matrix(self):
+    def test_sami_matrix(self, monkeypatch):
         t = small_trainer(seed=14)
         item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
         kept = np.array([i for i, c in enumerate(comps) if not c.truncated])
         assert kept.size >= 2
-        got = tr._sami_matrix(scores[own], groups, kept, lengths).scores
+        got = step_blocks(t.config.seed, monkeypatch)["sami"]
+        assert np.array_equal(got, scores[own][groups[kept]][:, kept].T / lengths[kept, None])
         for i, row in enumerate(kept):
             for j, col in enumerate(kept):
                 item = items[groups[col]]
-                expected = mean_logprob(t, item.prompt, item.principle_id, comps[row])
+                expected = mean_logprob(t, item.prompt, item.column, comps[row])
                 assert abs(got[i, j] - expected) <= 1e-12
 
 
@@ -649,7 +672,7 @@ class TestRunConstants:
     def test_probe_distributions(self):
         t = small_trainer(seed=3)
         item = t.task.items[0]
-        ctx = (item.prompt, t.task.principle(item.principle_id).tokens)
+        ctx = (item.prompt, t.task.principles[item.column].tokens)
         assert np.array_equal(t._probe_ref.probs, t.reference.next_token_distribution(*ctx))
         t.train_step()
         assert np.array_equal(t.policy.forward(t._probe_weights).next_token_probs(0),
@@ -761,17 +784,16 @@ class TestBatchedBookkeeping:
     def test_shadow_indices_are_draw_shadows(self, monkeypatch, seed):
         monkeypatch.setattr(tr, "PROMPTS_PER_BATCH", 6)
         t = small_trainer(seed=seed, steps=20)
-        pool = [p.pid for p in t.task.principles]
+        pool = range(len(t.task.principles))
         for step in range(5):
             item_idx, items, _, _ = step_contexts(t, step)
             groups = np.repeat(np.arange(len(items)), tr.GROUP_SIZE)
             got = t._row_candidates(item_idx, groups, step)
             rng = tr.derive_rng(t.config.seed, step, tr._CH_SHADOW_P)
             for b, g in enumerate(groups):
-                pid = items[g].principle_id
-                draw = mi.draw_shadows(pool, pid, t.config.shadow_k, rng)
-                assert list(got[b]) == [pool.index(q) * len(items) + g
-                                        for q in (pid, *draw)]
+                column = items[g].column
+                draw = mi.draw_shadows(pool, column, t.config.shadow_k, rng)
+                assert list(got[b]) == [q * len(items) + g for q in (column, *draw)]
 
 
 class TestGeometryFlags:
@@ -907,7 +929,7 @@ class TestStepGeometry:
                 want = tr.sami_weight_at(t.config, step) * (
                     lam_row * (-(np.eye(n) - ref["row_softmax"]) / n)
                     + lam_col * (-(np.eye(n) - ref["col_softmax"]) / n))
-                got = tr._sami_weights(mi.infonce_losses(mi.ScoreMatrix(scores)),
+                got = tr._sami_weights(mi.infonce_losses(scores),
                                        tr.sami_weight_at(t.config, step), lam_row, lam_col)
                 assert np.array_equal(got, want)
 
