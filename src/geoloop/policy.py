@@ -27,9 +27,10 @@ pass's table over the last.  A completion
 enters only through its (row, token) transition counts.  Sequence
 log-likelihoods are products of the factors with the counts' row and token
 sums, hidden summaries are a context feature plus the count-weighted mean of
-row features, and sampling builds a[c] + b[r] and its repetition-penalised
-twin once for the batch's contexts and decodes every row position by
-position from gathers of the two.  The gradient of any weighted sum of
+row features, and sampling builds the exponentials of a[c] + b[r] and of its
+repetition-penalised twin, both shifted by the plain row's maximum, once for
+the batch's contexts and decodes every row position by position from gathers
+of the two, with no softmax per position.  The gradient of any weighted sum of
 log-likelihoods and summaries is one `ToyPolicy.backward` call, which needs
 only three 2-D sums of the coefficients (`logit_sums`); the per-sequence
 methods are thin views on the table and that call.
@@ -462,29 +463,38 @@ class ToyPolicy:
 
         Group g draws from its own stream default_rng(seeds[g]): one uniform
         per sampled token, handed to the group's active members in (position,
-        member) order and inverted through the normalised cdf, which is how
+        member) order and inverted through the cdf, which is how
         Generator.choice(p=...) would spend the same stream one token at a
         time.
 
-        Every row of every group's table, and its repetition-penalised
-        twin, is built once per call, so a position's logits are one `where`
-        between two row gathers.  The groups' uniforms are one flat array,
-        and a member's slot is its group's running offset plus the count of
-        active members up to it.  Each position decodes every row; a
-        finished row decodes from a real table row into its own state only,
-        writing token 0 and adding nothing to its length.  There must be one
-        seed per group and at least one group.
+        Each row of the groups' table is built once per call as two mass
+        rows, exp(raw - m) and exp(pen - m): raw its logits, pen their
+        repetition-penalised twin and m the largest raw logit.  A position
+        mixes the two, so they share m; a position's masses are one `where`
+        between two row gathers, decoded unnormalised.  REPETITION_PENALTY
+        >= 1 makes pen <= raw, so no mass exceeds 1 and each position's total
+        is at least its row's largest penalised mass.  The call is refused
+        when that is below _TINY, the smallest normal float, for some row
+        (logits beyond about 7 000 nats).  The groups' uniforms are one flat
+        array, and a member's slot is its group's running offset plus the
+        count of active members up to it.  Each position decodes every row;
+        a finished row decodes from a real table row into its own state
+        only, writing token 0 and adding nothing to its length.  Groups hold
+        at least 2 members, with one seed per group and at least one group.
         """
         ctx_idx = np.asarray(ctx_idx, dtype=int)
-        if group_size < 2:
-            raise ValidationError("group size must be at least 2")
-        if ctx_idx.size == 0 or ctx_idx.size != len(seeds):
-            raise ValidationError(f"need one seed per group and at least one group, "
-                                  f"got {ctx_idx.size} contexts and {len(seeds)} seeds")
+        if group_size < 2 or ctx_idx.size == 0 or ctx_idx.size != len(seeds):
+            raise ValidationError(f"need groups of at least 2, one seed per group and at least "
+                                  f"one group, got groups of {group_size}, {ctx_idx.size} "
+                                  f"contexts and {len(seeds)} seeds")
         n_groups, v, eos, m = ctx_idx.size, self.vocab.size, self.vocab.eos, self.max_len
         n = n_groups * group_size
         raw = (table.a[ctx_idx][:, None, :] + table.b[None]).reshape(-1, v)
         pen = np.where(raw > 0, raw / REPETITION_PENALTY, raw * REPETITION_PENALTY)
+        peak = raw.max(axis=1, keepdims=True)
+        e_raw, e_pen = np.exp(raw - peak), np.exp(pen - peak)
+        if e_pen.max(axis=1).min() < _TINY:
+            raise ValidationError("sampler masses underflow: the logits exceed the float range")
         group = np.repeat(np.arange(n_groups), group_size)
         row = group * (v + 1)
         after = row + 1
@@ -498,11 +508,10 @@ class ToyPolicy:
         active = np.ones(n, dtype=bool)
         seen = np.zeros((n, v), dtype=bool)
         for t in range(m):
-            live = active.reshape(n_groups, group_size)
-            slot = offset[:, None] + live.cumsum(axis=1)
+            slot = offset[:, None] + active.reshape(n_groups, group_size).cumsum(axis=1)
             offset = slot[:, -1]
-            logits = np.where(seen, pen.take(row, axis=0), raw.take(row, axis=0))
-            chosen = _decode(logits, draws.take(slot.ravel()), cells)
+            mass = np.where(seen, e_pen.take(row, axis=0), e_raw.take(row, axis=0))
+            chosen = _decode(mass, draws.take(slot.ravel()), cells)
             token = chosen * active
             tokens[:, t] = token
             lengths += active
@@ -511,27 +520,29 @@ class ToyPolicy:
             if not active.any():
                 break
             row = after + token
-        ents = table.entropies(ctx_idx)[group[:, None], _table_rows(tokens)]
-        return Samples(tokens, lengths, active, ents)
+        return Samples(tokens, lengths, active,
+                       table.entropies(ctx_idx)[group[:, None], _table_rows(tokens)])
 
 
-def _decode(logits: np.ndarray, uniforms: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _decode(mass: np.ndarray, uniforms: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """One token per row from the nucleus of mass TOP_P, by inverting its cdf at uniforms.
 
-    The ranking is gathered and the dropped mass zeroed through flat indices,
-    each row's ranks offset by its start in the flattened logits, starts[i] =
-    i * V.  The top rank's exclusive prefix is x - x = 0.0 < TOP_P, so the
-    nucleus always keeps it.
+    A row of mass is its softmax times one factor, so dropping the ranks
+    whose exclusive prefix reaches TOP_P times the row total, then counting
+    the kept masses' index-order cdf entries up to uniforms times their
+    total, draws the logit-domain decode's token: the rounding differs, so a
+    token moves only if a uniform or a prefix is within an ulp of a boundary.
+    Ranks are gathered and the dropped mass zeroed through flat indices,
+    starts[i] = i * V.  The top rank's exclusive prefix is x - x = 0.0, so
+    the nucleus keeps it.  A normal row total keeps u * total below the
+    total for every uniform u < 1, so no row draws past V - 1.
     """
-    mass = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = mass / mass.sum(axis=1, keepdims=True)
-    flat = (-probs).argsort(axis=1, kind="stable") + starts[:, None]
-    ranked = probs.take(flat)
-    mass.put(flat[ranked.cumsum(axis=1) - ranked >= TOP_P], 0.0)
-    probs = mass / mass.sum(axis=1, keepdims=True)
-    cdf = probs.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf <= uniforms[:, None]).sum(axis=1)
+    flat = (-mass).argsort(axis=1, kind="stable") + starts[:, None]
+    ranked = mass.take(flat)
+    prefix = ranked.cumsum(axis=1)
+    mass.put(flat[prefix - ranked >= TOP_P * prefix[:, -1:]], 0.0)
+    cdf = mass.cumsum(axis=1)
+    return (cdf <= uniforms[:, None] * cdf[:, -1:]).sum(axis=1)
 
 
 def transition_counts(completions, vocab_size: int) -> np.ndarray:

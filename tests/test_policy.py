@@ -898,33 +898,76 @@ class TestBatchedSampler:
         p.out *= 6.0
         self.assert_matches_reference(p, group_size)
 
+    def test_underflowing_masses_are_refused(self):
+        # Token 3 leads every row but the empty context's first (all 0) by
+        # scale to 2 * scale nats, so it is drawn first and then seen: its
+        # penalised mass is exp(-logit / 11) and every other mass is 0 past
+        # about 750 nats.  Past about 7 800 nats all of a row's masses would
+        # be 0 and the draw would be token V; the call must be refused
+        # instead, and below the bound every token is in the vocabulary.
+        refused = []
+        for scale in (1e1, 1e3, 3e3, 1e4, 1e5):
+            p = randomised_policy(35)
+            p.embed[:, 0] = 1.0
+            p.out[0, 3] = scale
+            table = p.table(CONTEXTS)
+            try:
+                samples = p.sample_groups(table, range(len(CONTEXTS)), 4, range(len(CONTEXTS)))
+            except ValidationError as err:
+                assert "sampler masses underflow" in str(err)
+                refused.append(scale)
+            else:
+                assert samples.tokens.max() < p.vocab.size
+        assert refused == [1e4, 1e5]
+
     @pytest.mark.parametrize("ctx_idx, seeds", [([0, 1], [7]), ([0], [7, 8]), ([], [])])
     def test_groups_need_one_seed_each(self, ctx_idx, seeds):
         p = randomised_policy(34)
         with pytest.raises(ValidationError, match="one seed per group"):
             p.sample_groups(p.table(CONTEXTS), ctx_idx, 4, seeds)
 
+    def test_groups_need_two_members(self):
+        p = randomised_policy(34)
+        with pytest.raises(ValidationError, match="groups of at least 2"):
+            p.sample_groups(p.table(CONTEXTS), [0], 1, [7])
+
 
 class TestDecodeIndexing:
     """_decode ranks through flat indices offset by each row's start and
-    zeroes the dropped mass in place; the along-axis version, which keeps the
-    top rank explicitly, is the reference, token for token."""
+    zeroes the dropped mass in place, from the sampler's unnormalised masses;
+    the along-axis version, which keeps the top rank explicitly and works on
+    the logits, is the reference, token for token."""
 
     def test_matches_along_axis_on_random_blocks(self):
+        # The masses are the sampler's: exp(logit - m) with m the row's plain
+        # maximum, the penalised logit where a random mask marks the token
+        # as seen (every odd trial) and the plain one elsewhere.
         rng = np.random.default_rng(11)
         for trial in range(3000):
             n = 1 if trial % 5 == 0 else int(rng.integers(2, 65))
             v = int(rng.integers(2, 17))
-            logits = rng.normal(0, rng.choice([0.5, 3.0, 12.0]), (n, v))
+            raw = rng.normal(0, rng.choice([0.5, 3.0, 12.0]), (n, v))
             if trial % 3 == 0:
                 # Ties: logits on a coarse grid, so the stable sort's order
                 # among equal probabilities decides the nucleus.
-                logits = np.round(logits * 0.5) * 2.0
+                raw = np.round(raw * 0.5) * 2.0
             if trial % 7 == 0:
-                logits[:] = 0.0
+                raw[:] = 0.0
+            pen = np.where(raw > 0, raw / pol.REPETITION_PENALTY, raw * pol.REPETITION_PENALTY)
+            seen = rng.random((n, v)) < (trial % 2) * rng.random()
+            peak = raw.max(axis=1, keepdims=True)
+            mass = np.where(seen, np.exp(pen - peak), np.exp(raw - peak))
             uniforms = rng.random(n)
-            got = pol._decode(logits, uniforms, np.arange(0, n * v, v))
-            assert np.array_equal(got, reference_decode_along_axis(logits, uniforms))
+            got = pol._decode(mass, uniforms, np.arange(0, n * v, v))
+            want = reference_decode_along_axis(np.where(seen, pen, raw), uniforms)
+            assert np.array_equal(got, want)
+
+    def test_penalty_never_raises_a_logit(self):
+        # The sampler's masses exp(pen - m) stay at most the plain ones, and
+        # each position's total at least its row's largest penalised mass,
+        # only because the penalty divides a positive logit and multiplies
+        # a negative one by at least 1.
+        assert pol.REPETITION_PENALTY >= 1
 
 
 class TestReference:
