@@ -13,7 +13,8 @@ On an (N, K+1) candidate block with the positive in column 0, the contrastive
 bound is log(K+1) minus the empirical InfoNCE loss; it can never exceed
 log(K+1) and goes negative for worse-than-chance association (the sign is
 kept).  clean_mi_bounds(row_scores, col_scores, clean_mask) reads K from the
-blocks' width.  Shadow candidates are drawn uniformly from the positive pool without
+blocks' width and gives the row and column bounds, not their difference.
+Shadow candidates are drawn uniformly from the positive pool without
 replacement, excluding the true principle.
 
 `ScoreMatrix` is the score CSV's type: the matrix plus a normalisation
@@ -191,8 +192,8 @@ def clean_mi_bounds(row_scores, col_scores, clean_mask) -> dict:
     col_scores[i]: {true completion, K shadow completions} scored under
     completion i's own rendered prompt.
 
-    Returns {"row_bound", "col_bound", "gap", "clean_count"}; with zero clean
-    rows the bounds are NaN and clean_count is 0.
+    Returns {"row_bound", "col_bound", "clean_count"}; with zero clean rows
+    the bounds are NaN and clean_count is 0.
     """
     row_scores = np.atleast_2d(np.asarray(row_scores, dtype=float))
     col_scores = np.atleast_2d(np.asarray(col_scores, dtype=float))
@@ -205,11 +206,9 @@ def clean_mi_bounds(row_scores, col_scores, clean_mask) -> dict:
         raise ValidationError("clean mask length must match the batch")
     count = int(mask.sum())
     if count == 0:
-        return {"row_bound": math.nan, "col_bound": math.nan,
-                "gap": math.nan, "clean_count": 0}
-    row = infonce_bound(row_scores[mask])
-    col = infonce_bound(col_scores[mask])
-    return {"row_bound": row, "col_bound": col, "gap": row - col, "clean_count": count}
+        return {"row_bound": math.nan, "col_bound": math.nan, "clean_count": 0}
+    return {"row_bound": infonce_bound(row_scores[mask]),
+            "col_bound": infonce_bound(col_scores[mask]), "clean_count": count}
 
 
 def row_positive_logsoftmax(scores: np.ndarray) -> np.ndarray:

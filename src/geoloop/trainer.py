@@ -2,7 +2,7 @@
 
 One step samples groups, then computes what no loss weight scales: the score
 matrix for the symmetric InfoNCE auxiliary, the Sinkhorn solve on the step's
-hidden clouds and the geometry probes.  Then base + gated/autoscaled MI
+hidden clouds and their geometry.  Then base + gated/autoscaled MI
 rewards (channel_weight is the tie-breaker's one setting; the rest are
 `rewards` constants) -> centred group advantages -> weighted terms -> total
 loss -> one SGD step, and it emits a StepReport.  The loss identity
@@ -38,14 +38,14 @@ config is run as given, with no presets.
 Work that is constant for the run is done once, in `Trainer.__init__`: the
 bag weights of every (principle, item) context (bagging uses no
 parameters), and the frozen reference's table over every item's true
-context, which also gives the reference's probe distribution.  A step
-gathers its rows of both.  The table kernel computes each context's row on
-its own, so the gathered rows equal those of tables built per step, bit for
-bit.  Because the reference table is built once, code that loads a reference
-into an existing Trainer (a resume) must rebuild it.  Per completion, the
-step's bookkeeping (format check, entropies, gates, MI reward, advantages)
-is array operations, and each shadow channel's picks (mi.shadow_candidates)
-are one Generator call.  One mi.infonce_losses pass gives the SAMI losses,
+context.  A step gathers its rows of both; its one forward pass is the
+policy's table over the step's contexts.  The table kernel computes each
+context's row on its own, so the gathered rows equal those of tables built
+per step, bit for bit.  Because the reference table is built once, code
+that loads a reference into an existing Trainer (a resume) must rebuild it.
+Per completion, the step's bookkeeping (format check, entropies, gates, MI
+reward, advantages) is array operations, and each shadow channel's picks
+(mi.shadow_candidates) are one Generator call.  One mi.infonce_losses pass gives the SAMI losses,
 the diagonal statistic and the SAMI gradient's softmaxes, and only the
 current cloud's fit takes its eigenvalues.
 """
@@ -61,7 +61,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import mi, ot, prob_metrics, rep_metrics, rewards
+from . import mi, ot, rep_metrics, rewards
 from .errors import ValidationError
 from .policy import DEFAULT_MAX_LEN, NextTokenTable, ToyPolicy, logit_sums
 from .task import ToyTask, Vocab
@@ -133,14 +133,10 @@ class StepReport:
     loss_ot: float
     mi_row_clean: float
     mi_col_clean: float
-    mi_gap: float
     diag_mi: float
     grad_norm: float
     entropy: float
     clean_count: int
-    bhat_angle: float
-    hellinger: float
-    js_bits: float
     # NaN when the fit behind it raised; geometry_degenerate is then true,
     # and also when frechet is a roundoff-negative value clamped to 0.
     frechet: float
@@ -231,9 +227,6 @@ class Trainer:
             [p.tokens for p in task.principles]).transpose(1, 0, 2))
         true_weights = self._grid[self._true, np.arange(len(task.items))]
         self._ref_table = self.reference.forward(true_weights)
-        # Geometry probes run on the first item's true context.
-        self._probe_weights = true_weights[:1]
-        self._probe_ref = prob_metrics.ProbVector(self._ref_table.next_token_probs(0))
 
     # ---------- helpers ----------
 
@@ -325,11 +318,6 @@ class Trainer:
         if ot_on:
             ot_value, point_grad, ot_stats = ot.sinkhorn_divergence_with_grad(
                 cur_measure, ref_measure, BLUR ** 2)
-
-        # Geometry probes against the frozen reference.
-        p_cur = prob_metrics.ProbVector(
-            self.policy.forward(self._probe_weights).next_token_probs(0))
-        probes = prob_metrics.probe_report(p_cur, self._probe_ref)
         frechet, effrank, pr, degenerate = _geometry(cur_measure, ref_measure)
 
         # Every value computed here feeds a _FINITE_FIELDS field or the
@@ -389,13 +377,9 @@ class Trainer:
             **finite,
             mi_row_clean=clean["row_bound"],
             mi_col_clean=clean["col_bound"],
-            mi_gap=clean["gap"],
             diag_mi=math.nan if losses is None else losses["diag_mi"],
             entropy=float(entropies.mean()),
             clean_count=clean["clean_count"],
-            bhat_angle=probes["bhat_angle"],
-            hellinger=probes["hellinger"],
-            js_bits=probes["js_bits"],
             frechet=frechet,
             effrank=effrank,
             pr=pr,

@@ -11,7 +11,7 @@ SRC = Path(geoloop.__file__).parent
 # that resizes the interned-string table peaks about 900 KiB higher, and how
 # many strings a long-lived process has interned depends on what ran in it
 # before.  With Python 3.11, the largest peak is policy.py's 2 044 KiB, then
-# cli.py's 1 834 KiB and trainer.py's 1 236 KiB.  The parser's arena grows
+# cli.py's 1 833 KiB and trainer.py's 1 216 KiB.  The parser's arena grows
 # in 8 KiB blocks, about seven short statements each, and docstring text
 # adds about 3 bytes a character, so the peak rises in steps: policy.py's
 # margin of 4 KiB does not hold one more statement (its arena block is

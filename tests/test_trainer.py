@@ -356,9 +356,8 @@ class TestTrainStep:
         assert tuple(row.keys()) == tr.STEPS_JSONL_FIELDS == (
             "step", "reward_base_mean", "reward_mi_mean", "reward_std",
             "loss_total", "loss_grpo", "loss_sami", "loss_ot",
-            "mi_row_clean", "mi_col_clean", "mi_gap", "diag_mi",
-            "grad_norm", "entropy", "clean_count",
-            "bhat_angle", "hellinger", "js_bits", "frechet", "effrank", "pr",
+            "mi_row_clean", "mi_col_clean", "diag_mi",
+            "grad_norm", "entropy", "clean_count", "frechet", "effrank", "pr",
             "geometry_degenerate", "beta", "ot_iters", "ot_violation", "ot_converged")
         assert isinstance(row["geometry_degenerate"], bool)
         # beta is the autoscaler's value going into the step.
@@ -378,12 +377,27 @@ class TestTrainStep:
         assert [r.ot_converged for r in reports[20:]] == [True] * 10
         assert all(r.ot_iters < 500 and r.ot_violation < 1e-9 for r in reports[20:])
 
-    def test_probe_identity_at_step_zero(self):
+    def test_frechet_zero_at_step_zero(self):
+        # The policy is still the reference, so the two clouds coincide.
         t = small_trainer(seed=8)
-        rep = t.train_step()
-        assert rep.bhat_angle == pytest.approx(0.0, abs=1e-7)
-        assert rep.hellinger == pytest.approx(0.0, abs=1e-7)
-        assert rep.frechet == pytest.approx(0.0, abs=1e-7)
+        assert t.train_step().frechet == pytest.approx(0.0, abs=1e-7)
+
+    def test_one_forward_pass_per_step(self, monkeypatch):
+        # The step's table is the only forward pass, before and after ot_warmup.
+        t = small_trainer(seed=8, ot_warmup=2)
+        calls = []
+        forward = ToyPolicy.forward
+
+        def counted(policy, *args, **kwargs):
+            calls.append(policy)
+            return forward(policy, *args, **kwargs)
+
+        monkeypatch.setattr(ToyPolicy, "forward", counted)
+        for step in range(4):
+            calls.clear()
+            report = t.train_step()
+            assert (report.ot_iters is None) == (step < 2)
+            assert calls == [t.policy], step
 
     def test_saturated_format_zero_signal(self):
         # All-equal rewards in every group: no variance, no policy gradient
@@ -668,15 +682,6 @@ class TestRunConstants:
                                  expected.summaries(groups, rows)):
                 assert np.array_equal(got, want)
             t.train_step()
-
-    def test_probe_distributions(self):
-        t = small_trainer(seed=3)
-        item = t.task.items[0]
-        ctx = (item.prompt, t.task.principles[item.column].tokens)
-        assert np.array_equal(t._probe_ref.probs, t.reference.next_token_distribution(*ctx))
-        t.train_step()
-        assert np.array_equal(t.policy.forward(t._probe_weights).next_token_probs(0),
-                              t.policy.next_token_distribution(*ctx))
 
 
 def per_completion_rewards(t, step, comps, z):
