@@ -8,7 +8,6 @@ Modules by concern:
 - mi: score matrices, InfoNCE losses, contrastive MI bounds
 - rewards: gates, tie-breaker channel, autoscaler
 - task: the synthetic constitution-conditioned task and its gold continuations
-- draws: numpy Generator's scalar draws for many seeds at once, bit for bit
 - policy: the toy autoregressive policy and its maximum-likelihood warm starts
 - trainer: group advantages, the on-policy GRPO term, the unified loss, train steps
 - constitution: principle-set sufficiency evaluation

@@ -15,11 +15,10 @@ answer fillers, A_CLOSE EOS.  Each filler is the principle's preferred one
 with probability `bias`, else uniform over its pool.
 There are two forms of the one draw.  `gold_continuation` draws a gold call
 by call from a Generator: `make_toy_task` draws its golds this way because
-their draws interleave with the prompt draws on one stream.
-`gold_continuations` draws one gold per row of a `draws.Streams`, row e as
-`gold_continuation` would from `np.random.default_rng(seeds[e])`: the warm
-start's golds depend only on the stream seeded (seed, epoch) and the item,
-so `warm_start_golds` draws every epoch's in one pass, a row per epoch.
+their draws interleave with the prompt draws on one stream.  The warm start's
+golds depend only on the stream seeded (seed, epoch) and the item, so
+`warm_start_golds` decodes every epoch's at once from the raw words of each
+epoch's PCG64, a row per epoch, spending them as the Generator would.
 """
 from __future__ import annotations
 
@@ -28,11 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import Streams
 from .errors import ValidationError
 
 DEFAULT_VOCAB_SIZE = 16
 GOLD_MAX_LEN = 9
+_WORD_BLOCK = 192               # raw words an epoch's stream hands out at a time
+_HALF = 1 << 32                 # the values of a 32-bit half
+_DOUBLE_SPAN = 1 << 53          # random() keeps 53 bits of a word
 
 
 @dataclass(frozen=True)
@@ -228,54 +229,112 @@ def gold_continuation(vocab: Vocab, prefers: tuple, r_pool, a_pool, bias: float,
     return tuple(toks)
 
 
-def gold_continuations(vocab: Vocab, prefers: tuple, r_pool, a_pool, bias: float,
-                       streams: Streams) -> tuple:
-    """The mask form of `gold_continuation`: one gold per row of streams.
-
-    A filler's draws are made by the rows whose gold has that filler, and
-    its pool draw by those of them that did not take the preferred one.
-    Returns (rows, GOLD_MAX_LEN) tokens, padded with 0, and (rows,) lengths.
-    """
-    def fill(pool, pref, n):
-        pool = np.asarray(pool)
-        picks = []
-        for k in range(2):
-            drawn = n > k
-            take_pref = drawn & (streams.random(drawn) < bias)
-            picks.append(np.where(take_pref, pref, pool[streams.integers(
-                0, len(pool), drawn & ~take_pref)]))
-        return picks
-
-    r_pref, a_pref = prefers
-    r_n = streams.integers(1, 3)
-    a_n = streams.integers(1, 3)
-    r1, r2 = fill(r_pool, r_pref, r_n)
-    a1, a2 = fill(a_pool, a_pref, a_n)
-    # Each slot goes to its column in a full-length gold less the fillers
-    # missing before it; a missing filler's column is then taken by the tag
-    # written after it, and the columns from the length on stay 0.
-    lengths = 5 + r_n + a_n
-    tokens = np.zeros((len(r_n), GOLD_MAX_LEN), dtype=np.int64)
-    rows = np.arange(len(r_n))
-    for col, tok in ((0, vocab.r_open), (1, r1), (2, r2), (1 + r_n, vocab.r_close),
-                     (2 + r_n, vocab.a_open), (3 + r_n, a1), (4 + r_n, a2),
-                     (lengths - 2, vocab.a_close), (lengths - 1, vocab.eos)):
-        tokens[rows, col] = tok
-    return tokens, lengths
-
-
 def warm_start_golds(task: ToyTask, epochs: int, seed: int, bias: float) -> tuple:
     """Every epoch's golds for the task's items at this filler bias, epoch e's
-    drawn from the stream seeded (seed, e) in item order: (epochs, items,
-    GOLD_MAX_LEN) tokens in the smallest dtype that holds one, padded with 0,
-    and (epochs, items) lengths."""
-    seeds = [(seed, epoch) for epoch in range(epochs)]
-    streams = Streams(seeds)
-    tokens = np.zeros((len(seeds), len(task.items), GOLD_MAX_LEN),
-                      dtype=np.min_scalar_type(task.vocab.size))
+    as `gold_continuation` draws them from default_rng((seed, e)), in item
+    order: (epochs, items, GOLD_MAX_LEN) tokens in the smallest dtype that
+    holds one, padded with 0, and (epochs, items) lengths.
+
+    The epochs draw in lockstep, a row each, from the raw 64-bit words of
+    `PCG64((seed, e))`, which they spend as numpy's Generator does:
+
+    - `random()`: a double from the top 53 bits of one word.
+    - `integers(span)`: Lemire's bounded draw on 32-bit halves (Lemire 2019,
+      arXiv:1805.10941), rejecting a product whose low half falls below
+      2**32 mod span.  PCG64 hands out a word's low half first and keeps the
+      high half for the next 32-bit draw; a `random()` in between uses a
+      whole new word and leaves that half in place.  A span of one value
+      draws nothing.
+
+    A draw is made by the rows whose gold makes it: a filler's draws by the
+    rows whose gold has that filler, its pool draw by those of them that did
+    not take the preferred one.  Halves and a double's 53 bits come off a
+    word's int64 view with >> and % by a power of two (floor modulo keeps
+    the low bits of a negative view), not &: int64 & maps 64 KiB of numpy's
+    loops that no other step uses.  Rows keep their unspent words in one
+    (epochs, _WORD_BLOCK) block, sized to one epoch's golds: those spend
+    145-190 words at the seeds measured, so a row seldom refills, and 200
+    rows of 192 words stay within the warm start's memory test (256 would
+    not).  A row that spends its block rebuilds its stream as
+    PCG64((seed, e)) advanced past the words already drawn, since a PCG64
+    object holds about 4.5 kB.
+    """
+    rows = np.arange(epochs)
+    words = np.empty((epochs, _WORD_BLOCK), dtype=np.int64)
+    flat, base = words.reshape(-1), rows * _WORD_BLOCK
+    pos = np.zeros(epochs, dtype=np.int64)          # each row's next unspent word
+    upper = np.zeros(epochs, dtype=np.int64)        # its buffered high half
+    has_upper = np.zeros(epochs, dtype=bool)
+    drawn = [0] * epochs                            # the words each row has read
+
+    def refill(row):
+        bitgen = np.random.PCG64((seed, row))
+        if drawn[row]:
+            bitgen.advance(drawn[row])
+        words[row] = bitgen.random_raw(_WORD_BLOCK).view(np.int64)
+        drawn[row] += _WORD_BLOCK
+        pos[row] = 0
+
+    def take(where):
+        """Every row's next word; the rows in where spend theirs."""
+        nonlocal pos
+        got = flat[base + pos]
+        pos += where
+        spent = pos == _WORD_BLOCK
+        if spent.any():
+            for row in np.flatnonzero(spent).tolist():
+                refill(row)
+        return got
+
+    def half(where):
+        """A 32-bit half for each row in where: the buffered high half if the
+        row holds one, else the low half of a new word, whose high half is
+        then buffered."""
+        nonlocal upper, has_upper
+        fresh = where & ~has_upper
+        got = take(fresh)
+        halves = np.where(fresh, got % _HALF, upper)
+        upper = np.where(fresh, (got >> 32) % _HALF, upper)
+        has_upper ^= where
+        return halves
+
+    def below(span, where):
+        """Draws on [0, span) for the rows in where."""
+        if span == 1:
+            return np.zeros(epochs, dtype=np.int64)
+        threshold = _HALF % span
+        products = half(where) * span
+        if threshold:       # a span that divides 2**32 rejects nothing
+            rejected = where & (products % _HALF < threshold)
+            while rejected.any():
+                products = np.where(rejected, half(rejected) * span, products)
+                rejected &= products % _HALF < threshold
+        return products >> 32
+
+    for row in range(epochs):
+        refill(row)
+    vocab, every = task.vocab, np.ones(epochs, dtype=bool)
+    pools = np.asarray(task.gold_r_pool), np.asarray(task.gold_a_pool)
+    tokens = np.zeros((epochs, len(task.items), GOLD_MAX_LEN),
+                      dtype=np.min_scalar_type(vocab.size))
     lengths = np.zeros(tokens.shape[:2], dtype=np.int64)
     for c, item in enumerate(task.items):
-        tokens[:, c], lengths[:, c] = gold_continuations(
-            task.vocab, task.principles[item.column].prefers, task.gold_r_pool,
-            task.gold_a_pool, bias, streams)
+        counts = 1 + below(2, every), 1 + below(2, every)
+        picks = []
+        for pool, pref, n in zip(pools, task.principles[item.column].prefers, counts):
+            for k in range(2):
+                drawing = n > k
+                take_pref = drawing & ((take(drawing) >> 11) % _DOUBLE_SPAN / _DOUBLE_SPAN < bias)
+                picks.append(np.where(take_pref, pref,
+                                      pool[below(len(pool), drawing & ~take_pref)]))
+        # Each slot goes to its column in a full-length gold less the fillers
+        # missing before it; a missing filler's column is then taken by the tag
+        # written after it, and the columns from the length on stay 0.
+        (r1, r2, a1, a2), (r_n, a_n) = picks, counts
+        lengths[:, c] = length = 5 + r_n + a_n
+        gold = tokens[:, c]
+        for col, tok in ((0, vocab.r_open), (1, r1), (2, r2), (1 + r_n, vocab.r_close),
+                         (2 + r_n, vocab.a_open), (3 + r_n, a1), (4 + r_n, a2),
+                         (length - 2, vocab.a_close), (length - 1, vocab.eos)):
+            gold[rows, col] = tok
     return tokens, lengths

@@ -1,18 +1,20 @@
-"""mi.shadow_candidates against Generator.choice, draws.Streams against
-np.random.default_rng, and the draw sites against their Generator versions.
+"""mi.shadow_candidates against Generator.choice, and the draw sites against
+their Generator versions.
 
 These tests are the guard on numpy's algorithms: if an upgrade changes how
 Generator spends PCG64's words for random, integers or choice, they fail
-here, in the fast tier, instead of silently changing steps.jsonl.
+here, in the fast tier, instead of silently changing steps.jsonl.  The warm
+start's golds are decoded from PCG64's raw words by `task.warm_start_golds`,
+so its oracle, `gold_continuation` on default_rng, is the guard on how
+Generator spends its words for random and integers.
 """
 
 import numpy as np
 import pytest
 
-from geoloop import cli, draws, mi
+from geoloop import cli, mi
 from geoloop import constitution as consti
 from geoloop import task as tk
-from geoloop.draws import Streams
 
 
 class TestShadowCandidatesMatchChoice:
@@ -31,113 +33,6 @@ class TestShadowCandidatesMatchChoice:
                     expected = [[j, *mi.draw_shadows(range(m), j, k, ref)] for j in true]
                     assert got.tolist() == expected, (m, k, seed)
                 assert rng.random() == ref.random(), (m, seed)
-
-
-def lockstep_plan(seed: int, rows: int, length: int) -> list:
-    """(op, args, where) calls with random masks: doubles, small spans,
-    spans up to 2**31 - 1, and a span whose products are rejected a quarter
-    of the time."""
-    plan = np.random.default_rng(seed)
-    ops = []
-    for _ in range(length):
-        where = plan.random(rows) < plan.choice([0.1, 0.5, 0.9, 1.0])
-        kind = int(plan.integers(4))
-        if kind == 0:
-            ops.append(("random", (), where))
-        else:
-            span = [int(plan.integers(1, 20)), int(plan.integers(1, 2**31)), 3 * 2**29][kind - 1]
-            low = int(plan.integers(-5, 6))
-            ops.append(("integers", (low, low + span), where))
-    return ops
-
-
-def check_lockstep(seeds, ops):
-    streams, singles = Streams(seeds), [np.random.default_rng(seed) for seed in seeds]
-    for op, args, where in ops:
-        got = getattr(streams, op)(*args, where=where)
-        for row in np.flatnonzero(where):
-            assert got[row] == getattr(singles[row], op)(*args), (row, op, args)
-    # A last draw on every row finds each row where its Generator is.
-    assert streams.random().tolist() == [single.random() for single in singles]
-
-
-class CraftedPCG64:
-    """Stands in for np.random.PCG64: the seed names a list of raw words."""
-
-    WORDS = {}
-
-    def __init__(self, seed):
-        self._seed, self._pos = seed, 0
-
-    def random_raw(self, size):
-        """The listed words, then word i = (i + 1) * 2**40 + 1 (low half 1)."""
-        listed = self.WORDS[self._seed]
-        words = [listed[i] if i < len(listed) else ((i + 1) << 40) | 1
-                 for i in range(self._pos, self._pos + size)]
-        self._pos += size
-        return np.array(words, dtype=np.uint64)
-
-
-class TestStreamsMatchStream:
-    """Row e of Streams(seeds) against the one stream default_rng(seeds[e])."""
-
-    def test_mixed_masks(self):
-        # 120 rows of 1500 calls: every row refills its block three times,
-        # so its stream is rebuilt and advanced past one, two and three blocks.
-        seeds = [(7, e) for e in range(100)] + list(range(10)) + [
-            np.random.SeedSequence((5, e)) for e in range(10)]
-        check_lockstep(seeds, lockstep_plan(0, len(seeds), 1500))
-
-    @pytest.mark.parametrize("plan_seed", range(5))
-    def test_short_plans(self, plan_seed):
-        check_lockstep(list(range(plan_seed * 40, plan_seed * 40 + 40)),
-                       lockstep_plan(plan_seed + 1, 40, 150))
-
-    def test_half_carried_across_random(self):
-        # Rows 0-2 buffer a high half, rows 3-5 do not; a random() in between
-        # takes a whole word on some rows and leaves every buffered half.
-        seeds = list(range(6))
-        some = np.array([True, False, True, True, False, True])
-        first = np.array([True, True, True, False, False, False])
-        ops = [("integers", (0, 7), first), ("random", (), some),
-               ("integers", (0, 7), np.ones(6, bool)), ("integers", (0, 7), first),
-               ("random", (), np.ones(6, bool)), ("integers", (2, 9), some)]
-        check_lockstep(seeds, ops)
-
-    def test_crafted_rejection(self, monkeypatch):
-        # 2**32 mod 3 = 1: a half of 0 is the one rejected product for span 3.
-        CraftedPCG64.WORDS = {
-            0: [0x00000007_00000000, 0xFFFFFFFF_00000000],  # reject, then 7 -> 0
-            1: [0x00000000_80000000, 0x00000000_00000000],  # 2**31 -> 1, then reject
-            2: [0xC0000000_00000000],                       # reject, then 3 * 2**30 -> 2
-        }
-        monkeypatch.setattr(np.random, "PCG64", CraftedPCG64)
-        streams = Streams([0, 1, 2])
-        assert streams.integers(0, 3).tolist() == [0, 1, 2]
-        # Row 1 rejects its buffered half 0 and both halves of its next word,
-        # then takes the low half 1 of its third.
-        assert streams.integers(0, 3, where=np.array([False, True, False]))[1] == 0
-        # Each row's next whole word: row 0's second, row 1's fourth, row 2's second.
-        words = [0xFFFFFFFF_00000000, (4 << 40) | 1, (2 << 40) | 1]
-        assert streams.random().tolist() == [(w >> 11) * 2.0**-53 for w in words]
-
-    def test_span_one_draws_nothing(self):
-        streams, single = Streams([3, 4]), np.random.default_rng(3)
-        assert streams.integers(5, 6).tolist() == [5, 5]
-        assert streams.integers(0, 10)[0] == single.integers(10)
-
-    def test_no_rows(self):
-        streams = Streams([])
-        assert streams.random().shape == streams.integers(0, 5).shape == (0,)
-
-    @pytest.mark.parametrize("low, high", [(0, 2**31), (-1, 2**31 - 1), (0, 0), (3, 2),
-                                           (0, 2.5)])
-    def test_unsupported_spans_raise(self, low, high):
-        with pytest.raises((TypeError, ValueError)):
-            Streams([0]).integers(low, high)
-
-    def test_largest_span(self):
-        check_lockstep([0, 1, 2], [("integers", (-2**30, 2**30 - 1), np.ones(3, bool))] * 80)
 
 
 def reference_make_toy_task(vocab=None, *, n_items=32, prompt_len=4, bias=0.8, seed=0,
@@ -182,8 +77,33 @@ def cli_task_arguments(seed: int) -> dict:
                 bias=cli.TASK_BIAS, seed=seed, principles=principles)
 
 
+class CraftedPCG64:
+    """Stands in for np.random.PCG64: the seed names a list of raw words."""
+
+    WORDS = {}
+
+    def __init__(self, seed):
+        self._seed, self._pos = seed, 0
+
+    def random_raw(self, size):
+        """The listed words, then word i = (i + 1) * 2**40 + 1 (low half 1)."""
+        listed = self.WORDS[self._seed]
+        words = [listed[i] if i < len(listed) else ((i + 1) << 40) | 1
+                 for i in range(self._pos, self._pos + size)]
+        self._pos += size
+        return np.array(words, dtype=np.uint64)
+
+
 def gold_tuples(tokens, lengths) -> list:
     return [tuple(int(t) for t in row[:n]) for row, n in zip(tokens, lengths)]
+
+
+def check_warm_start_golds(task, epochs: int, seed: int, bias: float):
+    """warm_start_golds against format_pretrain_items' golds, epoch by epoch."""
+    tokens, lengths = tk.warm_start_golds(task, epochs, seed, bias)
+    for epoch in range(epochs):
+        expected = reference_format_pretrain_items(task, seed=(seed, epoch), bias=bias)
+        assert gold_tuples(tokens[epoch], lengths[epoch]) == [g for _, _, g in expected]
 
 
 class TestDrawSites:
@@ -200,13 +120,67 @@ class TestDrawSites:
             expected = reference_format_pretrain_items(task, seed=(seed, epoch), bias=bias)
             assert gold_tuples(tokens[epoch], lengths[epoch]) == [g for _, _, g in expected]
 
+    @pytest.mark.parametrize("patterns", [
+        [(7, 8, 7, 8), (9, 10, 9, 10)],         # pools (0, ..., 5) and (6,)
+        [(0, 0, 0, 0), (0, 0)],                 # pools (1, ..., 5) and (6, ..., 10)
+    ])
+    def test_every_draw_rule(self, patterns):
+        # Pools of 1 (a span that draws nothing), 5 (2**32 mod span is 1) and
+        # 6 (it is 4); the bundled pools of 4 (a span that divides 2**32) and
+        # 3 are checked above.
+        vocab = tk.Vocab()
+        principles = tk.principles_from_patterns(vocab, enumerate(patterns))
+        for seed in range(3):
+            check_warm_start_golds(tk.make_toy_task(vocab, seed=seed, principles=principles),
+                                   60, seed, 0.3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_refills(self, seed, monkeypatch):
+        # Blocks of 5 words: every row refills many times, from a stream
+        # rebuilt and advanced past the words it has drawn.
+        monkeypatch.setattr(tk, "_WORD_BLOCK", 5)
+        check_warm_start_golds(tk.make_toy_task(**cli_task_arguments(seed)), 20, seed,
+                               cli.WARMSTART_BIAS)
+
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_warm_start_golds_fit_one_block(self, seed, monkeypatch):
         # An epoch's golds spend fewer words than a block, so each epoch's
-        # stream fills its row once, when the Streams is built.
-        fills, fill = [], draws.Streams._fill
-        monkeypatch.setattr(draws.Streams, "_fill",
-                            lambda self, row: (fills.append(row), fill(self, row)))
+        # stream is built once, for its first block.
+        built, pcg64 = [], np.random.PCG64
+        monkeypatch.setattr(np.random, "PCG64", lambda s: (built.append(s), pcg64(s))[1])
         task = tk.make_toy_task(**cli_task_arguments(seed))
         tk.warm_start_golds(task, cli.WARMSTART_EPOCHS, seed, cli.WARMSTART_BIAS)
-        assert sorted(fills) == list(range(cli.WARMSTART_EPOCHS))
+        assert built == [(seed, epoch) for epoch in range(cli.WARMSTART_EPOCHS)]
+
+    def test_crafted_rejection(self, monkeypatch):
+        # bias 0.5: a word's top bit decides random() < bias.  Spans 2 and 4
+        # divide 2**32; for span 3, 2**32 mod 3 = 1, so a half of 0 is the
+        # one rejected product.
+        CraftedPCG64.WORDS = {
+            (0, 0): [
+                0x80000000_00000000,    # r_n = 1 from the low half, a_n = 2 from the high
+                0xFFFFFFFF_FFFFFFFF,    # first reasoning filler: not the preferred one,
+                0x00000000_C0000000,    # so pool index 3 from 3 * 2**30; high half 0 buffered
+                0x80000000_00000000,    # first answer filler: 0.5, not the preferred one;
+                0x55555556_00000000,    # reject the buffered 0, reject the low half 0,
+                                        # take the high half: index 1
+                0x00000000_00000000,    # second answer filler: the preferred one
+            ],
+            (0, 1): [
+                0x00000000_00000000,    # r_n = a_n = 1
+                0x00000000_00000000,    # the preferred reasoning filler
+                0xFFFFFFFF_FFFFFFFF,    # not the preferred answer filler, so
+                0x00000000_AAAAAAAB,    # pool index 2 from 3 * 0xAAAAAAAB = 2 * 2**32 + 1
+            ],
+        }
+        vocab = tk.Vocab()
+        principles = tk.principles_from_patterns(vocab, [("a", (4, 9, 4, 9)),
+                                                         ("b", (5, 10, 5, 10))])
+        task = tk.make_toy_task(vocab, n_items=1, principles=principles)
+        assert (task.gold_r_pool, task.gold_a_pool) == ((0, 1, 2, 3), (6, 7, 8))
+        assert task.principles[task.items[0].column].prefers == (0, 6)
+        monkeypatch.setattr(np.random, "PCG64", CraftedPCG64)
+        tokens, lengths = tk.warm_start_golds(task, 2, 0, 0.5)
+        assert gold_tuples(tokens[:, 0], lengths[:, 0]) == [
+            (vocab.r_open, 3, vocab.r_close, vocab.a_open, 7, 6, vocab.a_close, vocab.eos),
+            (vocab.r_open, 0, vocab.r_close, vocab.a_open, 8, vocab.a_close, vocab.eos)]
