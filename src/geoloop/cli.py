@@ -161,11 +161,6 @@ def _build_task(pset: consti.PrincipleSet, seed: int, vocab: Vocab) -> ToyTask:
     """The toy task over `pset`'s token positives: TASK_ITEMS items drawn at
     `seed` in `vocab`, with PROMPT_LEN-token prompts and gold bias TASK_BIAS."""
     patterns = [(p.pid, p.tokens) for p in pset.positives]
-    if any(not toks for _, toks in patterns):
-        raise ConfigError(
-            f"constitution {pset.name!r} has non-token positives; the toy task "
-            "needs token patterns (use eval-constitution --components or "
-            "--scores for text principle pools)")
     try:
         principles = principles_from_patterns(vocab, patterns)
     except ValidationError as exc:
@@ -497,7 +492,7 @@ def cmd_probe(args) -> int:
 
     # Aligned score matrix and per-row diagonal statistics for the last policy.
     aligned, diag = consti.aligned_scores(loaded[-1][0], task)
-    mi.write_score_csv(mi.ScoreMatrix(aligned), out_dir / "icmi_matrix.csv")
+    mi.write_score_csv(aligned, out_dir / "icmi_matrix.csv")
     log_p = float(np.log(len(task.principles)))
     with open(out_dir / "icmi_diag.csv", "w") as fh:
         fh.write("row,diag_log_softmax,pmi\n" + "".join(

@@ -4,7 +4,7 @@ Signals per candidate set (positives shared, negatives under test):
 
     delta_nll  nll_without - nll_with, bits/token; perplexity ratio 2^{-delta}
     auc        Mann-Whitney Pr[s+ > s-] + Pr[s+ = s-]/2 by exhaustive pair
-               counting over per-principle delta-NLL scores
+               counting (what s is depends on the mode, below)
     margins    diagonal score margins: how much a gold continuation prefers
                its own principle over the rest of the same pool (positives),
                and how much its index-paired negative beats the other
@@ -16,6 +16,13 @@ The z-scored SI (zscored_sufficiency_index) replaces each component with a
 robust z-score ((x - median) / MAD, zero when MAD is zero) across a cohort of
 candidate sets; both are reported because they answer different questions
 (raw reproduces absolute bookkeeping, z-scored ranks a cohort).
+
+A principle is its token pattern; a principle file holds nothing else.
+AUC compares different scores in each eval mode: on token sets, each
+positive's median ΔNLL bits against each negative's; on `--scores`, each
+item's score at its true positive column against its score at its paired
+negative column; on `--components`, it is the AUC given.  SI values from
+different modes therefore do not compare.
 
 All task items are scored with one table: each item's gold under its
 prompt with every positive, every negative and no principle; each prompt and
@@ -50,17 +57,7 @@ LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class Principle:
     pid: str
-    text: str          # free text, or a space-separated token-id pattern
-    tokens: tuple = ()
-
-    @staticmethod
-    def parse(pid: str, text: str) -> "Principle":
-        parts = text.split()
-        # One sign and decimal digits: what int() parses, unlike isdigit's
-        # superscripts or a second sign.
-        if parts and all(p.removeprefix("-").isdecimal() for p in parts):
-            return Principle(pid, text, tuple(int(p) for p in parts))
-        return Principle(pid, text, ())
+    tokens: tuple      # the token ids of its pattern
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,9 @@ class PrincipleSet:
 
 def parse_principle_file(path) -> PrincipleSet:
     """Key-value list layout: optional `name:` line, then `positives:` and
-    `negatives:` sections of `- <string>` items."""
+    `negatives:` sections of `- <pattern>` items, each pattern one or more
+    space-separated token ids (an optional `-` and decimal digits); any other
+    item, an empty one too, is refused naming its line."""
     name = "unnamed"
     sections = {"positives": [], "negatives": []}
     current = None
@@ -94,17 +93,21 @@ def parse_principle_file(path) -> PrincipleSet:
                 name = line.split(":", 1)[1].strip()
             elif line in ("positives:", "negatives:"):
                 current = line[:-1]
-            elif line.startswith("- "):
+            elif line == "-" or line.startswith("- "):
                 if current is None:
                     raise ValidationError(
                         f"{path}:{lineno}: item {line!r} outside positives:/negatives:")
-                sections[current].append(line[2:].strip())
+                item = line[1:].strip()
+                parts = item.split()
+                # One sign and decimal digits: what int() parses, unlike
+                # isdigit's superscripts or a second sign.
+                if not parts or not all(p.removeprefix("-").isdecimal() for p in parts):
+                    raise ValidationError(f"{path}:{lineno}: {item!r} is not a token pattern")
+                sections[current].append(tuple(int(p) for p in parts))
             else:
                 raise ValidationError(f"{path}:{lineno}: cannot parse {line!r}")
-    positives = tuple(Principle.parse(f"pos{i}", t)
-                      for i, t in enumerate(sections["positives"]))
-    negatives = tuple(Principle.parse(f"neg{i}", t)
-                      for i, t in enumerate(sections["negatives"]))
+    positives = tuple(Principle(f"pos{i}", t) for i, t in enumerate(sections["positives"]))
+    negatives = tuple(Principle(f"neg{i}", t) for i, t in enumerate(sections["negatives"]))
     if not positives:
         raise ValidationError(f"{path}: no positives found")
     return PrincipleSet(name, positives, negatives)
@@ -281,15 +284,9 @@ def _margin_rows(scores: np.ndarray, true_cols) -> np.ndarray:
 
 def _bound_bits(scores: np.ndarray, true_cols, rng: np.random.Generator) -> float:
     """Row contrastive bound (bits) with SHADOWS uniform shadow columns per
-    item, or as many as the pool has besides the true one.
-
-    NaN when the pool has no column besides the true one.
-    """
+    item, or as many as the pool has besides the true one."""
     m = scores.shape[1]
-    k = min(SHADOWS, m - 1)
-    if k < 1:
-        return math.nan
-    cols = mi.shadow_candidates(rng, true_cols, m, k)
+    cols = mi.shadow_candidates(rng, true_cols, m, min(SHADOWS, m - 1))
     return mi.infonce_bound(np.take_along_axis(scores, cols, axis=1)) / LN2
 
 
@@ -395,18 +392,15 @@ def aligned_scores(policy, task) -> tuple:
     return aligned, mi._log_softmax(matrix, axis=1)[own, true_cols]
 
 
-def evaluate_from_score_files(name: str, pos_matrix: mi.ScoreMatrix,
-                              neg_matrix: mi.ScoreMatrix, nll_rows, *,
+def evaluate_from_score_files(name: str, pos: np.ndarray, neg: np.ndarray, nll_rows, *,
                               seed: int = 0) -> SufficiencyReport:
     """Evaluation over externally produced scores (e.g. real LLM exports).
 
-    `pos_matrix`/`neg_matrix` are items-by-principles score matrices where
-    item i's true (or index-paired) principle sits in column i mod M.
+    `pos`/`neg` are items-by-principles float score arrays where item i's
+    true (or index-paired) principle sits in column i mod M.
     `nll_rows` are (nll_without_bits, nll_with_bits) per item; the report's
     delta is `median`'s of their deltas, so np.median's value.
     """
-    pos = pos_matrix.scores
-    neg = neg_matrix.scores
     if pos.shape[0] != neg.shape[0]:
         raise ValidationError("positive and negative matrices must share items")
     rng = np.random.default_rng((seed, 17))

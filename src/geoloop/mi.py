@@ -17,45 +17,25 @@ blocks' width and gives the row and column bounds, not their difference.
 Shadow candidates are drawn uniformly from the positive pool without
 replacement, excluding the true principle.
 
-`ScoreMatrix` is the score CSV's type: the matrix plus a normalisation
-label, raw_sum (plain log-likelihood sum), length_mean (divide by token
-count) or fisher_weighted (token weights proportional to p_t(1-p_t)).  Every
-score geoloop computes is length_mean; the other two labels are accepted on
-external score CSVs.  Row standardisation ((L - mu_i)/sigma_i) exists solely
-for the reward channel's z statistic and never touches the auxiliary loss; a
-constant row (sigma_i = 0) standardises to all zeros.
+A score CSV holds one (N, M) matrix under a header naming its
+normalisation: raw_sum (plain log-likelihood sum), length_mean (divide by
+token count) or fisher_weighted (token weights proportional to p_t(1-p_t)).
+Every score geoloop computes, and every CSV it writes, is length_mean; the
+other two labels are accepted on external score CSVs, whose reader checks
+the label and returns the bare array.  Row standardisation
+((L - mu_i)/sigma_i) exists solely for the reward channel's z statistic and
+never touches the auxiliary loss; a constant row (sigma_i = 0) standardises
+to all zeros.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
 NORMALISATIONS = ("raw_sum", "length_mean", "fisher_weighted")
-
-
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """N x M matrix of sequence log-scores plus the normalisation used, as a
-    score CSV holds them."""
-
-    scores: np.ndarray
-    normalisation: str = "length_mean"
-
-    def __post_init__(self):
-        scores = np.atleast_2d(np.asarray(self.scores, dtype=float))
-        if not np.all(np.isfinite(scores)):
-            raise ValidationError("score matrix entries must be finite")
-        if self.normalisation not in NORMALISATIONS:
-            raise ValidationError(f"unknown normalisation {self.normalisation!r}")
-        object.__setattr__(self, "scores", scores)
-
-    @property
-    def shape(self) -> tuple:
-        return self.scores.shape
 
 
 def _log_softmax(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -226,14 +206,17 @@ def row_positive_logsoftmax(scores: np.ndarray) -> np.ndarray:
 
 # ---------- CSV round-trip (also the ingestion path for external scores) ----------
 
-def write_score_csv(matrix: ScoreMatrix, path) -> None:
-    n, m = matrix.shape
+def write_score_csv(scores: np.ndarray, path) -> None:
+    """The (N, M) float array `scores` as a length_mean score CSV."""
+    n, m = scores.shape
     with open(path, "w", newline="") as fh:
-        fh.write(f"normalisation={matrix.normalisation},N={n},M={m}\n" + "".join(
-            ",".join(map(repr, row)) + "\n" for row in matrix.scores.tolist()))
+        fh.write(f"normalisation=length_mean,N={n},M={m}\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in scores.tolist()))
 
 
-def read_score_csv(path) -> ScoreMatrix:
+def read_score_csv(path) -> np.ndarray:
+    """The (N, M) float array of a score CSV, refused unless its body has the
+    header's shape, every entry is finite and the label is in NORMALISATIONS."""
     with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
@@ -260,7 +243,8 @@ def read_score_csv(path) -> ScoreMatrix:
     if scores.shape != (n, m):
         raise ValidationError(f"score CSV {path}: body {scores.shape} does not match "
                               f"header ({n},{m})")
-    try:
-        return ScoreMatrix(scores, normalisation=normalisation)
-    except ValidationError as exc:
-        raise ValidationError(f"score CSV {path}: {exc}") from exc
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError(f"score CSV {path}: score matrix entries must be finite")
+    if normalisation not in NORMALISATIONS:
+        raise ValidationError(f"score CSV {path}: unknown normalisation {normalisation!r}")
+    return scores

@@ -595,15 +595,15 @@ class TestEvalCommand:
         assert code == cli.EXIT_CONFIG
 
     def test_external_score_files(self, tmp_path):
-        from geoloop.mi import ScoreMatrix, write_score_csv
+        from geoloop.mi import write_score_csv
         rng = np.random.default_rng(0)
         n, m = 8, 4
         pos = rng.normal(-1.0, 0.05, (n, m))
         for i in range(n):
             pos[i, i % m] += 1.5
         neg = rng.normal(-1.0, 0.05, (n, m))
-        write_score_csv(ScoreMatrix(pos), tmp_path / "pos.csv")
-        write_score_csv(ScoreMatrix(neg), tmp_path / "neg.csv")
+        write_score_csv(pos, tmp_path / "pos.csv")
+        write_score_csv(neg, tmp_path / "neg.csv")
         (tmp_path / "nll.csv").write_text(
             "nll_without_bits,nll_with_bits\n" + "2.0,1.9\n" * n)
         out = tmp_path / "ext"
@@ -979,9 +979,6 @@ class TestSharedWarmStart:
             # The bundled positives, with a negative that repeats one of them.
             "repeats": principle_file(tmp_path, "repeats", [" ".join(p) for p in bundled],
                                       ["4 9 4 9", "4 4 4"]),
-            # A free-text negative has no tokens: its bag is the no-principle one.
-            "free_text": principle_file(tmp_path, "free_text", [" ".join(p) for p in bundled],
-                                        ["be kind", "10 10 10"]),
         }
 
     @pytest.mark.parametrize("names, expected", [
@@ -1009,10 +1006,9 @@ class TestSharedWarmStart:
     @pytest.mark.parametrize("names, options", [
         (["high", "low"], {}), (["high", "low"], {"seed": 3}),
         (["high", "reordered", "low", "other"], {"seed": 2, "epochs": 40}),
-        (["low", "high"], {}), (["high", "repeats"], {}), (["high", "free_text"], {}),
-        (["high", "other"], {})],
+        (["low", "high"], {}), (["high", "repeats"], {}), (["high", "other"], {})],
         ids=["bundled", "seed3", "four", "bundled_reversed", "negative_repeats_positive",
-             "free_text_negative", "other_positives"])
+             "other_positives"])
     def test_reports_equal_a_fresh_warm_start_per_set(self, tmp_path, sets, names, options):
         paths = [sets[n] for n in names]
         out = tmp_path / "out"
@@ -1096,18 +1092,17 @@ class TestBadTokenPatterns:
         assert not out.exists()
 
 
-class TestTextPrinciplePools:
-    """The bundled text pools parse, but the toy task needs token patterns:
-    `train` and `eval-constitution` on them are a configuration error, exit
-    2, with no output directory (they are for `--scores`)."""
+class TestUnusableSets:
+    """A set without negatives, or with one positive, is a configuration
+    error: exit 2, and no output directory."""
 
-    @pytest.fixture(params=["constitution_high_si.txt", "constitution_low_si.txt"],
-                    ids=["high_si", "low_si"])
-    def constitution(self, request):
-        path = DATA / request.param
-        pset = cli._load_principles(path)
-        assert (len(pset.positives), len(pset.negatives)) == (9, 9)
-        return path, f"config error: constitution {pset.name!r} has non-token positives"
+    @pytest.fixture(params=["no_negatives", "one_positive"])
+    def constitution(self, request, tmp_path):
+        if request.param == "no_negatives":
+            return (principle_file(tmp_path, "bad", ["4 9 4 9", "5 10 5 10"], ()),
+                    "config error: constitution 'bad' has no negatives")
+        return (principle_file(tmp_path, "bad", ["4 9 4 9"]),
+                "config error: constitution 'bad': need at least two principles")
 
     def test_train(self, tmp_path, capsys, constitution):
         path, message = constitution
@@ -1125,16 +1120,63 @@ class TestTextPrinciplePools:
         assert not out.exists()
 
 
+class TestTextPrinciplePools:
+    """A principle is its token pattern.  The bundled text pools, and the
+    bundled positives with free-text negatives, are refused at their first
+    text item, naming the file and line: exit 2, with no output directory.
+    A free-text negative used to be kept with no tokens and scored as the
+    no-principle context, which read AUC 1.000 and SI 1.907 at seed 0, above
+    toy_low_si's SI (1.646) and toy_high_si's AUC (0.688)."""
+
+    @pytest.fixture(params=["constitution_high_si.txt", "constitution_low_si.txt",
+                            "free_text_negative"],
+                    ids=["high_si", "low_si", "free_text_negative"])
+    def constitution(self, request, tmp_path):
+        if request.param == "free_text_negative":
+            path = principle_file(tmp_path, "mixed",
+                                  ["4 9 4 9", "5 10 5 10", "4 10 4 10", "5 9 5 9"],
+                                  ["some free text negative", "be kind"])
+            return (path, f"config error: {path}:8: 'some free text negative' "
+                    "is not a token pattern")
+        path = DATA / request.param
+        line = path.read_text().splitlines()[5]
+        assert line.startswith("- Maintain the independence")
+        return path, f"config error: {path}:6: {line[2:]!r} is not a token pattern"
+
+    def test_train(self, tmp_path, capsys, constitution):
+        path, message = constitution
+        config = short_config(tmp_path, constitution=str(path))
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_constitution(self, tmp_path, capsys, constitution):
+        path, message = constitution
+        out = tmp_path / "out"
+        assert cli.main(["eval-constitution", str(DATA / "toy_high_si.txt"), str(path),
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    def test_probe(self, tmp_path, capsys, run_dir, constitution):
+        path, message = constitution
+        out = tmp_path / "out"
+        assert cli.main(["probe", *sorted(str(p) for p in run_dir.glob("ckpt_*.npz")),
+                         "--constitution", str(path), "--out-dir", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("pattern", ["4 ²", "--4 5"], ids=["superscript", "two_signs"])
-def test_number_int_does_not_parse_makes_a_text_principle(tmp_path, capsys, pattern):
+def test_number_int_does_not_parse_is_not_a_token_pattern(tmp_path, capsys, pattern):
     # '²' passed str.isdigit and '--4' the sign-stripped test, and int() then
     # raised a ValueError traceback.
-    assert consti.Principle.parse("pos1", pattern).tokens == ()
     path = principle_file(tmp_path, "sup", ["5 10 5 10", pattern])
     out = tmp_path / "out"
     assert cli.main(["eval-constitution", str(path), "--out-dir", str(out)]) \
         == cli.EXIT_CONFIG
-    assert "config error: constitution 'sup' has non-token positives" \
+    assert f"config error: {path}:4: {pattern!r} is not a token pattern" \
         in capsys.readouterr().err
     assert not out.exists()
 
@@ -1285,8 +1327,8 @@ class TestGoldenOutputs:
         pos = [[-1.0 + (1.5 if j == i % m_pos else 0.0) - ((i * 7 + j * 3) % 11) / 20
                 for j in range(m_pos)] for i in range(n)]
         neg = [[-1.0 - ((i * 5 + j * 2) % 7) / 10 for j in range(m_neg)] for i in range(n)]
-        mi.write_score_csv(mi.ScoreMatrix(pos), tmp_path / "pos.csv")
-        mi.write_score_csv(mi.ScoreMatrix(neg), tmp_path / "neg.csv")
+        mi.write_score_csv(np.array(pos), tmp_path / "pos.csv")
+        mi.write_score_csv(np.array(neg), tmp_path / "neg.csv")
         (tmp_path / "nll.csv").write_text("nll_without_bits,nll_with_bits\n" + "".join(
             f"{2.0 + (i % 3) / 10!r},{1.9 - (i % 4) / 20!r}\n" for i in range(n)))
         out = tmp_path / "out"
@@ -1357,7 +1399,7 @@ def reference_probe(ckpts, out, constitution, seed=0):
     aligned = np.zeros_like(matrix)
     for i, j in enumerate(true_cols):
         aligned[i] = np.roll(matrix[i], -j)
-    mi.write_score_csv(mi.ScoreMatrix(aligned), out / "icmi_matrix.csv")
+    mi.write_score_csv(aligned, out / "icmi_matrix.csv")
     shifted = matrix - matrix.max(axis=1, keepdims=True)
     log_sm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     with open(out / "icmi_diag.csv", "w") as fh:

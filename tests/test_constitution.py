@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,17 +213,35 @@ class TestLeakyFlags:
 class TestPrincipleFiles:
     def test_parse_round_trip(self, tmp_path):
         path = tmp_path / "set.txt"
+        path.write_text("name: demo\npositives:\n- 4 9 4 9\n-  5 10  5 10 \n"
+                        "negatives:\n- 10 -3\n")
+        pset = con.parse_principle_file(path)
+        assert pset == con.PrincipleSet("demo", (
+            con.Principle("pos0", (4, 9, 4, 9)), con.Principle("pos1", (5, 10, 5, 10))),
+            (con.Principle("neg0", (10, -3)),))
+        # A free-text negative was kept with no tokens and scored as the
+        # no-principle context; it is refused at its line.
         path.write_text("name: demo\npositives:\n- 4 9 4 9\n- 5 10 5 10\n"
                         "negatives:\n- some free text negative\n")
-        pset = con.parse_principle_file(path)
-        assert pset.name == "demo"
-        assert pset.positives[0].tokens == (4, 9, 4, 9)
-        assert pset.negatives[0].tokens == ()
-        assert pset.negatives[0].text == "some free text negative"
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}:6: 'some free text negative' is not a token pattern")):
+            con.parse_principle_file(path)
+
+    @pytest.mark.parametrize("item, shown", [
+        ("be kind", "'be kind'"), ("4 9 x", "'4 9 x'"), ("4 \u00b2", "'4 \u00b2'"),
+        ("--4 5", "'--4 5'"), ("- 4", "'- 4'"), ("", "''"), ("   ", "''")],
+        ids=["text", "one_word", "superscript", "two_signs", "split_sign", "empty",
+             "blank"])
+    def test_item_that_is_not_a_token_pattern_names_its_line(self, tmp_path, item, shown):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"positives:\n- 4 9 4 9\n-{' ' if item else ''}{item}\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}:3: {shown} is not a token pattern")):
+            con.parse_principle_file(path)
 
     def test_no_positives_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("negatives:\n- x\n")
+        path.write_text("negatives:\n- 4\n")
         with pytest.raises(ValidationError):
             con.parse_principle_file(path)
 
@@ -264,10 +283,8 @@ def principle_aware_policy(task, seed=0, epochs=150):
 def toy_set(vocab, negatives):
     positives = [("pos0", (4, 9, 4, 9)), ("pos1", (5, 10, 5, 10)),
                  ("pos2", (4, 10, 4, 10)), ("pos3", (5, 9, 5, 9))]
-    pos = tuple(con.Principle(pid, " ".join(map(str, toks)), toks)
-                for pid, toks in positives)
-    neg = tuple(con.Principle(f"neg{i}", " ".join(map(str, toks)), toks)
-                for i, toks in enumerate(negatives))
+    pos = tuple(con.Principle(pid, toks) for pid, toks in positives)
+    neg = tuple(con.Principle(f"neg{i}", toks) for i, toks in enumerate(negatives))
     return pos, neg
 
 
@@ -288,7 +305,7 @@ class TestEvaluatePrincipleSet:
         vocab, task, policy = setup
         pos, _ = toy_set(vocab, [])
         # negatives identical to positives (fresh ids)
-        neg = tuple(con.Principle(f"neg{i}", p.text, p.tokens)
+        neg = tuple(con.Principle(f"neg{i}", p.tokens)
                     for i, p in enumerate(pos))
         pset = con.PrincipleSet("mirror", pos, neg)
         report = con.evaluate_principle_set(policy, task, pset, seed=0)
@@ -454,7 +471,6 @@ class TestMatchesPerPoolScoring:
 
 class TestExternalScorePath:
     def test_matrix_driven_report(self):
-        from geoloop.mi import ScoreMatrix
         rng = np.random.default_rng(0)
         n, m = 12, 4
         base = rng.normal(-1.5, 0.1, (n, m))
@@ -464,7 +480,7 @@ class TestExternalScorePath:
         neg = rng.normal(-1.5, 0.1, (n, m))
         nll_rows = [(2.0, 1.8)] * n  # delta = 0.2 bits/token
         report = con.evaluate_from_score_files(
-            "external", ScoreMatrix(pos), ScoreMatrix(neg), nll_rows)
+            "external", pos, neg, nll_rows)
         assert report.delta_nll_median == pytest.approx(0.2)
         assert report.mi_diag_margin_pos > 1.0
         assert abs(report.mi_diag_margin_neg) < 0.5

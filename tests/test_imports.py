@@ -18,6 +18,7 @@ _PATHS = r"""
 import sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
+import numpy as np
 from geoloop import cli, mi
 
 work, data, configs = Path(sys.argv[2]), cli.DATA_DIR, Path("configs")
@@ -26,10 +27,10 @@ short.write_text(cli.serialise_config(cli.RunConfig(
     seed=3, max_steps=3, checkpoint_every=1, output_dir=str(work / "short"),
     constitution=str(data / "toy_high_si.txt"), ot_warmup=1)))
 n = 6
-mi.write_score_csv(mi.ScoreMatrix([[-1.0 + (i % 3 == j) - (i * j % 5) / 10 for j in range(3)]
-                                   for i in range(n)]), work / "pos.csv")
-mi.write_score_csv(mi.ScoreMatrix([[-1.0 - (i + j) % 4 / 10 for j in range(3)]
-                                   for i in range(n)]), work / "neg.csv")
+mi.write_score_csv(np.array([[-1.0 + (i % 3 == j) - (i * j % 5) / 10 for j in range(3)]
+                             for i in range(n)]), work / "pos.csv")
+mi.write_score_csv(np.array([[-1.0 - (i + j) % 4 / 10 for j in range(3)]
+                             for i in range(n)]), work / "neg.csv")
 (work / "nll.csv").write_text("nll_without_bits,nll_with_bits\n" + "".join(
     f"{2.0 + i / 10},{1.9 - i % 2 / 10}\n" for i in range(n)))
 ckpts = [str(work / "short" / f"ckpt_{s:06d}.npz") for s in range(4)]

@@ -1,5 +1,6 @@
 """InfoNCE losses, contrastive bounds, score plumbing."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,13 +253,32 @@ class TestSequenceScores:
 class TestScoreCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        matrix = mi.ScoreMatrix(rng.normal(0, 1, (3, 5)), normalisation="length_mean")
+        scores = rng.normal(0, 1, (3, 5))
         path = tmp_path / "scores.csv"
-        mi.write_score_csv(matrix, path)
+        mi.write_score_csv(scores, path)
         assert path.read_text().splitlines()[0] == "normalisation=length_mean,N=3,M=5"
         back = mi.read_score_csv(path)
-        assert back.normalisation == "length_mean"
-        assert np.array_equal(back.scores, matrix.scores)
+        assert back.dtype == np.float64 and np.array_equal(back, scores)
+
+    @pytest.mark.parametrize("label", mi.NORMALISATIONS)
+    def test_every_label_reads_as_its_array(self, tmp_path, label):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"normalisation={label},N=2,M=2\n0.0,-1.5\n-2.0,0.25\n")
+        assert np.array_equal(mi.read_score_csv(path), [[0.0, -1.5], [-2.0, 0.25]])
+
+    @pytest.mark.parametrize("header, body, message", [
+        ("normalisation=mean,N=2,M=2", "0.0,inf\n", "does not match header (2,2)"),
+        ("normalisation=mean,N=1,M=2", "0.0,inf\n", "score matrix entries must be finite"),
+        ("normalisation=mean,N=1,M=2", "0.0,1.0\n", "unknown normalisation 'mean'")],
+        ids=["shape", "finiteness", "label"])
+    def test_refusals_in_order(self, tmp_path, header, body, message):
+        # Shape, then finiteness, then the label: each row breaks every
+        # later rule too.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n{body}")
+        with pytest.raises(ValidationError, match=re.escape(f"score CSV {path}: ")) as err:
+            mi.read_score_csv(path)
+        assert str(err.value).endswith(message)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

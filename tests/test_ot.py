@@ -153,6 +153,22 @@ class TestEntropicOt:
             recomputed = np.abs(res["raw_plan"].sum(axis=1) - a.weights).sum()
             assert res["violation_trace"][-1] == pytest.approx(recomputed, abs=1e-12)
 
+    def test_max_iter_spent_above_the_target_eps(self, monkeypatch):
+        # The largest cost (about 200) is far above eps, so three iterations
+        # end on a coarse level: the trace is empty, no violation is
+        # reported, and g is T(f) at the target eps, so the plan's column
+        # sums are b's weights (a g left at the coarse level gives 1e81).
+        rng = np.random.default_rng(0)
+        a, b = random_cloud(rng, 5), random_cloud(rng, 4, offset=10.0)
+        monkeypatch.setattr(ot, "MAX_ITER", 3)
+        res = ot.entropic_ot(a, b, 1e-2)
+        assert res["violation_trace"] == [] and res["converged"] is False
+        assert res["iterations"] == 3
+        assert res["raw_plan"].sum(axis=0) == pytest.approx(b.weights, abs=1e-9)
+        _, grad, stats = ot.sinkhorn_divergence_with_grad(a, b, 1e-2)
+        assert stats["converged"] is False and math.isnan(stats["violation"])
+        assert np.all(np.isfinite(grad))
+
     def test_log_domain_stability_small_eps(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(0, 1, (6, 3))

@@ -1,6 +1,7 @@
 """Toy policy: gradients vs finite differences, sampling, format, task plumbing."""
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass, fields
@@ -1040,13 +1041,16 @@ class TestEveryPrinciplePrefersTwoFillers:
 
     @pytest.mark.parametrize("name", sorted(p.name for p in cli.DATA_DIR.glob("*.txt")))
     def test_bundled_constitutions(self, name):
-        pset = consti.parse_principle_file(cli.DATA_DIR / name)
-        patterns = [(p.pid, p.tokens) for p in pset.positives]
-        if not all(tokens for _, tokens in patterns):
-            # A text constitution builds no toy principles.
-            with pytest.raises(cli.ConfigError, match="non-token positives"):
-                cli._build_task(pset, 0, tk.Vocab())
+        path = cli.DATA_DIR / name
+        if name.startswith("constitution_"):
+            # A text pool is refused at its first item, line 6.
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{path}:6: 'Maintain the independence and integrity of the Australian "
+                    "Broadcasting Corporation (ABC).' is not a token pattern")):
+                consti.parse_principle_file(path)
             return
+        pset = consti.parse_principle_file(path)
+        patterns = [(p.pid, p.tokens) for p in pset.positives]
         task = cli._build_task(pset, 0, tk.Vocab())
         assert task.principles == tk.principles_from_patterns(tk.Vocab(), patterns)
         assert [p.tokens for p in task.principles] == [tokens for _, tokens in patterns]
@@ -1154,3 +1158,20 @@ class TestMleEpochs:
         assert [len(contexts) for contexts in bag_calls] == [len(triples)]
         reference_mle_epochs(q, [triples] * 25, 0.5)
         assert p.param_hash() == q.param_hash()
+
+    @pytest.mark.parametrize("epochs, lr", [(-1, 0.5), (1, -0.1)],
+                             ids=["negative_epochs", "negative_lr"])
+    def test_negative_epochs_or_lr_raise(self, epochs, lr):
+        p = pol.ToyPolicy(tk.Vocab())
+        p.init_params(3)
+        before = p.param_hash()
+        with pytest.raises(ValidationError, match="epochs and lr must be nonnegative"):
+            pol.mle_pretrain(p, tk.gold_items(tk.make_toy_task(seed=3)), epochs, lr)
+        assert p.param_hash() == before
+
+    def test_no_triples_leave_the_parameters(self, bag_calls):
+        p = pol.ToyPolicy(tk.Vocab())
+        p.init_params(3)
+        before = p.param_hash()
+        pol.mle_pretrain(p, [], 5, 0.5)
+        assert p.param_hash() == before and bag_calls == []
