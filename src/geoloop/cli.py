@@ -30,7 +30,7 @@ from . import constitution as consti
 from . import mi, ot, prob_metrics
 from .errors import ValidationError
 from .policy import ToyPolicy, warm_start
-from .task import ToyTask, Vocab, make_toy_task, principles_from_patterns
+from .task import ToyTask, Vocab, check_pattern, make_toy_task, principles_from_patterns
 from .trainer import Trainer, load_checkpoint
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
@@ -173,6 +173,21 @@ def _load_principles(path) -> consti.PrincipleSet:
     return _read_input(path, "constitution", consti.parse_principle_file)
 
 
+def _load_scored_set(path, vocab: Vocab) -> consti.PrincipleSet:
+    """The principle set at `path` for a command that reads its negatives:
+    refused unless it has some and each passes `check_pattern` in `vocab`,
+    the check `_build_task` makes of the positives."""
+    pset = _load_principles(path)
+    if not pset.negatives:
+        raise ConfigError(f"constitution {pset.name!r} has no negatives")
+    try:
+        for p in pset.negatives:
+            check_pattern(vocab, p.pid, p.tokens)
+    except ValidationError as exc:
+        raise ConfigError(f"constitution {pset.name!r}: {exc}") from exc
+    return pset
+
+
 def _check_out_dir(path) -> None:
     """Refuse an output dir that names a file or holds files: a command
     writes into a new or empty directory only, so no file of an earlier call
@@ -203,9 +218,7 @@ def cmd_train(args) -> int:
                  if getattr(args, key) is not None}
     config = load_config(args.config, overrides)
 
-    pset = _load_principles(config.constitution)
-    if not pset.negatives:
-        raise ConfigError(f"constitution {pset.name!r} has no negatives")
+    pset = _load_scored_set(config.constitution, Vocab())
     task = _build_task(pset, config.seed, Vocab())
 
     out_dir = _make_out_dir(config.output_dir)
@@ -286,9 +299,7 @@ def cmd_eval_constitution(args) -> int:
     # the positives, so sets with the same positives share one.
     tasks, built = [], {}
     for path in args.constitutions:
-        pset = _load_principles(path)
-        if not pset.negatives:
-            raise ConfigError(f"constitution {pset.name!r} has no negatives")
+        pset = _load_scored_set(path, Vocab())
         positives = tuple((p.pid, p.tokens) for p in pset.positives)
         if positives not in built:
             built[positives] = _build_task(pset, args.seed, Vocab())

@@ -39,8 +39,8 @@ NORMALISATIONS = ("raw_sum", "length_mean", "fisher_weighted")
 
 
 def _log_softmax(arr: np.ndarray, axis: int) -> np.ndarray:
-    shifted = arr - np.max(arr, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = arr - arr.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 # ---------- InfoNCE on square matrices ----------
@@ -55,10 +55,10 @@ def infonce_losses(scores: np.ndarray) -> dict:
     out = {}
     terms = []
     for name, axis in (("row", 1), ("col", 0)):
-        shifted = scores - np.max(scores, axis=axis, keepdims=True)
+        shifted = scores - scores.max(axis=axis, keepdims=True)
         mass = np.exp(shifted)
-        total = np.sum(mass, axis=axis, keepdims=True)
-        terms.append(float(np.mean(np.diagonal(shifted) - np.log(total).ravel())))
+        total = mass.sum(axis=axis, keepdims=True)
+        terms.append(float((shifted.diagonal() - np.log(total).ravel()).mean()))
         out[f"{name}_loss"] = max(0.0, -terms[-1])
         out[f"{name}_softmax"] = mass / total
     out["diag_mi"] = min(0.0, 0.5 * (terms[0] + terms[1]))
@@ -144,7 +144,7 @@ def shadow_candidates(rng: np.random.Generator, true_cols, m: int, k: int) -> np
         rows = np.arange(n)
         for i, swap in zip(range(k - 1, 0, -1), draws[:, k:].T):
             picked[rows, i], picked[rows, swap] = picked[rows, swap], picked[rows, i]
-    return np.hstack([true, picked + (picked >= true)])
+    return np.concatenate([true, picked + (picked >= true)], axis=1)
 
 
 def infonce_bound(candidate_scores: np.ndarray) -> float:
@@ -159,7 +159,7 @@ def infonce_bound(candidate_scores: np.ndarray) -> float:
     if cands < 2:
         raise ValidationError("need the positive plus at least one shadow")
     log_sm = _log_softmax(scores, axis=1)
-    loss = float(-np.mean(log_sm[:, 0]))
+    loss = float(-log_sm[:, 0].mean())
     return math.log(cands) - loss
 
 
@@ -198,8 +198,11 @@ def row_positive_logsoftmax(scores: np.ndarray) -> np.ndarray:
     population std, and a constant row (sigma_i = 0) to all zeros; this is
     the reward channel's input and is never fed back into the auxiliary loss.
     """
-    mu, sigma = scores.mean(axis=1), scores.std(axis=1)
-    scaled = (scores - mu[:, None]) / np.where(sigma > 0, sigma, 1.0)[:, None]
+    # The sums and divisions of scores.mean and scores.std, each taken once.
+    n = scores.shape[1]
+    centred = scores - np.add.reduce(scores, axis=1, keepdims=True) / n
+    sigma = np.sqrt(np.add.reduce(centred * centred, axis=1) / n)
+    scaled = centred / np.where(sigma > 0, sigma, 1.0)[:, None]
     scaled[sigma == 0] = 0.0
     return _log_softmax(scaled, axis=1)[:, 0]
 

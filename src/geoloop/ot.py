@@ -136,7 +136,7 @@ def _scaling_loop(costs, log_a, epsilon):
     """
     a = np.exp(log_a)
     f = np.zeros(costs.shape[0])
-    g = _dual_point(costs, log_a, a, a, epsilon, f)[1]
+    g = _c_transform(costs, log_a, epsilon, f)[0]
     f0 = 0.5 * (f + g)
     trace = [float(np.abs(np.exp(log_a + (f - g) / epsilon) - a).sum())]
     ka = a[:, None] * np.exp((f0[:, None] + f0[None, :] - costs) / epsilon)
@@ -168,6 +168,16 @@ _NEWTON_RIDGE = 1e-12
 _LEVEL_TOL = 1e-2
 
 
+def _c_transform(costs, log_a, epsilon, f):
+    """(g, kernel, mass): g = T(f) = -eps * logsumexp(z) over each column of
+    z = log a + (f - C)/eps, kernel = exp(z - max z) and mass its column sums."""
+    z = log_a[:, None] + (f[:, None] - costs) / epsilon
+    peak = z.max(axis=0)
+    kernel = np.exp(z - peak)
+    mass = kernel.sum(axis=0)
+    return -epsilon * (peak + np.log(mass)), kernel, mass
+
+
 def _dual_point(costs, log_a, a, b, epsilon, f):
     """(value, g, kernel, rows) of the semi-dual <a,f> + <b,T(f)> at f, g = T(f).
 
@@ -175,12 +185,8 @@ def _dual_point(costs, log_a, a, b, epsilon, f):
     so its columns sum to one; the plan (f, g) is kernel * b, with exact
     columns b, and `rows` are its row sums.  a = exp(log a).
     """
-    z = log_a[:, None] + (f[:, None] - costs) / epsilon
-    peak = z.max(axis=0)
-    kernel = np.exp(z - peak)
-    mass = kernel.sum(axis=0)
+    g, kernel, mass = _c_transform(costs, log_a, epsilon, f)
     kernel /= mass
-    g = -epsilon * (peak + np.log(mass))
     return float(a @ f) + float(b @ g), g, kernel, kernel @ b
 
 

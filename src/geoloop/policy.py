@@ -19,21 +19,11 @@ and eb the max-shifted exponentials of a and b, is taken only when a view
 first reads it.  Every sum over the (C, V+1, V) table is a matrix product of
 factors; no (C, V+1, d) or (C, V+1, V) array is built on the way.
 
-`ToyPolicy.bag` checks and counts every context's tokens in one pass and
-computes their bag weights, which no parameter touches; `ToyPolicy.forward`
-turns those weights into the table, and `ToyPolicy.table` does both.  A loop
-over fixed contexts (the MLE warm starts) bags them once and writes each
-pass's table over the last.  A completion
-enters only through its (row, token) transition counts.  Sequence
-log-likelihoods are products of the factors with the counts' row and token
-sums, hidden summaries are a context feature plus the count-weighted mean of
-row features, and sampling builds the exponentials of a[c] + b[r] and of its
-repetition-penalised twin, both shifted by the plain row's maximum, once for
-the batch's contexts and decodes every row position by position from gathers
-of the two, with no softmax per position.  The gradient of any weighted sum of
-log-likelihoods and summaries is one `ToyPolicy.backward` call, which needs
-only three 2-D sums of the coefficients (`logit_sums`); the per-sequence
-methods are thin views on the table and that call.
+`ToyPolicy.bag` turns contexts into bag weights, which no parameter touches,
+and `ToyPolicy.forward` turns those into the table.  A completion enters only
+through its (row, token) transition counts.  The gradient of any weighted sum
+of log-likelihoods and hidden summaries is one `ToyPolicy.backward` call; the
+per-sequence methods are thin views on the table and that call.
 
 Zero-initialised parameters give the uniform policy, so every token template
 has probability V^{-|y|} > 0 from the start.  Sampling decodes with fixed
@@ -99,8 +89,8 @@ class Samples:
         tags = np.array([vocab.r_open, vocab.r_close, vocab.a_open, vocab.a_close])
         hits = (self.tokens[:, :, None] == tags) & content[:, :, None]
         at = hits.argmax(axis=1)
-        return (~self.truncated & np.all(hits.sum(axis=1) == 1, axis=1)
-                & ~np.any((self.tokens == vocab.eos) & content, axis=1)
+        return (~self.truncated & (hits.sum(axis=1) == 1).all(axis=1)
+                & ~((self.tokens == vocab.eos) & content).any(axis=1)
                 & (at[:, 0] == 0) & (at[:, 2] == at[:, 1] + 1) & (at[:, 3] == n - 1))
 
 
@@ -126,23 +116,16 @@ class ParamGrad:
         return ParamGrad(**{name: block * scale for name, block in vars(self).items()})
 
     def global_norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(block ** 2) for block in vars(self).values())))
+        return float(np.sqrt(sum((block ** 2).sum() for block in vars(self).values())))
 
 
 @dataclass(frozen=True)
 class NextTokenTable:
-    """Every next-token distribution of a policy over C contexts, as two factors.
-
-    Row 0 of a context is the first position; row r = 1..V follows token r-1.
-    The features are an outer sum, feats[c, r] = cfeat[c] + pfeat[r], so the
-    logits are too: logits[c, r] = a[c] + b[r].  The table stores the feature
-    factors, the logit factors, their row maxima, their row-max-shifted
-    exponentials ea and eb and the shifted partitions z = ea @ eb.T, so every
-    sum over the (C, V+1, V) table is a product of 2-D factors.  The
-    log-partitions `lse` are taken from these when first read (the warm
-    start's backward passes never read them).  `logp` materialises the whole
-    log-softmax for the one-context gather views.  It describes the
-    parameters the policy had when `ToyPolicy.forward` last wrote it.
+    """Every next-token distribution of a policy over C contexts, as the
+    factors of the module docstring.  The log-partitions `lse` are taken when
+    first read (the warm start's backward passes never read them).  It
+    describes the parameters the policy had when `ToyPolicy.forward` last
+    wrote it.
     """
 
     weights: np.ndarray   # (C, V) bag-mean weights of each context's tokens
@@ -208,10 +191,11 @@ class NextTokenTable:
         context ctx_idx[b], and the norm of each mean.  row_counts[b] holds
         completion b's transition counts summed over tokens, (B, V+1)."""
         lengths = row_counts.sum(axis=1)
-        if np.any(lengths == 0):
+        if (lengths == 0).any():
             raise ValidationError("hidden summary needs a non-empty completion")
         mean = self.cfeat[ctx_idx] + (row_counts @ self.pfeat) / lengths[:, None]
-        norm = np.linalg.norm(mean, axis=1)
+        # np.linalg.norm's sum for real rows, without its wrapper.
+        norm = np.sqrt(np.add.reduce(mean * mean, axis=1))
         # A degenerate all-zero mean maps to a fixed unit vector so the
         # summary stays on the sphere.
         unit = np.zeros_like(mean)
@@ -318,12 +302,8 @@ class ToyPolicy:
         return counts / np.maximum(1, lengths)[:, None]
 
     def bag_grid(self, prompts, principles) -> np.ndarray:
-        """(P, Q, V) bag weights of prompt i with principle j, equal to bag's.
-
-        The prompts are checked and counted in one pass and the principles in
-        another; the counts are integers, so their sums and the division are
-        exact as in bag.
-        """
+        """(P, Q, V) bag weights of prompt i with principle j, equal to bag's:
+        the counts are integers, so their sums and the division are exact."""
         p_counts, p_lengths = self._token_counts(prompts)
         q_counts, q_lengths = self._token_counts(principles)
         lengths = np.maximum(1, p_lengths[:, None] + q_lengths[None, :])
@@ -475,12 +455,9 @@ class ToyPolicy:
         >= 1 makes pen <= raw, so no mass exceeds 1 and each position's total
         is at least its row's largest penalised mass.  The call is refused
         when that is below _TINY, the smallest normal float, for some row
-        (logits beyond about 7 000 nats).  The groups' uniforms are one flat
-        array, and a member's slot is its group's running offset plus the
-        count of active members up to it.  Each position decodes every row;
+        (logits beyond about 7 000 nats).  Each position decodes every row;
         a finished row decodes from a real table row into its own state
-        only, writing token 0 and adding nothing to its length.  Groups hold
-        at least 2 members, with one seed per group and at least one group.
+        only and writes token 0.
         """
         ctx_idx = np.asarray(ctx_idx, dtype=int)
         if group_size < 2 or ctx_idx.size == 0 or ctx_idx.size != len(seeds):
@@ -503,8 +480,8 @@ class ToyPolicy:
                                 for s in seeds])
         # One before each group's next unused uniform.
         offset = np.arange(n_groups) * (m * group_size) - 1
-        tokens = np.zeros((n, m), dtype=int)
-        lengths = np.zeros(n, dtype=int)
+        # Position t's tokens are row t; a row's length is its first EOS plus one.
+        tokens = np.zeros((m, n), dtype=int)
         active = np.ones(n, dtype=bool)
         seen = np.zeros((n, v), dtype=bool)
         for t in range(m):
@@ -512,14 +489,14 @@ class ToyPolicy:
             offset = slot[:, -1]
             mass = np.where(seen, e_pen.take(row, axis=0), e_raw.take(row, axis=0))
             chosen = _decode(mass, draws.take(slot.ravel()), cells)
-            token = chosen * active
-            tokens[:, t] = token
-            lengths += active
+            np.multiply(chosen, active, out=tokens[t])
             seen.put(cells + chosen, True)
             active &= chosen != eos
             if not active.any():
                 break
-            row = after + token
+            row = after + tokens[t]
+        lengths = np.where(active, m, (tokens == eos).argmax(axis=0) + 1)
+        tokens = tokens.T.copy()
         return Samples(tokens, lengths, active,
                        table.entropies(ctx_idx)[group[:, None], _table_rows(tokens)])
 
@@ -570,7 +547,7 @@ def _count_transitions(tok: np.ndarray, lengths: np.ndarray, vocab_size: int) ->
     one bincount over the (row, table row, token) keys."""
     mask = np.arange(tok.shape[1]) < lengths[:, None]
     real = tok[mask]
-    if np.any((real < 0) | (real >= vocab_size)):
+    if ((real < 0) | (real >= vocab_size)).any():
         raise ValidationError(f"token out of vocabulary (size {vocab_size})")
     n, v = tok.shape[0], vocab_size
     keys = (np.arange(n)[:, None] * (v + 1) + _table_rows(tok)) * v + tok
@@ -650,13 +627,9 @@ def warm_start(policy: ToyPolicy, task: ToyTask, epochs: int, lr: float,
     contrastive objective (no preferred binding direction), the toy analog of
     a pretrained model's weak-but-nonzero principle associations.
 
-    Epoch e's golds are drawn from the stream seeded (seed, e), item by item,
-    each with its principle's preferred fillers at this bias.  They do not
-    depend on the policy, so every epoch's golds are drawn up front in one
-    lockstep pass (`task.warm_start_golds`, a stream per epoch), and their
-    count sums are taken _COUNT_EPOCHS epochs to a pass, as they are needed.
-    Only the golds change between epochs; the contexts are the task's items
-    throughout.
+    Epoch e's golds come from the stream seeded (seed, e).  They do not
+    depend on the policy, so `task.warm_start_golds` draws them all up front;
+    the contexts are the task's items throughout.
     """
     tokens, lengths = warm_start_golds(task, epochs, seed, bias)
     _mle_epochs(policy, [(prompt, principle) for prompt, principle, _ in gold_items(task)],

@@ -156,22 +156,26 @@ def make_toy_principles(vocab: Vocab) -> tuple:
                                for j in vocab.answer_fillers[-2:]])
 
 
+def check_pattern(vocab: Vocab, pid, tokens) -> tuple:
+    """The pattern's tokens as ints, refused naming `pid` unless every one is
+    a filler of `vocab`."""
+    toks = tuple(int(t) for t in tokens)
+    if any(t < 0 or t >= vocab.size for t in toks):
+        raise ValidationError(f"principle {pid!r} uses out-of-vocab tokens")
+    if any(t not in vocab.fillers for t in toks):
+        raise ValidationError(f"principle {pid!r} uses reserved tokens")
+    return toks
+
+
 def principles_from_patterns(vocab: Vocab, patterns) -> tuple:
-    """Token-pattern principles from (pid, tokens) pairs; a pid names its
-    pattern in error messages only.
+    """Token-pattern principles from (pid, tokens) pairs, each checked by
+    `check_pattern`; a pid names its pattern in error messages only.
 
     Preferred gold fillers are assigned positionally over the pools left free
     by the patterns, so a principle's identity (its rendering) and the content
     it biases stay on disjoint token supports.
     """
-    checked = []
-    for pid, tokens in patterns:
-        toks = tuple(int(t) for t in tokens)
-        if any(t < 0 or t >= vocab.size for t in toks):
-            raise ValidationError(f"principle {pid!r} uses out-of-vocab tokens")
-        if any(t not in vocab.fillers for t in toks):
-            raise ValidationError(f"principle {pid!r} uses reserved tokens")
-        checked.append(toks)
+    checked = [check_pattern(vocab, pid, tokens) for pid, tokens in patterns]
     if len(checked) < 2:
         raise ValidationError("need at least two principles for shadows to exist")
     return _principles(vocab, checked)

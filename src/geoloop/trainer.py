@@ -26,8 +26,9 @@ Schedules: sami_weight ramps linearly over the first MI_WARMUP_STEPS steps;
 the row/column mix anneals (0.7, 0.3) -> (0.5, 0.5) over the first 10% of
 max_steps; the OT term is zero before ot_warmup; the format gate activates
 after 30% of the MI warmup.  Everything is deterministic under the config:
-stochastic channels draw from seeds derived via SeedSequence(seed, step,
-channel, index).
+each stochastic channel draws from the SeedSequence of the words (seed, step,
+channel, index), given as one uint32 array when all four fit in 32 bits
+(`derive_rng`).
 
 The optimiser is plain SGD (LEARNING_RATE) with a global gradient-norm clip
 (GRAD_CLIP); external trainer defaults do not transfer to this scale.  The
@@ -86,8 +87,13 @@ def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.
     # stream (seed, s, 0, 0) is the warm start's epoch-s gold stream (seed, s),
     # and at s = 0 also default_rng(seed), which init_params and make_toy_task
     # draw from.  Changing it changes every run; a stream redesign would give
-    # each consumer a distinct nonzero word.
-    return np.random.default_rng((seed, step, channel, index))
+    # each consumer a distinct nonzero word.  SeedSequence splits each int of
+    # the tuple into uint32 words, one apiece below 2**32, so such words go in
+    # as that uint32 array, the same stream built without the split.
+    words = (seed, step, channel, index)
+    if 0 <= min(words) and max(words) < 2 ** 32:
+        words = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(words)
 
 
 def group_advantages(group_rewards) -> tuple:
@@ -100,9 +106,12 @@ def group_advantages(group_rewards) -> tuple:
     all-zero advantages: no learning signal.
     """
     r = np.asarray(group_rewards, dtype=float)
-    if r.shape[-1] < 2:
+    n = r.shape[-1]
+    if n < 2:
         raise ValidationError("a group needs at least 2 rewards")
-    return r - r.mean(axis=-1, keepdims=True), r.std(axis=-1)
+    # The sums and divisions of r.mean and r.std, each taken once.
+    centred = r - np.add.reduce(r, axis=-1, keepdims=True) / n
+    return centred, np.sqrt(np.add.reduce(centred * centred, axis=-1) / n)
 
 
 def rowcol_anneal(step: int, max_steps: int) -> tuple:
@@ -357,13 +366,14 @@ class Trainer:
                                                     config.ot_weight * point_grad)
             loss_total = loss_grpo + w_sami * loss_sami + loss_ot
 
-            total_grad = self.policy.backward(
-                table, logit_sums(np.tensordot(coeffs, counts, axes=1)), feat_grad)
+            # np.tensordot(coeffs, counts, axes=1) is this np.dot, less its wrapper.
+            coeff_counts = np.dot(coeffs, counts.reshape(b, -1)).reshape(-1, *counts.shape[1:])
+            total_grad = self.policy.backward(table, logit_sums(coeff_counts), feat_grad)
             grad_norm = total_grad.global_norm()
             if grad_norm > GRAD_CLIP:
                 total_grad = total_grad.scaled(GRAD_CLIP / grad_norm)
             finite = dict(zip(_FINITE_FIELDS, map(float, (
-                base.mean(), mi_reward.mean(), np.mean(group_std), loss_total,
+                base.mean(), mi_reward.mean(), group_std.mean(), loss_total,
                 loss_grpo, loss_sami, loss_ot, grad_norm))))
 
         # Refused, not rescaled (that would change grad_norm's bits in every

@@ -1067,28 +1067,41 @@ class TestPositiveCounts:
 
 
 class TestBadTokenPatterns:
-    """A positive with a token outside the vocabulary or a reserved token is a
-    configuration error: exit 2, and no output directory."""
+    """A positive or negative with a token outside the vocabulary or a
+    reserved token is a configuration error: exit 2, and no output directory.
+    A negative `99 3` used to exit 1 from eval-constitution after making an
+    empty --out-dir, and a negative `15 0` of reserved tags was scored."""
 
-    @pytest.fixture(params=["4 9 4 20", "4 9 4 15"], ids=["out_of_vocab", "reserved"])
+    @pytest.fixture(params=[("pos1", "4 9 4 20"), ("pos1", "4 9 4 15"), ("neg0", "99 3"),
+                            ("neg0", "15 0")],
+                    ids=["out_of_vocab", "reserved", "negative_out_of_vocab",
+                         "negative_reserved"])
     def constitution(self, request, tmp_path):
-        return principle_file(tmp_path, "bad", ["5 10 5 10", request.param])
+        pid, pattern = request.param
+        if pid == "pos1":
+            path = principle_file(tmp_path, "bad", ["5 10 5 10", pattern])
+        else:
+            # The bundled positives: eval-constitution shares one task with
+            # toy_high_si, and still checks this set's negatives.
+            path = principle_file(tmp_path, "bad", ["4 9 4 9", "5 10 5 10", "4 10 4 10",
+                                                    "5 9 5 9"], (pattern, "10 10 10"))
+        return path, f"config error: constitution 'bad': principle '{pid}' uses"
 
     def test_train(self, tmp_path, capsys, constitution):
-        config = short_config(tmp_path, constitution=str(constitution))
+        path, message = constitution
+        config = short_config(tmp_path, constitution=str(path))
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
-        assert "config error: constitution 'bad': principle 'pos1' uses" \
-            in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_eval_constitution(self, tmp_path, capsys, constitution):
         # The bad set comes after a good one: every set is checked before
         # the output directory is made.
+        path, message = constitution
         out = tmp_path / "out"
         assert cli.main(["eval-constitution", str(DATA / "toy_high_si.txt"),
-                         str(constitution), "--out-dir", str(out)]) == cli.EXIT_CONFIG
-        assert "config error: constitution 'bad': principle 'pos1' uses" \
-            in capsys.readouterr().err
+                         str(path), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

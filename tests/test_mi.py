@@ -245,6 +245,16 @@ class TestSequenceScores:
         assert z[1] == pytest.approx(unit[0] - math.log(np.exp(unit).sum()), rel=1e-12)
         assert z[2] == pytest.approx(z[1], rel=1e-12)
 
+    def test_row_positive_logsoftmax_bits(self):
+        # The scaling takes numpy's mean and population std, bit for bit.
+        scores = np.random.default_rng(5).normal(0, 3, (32, 3))
+        scores[4] = 1.5
+        mu, sigma = scores.mean(axis=1), scores.std(axis=1)
+        scaled = (scores - mu[:, None]) / np.where(sigma > 0, sigma, 1.0)[:, None]
+        scaled[sigma == 0] = 0.0
+        assert np.array_equal(mi.row_positive_logsoftmax(scores),
+                              mi._log_softmax(scaled, axis=1)[:, 0])
+
     def test_row_positive_logsoftmax_uniform(self):
         z = mi.row_positive_logsoftmax(np.ones((4, 3)) * 2.0)
         assert z == pytest.approx([-math.log(3)] * 4)

@@ -81,6 +81,13 @@ class TestGroupAdvantages:
         assert std[2] == 0.0
         assert np.all(advantages[2] == 0.0)
 
+    @pytest.mark.parametrize("shape", [(4,), (8, 4), (3, 7)])
+    def test_bits_of_numpys_mean_and_std(self, shape):
+        rewards = np.random.default_rng(3).normal(0, 1, shape)
+        advantages, std = tr.group_advantages(rewards)
+        assert np.array_equal(advantages, rewards - rewards.mean(axis=-1, keepdims=True))
+        assert np.array_equal(std, rewards.std(axis=-1))
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 12))
     def test_invariants(self, seed, g):
@@ -90,6 +97,15 @@ class TestGroupAdvantages:
         advantages, std = tr.group_advantages(rewards)
         assert advantages.mean() == pytest.approx(0.0, abs=1e-9)
         assert advantages.std() == pytest.approx(std, abs=1e-12)
+
+
+@pytest.mark.parametrize("words", [(0, 0, 0, 0), (2**32 - 1,) * 4, (42, 7, 2, 0),
+                                   (2**32, 7, 2, 0), (2**40 + 3, 0, 1, 5)],
+                         ids=["zeros", "uint32_max", "uint32", "seed_2_32", "seed_2_40"])
+def test_derive_rng_draws_the_tuples_stream(words):
+    # Words in [0, 2**32) go in as one uint32 array, larger ones as the tuple.
+    expected = np.random.default_rng(words).random(8)
+    assert np.array_equal(tr.derive_rng(*words).random(8), expected)
 
 
 class TestGrpoUpdate:
