@@ -422,6 +422,15 @@ def _read_nll_csv(path):
 
 # ---------- probe ----------
 
+def _write_csv(path, header, rows, before=(), after=()) -> None:
+    """The `before` lines, the header, each row's values by repr joined by
+    commas, then the `after` lines; every line ends with "\n".  Rows hold
+    Python scalars (`.tolist()` values): a numpy scalar's repr is
+    np.float64(...)."""
+    lines = [*before, header, *(",".join(map(repr, row)) for row in rows), *after]
+    Path(path).write_text("".join(line + "\n" for line in lines), newline="")
+
+
 def cmd_probe(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
@@ -471,43 +480,39 @@ def cmd_probe(args) -> int:
     steps = [meta["step"] for _, meta in loaded]
 
     records = prob_metrics.probe_report_batch(zip(dists[:-1], dists[1:]))
-    prob_metrics.write_probe_csv(records, out_dir / "probe_report.csv")
+    fields = prob_metrics.PROBE_CSV_FIELDS
+    _write_csv(out_dir / "probe_report.csv", ",".join(fields),
+               ([rec[key] for key in fields] for rec in records))
 
     if len(dists) >= 2:
-        path_stats = prob_metrics.fr_path_stats(dists)
-        with open(out_dir / "fr_path.csv", "w") as fh:
-            fh.write("segment_index,step_from,step_to,segment_length\n")
-            for i, seg in enumerate(path_stats["segment_lengths"]):
-                fh.write(f"{i},{steps[i]},{steps[i + 1]},{seg!r}\n")
-            fh.write("# cumulative_length,endpoint_geodesic,ratio,degenerate\n")
-            fh.write(f"# {path_stats['cumulative_length']!r},"
-                     f"{path_stats['endpoint_geodesic']!r},"
-                     f"{path_stats['ratio']!r},{path_stats['degenerate']}\n")
+        stats = prob_metrics.fr_path_stats(dists)
+        summary = "cumulative_length,endpoint_geodesic,ratio,degenerate"
+        _write_csv(out_dir / "fr_path.csv", "segment_index,step_from,step_to,segment_length",
+                   ((i, steps[i], steps[i + 1], seg)
+                    for i, seg in enumerate(stats["segment_lengths"])),
+                   after=("# " + summary,
+                          "# " + ",".join(repr(stats[key]) for key in summary.split(","))))
         if len(dists) >= 3:
-            with open(out_dir / "turning_angles.csv", "w") as fh:
-                fh.write("interior_step,angle_radians\n")
-                for step, angle in zip(steps[1:-1], prob_metrics.turning_angles(dists)):
-                    fh.write(f"{step},{angle!r}\n")
+            _write_csv(out_dir / "turning_angles.csv", "interior_step,angle_radians",
+                       zip(steps[1:-1], prob_metrics.turning_angles(dists)))
         # Exact token-index W2^2 between the first and last checkpoints.
-        w2sq = ot.output_space_ot_diag(dists[0], dists[-1])
-        (out_dir / "output_ot.csv").write_text(
-            f"step_from,step_to,token_index_w2sq\n{steps[0]},{steps[-1]},{w2sq!r}\n")
+        _write_csv(out_dir / "output_ot.csv", "step_from,step_to,token_index_w2sq",
+                   [(steps[0], steps[-1], ot.output_space_ot_diag(dists[0], dists[-1]))])
 
     # Landscape grid around the last checkpoint's probe distribution.
-    grid = prob_metrics.landscape_grid(dists[-1])
     betas = prob_metrics.LANDSCAPE_BETAS.tolist()
-    cells = "".join(f"{a!r},{b!r},{value!r}\n" for a, row in zip(
-        prob_metrics.LANDSCAPE_ALPHAS.tolist(), grid.tolist()) for b, value in zip(betas, row))
-    with open(out_dir / "landscape.csv", "w") as fh:
-        fh.write(f"# {prob_metrics.LANDSCAPE_METADATA}\nalpha,beta,value\n" + cells)
+    _write_csv(out_dir / "landscape.csv", "alpha,beta,value",
+               ((a, b, value) for a, row in zip(prob_metrics.LANDSCAPE_ALPHAS.tolist(),
+                                                prob_metrics.landscape_grid(dists[-1]).tolist())
+                for b, value in zip(betas, row)),
+               before=(f"# {prob_metrics.LANDSCAPE_METADATA}",))
 
     # Aligned score matrix and per-row diagonal statistics for the last policy.
     aligned, diag = consti.aligned_scores(loaded[-1][0], task)
     mi.write_score_csv(aligned, out_dir / "icmi_matrix.csv")
     log_p = float(np.log(len(task.principles)))
-    with open(out_dir / "icmi_diag.csv", "w") as fh:
-        fh.write("row,diag_log_softmax,pmi\n" + "".join(
-            f"{i},{val!r},{val + log_p!r}\n" for i, val in enumerate(diag.tolist())))
+    _write_csv(out_dir / "icmi_diag.csv", "row,diag_log_softmax,pmi",
+               ((i, val, val + log_p) for i, val in enumerate(diag.tolist())))
 
     print(f"probe artifacts written to {out_dir}")
     return EXIT_OK

@@ -5,11 +5,11 @@ Primal problem (squared-Euclidean ground cost unless stated otherwise):
     OT_eps(a, b) = min_{pi in Pi(a,b)}  sum_ij pi_ij C_ij + eps * KL(pi || a x b)
 
 solved to an L1 marginal violation below TOL = 1e-9 at the target eps, in at
-most MAX_ITER = 500 iterations.  A cross term OT(a, b) gets there by
-eps-scaling: it solves at a geometrically decreasing sequence of
-temperatures (factor SCALING = 0.3) from max(C) down to the target eps, each
-from the last one's potential.  A self term OT(a, a) starts at the target
-eps (below).  The debiased divergence is
+most MAX_ITER = 500 iterations: every loop stops at the one or the other.  A
+cross term OT(a, b) gets there by eps-scaling: it solves at a geometrically
+decreasing sequence of temperatures (factor SCALING = 0.3) from max(C) down
+to the target eps, each from the last one's potential.  A self term
+OT(a, a) starts at the target eps (below).  The debiased divergence is
 
     S_eps(a, b) = OT_eps(a, b) - OT_eps(a, a)/2 - OT_eps(b, b)/2,
 
@@ -40,8 +40,7 @@ with v = 1/((a*u) @ K), so each later iteration is one matrix-vector product
 instead of a log-sum-exp.
 
 `output_space_ot_diag`, the probe's diagnostic, runs no solver: its
-measures, cut to their top DIAG_TOP_K = 16 tokens, sit on a line, where
-W2^2 has a closed form.
+measures sit on the token index, a line, where W2^2 has a closed form.
 
 The trainer's representation regulariser calls `sinkhorn_divergence_with_grad`
 on a step's whole hidden clouds (one point per completion, 32 in the bundled
@@ -68,8 +67,6 @@ from .rep_metrics import EmpiricalMeasure
 MAX_ITER = 500
 TOL = 1e-9
 SCALING = 0.3
-# The probe diagnostic's top-k token support.
-DIAG_TOP_K = 16
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -95,25 +92,6 @@ def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(costs, 0.0, out=costs)
 
 
-def _plateau():
-    """A check of each new violation in turn: true once 200 in a row have
-    not bettered the best so far by a relative 1e-3.
-
-    Near-deterministic plans converge ever more slowly at small eps, so a
-    loop stops there; its converged flag stays honest (violation < TOL).
-    """
-    best, stalled = math.inf, 0
-
-    def check(violation):
-        nonlocal best, stalled
-        if violation < best * (1.0 - 1e-3):
-            best, stalled = violation, 0
-        else:
-            stalled += 1
-        return stalled >= 200
-    return check
-
-
 def _scaling_loop(costs, log_a, epsilon):
     """The self term OT(a, a) from f = 0; returns (f, f, iterations, converged, trace).
 
@@ -132,7 +110,7 @@ def _scaling_loop(costs, log_a, epsilon):
     adds less than itself to the violation, so the solve has converged.
 
     The trace holds the L1 row violation of the plan (f, f) of each
-    iteration; the loop stops below TOL, at a `_plateau` or after MAX_ITER.
+    iteration; the loop stops below TOL or after MAX_ITER.
     """
     a = np.exp(log_a)
     f = np.zeros(costs.shape[0])
@@ -141,8 +119,7 @@ def _scaling_loop(costs, log_a, epsilon):
     trace = [float(np.abs(np.exp(log_a + (f - g) / epsilon) - a).sum())]
     ka = a[:, None] * np.exp((f0[:, None] + f0[None, :] - costs) / epsilon)
     u_next = np.ones_like(f0)
-    stalled = _plateau()
-    while len(trace) < MAX_ITER and not trace[-1] < TOL and not stalled(trace[-1]):
+    while len(trace) < MAX_ITER and not trace[-1] < TOL:
         u = u_next
         v = 1.0 / (u @ ka)
         u_next = np.sqrt(u * v)
@@ -238,8 +215,8 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon):
     backtracking (`_newton_step`) until the violation is below _LEVEL_TOL or
     a step fails, and then lowers the temperature by SCALING, down to the
     target eps, keeping f.  At the target eps each violation goes to the
-    trace, and the solve stops once it is below TOL or at a `_plateau`; a
-    step that fails there ends the solve at the last accepted f, unconverged.
+    trace, and the solve stops once it is below TOL; a step that fails
+    there ends the solve at the last accepted f, unconverged.
 
     Iterations count the levels and the Newton iterations, at most MAX_ITER;
     the converged flag is honest (row violation < TOL), and the trace is
@@ -253,14 +230,13 @@ def _sinkhorn_potentials(costs, log_a, log_b, epsilon):
     f = np.zeros(costs.shape[0])
     point = _dual_point(costs, log_a, a, b, eps_cur, f)
     trace = []
-    stalled = _plateau()
     iterations = 0
     while iterations < MAX_ITER:
         iterations += 1
         violation = float(np.abs(point[3] - a).sum())
         if eps_cur == epsilon:
             trace.append(violation)
-            if violation < TOL or iterations == MAX_ITER or stalled(violation):
+            if violation < TOL or iterations == MAX_ITER:
                 break
         step = None if eps_cur > epsilon and violation < _LEVEL_TOL else _newton_step(
             costs, log_a, a, b, eps_cur, f, point, ridge, cost_max)
@@ -281,7 +257,7 @@ def entropic_ot(a: EmpiricalMeasure, b: EmpiricalMeasure, epsilon: float) -> dic
     Returns {"value", "iterations", "converged", "violation_trace",
     "raw_plan"}.  `raw_plan` is the plan of the final potentials, not
     rebalanced: the trace's last entry is its L1 row violation.
-    Non-convergence (MAX_ITER spent, a plateau, or a failed Newton step)
+    Non-convergence (MAX_ITER spent or a failed Newton step)
     comes back flagged, never raised.  Passing the same measure twice solves
     the self term by the symmetric update.
     """
@@ -366,31 +342,24 @@ def subsample_indices(size: int, cap: int, seed) -> np.ndarray:
 def output_space_ot_diag(p: ProbVector, q: ProbVector) -> float:
     """Exact W2^2 between two distributions on the integer token index.
 
-    Both are cut to the union of their top-DIAG_TOP_K supports and
-    renormalised.  On a line the monotone coupling is optimal: W2^2 is the
-    integral over t in [0, 1] of (Q_p(t) - Q_q(t))^2, with quantile functions
-    Q that are constant between the merged breakpoints of the two cumulative
-    sums (Peyre and Cuturi 2019, arXiv:1803.00567, the 1-D case).  Never enters any training loss.
-    The union and the breakpoints are sorted Python sets, the values
-    np.unique and np.union1d give, without the numpy.ma import those load.
+    On a line the monotone coupling is optimal: W2^2 is the integral over t
+    in [0, 1] of (Q_p(t) - Q_q(t))^2, with quantile functions Q that are
+    constant between the merged breakpoints of the two cumulative sums
+    (Peyre and Cuturi 2019, arXiv:1803.00567, the 1-D case).  Each side is
+    divided by its sum, so both cumulative sums end at one.  Never enters
+    any training loss.  The breakpoints are a sorted Python set, the values
+    np.union1d gives, without the numpy.ma import it loads.
     """
     p = p if isinstance(p, ProbVector) else ProbVector(p)
     q = q if isinstance(q, ProbVector) else ProbVector(q)
     if p.support_size != q.support_size:
         raise ValidationError("distributions must share a vocabulary")
-    k = min(DIAG_TOP_K, p.support_size)
-    top_p = np.argsort(-p.probs, kind="stable")[:k]
-    top_q = np.argsort(-q.probs, kind="stable")[:k]
-    union = np.array(sorted({*top_p.tolist(), *top_q.tolist()}))
-    # The union holds each side's largest entry, so neither mass below is zero.
-    mass_p = p.probs[union]
-    mass_q = q.probs[union]
-    cdf_p = np.cumsum(mass_p / mass_p.sum())
-    cdf_q = np.cumsum(mass_q / mass_q.sum())
+    cdf_p = np.cumsum(p.probs / p.probs.sum())
+    cdf_q = np.cumsum(q.probs / q.probs.sum())
     breaks = np.array(sorted({*cdf_p.tolist(), *cdf_q.tolist()}))
     widths = np.diff(breaks, prepend=0.0)
     mids = breaks - 0.5 * widths
     # Q(t) is the first index whose cumulative sum reaches t; the last takes the rest.
-    x_p = union[np.searchsorted(cdf_p[:-1], mids)]
-    x_q = union[np.searchsorted(cdf_q[:-1], mids)]
+    x_p = np.searchsorted(cdf_p[:-1], mids)
+    x_q = np.searchsorted(cdf_q[:-1], mids)
     return float(np.sum(widths * (x_p - x_q) ** 2))

@@ -22,10 +22,9 @@ All functions are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -122,14 +121,6 @@ def probe_report(p, q) -> dict:
 def probe_report_batch(pairs: Iterable) -> list:
     """probe_report over an iterable of (p, q) pairs."""
     return [probe_report(p, q) for p, q in pairs]
-
-
-def write_probe_csv(records: Sequence[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=PROBE_CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({k: repr(float(rec[k])) for k in PROBE_CSV_FIELDS})
 
 
 def fr_path_stats(checkpoints) -> dict:

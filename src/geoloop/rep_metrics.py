@@ -114,10 +114,6 @@ class EmpiricalMeasure:
         return self.points.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
     def weights(self) -> np.ndarray:
         return np.full(self.size, 1.0 / self.size)
 

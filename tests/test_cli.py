@@ -1372,7 +1372,11 @@ def reference_probe(ckpts, out, constitution, seed=0):
 
     records = prob_metrics.probe_report_batch(zip(dists[:-1], dists[1:])) \
         if len(dists) >= 2 else []
-    prob_metrics.write_probe_csv(records, out / "probe_report.csv")
+    with open(out / "probe_report.csv", "w") as fh:
+        fh.write(",".join(prob_metrics.PROBE_CSV_FIELDS) + "\n")
+        for rec in records:
+            fh.write(",".join(repr(float(rec[key])) for key in prob_metrics.PROBE_CSV_FIELDS)
+                     + "\n")
     if len(dists) >= 2:
         stats = prob_metrics.fr_path_stats(dists)
         with open(out / "fr_path.csv", "w") as fh:
@@ -1511,6 +1515,26 @@ def flattened_embed(data) -> dict:
 NOT_NPY = "is not a stored .npy v1.0 array of C-order <f8 or <U"
 
 
+class TestNoSinkhornSolve:
+    # Neither command runs a Sinkhorn loop: the probe's token-index
+    # diagnostic is a closed form and eval-constitution has no OT term.
+    @pytest.fixture
+    def no_solver(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Sinkhorn loop ran")
+
+        monkeypatch.setattr(ot, "_sinkhorn_potentials", refuse)
+
+    def test_probe(self, run_dir, tmp_path, no_solver):
+        ckpts = sorted(str(p) for p in run_dir.glob("ckpt_*.npz"))
+        assert cli.main(["probe", *ckpts, "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+
+    def test_eval_constitution(self, tmp_path, no_solver):
+        assert cli.main(["eval-constitution", str(DATA / "toy_high_si.txt"),
+                         str(DATA / "toy_low_si.txt"), "--seed", "0",
+                         "--out-dir", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
 class TestProbeCommand:
     def test_probe_artifacts(self, run_dir, tmp_path):
         out = tmp_path / "probe"
@@ -1551,7 +1575,6 @@ class TestProbeCommand:
         dists = [load_checkpoint(path)[0].next_token_distribution(
             item.prompt, task.principles[item.column].tokens) for path in ckpts]
         assert math.isfinite(w2sq) and w2sq >= 0.0
-        assert ot.DIAG_TOP_K == 16
         assert w2sq == ot.output_space_ot_diag(dists[0], dists[-1])
 
     def test_no_file_holds_a_carriage_return(self, run_dir, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoloop.errors import ValidationError
+from geoloop import cli
 from geoloop import prob_metrics as pm
 
 
@@ -245,7 +246,8 @@ class TestProbeCsv:
         pairs = [(random_simplex(rng, 5), random_simplex(rng, 5)) for _ in range(4)]
         records = pm.probe_report_batch(pairs)
         path = tmp_path / "probes.csv"
-        pm.write_probe_csv(records, path)
+        cli._write_csv(path, ",".join(pm.PROBE_CSV_FIELDS),
+                       ([rec[key] for key in pm.PROBE_CSV_FIELDS] for rec in records))
         header = path.read_text().splitlines()[0]
         assert header == "bc,bhat_angle,bhat_distance,hellinger,js_nats,js_bits,fr_distance"
         with open(path, newline="") as fh:

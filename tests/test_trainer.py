@@ -858,6 +858,20 @@ class TestGeometryFlags:
             with pytest.raises(category, match="not a clamp"):
                 tr._geometry(cloud, cloud)
 
+    def test_identical_points_flag_the_spectrum(self):
+        # A cloud of one point repeated fits a zero covariance: the Fréchet
+        # distance to a four-point reference is finite, and the spectrum
+        # has no positive eigenvalue, so effrank and pr are NaN and flagged.
+        points = np.random.default_rng(1).normal(size=(4, 3))
+        ref = rep_metrics.EmpiricalMeasure(
+            points / np.linalg.norm(points, axis=1, keepdims=True), normalised=True)
+        cur = rep_metrics.EmpiricalMeasure(np.repeat(ref.points[:1], 4, axis=0),
+                                           normalised=True)
+        frechet, effrank, pr, degenerate = tr._geometry(cur, ref)
+        assert frechet == rep_metrics.frechet_distance(rep_metrics.fit_gaussian(cur),
+                                                       rep_metrics.fit_gaussian(ref)) > 0.0
+        assert math.isnan(effrank) and math.isnan(pr) and degenerate
+
     def test_healthy_fit_not_flagged(self):
         points = np.random.default_rng(1).normal(size=(16, 3))
         cur = rep_metrics.EmpiricalMeasure(
