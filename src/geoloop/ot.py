@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .prob_metrics import ProbVector
+from .prob_metrics import ProbVector, _as_prob
 from .rep_metrics import EmpiricalMeasure
 
 # Each solve's iteration budget, its tolerance on the L1 row violation and
@@ -350,9 +350,8 @@ def output_space_ot_diag(p: ProbVector, q: ProbVector) -> float:
     any training loss.  The breakpoints are a sorted Python set, the values
     np.union1d gives, without the numpy.ma import it loads.
     """
-    p = p if isinstance(p, ProbVector) else ProbVector(p)
-    q = q if isinstance(q, ProbVector) else ProbVector(q)
-    if p.support_size != q.support_size:
+    p, q = _as_prob(p), _as_prob(q)
+    if p.probs.size != q.probs.size:
         raise ValidationError("distributions must share a vocabulary")
     cdf_p = np.cumsum(p.probs / p.probs.sum())
     cdf_q = np.cumsum(q.probs / q.probs.sum())

@@ -40,6 +40,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
+from . import rewards
 from .errors import ValidationError
 from .task import ToyTask, Vocab, gold_items, warm_start_golds
 
@@ -76,31 +77,13 @@ class Samples:
             out[rows] = np.add.reduce(self.entropies[rows, :n], axis=1) / n
         return out
 
-    def format_ok(self, vocab: Vocab) -> np.ndarray:
-        """Per row: not truncated, and its content (the row without its
-        trailing EOS) is exactly one R_OPEN..R_CLOSE A_OPEN..A_CLOSE template
-        with nothing outside.
-
-        With exactly one of each tag and no EOS in the content, the template
-        holds iff R_OPEN is first, A_CLOSE last and A_OPEN right after R_CLOSE.
-        """
-        n = self.lengths - 1
-        content = np.arange(self.tokens.shape[1]) < n[:, None]
-        tags = np.array([vocab.r_open, vocab.r_close, vocab.a_open, vocab.a_close])
-        hits = (self.tokens[:, :, None] == tags) & content[:, :, None]
-        at = hits.argmax(axis=1)
-        return (~self.truncated & (hits.sum(axis=1) == 1).all(axis=1)
-                & ~((self.tokens == vocab.eos) & content).any(axis=1)
-                & (at[:, 0] == 0) & (at[:, 2] == at[:, 1] + 1) & (at[:, 3] == n - 1))
-
 
 def toy_format_reward(content_tokens, vocab: Vocab) -> float:
-    """The strict tag reward of one content: `Samples.format_ok` of the content
-    ended by EOS, as one untruncated row."""
+    """The strict tag reward of one content: `rewards.format_ok` of the
+    content ended by EOS, as one untruncated row."""
     row = np.array([*map(int, content_tokens), vocab.eos])
-    one = Samples(row[None, :], np.array([row.size]), np.zeros(1, dtype=bool),
-                  np.zeros((1, row.size)))
-    return float(one.format_ok(vocab)[0])
+    ok = rewards.format_ok(row[None, :], np.array([row.size]), np.zeros(1, dtype=bool), vocab)
+    return float(ok[0])
 
 
 @dataclass

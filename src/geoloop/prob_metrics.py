@@ -23,7 +23,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -41,7 +41,6 @@ class ProbVector:
     """A point on the categorical simplex (e.g. a next-token distribution)."""
 
     probs: np.ndarray
-    support_size: int = field(init=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -53,7 +52,6 @@ class ProbVector:
         if not math.isfinite(total) or abs(total - 1.0) > _NORM_TOL:
             raise ValidationError(f"probs must sum to 1 within {_NORM_TOL}, got {total!r}")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "support_size", probs.size)
 
 
 def _as_prob(p) -> ProbVector:
@@ -65,7 +63,7 @@ def _path(checkpoints, least: int) -> tuple:
     cps = tuple(_as_prob(cp) for cp in checkpoints)
     if len(cps) < least:
         raise ValidationError(f"need at least {least} checkpoints, got {len(cps)}")
-    if any(cp.support_size != cps[0].support_size for cp in cps):
+    if any(cp.probs.size != cps[0].probs.size for cp in cps):
         raise ValidationError("all checkpoints must share one support")
     return cps
 
@@ -73,8 +71,8 @@ def _path(checkpoints, least: int) -> tuple:
 def bhattacharyya_coefficient(p, q) -> float:
     """BC(p,q) = sum_k sqrt(p_k q_k), clipped into [0,1] against roundoff."""
     p, q = _as_prob(p), _as_prob(q)
-    if p.support_size != q.support_size:
-        raise ValidationError(f"support mismatch: {p.support_size} vs {q.support_size}")
+    if p.probs.size != q.probs.size:
+        raise ValidationError(f"support mismatch: {p.probs.size} vs {q.probs.size}")
     bc = float(np.sum(np.sqrt(p.probs * q.probs)))
     return min(max(bc, 0.0), 1.0)
 
@@ -82,8 +80,8 @@ def bhattacharyya_coefficient(p, q) -> float:
 def js_divergence_nats(p, q) -> float:
     """Jensen-Shannon divergence in nats; finite for any pair (m_k > 0 wherever needed)."""
     p, q = _as_prob(p), _as_prob(q)
-    if p.support_size != q.support_size:
-        raise ValidationError(f"support mismatch: {p.support_size} vs {q.support_size}")
+    if p.probs.size != q.probs.size:
+        raise ValidationError(f"support mismatch: {p.probs.size} vs {q.probs.size}")
     m = 0.5 * (p.probs + q.probs)
 
     def _kl(a: np.ndarray) -> float:
@@ -191,7 +189,7 @@ def landscape_grid(base) -> np.ndarray:
     every cell is a distribution.
     """
     base = _as_prob(base)
-    k = base.support_size
+    k = base.probs.size
     # One power call per alpha: an array exponent rounds differently.
     powered = np.array([np.power(base.probs, a) for a in LANDSCAPE_ALPHAS])
     tempered = powered / powered.sum(axis=1)[:, None]

@@ -96,17 +96,11 @@ class EmpiricalMeasure:
     """Uniform-weight point cloud of per-sequence summaries (one row each)."""
 
     points: np.ndarray
-    normalised: bool = False
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if points.shape[0] < 1:
             raise ValidationError("measure needs at least one point")
-        if self.normalised:
-            # np.linalg.norm's sum for real rows, without its wrapper.
-            norms = np.sqrt(np.add.reduce(points * points, axis=1))
-            if not (np.abs(norms - 1.0) <= 1e-9).all():
-                raise ValidationError("normalised measure rows must have unit norm")
         object.__setattr__(self, "points", points)
 
     @property

@@ -2,9 +2,9 @@
 
 The base reward is binary and format-only: 1.0 iff the whole completion is
 exactly `<reasoning>...</reasoning><answer>...</answer>` (anchored, exactly
-one pair of each tag, nothing outside).  Content is never inspected.  The
-trainer scores it on the toy task's tokens with `policy.Samples.format_ok`,
-where the four tags are reserved tokens.
+one pair of each tag, nothing outside).  Content is never inspected.
+`format_ok` is that check on the toy task's tokens, where the four tags are
+reserved tokens.
 
 The tie-breaker channel converts the row log-softmax z of
 `mi.row_positive_logsoftmax` into a small dense reward
@@ -51,6 +51,25 @@ def entropy_gate(seq_entropies) -> np.ndarray:
     rank = max(1, math.ceil(ENTROPY_QUANTILE * ent.size))
     threshold = np.sort(ent)[rank - 1]
     return ent <= threshold
+
+
+def format_ok(tokens, lengths, truncated, vocab) -> np.ndarray:
+    """Per row: not truncated, and its content (the row without its
+    trailing EOS) is exactly one R_OPEN..R_CLOSE A_OPEN..A_CLOSE template
+    with nothing outside.  The rows are a `policy.Samples`'s tokens, lengths
+    and truncation flags.
+
+    With exactly one of each tag and no EOS in the content, the template
+    holds iff R_OPEN is first, A_CLOSE last and A_OPEN right after R_CLOSE.
+    """
+    n = lengths - 1
+    content = np.arange(tokens.shape[1]) < n[:, None]
+    tags = np.array([vocab.r_open, vocab.r_close, vocab.a_open, vocab.a_close])
+    hits = (tokens[:, :, None] == tags) & content[:, :, None]
+    at = hits.argmax(axis=1)
+    return (~truncated & (hits.sum(axis=1) == 1).all(axis=1)
+            & ~((tokens == vocab.eos) & content).any(axis=1)
+            & (at[:, 0] == 0) & (at[:, 2] == at[:, 1] + 1) & (at[:, 3] == n - 1))
 
 
 def format_gate_schedule(step: int, mi_warmup_steps: int) -> bool:

@@ -300,7 +300,8 @@ class Trainer:
 
         entropies = samples.mean_entropies()
         entropy_mask = rewards.entropy_gate(entropies)
-        format_ok = samples.format_ok(self.policy.vocab)
+        format_ok = rewards.format_ok(samples.tokens, lengths, samples.truncated,
+                                      self.policy.vocab)
 
         # Candidate scores; the positive is column 0.
         row_scores = norm[self._row_candidates(item_idx, groups, step), np.arange(b)[:, None]]
@@ -319,9 +320,9 @@ class Trainer:
             losses = mi.infonce_losses(norm[own[groups[kept]]][:, kept].T)
 
         cur_summaries = table.summaries(own[groups], row_counts)
-        cur_measure = rep_metrics.EmpiricalMeasure(cur_summaries[0], normalised=True)
+        cur_measure = rep_metrics.EmpiricalMeasure(cur_summaries[0])
         ref_measure = rep_metrics.EmpiricalMeasure(
-            self._ref_table.summaries(item_idx[groups], row_counts)[0], normalised=True)
+            self._ref_table.summaries(item_idx[groups], row_counts)[0])
         ot_on = config.ot_weight > 0 and step >= config.ot_warmup
         ot_stats = {"iterations": None, "violation": None, "converged": None}
         if ot_on:

@@ -1,6 +1,7 @@
 """Command-line surface: config round trip, exit codes, artifact layout."""
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -832,14 +833,16 @@ class TestEvalCommand:
         ([{"name": "x", "bits": 0.1, "auc": 0.6, "margin_pos": 1.0, "margin_neg": 0.5,
            "lb_pos_bits": "1.4"}], "'lb_pos_bits'"),
         ([{"name": "x", "bits": 0.1, "auc": 0.6, "margin_pos": 1.0, "margin_neg": 0.5,
-           "lb_neg_bits": False}], "'lb_neg_bits'")],
+           "lb_neg_bits": False}], "'lb_neg_bits'"),
+        ("name,bits\nc,0.1\n", "cannot read components file")],
         ids=["object", "list_of_lists", "missing_key", "name", "bits_string", "bits_null",
              "auc_bool", "margin_pos_inf", "margin_neg_past_float", "lb_string",
-             "lb_bool"])
+             "lb_bool", "not_json"])
     def test_malformed_components_file_exits_2_before_any_output(self, tmp_path, capsys,
                                                                   rows, field):
         path = tmp_path / "components.json"
-        path.write_text(json.dumps(rows))
+        # A string is the file's text as it is; anything else is written as JSON.
+        path.write_text(rows if isinstance(rows, str) else json.dumps(rows))
         out = tmp_path / "out"
         assert cli.main(["eval-constitution", "--components", str(path),
                          "--out-dir", str(out)]) == cli.EXIT_CONFIG
@@ -906,6 +909,19 @@ class TestEvalCommand:
                          "--out-dir", str(out)]) == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_dir_under_a_file_exits_2(self, tmp_path, capsys):
+        # The path names no file or directory, so the check passes it, and
+        # mkdir fails on the file in its way.
+        blocker = tmp_path / "file"
+        blocker.write_text("keep")
+        out = blocker / "sub"
+        assert cli.main(["eval-constitution", "--components",
+                         str(DATA / "component_replay.json"),
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert (f"cannot make output dir {out}: {os.strerror(errno.ENOTDIR)}"
+                in capsys.readouterr().err)
+        assert blocker.read_text() == "keep"
 
 
 def reference_reports(paths, seed=0, epochs=120, lr=0.5) -> dict:

@@ -99,6 +99,12 @@ class TestMiEffective:
     def test_antisymmetric(self, a, b):
         assert con.mi_effective(a, b) == -con.mi_effective(b, a)
 
+    @pytest.mark.parametrize("pos, neg", [(math.nan, 0.0), (0.0, math.inf),
+                                          (-math.inf, 1.0)])
+    def test_non_finite_margin_rejected(self, pos, neg):
+        with pytest.raises(ValidationError, match="margins must be finite"):
+            con.mi_effective(pos, neg)
+
 
 class TestSufficiencyIndex:
     def test_measured_si_values(self):
@@ -252,6 +258,21 @@ class TestPrincipleFiles:
             con.parse_principle_file(path)
         assert "floating item" in str(err.value)
 
+    def test_line_of_no_known_form_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("positives:\n- 4 9 4 9\nnegatives 4 9\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}:3: cannot parse 'negatives 4 9'")):
+            con.parse_principle_file(path)
+
+    def test_set_without_positives_rejected(self):
+        with pytest.raises(ValidationError, match="at least one positive"):
+            con.PrincipleSet("s", (), (con.Principle("neg0", (4,)),))
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValidationError, match="principle ids must be unique"):
+            con.PrincipleSet("s", (con.Principle("p", (4,)),), (con.Principle("p", (5,)),))
+
 
 class TestReportFromComponents:
     def test_replay_reproduces_measured_rows(self):
@@ -351,6 +372,18 @@ class TestEvaluatePrincipleSet:
             pos, neg = toy_set(vocab, negatives)
             con.evaluate_principle_set(policy, task, con.PrincipleSet("x", pos, neg))
             assert policy.param_hash() == before
+
+    def test_set_without_negatives_rejected(self, setup):
+        vocab, task, policy = setup
+        pos, _ = toy_set(vocab, [])
+        with pytest.raises(ValidationError, match="at least one negative"):
+            con.evaluate_principle_set(policy, task, con.PrincipleSet("s", pos, ()))
+
+    def test_task_without_items_rejected(self, setup):
+        vocab, task, policy = setup
+        pset = con.PrincipleSet("s", *toy_set(vocab, [(5, 10, 5, 5)]))
+        with pytest.raises(ValidationError, match="task sample is empty"):
+            con.evaluate_principle_set(policy, dataclasses.replace(task, items=()), pset)
 
 
 def reference_margin_rows(scores, true_cols):
@@ -485,3 +518,12 @@ class TestExternalScorePath:
         assert report.mi_diag_margin_pos > 1.0
         assert abs(report.mi_diag_margin_neg) < 0.5
         assert report.si > 0.0
+
+    def test_unequal_item_counts_rejected(self):
+        with pytest.raises(ValidationError, match="must share items"):
+            con.evaluate_from_score_files("x", np.zeros((4, 2)), np.zeros((3, 2)),
+                                          [(2.0, 1.8)] * 4)
+
+    def test_no_nll_rows_rejected(self):
+        with pytest.raises(ValidationError, match="at least one NLL row"):
+            con.evaluate_from_score_files("x", np.zeros((4, 2)), np.zeros((4, 2)), [])

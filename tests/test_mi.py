@@ -202,6 +202,15 @@ class TestBounds:
         with pytest.raises(ValidationError):
             mi.clean_mi_bounds(np.zeros((3, 3)), np.zeros((4, 3)), [True, True, True])
 
+    def test_bound_needs_a_shadow_column(self):
+        with pytest.raises(ValidationError, match="at least one shadow"):
+            mi.infonce_bound(np.zeros((3, 1)))
+
+    def test_clean_mask_of_another_length_rejected(self):
+        scores = np.zeros((3, 2))
+        with pytest.raises(ValidationError, match="clean mask length must match the batch"):
+            mi.clean_mi_bounds(scores, scores, [True, True])
+
 
 class TestShadowDraws:
     @settings(max_examples=200, deadline=None)

@@ -13,6 +13,7 @@ from geoloop.errors import ValidationError
 from geoloop import cli
 from geoloop import constitution as consti
 from geoloop import policy as pol
+from geoloop import rewards
 from geoloop import task as tk
 from test_draws import reference_format_pretrain_items
 
@@ -202,7 +203,7 @@ class TestVocab:
 def reference_format_reward(content_tokens, vocab) -> float:
     """The strict tag reward of one completion's content, one token at a time:
     1.0 iff exactly one R_OPEN..R_CLOSE A_OPEN..A_CLOSE template with nothing
-    outside.  The reference for Samples.format_ok and its one-row view
+    outside.  The reference for rewards.format_ok and its one-row view
     pol.toy_format_reward."""
     toks = tuple(int(t) for t in content_tokens)
     if not toks or vocab.eos in toks:
@@ -290,7 +291,8 @@ def random_samples(seed, n=400, max_len=12):
 
 
 class TestSamples:
-    """Each array method equals its one-completion definition exactly."""
+    """Each array method, and rewards.format_ok of the arrays, equals its
+    one-completion definition exactly."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_format_ok_is_the_format_reward(self, seed):
@@ -299,7 +301,8 @@ class TestSamples:
         expected = [(not c.truncated) and reference_format_reward(c.content, v) == 1.0
                     for c in completions(samples)]
         assert 50 < sum(expected) < len(expected)
-        assert samples.format_ok(v).tolist() == expected
+        ok = rewards.format_ok(samples.tokens, samples.lengths, samples.truncated, v)
+        assert ok.tolist() == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mean_entropies(self, seed):

@@ -106,6 +106,16 @@ class TestProbeReport:
         p, q, r = (random_simplex(rng, 5) for _ in range(3))
         assert pm.fr_distance(p, r) <= pm.fr_distance(p, q) + pm.fr_distance(q, r) + 1e-9
 
+    def test_js_supports_of_different_sizes_rejected(self):
+        with pytest.raises(ValidationError, match="support mismatch: 2 vs 3"):
+            pm.js_divergence_nats([0.5, 0.5], [0.25, 0.25, 0.5])
+
+    @pytest.mark.parametrize("probs", [np.full((2, 2), 0.25), np.zeros(0)],
+                             ids=["2-D", "empty"])
+    def test_prob_vector_must_be_a_non_empty_vector(self, probs):
+        with pytest.raises(ValidationError, match="non-empty 1-D vector"):
+            pm.ProbVector(probs)
+
 
 class TestPathStats:
     def test_great_circle_path(self):
@@ -180,7 +190,7 @@ def perturb(base, alpha, beta):
     """Per-cell reference: power-temper a ProbVector, then mix it toward uniform."""
     powered = np.power(base.probs, alpha)
     tempered = powered / float(np.sum(powered))
-    uniform = np.full(base.support_size, 1.0 / base.support_size)
+    uniform = np.full(base.probs.size, 1.0 / base.probs.size)
     return pm.ProbVector((1.0 - beta) * tempered + beta * uniform)
 
 

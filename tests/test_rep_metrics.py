@@ -27,8 +27,7 @@ def psd_sqrt_frechet(a, b):
 
 def unit_cloud(rng, b, d):
     pts = rng.normal(size=(b, d))
-    return rm.EmpiricalMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True),
-                               normalised=True)
+    return rm.EmpiricalMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
 class TestFrechet:
@@ -99,6 +98,13 @@ class TestFrechet:
         err = np.linalg.norm(root @ root - mat) / np.linalg.norm(mat)
         assert err < 1e-8
 
+    def test_beyond_roundoff_raises(self):
+        # A factor of 10 I against the identity covariance: the cross term
+        # counts 20 where tr S1 + tr S2 is 4, so d_F^2 reads -36.
+        wrong = rm.GaussianSummary(np.zeros(2), np.eye(2), 10.0 * np.eye(2))
+        with pytest.raises(ValidationError, match="Fréchet distance -36.0 too negative"):
+            rm.frechet_distance(wrong, rm.GaussianSummary(np.zeros(2), np.eye(2)))
+
 
 class TestFactorRoute:
     """frechet_distance takes tr(cross) from the summaries' factors: the centred
@@ -158,14 +164,14 @@ class TestFactorRoute:
         pts = unit_cloud(rng, b, d).points
         # Duplicate completions make the cloud rank-deficient.
         pts[1::3] = pts[0]
-        fit = rm.fit_gaussian(rm.EmpiricalMeasure(pts, normalised=True))
-        twice = rm.fit_gaussian(rm.EmpiricalMeasure(pts.copy(), normalised=True))
+        fit = rm.fit_gaussian(rm.EmpiricalMeasure(pts))
+        twice = rm.fit_gaussian(rm.EmpiricalMeasure(pts.copy()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert rm.frechet_distance(fit, twice) == 0.0
         # The same points in another order: the same Gaussian, reached
         # through roundoff.
-        shuffled = rm.fit_gaussian(rm.EmpiricalMeasure(pts[::-1], normalised=True))
+        shuffled = rm.fit_gaussian(rm.EmpiricalMeasure(pts[::-1]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", rm.FrechetClampWarning)
             assert rm.frechet_distance(fit, shuffled) <= rm._FRECHET_ROUNDOFF
@@ -187,10 +193,14 @@ class TestFactorRoute:
         with pytest.raises(ValidationError):
             rm.GaussianSummary(np.zeros(2), np.eye(2), np.ones((3, 3)))
 
+    def test_covariance_must_match_the_mean(self):
+        with pytest.raises(ValidationError, match="cov must be d x d for a d-vector mean"):
+            rm.GaussianSummary(np.zeros(2), np.eye(3))
+
 
 class TestStatedTolerances:
-    """The symmetry and unit-norm checks hold at the 1e-9 they state, with no
-    relative slack on top."""
+    """The symmetry check holds at the 1e-9 it states, with no relative
+    slack on top."""
 
     def test_asymmetry_beyond_1e_9_rejected(self):
         # 5e-6 on unit entries: within allclose's default rtol of 1e-5.
@@ -202,14 +212,6 @@ class TestStatedTolerances:
         cov = np.array([[1.0, 0.5], [0.5 + 5e-10, 1.0]])
         g = rm.GaussianSummary([0.0, 0.0], cov)
         assert g.cov[0, 1] == g.cov[1, 0]
-
-    def test_norm_beyond_1e_9_rejected(self):
-        with pytest.raises(ValidationError):
-            rm.EmpiricalMeasure([[1.0 + 5e-6, 0.0], [0.0, 1.0]], normalised=True)
-
-    def test_norm_within_1e_9_accepted(self):
-        m = rm.EmpiricalMeasure([[1.0 + 5e-10, 0.0], [0.0, 1.0]], normalised=True)
-        assert m.size == 2
 
 
 class TestEffectiveDims:
@@ -250,6 +252,13 @@ class TestEffectiveDims:
             scaled["participation_ratio"], rel=1e-9)
         for key in ("effrank", "participation_ratio"):
             assert 1.0 - 1e-9 <= dims[key] <= n + 1e-9
+
+    @pytest.mark.parametrize("eigenvalues, message", [
+        ([], "non-empty 1-D vector"), ([1.0, -0.5], "eigenvalues must be nonnegative")],
+        ids=["empty", "negative"])
+    def test_empty_or_negative_rejected(self, eigenvalues, message):
+        with pytest.raises(ValidationError, match=message):
+            rm.Spectrum(eigenvalues)
 
 
 class TestGaussianFit:
@@ -296,8 +305,10 @@ class TestGaussianFit:
         # The spectrum equals eigvalsh of the stored covariance, descending
         # and clamped at 0.
         rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(32, 8))
-        fit = rm.fit_gaussian(rm.EmpiricalMeasure(pts / np.linalg.norm(pts, axis=1, keepdims=True),
-                                                  normalised=True))
+        fit = rm.fit_gaussian(unit_cloud(rng, 32, 8))
         expected = np.clip(np.linalg.eigvalsh(fit.cov)[::-1], 0.0, None)
         assert np.array_equal(fit.spectrum().eigenvalues, expected)
+
+    def test_measure_needs_a_point(self):
+        with pytest.raises(ValidationError, match="at least one point"):
+            rm.EmpiricalMeasure(np.zeros((0, 2)))

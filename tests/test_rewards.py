@@ -48,6 +48,10 @@ class TestFormatGateSchedule:
     def test_zero_warmup_always_active(self):
         assert rewards.format_gate_schedule(0, 0)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValidationError, match="warmup length cannot be negative"):
+            rewards.format_gate_schedule(0, -1)
+
 
 class TestTieBreakReward:
     def test_neutral_z(self):
@@ -137,3 +141,11 @@ class TestAutoscaler:
             assert new.beta >= state.beta
         elif rho > rewards.AUTOSCALE_TARGET:
             assert new.beta <= state.beta
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"beta": 0.0}, "beta must be positive"), ({"beta": -1.0}, "beta must be positive"),
+        ({"ema_mi": -1e-3}, "EMA magnitudes cannot be negative"),
+        ({"ema_base": -1.0}, "EMA magnitudes cannot be negative")])
+    def test_invalid_state_rejected(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            rewards.AutoscalerState(**fields)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
 import zipfile
 from dataclasses import replace
@@ -237,8 +238,7 @@ class TestStepGradient:
                          for g in groups]
         ref = rep_metrics.EmpiricalMeasure(
             t.reference.table(true_contexts).summaries(np.arange(groups.size),
-                                                       counts.sum(axis=2))[0],
-            normalised=True)
+                                                       counts.sum(axis=2))[0])
         lam_row, lam_col = tr.rowcol_anneal(step, t.config.max_steps)
 
         def surrogate(p):
@@ -249,8 +249,7 @@ class TestStepGradient:
                                        / samples.lengths[kept, None])
             sami = tr.sami_weight_at(config, step) * (lam_row * losses["row_loss"]
                                                       + lam_col * losses["col_loss"])
-            cur = rep_metrics.EmpiricalMeasure(table.summaries(ctx, counts.sum(axis=2))[0],
-                                               normalised=True)
+            cur = rep_metrics.EmpiricalMeasure(table.summaries(ctx, counts.sum(axis=2))[0])
             divergence = ot.sinkhorn_divergence_with_grad(cur, ref, tr.BLUR ** 2)[0]
             return grpo + sami + config.ot_weight * divergence
 
@@ -302,6 +301,11 @@ class TestSchedules:
             assert rep.loss_total == (rep.loss_grpo + t.config.sami_weight * rep.loss_sami
                                       + rep.loss_ot), rep.step
         assert [rep.loss_ot > 0 for rep in reports] == [False] * 4 + [True] * 2
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_anneal_needs_a_positive_run_length(self, max_steps):
+        with pytest.raises(ValidationError, match="max_steps must be positive"):
+            tr.rowcol_anneal(0, max_steps)
 
 
 def bundled_trainer_config(name) -> dict:
@@ -559,6 +563,21 @@ class TestCheckpoints:
         assert meta["schema"] == 1
         assert policy.param_hash() == expected == meta["param_hash"]
 
+    @pytest.mark.parametrize("cut", [8, -8], ids=["short", "long"])
+    def test_member_whose_bytes_disagree_with_its_shape_rejected(self, cut):
+        # A stored member whose header says three <f8 values, followed by
+        # two or by four.
+        npy = io.BytesIO()
+        np.save(npy, np.arange(3.0))
+        raw = npy.getvalue()
+        raw = raw[:-cut] if cut > 0 else raw + bytes(-cut)
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
+            archive.writestr("a.npy", raw)
+        with pytest.raises(ValidationError,
+                           match=re.escape("checkpoint member 'a' does not hold shape (3,)")):
+            tr.read_npy_member(zipfile.ZipFile(buffer), "a")
+
 
 def step_contexts(t, step=0):
     """(item indices, items, contexts, own) of a step, built from the task:
@@ -770,7 +789,9 @@ class TestBatchedBookkeeping:
             t.autoscaler = after
 
             assert np.array_equal(samples.mean_entropies(), entropies)
-            assert np.array_equal(samples.format_ok(t.policy.vocab), format_ok)
+            assert np.array_equal(rewards.format_ok(samples.tokens, samples.lengths,
+                                                    samples.truncated, t.policy.vocab),
+                                  format_ok)
             assert np.array_equal(samples.counts(t.policy.vocab.size),
                                   transition_counts([c.tokens for c in comps],
                                                     t.policy.vocab.size))
@@ -819,7 +840,7 @@ class TestBatchedBookkeeping:
 
 class TestGeometryFlags:
     def test_failed_fit_logged_as_null(self):
-        one = rep_metrics.EmpiricalMeasure(np.array([[1.0, 0.0]]), normalised=True)
+        one = rep_metrics.EmpiricalMeasure(np.array([[1.0, 0.0]]))
         frechet, effrank, pr, degenerate = tr._geometry(one, one)
         assert math.isnan(frechet) and math.isnan(effrank) and math.isnan(pr)
         assert degenerate
@@ -832,7 +853,7 @@ class TestGeometryFlags:
         monkeypatch.setattr(rep_metrics, "frechet_distance", clamping_frechet)
         points = np.random.default_rng(0).normal(size=(8, 3))
         cloud = rep_metrics.EmpiricalMeasure(
-            points / np.linalg.norm(points, axis=1, keepdims=True), normalised=True)
+            points / np.linalg.norm(points, axis=1, keepdims=True))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             frechet, effrank, _, degenerate = tr._geometry(cloud, cloud)
@@ -847,7 +868,7 @@ class TestGeometryFlags:
         monkeypatch.setattr(rep_metrics, "frechet_distance", warning_frechet)
         points = np.random.default_rng(0).normal(size=(8, 3))
         cloud = rep_metrics.EmpiricalMeasure(
-            points / np.linalg.norm(points, axis=1, keepdims=True), normalised=True)
+            points / np.linalg.norm(points, axis=1, keepdims=True))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             frechet, _, _, degenerate = tr._geometry(cloud, cloud)
@@ -864,9 +885,8 @@ class TestGeometryFlags:
         # has no positive eigenvalue, so effrank and pr are NaN and flagged.
         points = np.random.default_rng(1).normal(size=(4, 3))
         ref = rep_metrics.EmpiricalMeasure(
-            points / np.linalg.norm(points, axis=1, keepdims=True), normalised=True)
-        cur = rep_metrics.EmpiricalMeasure(np.repeat(ref.points[:1], 4, axis=0),
-                                           normalised=True)
+            points / np.linalg.norm(points, axis=1, keepdims=True))
+        cur = rep_metrics.EmpiricalMeasure(np.repeat(ref.points[:1], 4, axis=0))
         frechet, effrank, pr, degenerate = tr._geometry(cur, ref)
         assert frechet == rep_metrics.frechet_distance(rep_metrics.fit_gaussian(cur),
                                                        rep_metrics.fit_gaussian(ref)) > 0.0
@@ -875,8 +895,8 @@ class TestGeometryFlags:
     def test_healthy_fit_not_flagged(self):
         points = np.random.default_rng(1).normal(size=(16, 3))
         cur = rep_metrics.EmpiricalMeasure(
-            points / np.linalg.norm(points, axis=1, keepdims=True), normalised=True)
-        ref = rep_metrics.EmpiricalMeasure(np.roll(cur.points, 1, axis=1), normalised=True)
+            points / np.linalg.norm(points, axis=1, keepdims=True))
+        ref = rep_metrics.EmpiricalMeasure(np.roll(cur.points, 1, axis=1))
         frechet, _, _, degenerate = tr._geometry(cur, ref)
         assert frechet > 0.0 and not degenerate
 

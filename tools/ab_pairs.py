@@ -2,6 +2,7 @@
 
     python tools/ab_pairs.py --workload train_pre_ot --seeds 901 902 ... 910
     python tools/ab_pairs.py --workload eval --seeds 1 2 3 --base HEAD~2
+    python tools/ab_pairs.py --workload probe --seeds 1 2 3 --label probe_check
 
 Each side runs from a fresh `git archive` tree in a new temporary directory:
 the base ref's commit, and the working tree's tracked and untracked files
@@ -16,14 +17,17 @@ and the change first when i is odd.  The script prints every pair's
 op_ms_p50 and whether its fingerprints match, then, for each end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the change's
 wins and the verdict of the pair rule (`verdict`), and last the failed
-operations of each side.  Standard library only; the trees are deleted when
-it ends.
+operations of each side.  With --label, it also writes all of that, with the
+base commit, the change's tree id and the machine perfbench reports, to
+BENCH_<label>.json at the repository root (`bench_record`).  Standard library
+only; the trees are deleted when it ends.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -56,6 +60,11 @@ def verdict(base, change, better: str = "lower") -> tuple:
     return wins, gain
 
 
+def pair_order(i: int) -> tuple:
+    """The sides of pair i in the order they run: the base first when i is even."""
+    return ("base", "change") if i % 2 == 0 else ("change", "base")
+
+
 def git(*args, env=None) -> bytes:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, env=env).stdout
@@ -77,7 +86,8 @@ def working_tree_id(scratch: Path) -> str:
 
 def run_bench(tree: Path, bench: dict, workload: str, seed: int) -> dict:
     """{"metrics": {name: value}, "fingerprints": {key: sha256}, "failed",
-    "attempted"} of one untraced run of the benchmark `bench` in `tree`."""
+    "attempted", "machine"} of one untraced run of the benchmark `bench` in
+    `tree`."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([*bench["command"], "--workload", workload, "--seed", str(seed),
                            "--seconds", str(bench["run_seconds"])],
@@ -88,7 +98,34 @@ def run_bench(tree: Path, bench: dict, workload: str, seed: int) -> dict:
     detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
     return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "fingerprints": {key: fp["sha256"] for key, fp in detail["fingerprints"].items()},
-            "failed": result["failed"], "attempted": result["attempted"]}
+            "failed": result["failed"], "attempted": result["attempted"],
+            "machine": detail["machine"]}
+
+
+def bench_record(workload: str, bench: dict, base: dict, change_tree: str, seeds,
+                 runs: dict) -> dict:
+    """The BENCH_<label>.json record of one set of pairs.
+
+    `base` is {"ref", "commit"}; runs[side][i] is run_bench's result of pair
+    i, whose seed is seeds[i].  The machine is the first run's."""
+    pairs = [{"seed": seed, "first": pair_order(i)[0],
+              **{side: {k: runs[side][i][k] for k in ("metrics", "failed", "attempted")}
+                 for side in ("base", "change")},
+              "fingerprints_same": runs["base"][i]["fingerprints"]
+              == runs["change"][i]["fingerprints"]}
+             for i, seed in enumerate(seeds)]
+    metrics = {}
+    for spec in bench["end_to_end"]:
+        values = {side: [r["metrics"][spec["name"]] for r in runs[side]] for side in runs}
+        wins, gain = verdict(values["base"], values["change"], spec["better"])
+        metrics[spec["name"]] = {
+            "unit": spec["unit"], "better": spec["better"],
+            **{side: dict(zip(("q1", "median", "q3"), quartiles(values[side])))
+               for side in ("base", "change")},
+            "wins": wins, "gain": gain}
+    return {"workload": workload, "run_seconds": bench["run_seconds"], "base": base,
+            "change": {"tree": change_tree}, "machine": runs["base"][0]["machine"],
+            "pairs": pairs, "metrics": metrics}
 
 
 def main(argv=None) -> int:
@@ -96,22 +133,28 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--base", default="HEAD", help="git ref of the base side (HEAD)")
+    parser.add_argument("--label", help="also write BENCH_<label>.json at the repository root")
     args = parser.parse_args(argv)
+    if args.label is not None and not re.fullmatch(r"[\w.-]+", args.label):
+        parser.error("--label takes letters, digits, '_', '.' and '-' only")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in bench["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         scratch = Path(tmp)
         trees = {"base": scratch / "base", "change": scratch / "change"}
-        export(args.base, trees["base"])
-        export(working_tree_id(scratch), trees["change"])
+        base = {"ref": args.base,
+                "commit": git("rev-parse", f"{args.base}^{{commit}}").decode().strip()}
+        change_tree = working_tree_id(scratch)
+        export(base["commit"], trees["base"])
+        export(change_tree, trees["change"])
         runs = {"base": [], "change": []}
         print(f"{args.workload}, {bench['run_seconds']} s a run, base {args.base} against "
               f"the working tree; {PAIR_METRIC} in {specs[PAIR_METRIC]['unit']}")
         print(f"{'pair':>4} {'seed':>6} {'first':>6} {'base':>12} {'change':>12} "
               f"{'change %':>9}  fingerprints")
         for i, seed in enumerate(args.seeds):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            order = pair_order(i)
             for side in order:
                 runs[side].append(run_bench(trees[side], bench, args.workload, seed))
             b, c = runs["base"][-1], runs["change"][-1]
@@ -120,21 +163,25 @@ def main(argv=None) -> int:
             print(f"{i + 1:>4} {seed:>6} {order[0]:>6} {vb:>12.6g} {vc:>12.6g} "
                   f"{100.0 * (vc - vb) / vb:>+8.2f}%  {same}", flush=True)
 
+    record = bench_record(args.workload, bench, base, change_tree, args.seeds, runs)
     print(f"{'metric':<12} {'side':<7} {'q1':>12} {'median':>12} {'q3':>12}   verdict")
-    for name, spec in specs.items():
-        values = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
-        wins, gain = verdict(values["base"], values["change"], spec["better"])
+    for name, m in record["metrics"].items():
         for side in ("base", "change"):
-            q1, median, q3 = quartiles(values[side])
-            note = (f"wins {wins} of {len(args.seeds)}, median "
-                    f"{100.0 * (median / quartiles(values['base'])[1] - 1.0):+.2f}%, "
-                    f"{'gain' if gain else 'no gain'}") if side == "change" else ""
-            print(f"{name:<12} {side:<7} {q1:>12.6g} {median:>12.6g} {q3:>12.6g}   {note}")
-    same = all(b["fingerprints"] == c["fingerprints"] for b, c in zip(runs["base"], runs["change"]))
+            q = m[side]
+            note = (f"wins {m['wins']} of {len(args.seeds)}, median "
+                    f"{100.0 * (q['median'] / m['base']['median'] - 1.0):+.2f}%, "
+                    f"{'gain' if m['gain'] else 'no gain'}") if side == "change" else ""
+            print(f"{name:<12} {side:<7} {q['q1']:>12.6g} {q['median']:>12.6g} "
+                  f"{q['q3']:>12.6g}   {note}")
+    same = all(pair["fingerprints_same"] for pair in record["pairs"])
     print(f"fingerprints: {'every pair the same' if same else 'DIFFER in some pair'}")
     for side in runs:
         print(f"failed operations, {side}: {sum(r['failed'] for r in runs[side])} of "
               f"{sum(r['attempted'] for r in runs[side])}")
+    if args.label is not None:
+        out = ROOT / f"BENCH_{args.label}.json"
+        out.write_text(json.dumps(record, indent=2) + "\n")
+        print(f"wrote {out.name}")
     return 0
 
 
