@@ -28,6 +28,7 @@ import numpy as np
 
 from . import constitution as consti
 from . import mi, ot, prob_metrics
+from . import task as tk
 from .errors import ValidationError
 from .policy import ToyPolicy, warm_start
 from .task import ToyTask, Vocab, check_pattern, make_toy_task, principles_from_patterns
@@ -43,10 +44,6 @@ DATA_DIR = Path(__file__).parent / "data"
 WARMSTART_EPOCHS = 200
 WARMSTART_LR = 0.5
 WARMSTART_BIAS = 0.15
-# The toy task of every command: items, prompt length and gold bias.
-TASK_ITEMS = 32
-PROMPT_LEN = 2
-TASK_BIAS = 0.8
 
 
 class ConfigError(ValueError):
@@ -90,6 +87,9 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be one line, got {value!r}")
             if isinstance(value, str) and value.encode(errors="replace").decode() != value:
                 raise ConfigError(f"{f.name} must encode as UTF-8, got {value!r}")
+            # TOML's \u0000 escape reads as a NUL, which no path can hold.
+            if isinstance(value, str) and "\0" in value:
+                raise ConfigError(f"{f.name} must not hold a NUL byte, got {value!r}")
         rules = (
             *((name, getattr(self, name) >= 0, "nonnegative")
               for name in ("seed", "sami_weight", "ot_weight", "ot_warmup",
@@ -158,15 +158,14 @@ def _read_input(path, what: str, reader=None):
 # ---------- shared setup ----------
 
 def _build_task(pset: consti.PrincipleSet, seed: int, vocab: Vocab) -> ToyTask:
-    """The toy task over `pset`'s token positives: TASK_ITEMS items drawn at
-    `seed` in `vocab`, with PROMPT_LEN-token prompts and gold bias TASK_BIAS."""
+    """The toy task over `pset`'s token positives, drawn at `seed` in
+    `vocab` with `make_toy_task`'s default settings."""
     patterns = [(p.pid, p.tokens) for p in pset.positives]
     try:
         principles = principles_from_patterns(vocab, patterns)
     except ValidationError as exc:
         raise ConfigError(f"constitution {pset.name!r}: {exc}") from exc
-    return make_toy_task(vocab, n_items=TASK_ITEMS, prompt_len=PROMPT_LEN, bias=TASK_BIAS,
-                         seed=seed, principles=principles)
+    return make_toy_task(vocab, seed=seed, principles=principles)
 
 
 def _load_principles(path) -> consti.PrincipleSet:
@@ -305,10 +304,11 @@ def cmd_eval_constitution(args) -> int:
             built[positives] = _build_task(pset, args.seed, Vocab())
         tasks.append((pset, built[positives]))
     if args.components:
-        reports = [consti.report_from_components(*row)
-                   for row in _read_components(args.components)]
+        reports = _read_input(args.components, "components file", consti.read_components)
     if args.scores:
-        nll_rows = _read_nll_csv(args.nll)
+        if args.nll is None:
+            raise ConfigError("--scores needs --nll with per-item NLL rows")
+        nll_rows = _read_input(args.nll, "NLL CSV", consti.read_nll_csv)
         pos_matrix, neg_matrix = (_read_input(path, "score matrix", mi.read_score_csv)
                                   for path in args.scores)
         for path, matrix in zip(args.scores, (pos_matrix, neg_matrix)):
@@ -334,6 +334,8 @@ def cmd_eval_constitution(args) -> int:
             raise ConfigError(f"report name {name!r} holds a path separator")
         if "\0" in name:
             raise ConfigError(f"report name {name!r} holds a NUL byte")
+        if name.encode(errors="replace").decode() != name:
+            raise ConfigError(f"report name {name!r} does not encode as UTF-8")
         if len(os.fsencode(f"report_{name}.json")) > 255:
             raise ConfigError(f"report name {name!r} makes report_<name>.json longer "
                               f"than 255 bytes")
@@ -356,68 +358,6 @@ def cmd_eval_constitution(args) -> int:
         print(f"{report.name}: SI={report.si:.4f} mi_eff={report.mi_effective:.4f} "
               f"auc={report.auc:.4f} bits={report.delta_nll_median:.4f}")
     return EXIT_OK
-
-
-# A --components row's fields, in `report_from_components` order.
-_COMPONENT_KEYS = ("name", "bits", "auc", "margin_pos", "margin_neg", "lb_pos_bits",
-                   "lb_neg_bits")
-
-
-def _read_components(path) -> list:
-    """The rows of a --components file as `report_from_components` arguments.
-
-    The file holds a JSON list of objects, each with a string `name`, finite
-    numbers `bits`, `auc`, `margin_pos` and `margin_neg`, and optional
-    numbers or nulls `lb_pos_bits` and `lb_neg_bits` (NaN when null or absent).
-    """
-    text = _read_input(path, "components file")
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot read components file {path}: {exc}") from exc
-    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
-        raise ConfigError(f"components file {path}: the top level must be a list of objects")
-    components = []
-    for index, row in enumerate(rows):
-        values = [row.get(key) for key in _COMPONENT_KEYS]
-        for key, value in zip(_COMPONENT_KEYS, values):
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if key == "name":
-                ok, kind = isinstance(value, str), "a string"
-            elif key.startswith("lb_"):
-                ok, kind = value is None or number, "a number or null"
-            else:
-                # An int past the float range is not finite either.
-                ok, kind = number and abs(value) <= sys.float_info.max, "a finite number"
-            if not ok:
-                got = repr(value) if key in row else "nothing"
-                raise ConfigError(f"components file {path}, row {index}: "
-                                  f"{key!r} must be {kind}, got {got}")
-        components.append([math.nan if value is None else value for value in values])
-    return components
-
-
-def _read_nll_csv(path):
-    if path is None:
-        raise ConfigError("--scores needs --nll with per-item NLL rows")
-    # Read text has universal newlines, so its lines are the file's lines.
-    header, *lines = _read_input(path, "NLL CSV").split("\n")
-    if header.strip() != "nll_without_bits,nll_with_bits":
-        raise ConfigError(f"bad NLL CSV header in {path}: {header.strip()!r}")
-    rows = []
-    for lineno, line in enumerate(lines, start=2):
-        if line.strip():
-            try:
-                a, b = line.strip().split(",")
-                rows.append((float(a), float(b)))
-            except ValueError as exc:
-                raise ConfigError(f"NLL CSV {path}, line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, rows[-1])):
-                raise ConfigError(f"NLL CSV {path}, line {lineno}: values must be "
-                                  f"finite, got {line.strip()!r}")
-    if not rows:
-        raise ConfigError(f"NLL CSV {path} has no rows")
-    return rows
 
 
 # ---------- probe ----------
@@ -465,7 +405,7 @@ def cmd_probe(args) -> int:
     if not isinstance(config_text, str):
         raise ConfigError(f"{source}: config_text must be a string, got {config_text!r}")
     stored = _read_toml(config_text, source)
-    for key, value in (("prompt_len", PROMPT_LEN), ("task_bias", TASK_BIAS)):
+    for key, value in (("prompt_len", tk.PROMPT_LEN), ("task_bias", tk.TASK_BIAS)):
         if stored.get(key, value) != value:
             raise ConfigError(f"{source}: {key} = {stored[key]!r}, but the probe task "
                               f"uses {key} = {value!r}")

@@ -27,7 +27,9 @@ different modes therefore do not compare.
 All task items are scored with one table: each item's gold under its
 prompt with every positive, every negative and no principle; each prompt and
 principle is bagged once.  Every report, measured, replayed or read
-from external score files, is assembled by `report_from_components`.
+from external score files, is assembled by `report_from_components`.  The
+replay's components file and the external NLL file are read here too
+(`read_components`, `read_nll_csv`), beside the functions their rows feed.
 
 Negatives pair with positives by index (cyclically when counts differ),
 mirroring pools where each negative was generated from one positive; the
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -270,6 +274,45 @@ def report_from_components(name: str, bits: float, auc: float, margin_pos: float
     )
 
 
+# A --components row's fields, in `report_from_components` order.
+_COMPONENT_KEYS = ("name", "bits", "auc", "margin_pos", "margin_neg", "lb_pos_bits",
+                  "lb_neg_bits")
+
+
+def read_components(path) -> list:
+    """The reports of a components file, one `report_from_components` a row.
+
+    The file is UTF-8 and holds a JSON list of objects, each with a string
+    `name`, finite numbers `bits`, `auc`, `margin_pos` and `margin_neg`, and
+    optional numbers or nulls `lb_pos_bits` and `lb_neg_bits` (NaN when null
+    or absent).
+    """
+    try:
+        rows = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"cannot read components file {path}: {exc}") from exc
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise ValidationError(f"components file {path}: the top level must be a list of objects")
+    reports = []
+    for index, row in enumerate(rows):
+        values = [row.get(key) for key in _COMPONENT_KEYS]
+        for key, value in zip(_COMPONENT_KEYS, values):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if key == "name":
+                ok, kind = isinstance(value, str), "a string"
+            elif key.startswith("lb_"):
+                ok, kind = value is None or number, "a number or null"
+            else:
+                # An int past the float range is not finite either.
+                ok, kind = number and abs(value) <= sys.float_info.max, "a finite number"
+            if not ok:
+                got = repr(value) if key in row else "nothing"
+                raise ValidationError(f"components file {path}, row {index}: "
+                                      f"{key!r} must be {kind}, got {got}")
+        reports.append(report_from_components(*(math.nan if v is None else v for v in values)))
+    return reports
+
+
 def _margin_rows(scores: np.ndarray, true_cols) -> np.ndarray:
     """Per-item margin: own-column score minus the mean of the other columns."""
     n, m = scores.shape
@@ -390,6 +433,30 @@ def aligned_scores(policy, task) -> tuple:
     # aligned[i, k] = matrix[i, (k + j_i) mod P].
     aligned = matrix[own[:, None], (np.arange(n_principles) + true_cols[:, None]) % n_principles]
     return aligned, mi._log_softmax(matrix, axis=1)[own, true_cols]
+
+
+def read_nll_csv(path) -> list:
+    """The (nll_without_bits, nll_with_bits) rows of a UTF-8 NLL CSV file,
+    each finite, under the header `nll_without_bits,nll_with_bits`; blank
+    lines are skipped and at least one row is required."""
+    # Read text has universal newlines, so its lines are the file's lines.
+    header, *lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if header.strip() != "nll_without_bits,nll_with_bits":
+        raise ValidationError(f"bad NLL CSV header in {path}: {header.strip()!r}")
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        if line.strip():
+            try:
+                a, b = line.strip().split(",")
+                rows.append((float(a), float(b)))
+            except ValueError as exc:
+                raise ValidationError(f"NLL CSV {path}, line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValidationError(f"NLL CSV {path}, line {lineno}: values must be "
+                                      f"finite, got {line.strip()!r}")
+    if not rows:
+        raise ValidationError(f"NLL CSV {path} has no rows")
+    return rows
 
 
 def evaluate_from_score_files(name: str, pos: np.ndarray, neg: np.ndarray, nll_rows, *,

@@ -30,6 +30,10 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_VOCAB_SIZE = 16
+# The toy task of every command: items, prompt length and gold bias.
+TASK_ITEMS = 32
+PROMPT_LEN = 2
+TASK_BIAS = 0.8
 GOLD_MAX_LEN = 9
 _WORD_BLOCK = 192               # raw words an epoch's stream hands out at a time
 _HALF = 1 << 32                 # the values of a 32-bit half
@@ -181,8 +185,8 @@ def principles_from_patterns(vocab: Vocab, patterns) -> tuple:
     return _principles(vocab, checked)
 
 
-def make_toy_task(vocab: Vocab | None = None, *, n_items: int = 32, prompt_len: int = 4,
-                  bias: float = 0.8, seed: int = 0,
+def make_toy_task(vocab: Vocab | None = None, *, n_items: int = TASK_ITEMS,
+                  prompt_len: int = PROMPT_LEN, bias: float = TASK_BIAS, seed: int = 0,
                   principles: tuple | None = None) -> ToyTask:
     """Seeded synthetic task: random prompts, one positive principle each,
     format-valid golds whose fillers lean toward the principle's preferences.

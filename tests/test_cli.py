@@ -21,9 +21,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geoloop import cli, mi, ot, prob_metrics
+from geoloop import task as tk
 from geoloop import constitution as consti
 from geoloop.policy import DEFAULT_DIM, ToyPolicy, mle_pretrain, transition_counts, warm_start
-from geoloop.task import Vocab, gold_items
+from geoloop.task import Vocab, gold_items, make_toy_task, principles_from_patterns
 from geoloop.trainer import STEPS_JSONL_FIELDS, Trainer, load_checkpoint
 
 DATA = Path(cli.DATA_DIR)
@@ -342,6 +343,18 @@ class TestTrainCommand:
         code = cli.main(["train", "--config", str(config), "--output-dir", str(out)])
         assert code == cli.EXIT_CONFIG
         assert "config error: output_dir must encode as UTF-8" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("key, value", [("constitution", "a\\u0000b"),
+                                            ("output_dir", "o\\u0000ut")])
+    def test_path_with_a_nul_exits_2_no_output(self, tmp_path, capsys, key, value):
+        # TOML's \u0000 escape reads as a NUL.  It ended in a ValueError
+        # traceback, from open (constitution) or mkdir (output_dir).
+        config = short_config(tmp_path)
+        config.write_text(re.sub(rf"(?m)^{key} = .*$", lambda _: f'{key} = "{value}"',
+                                 config.read_text()))
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert f"config error: {key} must not hold a NUL byte" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
     def test_negative_seed_flag_exits_2_no_output(self, tmp_path, capsys):
@@ -896,8 +909,14 @@ class TestEvalCommand:
         (["x", "a/b"], "report name 'a/b' holds a path separator"),
         # 134 characters, but 256 bytes with "report_" and ".json" in UTF-8.
         (["x", "\u00e9" * 122], "makes report_<name>.json longer than 255 bytes"),
-        (["x", "a\0b"], "report name 'a\\x00b' holds a NUL byte")],
-        ids=["same_name", "separator", "too_long_encoded", "nul"])
+        (["x", "a\0b"], "report name 'a\\x00b' holds a NUL byte"),
+        # JSON's \ud800 escape reads as a lone surrogate, which os.fsencode
+        # refused with a traceback.  One of U+DC80-U+DCFF passed it as a raw
+        # byte: the report was written, then printing its name raised.
+        (["x", "a\ud800"], "report name 'a\\ud800' does not encode as UTF-8"),
+        (["x", "a\udcff"], "report name 'a\\udcff' does not encode as UTF-8")],
+        ids=["same_name", "separator", "too_long_encoded", "nul", "surrogate",
+             "escaped_byte"])
     def test_components_name_that_clobbers_or_escapes_exits_2_before_any_output(
             self, tmp_path, capsys, names, message):
         path = tmp_path / "components.json"
@@ -1080,6 +1099,16 @@ class TestPositiveCounts:
         config = short_config(tmp_path, constitution=str(constitution))
         assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
         assert len((tmp_path / "run" / "steps.jsonl").read_text().splitlines()) == 8
+
+
+@pytest.mark.parametrize("name", ["toy_high_si", "toy_low_si"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_commands_build_the_library_default_task(name, seed):
+    # The commands' task settings are make_toy_task's defaults.
+    pset = cli._load_principles(DATA / f"{name}.txt")
+    principles = principles_from_patterns(Vocab(), [(p.pid, p.tokens) for p in pset.positives])
+    assert cli._build_task(pset, seed, Vocab()) == make_toy_task(Vocab(), seed=seed,
+                                                                 principles=principles)
 
 
 class TestBadTokenPatterns:
@@ -1696,7 +1725,7 @@ class TestProbeCommand:
         assert cli.main(["probe", str(ckpt), "--out-dir", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"checkpoint {ckpt} config: {key} = {value}," in err
-        assert f"the probe task uses {key} = {getattr(cli, key.upper())!r}" in err
+        assert f"the probe task uses {key} = {getattr(tk, key.upper())!r}" in err
         assert not out.exists()
 
     def test_checkpoints_without_config_probe_the_default_task(self, tmp_path):

@@ -1,4 +1,14 @@
-"""The compile peak of each source module, which sets the program's peak heap."""
+"""The compile peak of each source module, bounded.
+
+Every process compiles the package from source (no bytecode is written), so
+each module's compile is a transient heap peak in every command.  This file
+bounds that peak; it does not show that the bound sets perfbench's
+peak_rss_mb.  Lowering the largest peak, policy.py's, by 64 KiB left the
+median peak RSS of train_pre_ot 0.05 MB higher, while moving 375 KiB of
+compile from cli.py to constitution.py, the largest peak unchanged, lowered
+it by 0.11-0.18 MB on three workloads and raised it by 0.06 MB on probe,
+where one commit paired against itself, ten pairs, read 0.10 MB apart.
+"""
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +21,11 @@ SRC = Path(geoloop.__file__).parent
 # that resizes the interned-string table peaks about 900 KiB higher, and how
 # many strings a long-lived process has interned depends on what ran in it
 # before.  With Python 3.11, the largest peak is policy.py's 1 983 KiB, then
-# cli.py's 1 842 KiB and trainer.py's 1 235 KiB.  The parser's arena grows
-# in 8 KiB blocks, about seven short statements each, and docstring text
-# adds about 2-3 bytes a character, so the peak rises in steps: policy.py is
-# 65 KiB under the bound, room for about eight more blocks; cli.py is about
-# 200 KiB under it.
+# cli.py's 1 467 KiB, constitution.py's 1 326 KiB and trainer.py's
+# 1 235 KiB.  The parser's arena grows in 8 KiB blocks, about seven short
+# statements each, and docstring text adds about 2-3 bytes a character, so
+# the peak rises in steps: policy.py is 65 KiB under the bound, room for
+# about eight more blocks; cli.py is about 580 KiB under it.
 BOUND_KIB = 2048
 
 # Reads the module named by argv[1] and prints its compile peak in bytes.
@@ -35,10 +45,7 @@ def compile_peak(path: Path) -> int:
 
 
 def test_largest_compile_peak_is_bounded():
-    """Every process compiles the package from source (no bytecode is
-    written), and the largest module's compile sets the heap's high-water
-    mark, so perfbench's peak_rss_mb follows this peak on every workload: a
-    module that grows past the bound raises the peak RSS of every command."""
+    """Each module compiles in under BOUND_KIB of traced heap."""
     peaks = {path.name: compile_peak(path) for path in sorted(SRC.glob("*.py"))}
     name = max(peaks, key=peaks.get)
     every = ", ".join(f"{n} {peak // 1024}" for n, peak in sorted(peaks.items(),

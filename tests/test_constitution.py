@@ -293,6 +293,20 @@ class TestReportFromComponents:
         assert payload["leaky"]["delta_nll_bits"]["neg0"] is None
         assert payload["si"] == report.si
 
+    def test_read_components_gives_one_report_a_row(self, tmp_path):
+        path = tmp_path / "components.json"
+        path.write_text(json.dumps([
+            {"name": "x", "bits": 0.1, "auc": 0.6, "margin_pos": 1.0, "margin_neg": 0.5},
+            {"name": "y", "bits": 0.2, "auc": 0.7, "margin_pos": 2.0, "margin_neg": 0.5,
+             "lb_pos_bits": 1.5, "lb_neg_bits": None}]))
+        got = [report.to_json() for report in con.read_components(path)]
+        assert got == [con.report_from_components("x", 0.1, 0.6, 1.0, 0.5).to_json(),
+                       con.report_from_components("y", 0.2, 0.7, 2.0, 0.5, 1.5).to_json()]
+        path.write_text(json.dumps([{"name": "x", "bits": 0.1}]))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"components file {path}, row 0: 'auc' must be a finite number, got nothing")):
+            con.read_components(path)
+
 
 def principle_aware_policy(task, seed=0, epochs=150):
     policy = ToyPolicy(task.vocab)
@@ -523,6 +537,15 @@ class TestExternalScorePath:
         with pytest.raises(ValidationError, match="must share items"):
             con.evaluate_from_score_files("x", np.zeros((4, 2)), np.zeros((3, 2)),
                                           [(2.0, 1.8)] * 4)
+
+    def test_read_nll_csv(self, tmp_path):
+        path = tmp_path / "nll.csv"
+        path.write_bytes(b"nll_without_bits,nll_with_bits\r\n2.0,1.9\r\n\r\n3,2.5\n")
+        assert con.read_nll_csv(path) == [(2.0, 1.9), (3.0, 2.5)]
+        path.write_text("nll_without_bits,nll_with_bits\n2.0,inf\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"NLL CSV {path}, line 2: values must be finite, got '2.0,inf'")):
+            con.read_nll_csv(path)
 
     def test_no_nll_rows_rejected(self):
         with pytest.raises(ValidationError, match="at least one NLL row"):

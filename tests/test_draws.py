@@ -35,7 +35,7 @@ class TestShadowCandidatesMatchChoice:
                 assert rng.random() == ref.random(), (m, seed)
 
 
-def reference_make_toy_task(vocab=None, *, n_items=32, prompt_len=4, bias=0.8, seed=0,
+def reference_make_toy_task(vocab=None, *, n_items=32, prompt_len=2, bias=0.8, seed=0,
                             principles=None):
     """make_toy_task as it drew from np.random.default_rng(seed)."""
     vocab = vocab or tk.Vocab()
@@ -73,8 +73,8 @@ def cli_task_arguments(seed: int) -> dict:
     pset = consti.parse_principle_file(cli.DATA_DIR / "toy_high_si.txt")
     vocab = tk.Vocab(tk.DEFAULT_VOCAB_SIZE)
     principles = tk.principles_from_patterns(vocab, [(p.pid, p.tokens) for p in pset.positives])
-    return dict(vocab=vocab, n_items=cli.TASK_ITEMS, prompt_len=cli.PROMPT_LEN,
-                bias=cli.TASK_BIAS, seed=seed, principles=principles)
+    return dict(vocab=vocab, n_items=tk.TASK_ITEMS, prompt_len=tk.PROMPT_LEN,
+                bias=tk.TASK_BIAS, seed=seed, principles=principles)
 
 
 class CraftedPCG64:
