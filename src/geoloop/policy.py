@@ -417,18 +417,19 @@ class ToyPolicy:
 
     def sample_group(self, prompt, principle, group_size: int, seed) -> Samples:
         """group_size independent completions, deterministic for a fixed seed."""
-        return self.sample_groups(self.table([(prompt, principle)]), [0], group_size, [seed])
+        return self.sample_groups(self.table([(prompt, principle)]), [0], group_size,
+                                  np.random.default_rng(seed))
 
     def sample_groups(self, table: NextTokenTable, ctx_idx, group_size: int,
-                      seeds) -> Samples:
+                      rng: np.random.Generator) -> Samples:
         """One group of completions per table context ctx_idx[g], decoded
         together; group g is rows g * group_size to (g + 1) * group_size - 1.
 
-        Group g draws from its own stream default_rng(seeds[g]): one uniform
-        per sampled token, handed to the group's active members in (position,
-        member) order and inverted through the cdf, which is how
-        Generator.choice(p=...) would spend the same stream one token at a
-        time.
+        The call draws one (groups, max_len * group_size) block of uniforms
+        from rng, and group g spends row g: one uniform per sampled token,
+        handed to the group's active members in (position, member) order and
+        inverted through the cdf, which is how Generator.choice(p=...) would
+        spend a stream of those uniforms one token at a time.
 
         Each row of the groups' table is built once per call as two mass
         rows, exp(raw - m) and exp(pen - m): raw its logits, pen their
@@ -443,10 +444,9 @@ class ToyPolicy:
         only and writes token 0.
         """
         ctx_idx = np.asarray(ctx_idx, dtype=int)
-        if group_size < 2 or ctx_idx.size == 0 or ctx_idx.size != len(seeds):
-            raise ValidationError(f"need groups of at least 2, one seed per group and at least "
-                                  f"one group, got groups of {group_size}, {ctx_idx.size} "
-                                  f"contexts and {len(seeds)} seeds")
+        if group_size < 2 or ctx_idx.size == 0:
+            raise ValidationError(f"need groups of at least 2 and at least one group, got "
+                                  f"groups of {group_size} and {ctx_idx.size} contexts")
         n_groups, v, eos, m = ctx_idx.size, self.vocab.size, self.vocab.eos, self.max_len
         n = n_groups * group_size
         raw = (table.a[ctx_idx][:, None, :] + table.b[None]).reshape(-1, v)
@@ -459,8 +459,7 @@ class ToyPolicy:
         row = group * (v + 1)
         after = row + 1
         cells = np.arange(0, n * v, v)
-        draws = np.concatenate([np.random.default_rng(s).random(m * group_size)
-                                for s in seeds])
+        draws = rng.random((n_groups, m * group_size)).ravel()
         # One before each group's next unused uniform.
         offset = np.arange(n_groups) * (m * group_size) - 1
         # Position t's tokens are row t; a row's length is its first EOS plus one.

@@ -25,10 +25,22 @@ cap max_len, which removes length bias without per-sequence normalisation:
 Schedules: sami_weight ramps linearly over the first MI_WARMUP_STEPS steps;
 the row/column mix anneals (0.7, 0.3) -> (0.5, 0.5) over the first 10% of
 max_steps; the OT term is zero before ot_warmup; the format gate activates
-after 30% of the MI warmup.  Everything is deterministic under the config:
-each stochastic channel draws from the SeedSequence of the words (seed, step,
-channel, index), given as one uint32 array when all four fit in 32 bits
-(`derive_rng`).
+after 30% of the MI warmup.
+
+Everything is deterministic under the config.  Each consumer of random
+numbers draws from default_rng of its own words:
+
+    make_toy_task, init_params, warm-start epoch 0   (seed,)
+    warm-start epoch e                               (seed, e)
+    eval (constitution.py)                           (seed, 17)
+    train step s                                     (seed, s, 5)
+
+SeedSequence drops trailing zero words, so epoch 0's (seed, 0) is (seed,);
+eval, another command, reads the words of warm-start epoch 17.  Step s
+makes one Generator, `derive_rng(seed, s, 5)`, and draws from it in this
+order: the sampling uniforms, one (PROMPTS_PER_BATCH, max_len * GROUP_SIZE)
+block whose row g is group g's; the row shadow candidates; the column shadow
+candidates; and standard_normal(b), the reward jitter, when jitter_sigma > 0.
 
 The optimiser is plain SGD (LEARNING_RATE) with a global gradient-norm clip
 (GRAD_CLIP); external trainer defaults do not transfer to this scale.  The
@@ -45,7 +57,7 @@ context's row on its own, so the gathered rows equal those of tables built
 per step, bit for bit.  Because the reference table is built once, code
 that loads a reference into an existing Trainer (a resume) must rebuild it.
 Per completion, the step's bookkeeping (format check, entropies, gates, MI
-reward, advantages) is array operations, and each shadow channel's picks
+reward, advantages) is array operations, and each shadow draw's picks
 (mi.shadow_candidates) are one Generator call.  One mi.infonce_losses pass gives the SAMI losses,
 the diagonal statistic and the SAMI gradient's softmaxes, and only the
 current cloud's fit takes its eigenvalues.
@@ -67,10 +79,6 @@ from .errors import ValidationError
 from .policy import DEFAULT_MAX_LEN, NextTokenTable, ToyPolicy, logit_sums
 from .task import ToyTask, Vocab
 
-# Seed-derivation channel ids; 3 is unused, and renumbering the jitter
-# channel would change its draws.
-_CH_SAMPLE, _CH_SHADOW_P, _CH_SHADOW_C, _CH_JITTER = 0, 1, 2, 4
-
 # OT length scale (eps = BLUR ** 2), SGD rate and gradient-norm clip, sized for 16 tokens.
 BLUR = 0.12
 LEARNING_RATE = 1.0
@@ -82,15 +90,11 @@ PROMPTS_PER_BATCH = 8
 MI_WARMUP_STEPS = 50
 
 
-def derive_rng(seed: int, step: int, channel: int, index: int = 0) -> np.random.Generator:
-    # SeedSequence drops trailing zero words, so step s's group-0 sampling
-    # stream (seed, s, 0, 0) is the warm start's epoch-s gold stream (seed, s),
-    # and at s = 0 also default_rng(seed), which init_params and make_toy_task
-    # draw from.  Changing it changes every run; a stream redesign would give
-    # each consumer a distinct nonzero word.  SeedSequence splits each int of
-    # the tuple into uint32 words, one apiece below 2**32, so such words go in
-    # as that uint32 array, the same stream built without the split.
-    words = (seed, step, channel, index)
+def derive_rng(seed: int, step: int, word: int) -> np.random.Generator:
+    # default_rng((seed, step, word)).  SeedSequence splits each int of the
+    # tuple into uint32 words, one apiece below 2**32, so such words go in as
+    # that uint32 array, the same stream built without the split.
+    words = (seed, step, word)
     if 0 <= min(words) and max(words) < 2 ** 32:
         words = np.array(words, dtype=np.uint32)
     return np.random.default_rng(words)
@@ -250,18 +254,16 @@ class Trainer:
         pairs group g's prompt with pool principle p."""
         return self.policy.forward(self._grid[:, item_idx].reshape(-1, self.policy.vocab.size))
 
-    def _row_candidates(self, item_idx, groups, step: int) -> np.ndarray:
+    def _row_candidates(self, item_idx, groups, rng: np.random.Generator) -> np.ndarray:
         """(B, K+1) step contexts of each completion's true principle (column
-        0) and K uniform shadow principles."""
-        rng = derive_rng(self.config.seed, step, _CH_SHADOW_P)
+        0) and K uniform shadow principles, drawn from rng."""
         cols = mi.shadow_candidates(rng, self._true[item_idx[groups]],
                                     len(self.task.principles), self.config.shadow_k)
         return cols * len(item_idx) + groups[:, None]
 
-    def _col_candidates(self, b: int, step: int) -> np.ndarray:
-        """(B, K+1) completions {own, K shadows} to score under each
-        completion's own rendered prompt."""
-        rng = derive_rng(self.config.seed, step, _CH_SHADOW_C)
+    def _col_candidates(self, b: int, rng: np.random.Generator) -> np.ndarray:
+        """(B, K+1) completions {own, K shadows}, drawn from rng, to score
+        under each completion's own rendered prompt."""
         return mi.shadow_candidates(rng, np.arange(b), b, self.config.shadow_k)
 
     # ---------- the step ----------
@@ -278,9 +280,9 @@ class Trainer:
         n_groups = item_idx.size
         table = self._step_table(item_idx)
         own = self._true[item_idx] * n_groups + np.arange(n_groups)
-        samples = self.policy.sample_groups(
-            table, own, GROUP_SIZE,
-            [derive_rng(config.seed, step, _CH_SAMPLE, g) for g in range(n_groups)])
+        # The step's one stream, drawn in the module docstring's order.
+        rng = derive_rng(config.seed, step, 5)
+        samples = self.policy.sample_groups(table, own, GROUP_SIZE, rng)
         groups = np.repeat(np.arange(n_groups), GROUP_SIZE)
         b = groups.size
         lengths = samples.lengths
@@ -304,8 +306,8 @@ class Trainer:
                                       self.policy.vocab)
 
         # Candidate scores; the positive is column 0.
-        row_scores = norm[self._row_candidates(item_idx, groups, step), np.arange(b)[:, None]]
-        col_scores = norm[own[groups][:, None], self._col_candidates(b, step)]
+        row_scores = norm[self._row_candidates(item_idx, groups, rng), np.arange(b)[:, None]]
+        col_scores = norm[own[groups][:, None], self._col_candidates(b, rng)]
         clean = mi.clean_mi_bounds(row_scores, col_scores, format_ok & entropy_mask)
 
         # The on-policy GRPO term is over untruncated completions (module
@@ -336,8 +338,7 @@ class Trainer:
         with np.errstate(over="ignore", invalid="ignore"):
             base = format_ok.astype(float)
             if config.jitter_sigma > 0:
-                jitter_rng = derive_rng(config.seed, step, _CH_JITTER)
-                base = base + config.jitter_sigma * jitter_rng.standard_normal(b)
+                base = base + config.jitter_sigma * rng.standard_normal(b)
             format_gate_on = rewards.format_gate_schedule(step, MI_WARMUP_STEPS)
             mi_reward = np.zeros(b)
             if config.channel_weight > 0:

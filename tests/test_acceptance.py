@@ -163,47 +163,59 @@ def test_criterion_5_geometry_closed_forms():
 
 # ---------------------------------------------------------------- criterion 6
 
-def _short_ablation_run(name, steps=30, seed=11):
-    """A short run of a bundled config's trainer settings on a small task."""
+CRITERION_6_CONFIGS = ("grpo_cot", "grpo_cot_plus", "enigma_high_si")
+
+
+def criterion_6_runs(seed, steps=30):
+    """Each CRITERION_6_CONFIGS config's step reports: a short run of its
+    trainer settings on a small task, each from a copy of one warm start."""
     task = make_toy_task(seed=seed, prompt_len=2, n_items=16)
     policy = ToyPolicy(Vocab())
     policy.init_params(seed)
     warm_start(policy, task, 200, 0.5, seed, bias=0.15)
-    config = replace(cli.load_config(CONFIGS / f"{name}.toml"), max_steps=steps, seed=seed)
-    trainer = Trainer(policy, task, config)
-    return [trainer.train_step() for _ in range(steps)]
+    runs = []
+    for name in CRITERION_6_CONFIGS:
+        config = replace(cli.load_config(CONFIGS / f"{name}.toml"), max_steps=steps, seed=seed)
+        trainer = Trainer(policy.clone(), task, config)
+        runs.append([trainer.train_step() for _ in range(steps)])
+    return runs
+
+
+def criterion_6_failures(cot, plus, full) -> list:
+    """The names of criterion 6's conditions that the three runs fail."""
+    zero_std = [r for r in cot if r.reward_std == 0.0]
+    checks = {
+        "grpo_cot zero std on 90% of steps": len(zero_std) / len(cot) >= 0.9,
+        "grpo_cot zero gradient at zero std": all(r.grad_norm == 0.0 for r in zero_std),
+        "grpo_cot_plus mean std > 0.05": np.mean([r.reward_std for r in plus]) > 0.05,
+        "grpo_cot_plus mean grad_norm > 0": np.mean([r.grad_norm for r in plus]) > 0.0,
+        "grpo_cot_plus std > 0 on 90% of steps":
+            sum(r.reward_std > 0 for r in plus) / len(plus) >= 0.9,
+        "enigma mean std > 0": np.mean([r.reward_std for r in full]) > 0.0,
+        "enigma std > 0 on 90% of steps": sum(r.reward_std > 0 for r in full) / len(full) >= 0.9,
+        "enigma mean grad_norm > 0": np.mean([r.grad_norm for r in full]) > 0.0,
+    }
+    return [name for name, ok in checks.items() if not ok]
 
 
 def test_criterion_6_ablation_signal_collapse():
     """Saturated format reward: zero within-group std and zero policy gradient;
     jitter or the MI tie-breaker restores both."""
-    cot = _short_ablation_run("grpo_cot")
-    zero_std = [r for r in cot if r.reward_std == 0.0]
-    assert len(zero_std) / len(cot) >= 0.9
-    assert all(r.grad_norm == 0.0 for r in zero_std)
-
-    plus = _short_ablation_run("grpo_cot_plus")
-    assert np.mean([r.reward_std for r in plus]) > 0.05
-    assert np.mean([r.grad_norm for r in plus]) > 0.0
-    assert sum(r.reward_std > 0 for r in plus) / len(plus) >= 0.9
-
-    full = _short_ablation_run("enigma_high_si")
-    assert np.mean([r.reward_std for r in full]) > 0.0
-    assert sum(r.reward_std > 0 for r in full) / len(full) >= 0.9
-    assert np.mean([r.grad_norm for r in full]) > 0.0
-    passed(6, f"grpo_cot: reward_std = 0 on {len(zero_std)}/{len(cot)} steps with "
+    cot, plus, full = criterion_6_runs(11)
+    assert criterion_6_failures(cot, plus, full) == []
+    zero_std = sum(r.reward_std == 0.0 for r in cot)
+    passed(6, f"grpo_cot: reward_std = 0 on {zero_std}/{len(cot)} steps with "
               "zero gradient at each; jitter and MI tie-breaker both restore "
               "reward_std > 0 and nonzero grad_norm")
 
 
 # ---------------------------------------------------------------- criterion 7
 
-@pytest.fixture(scope="module")
-def enigma_run(tmp_path_factory):
-    """The full 2000-step seeded run, via the CLI, once per session."""
-    tmp = tmp_path_factory.mktemp("enigma_e2e")
+def enigma_run_dir(tmp, seed, max_steps):
+    """The bundled defaults' run on toy_high_si at seed, via the CLI, with
+    a checkpoint every 500 steps; its run directory."""
     config = cli.RunConfig(
-        seed=42, max_steps=2000, checkpoint_every=500,
+        seed=seed, max_steps=max_steps, checkpoint_every=500,
         output_dir=str(tmp / "run"),
         constitution=str(DATA / "toy_high_si.txt"))
     config_path = tmp / "config.toml"
@@ -212,23 +224,48 @@ def enigma_run(tmp_path_factory):
     return tmp / "run"
 
 
+def steps_rows(run) -> list:
+    return [json.loads(line) for line in (run / "steps.jsonl").read_text().splitlines()]
+
+
+def row_bounds(rows) -> list:
+    """The rows' clean row bounds; steps.jsonl logs an undefined bound (no
+    clean row) as null, read here as NaN."""
+    return [math.nan if r["mi_row_clean"] is None else r["mi_row_clean"] for r in rows]
+
+
+def criterion_7_step_0_holds(rows) -> bool:
+    """Criterion 7's step-0 condition: a defined row bound of at most 0.01."""
+    return row_bounds(rows[:1])[0] <= 0.01
+
+
+def criterion_7_failures(rows) -> list:
+    """The names of criterion 7's conditions that a run's steps.jsonl rows fail."""
+    row_bound = row_bounds(rows)
+    checks = {
+        "step-0 bound <= 0.01": criterion_7_step_0_holds(rows),
+        "last-25 mean bound > 0.05": float(np.nanmean(row_bound[-25:])) > 0.05,
+        "last bound > 0.05": row_bound[-1] > 0.05,
+        "max loss_ot < 0.1": max(r["loss_ot"] for r in rows) < 0.1,
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
+@pytest.fixture(scope="module")
+def enigma_run(tmp_path_factory):
+    """The full 2000-step seeded run, via the CLI, once per session."""
+    return enigma_run_dir(tmp_path_factory.mktemp("enigma_e2e"), 42, 2000)
+
+
 @pytest.mark.slow
 def test_criterion_7_end_to_end_mi_rise(enigma_run):
     """Clean MI row bound rises from <= 0.01 to > 0.05 nats with OT term < 0.1."""
-    rows = [json.loads(line) for line in
-            (enigma_run / "steps.jsonl").read_text().splitlines()]
+    rows = steps_rows(enigma_run)
     assert len(rows) == 2000
-    # steps.jsonl logs an undefined bound (no clean row) as null.
-    row_bound = [math.nan if r["mi_row_clean"] is None else r["mi_row_clean"] for r in rows]
-    first = row_bound[0]
-    final_window = row_bound[-25:]
+    assert criterion_7_failures(rows) == []
+    row_bound = row_bounds(rows)
     max_ot = max(r["loss_ot"] for r in rows)
-    assert not math.isnan(first)
-    assert first <= 0.01
-    assert float(np.nanmean(final_window)) > 0.05
-    assert row_bound[-1] > 0.05
-    assert max_ot < 0.1
-    passed(7, f"row bound {first:+.4f} at step 0 -> {row_bound[-1]:+.4f} "
+    passed(7, f"row bound {row_bound[0]:+.4f} at step 0 -> {row_bound[-1]:+.4f} "
               f"at step 2000 (> 0.05 nats); OT term peaked at {max_ot:.4f} < 0.1")
 
 
@@ -239,8 +276,7 @@ def test_every_ot_step_of_the_run_converges(enigma_run):
     A cross solve whose Newton step fails stops there unconverged, so this
     guards the run against that path.
     """
-    rows = [json.loads(line) for line in
-            (enigma_run / "steps.jsonl").read_text().splitlines()]
+    rows = steps_rows(enigma_run)
     warmup = cli.RunConfig().ot_warmup
     assert all(r["ot_iters"] is None and r["ot_converged"] is None for r in rows[:warmup])
     ot_rows = rows[warmup:]

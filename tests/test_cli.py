@@ -426,8 +426,7 @@ class TestTrainCommand:
         ("sami_weight", 1e300, 1, "grad_norm"),
         ("sami_weight", 1e160, 1, "grad_norm"),
         ("jitter_sigma", 1e300, 0, "reward_std, grad_norm"),
-        ("jitter_sigma", 5e307, 0,
-         "reward_base_mean, reward_std, loss_total, loss_grpo, grad_norm"),
+        ("jitter_sigma", 5e307, 0, "reward_base_mean, reward_std, grad_norm"),
     ])
     def test_overflowing_step_exits_1_keeping_strict_json_rows(self, tmp_path, capsys, key,
                                                                 value, step, overflowed):

@@ -144,9 +144,8 @@ def completions(samples) -> list:
                        bool(samples.truncated[b])) for b, n in enumerate(samples.lengths)]
 
 
-def reference_sample_group(p, prompt, principle, group_size, seed):
+def reference_sample_group(p, prompt, principle, group_size, rng):
     """The per-row decode loop: members in turn at each position, one stream."""
-    rng = np.random.default_rng(seed)
     ctx_tokens = list(prompt) + list(principle)
     ctx = p.embed[ctx_tokens].mean(axis=0) if ctx_tokens else np.zeros(p.dim)
     base_h = p.ctx_scale * ctx
@@ -838,18 +837,22 @@ class TestBatchedSampler:
     @staticmethod
     def assert_matches_reference(p, group_size=4):
         table = p.table(CONTEXTS)
+        block = p.max_len * group_size
         for seed in range(4):
-            seeds = [100 * seed + g for g in range(len(CONTEXTS))]
-            samples = p.sample_groups(table, range(len(CONTEXTS)), group_size, seeds)
+            samples = p.sample_groups(table, range(len(CONTEXTS)), group_size,
+                                      np.random.default_rng(seed))
             # Rows that finish early keep zeros past their length.
             past = np.arange(p.max_len) >= samples.lengths[:, None]
             assert not np.any(samples.tokens[past])
             comps = completions(samples)
             groups = [comps[group_size * g:group_size * (g + 1)]
                       for g in range(len(CONTEXTS))]
-            for ctx, group, s in zip(CONTEXTS, groups, seeds):
+            for g, (ctx, group) in enumerate(zip(CONTEXTS, groups)):
+                # Group g's uniforms follow the earlier groups' blocks.
+                rng = np.random.default_rng(seed)
+                rng.random(g * block)
                 for comp, (tokens, ents, truncated) in zip(
-                        group, reference_sample_group(p, *ctx, group_size, s), strict=True):
+                        group, reference_sample_group(p, *ctx, group_size, rng), strict=True):
                     assert comp.tokens == tokens
                     assert comp.truncated == truncated
                     assert np.max(np.abs(comp.entropies - ents)) <= 1e-12
@@ -886,7 +889,7 @@ class TestBatchedSampler:
         p.embed[:, 0] += 3.0
         p.out[0, p.vocab.eos] = 4.0
         lengths = p.sample_groups(p.table(CONTEXTS), range(len(CONTEXTS)), group_size,
-                                  range(len(CONTEXTS))).lengths
+                                  np.random.default_rng(0)).lengths
         assert lengths.min() == 1 and lengths.max() == 2
         self.assert_matches_reference(p, group_size)
 
@@ -916,7 +919,8 @@ class TestBatchedSampler:
             p.out[0, 3] = scale
             table = p.table(CONTEXTS)
             try:
-                samples = p.sample_groups(table, range(len(CONTEXTS)), 4, range(len(CONTEXTS)))
+                samples = p.sample_groups(table, range(len(CONTEXTS)), 4,
+                                          np.random.default_rng(0))
             except ValidationError as err:
                 assert "sampler masses underflow" in str(err)
                 refused.append(scale)
@@ -924,16 +928,30 @@ class TestBatchedSampler:
                 assert samples.tokens.max() < p.vocab.size
         assert refused == [1e4, 1e5]
 
-    @pytest.mark.parametrize("ctx_idx, seeds", [([0, 1], [7]), ([0], [7, 8]), ([], [])])
-    def test_groups_need_one_seed_each(self, ctx_idx, seeds):
+    def test_groups_need_a_group(self):
         p = randomised_policy(34)
-        with pytest.raises(ValidationError, match="one seed per group"):
-            p.sample_groups(p.table(CONTEXTS), ctx_idx, 4, seeds)
+        with pytest.raises(ValidationError, match="at least one group"):
+            p.sample_groups(p.table(CONTEXTS), [], 4, np.random.default_rng(7))
 
     def test_groups_need_two_members(self):
         p = randomised_policy(34)
         with pytest.raises(ValidationError, match="groups of at least 2"):
-            p.sample_groups(p.table(CONTEXTS), [0], 1, [7])
+            p.sample_groups(p.table(CONTEXTS), [0], 1, np.random.default_rng(7))
+
+    @pytest.mark.parametrize("group_size", [2, 4])
+    def test_sample_group_reads_the_seeds_first_block(self, group_size):
+        # sample_group(..., seed) spends default_rng(seed)'s first
+        # max_len * group_size uniforms, as the per-row decode reads them.
+        p = randomised_policy(30)
+        p.out *= 6.0
+        ctx = CONTEXTS[0]
+        got = completions(p.sample_group(*ctx, group_size, 99))
+        expected = reference_sample_group(p, *ctx, group_size, np.random.default_rng(99))
+        assert [(c.tokens, c.truncated) for c in got] == [(t, tr) for t, _, tr in expected]
+        rng = np.random.default_rng(99)
+        p.sample_groups(p.table([ctx]), [0], group_size, rng)
+        assert rng.random() == np.random.default_rng(99).random(
+            p.max_len * group_size + 1)[-1]
 
 
 class TestDecodeIndexing:

@@ -47,6 +47,30 @@ def four_prompts_per_batch(monkeypatch):
     monkeypatch.setattr(tr, "PROMPTS_PER_BATCH", 4)
 
 
+STEP_PHASES = ("sample", "rows", "cols", "jitter")
+
+
+def step_stream(t, step, phase):
+    """Step `step`'s one stream, default_rng((seed, step, 5)), at the start of
+    `phase`: the STEP_PHASES before it are spent in that order, by the
+    draws the trainer's module docstring declares (the sampling uniforms as
+    one block, then each completion's shadow draw as draw_shadows and
+    Generator.choice make it)."""
+    rng = np.random.default_rng((t.config.seed, step, 5))
+    items = [t.task.items[i] for i in t._batch_items(step)]
+    b = len(items) * tr.GROUP_SIZE
+    spent = STEP_PHASES[:STEP_PHASES.index(phase)]
+    if "sample" in spent:
+        rng.random((len(items), t.policy.max_len * tr.GROUP_SIZE))
+    if "rows" in spent:
+        for item in (item for item in items for _ in range(tr.GROUP_SIZE)):
+            mi.draw_shadows(range(len(t.task.principles)), item.column, t.config.shadow_k, rng)
+    if "cols" in spent:
+        for _ in range(b):
+            rng.choice(b - 1, size=t.config.shadow_k, replace=False)
+    return rng
+
+
 def small_trainer(seed=0, steps=50, **config_overrides):
     task = make_toy_task(seed=seed, prompt_len=2, n_items=16)
     policy = ToyPolicy(Vocab())
@@ -100,8 +124,8 @@ class TestGroupAdvantages:
         assert advantages.std() == pytest.approx(std, abs=1e-12)
 
 
-@pytest.mark.parametrize("words", [(0, 0, 0, 0), (2**32 - 1,) * 4, (42, 7, 2, 0),
-                                   (2**32, 7, 2, 0), (2**40 + 3, 0, 1, 5)],
+@pytest.mark.parametrize("words", [(0, 0, 0), (2**32 - 1,) * 3, (42, 7, 5),
+                                   (2**32, 7, 5), (2**40 + 3, 0, 5)],
                          ids=["zeros", "uint32_max", "uint32", "seed_2_32", "seed_2_40"])
 def test_derive_rng_draws_the_tuples_stream(words):
     # Words in [0, 2**32) go in as one uint32 array, larger ones as the tuple.
@@ -143,8 +167,8 @@ class TestGrpoUpdate:
         reward = np.array([float((not c.truncated)
                                  and reference_format_reward(c.content, policy.vocab) == 1.0)
                            for c in sampled])
-        reward = reward + config.jitter_sigma * tr.derive_rng(
-            4, 0, tr._CH_JITTER).standard_normal(len(sampled))
+        reward = reward + config.jitter_sigma * step_stream(
+            trainer, 0, "jitter").standard_normal(len(sampled))
         advantages = [tr.group_advantages(reward[g * size:(g + 1) * size])[0]
                       for g in range(tr.PROMPTS_PER_BATCH)]
         sampled = [sampled[g * size:(g + 1) * size] for g in range(tr.PROMPTS_PER_BATCH)]
@@ -595,9 +619,7 @@ def step_inputs(t, step=0):
     """What train_step scores: items, the table's (C, B) scores, completions."""
     item_idx, items, contexts, own = step_contexts(t, step)
     table = t.policy.table(contexts)
-    samples = t.policy.sample_groups(
-        table, own, tr.GROUP_SIZE,
-        [tr.derive_rng(t.config.seed, step, tr._CH_SAMPLE, g) for g in range(len(items))])
+    samples = t.policy.sample_groups(table, own, tr.GROUP_SIZE, step_stream(t, step, "sample"))
     comps = completions(samples)
     groups = np.repeat(np.arange(len(items)), tr.GROUP_SIZE)
     counts = transition_counts([c.tokens for c in comps], t.policy.vocab.size)
@@ -639,10 +661,10 @@ class TestGatherScorers:
     def test_row_scores(self, monkeypatch):
         t = small_trainer(seed=12)
         item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
-        ctx = t._row_candidates(item_idx, groups, 0)
+        ctx = t._row_candidates(item_idx, groups, step_stream(t, 0, "rows"))
         got = step_blocks(t.config.seed, monkeypatch)["row"]
         assert np.array_equal(got, scores[ctx, np.arange(len(comps))[:, None]] / lengths[:, None])
-        rng = tr.derive_rng(t.config.seed, 0, tr._CH_SHADOW_P)
+        rng = step_stream(t, 0, "rows")
         pool = range(len(t.task.principles))
         for b, comp in enumerate(comps):
             item = items[groups[b]]
@@ -654,10 +676,10 @@ class TestGatherScorers:
     def test_column_scores(self, monkeypatch):
         t = small_trainer(seed=13)
         item_idx, items, own, scores, comps, groups, lengths = step_inputs(t)
-        cands = t._col_candidates(len(comps), 0)
+        cands = t._col_candidates(len(comps), step_stream(t, 0, "cols"))
         got = step_blocks(t.config.seed, monkeypatch)["col"]
         assert np.array_equal(got, scores[own][groups[:, None], cands] / lengths[cands])
-        rng = tr.derive_rng(t.config.seed, 0, tr._CH_SHADOW_C)
+        rng = step_stream(t, 0, "cols")
         for idx, comp in enumerate(comps):
             others = [j for j in range(len(comps)) if j != idx]
             picked = [others[int(i)] for i in
@@ -731,8 +753,8 @@ def per_completion_rewards(t, step, comps, z):
                           for c in comps])
     base = format_ok.astype(float)
     if config.jitter_sigma > 0:
-        base = base + config.jitter_sigma * tr.derive_rng(
-            t.config.seed, step, tr._CH_JITTER).standard_normal(len(comps))
+        base = base + config.jitter_sigma * step_stream(
+            t, step, "jitter").standard_normal(len(comps))
     gate_on = rewards.format_gate_schedule(step, tr.MI_WARMUP_STEPS)
     mi_reward = np.zeros(len(comps))
     if config.channel_weight > 0:
@@ -830,8 +852,8 @@ class TestBatchedBookkeeping:
         for step in range(5):
             item_idx, items, _, _ = step_contexts(t, step)
             groups = np.repeat(np.arange(len(items)), tr.GROUP_SIZE)
-            got = t._row_candidates(item_idx, groups, step)
-            rng = tr.derive_rng(t.config.seed, step, tr._CH_SHADOW_P)
+            got = t._row_candidates(item_idx, groups, step_stream(t, step, "rows"))
+            rng = step_stream(t, step, "rows")
             for b, g in enumerate(groups):
                 column = items[g].column
                 draw = mi.draw_shadows(pool, column, t.config.shadow_k, rng)
