@@ -24,12 +24,13 @@ item's score at its true positive column against its score at its paired
 negative column; on `--components`, it is the AUC given.  SI values from
 different modes therefore do not compare.
 
-All task items are scored with one table: each item's gold under its
-prompt with every positive, every negative and no principle; each prompt and
-principle is bagged once.  Every report, measured, replayed or read
-from external score files, is assembled by `report_from_components`.  The
-replay's components file and the external NLL file are read here too
-(`read_components`, `read_nll_csv`), beside the functions their rows feed.
+Item golds are scored by one function, `gold_scores`, for eval and for the
+probe's aligned matrix alike: one table over every (item, pattern) context,
+each context scoring its own item's gold; each prompt and pattern is bagged
+once.  Every report, measured, replayed or read from external score files,
+is assembled by `report_from_components`.  The replay's components file
+and the external NLL file are read here too (`read_components`,
+`read_nll_csv`), beside the functions their rows feed.
 
 Negatives pair with positives by index (cyclically when counts differ),
 mirroring pools where each negative was generated from one positive; the
@@ -333,6 +334,23 @@ def _bound_bits(scores: np.ndarray, true_cols, rng: np.random.Generator) -> floa
     return mi.infonce_bound(np.take_along_axis(scores, cols, axis=1)) / LN2
 
 
+def gold_scores(policy, task, patterns) -> tuple:
+    """(sums, n_tok): sums[i, j] is item i's gold log-likelihood under its
+    prompt with patterns[j], and n_tok[i] that gold's length (at least 1).
+
+    One table holds every (item, pattern) context, and each context scores
+    only its own item's gold (`NextTokenTable.context_logprobs`), so an entry
+    equals a one-completion `seq_logprobs` call under that context alone.
+    """
+    items = task.items
+    bags = policy.bag_grid([item.prompt for item in items], patterns)
+    n_ctx = bags.shape[1]
+    golds = transition_counts([item.gold for item in items], policy.vocab.size)
+    sums = policy.forward(bags.reshape(-1, policy.vocab.size)).context_logprobs(
+        golds, np.repeat(np.arange(len(items)), n_ctx)).reshape(len(items), n_ctx)
+    return sums, np.array([max(1, len(item.gold)) for item in items], dtype=float)
+
+
 def evaluate_principle_set(policy, task, pset: PrincipleSet, *,
                            seed: int = 0) -> SufficiencyReport:
     """Score a principle set against a policy on the task's gold continuations.
@@ -345,27 +363,20 @@ def evaluate_principle_set(policy, task, pset: PrincipleSet, *,
     if not pset.negatives:
         raise ValidationError("evaluation needs at least one negative")
     rng = np.random.default_rng((seed, 17))
-    items = [(item.prompt, item.gold) for item in task.items]
-    if not items:
+    if not task.items:
         raise ValidationError("task sample is empty")
     true_pos_idx = [j % len(pset.positives) for j in task.true_columns]
 
-    # One table over every item's contexts: its prompt with every positive,
-    # every negative and no principle, each context scoring the item's gold.
+    # Each item's gold under its prompt with every positive, every negative
+    # and no principle.
     n_pos = len(pset.positives)
     principles = pset.positives + pset.negatives
-    bags = policy.bag_grid([prompt for prompt, _ in items],
-                           [p.tokens for p in principles] + [()])
-    n_ctx = bags.shape[1]
-    golds = transition_counts([gold for _, gold in items], policy.vocab.size)
-    sums = policy.forward(bags.reshape(-1, policy.vocab.size)).context_logprobs(
-        golds, np.repeat(np.arange(len(items)), n_ctx)).reshape(len(items), n_ctx)
-    n_tok = np.array([max(1, len(gold)) for _, gold in items], dtype=float)
+    sums, n_tok = gold_scores(policy, task, [p.tokens for p in principles] + [()])
     scores = sums / n_tok[:, None]
     pos_scores, neg_scores, without = scores[:, :n_pos], scores[:, n_pos:-1], scores[:, -1]
 
     # Predictive information: condition on the true positive vs. no principle.
-    with_lp = sums[np.arange(len(items)), true_pos_idx]
+    with_lp = sums[np.arange(len(task.items)), true_pos_idx]
     delta_bits = float(median((with_lp - sums[:, -1]) / n_tok / LN2))
 
     # Per-principle delta-NLL scores for separation and the leaky scan: one
@@ -420,16 +431,11 @@ def aligned_scores(policy, task) -> tuple:
     """The policy's items-by-principles score matrix, each row rotated left by
     its item's true column, and each row's log-softmax at its true column.
     Entry (i, j) is item i's gold log-probability per token under its prompt
-    with principle j; one table scores every (item, principle) context."""
-    n_items, n_principles = len(task.items), len(task.principles)
-    table = policy.forward(policy.bag_grid(
-        [item.prompt for item in task.items],
-        [p.tokens for p in task.principles]).reshape(-1, task.vocab.size))
-    golds = transition_counts([item.gold for item in task.items], task.vocab.size)
-    scores = table.seq_logprobs(golds).reshape(n_items, n_principles, n_items)
-    own = np.arange(n_items)
-    matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
-    true_cols = np.array(task.true_columns)
+    with principle j, from `gold_scores`."""
+    sums, n_tok = gold_scores(policy, task, [p.tokens for p in task.principles])
+    matrix = sums / n_tok[:, None]
+    own, true_cols = np.arange(len(task.items)), np.array(task.true_columns)
+    n_principles = len(task.principles)
     # aligned[i, k] = matrix[i, (k + j_i) mod P].
     aligned = matrix[own[:, None], (np.arange(n_principles) + true_cols[:, None]) % n_principles]
     return aligned, mi._log_softmax(matrix, axis=1)[own, true_cols]

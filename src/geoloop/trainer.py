@@ -37,10 +37,11 @@ numbers draws from default_rng of its own words:
 
 SeedSequence drops trailing zero words, so epoch 0's (seed, 0) is (seed,);
 eval, another command, reads the words of warm-start epoch 17.  Step s
-makes one Generator, `derive_rng(seed, s, 5)`, and draws from it in this
-order: the sampling uniforms, one (PROMPTS_PER_BATCH, max_len * GROUP_SIZE)
-block whose row g is group g's; the row shadow candidates; the column shadow
-candidates; and standard_normal(b), the reward jitter, when jitter_sigma > 0.
+makes one Generator, `np.random.default_rng((seed, s, 5))`, and draws from
+it in this order: the sampling uniforms, one (PROMPTS_PER_BATCH, max_len *
+GROUP_SIZE) block whose row g is group g's; the row shadow candidates; the
+column shadow candidates; and standard_normal(b), the reward jitter, when
+jitter_sigma > 0.
 
 The optimiser is plain SGD (LEARNING_RATE) with a global gradient-norm clip
 (GRAD_CLIP); external trainer defaults do not transfer to this scale.  The
@@ -88,16 +89,6 @@ GRAD_CLIP = 1.0
 GROUP_SIZE = 4
 PROMPTS_PER_BATCH = 8
 MI_WARMUP_STEPS = 50
-
-
-def derive_rng(seed: int, step: int, word: int) -> np.random.Generator:
-    # default_rng((seed, step, word)).  SeedSequence splits each int of the
-    # tuple into uint32 words, one apiece below 2**32, so such words go in as
-    # that uint32 array, the same stream built without the split.
-    words = (seed, step, word)
-    if 0 <= min(words) and max(words) < 2 ** 32:
-        words = np.array(words, dtype=np.uint32)
-    return np.random.default_rng(words)
 
 
 def group_advantages(group_rewards) -> tuple:
@@ -281,7 +272,7 @@ class Trainer:
         table = self._step_table(item_idx)
         own = self._true[item_idx] * n_groups + np.arange(n_groups)
         # The step's one stream, drawn in the module docstring's order.
-        rng = derive_rng(config.seed, step, 5)
+        rng = np.random.default_rng((config.seed, step, 5))
         samples = self.policy.sample_groups(table, own, GROUP_SIZE, rng)
         groups = np.repeat(np.arange(n_groups), GROUP_SIZE)
         b = groups.size

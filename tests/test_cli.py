@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from geoloop import cli, mi, ot, prob_metrics
 from geoloop import task as tk
 from geoloop import constitution as consti
-from geoloop.policy import DEFAULT_DIM, ToyPolicy, mle_pretrain, transition_counts, warm_start
+from geoloop.policy import DEFAULT_DIM, ToyPolicy, mle_pretrain, warm_start
 from geoloop.task import Vocab, gold_items, make_toy_task, principles_from_patterns
 from geoloop.trainer import STEPS_JSONL_FIELDS, Trainer, load_checkpoint
 
@@ -427,7 +427,8 @@ class TestTrainCommand:
         ("sami_weight", 1e160, 1, "grad_norm"),
         ("jitter_sigma", 1e300, 0, "reward_std, grad_norm"),
         ("jitter_sigma", 5e307, 0, "reward_base_mean, reward_std, grad_norm"),
-    ])
+    ], ids=["sami_weight-1e300", "sami_weight-1e160", "jitter_sigma-1e300",
+            "jitter_sigma-5e307"])
     def test_overflowing_step_exits_1_keeping_strict_json_rows(self, tmp_path, capsys, key,
                                                                 value, step, overflowed):
         config = cli.load_config(CONFIGS / "enigma_high_si.toml", {
@@ -1446,17 +1447,14 @@ def reference_probe(ckpts, out, constitution, seed=0):
             for j, b in enumerate(betas):
                 fh.write(f"{float(a)!r},{float(b)!r},{float(values[i, j])!r}\n")
 
+    # Each item's gold is scored alone, under one table of its prompt with
+    # every principle.
     policy = loaded[-1][0]
     n_principles = len(task.principles)
-    sample = task.items
-    table = policy.forward(policy.bag_grid(
-        [it.prompt for it in sample], [p.tokens for p in task.principles]
-    ).reshape(-1, vocab.size))
-    golds = transition_counts([it.gold for it in sample], vocab.size)
-    scores = table.seq_logprobs(golds).reshape(len(sample), n_principles, len(sample))
-    own = np.arange(len(sample))
-    matrix = scores[own, :, own] / np.maximum(1, golds.sum(axis=(1, 2)))[:, None]
-    true_cols = [it.column for it in sample]
+    matrix = np.array([policy.multi_context_logprob(
+        [(it.prompt, p.tokens) for p in task.principles], it.gold) / max(1, len(it.gold))
+        for it in task.items])
+    true_cols = [it.column for it in task.items]
     aligned = np.zeros_like(matrix)
     for i, j in enumerate(true_cols):
         aligned[i] = np.roll(matrix[i], -j)

@@ -20,12 +20,12 @@ SRC = Path(geoloop.__file__).parent
 # Each module is compiled in its own fresh `python -I` process: a compile
 # that resizes the interned-string table peaks about 900 KiB higher, and how
 # many strings a long-lived process has interned depends on what ran in it
-# before.  With Python 3.11, the largest peak is policy.py's 1 983 KiB, then
-# cli.py's 1 467 KiB, constitution.py's 1 326 KiB and trainer.py's
-# 1 235 KiB.  The parser's arena grows in 8 KiB blocks, about seven short
+# before.  With Python 3.11, the largest peak is policy.py's 1 974 KiB, then
+# cli.py's 1 467 KiB, constitution.py's 1 310 KiB and trainer.py's
+# 1 200 KiB.  The parser's arena grows in 8 KiB blocks, about seven short
 # statements each, and docstring text adds about 2-3 bytes a character, so
-# the peak rises in steps: policy.py is 65 KiB under the bound, room for
-# about eight more blocks; cli.py is about 580 KiB under it.
+# the peak rises in steps: policy.py is 74 KiB under the bound, room for
+# about nine more blocks; cli.py is about 580 KiB under it.
 BOUND_KIB = 2048
 
 # Reads the module named by argv[1] and prints its compile peak in bytes.

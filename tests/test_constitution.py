@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from geoloop.errors import ValidationError
 from geoloop import cli
 from geoloop import constitution as con
-from geoloop.policy import ToyPolicy, mle_pretrain
+from geoloop.policy import ToyPolicy, mle_pretrain, transition_counts
 from geoloop.task import Vocab, gold_items, make_toy_task, principles_from_patterns
 
 # (bits, auc, margin_pos, margin_neg) -> (mi_eff, si, drop_pct) published rows
@@ -514,6 +514,31 @@ class TestMatchesPerPoolScoring:
         mle_pretrain(policy, gold_items(task), 120, 0.5)
         assert_same_report(con.evaluate_principle_set(policy, task, pset, seed=1),
                            reference_evaluate(policy, task, pset, 1))
+
+
+class TestAlignedScores:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_entry_scores_its_gold_alone(self, seed):
+        # The probe's task (the bundled set) and a random policy, its logits
+        # at unit scale: rotated back to principle order, entry (i, j) is
+        # item i's gold scored by a one-completion seq_logprobs call under
+        # its prompt with principle j alone, divided by the gold's length.
+        # Scoring every gold under every context in one seq_logprobs call
+        # rounds about 1% of these entries differently in the last bits.
+        task = cli._build_task(cli._load_principles(cli.DATA_DIR / "toy_high_si.txt"), seed,
+                               Vocab())
+        policy = ToyPolicy(task.vocab)
+        policy.init_params(seed, scale=1.0)
+        aligned, _ = con.aligned_scores(policy, task)
+        n_principles = len(task.principles)
+        expected = np.zeros_like(aligned)
+        for i, item in enumerate(task.items):
+            gold = transition_counts([item.gold], task.vocab.size)
+            for j, principle in enumerate(task.principles):
+                table = policy.table([(item.prompt, principle.tokens)])
+                expected[i, (j - item.column) % n_principles] = (
+                    table.seq_logprobs(gold)[0, 0] / max(1, len(item.gold)))
+        np.testing.assert_array_equal(aligned, expected)
 
 
 class TestExternalScorePath:

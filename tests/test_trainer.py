@@ -124,15 +124,6 @@ class TestGroupAdvantages:
         assert advantages.std() == pytest.approx(std, abs=1e-12)
 
 
-@pytest.mark.parametrize("words", [(0, 0, 0), (2**32 - 1,) * 3, (42, 7, 5),
-                                   (2**32, 7, 5), (2**40 + 3, 0, 5)],
-                         ids=["zeros", "uint32_max", "uint32", "seed_2_32", "seed_2_40"])
-def test_derive_rng_draws_the_tuples_stream(words):
-    # Words in [0, 2**32) go in as one uint32 array, larger ones as the tuple.
-    expected = np.random.default_rng(words).random(8)
-    assert np.array_equal(tr.derive_rng(*words).random(8), expected)
-
-
 class TestGrpoUpdate:
     def test_step_follows_the_on_policy_gradient(self, monkeypatch):
         """One grpo_cot_plus step, no OT: the parameters move by -lr times the

@@ -21,6 +21,13 @@ operations of each side.  With --label, it also writes all of that, with the
 base commit, the change's tree id and the machine perfbench reports, to
 BENCH_<label>.json at the repository root (`bench_record`).  Standard library
 only; the trees are deleted when it ends.
+
+A control pairs one commit against itself: run the script from a clean
+working tree (`git status` shows nothing; a fresh clone of the commit will
+do) with `--base HEAD`, so both sides are the same files and whatever the
+pairs read is drift between runs.  Take one on the workload, at seeds of its
+own, before reading an `eval` or a `peak_rss_mb` verdict as the code's: on
+those two, one commit against itself has read a 9-of-10 difference.
 """
 from __future__ import annotations
 
