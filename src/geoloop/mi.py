@@ -7,7 +7,7 @@ score functions below take it as an array.  On a square matrix:
     row loss  = -(1/N) sum_i log softmax_j(L_i.)|_{j=i}
     col loss  = -(1/N) sum_j log softmax_i(L_.j)|_{i=j}
     auxiliary = lam_row * row + lam_col * col
-    diag stat = (mean row log-softmax diagonal + mean col log-softmax diagonal) / 2
+    diag stat = -(row loss + col loss) / 2
 
 On an (N, K+1) candidate block with the positive in column 0, the contrastive
 bound is log(K+1) minus the empirical InfoNCE loss; it can never exceed
@@ -46,31 +46,32 @@ def _log_softmax(arr: np.ndarray, axis: int) -> np.ndarray:
 # ---------- InfoNCE on square matrices ----------
 
 def infonce_losses(scores: np.ndarray) -> dict:
-    """Row and column InfoNCE losses of a square score array (both >= 0),
-    the diagonal statistic (`diag_mi`) and the row and column softmaxes, from
-    one max-shift, exponential and partition per direction."""
+    """Row and column InfoNCE losses of a square score array (both >= 0) and
+    the row and column softmaxes the SAMI gradient is built from, from one
+    max-shift, exponential and partition per direction."""
     n, m = scores.shape
     if n != m:
         raise ValidationError(f"InfoNCE needs a square matrix, got {n}x{m}")
     out = {}
-    terms = []
     for name, axis in (("row", 1), ("col", 0)):
         shifted = scores - scores.max(axis=axis, keepdims=True)
         mass = np.exp(shifted)
         total = mass.sum(axis=axis, keepdims=True)
-        terms.append(float((shifted.diagonal() - np.log(total).ravel()).mean()))
-        out[f"{name}_loss"] = max(0.0, -terms[-1])
+        term = float((shifted.diagonal() - np.log(total).ravel()).mean())
+        out[f"{name}_loss"] = max(0.0, -term)
         out[f"{name}_softmax"] = mass / total
-    out["diag_mi"] = min(0.0, 0.5 * (terms[0] + terms[1]))
     return out
 
 
 def diag_mi(scores: np.ndarray) -> float:
     """Diagonal PMI-like statistic: mean row/col log-softmax diagonal, halved.
 
-    Always <= 0, with equality only in the 1x1 case.
+    Each InfoNCE loss is the exact negation of its mean diagonal term, so
+    this is their sum halved, bit for bit.  Always <= 0: exactly 0 in the 1x1
+    case, and 0.0 once a dominant diagonal rounds both losses to 0.
     """
-    return infonce_losses(scores)["diag_mi"]
+    losses = infonce_losses(scores)
+    return min(0.0, -0.5 * (losses["row_loss"] + losses["col_loss"]))
 
 
 def shaping_term(scores: np.ndarray, quantile_mask, weight: float) -> float:

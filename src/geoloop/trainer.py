@@ -59,8 +59,8 @@ per step, bit for bit.  Because the reference table is built once, code
 that loads a reference into an existing Trainer (a resume) must rebuild it.
 Per completion, the step's bookkeeping (format check, entropies, gates, MI
 reward, advantages) is array operations, and each shadow draw's picks
-(mi.shadow_candidates) are one Generator call.  One mi.infonce_losses pass gives the SAMI losses,
-the diagonal statistic and the SAMI gradient's softmaxes, and only the
+(mi.shadow_candidates) are one Generator call.  One mi.infonce_losses pass
+gives the SAMI losses and the SAMI gradient's softmaxes, and only the
 current cloud's fit takes its eigenvalues.
 """
 from __future__ import annotations
@@ -137,7 +137,6 @@ class StepReport:
     loss_ot: float
     mi_row_clean: float
     mi_col_clean: float
-    diag_mi: float
     grad_norm: float
     entropy: float
     clean_count: int
@@ -380,7 +379,6 @@ class Trainer:
             **finite,
             mi_row_clean=clean["row_bound"],
             mi_col_clean=clean["col_bound"],
-            diag_mi=math.nan if losses is None else losses["diag_mi"],
             entropy=float(entropies.mean()),
             clean_count=clean["clean_count"],
             frechet=frechet,

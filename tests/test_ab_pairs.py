@@ -1,4 +1,5 @@
-"""tools/ab_pairs.py: the pair rule's verdict and the BENCH_<label>.json record."""
+"""tools/ab_pairs.py: the pair rule's verdict, the no-regression bound and the
+BENCH_<label>.json record."""
 import importlib.util
 import json
 from pathlib import Path
@@ -36,6 +37,24 @@ def test_quartiles_interpolate_linearly():
 ])
 def test_verdict(change, better, expected):
     assert ab_pairs.verdict(BASE[:len(change)], change, better) == expected
+
+
+# BASE's median is 10.0, so a bound of 0.25 allows a median of 12.5 where
+# lower is better and 7.5 where higher is better.
+@pytest.mark.parametrize("change_median, better, bound, expected", [
+    (12.5, "lower", 0.25, False),
+    (12.6, "lower", 0.25, True),
+    (7.5, "higher", 0.25, False),
+    (7.4, "higher", 0.25, True),
+    # Far better in the metric's own direction is never worse.
+    (5.0, "lower", 0.25, False),
+    (20.0, "higher", 0.25, False),
+    # peak_rss_mb's tighter bound: 0.1 of the base's median.
+    (11.0, "lower", 0.1, False),
+    (11.1, "lower", 0.1, True),
+])
+def test_worse(change_median, better, bound, expected):
+    assert ab_pairs.worse(BASE, [change_median] * len(BASE), better, bound) is expected
 
 
 BENCH = {"command": ["python3", "perfbench/run.py"], "run_seconds": 12,
@@ -84,6 +103,9 @@ def test_bench_record():
         assert (m["wins"], m["gain"]) == ab_pairs.verdict(values["base"], values["change"],
                                                           spec["better"])
         assert (m["wins"], m["gain"]) == (2, False)
+        assert (m["bound"], m["worse"]) == (spec["bound"], ab_pairs.worse(
+            values["base"], values["change"], spec["better"], spec["bound"]))
+        assert m["worse"] is False
 
 
 @pytest.fixture
@@ -107,6 +129,7 @@ def test_without_label_nothing_is_written(offline_main, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json"]
     out = capsys.readouterr().out
     assert "DIFFER in some pair" in out and "failed operations, change: 1 of 120" in out
+    assert out.count("no gain, not worse than its bound 25%") == 2
 
 
 def test_label_writes_the_record(offline_main, tmp_path):

@@ -158,7 +158,7 @@ class TestConfigRoundTrip:
         ("seed = 3  # note", "seed", 3),
         ("output_dir = 'runs/a'", "output_dir", "runs/a"),
         ('"seed" = 3', "seed", 3),
-    ])
+    ], ids=["comment", "literal_string", "quoted_key"])
     def test_toml_comment_literal_string_and_quoted_key_read(self, line, key, value):
         assert getattr(cli.parse_config(line + "\n"), key) == value
 

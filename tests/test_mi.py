@@ -77,22 +77,29 @@ def reference_log_softmax(scores, axis):
 
 
 def reference_infonce(scores):
-    """Losses, diagonal statistic and softmaxes, each from its own pass over
-    the matrix: the separate infonce_losses, diag_mi and SAMI-gradient
-    formulas that infonce_losses' single pass replaces."""
+    """Losses and softmaxes, each from its own pass over the matrix: the
+    separate infonce_losses and SAMI-gradient formulas that infonce_losses'
+    single pass replaces."""
     diag = np.arange(len(scores))
     row_ls, col_ls = reference_log_softmax(scores, 1), reference_log_softmax(scores, 0)
     row_loss = float(-np.mean(row_ls[diag, diag]))
     col_loss = float(-np.mean(col_ls[diag, diag]))
-    row_term = float(np.mean(row_ls[diag, diag]))
-    col_term = float(np.mean(col_ls[diag, diag]))
     soft_row = np.exp(scores - scores.max(axis=1, keepdims=True))
     soft_row /= soft_row.sum(axis=1, keepdims=True)
     soft_col = np.exp(scores - scores.max(axis=0, keepdims=True))
     soft_col /= soft_col.sum(axis=0, keepdims=True)
     return {"row_loss": max(0.0, row_loss), "col_loss": max(0.0, col_loss),
-            "diag_mi": min(0.0, 0.5 * (row_term + col_term)),
             "row_softmax": soft_row, "col_softmax": soft_col}
+
+
+def reference_diag_mi(scores):
+    """The diagonal statistic straight from its definition: the mean row and
+    column log-softmax diagonal terms, halved.  mi.diag_mi reads it off the
+    two InfoNCE losses and must give the same bits."""
+    diag = np.arange(len(scores))
+    row_term = float(np.mean(reference_log_softmax(scores, 1)[diag, diag]))
+    col_term = float(np.mean(reference_log_softmax(scores, 0)[diag, diag]))
+    return min(0.0, 0.5 * (row_term + col_term))
 
 
 def reference_cases(seed):
@@ -118,10 +125,27 @@ class TestInfonceSinglePass:
             assert got.keys() == want.keys()
             for key, value in want.items():
                 assert np.array_equal(got[key], value), key
-            assert mi.diag_mi(scores) == want["diag_mi"]
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 class TestDiagMi:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_mean_diagonal_formula_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = reference_cases(seed) + [
+            rng.normal(0, rng.choice([0.1, 2.0, 30.0]), (n, n)) for n in range(1, 9)]
+        for scores in cases:
+            assert same_bits(mi.diag_mi(scores), reference_diag_mi(scores)), scores.shape
+
+    @pytest.mark.parametrize("scores", [np.array([[5.0]]), np.diag([1e3, 1e3, 1e3])],
+                             ids=["one_by_one", "dominant_diagonal"])
+    def test_zero_cases_bit_for_bit(self, scores):
+        assert same_bits(reference_diag_mi(scores), 0.0)
+        assert same_bits(mi.diag_mi(scores), 0.0)
+
     def test_uniform(self):
         assert mi.diag_mi(np.zeros((2, 2))) == pytest.approx(-math.log(2))
 

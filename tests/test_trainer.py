@@ -391,7 +391,7 @@ class TestTrainStep:
         assert tuple(row.keys()) == tr.STEPS_JSONL_FIELDS == (
             "step", "reward_base_mean", "reward_mi_mean", "reward_std",
             "loss_total", "loss_grpo", "loss_sami", "loss_ot",
-            "mi_row_clean", "mi_col_clean", "diag_mi",
+            "mi_row_clean", "mi_col_clean",
             "grad_norm", "entropy", "clean_count", "frechet", "effrank", "pr",
             "geometry_degenerate", "beta", "ot_iters", "ot_violation", "ot_converged")
         assert isinstance(row["geometry_degenerate"], bool)

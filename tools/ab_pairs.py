@@ -16,7 +16,8 @@ run_seconds.  One pair per seed; pair i runs the base first when i is even
 and the change first when i is odd.  The script prints every pair's
 op_ms_p50 and whether its fingerprints match, then, for each end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the change's
-wins and the verdict of the pair rule (`verdict`), and last the failed
+wins, the verdict of the pair rule (`verdict`) and whether the change is
+worse than the metric's bound allows (`worse`), and last the failed
 operations of each side.  With --label, it also writes all of that, with the
 base commit, the change's tree id and the machine perfbench reports, to
 BENCH_<label>.json at the repository root (`bench_record`).  Standard library
@@ -65,6 +66,15 @@ def verdict(base, change, better: str = "lower") -> tuple:
     gain = (len(base) >= 10 and 10 * wins >= 9 * len(base)
             and sign * (base_median - quartiles(change)[1]) > q3 - q1)
     return wins, gain
+
+
+def worse(base, change, better: str, bound: float) -> bool:
+    """Whether the change's median of one metric is worse than the base's by
+    more than `bound`, a share of the base's median (BENCHMARK.json's
+    no-regression bound, as perfbench/README.md defines it)."""
+    sign = 1.0 if better == "lower" else -1.0
+    base_median = quartiles(base)[1]
+    return sign * (quartiles(change)[1] - base_median) > bound * base_median
 
 
 def pair_order(i: int) -> tuple:
@@ -129,7 +139,8 @@ def bench_record(workload: str, bench: dict, base: dict, change_tree: str, seeds
             "unit": spec["unit"], "better": spec["better"],
             **{side: dict(zip(("q1", "median", "q3"), quartiles(values[side])))
                for side in ("base", "change")},
-            "wins": wins, "gain": gain}
+            "wins": wins, "gain": gain, "bound": spec["bound"],
+            "worse": worse(values["base"], values["change"], spec["better"], spec["bound"])}
     return {"workload": workload, "run_seconds": bench["run_seconds"], "base": base,
             "change": {"tree": change_tree}, "machine": runs["base"][0]["machine"],
             "pairs": pairs, "metrics": metrics}
@@ -177,7 +188,9 @@ def main(argv=None) -> int:
             q = m[side]
             note = (f"wins {m['wins']} of {len(args.seeds)}, median "
                     f"{100.0 * (q['median'] / m['base']['median'] - 1.0):+.2f}%, "
-                    f"{'gain' if m['gain'] else 'no gain'}") if side == "change" else ""
+                    f"{'gain' if m['gain'] else 'no gain'}, "
+                    f"{'WORSE' if m['worse'] else 'not worse'} than its bound "
+                    f"{100.0 * m['bound']:g}%") if side == "change" else ""
             print(f"{name:<12} {side:<7} {q['q1']:>12.6g} {q['median']:>12.6g} "
                   f"{q['q3']:>12.6g}   {note}")
     same = all(pair["fingerprints_same"] for pair in record["pairs"])
